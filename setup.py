@@ -10,10 +10,9 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.10",
-    # numpy is a hard dependency of the simulator (workload sampling
-    # draws from numpy Generators); the trace-store read paths merely
-    # *prefer* it and degrade to pure-Python scalar loops when
-    # REPRO_NO_NUMPY=1 (or numpy is missing) -- see repro/core/npcompat.
+    # numpy is a hard dependency: the simulator's workload sampling
+    # draws from numpy Generators, and the trace-store read path (column
+    # consumer, sched bucketing, wide Alg. 2 windows) is vectorized.
     install_requires=["numpy"],
     extras_require={"test": ["pytest", "hypothesis"]},
     entry_points={"console_scripts": ["repro = repro.cli:main"]},

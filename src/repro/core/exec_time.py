@@ -37,14 +37,21 @@ from array import array
 from bisect import bisect_left, bisect_right
 from typing import Dict, Iterable, List, Sequence, Tuple
 
+import numpy as np
+
 from ..sim.scheduler import SchedSwitch
-from . import npcompat
 
 #: Flag bits of the columnar bucket: the event closes an execution
 #: segment of the bucket's PID (``prev_pid == pid``) and/or opens one
 #: (``next_pid == pid``).
 _CLOSES = 1
 _OPENS = 2
+
+#: Window sizes below this stay on the bisect fold: the numpy call
+#: overhead only amortizes over larger slices (measured on the perf
+#: harness; correctness does not depend on the value, but it must stay
+#: >= 1 -- the vectorized integral needs a non-empty window).
+MIN_VECTOR_ROWS = 64
 
 
 def _fold_segments(
@@ -197,7 +204,7 @@ class SchedIndex:
         # Typical callback windows span a handful of switches, where the
         # scalar fold wins; wide windows (long-running callbacks, the
         # analysis reports) amortize the vectorized integral below.
-        if npcompat.np is not None and hi - lo >= npcompat.MIN_VECTOR_ROWS:
+        if hi - lo >= MIN_VECTOR_ROWS:
             return self._exec_time_np(start, end, pid, lo, hi)
         exec_time = 0
         last_start = start
@@ -229,7 +236,6 @@ class SchedIndex:
         toggle parity, masked diff sum) instead of a Python loop over
         the window.
         """
-        np = npcompat.np
         views = self._np_views.get(pid)
         if views is None:
             times, flags = self._buckets[pid]

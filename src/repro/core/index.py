@@ -39,6 +39,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..tracing.events import (
     CB_END_PROBES,
     CB_START_PROBES,
@@ -113,17 +115,11 @@ def probe_code_table(strings: Sequence[str]) -> bytearray:
     return bytearray(code_of(text, CODE_OTHER) for text in strings)
 
 
-def probe_code_lut(code_table: Sequence[int]):
-    """The per-string-id code table as a numpy ``uint8`` lookup array
-    (``None`` without numpy): one fancy-index turns a segment's whole
-    probe-id column into per-row codes, replacing the per-row
-    ``codes[string_id]`` byte index of the scalar walk with a single
-    vectorized gather (see ``store.index.StoreTraceIndex``)."""
-    from . import npcompat
-
-    if npcompat.np is None:
-        return None
-    return npcompat.np.frombuffer(bytes(code_table), dtype=npcompat.np.uint8)
+def probe_code_lut(code_table: Sequence[int]) -> np.ndarray:
+    """The per-string-id code table as a numpy ``uint8`` lookup array:
+    one fancy-index turns a segment's whole probe-id column into
+    per-row codes (see ``store.index.StoreTraceIndex``)."""
+    return np.frombuffer(bytes(code_table), dtype=np.uint8)
 
 
 def cb_start_type_table(strings: Sequence[str]) -> List[Optional[str]]:

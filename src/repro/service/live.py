@@ -38,9 +38,8 @@ from operator import itemgetter
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..core import npcompat
 from ..core.dag import TimingDag
-from ..core.exec_time import _CLOSES, _OPENS, SchedIndex
+from ..core.exec_time import SchedIndex
 from ..core.extraction import EventIndex, _extract_pid_walk
 from ..core.synthesis import synthesize_dag
 from ..store.database import TraceStore
@@ -52,9 +51,9 @@ class LiveStoreIndex(StoreTraceIndex):
 
     Starts empty; :meth:`extend` appends one reader's stream as the next
     run of the merge order.  All consumption goes through the parent's
-    ``_consume_*`` loops (scalar and vectorized), so the maintained
-    structures match the batch build bit for bit -- the property the
-    service equivalence suite pins for every registry scenario.
+    ``_consume_*`` bodies, so the maintained structures match the batch
+    build bit for bit -- the property the service equivalence suite
+    pins for every registry scenario.
     """
 
     __slots__ = (
@@ -148,26 +147,12 @@ class LiveStoreIndex(StoreTraceIndex):
         self.sched = SchedIndex.from_buckets(self._sched_buckets)
 
     def _extend_ros(self, reader: Any) -> None:
-        """One reader through the batch fast-path dispatch, resuming
-        the persisted association state."""
-        fastpath = getattr(reader, "walk_fastpath", None)
-        if fastpath is None:
-            self._next_index = self._consume_rows(
-                reader.walk_rows(0), None, self._next_index,
-                self._current_cb, self._pending_p13, self._appenders,
-            )
-        else:
-            kind, columns = fastpath()
-            if kind >= 2:
-                self._next_index = self._consume_columns_v2(
-                    columns, None, self._next_index, self._current_cb,
-                    self._pending_p13, self._appenders,
-                )
-            else:
-                self._next_index = self._consume_columns(
-                    columns, None, self._next_index, self._current_cb,
-                    self._pending_p13, self._appenders,
-                )
+        """One reader through the batch fast path, resuming the
+        persisted association state."""
+        self._next_index = self._consume_reader(
+            reader, None, self._next_index, self._current_cb,
+            self._pending_p13, self._appenders,
+        )
         span = reader.ros_ts_range()
         if span is not None:
             self._last_ros_end = span[1]
@@ -178,7 +163,7 @@ class LiveStoreIndex(StoreTraceIndex):
         the existing tail (ties append after, matching merge tie order),
         else a stable 2-way timestamp merge -- the left fold of which
         equals the batch n-way merge."""
-        local = self._reader_sched_buckets(reader)
+        local = self._reader_sched_buckets(reader, None)
         buckets = self._sched_buckets
         for pid, bucket in local.items():
             existing = buckets.get(pid)
@@ -197,37 +182,6 @@ class LiveStoreIndex(StoreTraceIndex):
                     flags.append(flag)
                 buckets[pid] = (times, flags)
 
-    @staticmethod
-    def _reader_sched_buckets(
-        reader: Any,
-    ) -> Dict[int, Tuple[array, bytearray]]:
-        """One reader's per-PID buckets -- the per-reader half of the
-        batch ``_build_sched``, unfiltered."""
-        columns = (
-            getattr(reader, "sched_pid_columns", None)
-            if npcompat.np is not None
-            else None
-        )
-        if columns is not None:
-            return StoreTraceIndex._sched_buckets_np(columns(), None)
-        local: Dict[int, Tuple[array, bytearray]] = {}
-        for ts, prev_pid, next_pid in reader.sched_pid_rows():
-            if prev_pid != 0:
-                bucket = local.get(prev_pid)
-                if bucket is None:
-                    bucket = local[prev_pid] = (array("q"), bytearray())
-                bucket[0].append(ts)
-                bucket[1].append(
-                    _CLOSES | _OPENS if next_pid == prev_pid else _CLOSES
-                )
-            if next_pid != 0 and next_pid != prev_pid:
-                bucket = local.get(next_pid)
-                if bucket is None:
-                    bucket = local[next_pid] = (array("q"), bytearray())
-                bucket[0].append(ts)
-                bucket[1].append(_OPENS)
-        return local
-
 
 @dataclass
 class ServiceCounters:
@@ -242,6 +196,9 @@ class ServiceCounters:
     rebuilds: int = 0
     segments_rejected: int = 0
     queries_served: int = 0
+    #: requests that failed with an unexpected exception (answered
+    #: ``{"ok": false, "kind": "internal"}``).
+    internal_errors: int = 0
     extend_s: float = 0.0
     rebuild_s: float = 0.0
     #: estimated wall-clock the incremental extends saved vs rebuilding
@@ -259,6 +216,7 @@ class ServiceCounters:
             "rebuilds": self.rebuilds,
             "segments_rejected": self.segments_rejected,
             "queries_served": self.queries_served,
+            "internal_errors": self.internal_errors,
             "extend_s": round(self.extend_s, 6),
             "rebuild_s": round(self.rebuild_s, 6),
             "saved_s": round(self.saved_s, 6),

@@ -18,7 +18,8 @@ import os
 import socket
 import threading
 import time
-from typing import Any, Callable, Dict, Optional, Tuple
+import traceback
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..store.database import TraceStore
 from .ingest import DropDirWatcher, IngestError, IngestSpool
@@ -33,6 +34,20 @@ from .state import MODEL_FORMATS, ServiceState
 
 #: Default drop-dir / store re-scan cadence.
 DEFAULT_POLL_INTERVAL_S = 0.5
+
+
+def _string_list(payload: Dict[str, Any], key: str) -> Optional[List[str]]:
+    """Request field ``key`` as a list of strings (``None`` when absent
+    or empty); any other value is a :class:`ValueError` the client is
+    told about."""
+    value = payload.get(key)
+    if value is None or value == []:
+        return None
+    if not isinstance(value, list) or not all(
+        isinstance(item, str) for item in value
+    ):
+        raise ValueError(f"{key} must be a list of strings, got {value!r}")
+    return value
 
 
 class SynthesisService:
@@ -165,20 +180,16 @@ class SynthesisService:
             text = self.state().model_text(fmt)
             return {"ok": True, "format": fmt}, text.encode()
         if command == "chains":
+            sources = _string_list(payload, "sources")
+            sinks = _string_list(payload, "sinks")
             state = self.state()
-            chains = state.chains(
-                sources=payload.get("sources") or None,
-                sinks=payload.get("sinks") or None,
-            )
+            chains = state.chains(sources=sources, sinks=sinks)
             return (
                 {"ok": True, "chains": [list(chain.keys) for chain in chains]},
-                state.chains_text(
-                    sources=payload.get("sources") or None,
-                    sinks=payload.get("sinks") or None,
-                ).encode(),
+                state.chains_text(sources=sources, sinks=sinks).encode(),
             )
         if command == "latency":
-            topics = payload.get("topics")
+            topics = _string_list(payload, "topics")
             if not topics:
                 raise ValueError("latency needs topics")
             return {"ok": True, **self.state().latency_summary(topics)}, b""
@@ -209,6 +220,21 @@ class SynthesisService:
                 except (IngestError, ValueError) as error:
                     response, response_body = (
                         {"ok": False, "error": str(error)},
+                        b"",
+                    )
+                except Exception as error:  # answer, never drop the peer
+                    with self._lock:
+                        self.counters.internal_errors += 1
+                    self._log(
+                        f"client {peer}: internal error in "
+                        f"{payload.get('cmd')!r}:\n{traceback.format_exc()}"
+                    )
+                    response, response_body = (
+                        {
+                            "ok": False,
+                            "kind": "internal",
+                            "error": f"internal error: {error!r}",
+                        },
                         b"",
                     )
                 send_message(wfile, response, response_body)

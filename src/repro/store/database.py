@@ -245,9 +245,15 @@ class TraceStore:
         os.makedirs(self.cache_dir, exist_ok=True)
         cached = os.path.join(self.cache_dir, name)
         if not os.path.exists(cached):
+            # Never sweep ``name`` itself: a concurrent worker may have
+            # committed it since the check above and be about to map it.
             prefix = f"{run_id}."
             for entry in os.listdir(self.cache_dir):
-                if entry.startswith(prefix) and entry.endswith(SEGMENT_SUFFIX):
+                if (
+                    entry != name
+                    and entry.startswith(prefix)
+                    and entry.endswith(SEGMENT_SUFFIX)
+                ):
                     try:
                         os.remove(os.path.join(self.cache_dir, entry))
                     except OSError:

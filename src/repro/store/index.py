@@ -8,19 +8,20 @@ a merged list of :class:`~repro.tracing.events.TraceEvent` objects.
 
 What makes it cheap:
 
-* probe codes resolve through a per-segment table keyed by the stored
-  probe-string id (one bytearray index per row, no string hashing);
+* every binary segment (format v1, v2 or v3 -- the reader normalizes v1
+  columns on open) goes through one vectorized consumer: probe codes
+  resolve with one numpy gather through a per-segment table keyed by
+  the stored probe-string id, and walk columns are cut per PID in bulk;
 * payloads are touched only for the ID-carrying rows Alg. 1
   dereferences (publish / take / response keys --
   :data:`~repro.core.index.PAYLOAD_CODES`); CB start/end and kernel
   probe rows -- the bulk of a trace -- never construct an event object.
-  For format-v2 segments even the ID rows never see JSON:
   ``cb_id``/``topic``/``src_ts`` resolve from the segment's typed
-  per-field columns, bulk-decoded once per payload shape (v1 segments
-  keep the lazy per-distinct-payload JSON scan);
-* the k-way merge across runs orders ``(ts, run, row)`` int prefixes,
-  so ties keep run order (exactly like ``Trace.merge``) without a heap
-  key function;
+  per-field columns, bulk-decoded once per payload shape, and only
+  JSON-fallback rows (all rows of a v1 segment) see the JSON scanner;
+* the k-way merge across time-overlapping runs orders ``(ts, run,
+  row)`` int prefixes, so ties keep run order (exactly like
+  ``Trace.merge``) without a heap key function;
 * ``sched_switch`` rows feed shard-local
   :class:`~repro.core.exec_time.SchedIndex` buckets built from three
   int columns -- only the ``wanted_pids`` a worker will actually query
@@ -42,7 +43,8 @@ from heapq import merge as _heap_merge
 from operator import itemgetter
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..core import npcompat
+import numpy as np
+
 from ..core.exec_time import _CLOSES, _OPENS, SchedIndex
 from ..core.index import (
     CODE_CB_START,
@@ -146,28 +148,13 @@ class StoreTraceIndex:
             # The common case: seeded batch runs stagger their clock
             # bases, so run streams are time-disjoint in run-id order
             # and the chronological merge is plain concatenation --
-            # each segment's columns feed one tight index loop with no
-            # heap and no per-row generator frames or tuples.
+            # each segment's columns are consumed in bulk with no heap
+            # and no per-row generator frames or tuples.
             index = 0
             for reader in readers:
-                fastpath = getattr(reader, "walk_fastpath", None)
-                if fastpath is None:
-                    index = self._consume_rows(
-                        reader.walk_rows(0), wanted, index, current_cb,
-                        pending_p13, appenders,
-                    )
-                    continue
-                kind, columns = fastpath()
-                if kind >= 2:
-                    index = self._consume_columns_v2(
-                        columns, wanted, index, current_cb, pending_p13,
-                        appenders,
-                    )
-                else:
-                    index = self._consume_columns(
-                        columns, wanted, index, current_cb, pending_p13,
-                        appenders,
-                    )
+                index = self._consume_reader(
+                    reader, wanted, index, current_cb, pending_p13, appenders
+                )
         else:
             # Overlapping runs: k-way merge of per-reader row streams.
             # The (ts, order, row) int prefixes are unique, so plain
@@ -179,19 +166,42 @@ class StoreTraceIndex:
             rows = streams[0] if len(streams) == 1 else _heap_merge(*streams)
             self._consume_rows(rows, wanted, 0, current_cb, pending_p13, appenders)
 
-    # The three _consume_* bodies are the same association state machine
-    # as TraceIndex._build (positional indices of the merged stream),
-    # duplicated only for the per-row access pattern: v1 column indexing
-    # (JSON-interned payloads), v2 column indexing (typed shape
-    # columns), and pre-assembled row tuples.  The store equivalence
-    # suites pin all of them against the in-memory pipeline.
+    # The two _consume_* bodies are the same association state machine
+    # as TraceIndex._build (positional indices of the merged stream):
+    # _consume_columns over a time-ordered segment's whole columns,
+    # _consume_rows over pre-assembled row tuples (heap-merged
+    # overlapping runs, in-memory legacy runs).  The store equivalence
+    # suites pin both against the in-memory pipeline.
+
+    def _consume_reader(
+        self,
+        reader: Any,
+        wanted: Optional[frozenset],
+        index: int,
+        current_cb: Dict[int, Optional[str]],
+        pending_p13: Dict[int, List[int]],
+        appenders: Dict[int, tuple],
+    ) -> int:
+        """One reader as the next run of a time-ordered merge: a
+        segment's columns in bulk, an in-memory run's rows one by
+        one."""
+        fastpath = getattr(reader, "walk_fastpath", None)
+        if fastpath is None:
+            return self._consume_rows(
+                reader.walk_rows(0), wanted, index, current_cb, pending_p13,
+                appenders,
+            )
+        return self._consume_columns(
+            fastpath(), wanted, index, current_cb, pending_p13
+        )
 
     def _walk_appender(self, appenders: Dict[int, tuple], pid: int) -> tuple:
         """First-row setup of a PID's walk columns + bound appends.
 
-        Reuses columns an earlier (possibly vectorized) reader pass
-        already created for the PID -- a mixed-version store interleaves
-        consumers, and they all must extend the same columns."""
+        Reuses columns an earlier column-consumer pass already created
+        for the PID -- a store mixing binary and in-memory runs
+        interleaves both consumers, which must extend the same
+        columns."""
         walk = self._by_pid.get(pid)
         if walk is None:
             walk = self._by_pid[pid] = ([], bytearray(), [])
@@ -207,175 +217,16 @@ class StoreTraceIndex:
         index: int,
         current_cb: Dict[int, Optional[str]],
         pending_p13: Dict[int, List[int]],
-        appenders: Dict[int, tuple],
     ) -> int:
-        (
-            ts_col, pid_col, probe_col, data_col,
-            codes, start_types, payload_cache, payload,
-        ) = columns
-        cached_payload = payload_cache.get
-        writes = self.writes
-        writer_cb = self.writer_cb
-        take_responses = self.take_responses
-        dispatch_after = self.dispatch_after
-        all_wanted = wanted is None
-        for ts, pid, string_id, data_id in zip(
-            ts_col, pid_col, probe_col, data_col
-        ):
-            code = codes[string_id]
-            aux: Any = None
-            if code >= CODE_TIMER_CALL:
-                if code <= CODE_TAKE_TYPE_ERASED:
-                    aux = cached_payload(data_id)
-                    if aux is None:
-                        aux = payload(data_id)
-                    if code <= CODE_TAKE_RESPONSE:
-                        current_cb[pid] = aux.get("cb_id")
-                        if code == CODE_TAKE_RESPONSE:
-                            pending_p13.setdefault(pid, []).append(index)
-                            key = (aux.get("topic"), aux.get("src_ts"))
-                            take_responses.setdefault(key, []).append((index, aux))
-                    elif code == CODE_DDS_WRITE:
-                        writer_cb[index] = current_cb.get(pid)
-                        key = (aux.get("topic"), aux.get("src_ts"))
-                        writes.setdefault(key, []).append((index, aux))
-                    else:
-                        will_dispatch = bool(aux.get("will_dispatch"))
-                        for p13_index in pending_p13.pop(pid, ()):
-                            dispatch_after[p13_index] = will_dispatch
-            elif code == CODE_CB_START:
-                current_cb[pid] = None
-                aux = start_types[string_id]
-            if code and (all_wanted or pid in wanted):
-                # code-0 rows are no-ops to the Alg. 1 walk and never
-                # enter walk columns (matching the vectorized path).
-                try:
-                    append_ts, append_code, append_aux = appenders[pid]
-                except KeyError:
-                    append_ts, append_code, append_aux = self._walk_appender(
-                        appenders, pid
-                    )
-                append_ts(ts)
-                append_code(code)
-                append_aux(aux)
-            index += 1
-        return index
+        """One segment's :meth:`~repro.store.reader.SegmentReader.walk_fastpath`
+        columns, with the per-row dispatch hoisted into whole-column
+        numpy operations.
 
-    def _consume_columns_v2(
-        self,
-        columns: Tuple,
-        wanted: Optional[frozenset],
-        index: int,
-        current_cb: Dict[int, Optional[str]],
-        pending_p13: Dict[int, List[int]],
-        appenders: Dict[int, tuple],
-    ) -> int:
-        """v2/v3 column consumption: vectorized when numpy is available
-        and the segment is large enough to amortize it, else the scalar
-        hot loop.  Both build identical walk columns and tables (the
-        equivalence suites run under both modes)."""
-        if (
-            npcompat.np is not None
-            and len(columns[0]) >= npcompat.MIN_VECTOR_ROWS
-        ):
-            return self._consume_columns_v2_np(
-                columns, wanted, index, current_cb, pending_p13, appenders
-            )
-        return self._consume_columns_v2_rows(
-            columns, wanted, index, current_cb, pending_p13, appenders
-        )
-
-    def _consume_columns_v2_rows(
-        self,
-        columns: Tuple,
-        wanted: Optional[frozenset],
-        index: int,
-        current_cb: Dict[int, Optional[str]],
-        pending_p13: Dict[int, List[int]],
-        appenders: Dict[int, tuple],
-    ) -> int:
-        """The v2 hot loop: payload rows come from the segment's typed
-        shape columns (bulk-decoded once per shape on first touch), so
-        ID-carrying rows cost a list index and C ``dict.get`` calls --
-        no JSON scanner anywhere.  Fallback-encoded rows (payloads
-        outside the closed schema) decode through the v1 path."""
-        (
-            ts_col, pid_col, probe_col, shape_col, vidx_col,
-            codes, start_types, shapes, json_payload,
-        ) = columns
-        #: shape id -> materialized payload-row list, resolved lazily so
-        #: shapes only referenced by non-ID rows are never decoded.
-        rows_by_shape: List[Optional[List]] = [None] * len(shapes)
-        n_shapes = len(shapes)
-        writes = self.writes
-        writer_cb = self.writer_cb
-        take_responses = self.take_responses
-        dispatch_after = self.dispatch_after
-        all_wanted = wanted is None
-        for ts, pid, string_id, sid, vidx in zip(
-            ts_col, pid_col, probe_col, shape_col, vidx_col
-        ):
-            code = codes[string_id]
-            aux: Any = None
-            if code >= CODE_TIMER_CALL:
-                if code <= CODE_TAKE_TYPE_ERASED:
-                    if sid < n_shapes:
-                        rows = rows_by_shape[sid]
-                        if rows is None:
-                            rows = rows_by_shape[sid] = shapes[sid].rows()
-                        aux = rows[vidx]
-                    elif sid == SHAPE_JSON:
-                        aux = json_payload(vidx)
-                    else:  # NONE_ID: an ID-carrying probe without payload
-                        aux = {}
-                    if code <= CODE_TAKE_RESPONSE:
-                        current_cb[pid] = aux.get("cb_id")
-                        if code == CODE_TAKE_RESPONSE:
-                            pending_p13.setdefault(pid, []).append(index)
-                            key = (aux.get("topic"), aux.get("src_ts"))
-                            take_responses.setdefault(key, []).append((index, aux))
-                    elif code == CODE_DDS_WRITE:
-                        writer_cb[index] = current_cb.get(pid)
-                        key = (aux.get("topic"), aux.get("src_ts"))
-                        writes.setdefault(key, []).append((index, aux))
-                    else:
-                        will_dispatch = bool(aux.get("will_dispatch"))
-                        for p13_index in pending_p13.pop(pid, ()):
-                            dispatch_after[p13_index] = will_dispatch
-            elif code == CODE_CB_START:
-                current_cb[pid] = None
-                aux = start_types[string_id]
-            if code and (all_wanted or pid in wanted):
-                try:
-                    append_ts, append_code, append_aux = appenders[pid]
-                except KeyError:
-                    append_ts, append_code, append_aux = self._walk_appender(
-                        appenders, pid
-                    )
-                append_ts(ts)
-                append_code(code)
-                append_aux(aux)
-            index += 1
-        return index
-
-    def _consume_columns_v2_np(
-        self,
-        columns: Tuple,
-        wanted: Optional[frozenset],
-        index: int,
-        current_cb: Dict[int, Optional[str]],
-        pending_p13: Dict[int, List[int]],
-        appenders: Dict[int, tuple],
-    ) -> int:
-        """The vectorized v2/v3 consumer: per-row dispatch hoisted into
-        whole-column numpy operations.
-
-        Three precomputed code classes replace the scalar loop's per-row
-        branches: the per-string-id code table becomes a ``uint8``
-        lookup array, one gather yields every row's code, and boolean
-        masks split the stream into walk rows (``code != 0`` -- code-0
-        rows are no-ops to the Alg. 1 walk and are dropped, exactly like
-        the scalar paths) and *interesting* rows (CB starts + the
+        The per-string-id code table becomes a ``uint8`` lookup array,
+        one gather yields every row's code, and boolean masks split the
+        stream into walk rows (``code != 0`` -- code-0 rows are no-ops
+        to the Alg. 1 walk and are dropped, exactly like
+        :meth:`_consume_rows`) and *interesting* rows (CB starts + the
         ID-carrying payload codes) that the association state machine
         must still see in order.  Aux values resolve in bulk, one
         ``map`` per referenced payload shape, into a whole-column object
@@ -384,7 +235,6 @@ class StoreTraceIndex:
         byte-identity is untouched); and the sequential state machine --
         reduced to the association-table bookkeeping only -- runs over
         just the interesting rows with every aux already in hand."""
-        np = npcompat.np
         (
             ts_col, pid_col, probe_col, shape_col, vidx_col,
             codes, start_types, shapes, json_payload,
@@ -447,7 +297,7 @@ class StoreTraceIndex:
             walk[2].extend(aux_row[rows].tolist())
 
         # The dds_write -> active-writer-CB association, vectorized.
-        # The scalar machine threads ``current_cb`` through every
+        # The row consumer threads ``current_cb`` through every
         # CB-start and ID-carrying row; but each write only reads the
         # state of the *last preceding setter in its PID*, which one
         # searchsorted per PID locates directly -- so the sequential
@@ -575,34 +425,7 @@ class StoreTraceIndex:
         """
         partials: Dict[int, List[Tuple[array, bytearray]]] = {}
         for reader in readers:
-            columns = (
-                getattr(reader, "sched_pid_columns", None)
-                if npcompat.np is not None
-                else None
-            )
-            if columns is not None:
-                local = StoreTraceIndex._sched_buckets_np(columns(), wanted)
-            else:
-                local = {}
-                for ts, prev_pid, next_pid in reader.sched_pid_rows():
-                    if prev_pid != 0 and (wanted is None or prev_pid in wanted):
-                        bucket = local.get(prev_pid)
-                        if bucket is None:
-                            bucket = local[prev_pid] = (array("q"), bytearray())
-                        bucket[0].append(ts)
-                        bucket[1].append(
-                            _CLOSES | _OPENS if next_pid == prev_pid else _CLOSES
-                        )
-                    if (
-                        next_pid != 0
-                        and next_pid != prev_pid
-                        and (wanted is None or next_pid in wanted)
-                    ):
-                        bucket = local.get(next_pid)
-                        if bucket is None:
-                            bucket = local[next_pid] = (array("q"), bytearray())
-                        bucket[0].append(ts)
-                        bucket[1].append(_OPENS)
+            local = StoreTraceIndex._reader_sched_buckets(reader, wanted)
             for pid, bucket in local.items():
                 partials.setdefault(pid, []).append(bucket)
 
@@ -622,18 +445,19 @@ class StoreTraceIndex:
         return SchedIndex.from_buckets(buckets)
 
     @staticmethod
-    def _sched_buckets_np(
-        columns: Tuple, wanted: Optional[frozenset]
+    def _reader_sched_buckets(
+        reader: Any, wanted: Optional[frozenset]
     ) -> Dict[int, Tuple[array, bytearray]]:
-        """One reader's per-PID sched buckets from whole int columns.
+        """One reader's per-PID sched buckets from its whole
+        ``(ts, prev_pid, next_pid)`` columns.
 
-        Per PID, three boolean masks replace the scalar per-row
-        branches: ``prev == pid`` closes (self-switches ``next == prev``
-        close *and* open in one entry, like the scalar path), ``next ==
-        pid`` alone opens.  The row sets are selected in stream order,
-        so bucket contents are exactly the scalar loop's."""
-        np = npcompat.np
-        ts_col, prev_col, next_col = columns
+        Per PID, three boolean masks decide the flags: ``prev == pid``
+        closes (self-switches ``next == prev`` close *and* open in one
+        entry), ``next == pid`` alone opens.  The row sets are selected
+        in stream order, so each bucket is the PID's subsequence of the
+        reader's sched stream, exactly as :class:`SchedIndex` buckets
+        the event stream."""
+        ts_col, prev_col, next_col = reader.sched_pid_columns()
         ts_np = np.frombuffer(ts_col, dtype=np.int64)
         prev_np = np.frombuffer(prev_col, dtype=np.int32)
         next_np = np.frombuffer(next_col, dtype=np.int32)

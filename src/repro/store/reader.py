@@ -19,14 +19,17 @@ total raw body size) -- the observable behind the selective-read CI
 assertion and the ``store.selective_read`` bench section; an
 uncompressed cache copy reads at zero inflation.
 
-Payload access is format-versioned.  v1 payloads are interned JSON
-(decoded through a bound C scanner, cached per string id).  v2 payloads
-live in typed per-field columns grouped by shape (:class:`_Shape`):
-the first access to a shape bulk-decodes its columns -- string ids
-resolve through the table once per *column*, ints/floats come straight
-out of the fixed-width views -- and every row of the shape then costs a
-list index, with no JSON anywhere.  Rows written through the v2 JSON
-fallback (payloads outside the closed schema) decode exactly like v1.
+Every format reads through one column layout, ``(ts, pid, probe,
+shape, vidx)``.  v2/v3 payloads live in typed per-field columns grouped
+by shape (:class:`_Shape`): the first access to a shape bulk-decodes
+its columns -- string ids resolve through the table once per *column*,
+ints/floats come straight out of the fixed-width views -- and every row
+of the shape then costs a list index, with no JSON anywhere.  Rows
+written through the JSON fallback (payloads outside the closed schema)
+are interned JSON strings, decoded through a bound C scanner and cached
+per string id.  A v1 segment's ``data`` column is normalized into that
+layout on open: v1 payloads are interned JSON, so every v1 row reads as
+a JSON-fallback row of the v2 layout.
 
 Parse errors surface as :class:`~repro.store.format.StoreFormatError`
 carrying the file path and the failing section/offset -- truncated
@@ -46,9 +49,12 @@ from __future__ import annotations
 import struct
 import sys
 import zlib
+from array import array
 from heapq import merge as _heap_merge
 from json.decoder import JSONDecoder
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..core.index import (
     CODE_CB_START,
@@ -130,13 +136,27 @@ def _row_builder(keys: Tuple[str, ...]):
     return code
 
 
+def _v1_ros_as_v2(columns: Sequence[Sequence[int]]) -> List[Sequence[int]]:
+    """v1 ROS columns ``(ts, pid, probe, data)`` in the v2 layout.
+
+    v1 payloads are interned JSON strings, so every v1 row is a v2
+    JSON-fallback row: shape ``SHAPE_JSON`` with the data id as its
+    vidx, or ``NONE_ID`` for an empty payload.  One vectorized pass at
+    open time leaves every reader path a single (v2/v3) column layout.
+    """
+    ts_col, pid_col, probe_col, data_col = columns
+    data = np.frombuffer(data_col, dtype=np.uint32)
+    shape = np.where(data == NONE_ID, NONE_ID, SHAPE_JSON).astype(np.uint32)
+    return [ts_col, pid_col, probe_col, array("I", shape.tobytes()), data_col]
+
+
 class _Shape:
     """One v2 payload shape: ordered field names/types + column views.
 
     ``rows()`` bulk-decodes the shape on first use into one dict per
     row (string ids resolved once per column, key order preserved);
     repeated access is a list index.  Payload dicts are shared by the
-    ``TraceEvent`` immutability contract, like the v1 payload cache.
+    ``TraceEvent`` immutability contract, like the JSON payload cache.
     """
 
     __slots__ = ("keys", "types", "count", "_columns", "_strings", "_rows")
@@ -190,7 +210,7 @@ class _LazyColumns:
     Quacks like the column tuple the eager reader builds -- indexing,
     iteration, unpacking -- but a column's stream is only sliced (and
     inflated, when deflated) on its first access, then cached.  That is
-    what lets ``sched_pid_rows()`` read three of nine sched columns and
+    what lets ``sched_pid_columns()`` read three of nine sched columns and
     ``ros_ts_range()`` a single ros column.
     """
 
@@ -253,8 +273,9 @@ class SegmentReader:
             self._init_body(data, flags, n_strings, n_pids, n_ros, n_sched,
                             n_wakeup)
         #: payload string id -> decoded mapping, shared across events
-        #: (payloads are immutable by the TraceEvent contract).  v1
-        #: payloads and v2/v3 JSON-fallback rows decode through this.
+        #: (payloads are immutable by the TraceEvent contract); every
+        #: JSON-fallback row (all rows of a v1 segment) decodes
+        #: through this.
         self._payload_cache: Dict[int, Dict[str, Any]] = {}
         #: per-string-id probe-code / CB-type tables, built lazily on
         #: the first columnar walk (see :meth:`walk_rows`).
@@ -265,7 +286,8 @@ class SegmentReader:
         self, data, flags: int, n_strings: int, n_pids: int,
         n_ros: int, n_sched: int, n_wakeup: int,
     ) -> None:
-        """v1/v2 parse: one (possibly deflated) body, eager sections."""
+        """v1/v2 parse: one (possibly deflated) body, eager sections;
+        v1 ROS columns are normalized to the v2 layout."""
         if flags & FLAG_ZLIB_BODY:
             try:
                 body: bytes = zlib.decompress(data[HEADER.size:])
@@ -325,6 +347,8 @@ class SegmentReader:
                 f"{self._source}: corrupt or truncated segment "
                 f"(in {section}, body offset {offset}): {error}"
             ) from None
+        if self.version < 2:
+            self._ros = _v1_ros_as_v2(self._ros)
 
     def _init_v3(
         self, data, n_strings: int, n_pids: int,
@@ -546,24 +570,22 @@ class SegmentReader:
         wanted = None
         if pids is not None:
             wanted = pids if isinstance(pids, frozenset) else frozenset(pids)
-        if self.version >= 2:
-            ts_col, pid_col, probe_col, shape_col, vidx_col = self._ros
-            payload = self._payload_at
-            for i in range(self.num_ros_events):
-                if wanted is None or pid_col[i] in wanted:
-                    yield TraceEvent(
-                        ts_col[i], pid_col[i], strings[probe_col[i]],
-                        payload(shape_col[i], vidx_col[i]),
-                    )
-            return
-        ts_col, pid_col, probe_col, data_col = self._ros
-        payload_v1 = self._payload
+        ts_col, pid_col, probe_col, shape_col, vidx_col = self._ros
+        payload = self._payload_at
         for i in range(self.num_ros_events):
             if wanted is None or pid_col[i] in wanted:
                 yield TraceEvent(
                     ts_col[i], pid_col[i], strings[probe_col[i]],
-                    payload_v1(data_col[i]),
+                    payload(shape_col[i], vidx_col[i]),
                 )
+
+    def _walk_tables(self) -> Tuple[bytearray, List[Optional[str]]]:
+        """The per-string-id probe-code and CB-type tables of the
+        columnar walks, built on first use."""
+        if self._code_table is None:
+            self._code_table = probe_code_table(self._strings)
+            self._start_types = cb_start_type_table(self._strings)
+        return self._code_table, self._start_types
 
     def walk_rows(self, order: int) -> Iterator[tuple]:
         """Columnar Alg. 1 rows: ``(ts, order, row, pid, code, aux)``.
@@ -576,32 +598,14 @@ class SegmentReader:
         response -- the only rows whose payload Alg. 1 dereferences),
         and ``None`` otherwise; no :class:`TraceEvent` is ever built.
         """
-        if self._code_table is None:
-            self._code_table = probe_code_table(self._strings)
-            self._start_types = cb_start_type_table(self._strings)
-        codes = self._code_table
-        start_types = self._start_types
-        if self.version >= 2:
-            ts_col, pid_col, probe_col, shape_col, vidx_col = self._ros
-            payload = self._payload_at
-            for i in range(self.num_ros_events):
-                string_id = probe_col[i]
-                code = codes[string_id]
-                if CODE_TIMER_CALL <= code <= CODE_TAKE_TYPE_ERASED:
-                    aux: Any = payload(shape_col[i], vidx_col[i])
-                elif code == CODE_CB_START:
-                    aux = start_types[string_id]
-                else:
-                    aux = None
-                yield (ts_col[i], order, i, pid_col[i], code, aux)
-            return
-        ts_col, pid_col, probe_col, data_col = self._ros
-        payload_v1 = self._payload
+        codes, start_types = self._walk_tables()
+        ts_col, pid_col, probe_col, shape_col, vidx_col = self._ros
+        payload = self._payload_at
         for i in range(self.num_ros_events):
             string_id = probe_col[i]
             code = codes[string_id]
             if CODE_TIMER_CALL <= code <= CODE_TAKE_TYPE_ERASED:
-                aux = payload_v1(data_col[i])
+                aux: Any = payload(shape_col[i], vidx_col[i])
             elif code == CODE_CB_START:
                 aux = start_types[string_id]
             else:
@@ -616,52 +620,30 @@ class SegmentReader:
             return None
         return ts_col[0], ts_col[self.num_ros_events - 1]
 
-    def walk_fastpath(self):
+    def walk_fastpath(self) -> Tuple:
         """Raw material of :meth:`walk_rows` for the time-ordered fast
-        path: ``(format version, columns)``, where ``columns`` is the
-        version-specific tuple :class:`~repro.store.index.StoreTraceIndex`
-        consumes in one tight index loop with no per-row generator or
-        tuple.
-
-        v1: ``(ts, pid, probe, data)`` columns + the per-string-id
-        code/CB-type tables, the payload cache (hit-path dict access)
-        and the bound lazy JSON decoder (misses).
-
-        v2: ``(ts, pid, probe, shape, vidx)`` columns + the code/CB-type
-        tables, the :class:`_Shape` list (bulk typed-column payload
-        rows, materialized lazily per shape) and the bound JSON decoder
-        for fallback rows.
+        path, consumed in bulk by
+        :class:`~repro.store.index.StoreTraceIndex` with no per-row
+        generator or tuple: the ``(ts, pid, probe, shape, vidx)``
+        columns (v1 segments arrive normalized to this layout), the
+        per-string-id code/CB-type tables, the :class:`_Shape` list
+        (bulk typed-column payload rows, materialized lazily per shape)
+        and the bound JSON decoder for fallback rows.
         """
-        if self._code_table is None:
-            self._code_table = probe_code_table(self._strings)
-            self._start_types = cb_start_type_table(self._strings)
-        if self.version >= 2:
-            ts_col, pid_col, probe_col, shape_col, vidx_col = self._ros
-            return 2, (
-                ts_col, pid_col, probe_col, shape_col, vidx_col,
-                self._code_table, self._start_types,
-                self._shapes, self._payload,
-            )
-        ts_col, pid_col, probe_col, data_col = self._ros
-        return 1, (
-            ts_col, pid_col, probe_col, data_col,
-            self._code_table, self._start_types,
-            self._payload_cache, self._payload,
+        codes, start_types = self._walk_tables()
+        ts_col, pid_col, probe_col, shape_col, vidx_col = self._ros
+        return (
+            ts_col, pid_col, probe_col, shape_col, vidx_col,
+            codes, start_types, self._shapes, self._payload,
         )
 
-    def sched_pid_rows(self) -> Iterator[Tuple[int, int, int]]:
-        """``(ts, prev_pid, next_pid)`` per sched_switch row -- three
-        int-column scans, no :class:`SchedSwitch` objects, feeding the
-        store-side shard-local :class:`~repro.core.exec_time.SchedIndex`
-        bucketing.  On v3 segments only those three of the nine sched
-        streams inflate."""
-        return zip(self._sched[0], self._sched[2], self._sched[6])
-
     def sched_pid_columns(self) -> Tuple[Sequence, Sequence, Sequence]:
-        """The raw ``(ts, prev_pid, next_pid)`` columns behind
-        :meth:`sched_pid_rows`, for consumers that bucket them in bulk
-        (the vectorized :class:`~repro.store.index.StoreTraceIndex`
-        sched pass)."""
+        """The ``(ts, prev_pid, next_pid)`` sched_switch columns -- no
+        :class:`SchedSwitch` objects -- which
+        :class:`~repro.store.index.StoreTraceIndex` buckets in bulk
+        into shard-local :class:`~repro.core.exec_time.SchedIndex`
+        buckets.  On v3 segments only those three of the nine sched
+        streams inflate."""
         return self._sched[0], self._sched[2], self._sched[6]
 
     def wakeup_ts_pid_rows(self) -> Iterator[Tuple[int, int]]:
@@ -723,6 +705,25 @@ def peek_header(path: str) -> Tuple[int, int, int, int, int, int, int, int, int]
         return unpack_header(handle.read(HEADER.size), source=path)
 
 
+def _read_section_dir(
+    handle, head: bytes, path: str
+) -> Tuple[List[SectionEntry], int]:
+    """The section directory of a v3 segment file whose ``head``er
+    bytes were just read from ``handle``: ``(entries, body start)``,
+    reading only the directory bytes."""
+    prefix = handle.read(4)
+    if len(prefix) < 4:
+        raise StoreFormatError(
+            f"{path}: truncated segment: section directory cut off"
+        )
+    (count,) = struct.unpack("<I", prefix)
+    raw = head + prefix + handle.read(count * SECTION_ENTRY.size)
+    try:
+        return unpack_section_dir(raw, HEADER.size)
+    except StoreFormatError as error:
+        raise StoreFormatError(f"{path}: {error}") from None
+
+
 def peek_sections(path: str) -> List[SectionEntry]:
     """The section directory of a v3 segment (header + directory bytes
     only -- no event stream is touched); empty for v1/v2 segments,
@@ -733,17 +734,7 @@ def peek_sections(path: str) -> List[SectionEntry]:
         version, *_ = unpack_header(head, source=path)
         if version < 3:
             return []
-        prefix = handle.read(4)
-        if len(prefix) < 4:
-            raise StoreFormatError(
-                f"{path}: truncated segment: section directory cut off"
-            )
-        (count,) = struct.unpack("<I", prefix)
-        raw = head + prefix + handle.read(count * SECTION_ENTRY.size)
-        try:
-            entries, _ = unpack_section_dir(raw, HEADER.size)
-        except StoreFormatError as error:
-            raise StoreFormatError(f"{path}: {error}") from None
+        entries, _ = _read_section_dir(handle, head, path)
         return entries
 
 
@@ -762,17 +753,7 @@ def read_pid_map(path: str) -> Dict[int, Optional[str]]:
             head, source=path
         )
         if version >= 3:
-            prefix = handle.read(4)
-            if len(prefix) < 4:
-                raise StoreFormatError(
-                    f"{path}: truncated segment: section directory cut off"
-                )
-            (count,) = struct.unpack("<I", prefix)
-            raw = head + prefix + handle.read(count * SECTION_ENTRY.size)
-            try:
-                entries, body_start = unpack_section_dir(raw, HEADER.size)
-            except StoreFormatError as error:
-                raise StoreFormatError(f"{path}: {error}") from None
+            entries, body_start = _read_section_dir(handle, head, path)
             entry = next(
                 (e for e in entries if e.kind == SECTION_PID_MAP), None
             )
@@ -864,8 +845,15 @@ class InMemorySegment:
             return None
         return events[0].ts, events[-1].ts
 
-    def sched_pid_rows(self) -> Iterator[Tuple[int, int, int]]:
-        return ((e[0], e[2], e[6]) for e in self._trace.sched_events)
+    def sched_pid_columns(self) -> Tuple[array, array, array]:
+        """:meth:`SegmentReader.sched_pid_columns` packed from the
+        loaded events, so legacy runs share the bulk sched bucketing."""
+        events = self._trace.sched_events
+        return (
+            array("q", [e[0] for e in events]),
+            array("i", [e[2] for e in events]),
+            array("i", [e[6] for e in events]),
+        )
 
     def wakeup_ts_pid_rows(self) -> Iterator[Tuple[int, int]]:
         return ((e[0], e[2]) for e in self._trace.wakeup_events)

@@ -8,7 +8,8 @@ commit point, for every registry scenario; with a retention window, it
 matches the batch synthesis of the truncated store.  Plus the ingestion
 edge: validation, atomic commits, drop-dir hold-then-reject, store
 refresh against a second writer process, and the spool's atomic
-``finish_path``.
+``finish_path``; and the protocol edge: mistyped or failing requests
+are answered over the socket instead of dropping the client.
 """
 
 import os
@@ -16,6 +17,7 @@ import random
 import shutil
 import subprocess
 import sys
+import threading
 import zlib
 
 import pytest
@@ -33,7 +35,9 @@ from repro.service import (
     IngestSpool,
     LiveSynthesizer,
     ServiceCounters,
+    SynthesisService,
 )
+from repro.service.protocol import connect, recv_message, send_message
 
 DURATION_NS = int(1.0 * SEC)
 RUNS = 3
@@ -329,3 +333,78 @@ class TestFinishPathAtomicity:
         written = SegmentSpool().finish_path(path, {}, 0, 1)
         assert written > 0
         assert os.listdir(directory) == ["run000" + SEGMENT_SUFFIX]
+
+
+class TestProtocolEdge:
+    """Malformed or failing requests over a real socket: every request
+    gets an answer, and the client's connection survives it."""
+
+    @pytest.fixture()
+    def served(self, tmp_path):
+        service = SynthesisService(
+            str(tmp_path / "served"), poll_interval=0.05
+        )
+        bound = threading.Event()
+        address = []
+
+        def ready(where):
+            address.append(where)
+            bound.set()
+
+        thread = threading.Thread(
+            target=service.serve_forever,
+            args=("127.0.0.1:0",),
+            kwargs={"ready": ready, "max_seconds": 60.0},
+            daemon=True,
+        )
+        thread.start()
+        assert bound.wait(10.0), "service never bound"
+        sock = connect(address[0], timeout=10.0)
+        rfile, wfile = sock.makefile("rb"), sock.makefile("wb")
+
+        def exchange(payload):
+            send_message(wfile, payload)
+            message = recv_message(rfile)
+            assert message is not None, f"no reply to {payload!r}"
+            return message[0]
+
+        try:
+            yield service, exchange
+        finally:
+            sock.close()
+            service.request_shutdown()
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+
+    @pytest.mark.parametrize(
+        "payload, field",
+        [
+            ({"cmd": "latency", "topics": 5}, "topics"),
+            ({"cmd": "chains", "sources": 7}, "sources"),
+            ({"cmd": "chains", "sinks": ["/t1", 3]}, "sinks"),
+        ],
+    )
+    def test_mistyped_fields_get_a_value_error_reply(
+        self, served, payload, field
+    ):
+        service, exchange = served
+        reply = exchange(payload)
+        assert reply["ok"] is False
+        assert f"{field} must be a list of strings" in reply["error"]
+        assert "kind" not in reply
+        assert exchange({"cmd": "ping"}) == {"ok": True, "pong": True}
+        assert service.counters.internal_errors == 0
+
+    def test_unexpected_failure_gets_an_internal_reply(self, served):
+        service, exchange = served
+
+        def broken_state():
+            raise TypeError("snapshot exploded")
+
+        service.state = broken_state
+        reply = exchange({"cmd": "status"})
+        assert reply["ok"] is False
+        assert reply["kind"] == "internal"
+        assert "snapshot exploded" in reply["error"]
+        assert service.counters.internal_errors == 1
+        assert exchange({"cmd": "ping"}) == {"ok": True, "pong": True}

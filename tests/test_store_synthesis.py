@@ -26,7 +26,12 @@ from repro.experiments.batch import BatchConfig
 from repro.experiments.runner import run_once
 from repro.scenarios import build_scenario_spec, scenario_names
 from repro.sim.kernel import SEC
-from repro.store import TraceStore, record_batch, synthesize_from_store
+from repro.store import (
+    SEGMENT_SUFFIX,
+    TraceStore,
+    record_batch,
+    synthesize_from_store,
+)
 from repro.tracing.session import Trace, TraceDatabase
 
 DURATION_NS = int(1.0 * SEC)
@@ -204,7 +209,12 @@ class TestColumnarWalkEquivalence:
     def test_mixed_binary_and_legacy_store_sharded(self, tmp_path):
         """Sharded synthesis over a mixed store: planning reads the
         legacy run once (cached reader) and every jobs value matches the
-        in-memory pipeline."""
+        in-memory pipeline.  Trailing 0-row and 1-row segments (v1 and
+        v3) ride the time-ordered column consumer at its smallest
+        sizes."""
+        from repro.sim.scheduler import SchedSwitch
+        from repro.store import write_segment
+        from repro.tracing.events import P16_DDS_WRITE, TraceEvent
         from repro.tracing.storage import TRACE_SUFFIX, save_trace
 
         store_dir = str(tmp_path / "mixed")
@@ -217,8 +227,40 @@ class TestColumnarWalkEquivalence:
         # Demote run001 to legacy-only gzip-JSON.
         os.remove(store.path_of("run001"))
         save_trace(traces[1], os.path.join(store_dir, f"run001{TRACE_SUFFIX}"))
+        # Append an eventless and a one-event run per format version.
+        pid, name = sorted(traces[-1].pid_map.items())[0]
+        ts = traces[-1].stop_ts
+        for version in (1, 3):
+            ts += 10
+            empty = Trace(start_ts=ts, stop_ts=ts + 1)
+            ts += 10
+            single = Trace(
+                ros_events=[
+                    TraceEvent(
+                        ts, pid, P16_DDS_WRITE, {"topic": "/tail", "src_ts": ts}
+                    )
+                ],
+                sched_events=[
+                    SchedSwitch(ts, 0, pid, name, 120, "S", 0, "swapper", 120)
+                ],
+                pid_map={pid: name},
+                start_ts=ts,
+                stop_ts=ts + 1,
+            )
+            for trace in (empty, single):
+                write_segment(
+                    trace,
+                    os.path.join(
+                        store_dir, f"run{len(traces):03d}{SEGMENT_SUFFIX}"
+                    ),
+                    format_version=version,
+                )
+                traces.append(trace)
         mixed = TraceStore(store_dir)
         assert not mixed.is_binary("run001")
+        assert [mixed.format_version(r) for r in mixed.run_ids()[3:]] == [
+            1, 1, 3, 3,
+        ]
         expected = synthesize_from_trace(Trace.merge(traces))
         for jobs in (1, 2, 4):
             actual = synthesize_from_store(mixed, jobs=jobs)

@@ -263,6 +263,27 @@ class TestGoldenV1Fixture:
         expected = load_trace(str(DATA_DIR / "golden_v1.trace.json.gz"))
         assert reader.to_trace().to_dict() == expected.to_dict()
 
+    def test_committed_v1_segment_synthesizes_like_its_companion(
+        self, tmp_path
+    ):
+        """The v1 columns normalized on open feed the same column
+        consumer as v2/v3: the committed v1 bytes must synthesize the
+        model of the gzip-JSON companion, byte for byte."""
+        directory = str(tmp_path / "s")
+        os.makedirs(directory)
+        shutil.copy(
+            DATA_DIR / "golden_v1.trace.bin",
+            os.path.join(directory, f"golden{SEGMENT_SUFFIX}"),
+        )
+        store = TraceStore(directory)
+        assert store.format_version("golden") == 1
+        expected = synthesize_from_trace(
+            load_trace(str(DATA_DIR / "golden_v1.trace.json.gz"))
+        )
+        actual = synthesize_from_store(store, jobs=1)
+        assert dag_to_json(actual) == dag_to_json(expected)
+        assert to_dot(actual) == to_dot(expected)
+
     def test_committed_v1_segment_upgrades(self, tmp_path):
         directory = str(tmp_path / "s")
         os.makedirs(directory)

@@ -1,8 +1,8 @@
 """Trace format v3 (per-section compression): round trips, selective
 section I/O counters, the v1/v2 -> v3 upgrade path, the committed
 golden v3 fixture, the uncompressed segment cache, per-section error
-diagnostics, the ``store-info --json`` satellite, and walk_fastpath /
-no-numpy equivalence properties."""
+diagnostics, the ``store-info --json`` satellite, walk_fastpath
+equivalence properties, and the vectorized Alg. 2 window floor."""
 
 import json
 import os
@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
 from repro.core import dag_to_json, synthesize_from_trace, to_dot
-from repro.core import npcompat
 from repro.experiments.runner import RunConfig, run_once
 from repro.scenarios import build_scenario_spec
 from repro.sim.kernel import SEC
@@ -356,6 +355,48 @@ class TestSegmentCache:
         entries = os.listdir(cache)
         assert len(entries) == 1 and entries[0] != old_entry
 
+    def test_sweep_spares_a_concurrently_committed_entry(
+        self, fusion_traces, tmp_path, monkeypatch
+    ):
+        """Another worker commits the valid entry between this worker's
+        existence check and its stale-entry sweep: the sweep must leave
+        that entry alone, since the other worker is about to map it."""
+        from repro.store import database
+
+        directory = str(tmp_path / "s")
+        cache = str(tmp_path / "cache")
+        store = self._recorded_store(fusion_traces[:1], directory, cache)
+        (entry,) = (os.path.basename(p) for p in store.warm_cache())
+        committed = os.path.join(cache, entry)
+        real_exists = os.path.exists
+        misses = []
+
+        def exists_missing_once(path):
+            if path == committed and not misses:
+                misses.append(path)  # the check ran before the commit
+                return False
+            return real_exists(path)
+
+        real_decompress = database.decompress_segment
+        seen_by_peer = []
+
+        def decompress_after_sweep(src, dst):
+            # The sweep has run: the committing worker maps its entry.
+            seen_by_peer.append(
+                SegmentReader.open(committed, use_mmap=True).num_ros_events
+            )
+            return real_decompress(src, dst)
+
+        monkeypatch.setattr(database.os.path, "exists", exists_missing_once)
+        monkeypatch.setattr(
+            database, "decompress_segment", decompress_after_sweep
+        )
+        fresh = TraceStore(directory, cache_dir=cache)
+        assert fresh.load("run000").to_dict() == fusion_traces[0].to_dict()
+        assert misses == [committed]
+        assert seen_by_peer == [len(fusion_traces[0].ros_events)]
+        assert os.listdir(cache) == [entry]
+
     def test_convert_cache_cli(self, fusion_traces, tmp_path, capsys):
         directory = str(tmp_path / "s")
         cache = str(tmp_path / "cache")
@@ -570,40 +611,23 @@ def _rows_from_fastpath(reader, order):
         CODE_TIMER_CALL,
     )
 
-    kind, cols = reader.walk_fastpath()
-    out = []
-    if kind == 2:
-        (
-            ts_col, pid_col, probe_col, shape_col, vidx_col,
-            codes, start_types, shapes, json_payload,
-        ) = cols
-        n_shapes = len(shapes)
-        for i in range(len(ts_col)):
-            string_id = probe_col[i]
-            code = codes[string_id]
-            if CODE_TIMER_CALL <= code <= CODE_TAKE_TYPE_ERASED:
-                sid = shape_col[i]
-                if sid < n_shapes:
-                    aux = shapes[sid].rows()[vidx_col[i]]
-                elif sid == SHAPE_JSON:
-                    aux = json_payload(vidx_col[i])
-                else:
-                    aux = {}
-            elif code == CODE_CB_START:
-                aux = start_types[string_id]
-            else:
-                aux = None
-            out.append((ts_col[i], order, i, pid_col[i], code, aux))
-        return out
     (
-        ts_col, pid_col, probe_col, data_col,
-        codes, start_types, _payload_cache, payload,
-    ) = cols
+        ts_col, pid_col, probe_col, shape_col, vidx_col,
+        codes, start_types, shapes, json_payload,
+    ) = reader.walk_fastpath()
+    n_shapes = len(shapes)
+    out = []
     for i in range(len(ts_col)):
         string_id = probe_col[i]
         code = codes[string_id]
         if CODE_TIMER_CALL <= code <= CODE_TAKE_TYPE_ERASED:
-            aux = payload(data_col[i])
+            sid = shape_col[i]
+            if sid < n_shapes:
+                aux = shapes[sid].rows()[vidx_col[i]]
+            elif sid == SHAPE_JSON:
+                aux = json_payload(vidx_col[i])
+            else:
+                aux = {}
         elif code == CODE_CB_START:
             aux = start_types[string_id]
         else:
@@ -624,58 +648,49 @@ class TestWalkFastpathProperties:
             assert list(reader.walk_rows(0)) == reference
             assert _rows_from_fastpath(reader, 0) == reference
 
-    @given(trace=traces())
+    @given(trace=traces(), split=st.integers(min_value=0, max_value=24))
     @settings(max_examples=30, deadline=None)
-    def test_store_index_ignores_numpy_availability(self, trace, ):
-        def build(version):
-            return StoreTraceIndex(
-                [SegmentReader(encode_trace(trace, format_version=version))]
+    def test_column_consumer_matches_row_consumer(self, trace, split):
+        """Binary segments of any version and size (0 rows included) go
+        through the vectorized column consumer; the loaded trace goes
+        through the row consumer.  Both build the same index, also when
+        the trace is cut into two consecutive segments whose
+        association state must carry across the cut."""
+        reference = StoreTraceIndex([InMemorySegment(trace)])
+        events = trace.ros_events
+        halves = [
+            Trace(
+                ros_events=part, pid_map=trace.pid_map,
+                start_ts=trace.start_ts, stop_ts=trace.stop_ts,
             )
+            for part in (events[:split], events[split:])
+        ]
+        for version in (1, 2, 3):
+            for parts in ([trace], halves):
+                index = StoreTraceIndex([
+                    SegmentReader(encode_trace(part, format_version=version))
+                    for part in parts
+                ])
+                assert index.pids() == reference.pids()
+                for pid in index.pids():
+                    assert (
+                        index.walk_for_pid(pid) == reference.walk_for_pid(pid)
+                    )
+                assert index.writes == reference.writes
+                assert index.writer_cb == reference.writer_cb
+                assert index.take_responses == reference.take_responses
+                assert index.dispatch_after == reference.dispatch_after
 
-        saved_np, saved_floor = npcompat.np, npcompat.MIN_VECTOR_ROWS
-        try:
-            npcompat.MIN_VECTOR_ROWS = 1  # force vector path when numpy
-            vectored = {v: build(v) for v in (2, 3)}
-            npcompat.np = None  # scalar path
-            scalar = {v: build(v) for v in (2, 3)}
-        finally:
-            npcompat.np, npcompat.MIN_VECTOR_ROWS = saved_np, saved_floor
-        for version in (2, 3):
-            a, b = vectored[version], scalar[version]
-            assert a.pids() == b.pids()
-            for pid in a.pids():
-                assert a.walk_for_pid(pid) == b.walk_for_pid(pid)
-            assert a.writes == b.writes
-            assert a.writer_cb == b.writer_cb
-            assert a.take_responses == b.take_responses
-            assert a.dispatch_after == b.dispatch_after
 
-
-class TestNoNumpySynthesis:
-    def test_scenario_synthesis_matches_without_numpy(self, syn_trace, tmp_path):
-        directory = str(tmp_path / "s")
-        os.makedirs(directory)
-        write_segment(
-            syn_trace, os.path.join(directory, f"run000{SEGMENT_SUFFIX}")
-        )
-        expected = synthesize_from_trace(syn_trace)
-        saved = npcompat.np
-        try:
-            npcompat.np = None
-            degraded = synthesize_from_store(TraceStore(directory), jobs=1)
-        finally:
-            npcompat.np = saved
-        vectored = synthesize_from_store(TraceStore(directory), jobs=1)
-        assert dag_to_json(degraded) == dag_to_json(expected)
-        assert dag_to_json(vectored) == dag_to_json(expected)
-
+class TestExecTimeVectorFloor:
     def test_exec_time_vector_floor_forced(self, syn_trace):
         """Every Alg. 2 window answered by the vectorized integral must
         equal the scalar fold on a real scenario's sched stream."""
+        from repro.core import exec_time
         from repro.core.exec_time import SchedIndex
 
         index = SchedIndex(syn_trace.sched_events)
-        saved = npcompat.MIN_VECTOR_ROWS
+        saved = exec_time.MIN_VECTOR_ROWS
         windows = []
         for pid in index.pids()[:6]:
             times, _flags = index._buckets[pid]
@@ -685,13 +700,13 @@ class TestNoNumpySynthesis:
             mid = len(times) // 2
             windows.append((times[mid] - 1, times[mid] + 1, pid))
         try:
-            npcompat.MIN_VECTOR_ROWS = 10 ** 9  # scalar everywhere
+            exec_time.MIN_VECTOR_ROWS = 10 ** 9  # bisect fold everywhere
             scalar = [index.exec_time(*w) for w in windows]
-            npcompat.MIN_VECTOR_ROWS = 0  # vector everywhere
+            exec_time.MIN_VECTOR_ROWS = 1  # every non-empty window vectorized
             vector = [
                 SchedIndex(syn_trace.sched_events).exec_time(*w)
                 for w in windows
             ]
         finally:
-            npcompat.MIN_VECTOR_ROWS = saved
+            exec_time.MIN_VECTOR_ROWS = saved
         assert scalar == vector
