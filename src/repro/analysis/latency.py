@@ -22,12 +22,22 @@ segments without materializing a trace
 are the integer probe codes of :mod:`repro.core.index`; ``payload`` is
 only dereferenced for take (P6) and ``dds_write`` (P16) rows, matching
 the aux contract of ``SegmentReader.walk_rows``.
+
+Indexes over consecutive pieces of one stream concatenate
+(:meth:`LatencyIndex.concat`) into the index of the whole stream: each
+piece records the callback start it leaves open per PID and the
+callback end it opens with per PID, so a window spanning two pieces
+pairs up exactly as the single pass pairs it.  Stores index one
+fragment per run and concatenate them, and the live service caches
+those fragments per retained run.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from heapq import merge as _heap_merge
+from itertools import chain
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -80,7 +90,13 @@ class LatencyIndex:
     * per-PID and per-topic ``dds_write`` rows;
     * ``take`` rows keyed by the paper's (topic, srcTS) correlation key
       and grouped per topic -- all in stream order, so results are
-      byte-identical to scanning the merged in-memory trace.
+      byte-identical to scanning the merged in-memory trace;
+    * the stream's boundary state (see :meth:`concat`): the ts range of
+      its rows, the CB start still open per PID at its end, and per PID
+      the first CB end that arrived before any CB start of that PID.
+
+    Lookups return the index's own lists, which an assembled index
+    shares with its parts: callers must not modify them.
     """
 
     __slots__ = (
@@ -92,6 +108,9 @@ class LatencyIndex:
         "_takes_by_topic",
         "_cb_starts",
         "_wakeups",
+        "_open_tail",
+        "_lead_end",
+        "_span",
     )
 
     def __init__(
@@ -106,24 +125,38 @@ class LatencyIndex:
         self._takes_by_topic: Dict[Optional[str], List[Tuple[int, Optional[int]]]] = {}
         self._cb_starts: Dict[int, List[int]] = {}
         open_start: Dict[int, int] = {}
-        for ts, pid, code, payload in rows:
-            if code == CODE_CB_START:
-                open_start[pid] = ts
-                self._cb_starts.setdefault(pid, []).append(ts)
-            elif code == CODE_CB_END:
-                start = open_start.pop(pid, None)
-                if start is not None:
-                    self._windows.setdefault(pid, []).append((start, ts))
-            elif code == CODE_DDS_WRITE:
-                topic = payload.get("topic")
-                src_ts = payload.get("src_ts")
-                self._writes.setdefault(pid, []).append((ts, topic, src_ts))
-                self._writes_by_topic.setdefault(topic, []).append((ts, src_ts))
-            elif code == CODE_TAKE:
-                topic = payload.get("topic")
-                src_ts = payload.get("src_ts")
-                self._takes_by_key.setdefault((topic, src_ts), []).append((ts, pid))
-                self._takes_by_topic.setdefault(topic, []).append((ts, src_ts))
+        lead_end: Dict[int, int] = {}
+        rows = iter(rows)
+        first = next(rows, None)
+        ts = None
+        if first is not None:
+            for ts, pid, code, payload in chain((first,), rows):
+                if code == CODE_CB_START:
+                    open_start[pid] = ts
+                    self._cb_starts.setdefault(pid, []).append(ts)
+                elif code == CODE_CB_END:
+                    start = open_start.pop(pid, None)
+                    if start is not None:
+                        self._windows.setdefault(pid, []).append((start, ts))
+                    elif pid not in self._cb_starts:
+                        lead_end.setdefault(pid, ts)
+                elif code == CODE_DDS_WRITE:
+                    topic = payload.get("topic")
+                    src_ts = payload.get("src_ts")
+                    self._writes.setdefault(pid, []).append((ts, topic, src_ts))
+                    self._writes_by_topic.setdefault(topic, []).append((ts, src_ts))
+                elif code == CODE_TAKE:
+                    topic = payload.get("topic")
+                    src_ts = payload.get("src_ts")
+                    self._takes_by_key.setdefault((topic, src_ts), []).append((ts, pid))
+                    self._takes_by_topic.setdefault(topic, []).append((ts, src_ts))
+        #: (first, last) row timestamp, None for an empty stream.
+        self._span = None if first is None else (first[0], ts)
+        #: pid -> start of the CB instance still open at the stream end.
+        self._open_tail = open_start
+        #: pid -> ts of the first CB end seen before any CB start of the
+        #: PID (the end of an instance begun before this stream).
+        self._lead_end = lead_end
         #: per-PID window start arrays, computed once -- lookups are a
         #: bisect, never a per-call list rebuild.
         self._starts: Dict[int, List[int]] = {}
@@ -139,6 +172,86 @@ class LatencyIndex:
             self._wakeups.setdefault(pid, []).append(ts)
 
     @classmethod
+    def concat(cls, parts: Sequence["LatencyIndex"]) -> "LatencyIndex":
+        """The index of the concatenated row streams of ``parts``.
+
+        Equal, on every slot, to one pass over the concatenation of the
+        parts' row streams, with the parts' wakeup streams merged per
+        PID by timestamp (ties keep part order).  The parts are not
+        modified, so cached fragments can be assembled again.
+
+        A CB end a part opens with closes the CB start that an earlier
+        part left open for the same PID, as the single pass's
+        ``open_start`` carries it: through parts with no CB rows for the
+        PID, and never past a part that starts a CB of the PID.  The
+        carried window goes before the part's own windows, and the one
+        defensive sort then runs over the whole window list.
+        """
+        index = cls.__new__(cls)
+        windows, starts, cb_starts = _ListConcat(), _ListConcat(), _ListConcat()
+        writes, writes_by_topic = _ListConcat(), _ListConcat()
+        takes_by_key, takes_by_topic = _ListConcat(), _ListConcat()
+        wakeups: Dict[int, List[int]] = {}
+        open_start: Dict[int, int] = {}
+        lead_end: Dict[int, int] = {}
+        first = last = None
+        unsorted = set()
+        for part in parts:
+            carried = {}
+            for pid, end in part._lead_end.items():
+                start = open_start.pop(pid, None)
+                if start is not None:
+                    carried[pid] = [(start, end)]
+                elif pid not in cb_starts.lists:
+                    lead_end.setdefault(pid, end)
+            for part_windows in (carried, part._windows):
+                for pid, pid_windows in part_windows.items():
+                    existing = windows.lists.get(pid)
+                    if existing is not None and pid_windows[0][0] < existing[-1][0]:
+                        unsorted.add(pid)
+                windows.add(part_windows)
+            starts.add(part._starts)
+            for pid in part._cb_starts:
+                open_start.pop(pid, None)
+            open_start.update(part._open_tail)
+            cb_starts.add(part._cb_starts)
+            writes.add(part._writes)
+            writes_by_topic.add(part._writes_by_topic)
+            takes_by_key.add(part._takes_by_key)
+            takes_by_topic.add(part._takes_by_topic)
+            for pid, times in part._wakeups.items():
+                existing = wakeups.get(pid)
+                if existing is None:
+                    wakeups[pid] = list(times)
+                elif times[0] >= existing[-1]:
+                    existing.extend(times)
+                else:
+                    wakeups[pid] = list(_heap_merge(existing, times))
+            if part._span is not None:
+                if first is None:
+                    first = part._span[0]
+                last = part._span[1]
+        # A PID's start array is still the part's own unless its window
+        # list was extended or began with a carried window.
+        for pid, pid_windows in windows.lists.items():
+            if pid in unsorted:
+                pid_windows.sort(key=itemgetter(0))
+            if windows.extended(pid) or pid not in starts.lists:
+                starts.lists[pid] = [w[0] for w in pid_windows]
+        index._windows = windows.lists
+        index._starts = starts.lists
+        index._cb_starts = cb_starts.lists
+        index._writes = writes.lists
+        index._writes_by_topic = writes_by_topic.lists
+        index._takes_by_key = takes_by_key.lists
+        index._takes_by_topic = takes_by_topic.lists
+        index._wakeups = wakeups
+        index._open_tail = open_start
+        index._lead_end = lead_end
+        index._span = None if first is None else (first, last)
+        return index
+
+    @classmethod
     def from_trace(cls, trace: Trace) -> "LatencyIndex":
         return cls(
             _trace_rows(trace),
@@ -146,6 +259,12 @@ class LatencyIndex:
         )
 
     # -- lookups -----------------------------------------------------------
+
+    @property
+    def span(self) -> Optional[Tuple[int, int]]:
+        """(first, last) timestamp of the indexed row stream, or None
+        when it had no rows."""
+        return self._span
 
     def window_containing(self, pid: int, ts: int) -> Optional[Tuple[int, int]]:
         """The latest-starting callback window of ``pid`` containing
@@ -191,6 +310,41 @@ class LatencyIndex:
     def wakeups(self, pid: int) -> List[int]:
         """``sched_wakeup`` timestamps of the PID's thread."""
         return self._wakeups.get(pid, [])
+
+
+class _ListConcat:
+    """Per-key list concatenation for :meth:`LatencyIndex.concat`.
+
+    A key met once keeps the part's own list; the first time it must
+    be extended, the list is copied and the copy extended.  So parts
+    never change, and the common case -- keys (PIDs, correlation keys)
+    that no other part repeats -- copies nothing."""
+
+    __slots__ = ("lists", "_copied")
+
+    def __init__(self) -> None:
+        self.lists: Dict = {}
+        self._copied: set = set()
+
+    def add(self, part: Dict) -> None:
+        lists = self.lists
+        if lists.keys().isdisjoint(part):
+            lists.update(part)
+            return
+        copied = self._copied
+        for key, rows in part.items():
+            existing = lists.get(key)
+            if existing is None:
+                lists[key] = rows
+            elif key in copied:
+                existing.extend(rows)
+            else:
+                lists[key] = existing + rows
+                copied.add(key)
+
+    def extended(self, key) -> bool:
+        """True when ``key``'s list joins several parts' lists."""
+        return key in self._copied
 
 
 def chain_latencies(

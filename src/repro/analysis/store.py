@@ -18,8 +18,9 @@ Two data paths, mirroring the pipeline split:
   latency) consume raw events.  :func:`latency_index_from_store` feeds
   :class:`~repro.analysis.latency.LatencyIndex` from the same columnar
   ``walk_rows`` streams the Alg. 1 store walk uses -- time-disjoint runs
-  concatenate, overlapping runs k-way merge on the ``(ts, run, row)``
-  int prefix -- so no merged :class:`Trace` and no
+  are indexed one fragment per run and the fragments concatenated,
+  overlapping runs k-way merge on the ``(ts, run, row)`` int prefix --
+  so no merged :class:`Trace` and no
   :class:`~repro.tracing.events.TraceEvent` objects are ever
   materialized, and the row order equals ``Trace.merge`` order, making
   results value-identical to the in-memory analyses
@@ -39,7 +40,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 from ..core.dag import TimingDag
 from ..core.pipeline import STRATEGY_MERGE_TRACES
 from ..store.database import StoreLike, as_store
-from ..store.index import _runs_are_time_ordered
+from ..store.index import _runs_are_time_ordered, _spans_are_ordered
 from ..store.synthesis import synthesize_from_store
 from .chains import Chain, enumerate_chains
 from .jitter import ActivationModel, activation_models
@@ -54,32 +55,62 @@ from .latency import (
 from .load import CallbackLoad, callback_loads, node_loads
 
 
-def _store_rows(
-    readers: Sequence, pids: Optional[frozenset] = None
+def _reader_rows(
+    reader, pids: Optional[frozenset]
 ) -> Iterator[Tuple[int, int, int, Optional[dict]]]:
-    """Chronological ``(ts, pid, code, payload)`` rows over stored runs.
-
-    Reuses the segments' ``walk_rows`` columns: payloads decode only for
-    the ID-carrying rows, and ordering matches ``Trace.merge`` exactly
-    (ties keep run-id order via the ``(ts, order, row)`` int prefix).
-    """
-    if _runs_are_time_ordered(readers):
-        for order, reader in enumerate(readers):
-            for ts, _order, _row, pid, code, aux in reader.walk_rows(order):
-                if pids is None or pid in pids:
-                    yield ts, pid, code, aux
-        return
-    streams = [reader.walk_rows(order) for order, reader in enumerate(readers)]
-    rows = streams[0] if len(streams) == 1 else _heap_merge(*streams)
-    for ts, _order, _row, pid, code, aux in rows:
+    """One run's ``(ts, pid, code, payload)`` rows from its columnar
+    ``walk_rows`` (payloads decode only for the ID-carrying rows)."""
+    for ts, _order, _row, pid, code, aux in reader.walk_rows(0):
         if pids is None or pid in pids:
             yield ts, pid, code, aux
+
+
+def _reader_wakeups(
+    reader, pids: Optional[frozenset]
+) -> Iterator[Tuple[int, int]]:
+    # Two int columns per segment instead of SchedWakeup objects (on v3
+    # the other three wakeup streams never inflate).
+    for ts, pid in reader.wakeup_ts_pid_rows():
+        if pids is None or pid in pids:
+            yield ts, pid
+
+
+def latency_fragment(reader, pids: Optional[frozenset] = None) -> LatencyIndex:
+    """One run's :class:`LatencyIndex` -- the piece
+    :func:`latency_index_from_store` concatenates over time-ordered
+    runs, and the live service caches per retained run.  Its
+    :attr:`~LatencyIndex.span` is the run's ROS ts range when ``pids``
+    is None."""
+    return LatencyIndex(_reader_rows(reader, pids), _reader_wakeups(reader, pids))
+
+
+def _merged_latency_index(
+    readers: Sequence, pids: Optional[frozenset]
+) -> LatencyIndex:
+    """The single pass over time-overlapping runs: rows k-way merged on
+    the ``(ts, run, row)`` int prefix, so the order equals
+    ``Trace.merge`` order (ties keep run-id order), and wakeups merged
+    by ts (``heapq.merge`` breaks ties in iterator order, as the object
+    merge does)."""
+    streams = [reader.walk_rows(order) for order, reader in enumerate(readers)]
+    merged = streams[0] if len(streams) == 1 else _heap_merge(*streams)
+    rows = (
+        (ts, pid, code, aux)
+        for ts, _order, _row, pid, code, aux in merged
+        if pids is None or pid in pids
+    )
+    wakeups = _heap_merge(
+        *(_reader_wakeups(reader, pids) for reader in readers),
+        key=itemgetter(0),
+    )
+    return LatencyIndex(rows, wakeups)
 
 
 def latency_index_from_store(
     store: StoreLike,
     pids: Optional[Iterable[int]] = None,
     run_ids: Optional[Sequence[str]] = None,
+    fragments: Optional[Dict[str, LatencyIndex]] = None,
 ) -> LatencyIndex:
     """Build a :class:`LatencyIndex` by streaming a store's segments.
 
@@ -89,26 +120,43 @@ def latency_index_from_store(
     restricts it to a frozen run list in the given order -- how a live
     service snapshot analyzes exactly its retained runs while newer
     segments keep landing in the same directory.
+
+    Time-disjoint runs (the usual case) are indexed one
+    :func:`latency_fragment` per run and concatenated; overlapping runs
+    go through one pass over their merged rows.  ``fragments`` is a
+    per-run cache of unfiltered fragments, consulted together with
+    ``run_ids`` and ``pids=None``: cached runs are not read again, and
+    the fragments built here are added to it.
     """
     resolved = as_store(store)
+    wanted = None if pids is None else frozenset(pids)
     if run_ids is None:
         readers = resolved.readers()
-    else:
-        readers = [resolved.open(run_id) for run_id in run_ids]
-    wanted = None if pids is None else frozenset(pids)
-    # Two int columns per segment instead of SchedWakeup objects (on v3
-    # the other three wakeup streams never inflate); heapq.merge breaks
-    # ties in iterator order, so the merged (ts, pid) sequence is
-    # exactly the object merge's.
-    wakeups = (
-        (ts, pid)
-        for ts, pid in _heap_merge(
-            *(reader.wakeup_ts_pid_rows() for reader in readers),
-            key=itemgetter(0),
-        )
-        if wanted is None or pid in wanted
+        if _runs_are_time_ordered(readers):
+            return LatencyIndex.concat(
+                [latency_fragment(reader, wanted) for reader in readers]
+            )
+        return _merged_latency_index(readers, wanted)
+    cache = fragments if fragments is not None and wanted is None else {}
+    readers = {
+        run_id: resolved.open(run_id) for run_id in run_ids if run_id not in cache
+    }
+    spans = (
+        readers[run_id].ros_ts_range() if run_id in readers
+        else cache[run_id].span
+        for run_id in run_ids
     )
-    return LatencyIndex(_store_rows(readers, wanted), wakeups)
+    if not _spans_are_ordered(spans):
+        return _merged_latency_index(
+            [
+                readers[run_id] if run_id in readers else resolved.open(run_id)
+                for run_id in run_ids
+            ],
+            wanted,
+        )
+    for run_id, reader in readers.items():
+        cache[run_id] = latency_fragment(reader, wanted)
+    return LatencyIndex.concat([cache[run_id] for run_id in run_ids])
 
 
 class StoreAnalysis:

@@ -35,6 +35,11 @@ from .state import MODEL_FORMATS, ServiceState
 #: Default drop-dir / store re-scan cadence.
 DEFAULT_POLL_INTERVAL_S = 0.5
 
+#: Longest a client connection may sit silent mid-exchange before its
+#: thread gives up on it.  ``ServiceClient`` opens one connection per
+#: request, so only a stalled peer ever waits this long.
+CLIENT_TIMEOUT_S = 30.0
+
 
 def _string_list(payload: Dict[str, Any], key: str) -> Optional[List[str]]:
     """Request field ``key`` as a list of strings (``None`` when absent
@@ -151,6 +156,17 @@ class SynthesisService:
                 uptime_s=time.monotonic() - self._started,
             )
 
+    def latency_summary(self, topics: List[str]) -> Dict[str, Any]:
+        """Chain-latency stats over a snapshot, completed outside the
+        lock; the fragments it had to build join the cache afterwards."""
+        with self._lock:
+            state = self.state()
+            fragments = self.live.latency_fragments()
+        summary = state.latency_summary(topics, fragments)
+        with self._lock:
+            self.live.keep_latency_fragments(fragments)
+        return summary
+
     def handle_request(
         self, payload: Dict[str, Any], body: bytes
     ) -> Tuple[Dict[str, Any], bytes]:
@@ -192,7 +208,7 @@ class SynthesisService:
             topics = _string_list(payload, "topics")
             if not topics:
                 raise ValueError("latency needs topics")
-            return {"ok": True, **self.state().latency_summary(topics)}, b""
+            return {"ok": True, **self.latency_summary(topics)}, b""
         if command == "store-info":
             return {"ok": True, **self.state().store_info()}, b""
         raise ValueError(f"unknown command {command!r}")
@@ -207,6 +223,7 @@ class SynthesisService:
         return self._stop.is_set()
 
     def _serve_client(self, conn: socket.socket, peer: str) -> None:
+        conn.settimeout(CLIENT_TIMEOUT_S)
         rfile = conn.makefile("rb")
         wfile = conn.makefile("wb")
         try:
@@ -240,6 +257,8 @@ class SynthesisService:
                 send_message(wfile, response, response_body)
                 if payload.get("cmd") == "shutdown":
                     break
+        except socket.timeout:
+            self._log(f"client {peer}: stalled for {CLIENT_TIMEOUT_S}s; closed")
         except (ProtocolError, OSError) as error:
             self._log(f"client {peer}: {error}")
         finally:

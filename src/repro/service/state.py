@@ -7,6 +7,17 @@ store reads go against committed segment files, which are immutable --
 the ingest worker only ever *adds* runs via atomic rename.  So a slow
 ``latency`` scan or a large ``model`` export never blocks ingestion,
 and a segment that commits mid-query does not shear the answer.
+
+``latency`` answers from per-run fragments
+(:func:`~repro.analysis.store.latency_fragment`) rather than a scan of
+the whole window.  The :class:`~repro.service.live.LiveSynthesizer`
+caches one fragment per retained run.  A query takes a copy of that
+cache together with the snapshot, builds the fragments it lacks from
+the committed segments outside the lock, and concatenates them
+(:meth:`~repro.analysis.latency.LatencyIndex.concat`).  Only then does
+the service put the new, complete fragments into the cache -- for the
+runs still retained -- so a steady stream builds one fragment per
+arriving run, and an evicted run's fragment leaves the cache with it.
 """
 
 from __future__ import annotations
@@ -15,7 +26,7 @@ import json
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..analysis.chains import Chain, enumerate_chains, format_chains
-from ..analysis.latency import chain_latencies
+from ..analysis.latency import LatencyIndex, chain_latencies
 from ..analysis.store import latency_index_from_store
 from ..core.dag import TimingDag
 from ..core.export import dag_to_json, format_edges, format_exec_table, to_dot
@@ -84,11 +95,20 @@ class ServiceState:
     ) -> str:
         return format_chains(self._dag, self.chains(sources, sinks))
 
-    def latency_summary(self, topics: Sequence[str]) -> Dict[str, Any]:
+    def latency_summary(
+        self,
+        topics: Sequence[str],
+        fragments: Dict[str, LatencyIndex],
+    ) -> Dict[str, Any]:
         """Chain-latency stats for a topic chain over exactly the
-        retained runs (ns, like the analysis CLI)."""
+        retained runs (ns, like the analysis CLI).  ``fragments`` is
+        the snapshot's copy of the per-run fragment cache: runs found
+        there are not read again, and the fragments built here are
+        added to it."""
         store = TraceStore(self.directory, allow_empty=True)
-        index = latency_index_from_store(store, run_ids=self.run_ids)
+        index = latency_index_from_store(
+            store, run_ids=self.run_ids, fragments=fragments
+        )
         values = [
             latency.latency_ns
             for latency in chain_latencies(index, list(topics))

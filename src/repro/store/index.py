@@ -65,20 +65,24 @@ WalkColumns = Tuple[List[int], bytearray, List[Any]]
 _EMPTY_WALK: WalkColumns = ([], bytearray(), [])
 
 
-def _runs_are_time_ordered(readers: Sequence[Any]) -> bool:
-    """True when the runs' ROS streams are time-disjoint in reader
-    order, i.e. chronological merge == concatenation.  A shared
-    boundary timestamp stays ordered: merge ties keep run order, which
-    is concatenation order."""
+def _spans_are_ordered(spans: Iterable[Optional[Tuple[int, int]]]) -> bool:
+    """True when the ``(first, last)`` ts spans (None for an empty
+    stream) are disjoint in the given order, i.e. chronological merge ==
+    concatenation.  A shared boundary timestamp stays ordered: merge
+    ties keep run order, which is concatenation order."""
     last: Optional[int] = None
-    for reader in readers:
-        span = reader.ros_ts_range()
+    for span in spans:
         if span is None:
             continue
         if last is not None and span[0] < last:
             return False
         last = span[1]
     return True
+
+
+def _runs_are_time_ordered(readers: Sequence[Any]) -> bool:
+    """:func:`_spans_are_ordered` over the runs' ROS streams."""
+    return _spans_are_ordered(reader.ros_ts_range() for reader in readers)
 
 
 class StoreTraceIndex:

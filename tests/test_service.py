@@ -18,14 +18,19 @@ import shutil
 import subprocess
 import sys
 import threading
+import time
 import zlib
 
 import pytest
 
-from repro.core import dag_to_json, format_exec_table, to_dot
+from repro.analysis import StoreAnalysis
+from repro.analysis.latency import LatencyIndex
+from repro.analysis.store import latency_index_from_store
+from repro.core import dag_to_json, exec_time, format_exec_table, to_dot
 from repro.experiments.batch import BatchConfig
 from repro.scenarios import scenario_names
 from repro.sim.kernel import SEC
+from repro.sim.scheduler import SchedSwitch
 from repro.store import TraceStore, record_batch, synthesize_from_store
 from repro.store.format import SEGMENT_SUFFIX
 from repro.store.writer import SegmentSpool
@@ -33,11 +38,24 @@ from repro.service import (
     DropDirWatcher,
     IngestError,
     IngestSpool,
+    LiveStoreIndex,
     LiveSynthesizer,
     ServiceCounters,
     SynthesisService,
 )
+from repro.service import server as server_module
 from repro.service.protocol import connect, recv_message, send_message
+from repro.tracing.events import (
+    P2_TIMER_START,
+    P3_TIMER_CALL,
+    P4_TIMER_END,
+    P5_SUB_START,
+    P6_TAKE,
+    P8_SUB_END,
+    P16_DDS_WRITE,
+    TraceEvent,
+)
+from repro.tracing.session import Trace
 
 DURATION_NS = int(1.0 * SEC)
 RUNS = 3
@@ -142,8 +160,46 @@ class TestIncrementalEquivalence:
             )
 
 
+def _shifted(table, offset):
+    """A position-keyed or position-listing table with every stream
+    position moved down by ``offset``."""
+    if all(isinstance(key, int) for key in table):
+        return {key - offset: value for key, value in table.items()}
+    return {
+        key: [(position - offset, aux) for position, aux in entries]
+        for key, entries in table.items()
+    }
+
+
+def _assert_matches_rebuild(index, readers):
+    """An in-place-evicted index equals a from-scratch build over the
+    retained readers: walk columns, sched buckets and pid_map exactly,
+    the association tables and state modulo the position offset."""
+    fresh = LiveStoreIndex.from_readers(readers)
+    assert index._by_pid == fresh._by_pid
+    assert {
+        pid: (list(times), bytes(flags))
+        for pid, (times, flags) in index._sched_buckets.items()
+    } == {
+        pid: (list(times), bytes(flags))
+        for pid, (times, flags) in fresh._sched_buckets.items()
+    }
+    assert index.sched.pids() == fresh.sched.pids()
+    assert index.pid_map == fresh.pid_map
+    offset = index._runs[0].start if index._runs else 0
+    for table in ("writes", "writer_cb", "take_responses", "dispatch_after"):
+        assert _shifted(getattr(index, table), offset) == getattr(fresh, table), table
+    assert {
+        pid: [position - offset for position in positions]
+        for pid, positions in index._pending_p13.items()
+    } == fresh._pending_p13
+    assert index._current_cb == fresh._current_cb
+    assert index._next_index - offset == fresh._next_index
+
+
 class TestEvictionWindow:
-    """retain_window=N == batch synthesis of the N newest runs."""
+    """retain_window=N == batch synthesis of the N newest runs; an
+    in-order stream evicts in place and never rebuilds."""
 
     def test_eviction_matches_truncated_batch_store(self, sources, tmp_path):
         source = sources["syn"]
@@ -171,6 +227,314 @@ class TestEvictionWindow:
         assert "run000" in TraceStore(target)
         assert live.refresh() == []
         assert live.run_ids == run_ids[-2:]
+
+    @pytest.mark.parametrize("window", [1, 2])
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_every_commit_point_matches_truncated_batch(
+        self, sources, name, window, tmp_path
+    ):
+        source = sources[name]
+        run_ids = sorted(TraceStore(source).run_ids())
+        target = str(tmp_path / "window")
+        counters = ServiceCounters()
+        live = LiveSynthesizer(
+            TraceStore.create(target), retain_window=window, counters=counters
+        )
+        for arrived, run_id in enumerate(run_ids, start=1):
+            _deliver(source, target, run_id)
+            assert live.refresh() == [run_id]
+            retained = run_ids[max(0, arrived - window):arrived]
+            assert live.run_ids == retained
+            truncated = str(tmp_path / f"ref{arrived}")
+            os.makedirs(truncated)
+            for keep in retained:
+                _deliver(source, truncated, keep)
+            batch = synthesize_from_store(TraceStore(truncated), jobs=1)
+            assert _signature(live.model()) == _signature(batch), (name, run_id)
+            assert counters.rebuilds == 0
+            reference = TraceStore(truncated)
+            _assert_matches_rebuild(
+                live.index, [reference.open(keep) for keep in retained]
+            )
+        assert counters.runs_evicted == RUNS - window
+        assert counters.extends == RUNS
+
+    def test_stale_arrival_leaves_the_index_alone(self, sources, tmp_path):
+        """A run older than the whole full window is evicted on arrival:
+        no rebuild, and the model is still the retained runs' model."""
+        source = sources["syn"]
+        target = str(tmp_path / "stale")
+        counters = ServiceCounters()
+        live = LiveSynthesizer(
+            TraceStore.create(target), retain_window=2, counters=counters
+        )
+        for run_id in ["run001", "run002", "run000"]:
+            _deliver(source, target, run_id)
+            assert live.refresh() == [run_id]
+        assert live.run_ids == ["run001", "run002"]
+        assert counters.rebuilds == 0
+        assert counters.runs_evicted == 1
+        assert counters.segments_ingested == 3
+        truncated = str(tmp_path / "stale_ref")
+        os.makedirs(truncated)
+        for keep in ["run001", "run002"]:
+            _deliver(source, truncated, keep)
+        batch = synthesize_from_store(TraceStore(truncated), jobs=1)
+        assert _signature(live.model()) == _signature(batch)
+        assert live.refresh() == []
+
+
+def _event(ts, pid, probe, **data):
+    return TraceEvent(ts, pid, probe, data)
+
+
+def _switch(ts, prev_pid, next_pid):
+    return SchedSwitch(ts, 0, prev_pid, "prev", 0, "R", next_pid, "next", 0)
+
+
+def _handbuilt_run(
+    base, timer=True, leading_write=False, open_at_end=False, leading_end=False
+):
+    """One small two-node run at clock ``base``: a timer callback of PID
+    1 writes ``/t`` (``timer``), a subscriber callback of PID 2 takes
+    it, and PID 1 switches in and out eight times.  The other flags add
+    the run-boundary cases: a PID-1 write before any PID-1 setter, a
+    PID-1 callback left open at the end, or a PID-1 callback end before
+    any PID-1 start."""
+    ros = []
+    if leading_end:
+        ros.append(_event(base + 1, 1, P4_TIMER_END))
+    if leading_write:
+        ros.append(_event(base + 2, 1, P16_DDS_WRITE, topic="/t", src_ts=base + 2))
+    if timer:
+        ros += [
+            _event(base + 10, 1, P2_TIMER_START),
+            _event(base + 11, 1, P3_TIMER_CALL, cb_id="cbA"),
+            _event(base + 12, 1, P16_DDS_WRITE, topic="/t", src_ts=base + 12),
+            _event(base + 20, 1, P4_TIMER_END),
+        ]
+    ros += [
+        _event(base + 30, 2, P5_SUB_START),
+        _event(base + 31, 2, P6_TAKE, topic="/t", src_ts=base + 12),
+        _event(base + 40, 2, P8_SUB_END),
+    ]
+    if open_at_end:
+        ros.append(_event(base + 50, 1, P2_TIMER_START))
+    sched = [
+        _switch(base + 10 + i, 1 if i % 2 else 2, 2 if i % 2 else 1)
+        for i in range(8)
+    ]
+    return Trace(
+        ros_events=ros, sched_events=sched, pid_map={1: "n1", 2: "n2"},
+        start_ts=base, stop_ts=base + 100,
+    )
+
+
+class TestRunBoundaryCarries:
+    """State one run carries into the next, on hand-built two-run
+    stores: eviction must forget it, concatenation must pair it."""
+
+    @staticmethod
+    def _store(directory, traces):
+        store = TraceStore.create(directory)
+        for number, trace in enumerate(traces):
+            store.add_trace(f"run{number:03d}", trace)
+        return store
+
+    def test_evicted_setter_no_longer_feeds_writer_cb(self, tmp_path):
+        """run001's first PID-1 write precedes every PID-1 setter of
+        run001, so it read run000's cbA; without run000 it reads None --
+        whether run000 leaves after run001 was consumed (the write is
+        rewritten) or before (the carried state is dropped)."""
+        store = self._store(
+            str(tmp_path / "source"),
+            [_handbuilt_run(0), _handbuilt_run(1000, leading_write=True)],
+        )
+        first, second = store.open("run000"), store.open("run001")
+        index = LiveStoreIndex()
+        index.extend(first)
+        index.extend(second)
+        carried = index._runs[1].start
+        assert index.writer_cb[carried] == "cbA"
+        assert index.evict_oldest()
+        assert index.writer_cb[carried] is None
+        _assert_matches_rebuild(index, [second])
+
+        target = str(tmp_path / "target")
+        counters = ServiceCounters()
+        live = LiveSynthesizer(
+            TraceStore.create(target), retain_window=1, counters=counters
+        )
+        for run_id in ["run000", "run001"]:
+            _deliver(store.directory, target, run_id)
+            live.refresh()
+        assert counters.rebuilds == 0
+        assert live.index.writer_cb[carried] is None
+        _assert_matches_rebuild(live.index, [second])
+        reference = str(tmp_path / "reference")
+        os.makedirs(reference)
+        _deliver(store.directory, reference, "run001")
+        batch = synthesize_from_store(TraceStore(reference), jobs=1)
+        assert _signature(live.model()) == _signature(batch)
+
+    def test_carry_skips_runs_without_a_setter(self, tmp_path):
+        """run001 writes with no PID-1 setter at all, run002 and run003
+        write before their first setter.  Evicting run000 resets the
+        writes of run001 and run002 (their value came from run000) but
+        not run003's (it came from run002)."""
+        store = self._store(
+            str(tmp_path / "source"),
+            [
+                _handbuilt_run(0),
+                _handbuilt_run(1000, timer=False, leading_write=True),
+                _handbuilt_run(2000, leading_write=True),
+                _handbuilt_run(3000, leading_write=True),
+            ],
+        )
+        readers = [store.open(run_id) for run_id in store.run_ids()]
+        index = LiveStoreIndex()
+        for reader in readers:
+            index.extend(reader)
+        assert index.evict_oldest()
+        assert [index.writer_cb[run.start] for run in index._runs] == [
+            None, None, "cbA",
+        ]
+        _assert_matches_rebuild(index, readers[1:])
+
+    @pytest.mark.parametrize(
+        "middle, window",
+        [
+            ([], (50, 1001)),
+            ([{"timer": False}], (50, 2001)),  # no PID-1 CB rows: carried
+            ([{}], None),  # run001's own CB start replaces the open one
+        ],
+    )
+    def test_window_open_across_runs_is_paired(self, tmp_path, middle, window):
+        """A PID-1 callback starts at the end of run000; the last run
+        opens with a PID-1 callback end.  The concatenated fragments
+        pair them exactly as one pass over the merged trace does."""
+        traces = [_handbuilt_run(0, open_at_end=True)]
+        traces += [
+            _handbuilt_run(1000 * number, **flags)
+            for number, flags in enumerate(middle, start=1)
+        ]
+        traces.append(_handbuilt_run(1000 * len(traces), leading_end=True))
+        store = self._store(str(tmp_path / "carry"), traces)
+        reference = LatencyIndex.from_trace(Trace.merge(traces))
+        assert reference.window_containing(1, 55) == window
+        cache = {}
+        for index in (
+            latency_index_from_store(store),
+            latency_index_from_store(store, run_ids=store.run_ids(), fragments=cache),
+            latency_index_from_store(store, run_ids=store.run_ids(), fragments=cache),
+        ):
+            for slot in LatencyIndex.__slots__:
+                assert getattr(index, slot) == getattr(reference, slot), slot
+        assert sorted(cache) == store.run_ids()
+
+    def test_model_between_arrivals_never_pins_sched_columns(
+        self, tmp_path, monkeypatch
+    ):
+        """Vectorized Alg. 2 windows leave numpy views on the sched
+        columns; a later arrival of the same PID must still fold in."""
+        monkeypatch.setattr(exec_time, "MIN_VECTOR_ROWS", 1)
+        source = str(tmp_path / "source")
+        self._store(source, [_handbuilt_run(0), _handbuilt_run(1000)])
+        target = str(tmp_path / "target")
+        live = LiveSynthesizer(TraceStore.create(target))
+        for run_id in ["run000", "run001"]:
+            _deliver(source, target, run_id)
+            live.refresh()
+            live.model()
+        assert live.counters.extends == 2
+        batch = synthesize_from_store(TraceStore(target), jobs=1)
+        assert _signature(live.model()) == _signature(batch)
+
+
+class TestLatencyFragmentCache:
+    """``latency`` queries build one fragment per arriving run."""
+
+    def test_one_fragment_per_arrival(self, sources, tmp_path):
+        source = TraceStore(sources["syn"])
+        service = SynthesisService(str(tmp_path / "served"), retain_window=2)
+        counters = service.counters
+        run_ids = sorted(source.run_ids())
+        for arrived, run_id in enumerate(run_ids, start=1):
+            with open(source.path_of(run_id), "rb") as handle:
+                service.ingest_bytes(run_id, handle.read())
+            reply, _ = service.handle_request(
+                {"cmd": "latency", "topics": ["/t1"]}, b""
+            )
+            retained = run_ids[max(0, arrived - 2):arrived]
+            truncated = str(tmp_path / f"ref{arrived}")
+            os.makedirs(truncated)
+            for keep in retained:
+                _deliver(sources["syn"], truncated, keep)
+            expected = [
+                latency.latency_ns
+                for latency in StoreAnalysis(truncated).chain_latencies(["/t1"])
+            ]
+            assert reply["count"] == len(expected) > 0
+            assert reply["min_ns"] == min(expected)
+            assert reply["max_ns"] == max(expected)
+            assert counters.latency_fragments_built == arrived
+            assert counters.rebuilds == 0
+        status, _ = service.handle_request({"cmd": "status"}, b"")
+        assert status["counters"]["latency_fragments_built"] == RUNS
+        assert sorted(service.live.latency_fragments()) == run_ids[-2:]
+
+
+    def test_concurrent_queries_keep_the_cache_consistent(
+        self, sources, tmp_path
+    ):
+        """Query threads racing the ingest of every run: each answer is
+        the answer of some committed window, and the cache ends up
+        holding exactly the retained runs' fragments."""
+        source = TraceStore(sources["syn"])
+        run_ids = sorted(source.run_ids())
+        expected = {0}
+        for arrived in range(1, len(run_ids) + 1):
+            truncated = str(tmp_path / f"ref{arrived}")
+            os.makedirs(truncated)
+            for keep in run_ids[max(0, arrived - 2):arrived]:
+                _deliver(sources["syn"], truncated, keep)
+            expected.add(len(StoreAnalysis(truncated).chain_latencies(["/t1"])))
+        service = SynthesisService(str(tmp_path / "served"), retain_window=2)
+        counts, errors = [], []
+        done = threading.Event()
+
+        def query():
+            try:
+                while not done.is_set():
+                    reply, _ = service.handle_request(
+                        {"cmd": "latency", "topics": ["/t1"]}, b""
+                    )
+                    counts.append(reply["count"])
+            except Exception as error:  # surfaced by the assert below
+                errors.append(error)
+
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        threads = [threading.Thread(target=query) for _ in range(4)]
+        try:
+            for thread in threads:
+                thread.start()
+            for run_id in run_ids:
+                with open(source.path_of(run_id), "rb") as handle:
+                    service.ingest_bytes(run_id, handle.read())
+                time.sleep(0.05)
+        finally:
+            done.set()
+            for thread in threads:
+                thread.join(timeout=30.0)
+            sys.setswitchinterval(switch_interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert counts and set(counts) <= expected
+        service.handle_request({"cmd": "latency", "topics": ["/t1"]}, b"")
+        assert sorted(service.live.latency_fragments()) == run_ids[-2:]
+        assert service.counters.latency_fragments_built <= len(run_ids)
+        assert service.counters.rebuilds == 0
 
 
 class TestIngestSpool:
@@ -394,6 +758,34 @@ class TestProtocolEdge:
         assert "kind" not in reply
         assert exchange({"cmd": "ping"}) == {"ok": True, "pong": True}
         assert service.counters.internal_errors == 0
+
+    def test_stalled_client_thread_gives_up(self, served, monkeypatch):
+        """A peer that stops mid-request line loses its connection after
+        the client timeout; the service keeps answering."""
+        service, exchange = served
+        assert exchange({"cmd": "ping"}) == {"ok": True, "pong": True}
+        monkeypatch.setattr(server_module, "CLIENT_TIMEOUT_S", 0.2)
+        serving = []
+        serve_client = service._serve_client
+
+        def recording(conn, peer):
+            serving.append(threading.current_thread())
+            serve_client(conn, peer)
+
+        monkeypatch.setattr(service, "_serve_client", recording)
+        staller = connect(service.endpoint, timeout=10.0)
+        try:
+            staller.sendall(b'{"cmd": "pi')
+            deadline = time.monotonic() + 10.0
+            while not serving:
+                assert time.monotonic() < deadline, "stalled client never served"
+                time.sleep(0.01)
+            serving[0].join(timeout=10.0)
+            assert not serving[0].is_alive()
+            assert staller.recv(1) == b""  # the service closed it
+        finally:
+            staller.close()
+        assert exchange({"cmd": "ping"}) == {"ok": True, "pong": True}
 
     def test_unexpected_failure_gets_an_internal_reply(self, served):
         service, exchange = served
