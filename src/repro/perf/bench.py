@@ -614,9 +614,11 @@ def bench_service_ingest(scale: BenchScale) -> Dict[str, Any]:
 
     Both sides commit the identical pre-encoded segments one at a time
     and produce a model after every commit; the incremental side folds
-    each arrival into the maintained :class:`LiveStoreIndex`, the
-    rebuild side re-runs ``synthesize_from_store`` from scratch -- what
-    a query-after-every-arrival service would cost without the
+    each arrival into its kept index with
+    :meth:`~repro.store.index.StoreTraceIndex.extend`, the rebuild side
+    re-runs ``synthesize_from_store`` from scratch, whose constructor
+    appends every run through that same per-run path -- what a
+    query-after-every-arrival service would cost without the
     incremental layer.  Encoding and simulation stay outside the timed
     regions.
     """

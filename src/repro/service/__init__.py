@@ -7,10 +7,11 @@ into a long-running ingest + query system, in four layers:
   validates and atomically commits ``.trace.bin`` segments arriving
   over the socket or a watched drop directory;
 * **incremental maintenance** (:mod:`~repro.service.live`):
-  :class:`LiveStoreIndex` / :class:`LiveSynthesizer` fold each commit
-  into the maintained walk columns, cross-node tables and sched buckets
-  -- byte-identical to a from-scratch ``synthesize_from_store`` at
-  every commit point, with windowed eviction for unbounded streams;
+  :class:`LiveSynthesizer` folds each commit into one
+  :class:`~repro.store.index.StoreTraceIndex` (``extend``), the same
+  index the batch pipeline builds -- byte-identical to a from-scratch
+  ``synthesize_from_store`` at every commit point, with in-place
+  windowed eviction (``evict_oldest``) for unbounded streams;
 * **api/worker split** (:mod:`~repro.service.server` /
   :mod:`~repro.service.state`): :class:`SynthesisService` runs the
   ingest worker and hands out :class:`ServiceState` snapshots that
@@ -29,7 +30,7 @@ Quickstart::
 
 from .client import ServiceClient, ServiceError
 from .ingest import DropDirWatcher, IngestError, IngestResult, IngestSpool
-from .live import LiveStoreIndex, LiveSynthesizer, ServiceCounters
+from .live import LiveSynthesizer, ServiceCounters
 from .protocol import ProtocolError, parse_address
 from .server import DEFAULT_POLL_INTERVAL_S, SynthesisService
 from .state import MODEL_FORMATS, ServiceState
@@ -41,7 +42,6 @@ __all__ = [
     "IngestError",
     "IngestResult",
     "IngestSpool",
-    "LiveStoreIndex",
     "LiveSynthesizer",
     "ServiceCounters",
     "ProtocolError",

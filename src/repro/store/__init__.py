@@ -53,7 +53,7 @@ from .record import (
     run_id_for,
 )
 from .index import StoreTraceIndex
-from .synthesis import merged_trace_index, synthesize_from_store
+from .synthesis import synthesize_from_store
 from .writer import SegmentSpool, encode_trace, segment_path, write_segment
 
 __all__ = [
@@ -84,7 +84,6 @@ __all__ = [
     "record_run",
     "run_id_for",
     "StoreTraceIndex",
-    "merged_trace_index",
     "synthesize_from_store",
     "SegmentSpool",
     "encode_trace",

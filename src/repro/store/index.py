@@ -19,14 +19,37 @@ What makes it cheap:
   ``cb_id``/``topic``/``src_ts`` resolve from the segment's typed
   per-field columns, bulk-decoded once per payload shape, and only
   JSON-fallback rows (all rows of a v1 segment) see the JSON scanner;
-* the k-way merge across time-overlapping runs orders ``(ts, run,
-  row)`` int prefixes, so ties keep run order (exactly like
-  ``Trace.merge``) without a heap key function;
 * ``sched_switch`` rows feed shard-local
   :class:`~repro.core.exec_time.SchedIndex` buckets built from three
   int columns -- only the ``wanted_pids`` a worker will actually query
   get buckets, so a sharded worker no longer indexes the full merged
   sched stream.
+
+One build path serves batch synthesis, shard workers and the live
+service.  Runs that are time-ordered (run ids ascending, ROS time
+ranges disjoint in that order -- seeded batch runs stagger their clock
+bases) merge chronologically by plain concatenation, so the constructor
+appends them one at a time, exactly as :meth:`StoreTraceIndex.extend`
+appends a run that arrives later: the association state (``current_cb``,
+pending P13 rows, the running stream position) persists on the index
+between runs, and each run's sched buckets fold into the kept ones --
+appended when they start at or after the tail, else stably 2-way
+merged, a left fold that equals the n-way merge (ties prefer the
+earlier run).
+
+Every appended run records what it contributed (a :class:`_RunExtent`),
+so :meth:`StoreTraceIndex.evict_oldest` drops the oldest run in place
+and leaves the index equal to a build over the remaining runs.  Stream
+positions stay absolute -- they are only lookup keys and FIFO order, so
+an offset changes no result.
+
+A rebuild, i.e. a new index over the retained readers, is still needed
+in two cases.  Runs that overlap in time are k-way merged row by row
+(the ``(ts, run, row)`` int prefixes keep ties in run order, exactly
+like ``Trace.merge``), and that index can neither grow nor evict
+(``can_append`` is False).  And an eviction refuses when one of the
+oldest run's sched buckets was merged with a later run's, because a
+merged bucket interleaves the runs.
 
 Equivalence with the in-memory pipeline is byte-exact and pinned by
 ``tests/test_store_synthesis.py``: all orderings are the stable
@@ -39,7 +62,9 @@ per-run buckets.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from heapq import merge as _heap_merge
+from itertools import islice
 from operator import itemgetter
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -85,6 +110,34 @@ def _runs_are_time_ordered(readers: Sequence[Any]) -> bool:
     return _spans_are_ordered(reader.ros_ts_range() for reader in readers)
 
 
+class _RunExtent:
+    """What one appended run contributed to a :class:`StoreTraceIndex`,
+    kept so the run can later be dropped in place."""
+
+    __slots__ = (
+        "start", "stop", "pid_map", "ros_end", "walk_rows", "sched_rows",
+        "keys", "carried", "setters",
+    )
+
+    def __init__(self, start: int, pid_map: Dict[int, Optional[str]]):
+        #: stream positions [start, stop) of the run's ROS rows.
+        self.start = start
+        self.stop = start
+        self.pid_map = pid_map
+        self.ros_end: Optional[int] = None
+        #: pid -> rows appended to the PID's walk columns / sched bucket.
+        self.walk_rows: Dict[int, int] = {}
+        self.sched_rows: Dict[int, int] = {}
+        #: (writes keys, take_responses keys) whose first entry lies in
+        #: this run.
+        self.keys: Tuple[List[Any], List[Any]] = ([], [])
+        #: pid -> positions of the run's writes that read the
+        #: ``current_cb`` value carried in from earlier runs.
+        self.carried: Dict[int, List[int]] = {}
+        #: PIDs with a ``current_cb`` setter row in this run.
+        self.setters: set = set()
+
+
 class StoreTraceIndex:
     """Alg. 1 lookup structures built from stored segment columns.
 
@@ -92,7 +145,8 @@ class StoreTraceIndex:
     ----------
     readers:
         Segment readers in run-id order (the merge order), from
-        :meth:`~repro.store.database.TraceStore.readers`.
+        :meth:`~repro.store.database.TraceStore.readers`; empty for an
+        index that :meth:`extend` grows one run at a time.
     wanted_pids:
         PIDs whose walk columns and sched buckets to build (a worker's
         shard); the cross-node tables always cover the full stream --
@@ -115,91 +169,135 @@ class StoreTraceIndex:
         "writer_cb",
         "take_responses",
         "dispatch_after",
+        "_wanted",
+        "_current_cb",
+        "_pending_p13",
+        "_appenders",
+        "_next_index",
+        "_last_ros_end",
+        "_ordered",
+        "_sched_buckets",
+        "_merged_sched",
+        "_runs",
     )
 
     def __init__(
         self,
-        readers: Sequence[Any],
+        readers: Sequence[Any] = (),
         wanted_pids: Optional[Iterable[int]] = None,
     ):
-        pid_map: Dict[int, Optional[str]] = {}
-        for reader in readers:
-            pid_map.update(reader.pid_map)
-        self.pid_map = pid_map
-        wanted = None if wanted_pids is None else frozenset(wanted_pids)
-        self._build_ros(readers, wanted)
-        self.sched = self._build_sched(readers, wanted)
-
-    # -- ROS stream: walk columns + cross-node tables ----------------------
-
-    def _build_ros(
-        self, readers: Sequence[Any], wanted: Optional[frozenset]
-    ) -> None:
+        self.pid_map: Dict[int, Optional[str]] = {}
         self._by_pid: Dict[int, WalkColumns] = {}
         self.writes: Dict[TopicKey, List[Tuple[int, Any]]] = {}
         self.writer_cb: Dict[int, Optional[str]] = {}
         self.take_responses: Dict[TopicKey, List[Tuple[int, Any]]] = {}
         self.dispatch_after: Dict[int, bool] = {}
-        if not readers:
-            return
-
-        current_cb: Dict[int, Optional[str]] = {}
-        pending_p13: Dict[int, List[int]] = {}
+        self._wanted = None if wanted_pids is None else frozenset(wanted_pids)
+        # The association state machine's mutable state, carried from
+        # one run into the next.
+        self._current_cb: Dict[int, Optional[str]] = {}
+        self._pending_p13: Dict[int, List[int]] = {}
         #: pid -> bound (ts, code, aux) append methods of the pid's walk
-        #: columns, so the per-row hot loops skip attribute lookups.
-        appenders: Dict[int, tuple] = {}
-        if _runs_are_time_ordered(readers):
-            # The common case: seeded batch runs stagger their clock
-            # bases, so run streams are time-disjoint in run-id order
-            # and the chronological merge is plain concatenation --
-            # each segment's columns are consumed in bulk with no heap
-            # and no per-row generator frames or tuples.
-            index = 0
+        #: columns, so the per-row hot loop skips attribute lookups.
+        self._appenders: Dict[int, tuple] = {}
+        self._next_index = 0
+        #: ROS ts upper bound of the last appended run with any ROS
+        #: events -- the rolling bound _runs_are_time_ordered tracks.
+        self._last_ros_end: Optional[int] = None
+        #: False when built over time-overlapping runs (heap-merged
+        #: positions are not resumable: no extend, no eviction).
+        self._ordered = _runs_are_time_ordered(readers)
+        self._sched_buckets: Dict[int, Tuple[array, bytearray]] = {}
+        #: PIDs whose sched bucket interleaves several runs' entries
+        #: (built by the 2-way merge): no run prefix can be cut from it.
+        self._merged_sched: set = set()
+        #: the appended runs, oldest first (empty when not _ordered).
+        self._runs: List[_RunExtent] = []
+        if self._ordered:
             for reader in readers:
-                index = self._consume_reader(
-                    reader, wanted, index, current_cb, pending_p13, appenders
-                )
+                self._append(reader)
         else:
             # Overlapping runs: k-way merge of per-reader row streams.
             # The (ts, order, row) int prefixes are unique, so plain
             # tuple comparison merges chronologically with ties in run
             # order and the aux slot is never compared.
-            streams = [
-                reader.walk_rows(order) for order, reader in enumerate(readers)
-            ]
-            rows = streams[0] if len(streams) == 1 else _heap_merge(*streams)
-            self._consume_rows(rows, wanted, 0, current_cb, pending_p13, appenders)
+            for reader in readers:
+                self.pid_map.update(reader.pid_map)
+            self._consume_rows(
+                _heap_merge(*(
+                    reader.walk_rows(order)
+                    for order, reader in enumerate(readers)
+                ))
+            )
+            for reader in readers:
+                self._fold_sched(reader, None)
+        self.sched = SchedIndex.from_buckets(self._sched_buckets)
+
+    # -- growing -----------------------------------------------------------
+
+    def can_append(self, reader: Any) -> bool:
+        """True when ``reader``'s stream may extend this index in place
+        (the caller has already established run-id order): the index
+        was never heap-merged, and the reader's ROS span starts at or
+        after the last consumed span's end -- the incremental form of
+        :func:`_runs_are_time_ordered` (a shared boundary timestamp
+        stays appendable, merge ties keep run order)."""
+        if not self._ordered:
+            return False
+        span = reader.ros_ts_range()
+        if span is None or self._last_ros_end is None:
+            return True
+        return span[0] >= self._last_ros_end
+
+    def extend(self, reader: Any) -> None:
+        """Consume one more segment as the next run of the merge order.
+
+        Caller contract: ``can_append(reader)`` holds and the reader's
+        run id sorts after every previously consumed run.
+        """
+        self._append(reader)
+        # from_buckets copies only the dict (the column arrays are
+        # shared), so regenerating the SchedIndex view per commit is
+        # O(pids), not O(rows).
+        self.sched = SchedIndex.from_buckets(self._sched_buckets)
+
+    def _append(self, reader: Any) -> None:
+        """One reader as the next run of a time-ordered merge, noting in
+        a new :class:`_RunExtent` what it added."""
+        run = _RunExtent(self._next_index, reader.pid_map)
+        self.pid_map.update(reader.pid_map)
+        writes, responses = self.writes, self.take_responses
+        before = (len(writes), len(responses))
+        fastpath = getattr(reader, "walk_fastpath", None)
+        if fastpath is None:
+            # An in-memory run: its rows one by one.
+            self._consume_rows(reader.walk_rows(0), run)
+        else:
+            self._consume_columns(fastpath(), run)
+        run.stop = self._next_index
+        # Tables only ever gain keys here, so the run's new keys are the
+        # dicts' insertion tails.
+        for table, count, keys in zip((writes, responses), before, run.keys):
+            keys.extend(islice(reversed(table), len(table) - count))
+        span = reader.ros_ts_range()
+        if span is not None:
+            self._last_ros_end = run.ros_end = span[1]
+        self._fold_sched(reader, run)
+        self._runs.append(run)
+
+    # -- ROS stream: walk columns + cross-node tables ----------------------
 
     # The two _consume_* bodies are the same association state machine
     # as TraceIndex._build (positional indices of the merged stream):
     # _consume_columns over a time-ordered segment's whole columns,
     # _consume_rows over pre-assembled row tuples (heap-merged
-    # overlapping runs, in-memory legacy runs).  The store equivalence
-    # suites pin both against the in-memory pipeline.
+    # overlapping runs, in-memory legacy runs).  Both resume the state
+    # the previous run left and advance _next_index; given the run's
+    # _RunExtent they record its walk rows, carried writes and setters.
+    # The store equivalence suites pin both against the in-memory
+    # pipeline.
 
-    def _consume_reader(
-        self,
-        reader: Any,
-        wanted: Optional[frozenset],
-        index: int,
-        current_cb: Dict[int, Optional[str]],
-        pending_p13: Dict[int, List[int]],
-        appenders: Dict[int, tuple],
-    ) -> int:
-        """One reader as the next run of a time-ordered merge: a
-        segment's columns in bulk, an in-memory run's rows one by
-        one."""
-        fastpath = getattr(reader, "walk_fastpath", None)
-        if fastpath is None:
-            return self._consume_rows(
-                reader.walk_rows(0), wanted, index, current_cb, pending_p13,
-                appenders,
-            )
-        return self._consume_columns(
-            fastpath(), wanted, index, current_cb, pending_p13
-        )
-
-    def _walk_appender(self, appenders: Dict[int, tuple], pid: int) -> tuple:
+    def _walk_appender(self, pid: int) -> tuple:
         """First-row setup of a PID's walk columns + bound appends.
 
         Reuses columns an earlier column-consumer pass already created
@@ -209,19 +307,12 @@ class StoreTraceIndex:
         walk = self._by_pid.get(pid)
         if walk is None:
             walk = self._by_pid[pid] = ([], bytearray(), [])
-        bound = appenders[pid] = (
+        bound = self._appenders[pid] = (
             walk[0].append, walk[1].append, walk[2].append,
         )
         return bound
 
-    def _consume_columns(
-        self,
-        columns: Tuple,
-        wanted: Optional[frozenset],
-        index: int,
-        current_cb: Dict[int, Optional[str]],
-        pending_p13: Dict[int, List[int]],
-    ) -> int:
+    def _consume_columns(self, columns: Tuple, run: _RunExtent) -> None:
         """One segment's :meth:`~repro.store.reader.SegmentReader.walk_fastpath`
         columns, with the per-row dispatch hoisted into whole-column
         numpy operations.
@@ -249,7 +340,10 @@ class StoreTraceIndex:
         pid_np = np.frombuffer(pid_col, dtype=np.int32)
         ts_np = np.frombuffer(ts_col, dtype=np.int64)
         n = len(probe_np)
+        index = self._next_index
+        current_cb = self._current_cb
         by_pid = self._by_pid
+        wanted = self._wanted
         all_wanted = wanted is None
         n_shapes = len(shapes)
 
@@ -293,6 +387,7 @@ class StoreTraceIndex:
             if not (all_wanted or pid in wanted):
                 continue
             rows = np.nonzero(nonzero & (pid_np == pid))[0]
+            run.walk_rows[pid] = len(rows)
             walk = by_pid.get(pid)
             if walk is None:
                 walk = by_pid[pid] = ([], bytearray(), [])
@@ -306,8 +401,9 @@ class StoreTraceIndex:
         # state of the *last preceding setter in its PID*, which one
         # searchsorted per PID locates directly -- so the sequential
         # loop below shrinks to the three table-append codes.  A write
-        # with no setter before it in this segment reads the state a
-        # previous segment's consumer left in ``current_cb``.
+        # with no setter before it in this segment (position < 0) reads
+        # the state a previous segment's consumer left in
+        # ``current_cb``: a carried write when the PID has one.
         writer_cb = self.writer_cb
         setter_rows = np.nonzero(
             (row_codes >= CODE_CB_START) & (row_codes <= CODE_TAKE_RESPONSE)
@@ -335,7 +431,12 @@ class StoreTraceIndex:
                             )
                     for row, p in zip(pid_writes.tolist(), pos.tolist()):
                         writer_cb[index + row] = cb_at[p]
+                    if pos[0] < 0 and pid in current_cb:
+                        run.carried[pid] = (
+                            index + pid_writes[pos < 0]
+                        ).tolist()
                 if len(setters):
+                    run.setters.add(pid)
                     last = int(setters[-1])
                     current_cb[pid] = (
                         None
@@ -350,6 +451,7 @@ class StoreTraceIndex:
         writes = self.writes
         take_responses = self.take_responses
         dispatch_after = self.dispatch_after
+        pending_p13 = self._pending_p13
         for row, pid, code, aux in zip(
             table_rows.tolist(),
             pid_np[table_rows].tolist(),
@@ -367,42 +469,49 @@ class StoreTraceIndex:
                 will_dispatch = bool(aux.get("will_dispatch"))
                 for p13_index in pending_p13.pop(pid, ()):
                     dispatch_after[p13_index] = will_dispatch
-        return index + n
+        self._next_index = index + n
 
     def _consume_rows(
-        self,
-        rows: Iterable[tuple],
-        wanted: Optional[frozenset],
-        index: int,
-        current_cb: Dict[int, Optional[str]],
-        pending_p13: Dict[int, List[int]],
-        appenders: Dict[int, tuple],
-    ) -> int:
+        self, rows: Iterable[tuple], run: Optional[_RunExtent] = None
+    ) -> None:
         writes = self.writes
         writer_cb = self.writer_cb
         take_responses = self.take_responses
         dispatch_after = self.dispatch_after
+        current_cb = self._current_cb
+        pending_p13 = self._pending_p13
+        appenders = self._appenders
+        wanted = self._wanted
         all_wanted = wanted is None
+        index = self._next_index
         for ts, _order, _row, pid, code, aux in rows:
             if code and (all_wanted or pid in wanted):
                 try:
                     append_ts, append_code, append_aux = appenders[pid]
                 except KeyError:
-                    append_ts, append_code, append_aux = self._walk_appender(
-                        appenders, pid
-                    )
+                    append_ts, append_code, append_aux = self._walk_appender(pid)
                 append_ts(ts)
                 append_code(code)
                 append_aux(aux)
+                if run is not None:
+                    run.walk_rows[pid] = run.walk_rows.get(pid, 0) + 1
             if code >= CODE_TIMER_CALL:
                 if code <= CODE_TAKE_RESPONSE:
                     current_cb[pid] = aux.get("cb_id")
+                    if run is not None:
+                        run.setters.add(pid)
                     if code == CODE_TAKE_RESPONSE:
                         pending_p13.setdefault(pid, []).append(index)
                         key = (aux.get("topic"), aux.get("src_ts"))
                         take_responses.setdefault(key, []).append((index, aux))
                 elif code == CODE_DDS_WRITE:
                     writer_cb[index] = current_cb.get(pid)
+                    if (
+                        run is not None
+                        and pid in current_cb
+                        and pid not in run.setters
+                    ):
+                        run.carried.setdefault(pid, []).append(index)
                     key = (aux.get("topic"), aux.get("src_ts"))
                     writes.setdefault(key, []).append((index, aux))
                 elif code == CODE_TAKE_TYPE_ERASED:
@@ -411,42 +520,43 @@ class StoreTraceIndex:
                         dispatch_after[p13_index] = will_dispatch
             elif code == CODE_CB_START:
                 current_cb[pid] = None
+                if run is not None:
+                    run.setters.add(pid)
             index += 1
-        return index
+        self._next_index = index
 
     # -- sched stream: shard-local columnar buckets ------------------------
 
-    @staticmethod
-    def _build_sched(
-        readers: Sequence[Any], wanted: Optional[frozenset]
-    ) -> SchedIndex:
-        """Per-PID (timestamps, flags) buckets from the int columns.
+    def _fold_sched(self, reader: Any, run: Optional[_RunExtent]) -> None:
+        """Fold one reader's per-PID sched buckets into the kept ones:
+        append when the arriving bucket starts at-or-after the existing
+        tail (ties append after, matching merge tie order), else a
+        stable 2-way timestamp merge -- the left fold of which equals
+        the n-way merge of every run's bucket, i.e. the bucket
+        :class:`SchedIndex` builds from the merged event stream.
 
-        Bucketing per reader then stably ts-merging per PID yields the
-        exact buckets :class:`SchedIndex` builds from the merged event
-        stream, because a PID's merged-stream subsequence is ordered by
-        the same ``(ts, run order, row order)`` comparator.
-        """
-        partials: Dict[int, List[Tuple[array, bytearray]]] = {}
-        for reader in readers:
-            local = StoreTraceIndex._reader_sched_buckets(reader, wanted)
-            for pid, bucket in local.items():
-                partials.setdefault(pid, []).append(bucket)
-
-        buckets: Dict[int, Tuple[array, bytearray]] = {}
-        for pid, parts in partials.items():
-            if len(parts) == 1:
-                buckets[pid] = parts[0]
+        Kept columns are replaced, never resized: a :class:`SchedIndex`
+        handed out earlier may hold numpy views on them, which forbid
+        resizing."""
+        buckets = self._sched_buckets
+        for pid, bucket in self._reader_sched_buckets(reader, self._wanted).items():
+            if run is not None:
+                run.sched_rows[pid] = len(bucket[0])
+            existing = buckets.get(pid)
+            if existing is None:
+                buckets[pid] = bucket
+            elif not existing[0] or bucket[0][0] >= existing[0][-1]:
+                buckets[pid] = (existing[0] + bucket[0], existing[1] + bucket[1])
             else:
+                self._merged_sched.add(pid)
                 times = array("q")
                 flags = bytearray()
                 for ts, flag in _heap_merge(
-                    *(zip(*part) for part in parts), key=itemgetter(0)
+                    zip(*existing), zip(*bucket), key=itemgetter(0)
                 ):
                     times.append(ts)
                     flags.append(flag)
                 buckets[pid] = (times, flags)
-        return SchedIndex.from_buckets(buckets)
 
     @staticmethod
     def _reader_sched_buckets(
@@ -487,6 +597,104 @@ class StoreTraceIndex:
             times.frombytes(ts_np[rows].tobytes())
             local[pid] = (times, bytearray(flags.tobytes()))
         return local
+
+    # -- evicting ----------------------------------------------------------
+
+    def evict_oldest(self) -> bool:
+        """Drop the oldest run in place, leaving the index equal to a
+        from-scratch build over the remaining runs (positions offset).
+
+        Returns False, with the index untouched, when that cannot be
+        done in place -- the index was heap-merged over overlapping
+        runs, or one of the run's sched buckets was merged with a
+        later run's -- and the caller must rebuild.
+        """
+        if not self._ordered or not self._runs:
+            return False
+        run = self._runs[0]
+        if not self._merged_sched.isdisjoint(run.sched_rows):
+            return False
+        del self._runs[0]
+        cut = run.stop
+        by_pid = self._by_pid
+        for pid, count in run.walk_rows.items():
+            walk = by_pid[pid]
+            if count == len(walk[0]):
+                del by_pid[pid]
+                self._appenders.pop(pid, None)
+            else:
+                for column in walk:
+                    del column[:count]
+        buckets = self._sched_buckets
+        for pid, count in run.sched_rows.items():
+            times, flags = buckets[pid]
+            if count == len(times):
+                del buckets[pid]
+            else:
+                buckets[pid] = (times[count:], flags[count:])
+        self.sched = SchedIndex.from_buckets(buckets)
+        self._drop_entries(self.writes, run.keys[0], 0, cut, self.writer_cb)
+        self._drop_entries(
+            self.take_responses, run.keys[1], 1, cut, self.dispatch_after
+        )
+        pending = self._pending_p13
+        for pid, positions in list(pending.items()):
+            kept = [position for position in positions if position >= cut]
+            if kept:
+                pending[pid] = kept
+            else:
+                del pending[pid]
+        # A write that read a current_cb value set in the evicted run
+        # reads None in a from-scratch build: every write of the PID up
+        # to the PID's first setter in the remaining runs.
+        for pid in run.setters:
+            for later in self._runs:
+                for position in later.carried.get(pid, ()):
+                    self.writer_cb[position] = None
+                if pid in later.setters:
+                    break
+            else:
+                self._current_cb.pop(pid, None)
+        pid_map: Dict[int, Optional[str]] = {}
+        for later in self._runs:
+            pid_map.update(later.pid_map)
+        self.pid_map = pid_map
+        self._last_ros_end = next(
+            (
+                later.ros_end for later in reversed(self._runs)
+                if later.ros_end is not None
+            ),
+            None,
+        )
+        return True
+
+    def _drop_entries(
+        self,
+        table: Dict[Any, List[Tuple[int, Any]]],
+        keys: List[Any],
+        slot: int,
+        cut: int,
+        by_position: Dict[int, Any],
+    ) -> None:
+        """Remove the entries below position ``cut`` under the evicted
+        run's ``keys``, with their ``by_position`` entries.  A key that
+        keeps later entries passes to the run holding its new first
+        entry."""
+        starts = [later.start for later in self._runs]
+        for key in keys:
+            entries = table[key]
+            dropped = 0
+            for position, _aux in entries:
+                if position >= cut:
+                    break
+                by_position.pop(position, None)
+                dropped += 1
+            if dropped == len(entries):
+                del table[key]
+            else:
+                del entries[:dropped]
+                owner = self._runs[bisect_right(starts, entries[0][0]) - 1]
+                owner.keys[slot].append(key)
 
     # -- views -------------------------------------------------------------
 

@@ -3,13 +3,13 @@
 ``synthesize_from_store`` reproduces the two multi-run strategies of
 Sec. V without an in-memory :class:`TraceDatabase`:
 
-* **merge_traces** (default): the stored runs' columns k-way merge into
-  one chronological row stream feeding a
-  :class:`~repro.store.index.StoreTraceIndex` -- the columnar Alg. 1
-  walk that resolves probe codes from per-segment string-id tables and,
-  for format-v2 segments, reads ``cb_id``/``topic``/``src_ts`` straight
-  from typed per-field payload columns (v1 segments fall back to lazy
-  JSON decode of ID-carrying rows only); extraction then
+* **merge_traces** (default): the stored runs' columns feed one
+  :class:`~repro.store.index.StoreTraceIndex` -- appended run by run
+  when the runs are time-ordered, k-way merged row by row when they
+  overlap -- the columnar Alg. 1 walk that resolves probe codes from
+  per-segment string-id tables and reads ``cb_id``/``topic``/``src_ts``
+  from typed per-field payload columns (JSON-fallback rows, all rows of
+  a v1 segment, are decoded only where ID-carrying); extraction then
   partitions the traced PIDs into shards and fans out over a
   ``ProcessPoolExecutor``.  Workers re-open the store themselves (the
   task payload is ``(directory, pid shard)``, never pickled traces),
@@ -39,7 +39,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from ..core.dag import TimingDag
 from ..core.extraction import EventIndex, _extract_pid_walk
 from ..experiments.batch import _shard
-from ..core.index import TraceIndex
 from ..core.merge import merge_dags
 from ..core.pipeline import (
     STRATEGY_MERGE_DAGS,
@@ -50,28 +49,23 @@ from ..core.records import CBList
 from ..core.synthesis import synthesize_dag
 from .database import StoreLike, TraceStore, as_store
 from .index import StoreTraceIndex
-from .reader import merge_ros_streams, merge_sched_streams
 
 
-def _index_from_readers(readers: Sequence) -> TraceIndex:
-    pid_map: Dict[int, Optional[str]] = {}
-    for reader in readers:
-        pid_map.update(reader.pid_map)
-    return TraceIndex(
-        list(merge_ros_streams(readers)),
-        merge_sched_streams(readers),
-        pid_map=pid_map,
-    )
-
-
-def merged_trace_index(store: StoreLike) -> TraceIndex:
-    """One :class:`TraceIndex` over all stored runs, streamed.
-
-    Events decode once, directly into the index's merged chronological
-    list; per-run ``Trace`` objects are never materialized and sched
-    events flow straight into the columnar ``SchedIndex``.
-    """
-    return _index_from_readers(as_store(store).readers())
+def _extract_index_cblists(
+    index: StoreTraceIndex, pids: Iterable[int]
+) -> List[CBList]:
+    """The columnar Alg. 1 walk over a built index: one CBList per PID,
+    in ``pids`` order (the batch build's and the live service's shared
+    extraction)."""
+    event_index = EventIndex(trace_index=index)
+    pid_map = index.pid_map
+    return [
+        _extract_pid_walk(
+            pid, *index.walk_for_pid(pid), index.sched, event_index,
+            pid_map.get(pid, ""),
+        )
+        for pid in pids
+    ]
 
 
 def _extract_store_cblists(
@@ -87,18 +81,7 @@ def _extract_store_cblists(
     to cover every traced PID (the serial unfiltered path).
     """
     index = StoreTraceIndex(readers, wanted_pids=None if build_all else wanted)
-    event_index = EventIndex(trace_index=index)
-    pid_map = index.pid_map
-    cblists = []
-    for pid in wanted:
-        timestamps, codes, aux = index.walk_for_pid(pid)
-        cblists.append(
-            _extract_pid_walk(
-                pid, timestamps, codes, aux, index.sched, event_index,
-                pid_map.get(pid, ""),
-            )
-        )
-    return cblists
+    return _extract_index_cblists(index, wanted)
 
 
 def _extract_shard(

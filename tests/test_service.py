@@ -12,6 +12,7 @@ refresh against a second writer process, and the spool's atomic
 are answered over the socket instead of dropping the client.
 """
 
+import copy
 import os
 import random
 import shutil
@@ -31,14 +32,18 @@ from repro.experiments.batch import BatchConfig
 from repro.scenarios import scenario_names
 from repro.sim.kernel import SEC
 from repro.sim.scheduler import SchedSwitch
-from repro.store import TraceStore, record_batch, synthesize_from_store
+from repro.store import (
+    StoreTraceIndex,
+    TraceStore,
+    record_batch,
+    synthesize_from_store,
+)
 from repro.store.format import SEGMENT_SUFFIX
 from repro.store.writer import SegmentSpool
 from repro.service import (
     DropDirWatcher,
     IngestError,
     IngestSpool,
-    LiveStoreIndex,
     LiveSynthesizer,
     ServiceCounters,
     SynthesisService,
@@ -56,6 +61,7 @@ from repro.tracing.events import (
     TraceEvent,
 )
 from repro.tracing.session import Trace
+from repro.tracing.storage import TRACE_SUFFIX, save_trace
 
 DURATION_NS = int(1.0 * SEC)
 RUNS = 3
@@ -94,9 +100,9 @@ def sources(tmp_path_factory):
     return result
 
 
-def _deliver(source_dir, target_dir, run_id):
+def _deliver(source_dir, target_dir, run_id, suffix=SEGMENT_SUFFIX):
     """One segment 'arrives': its file appears in the target store."""
-    name = run_id + SEGMENT_SUFFIX
+    name = run_id + suffix
     shutil.copy(os.path.join(source_dir, name), os.path.join(target_dir, name))
 
 
@@ -175,7 +181,7 @@ def _assert_matches_rebuild(index, readers):
     """An in-place-evicted index equals a from-scratch build over the
     retained readers: walk columns, sched buckets and pid_map exactly,
     the association tables and state modulo the position offset."""
-    fresh = LiveStoreIndex.from_readers(readers)
+    fresh = StoreTraceIndex(readers)
     assert index._by_pid == fresh._by_pid
     assert {
         pid: (list(times), bytes(flags))
@@ -195,6 +201,87 @@ def _assert_matches_rebuild(index, readers):
     } == fresh._pending_p13
     assert index._current_cb == fresh._current_cb
     assert index._next_index - offset == fresh._next_index
+
+
+def _index_state(index):
+    """Everything a build leaves in a :class:`StoreTraceIndex`, with
+    stream positions taken relative to its oldest run."""
+    offset = index._runs[0].start if index._runs else 0
+    return {
+        "walks": index._by_pid,
+        "sched": {
+            pid: (list(times), bytes(flags))
+            for pid, (times, flags) in index._sched_buckets.items()
+        },
+        "sched_pids": index.sched.pids(),
+        "pid_map": index.pid_map,
+        "tables": [
+            _shifted(getattr(index, table), offset)
+            for table in ("writes", "writer_cb", "take_responses", "dispatch_after")
+        ],
+        "pending_p13": {
+            pid: [position - offset for position in positions]
+            for pid, positions in index._pending_p13.items()
+        },
+        "current_cb": index._current_cb,
+        "next_index": index._next_index - offset,
+    }
+
+
+class TestOneBuildPath:
+    """The batch constructor, ``extend`` and ``evict_oldest`` are one
+    path: growing or shrinking an index by a run lands on the index a
+    batch build over the same runs makes, for the full stream and for
+    a shard worker's PID subset."""
+
+    @pytest.mark.parametrize("shard", [False, True])
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_extend_and_evict_equal_batch_builds(self, sources, name, shard):
+        store = TraceStore(sources[name])
+        wanted = sorted(store.union_pid_map())[::2] if shard else None
+
+        def readers():
+            return [store.open(run_id) for run_id in store.run_ids()]
+
+        runs = readers()
+        assert len(runs) == RUNS
+        batch = StoreTraceIndex(runs, wanted_pids=wanted)
+        assert len(batch._runs) == RUNS  # time-ordered: appended per run
+        grown = StoreTraceIndex(readers()[:2], wanted_pids=wanted)
+        grown.extend(readers()[2])
+        assert _index_state(grown) == _index_state(batch)
+        assert [
+            (run.start, run.stop, run.walk_rows, run.sched_rows, run.keys,
+             run.carried, run.setters)
+            for run in grown._runs
+        ] == [
+            (run.start, run.stop, run.walk_rows, run.sched_rows, run.keys,
+             run.carried, run.setters)
+            for run in batch._runs
+        ]
+
+        assert batch.evict_oldest()
+        if wanted is None:
+            _assert_matches_rebuild(batch, runs[1:])
+        assert _index_state(batch) == _index_state(
+            StoreTraceIndex(readers()[1:], wanted_pids=wanted)
+        )
+
+    def test_overlapping_runs_neither_grow_nor_evict(self, sources, tmp_path):
+        """Two runs on the same clock: the heap-merged index refuses
+        both in-place operations and stays as built."""
+        trace = TraceStore(sources["syn"]).load("run000")
+        store = TraceStore.create(str(tmp_path / "overlap"))
+        for run_id in ["run000", "run001"]:
+            store.add_trace(run_id, trace)
+        index = StoreTraceIndex(store.readers())
+        assert index._runs == []
+        later = TraceStore(sources["syn"]).open("run002")
+        assert later.ros_ts_range()[0] > trace.ros_events[-1].ts
+        assert not index.can_append(later)
+        before = copy.deepcopy(_index_state(index))
+        assert index.evict_oldest() is False
+        assert _index_state(index) == before
 
 
 class TestEvictionWindow:
@@ -293,19 +380,26 @@ def _switch(ts, prev_pid, next_pid):
 
 
 def _handbuilt_run(
-    base, timer=True, leading_write=False, open_at_end=False, leading_end=False
+    base, timer=True, leading_write=False, open_at_end=False, leading_end=False,
+    leading_call=False,
 ):
     """One small two-node run at clock ``base``: a timer callback of PID
     1 writes ``/t`` (``timer``), a subscriber callback of PID 2 takes
     it, and PID 1 switches in and out eight times.  The other flags add
     the run-boundary cases: a PID-1 write before any PID-1 setter, a
-    PID-1 callback left open at the end, or a PID-1 callback end before
+    PID-1 callback left open at the end, a PID-1 callback end before
+    any PID-1 start, or a PID-1 timer call (``cbB``) and write before
     any PID-1 start."""
     ros = []
     if leading_end:
         ros.append(_event(base + 1, 1, P4_TIMER_END))
     if leading_write:
         ros.append(_event(base + 2, 1, P16_DDS_WRITE, topic="/t", src_ts=base + 2))
+    if leading_call:
+        ros += [
+            _event(base + 3, 1, P3_TIMER_CALL, cb_id="cbB"),
+            _event(base + 4, 1, P16_DDS_WRITE, topic="/t", src_ts=base + 4),
+        ]
     if timer:
         ros += [
             _event(base + 10, 1, P2_TIMER_START),
@@ -330,18 +424,32 @@ def _handbuilt_run(
     )
 
 
+#: Binary segments (the column consumer) and legacy gzip-JSON runs (the
+#: row consumer), by file suffix.
+RUN_FORMATS = pytest.mark.parametrize(
+    "suffix", [SEGMENT_SUFFIX, TRACE_SUFFIX], ids=["binary", "json"]
+)
+
+
 class TestRunBoundaryCarries:
     """State one run carries into the next, on hand-built two-run
     stores: eviction must forget it, concatenation must pair it."""
 
     @staticmethod
-    def _store(directory, traces):
+    def _store(directory, traces, suffix=SEGMENT_SUFFIX):
+        """Binary runs (``SEGMENT_SUFFIX``, the column consumer) or
+        legacy gzip-JSON runs (``TRACE_SUFFIX``, the row consumer)."""
         store = TraceStore.create(directory)
         for number, trace in enumerate(traces):
-            store.add_trace(f"run{number:03d}", trace)
-        return store
+            run_id = f"run{number:03d}"
+            if suffix == SEGMENT_SUFFIX:
+                store.add_trace(run_id, trace)
+            else:
+                save_trace(trace, os.path.join(directory, run_id + suffix))
+        return TraceStore(directory)
 
-    def test_evicted_setter_no_longer_feeds_writer_cb(self, tmp_path):
+    @RUN_FORMATS
+    def test_evicted_setter_no_longer_feeds_writer_cb(self, tmp_path, suffix):
         """run001's first PID-1 write precedes every PID-1 setter of
         run001, so it read run000's cbA; without run000 it reads None --
         whether run000 leaves after run001 was consumed (the write is
@@ -349,9 +457,10 @@ class TestRunBoundaryCarries:
         store = self._store(
             str(tmp_path / "source"),
             [_handbuilt_run(0), _handbuilt_run(1000, leading_write=True)],
+            suffix,
         )
         first, second = store.open("run000"), store.open("run001")
-        index = LiveStoreIndex()
+        index = StoreTraceIndex()
         index.extend(first)
         index.extend(second)
         carried = index._runs[1].start
@@ -366,18 +475,19 @@ class TestRunBoundaryCarries:
             TraceStore.create(target), retain_window=1, counters=counters
         )
         for run_id in ["run000", "run001"]:
-            _deliver(store.directory, target, run_id)
+            _deliver(store.directory, target, run_id, suffix)
             live.refresh()
         assert counters.rebuilds == 0
         assert live.index.writer_cb[carried] is None
         _assert_matches_rebuild(live.index, [second])
         reference = str(tmp_path / "reference")
         os.makedirs(reference)
-        _deliver(store.directory, reference, "run001")
+        _deliver(store.directory, reference, "run001", suffix)
         batch = synthesize_from_store(TraceStore(reference), jobs=1)
         assert _signature(live.model()) == _signature(batch)
 
-    def test_carry_skips_runs_without_a_setter(self, tmp_path):
+    @RUN_FORMATS
+    def test_carry_skips_runs_without_a_setter(self, tmp_path, suffix):
         """run001 writes with no PID-1 setter at all, run002 and run003
         write before their first setter.  Evicting run000 resets the
         writes of run001 and run002 (their value came from run000) but
@@ -390,15 +500,34 @@ class TestRunBoundaryCarries:
                 _handbuilt_run(2000, leading_write=True),
                 _handbuilt_run(3000, leading_write=True),
             ],
+            suffix,
         )
         readers = [store.open(run_id) for run_id in store.run_ids()]
-        index = LiveStoreIndex()
+        index = StoreTraceIndex()
         for reader in readers:
             index.extend(reader)
         assert index.evict_oldest()
         assert [index.writer_cb[run.start] for run in index._runs] == [
             None, None, "cbA",
         ]
+        _assert_matches_rebuild(index, readers[1:])
+
+    @RUN_FORMATS
+    def test_setter_without_a_cb_start_is_not_a_carry(self, tmp_path, suffix):
+        """run001's first PID-1 setter is a timer call with no callback
+        start before it: the write after it reads run001's own cbB, so
+        evicting run000 leaves it alone."""
+        store = self._store(
+            str(tmp_path / "source"),
+            [_handbuilt_run(0), _handbuilt_run(1000, timer=False, leading_call=True)],
+            suffix,
+        )
+        readers = [store.open(run_id) for run_id in store.run_ids()]
+        index = StoreTraceIndex(readers)
+        write = index._runs[1].start + 1
+        assert index.writer_cb[write] == "cbB"
+        assert index.evict_oldest()
+        assert index.writer_cb[write] == "cbB"
         _assert_matches_rebuild(index, readers[1:])
 
     @pytest.mark.parametrize(
@@ -484,6 +613,7 @@ class TestLatencyFragmentCache:
         assert sorted(service.live.latency_fragments()) == run_ids[-2:]
 
 
+    @pytest.mark.stress
     def test_concurrent_queries_keep_the_cache_consistent(
         self, sources, tmp_path
     ):
@@ -647,6 +777,7 @@ class TestDropDirWatcher:
 class TestStoreRefresh:
     """TraceStore.refresh picks up runs a second process committed."""
 
+    @pytest.mark.stress
     def test_refresh_sees_second_writer_process(self, tmp_path):
         directory = str(tmp_path / "shared")
         store = TraceStore.create(directory)

@@ -70,6 +70,7 @@ class _RunningService:
         assert not self.thread.is_alive()
 
 
+@pytest.mark.stress
 class TestServiceEndToEnd:
     """Socket pushes + drop-dir arrivals -> queries, one live service."""
 
@@ -202,6 +203,7 @@ def served_cli(tmp_path):
 class TestServiceCli:
     """serve / record --push / ingest / query as real processes."""
 
+    @pytest.mark.stress
     def test_record_push_query_roundtrip(self, served_cli, tmp_path):
         directory, address, process = served_cli
         pinged = _cli("query", address, "ping")
@@ -273,6 +275,7 @@ class TestServiceCli:
 class TestStoreInfoWatch:
     """store-info --watch re-prints as a second process writes."""
 
+    @pytest.mark.stress
     def test_watch_reprints_on_growth(self, tmp_path):
         directory = str(tmp_path / "watched")
         os.makedirs(directory)
@@ -281,14 +284,32 @@ class TestStoreInfoWatch:
              "--watch", "--interval", "0.1", "--watch-count", "2"],
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
         )
-        writer = subprocess.Popen(
-            [sys.executable, "-m", "repro", "record", "syn",
-             "--runs", "1", "--duration", "1", "--out", directory],
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        )
-        out, _ = watch.communicate(timeout=90)
-        assert writer.wait(timeout=90) == 0
-        assert watch.returncode == 0
+        # Kills a hung watcher, which ends the blocking reads below.
+        watchdog = threading.Timer(90, watch.kill)
+        watchdog.start()
+        try:
+            # The writer starts only once the empty store is listed (the
+            # watcher flushes every listing): a run committed before the
+            # watcher's first scan would be its first listing, and the
+            # second change it waits for would never come.
+            out = ""
+            while "0 run(s)" not in out:
+                line = watch.stdout.readline()
+                assert line, f"watcher ended before its first listing: {out!r}"
+                out += line
+            writer = subprocess.Popen(
+                [sys.executable, "-m", "repro", "record", "syn",
+                 "--runs", "1", "--duration", "1", "--out", directory],
+                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            )
+            assert writer.wait(timeout=90) == 0
+            out += watch.stdout.read()
+            assert watch.wait(timeout=90) == 0
+        finally:
+            watchdog.cancel()
+            if watch.poll() is None:
+                watch.kill()
+            watch.stdout.close()
         assert out.count("trace store") == 2
         assert "0 run(s)" in out and "1 run(s)" in out
         # The watcher never lists an in-flight staging file.

@@ -309,6 +309,7 @@ class TestSegmentCache:
         reader.to_trace()
         assert reader.bytes_inflated == 0
 
+    @pytest.mark.stress
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_cached_synthesis_is_byte_identical(
         self, fusion_traces, tmp_path, jobs
