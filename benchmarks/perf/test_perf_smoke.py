@@ -37,7 +37,7 @@ def test_report_prints(suite, capsys):
 
 
 def test_synthesis_is_faster_than_legacy(suite):
-    """The TraceIndex pipeline must beat the frozen pre-change one."""
+    """The one-index pipeline must beat the frozen pre-change one."""
     assert suite["micro"]["synthesis"]["merged"]["speedup"] > 1.0
 
 

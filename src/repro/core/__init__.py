@@ -25,7 +25,6 @@ from .export import (
     to_dot,
 )
 from .extraction import EventIndex, TOPIC_ID_SEPARATOR, cat, extract_all, extract_callbacks
-from .index import TraceIndex, is_sorted_by_ts
 from .merge import (
     MultiModeDag,
     dag_from_merged_traces,
@@ -64,8 +63,6 @@ __all__ = [
     "format_exec_table",
     "to_dot",
     "EventIndex",
-    "TraceIndex",
-    "is_sorted_by_ts",
     "TOPIC_ID_SEPARATOR",
     "cat",
     "extract_all",

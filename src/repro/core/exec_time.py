@@ -35,7 +35,8 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from typing import Dict, Iterable, List, Sequence, Tuple
+from operator import itemgetter
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -92,8 +93,74 @@ def get_exec_time(
     )
 
 
-def _is_nondecreasing(values: Sequence[int]) -> bool:
-    return all(values[i] <= values[i + 1] for i in range(len(values) - 1))
+def column(records: Sequence[Any], field: int, dtype: Any) -> np.ndarray:
+    """One integer field of a list of records as a numpy column."""
+    return np.fromiter(
+        map(itemgetter(field), records), dtype=dtype, count=len(records)
+    )
+
+
+def ts_ordered(events: List[Any]) -> Tuple[List[Any], np.ndarray]:
+    """``events`` in stable timestamp order, with its int64 ts column.
+    The list comes back as is when already sorted (the trace contract),
+    else as a stably sorted copy: the caller's list is never mutated."""
+    times = column(events, 0, np.int64)
+    if len(times) > 1 and (times[1:] < times[:-1]).any():
+        order = np.argsort(times, kind="stable")
+        events = list(map(events.__getitem__, order.tolist()))
+        times = times[order]
+    return events, times
+
+
+def sched_columns(
+    sched_events: Iterable[SchedSwitch],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``(ts, prev_pid, next_pid)`` columns of a ``sched_switch``
+    stream in stable ts order -- what :func:`sched_buckets` consumes."""
+    events, times = ts_ordered(list(sched_events))
+    return times, column(events, 2, np.int32), column(events, 6, np.int32)
+
+
+def sched_buckets(
+    ts_col: Sequence[int],
+    prev_col: Sequence[int],
+    next_col: Sequence[int],
+    wanted: Optional[Iterable[int]] = None,
+) -> Dict[int, Tuple[array, bytearray]]:
+    """Per-PID columnar buckets from a ts-ordered stream's whole
+    ``(ts, prev_pid, next_pid)`` columns (any buffers: arrays, memory
+    views or numpy columns), for every PID or only the ``wanted`` ones.
+
+    Per PID, three boolean masks decide the flags: ``prev == pid``
+    closes (self-switches ``next == prev`` close *and* open in one
+    entry), ``next == pid`` alone opens.  The row sets are selected in
+    stream order, so each bucket is the PID's subsequence of the stream
+    and same-timestamp entries keep stream order."""
+    ts_np = np.frombuffer(ts_col, dtype=np.int64)
+    prev_np = np.frombuffer(prev_col, dtype=np.int32)
+    next_np = np.frombuffer(next_col, dtype=np.int32)
+    if wanted is None:
+        pids = np.unique(np.concatenate((prev_np, next_np))).tolist()
+    else:
+        pids = sorted(wanted)
+    buckets: Dict[int, Tuple[array, bytearray]] = {}
+    both = _CLOSES | _OPENS
+    for pid in pids:
+        if pid == 0:
+            continue
+        closes = prev_np == pid
+        rows = np.nonzero(closes | (next_np == pid))[0]
+        if not len(rows):
+            continue
+        flags = np.where(
+            closes[rows],
+            np.where(next_np[rows] == pid, both, _CLOSES),
+            _OPENS,
+        ).astype(np.uint8)
+        times = array("q")
+        times.frombytes(ts_np[rows].tobytes())
+        buckets[pid] = (times, bytearray(flags.tobytes()))
+    return buckets
 
 
 class SchedIndex:
@@ -106,90 +173,39 @@ class SchedIndex:
     O(log n + segments) with none of the per-event attribute lookups of
     the object-walking variant.
 
-    Bucket order matches the pre-columnar implementation exactly: events
-    are bucketed in input order and stable-sorted by timestamp, so
-    same-timestamp events fold in the same order and every query returns
-    a bit-identical result.
-
-    The input list is referenced, not copied (lists pass through
-    unduplicated); callers must treat the stream as finalized --
-    appending to it after indexing would desynchronize
-    :meth:`events_for` from the frozen columnar buckets.
+    Bucket order matches the pre-columnar implementation exactly: the
+    stream is stable-sorted by timestamp and bucketed by
+    :func:`sched_buckets` -- the bucketer the store index runs over
+    segment columns -- so same-timestamp events fold in input order and
+    every query returns a bit-identical result.
     """
 
     def __init__(self, sched_events: Iterable[SchedSwitch]):
-        self._events: List[SchedSwitch] = (
-            sched_events
-            if isinstance(sched_events, list)
-            else list(sched_events)
-        )
         #: pid -> (timestamps, flags), ts-sorted, parallel columns.
-        self._buckets: Dict[int, Tuple[array, bytearray]] = {}
-        raw: Dict[int, Tuple[array, bytearray]] = {}
-        # SchedSwitch is a NamedTuple: positional access (ts=0,
-        # prev_pid=2, next_pid=6) skips the attribute descriptors in
-        # this per-event loop.
-        for event in self._events:
-            prev_pid = event[2]
-            next_pid = event[6]
-            if prev_pid != 0:
-                bucket = raw.get(prev_pid)
-                if bucket is None:
-                    bucket = raw[prev_pid] = (array("q"), bytearray())
-                bucket[0].append(event[0])
-                bucket[1].append(
-                    _CLOSES | _OPENS if next_pid == prev_pid else _CLOSES
-                )
-            if next_pid != 0 and next_pid != prev_pid:
-                bucket = raw.get(next_pid)
-                if bucket is None:
-                    bucket = raw[next_pid] = (array("q"), bytearray())
-                bucket[0].append(event[0])
-                bucket[1].append(_OPENS)
-        for pid, (times, flags) in raw.items():
-            if not _is_nondecreasing(times):
-                order = sorted(range(len(times)), key=times.__getitem__)
-                times = array("q", (times[i] for i in order))
-                flags = bytearray(flags[i] for i in order)
-            self._buckets[pid] = (times, flags)
+        self._buckets: Dict[int, Tuple[array, bytearray]] = sched_buckets(
+            *sched_columns(sched_events)
+        )
         #: pid -> zero-copy numpy views of the (frozen) bucket columns,
         #: built lazily on the first large-window query.
         self._np_views: Dict[int, Tuple] = {}
 
     @classmethod
     def from_buckets(
-        cls,
-        buckets: Dict[int, Tuple[array, bytearray]],
-        events: Iterable[SchedSwitch] = (),
+        cls, buckets: Dict[int, Tuple[array, bytearray]]
     ) -> "SchedIndex":
         """Wrap pre-built columnar buckets without an event pass.
 
-        The caller guarantees the invariant ``__init__`` establishes:
-        every bucket's timestamps are nondecreasing and same-timestamp
-        entries appear in merged-stream order.  ``events`` backs
-        :meth:`events_for` only; the store-backed index passes none, so
-        object reconstruction is unavailable there (the columnar fast
-        path never needs it).
+        The caller guarantees the invariant :func:`sched_buckets`
+        establishes: every bucket's timestamps are nondecreasing and
+        same-timestamp entries appear in merged-stream order.
         """
         index = cls.__new__(cls)
-        index._events = list(events)
         index._buckets = dict(buckets)
         index._np_views = {}
         return index
 
     def pids(self) -> List[int]:
         return sorted(self._buckets)
-
-    def events_for(self, pid: int) -> List[SchedSwitch]:
-        """The PID's events, ts-sorted (reconstructed on demand; the
-        columnar fast path never touches event objects)."""
-        if pid not in self._buckets:
-            return []
-        selected = [
-            e for e in self._events if e.prev_pid == pid or e.next_pid == pid
-        ]
-        selected.sort(key=lambda e: e.ts)  # stable: bucket order
-        return selected
 
     def exec_time(self, start: int, end: int, pid: int) -> int:
         """Alg. 2 over the indexed window (identical result, fast)."""

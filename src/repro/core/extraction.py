@@ -2,16 +2,17 @@
 
 The algorithm exploits the single-threaded executor model: within one
 PID, every event between a CB-start and the next CB-end describes one
-execution of one callback.  It walks the node's ROS2 events in
-chronological order, assembling :class:`CallbackInstance` objects and
+execution of one callback.  :func:`_extract_pid_walk` walks the node's
+events in chronological order, assembling callback instances and
 folding them into a :class:`CBList`.
 
-All lookup structures come from the single-pass
-:class:`~repro.core.index.TraceIndex`: per-PID chronological event
-views (no per-PID re-sort of the full stream), the columnar
-:class:`~repro.core.exec_time.SchedIndex`, and the cross-node
-association tables, which key by an event's *position* in the sorted
-stream rather than by ``id(event)``.
+The walk consumes per-PID *columns* -- timestamps, probe codes and one
+aux slot per row -- from :class:`~repro.store.index.StoreTraceIndex`,
+the one trace index: stored segments and in-memory traces (through
+:class:`~repro.store.reader.InMemorySegment`) build it alike, so
+:func:`extract_all` and the store and service pipelines share the same
+index, walk and Alg. 2 buckets.  The index's cross-node association
+tables key by an event's *position* in the merged stream.
 
 Cross-node lookups follow the paper:
 
@@ -32,7 +33,7 @@ splits a shared service into per-caller vertices.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
+from typing import Any, Iterable, List, Mapping, Optional, Sequence
 
 from ..tracing.events import TraceEvent
 from ..tracing.session import Trace
@@ -41,24 +42,17 @@ from .index import (
     CODE_CB_END,
     CODE_CB_START,
     CODE_DDS_WRITE,
-    CODE_OTHER,
     CODE_SYNC_OP,
     CODE_TAKE,
     CODE_TAKE_REQUEST,
     CODE_TAKE_RESPONSE,
     CODE_TAKE_TYPE_ERASED,
     CODE_TIMER_CALL,
-    ID_EVENT_PROBES,
-    PROBE_CODES,
-    TraceIndex,
 )
 from .records import CBList
 
 #: Separator used when qualifying a service topic with a CB id.
 TOPIC_ID_SEPARATOR = "#"
-
-#: Backwards-compatible alias (the set now lives in repro.core.index).
-_ID_EVENT_PROBES = ID_EVENT_PROBES
 
 
 def cat(topic: str, cb_id: Optional[str]) -> str:
@@ -69,143 +63,46 @@ def cat(topic: str, cb_id: Optional[str]) -> str:
 class EventIndex:
     """Cross-node lookup cursors shared by all per-PID extractions.
 
-    The immutable association tables live in :class:`TraceIndex`; this
-    class adds the per-extraction FIFO cursors, so two extraction passes
-    over the same ``TraceIndex`` never observe each other's state.
+    The immutable association tables live in the trace index (a
+    :class:`~repro.store.index.StoreTraceIndex`); this class adds the
+    per-extraction FIFO cursors, so two extraction passes over the same
+    index never observe each other's state.
     """
 
-    def __init__(
-        self,
-        ros_events: Optional[Sequence[TraceEvent]] = None,
-        trace_index: Optional[TraceIndex] = None,
-    ):
-        if trace_index is None:
-            if ros_events is None:
-                raise ValueError("need ros_events or a trace_index")
-            trace_index = TraceIndex(ros_events)
+    def __init__(self, trace_index: Any):
         self._index = trace_index
         #: Cursor per (topic, src_ts) key: two periodic callers can write
         #: the same request topic at the same nanosecond, so the k-th
         #: take of a key is matched with the k-th write (FIFO delivery).
         self._caller_cursor: dict = {}
 
-    def find_caller(self, take_request_event: TraceEvent) -> Optional[str]:
+    def find_caller(self, take_request: Mapping) -> Optional[str]:
         """ID of the caller CB that produced this service request.
 
-        When several writes share (topic, src_ts) -- periodic callers
-        phase-aligning on the simulator's discrete clock -- successive
-        lookups consume successive writes, preserving FIFO order.
+        ``take_request`` is the take's payload (any mapping with
+        ``.get``).  When several writes share (topic, src_ts) --
+        periodic callers phase-aligning on the simulator's discrete
+        clock -- successive lookups consume successive writes,
+        preserving FIFO order.
         """
-        key = (take_request_event.get("topic"), take_request_event.get("src_ts"))
-        writes = [
-            index
-            for index, event in self._index.writes.get(key, ())
-            if event.get("kind") == "request"
-        ]
+        key = (take_request.get("topic"), take_request.get("src_ts"))
+        writes = self._index.writes.get(key)
         if not writes:
             return None
         cursor = self._caller_cursor.get(key, 0)
-        write_index = writes[min(cursor, len(writes) - 1)]
+        write_index = writes[min(cursor, len(writes) - 1)][0]
         self._caller_cursor[key] = cursor + 1
         return self._index.writer_cb.get(write_index)
 
-    def find_client(self, write_event: TraceEvent) -> Optional[str]:
-        """ID of the client CB that will dispatch this service response."""
-        key = (write_event.get("topic"), write_event.get("src_ts"))
+    def find_client(self, write: Mapping) -> Optional[str]:
+        """ID of the client CB that will dispatch this service response
+        (``write`` is the response write's payload)."""
+        key = (write.get("topic"), write.get("src_ts"))
         dispatch_after = self._index.dispatch_after
         for take_index, take in self._index.take_responses.get(key, ()):
             if dispatch_after.get(take_index):
                 return take.get("cb_id")
         return None
-
-
-def _extract_pid_events(
-    pid: int,
-    events: Sequence[TraceEvent],
-    codes: Sequence[int],
-    sched_index: SchedIndex,
-    index: EventIndex,
-    node_name: str,
-) -> CBList:
-    """Alg. 1's per-node walk over the PID's chronological events.
-
-    ``codes`` holds the pre-computed probe code per event (parallel to
-    ``events``, from :meth:`TraceIndex.walk_for_pid`): the walk branches
-    on one small int per event instead of repeated probe-name tests.
-    """
-    cblist = CBList(pid, node_name)
-    add_values = cblist.add_values
-    exec_time = sched_index.exec_time
-    # Instance state in locals (no CallbackInstance allocation per
-    # execution): ``active`` mirrors "instance is not None".
-    active = False
-    cb_type = ""
-    cb_id: Optional[str] = None
-    intopic: Optional[str] = None
-    outtopics: Optional[List[str]] = None
-    is_sync = False
-    start = 0
-    for event, code in zip(events, codes):
-        if code == CODE_CB_START:
-            active = True
-            cb_type = event.cb_type()
-            start = event[0]  # NamedTuple: ts
-            cb_id = None
-            intopic = None
-            outtopics = None
-            is_sync = False
-        elif not active:
-            # Only the P14 no-dispatch probe acts outside an instance,
-            # and it is a no-op when there is nothing to drop.
-            continue
-        elif code == CODE_TIMER_CALL:
-            cb_id = event[3].get("cb_id")
-        elif code == CODE_TAKE:
-            data = event[3]
-            cb_id = data.get("cb_id")
-            intopic = data.get("topic")
-        elif code == CODE_TAKE_RESPONSE:
-            data = event[3]
-            cb_id = data.get("cb_id")
-            intopic = cat(data.get("topic"), cb_id)
-        elif code == CODE_TAKE_REQUEST:
-            data = event[3]
-            cb_id = data.get("cb_id")
-            intopic = cat(data.get("topic"), index.find_caller(event))
-        elif code == CODE_DDS_WRITE:
-            data = event[3]
-            kind = data.get("kind")
-            if kind == "request":
-                top_out = cat(data.get("topic"), cb_id)
-            elif kind == "response":
-                top_out = cat(data.get("topic"), index.find_client(event))
-            else:
-                top_out = data.get("topic")
-            if outtopics is None:
-                outtopics = [top_out]
-            else:
-                outtopics.append(top_out)
-        elif code == CODE_TAKE_TYPE_ERASED:
-            if not event[3].get("will_dispatch"):
-                # Client CB will not dispatch here: drop the instance.
-                active = False
-        elif code == CODE_SYNC_OP:
-            is_sync = True
-        elif code == CODE_CB_END:
-            if cb_id is not None:
-                end = event[0]
-                add_values(
-                    cb_type,
-                    cb_id,
-                    intopic,
-                    outtopics,
-                    is_sync,
-                    start,
-                    end,
-                    exec_time(start, end, pid),
-                )
-            active = False
-    return cblist
 
 
 def _extract_pid_walk(
@@ -217,21 +114,20 @@ def _extract_pid_walk(
     index: EventIndex,
     node_name: str,
 ) -> CBList:
-    """Alg. 1's per-node walk over *columns* instead of event objects.
+    """Alg. 1's per-node walk over the PID's chronological columns.
 
-    The exact state machine of :func:`_extract_pid_events`, consuming
-    three parallel per-PID columns: timestamps, probe codes, and an
+    Three parallel per-PID columns: timestamps, probe codes, and an
     ``aux`` slot per row -- the callback-type label for CB-start rows,
-    the decoded payload mapping for the ID-carrying rows Alg. 1
-    dereferences (see :data:`~repro.core.index.PAYLOAD_CODES`), ``None``
-    for everything else.  This is the store-backed fast path: rows never
-    materialize a :class:`TraceEvent`, and payload JSON is only decoded
-    where an ``aux`` entry exists.  The store consumers pre-drop
-    ``CODE_OTHER`` rows when building these columns -- such rows are
-    no-ops to this state machine (they match no branch while active and
-    fall to ``continue`` otherwise), so the walk loops only over rows
-    that can change state.  Byte-for-byte equivalence with the
-    event-object walk is pinned by the store equivalence suites.
+    the payload mapping for the ID-carrying rows Alg. 1 dereferences
+    (codes ``CODE_TIMER_CALL`` .. ``CODE_TAKE_TYPE_ERASED``), ``None``
+    for everything else.  Rows never materialize a :class:`TraceEvent`,
+    and a stored payload is only decoded where an ``aux`` entry exists.
+    The index drops ``CODE_OTHER`` rows when building these columns --
+    such rows are no-ops to this state machine (they match no branch
+    while active and fall to ``continue`` otherwise), so the walk loops
+    only over rows that can change state.  Byte-for-byte equivalence
+    with the frozen event-object walk in :mod:`repro._legacy` is pinned
+    by the golden tests.
     """
     cblist = CBList(pid, node_name)
     add_values = cblist.add_values
@@ -253,6 +149,8 @@ def _extract_pid_walk(
             outtopics = None
             is_sync = False
         elif not active:
+            # Only the P14 no-dispatch probe acts outside an instance,
+            # and it is a no-op when there is nothing to drop.
             continue
         elif code == CODE_TIMER_CALL:
             cb_id = data.get("cb_id")
@@ -279,6 +177,7 @@ def _extract_pid_walk(
                 outtopics.append(top_out)
         elif code == CODE_TAKE_TYPE_ERASED:
             if not data.get("will_dispatch"):
+                # Client CB will not dispatch here: drop the instance.
                 active = False
         elif code == CODE_SYNC_OP:
             is_sync = True
@@ -299,13 +198,22 @@ def _extract_pid_walk(
     return cblist
 
 
+def _in_memory_index(
+    trace: Trace, wanted_pids: Optional[Iterable[int]] = None
+) -> Any:
+    """The trace index over a loaded trace."""
+    # Imported here: the store package imports core.pipeline.
+    from ..store.index import StoreTraceIndex
+    from ..store.reader import InMemorySegment
+
+    return StoreTraceIndex([InMemorySegment(trace)], wanted_pids=wanted_pids)
+
+
 def extract_callbacks(
     pid: int,
     ros_events: Sequence[TraceEvent],
     sched_index: SchedIndex,
     node_name: str = "",
-    event_index: Optional[EventIndex] = None,
-    pid_events: Optional[Sequence[TraceEvent]] = None,
 ) -> CBList:
     """Alg. 1 for one ROS2 node.
 
@@ -314,53 +222,24 @@ def extract_callbacks(
     pid:
         PID of the node's executor thread.
     ros_events:
-        All ROS2 events of the trace (the algorithm filters by PID, but
-        FindCaller / FindClient need the full stream).
+        All ROS2 events of the trace, in any order (the algorithm
+        filters by PID, but FindCaller / FindClient need the full
+        stream).
     sched_index:
         Indexed ``sched_switch`` events for Alg. 2.
     node_name:
         Name from the ROS2-INIT trace (cosmetic; PIDs are the identity).
-    event_index:
-        Pre-built :class:`EventIndex`; built on demand when omitted.
-    pid_events:
-        The PID's chronological events, when the caller already holds a
-        :class:`TraceIndex` view; derived from ``ros_events`` otherwise.
     """
-    index = event_index if event_index is not None else EventIndex(ros_events)
-    if pid_events is None:
-        pid_events = sorted(
-            (e for e in ros_events if e.pid == pid), key=lambda e: e.ts
-        )
-    code_of = PROBE_CODES.get
-    codes = bytearray(code_of(e.probe, CODE_OTHER) for e in pid_events)
-    return _extract_pid_events(pid, pid_events, codes, sched_index, index, node_name)
+    index = _in_memory_index(Trace(ros_events=list(ros_events)), (pid,))
+    return _extract_pid_walk(
+        pid, *index.walk_for_pid(pid), sched_index, EventIndex(index), node_name
+    )
 
 
-def extract_all(
-    trace: Trace,
-    pids: Optional[Iterable[int]] = None,
-    trace_index: Optional[TraceIndex] = None,
-) -> List[CBList]:
-    """Run Alg. 1 for every (or the given) node PIDs of a trace.
+def extract_all(trace: Trace, pids: Optional[Iterable[int]] = None) -> List[CBList]:
+    """Run Alg. 1 for every (or the given) node PIDs of a trace: one
+    trace-index build, then the per-PID walk the store pipeline runs."""
+    from ..store.synthesis import _extract_index_cblists
 
-    One :class:`TraceIndex` finalization pass replaces the per-PID
-    filter-and-sort of the full stream; pass ``trace_index`` to reuse an
-    index built elsewhere.
-    """
-    index = trace_index if trace_index is not None else TraceIndex.from_trace(trace)
-    event_index = EventIndex(trace_index=index)
     wanted = sorted(pids) if pids is not None else trace.pids()
-    cblists = []
-    for pid in wanted:
-        events, codes = index.walk_for_pid(pid)
-        cblists.append(
-            _extract_pid_events(
-                pid,
-                events,
-                codes,
-                index.sched,
-                event_index,
-                trace.pid_map.get(pid, ""),
-            )
-        )
-    return cblists
+    return _extract_index_cblists(_in_memory_index(trace, wanted), wanted)

@@ -13,7 +13,6 @@ from typing import Iterable, Optional
 from ..tracing.session import Trace, TraceDatabase
 from .dag import TimingDag
 from .extraction import extract_all
-from .index import TraceIndex
 from .merge import dag_from_merged_traces, dag_from_runs
 from .synthesis import synthesize_dag
 
@@ -27,18 +26,16 @@ def synthesize_from_trace(
     pids: Optional[Iterable[int]] = None,
     split_services: bool = True,
     model_sync: bool = True,
-    trace_index: Optional[TraceIndex] = None,
 ) -> TimingDag:
     """Alg. 1 per node + DAG synthesis for one trace.
 
     ``pids`` restricts the model to the given nodes (e.g. only the AVP
     application when SYN runs concurrently); default: every node the
     ROS2-INIT tracer discovered.  ``split_services`` / ``model_sync``
-    are ablation switches (see :mod:`repro.core.synthesis`).  Passing a
-    pre-built ``trace_index`` skips the indexing pass.
+    are ablation switches (see :mod:`repro.core.synthesis`).
     """
     return synthesize_dag(
-        extract_all(trace, pids=pids, trace_index=trace_index),
+        extract_all(trace, pids=pids),
         split_services=split_services,
         model_sync=model_sync,
     )

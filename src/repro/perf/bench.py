@@ -3,9 +3,10 @@
 Six benchmarks, each reporting wall-clock and a derived throughput:
 
 * **synthesis micro** -- trace -> DAG synthesis on a merged multi-run
-  trace (Sec. V strategy 1, the O(P·N) pathology the ``TraceIndex``
-  layer removes) and on a single-run trace, measured against the frozen
-  pre-change pipeline in :mod:`repro._legacy`;
+  trace (Sec. V strategy 1, the O(P·N) pathology the one-pass trace
+  index, ``StoreTraceIndex``, removes) and on a single-run trace,
+  measured against the frozen pre-change pipeline in
+  :mod:`repro._legacy`;
 * **sim micro** -- full-stack traced simulation events/sec, new kernel /
   scheduler / tracer stack vs the frozen ``repro._legacy`` stack
   (conservative: layers shared by both stacks carry this PR's
@@ -595,7 +596,10 @@ def bench_store(scale: BenchScale) -> Dict[str, Any]:
             "store_overhead": round(store_serial_s / inline_s, 3),
             # The gate-friendly inverse (higher is better, like every
             # other REGRESSION_METRICS ratio): how close store-backed
-            # synthesis runs to the in-memory pipeline.
+            # synthesis runs to the in-memory pipeline.  Both feed one
+            # StoreTraceIndex consumer and one walk, so this compares
+            # the two column producers (segment decode vs. packing the
+            # loaded trace).
             "speedup_vs_inline": round(inline_s / store_serial_s, 3),
             "store_sharded_s": round(store_sharded_s, 6),
             "jobs": jobs,

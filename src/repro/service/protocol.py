@@ -113,7 +113,11 @@ def recv_message(rfile) -> Optional[Tuple[Dict[str, Any], bytes]]:
     if not isinstance(payload, dict):
         raise ProtocolError("header is not a JSON object")
     size = payload.get("size", 0)
-    if not isinstance(size, int) or size < 0 or size > MAX_BODY_BYTES:
+    # bool is an int subclass: ``"size": true`` must not frame a byte.
+    if (
+        not isinstance(size, int) or isinstance(size, bool)
+        or size < 0 or size > MAX_BODY_BYTES
+    ):
         raise ProtocolError(f"bad body size {size!r}")
     body = b""
     if size:

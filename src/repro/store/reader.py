@@ -40,8 +40,9 @@ files, corrupt zlib bodies and unknown version bytes never leak raw
 many stored runs chronologically (ties keep run order, exactly like
 :meth:`repro.tracing.session.Trace.merge`), again yielding events one
 at a time.  :class:`InMemorySegment` adapts an already-loaded
-:class:`~repro.tracing.session.Trace` to the same interface so legacy
-gzip-JSON runs participate in mixed-directory merges.
+:class:`~repro.tracing.session.Trace` to the same interface, columns
+included, so the in-memory pipeline and legacy gzip-JSON runs feed the
+one trace index exactly like stored segments.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ import zlib
 from array import array
 from heapq import merge as _heap_merge
 from json.decoder import JSONDecoder
+from operator import itemgetter
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -65,6 +67,7 @@ from ..core.index import (
     cb_start_type_table,
     probe_code_table,
 )
+from ..core.exec_time import column, sched_columns, ts_ordered
 from ..sim.scheduler import SchedSwitch, SchedWakeup
 from ..tracing.events import CB_TYPE_BY_START, TraceEvent
 from ..tracing.session import Trace
@@ -621,8 +624,7 @@ class SegmentReader:
         return ts_col[0], ts_col[self.num_ros_events - 1]
 
     def walk_fastpath(self) -> Tuple:
-        """Raw material of :meth:`walk_rows` for the time-ordered fast
-        path, consumed in bulk by
+        """Raw material of :meth:`walk_rows`, consumed in bulk by
         :class:`~repro.store.index.StoreTraceIndex` with no per-row
         generator or tuple: the ``(ts, pid, probe, shape, vidx)``
         columns (v1 segments arrive normalized to this layout), the
@@ -804,8 +806,32 @@ def read_pid_map(path: str) -> Dict[int, Optional[str]]:
                 ) from None
 
 
+class _PayloadShape:
+    """The single pseudo-shape of an :class:`InMemorySegment`: every
+    row's already-decoded payload, indexed by row (``vidx``)."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: List[Dict[str, Any]]):
+        self._rows = rows
+
+    def rows(self) -> List[Dict[str, Any]]:
+        return self._rows
+
+
 class InMemorySegment:
-    """A loaded :class:`Trace` behind the reader interface (legacy runs)."""
+    """A loaded :class:`Trace` behind the reader interface: the in-memory
+    pipeline's input and legacy gzip-JSON runs.
+
+    Every view presents the ROS and sched streams in stable timestamp
+    order -- the trace contract -- sorting a copy once when the loaded
+    lists are out of order; the trace's own lists are never mutated.
+    :meth:`walk_fastpath` builds the same column tuple a
+    :class:`SegmentReader` returns, once per segment: per-field columns,
+    an interned probe-string table, and one payload pseudo-shape whose
+    ``vidx`` is the row number, so the store index consumes a loaded
+    trace exactly like a stored one.
+    """
 
     def __init__(self, trace: Trace, path: Optional[str] = None):
         self._trace = trace
@@ -816,20 +842,29 @@ class InMemorySegment:
         self.num_ros_events = len(trace.ros_events)
         self.num_sched_events = len(trace.sched_events)
         self.num_wakeup_events = len(trace.wakeup_events)
+        self._ros: Optional[Tuple[List[TraceEvent], np.ndarray]] = None
+        self._fastpath: Optional[Tuple] = None
+        self._sched: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+
+    def _ros_in_order(self) -> Tuple[List[TraceEvent], np.ndarray]:
+        """The ROS events in stable ts order and their ts column."""
+        if self._ros is None:
+            self._ros = ts_ordered(self._trace.ros_events)
+        return self._ros
 
     def iter_ros(self, pids: Optional[Iterable[int]] = None) -> Iterator[TraceEvent]:
+        events = self._ros_in_order()[0]
         if pids is None:
-            return iter(self._trace.ros_events)
+            return iter(events)
         wanted = pids if isinstance(pids, frozenset) else frozenset(pids)
-        return (e for e in self._trace.ros_events if e.pid in wanted)
+        return (e for e in events if e.pid in wanted)
 
     def walk_rows(self, order: int) -> Iterator[tuple]:
-        """The loaded-trace view of :meth:`SegmentReader.walk_rows`, so
-        legacy gzip-JSON runs join the same columnar k-way merge.
+        """The loaded-trace view of :meth:`SegmentReader.walk_rows`.
         Payloads are already-decoded mappings; no re-encode happens."""
         code_of = PROBE_CODES.get
         start_type = CB_TYPE_BY_START.get
-        for i, event in enumerate(self._trace.ros_events):
+        for i, event in enumerate(self._ros_in_order()[0]):
             code = code_of(event[2], CODE_OTHER)
             if CODE_TIMER_CALL <= code <= CODE_TAKE_TYPE_ERASED:
                 aux: Any = event[3]
@@ -839,27 +874,45 @@ class InMemorySegment:
                 aux = None
             yield (event[0], order, i, event[1], code, aux)
 
-    def ros_ts_range(self) -> Optional[Tuple[int, int]]:
-        events = self._trace.ros_events
-        if not events:
-            return None
-        return events[0].ts, events[-1].ts
+    def walk_fastpath(self) -> Tuple:
+        """:meth:`SegmentReader.walk_fastpath` of the loaded trace."""
+        if self._fastpath is None:
+            events, times = self._ros_in_order()
+            probes = list(map(itemgetter(2), events))
+            strings = list(dict.fromkeys(probes))
+            string_id = {text: i for i, text in enumerate(strings)}
+            n = len(events)
+            self._fastpath = (
+                times,
+                column(events, 1, np.int32),
+                np.fromiter(map(string_id.__getitem__, probes), np.uint32, n),
+                bytes(4 * n),  # shape 0 for every row
+                np.arange(n, dtype=np.uint32),
+                probe_code_table(strings),
+                cb_start_type_table(strings),
+                [_PayloadShape(list(map(itemgetter(3), events)))],
+                None,  # no JSON-fallback rows
+            )
+        return self._fastpath
 
-    def sched_pid_columns(self) -> Tuple[array, array, array]:
+    def ros_ts_range(self) -> Optional[Tuple[int, int]]:
+        times = self._ros_in_order()[1]
+        if not len(times):
+            return None
+        return int(times[0]), int(times[-1])
+
+    def sched_pid_columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """:meth:`SegmentReader.sched_pid_columns` packed from the
-        loaded events, so legacy runs share the bulk sched bucketing."""
-        events = self._trace.sched_events
-        return (
-            array("q", [e[0] for e in events]),
-            array("i", [e[2] for e in events]),
-            array("i", [e[6] for e in events]),
-        )
+        loaded events, in stable ts order."""
+        if self._sched is None:
+            self._sched = sched_columns(self._trace.sched_events)
+        return self._sched
 
     def wakeup_ts_pid_rows(self) -> Iterator[Tuple[int, int]]:
         return ((e[0], e[2]) for e in self._trace.wakeup_events)
 
     def iter_sched(self) -> Iterator[SchedSwitch]:
-        return iter(self._trace.sched_events)
+        return iter(ts_ordered(self._trace.sched_events)[0])
 
     def iter_wakeups(self) -> Iterator[SchedWakeup]:
         return iter(self._trace.wakeup_events)

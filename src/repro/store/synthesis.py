@@ -4,31 +4,30 @@
 Sec. V without an in-memory :class:`TraceDatabase`:
 
 * **merge_traces** (default): the stored runs' columns feed one
-  :class:`~repro.store.index.StoreTraceIndex` -- appended run by run
-  when the runs are time-ordered, k-way merged row by row when they
-  overlap -- the columnar Alg. 1 walk that resolves probe codes from
-  per-segment string-id tables and reads ``cb_id``/``topic``/``src_ts``
-  from typed per-field payload columns (JSON-fallback rows, all rows of
-  a v1 segment, are decoded only where ID-carrying); extraction then
-  partitions the traced PIDs into shards and fans out over a
-  ``ProcessPoolExecutor``.  Workers re-open the store themselves (the
-  task payload is ``(directory, pid shard)``, never pickled traces),
-  build walk columns and sched buckets *for their shard's PIDs only*,
-  and return per-PID CBlists, which reduce in sorted-PID order into the
-  same DAG the in-memory pipeline synthesizes -- **byte-identical for
-  any ``jobs`` value**, the same determinism discipline as
-  :mod:`repro.experiments.batch`.
+  :class:`~repro.store.index.StoreTraceIndex` -- consumed run by run
+  when the runs are time-ordered, merged as columns by one stable ts
+  sort when they overlap -- and :func:`_extract_index_cblists` runs the
+  columnar Alg. 1 walk over it.  This is the same index and walk the
+  in-memory pipeline (:func:`~repro.core.extraction.extract_all`) and
+  the live service run.  Extraction partitions the traced PIDs into
+  shards and fans out over a ``ProcessPoolExecutor``.  Workers re-open
+  the store themselves (the task payload is ``(directory, pid
+  shard)``, never pickled traces), build walk columns and sched buckets
+  *for their shard's PIDs only*, and return per-PID CBlists, which
+  reduce in sorted-PID order into the same DAG the in-memory pipeline
+  synthesizes -- **byte-identical for any ``jobs`` value**, the same
+  determinism discipline as :mod:`repro.experiments.batch`.
 * **merge_dags**: one DAG per stored run (sharded by run), merged with
   :func:`~repro.core.merge.merge_dags`.
 
 Sharding discipline: per-PID extraction only shares the *immutable*
-``TraceIndex`` tables; the single mutable piece of extraction state --
-the FIFO caller cursors of :class:`~repro.core.extraction.EventIndex`
--- is keyed by ``(topic, src_ts)``, and every take of such a key
-happens in the one PID hosting that service, so per-shard cursors see
-exactly the lookup sequence the sequential pass saw.  The equivalence
-suite pins this byte-for-byte against ``synthesize_from_trace`` for
-every registry scenario at several job counts.
+index tables; the single mutable piece of extraction state -- the FIFO
+caller cursors of :class:`~repro.core.extraction.EventIndex` -- is
+keyed by ``(topic, src_ts)``, and every take of such a key happens in
+the one PID hosting that service, so per-shard cursors see exactly the
+lookup sequence the sequential pass saw.  The equivalence suite pins
+this byte-for-byte against ``synthesize_from_trace`` for every registry
+scenario at several job counts.
 """
 
 from __future__ import annotations
@@ -55,9 +54,9 @@ def _extract_index_cblists(
     index: StoreTraceIndex, pids: Iterable[int]
 ) -> List[CBList]:
     """The columnar Alg. 1 walk over a built index: one CBList per PID,
-    in ``pids`` order (the batch build's and the live service's shared
-    extraction)."""
-    event_index = EventIndex(trace_index=index)
+    in ``pids`` order (the extraction of the in-memory pipeline, the
+    batch build and the live service)."""
+    event_index = EventIndex(index)
     pid_map = index.pid_map
     return [
         _extract_pid_walk(

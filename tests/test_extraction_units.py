@@ -9,6 +9,7 @@ splitting.
 import pytest
 
 from repro.core import CBList, EventIndex, SchedIndex, cat, extract_callbacks
+from repro.store import InMemorySegment, StoreTraceIndex
 from repro.tracing import (
     P2_TIMER_START,
     P3_TIMER_CALL,
@@ -27,8 +28,14 @@ from repro.tracing import (
     P16_DDS_WRITE,
     TraceEvent,
 )
+from repro.tracing.session import Trace
 
 EMPTY_SCHED = SchedIndex([])
+
+
+def trace_index(events):
+    """The trace index over a hand-built ROS stream."""
+    return StoreTraceIndex([InMemorySegment(Trace(ros_events=events))])
 
 
 def ev(ts, pid, probe, **data):
@@ -226,7 +233,7 @@ class TestEventIndex:
                 ev(110, pid, P16_DDS_WRITE, topic="/svRequest", kind="request", src_ts=110),
                 ev(115, pid, P4_TIMER_END),
             ]
-        index = EventIndex(events)
+        index = EventIndex(trace_index(events))
         take = ev(200, 2, P10_TAKE_REQUEST, cb_id="SV", topic="/svRequest",
                   service="/sv", src_ts=110)
         assert index.find_caller(take) == "A"
@@ -240,6 +247,6 @@ class TestEventIndex:
             ev(300, 5, P13_TAKE_RESPONSE, cb_id="CL_Y", topic="/svReply", src_ts=230),
             ev(301, 5, P14_TAKE_TYPE_ERASED, will_dispatch=1),
         ]
-        index = EventIndex(events)
+        index = EventIndex(trace_index(events))
         write = ev(230, 2, P16_DDS_WRITE, topic="/svReply", kind="response", src_ts=230)
         assert index.find_client(write) == "CL_Y"

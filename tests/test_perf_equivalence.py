@@ -4,8 +4,8 @@ Three layers of guarantees, each against the frozen pre-change
 implementations in :mod:`repro._legacy`:
 
 1. **golden synthesis** -- for every registry scenario, the optimized
-   TraceIndex pipeline must produce byte-identical DAG JSON, exec-time
-   tables and DOT exports;
+   pipeline (one ``StoreTraceIndex`` over the in-memory trace) must
+   produce byte-identical DAG JSON, exec-time tables and DOT exports;
 2. **full-stack sim** -- the optimized kernel/scheduler/tracer stack
    must emit bit-identical traces;
 3. **Alg. 2 properties** -- the columnar ``SchedIndex`` must agree with
@@ -13,7 +13,7 @@ implementations in :mod:`repro._legacy`:
    index on arbitrary event soups.
 
 Plus the batch determinism re-check: ``--jobs`` must not change results
-now that synthesis flows through ``TraceIndex``.
+now that synthesis flows through the one trace index.
 """
 
 import json
@@ -193,16 +193,20 @@ def switch(ts, prev_pid, next_pid, cpu=0):
 
 @st.composite
 def event_soup(draw):
-    """Arbitrary-but-causally-plausible switch sequences on one CPU."""
+    """Arbitrary-but-causally-plausible switch sequences on one CPU,
+    with timestamp ties, sometimes handed over out of order (every
+    index sorts its input stably by timestamp)."""
     pids = [1, 2, 3]
     t = 0
     current = draw(st.sampled_from(pids))
     events = []
     for _ in range(draw(st.integers(min_value=0, max_value=40))):
-        t += draw(st.integers(min_value=1, max_value=500))
+        t += draw(st.integers(min_value=0, max_value=500))
         nxt = draw(st.sampled_from([p for p in pids if p != current]))
         events.append(switch(t, current, nxt))
         current = nxt
+    if draw(st.booleans()):
+        events = draw(st.permutations(events))
     return events
 
 
@@ -232,13 +236,6 @@ class TestColumnarSchedIndexProperties:
         assert SchedIndex(soup).exec_time(start, end, pid) == LegacySchedIndex(
             soup
         ).exec_time(start, end, pid)
-
-    @given(soup=event_soup(), pid=st.sampled_from([1, 2, 3]))
-    @settings(max_examples=100)
-    def test_events_for_matches_frozen_index(self, soup, pid):
-        assert SchedIndex(soup).events_for(pid) == LegacySchedIndex(
-            soup
-        ).events_for(pid)
 
 
 class TestMergeSemantics:

@@ -13,6 +13,7 @@ are answered over the socket instead of dropping the client.
 """
 
 import copy
+import io
 import os
 import random
 import shutil
@@ -49,7 +50,12 @@ from repro.service import (
     SynthesisService,
 )
 from repro.service import server as server_module
-from repro.service.protocol import connect, recv_message, send_message
+from repro.service.protocol import (
+    ProtocolError,
+    connect,
+    recv_message,
+    send_message,
+)
 from repro.tracing.events import (
     P2_TIMER_START,
     P3_TIMER_CALL,
@@ -268,7 +274,7 @@ class TestOneBuildPath:
         )
 
     def test_overlapping_runs_neither_grow_nor_evict(self, sources, tmp_path):
-        """Two runs on the same clock: the heap-merged index refuses
+        """Two runs on the same clock: the sort-merged index refuses
         both in-place operations and stays as built."""
         trace = TraceStore(sources["syn"]).load("run000")
         store = TraceStore.create(str(tmp_path / "overlap"))
@@ -424,8 +430,8 @@ def _handbuilt_run(
     )
 
 
-#: Binary segments (the column consumer) and legacy gzip-JSON runs (the
-#: row consumer), by file suffix.
+#: Binary segments and legacy gzip-JSON runs (loaded traces behind
+#: ``InMemorySegment``), by file suffix.
 RUN_FORMATS = pytest.mark.parametrize(
     "suffix", [SEGMENT_SUFFIX, TRACE_SUFFIX], ids=["binary", "json"]
 )
@@ -437,8 +443,8 @@ class TestRunBoundaryCarries:
 
     @staticmethod
     def _store(directory, traces, suffix=SEGMENT_SUFFIX):
-        """Binary runs (``SEGMENT_SUFFIX``, the column consumer) or
-        legacy gzip-JSON runs (``TRACE_SUFFIX``, the row consumer)."""
+        """Binary runs (``SEGMENT_SUFFIX``) or legacy gzip-JSON runs
+        (``TRACE_SUFFIX``, read through ``InMemorySegment``)."""
         store = TraceStore.create(directory)
         for number, trace in enumerate(traces):
             run_id = f"run{number:03d}"
@@ -889,6 +895,14 @@ class TestProtocolEdge:
         assert "kind" not in reply
         assert exchange({"cmd": "ping"}) == {"ok": True, "pong": True}
         assert service.counters.internal_errors == 0
+
+    @pytest.mark.parametrize("size", [b"true", b"false"])
+    def test_boolean_body_size_is_rejected(self, size):
+        """``true`` is an int to ``isinstance``; it must not frame a
+        one-byte body (nor ``false`` an empty one)."""
+        stream = io.BytesIO(b'{"op":"push","size":' + size + b"}\nXYZ")
+        with pytest.raises(ProtocolError, match="bad body size"):
+            recv_message(stream)
 
     def test_stalled_client_thread_gives_up(self, served, monkeypatch):
         """A peer that stops mid-request line loses its connection after

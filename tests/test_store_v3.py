@@ -41,10 +41,23 @@ from repro.store.format import (
     VERSION_V2,
 )
 from repro.store.reader import peek_sections, read_pid_map
+from repro.sim import SchedSwitch
 from repro.tracing.events import (
     CB_START_PROBES,
+    P2_TIMER_START,
     P3_TIMER_CALL,
+    P4_TIMER_END,
+    P5_SUB_START,
     P6_TAKE,
+    P7_SYNC_OP,
+    P8_SUB_END,
+    P9_SERVICE_START,
+    P10_TAKE_REQUEST,
+    P11_SERVICE_END,
+    P12_CLIENT_START,
+    P13_TAKE_RESPONSE,
+    P14_TAKE_TYPE_ERASED,
+    P15_CLIENT_END,
     P16_DDS_WRITE,
     TraceEvent,
 )
@@ -651,36 +664,193 @@ class TestWalkFastpathProperties:
 
     @given(trace=traces(), split=st.integers(min_value=0, max_value=24))
     @settings(max_examples=30, deadline=None)
-    def test_column_consumer_matches_row_consumer(self, trace, split):
-        """Binary segments of any version and size (0 rows included) go
-        through the vectorized column consumer; the loaded trace goes
-        through the row consumer.  Both build the same index, also when
-        the trace is cut into two consecutive segments whose
+    def test_segment_columns_match_in_memory_columns(self, trace, split):
+        """Binary segments of any version and size (0 rows included) and
+        the loaded trace feed the one column consumer through their
+        ``walk_fastpath`` columns, and build the same index -- also
+        when the trace is cut into two consecutive segments whose
         association state must carry across the cut."""
         reference = StoreTraceIndex([InMemorySegment(trace)])
-        events = trace.ros_events
-        halves = [
-            Trace(
-                ros_events=part, pid_map=trace.pid_map,
-                start_ts=trace.start_ts, stop_ts=trace.stop_ts,
-            )
-            for part in (events[:split], events[split:])
-        ]
         for version in (1, 2, 3):
-            for parts in ([trace], halves):
+            for parts in ([trace], _halves(trace, split)):
                 index = StoreTraceIndex([
                     SegmentReader(encode_trace(part, format_version=version))
                     for part in parts
                 ])
-                assert index.pids() == reference.pids()
-                for pid in index.pids():
-                    assert (
-                        index.walk_for_pid(pid) == reference.walk_for_pid(pid)
-                    )
-                assert index.writes == reference.writes
-                assert index.writer_cb == reference.writer_cb
-                assert index.take_responses == reference.take_responses
-                assert index.dispatch_after == reference.dispatch_after
+                assert _index_tables(index) == _index_tables(reference)
+
+
+def _halves(trace, split, sched_split=0):
+    """``trace`` cut into two consecutive runs: ROS events at ``split``,
+    sched events at ``sched_split``."""
+    cuts = ((0, split, 0, sched_split), (split, None, sched_split, None))
+    return [
+        Trace(
+            ros_events=trace.ros_events[ros_lo:ros_hi],
+            sched_events=trace.sched_events[sched_lo:sched_hi],
+            pid_map=trace.pid_map,
+            start_ts=trace.start_ts,
+            stop_ts=trace.stop_ts,
+        )
+        for ros_lo, ros_hi, sched_lo, sched_hi in cuts
+    ]
+
+
+def _index_tables(index):
+    """An index's walk columns, cross-node tables and sched buckets."""
+    return {
+        "walks": {pid: index.walk_for_pid(pid) for pid in index.pids()},
+        "writes": index.writes,
+        "writer_cb": index.writer_cb,
+        "take_responses": index.take_responses,
+        "dispatch_after": index.dispatch_after,
+        "sched": {
+            pid: (list(times), bytes(flags))
+            for pid, (times, flags) in index._sched_buckets.items()
+        },
+        "pid_map": index.pid_map,
+    }
+
+
+#: Services of the hand-drawn Alg. 1 traces: request/response topics.
+_REQUEST, _REPLY = "/svRequest", "/svReply"
+
+
+@st.composite
+def alg1_traces(draw, pids=(1, 2, 3), horizon=400):
+    """Whole callback instances of every kind on a few PIDs -- timers,
+    (sync) subscribers, services and (non-)dispatching clients, with
+    service request/response writes whose (topic, src_ts) keys collide
+    -- interleaved by a stable timestamp sort, plus a sched stream over
+    the same PIDs.  Timestamps tie often."""
+    ros = []
+    for _ in range(draw(st.integers(min_value=0, max_value=10))):
+        pid = draw(st.sampled_from(pids))
+        kind = draw(st.sampled_from(["timer", "sub", "service", "client"]))
+        cb_id = f"{kind}{draw(st.integers(min_value=1, max_value=2))}"
+        key = draw(st.integers(min_value=0, max_value=2))
+        ts = draw(st.integers(min_value=0, max_value=horizon))
+        steps = iter(draw(st.lists(
+            st.integers(min_value=0, max_value=20), min_size=6, max_size=6
+        )))
+
+        def add(probe, **data):
+            nonlocal ts
+            ros.append(TraceEvent(ts, pid, probe, data))
+            ts += next(steps)
+
+        if kind == "timer":
+            add(P2_TIMER_START)
+            add(P3_TIMER_CALL, cb_id=cb_id)
+            add(P16_DDS_WRITE, topic=_REQUEST, kind="request", src_ts=key)
+        elif kind == "sub":
+            add(P5_SUB_START)
+            add(P6_TAKE, cb_id=cb_id, topic="/data", src_ts=key)
+            if draw(st.booleans()):
+                add(P7_SYNC_OP, cb_id=cb_id)
+            add(P16_DDS_WRITE, topic="/out", kind="data", src_ts=key)
+        elif kind == "service":
+            add(P9_SERVICE_START)
+            add(P10_TAKE_REQUEST, cb_id=cb_id, topic=_REQUEST, src_ts=key)
+            add(P16_DDS_WRITE, topic=_REPLY, kind="response", src_ts=key)
+        else:
+            add(P12_CLIENT_START)
+            add(P13_TAKE_RESPONSE, cb_id=cb_id, topic=_REPLY, src_ts=key)
+            add(P14_TAKE_TYPE_ERASED, will_dispatch=int(draw(st.booleans())))
+        end = {
+            "timer": P4_TIMER_END, "sub": P8_SUB_END,
+            "service": P11_SERVICE_END, "client": P15_CLIENT_END,
+        }[kind]
+        if draw(st.integers(min_value=0, max_value=5)):  # rarely cut short
+            add(end)
+    sched = [
+        SchedSwitch(ts, 0, prev, f"p{prev}", 0, "R", nxt, f"p{nxt}", 0)
+        for ts, prev, nxt in draw(st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=horizon + 100),
+                st.sampled_from((0,) + tuple(pids)),
+                st.sampled_from((0,) + tuple(pids)),
+            ),
+            max_size=30,
+        ))
+    ]
+    return Trace(
+        ros_events=sorted(ros, key=lambda e: e.ts),
+        sched_events=sorted(sched, key=lambda e: e.ts),
+        pid_map={pid: f"n{pid}" for pid in pids},
+        start_ts=0,
+        stop_ts=horizon + 200,
+    )
+
+
+class TestOneIndexOracle:
+    @given(
+        trace=alg1_traces(),
+        split=st.integers(min_value=0, max_value=60),
+        sched_split=st.integers(min_value=0, max_value=30),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_in_memory_and_segments_match_frozen_pipeline(
+        self, trace, split, sched_split
+    ):
+        """The frozen pre-index pipeline is the oracle: the in-memory
+        path and the store index over the trace's encoded halves must
+        both give its DAG, byte for byte."""
+        from repro._legacy import legacy_extract_all
+        from repro.core import synthesize_dag
+        from repro.store.synthesis import _extract_index_cblists
+
+        expected = dag_to_json(synthesize_dag(legacy_extract_all(trace)))
+        assert dag_to_json(synthesize_from_trace(trace)) == expected
+        index = StoreTraceIndex([
+            SegmentReader(encode_trace(half))
+            for half in _halves(trace, split, sched_split)
+        ])
+        cblists = _extract_index_cblists(index, trace.pids())
+        assert dag_to_json(synthesize_dag(cblists)) == expected
+
+    @given(
+        traces=st.lists(alg1_traces(horizon=60), min_size=2, max_size=3),
+        legacy=st.integers(min_value=0, max_value=2),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_overlapping_runs_merge_as_columns(self, traces, legacy):
+        """Runs on one clock (overlapping, tied timestamps), one of them
+        a legacy gzip-JSON run: the merged index equals the index over
+        ``Trace.merge`` of the runs, and it neither grows nor evicts."""
+        import tempfile
+
+        anchored = [
+            Trace(
+                ros_events=(
+                    [TraceEvent(0, 9, "custom:probe", {})]
+                    + trace.ros_events
+                    + [TraceEvent(100, 9, "custom:probe", {})]
+                ),
+                sched_events=trace.sched_events,
+                pid_map=trace.pid_map,
+                start_ts=trace.start_ts,
+                stop_ts=trace.stop_ts,
+            )
+            for trace in traces
+        ]
+        reference = StoreTraceIndex([InMemorySegment(Trace.merge(anchored))])
+        with tempfile.TemporaryDirectory() as directory:
+            store = TraceStore.create(directory)
+            for number, trace in enumerate(anchored):
+                run_id = f"run{number:03d}"
+                if number == legacy % len(anchored):
+                    save_trace(trace, os.path.join(directory, run_id + TRACE_SUFFIX))
+                else:
+                    store.add_trace(run_id, trace)
+            readers = TraceStore(directory).readers()
+            assert any(isinstance(r, InMemorySegment) for r in readers)
+            index = StoreTraceIndex(readers)
+            assert _index_tables(index) == _index_tables(reference)
+            assert not any(index.can_append(reader) for reader in readers)
+            before = _index_tables(index)
+            assert not index.evict_oldest()
+            assert _index_tables(index) == before
 
 
 class TestExecTimeVectorFloor:
