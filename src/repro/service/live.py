@@ -10,26 +10,42 @@ from-scratch build at every commit point.  A retention-window eviction
 drops the oldest run in place (``evict_oldest``), so a steady windowed
 stream costs one run of work per arrival, not one window.
 
+The Alg. 1/2 walk is kept per run too: after an in-place extend, only
+the new run's PIDs are walked, and the run's CBLists are cached as its
+walk fragment until the run leaves the window.  The model assembles the
+cached fragments in sorted-PID order.  A fragment is only valid while
+nothing another retained run added reaches it (the rule of
+:class:`_WalkFragments`: no shared stateful PID, no shared service
+key); while any two retained runs share, the model re-walks every
+retained PID over the index instead, exactly as batch synthesis does.
+Recorded streams never share -- each run has its own PIDs and clock --
+so there the walk costs one run per arrival.
+
 A full rebuild over the retained readers (``StoreTraceIndex(readers)``)
 still happens for an out-of-order arrival, a time-overlapping arrival
 (and every arrival after one, until a rebuild finds the window ordered
 again), and an eviction the index refuses because the evicted run
-shares a merged sched bucket with a later run.  :class:`LiveSynthesizer`
-makes that decision per arriving segment and tracks the
-:class:`ServiceCounters`.
+shares a merged sched bucket with a later run.  A rebuild drops every
+walk fragment; the next model walks each retained run once.
+:class:`LiveSynthesizer` makes these decisions per arriving segment and
+tracks the :class:`ServiceCounters`.
 """
 
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from time import perf_counter
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..analysis.latency import LatencyIndex
 from ..core.dag import TimingDag
+from ..core.index import CODE_DDS_WRITE, CODE_TAKE_REQUEST, TopicKey
+from ..core.records import CBList
 from ..core.synthesis import synthesize_dag
 from ..store.database import TraceStore
+from ..store.format import StoreFormatError
 from ..store.index import StoreTraceIndex
 from ..store.synthesis import _extract_index_cblists
 
@@ -53,6 +69,12 @@ class ServiceCounters:
     #: per-run latency fragments built by ``latency`` queries and kept
     #: for later queries (one per retained run while the cache holds).
     latency_fragments_built: int = 0
+    #: per-run Alg. 1 walk fragments built (one per in-order arrival
+    #: while no retained runs share state).
+    walk_fragments_built: int = 0
+    #: PIDs walked by full re-walks, taken while retained runs share a
+    #: stateful PID or a service key.
+    pids_rewalked: int = 0
     extend_s: float = 0.0
     rebuild_s: float = 0.0
     #: estimated wall-clock the incremental extends saved vs rebuilding
@@ -61,21 +83,117 @@ class ServiceCounters:
     saved_s: float = 0.0
 
     def as_dict(self) -> Dict[str, Any]:
-        return {
-            "segments_ingested": self.segments_ingested,
-            "events_indexed": self.events_indexed,
-            "rows_evicted": self.rows_evicted,
-            "runs_evicted": self.runs_evicted,
-            "extends": self.extends,
-            "rebuilds": self.rebuilds,
-            "segments_rejected": self.segments_rejected,
-            "queries_served": self.queries_served,
-            "internal_errors": self.internal_errors,
-            "latency_fragments_built": self.latency_fragments_built,
-            "extend_s": round(self.extend_s, 6),
-            "rebuild_s": round(self.rebuild_s, 6),
-            "saved_s": round(self.saved_s, 6),
-        }
+        values: Dict[str, Any] = {}
+        for field in fields(self):
+            value = getattr(self, field.name)
+            values[field.name] = (
+                round(value, 6) if isinstance(value, float) else value
+            )
+        return values
+
+
+#: ``kind`` of the writes FindCaller and FindClient match.
+_SERVICE_WRITES = ("request", "response")
+
+
+def _service_keys(
+    index: StoreTraceIndex, extent: Any, starts: Dict[int, int]
+) -> Set[TopicKey]:
+    """The ``(topic, src_ts)`` keys of one run's service rows -- request
+    and response takes and writes, the keys FindCaller and FindClient
+    match.  ``starts`` maps a PID to the run's first row in the PID's
+    walk columns (0 when absent) and is advanced past the run."""
+    keys: Set[TopicKey] = set()
+    for pid, count in extent.walk_rows.items():
+        _ts, codes, aux = index.walk_for_pid(pid)
+        start = starts.get(pid, 0)
+        starts[pid] = stop = start + count
+        for code, data in zip(codes[start:stop], aux[start:stop]):
+            if CODE_TAKE_REQUEST <= code <= CODE_DDS_WRITE and (
+                code != CODE_DDS_WRITE or data.get("kind") in _SERVICE_WRITES
+            ):
+                keys.add((data.get("topic"), data.get("src_ts")))
+    return keys
+
+
+class _WalkFragments:
+    """One cached Alg. 1 walk fragment per retained run -- the CBLists
+    of the PIDs the run names, ascending -- and the rule that says when
+    the fragments add up to a full walk over the window.
+
+    A run's fragment is its share of the full walk as long as nothing
+    another retained run added reaches it.  Two runs *share* when
+
+    (a) a stateful PID of one -- a PID it names (Alg. 1 reads the PID's
+        walk columns and sched bucket) or sets ``current_cb`` for (the
+        state later runs' writes carry and eviction rewrites, and the
+        P13 rows a later P14 pairs with) -- has rows in the other; or
+    (b) both hold service rows under one ``(topic, src_ts)`` key:
+        FindCaller's FIFO cursor is shared per key across one walk, and
+        FindClient reads every take of the key.
+
+    A shared run's fragment is dropped, and none is built until its
+    partners have left.  PIDs that only write plain topics (publishers
+    outside the traced nodes, all under one PID) never share.
+    """
+
+    def __init__(self) -> None:
+        #: retained run id -> CBLists of its named PIDs, ascending.
+        self.fragments: Dict[str, List[CBList]] = {}
+        #: retained run id -> its named PIDs, ascending.
+        self.pids: Dict[str, List[int]] = {}
+        #: retained run id -> its ("touch" | "state" | "key", value)
+        #: entries.
+        self._entries: Dict[str, List[Tuple[str, Any]]] = {}
+        #: entry -> retained runs holding it.
+        self._holders: Dict[Tuple[str, Any], Set[str]] = {}
+        #: retained run id -> retained runs it shares with.
+        self._shares: Dict[str, Set[str]] = {}
+
+    def add(self, run_id: str, extent: Any, keys: Set[TopicKey]) -> bool:
+        """Track one more retained run (``extent`` is its
+        :class:`~repro.store.index.StoreTraceIndex` run extent); returns
+        True when it shares with no other run."""
+        stateful = set(extent.pid_map).union(extent.setters)
+        touched = stateful.union(extent.walk_rows, extent.sched_rows)
+        holders = self._holders
+        partners: Set[str] = set()
+        for pid in touched:
+            partners.update(holders.get(("state", pid), ()))
+        for pid in stateful:
+            partners.update(holders.get(("touch", pid), ()))
+        for key in keys:
+            partners.update(holders.get(("key", key), ()))
+        entries = [("touch", pid) for pid in touched]
+        entries += [("state", pid) for pid in stateful]
+        entries += [("key", key) for key in keys]
+        for entry in entries:
+            holders.setdefault(entry, set()).add(run_id)
+        self._entries[run_id] = entries
+        self.pids[run_id] = sorted(extent.pid_map)
+        self._shares[run_id] = partners
+        for other in partners:
+            self._shares[other].add(run_id)
+            self.fragments.pop(other, None)
+        return not partners
+
+    def drop(self, run_id: str) -> None:
+        """Forget a run that left the window, with its fragment."""
+        holders = self._holders
+        for entry in self._entries.pop(run_id):
+            runs = holders[entry]
+            runs.discard(run_id)
+            if not runs:
+                del holders[entry]
+        for other in self._shares.pop(run_id):
+            self._shares[other].discard(run_id)
+        self.fragments.pop(run_id, None)
+        del self.pids[run_id]
+
+    def complete(self) -> bool:
+        """True when no two retained runs share: every fragment, cached
+        or still to build, is valid."""
+        return not any(self._shares.values())
 
 
 class LiveSynthesizer:
@@ -87,17 +205,30 @@ class LiveSynthesizer:
     (out-of-order arrival, time overlap, or a retention eviction the
     index cannot make in place because the evicted run's sched buckets
     were merged with a later run's).
-    :meth:`model` then runs the serial extraction + synthesis exactly
-    as ``synthesize_from_store(store, jobs=1)`` would over the retained
+    :meth:`model` then produces exactly the DAG
+    ``synthesize_from_store(store, jobs=1)`` would over the retained
     runs -- the byte-identity contract the service tests pin at every
     commit point.
+
+    The walk is cached per run: an in-place extend walks the new run's
+    PIDs into a walk fragment (``walk_fragments_built``), and
+    :meth:`model` assembles the retained runs' fragments, walking only
+    runs that have none (after a rebuild).  While two retained runs
+    share a stateful PID or a service key (:class:`_WalkFragments`), or
+    the index is sort-merged over overlapping runs, :meth:`model`
+    re-walks every retained PID over the index instead
+    (``pids_rewalked``).
 
     ``retain_window`` keeps only the newest N runs (run-id order) in
     the model for unbounded streams; evicted runs stay on disk but
     leave the index (dropped in place by
-    :meth:`~repro.store.index.StoreTraceIndex.evict_oldest`).  A run arriving older than
-    the whole full window is evicted on arrival and leaves the index
-    untouched.
+    :meth:`~repro.store.index.StoreTraceIndex.evict_oldest`) and take
+    their walk fragment along.  A run arriving older than the whole
+    full window is evicted on arrival and leaves the index untouched.
+
+    A run whose segment cannot be read is rejected before any state
+    changes: :meth:`ingest` raises, and :meth:`refresh` skips it for
+    good (``segments_rejected``) and ingests the runs after it.
 
     The synthesizer also holds the per-run latency fragments queries
     have built for retained runs (:meth:`latency_fragments`); a
@@ -125,8 +256,9 @@ class LiveSynthesizer:
         self.counters = counters if counters is not None else ServiceCounters()
         #: retained run ids, ascending (the synthesis merge order).
         self._consumed: List[str] = []
-        #: every run id ever ingested, including since-evicted ones --
-        #: refresh() must not re-ingest an evicted run's on-disk file.
+        #: every run id ever ingested or rejected, including since-evicted
+        #: ones -- refresh() must not re-ingest an evicted run's on-disk
+        #: file.
         self._seen: set = set()
         self._events_by_run: Dict[str, int] = {}
         self._index = StoreTraceIndex()
@@ -135,6 +267,9 @@ class LiveSynthesizer:
         self._build_rate: Optional[float] = None
         #: retained run id -> its complete latency fragment.
         self._fragments: Dict[str, LatencyIndex] = {}
+        #: the retained runs' walk fragments; None while the index is
+        #: sort-merged (it keeps no run extents to check sharing with).
+        self._walks: Optional[_WalkFragments] = _WalkFragments()
 
     @property
     def run_ids(self) -> List[str]:
@@ -148,23 +283,46 @@ class LiveSynthesizer:
     def refresh(self) -> List[str]:
         """Pick up and ingest runs that appeared in the store directory
         since the last look (second writer processes, the drop-dir
-        committer); returns the newly ingested run ids."""
+        committer); returns the newly ingested run ids.  A run whose
+        segment cannot be read is counted in ``segments_rejected`` and
+        never looked at again."""
         self.store.refresh()
-        new = [r for r in self.store.run_ids() if r not in self._seen]
-        for run_id in new:
-            self.ingest(run_id)
-        return new
+        ingested = []
+        for run_id in self.store.run_ids():
+            if run_id in self._seen:
+                continue
+            try:
+                opened = self._open(run_id)
+            except StoreFormatError:
+                self._seen.add(run_id)
+                self.counters.segments_rejected += 1
+                continue
+            self._fold(run_id, *opened)
+            ingested.append(run_id)
+        return ingested
 
     def ingest(self, run_id: str) -> None:
-        """Fold one stored run into the maintained model."""
+        """Fold one stored run into the maintained model.  Raises
+        :class:`~repro.store.format.StoreFormatError`, with nothing
+        changed, when the run's segment cannot be read."""
         if run_id in self._seen:
             raise ValueError(f"run {run_id!r} already ingested")
         if run_id not in self.store:
             raise ValueError(
                 f"run {run_id!r} is not in store {self.store.directory!r}"
             )
+        self._fold(run_id, *self._open(run_id))
+
+    def _open(self, run_id: str) -> Tuple[Any, int]:
+        """The run's reader and event count, read before any state
+        changes (the ROS ts column read is the check the ingest spool
+        applies to pushed bytes)."""
+        reader = self.store.open(run_id)
+        reader.ros_ts_range()
+        return reader, self.store.run_info(run_id).events
+
+    def _fold(self, run_id: str, reader: Any, events: int) -> None:
         counters = self.counters
-        events = self.store.run_info(run_id).events
         self._seen.add(run_id)
         counters.segments_ingested += 1
         counters.events_indexed += events
@@ -189,10 +347,11 @@ class LiveSynthesizer:
             for old in evicted:
                 counters.rows_evicted += self._events_by_run.pop(old)
                 self._fragments.pop(old, None)
+                if self._walks is not None:
+                    self._walks.drop(old)
             counters.runs_evicted += len(evicted)
         self._dag = None
 
-        reader = self.store.open(run_id)
         if not (in_order and self._index.can_append(reader)):
             self._rebuild()
             return
@@ -215,6 +374,17 @@ class LiveSynthesizer:
             rate = counters.extend_s / processed if processed else 0.0
         counters.saved_s += max(0.0, rate * total - elapsed)
 
+        # An in-place extend keeps the index ordered, so _walks is set.
+        # The new run's rows are the tails of its PIDs' walk columns.
+        index = self._index
+        extent = index.runs()[-1]
+        starts = {
+            pid: len(index.walk_for_pid(pid)[0]) - count
+            for pid, count in extent.walk_rows.items()
+        }
+        if self._walks.add(run_id, extent, _service_keys(index, extent, starts)):
+            self._walk(run_id)
+
     def _rebuild(self) -> None:
         counters = self.counters
         started = perf_counter()
@@ -226,6 +396,24 @@ class LiveSynthesizer:
         total = sum(self._events_by_run.values())
         if total:
             self._build_rate = elapsed / total
+        # Every fragment goes; model() walks each retained run once.
+        extents = self._index.runs()
+        if len(extents) != len(self._consumed):
+            self._walks = None  # sort-merged: no run extents
+            return
+        self._walks = walks = _WalkFragments()
+        starts: Dict[int, int] = {}
+        for run_id, extent in zip(self._consumed, extents):
+            walks.add(run_id, extent, _service_keys(self._index, extent, starts))
+
+    def _walk(self, run_id: str) -> None:
+        """Walk one retained run's PIDs into its fragment (a fresh
+        :class:`~repro.core.extraction.EventIndex` per walk)."""
+        walks = self._walks
+        walks.fragments[run_id] = _extract_index_cblists(
+            self._index, walks.pids[run_id]
+        )
+        self.counters.walk_fragments_built += 1
 
     def latency_fragments(self) -> Dict[str, LatencyIndex]:
         """A copy of the cached latency fragments of the retained runs,
@@ -243,14 +431,35 @@ class LiveSynthesizer:
                 cache[run_id] = fragment
                 self.counters.latency_fragments_built += 1
 
+    def _cblists(self) -> List[CBList]:
+        """The CBLists of every retained PID, ascending -- the retained
+        runs' walk fragments while they are all valid, else one full
+        walk over the index."""
+        walks = self._walks
+        if walks is None or not walks.complete():
+            pids = sorted(self._index.pid_map)
+            self.counters.pids_rewalked += len(pids)
+            return _extract_index_cblists(self._index, pids)
+        fragments = walks.fragments
+        for run_id in self._consumed:
+            if run_id not in fragments:
+                self._walk(run_id)
+        return sorted(
+            (
+                cblist
+                for run_id in self._consumed
+                for cblist in fragments[run_id]
+            ),
+            key=attrgetter("pid"),
+        )
+
     def model(self) -> TimingDag:
         """The timing DAG over the retained runs -- byte-identical to
         ``synthesize_from_store(store_of_retained_runs, jobs=1)``.
         Cached until the next ingest."""
         if self._dag is None:
-            index = self._index
             self._dag = synthesize_dag(
-                _extract_index_cblists(index, sorted(index.pid_map)),
+                self._cblists(),
                 split_services=self.split_services,
                 model_sync=self.model_sync,
             )

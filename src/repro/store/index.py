@@ -557,6 +557,12 @@ class StoreTraceIndex:
 
     # -- views -------------------------------------------------------------
 
+    def runs(self) -> List[_RunExtent]:
+        """The appended runs' extents, oldest first -- empty for an index
+        sort-merged over overlapping runs, which keeps none.  Read-only:
+        callers must not mutate the extents."""
+        return list(self._runs)
+
     def pids(self) -> List[int]:
         """PIDs with walk columns (the wanted subset), ascending."""
         return sorted(self._by_pid)

@@ -39,7 +39,7 @@ from repro.store import (
     record_batch,
     synthesize_from_store,
 )
-from repro.store.format import SEGMENT_SUFFIX
+from repro.store.format import SEGMENT_SUFFIX, StoreFormatError
 from repro.store.writer import SegmentSpool
 from repro.service import (
     DropDirWatcher,
@@ -49,6 +49,7 @@ from repro.service import (
     ServiceCounters,
     SynthesisService,
 )
+from repro.service import live as live_module
 from repro.service import server as server_module
 from repro.service.protocol import (
     ProtocolError,
@@ -63,6 +64,9 @@ from repro.tracing.events import (
     P5_SUB_START,
     P6_TAKE,
     P8_SUB_END,
+    P9_SERVICE_START,
+    P10_TAKE_REQUEST,
+    P11_SERVICE_END,
     P16_DDS_WRITE,
     TraceEvent,
 )
@@ -110,6 +114,32 @@ def _deliver(source_dir, target_dir, run_id, suffix=SEGMENT_SUFFIX):
     """One segment 'arrives': its file appears in the target store."""
     name = run_id + suffix
     shutil.copy(os.path.join(source_dir, name), os.path.join(target_dir, name))
+
+
+def _batch_over(source_dir, run_ids, directory, suffix=SEGMENT_SUFFIX):
+    """Batch synthesis over a fresh store holding ``run_ids`` of
+    ``source_dir`` -- the reference a live model is pinned to."""
+    os.makedirs(directory)
+    for run_id in run_ids:
+        _deliver(source_dir, directory, run_id, suffix)
+    return synthesize_from_store(TraceStore(directory), jobs=1)
+
+
+#: Runs in the longer recorded stream (window-scaling and bad-segment
+#: tests).
+STREAM_RUNS = 14
+
+
+@pytest.fixture(scope="module")
+def stream(tmp_path_factory):
+    """A longer recorded ``avp-interference`` stream (the benchmark's
+    deployment), short runs."""
+    directory = str(tmp_path_factory.mktemp("service_stream") / "source")
+    record_batch(
+        "avp-interference", runs=STREAM_RUNS, directory=directory,
+        config=BatchConfig(duration_ns=DURATION_NS // 2),
+    )
+    return directory
 
 
 class TestIncrementalEquivalence:
@@ -164,6 +194,28 @@ class TestIncrementalEquivalence:
             live.ingest("run000")
         with pytest.raises(ValueError, match="not in store"):
             live.ingest("run999")
+
+    def test_counters_as_dict_lists_every_field(self):
+        """The ``status`` reply's counters: every field in declaration
+        order, floats rounded to 6 places."""
+        counters = ServiceCounters(extends=2, extend_s=1.23456789)
+        assert list(counters.as_dict().items()) == [
+            ("segments_ingested", 0),
+            ("events_indexed", 0),
+            ("rows_evicted", 0),
+            ("runs_evicted", 0),
+            ("extends", 2),
+            ("rebuilds", 0),
+            ("segments_rejected", 0),
+            ("queries_served", 0),
+            ("internal_errors", 0),
+            ("latency_fragments_built", 0),
+            ("walk_fragments_built", 0),
+            ("pids_rewalked", 0),
+            ("extend_s", 1.234568),
+            ("rebuild_s", 0.0),
+            ("saved_s", 0.0),
+        ]
 
     def test_retain_window_validation(self, tmp_path):
         with pytest.raises(ValueError, match="retain_window"):
@@ -345,6 +397,10 @@ class TestEvictionWindow:
             batch = synthesize_from_store(TraceStore(truncated), jobs=1)
             assert _signature(live.model()) == _signature(batch), (name, run_id)
             assert counters.rebuilds == 0
+            # Recorded runs never share state: one walk fragment per
+            # arrival, no full re-walk.
+            assert counters.walk_fragments_built == arrived
+            assert counters.pids_rewalked == 0
             reference = TraceStore(truncated)
             _assert_matches_rebuild(
                 live.index, [reference.open(keep) for keep in retained]
@@ -375,6 +431,38 @@ class TestEvictionWindow:
         batch = synthesize_from_store(TraceStore(truncated), jobs=1)
         assert _signature(live.model()) == _signature(batch)
         assert live.refresh() == []
+
+
+    @pytest.mark.parametrize("window", [4, 12])
+    def test_each_arrival_walks_only_its_own_pids(
+        self, stream, window, tmp_path, monkeypatch
+    ):
+        """The walk is O(run), not O(window): every in-order arrival walks
+        exactly the arriving run's PIDs, once, at any window size."""
+        walked = []
+        extract = live_module._extract_index_cblists
+
+        def recording(index, pids):
+            walked.append(list(pids))
+            return extract(index, pids)
+
+        monkeypatch.setattr(live_module, "_extract_index_cblists", recording)
+        source = TraceStore(stream)
+        target = str(tmp_path / "window")
+        live = LiveSynthesizer(TraceStore.create(target), retain_window=window)
+        counters = live.counters
+        for arrived, run_id in enumerate(source.run_ids(), start=1):
+            _deliver(stream, target, run_id)
+            walked.clear()
+            assert live.refresh() == [run_id]
+            live.model()
+            assert walked == [sorted(source.open(run_id).pid_map)], run_id
+            assert counters.walk_fragments_built == arrived
+            assert counters.pids_rewalked == 0
+        assert counters.runs_evicted == STREAM_RUNS - window
+        assert counters.rebuilds == 0
+        batch = _batch_over(stream, live.run_ids, str(tmp_path / "reference"))
+        assert _signature(live.model()) == _signature(batch)
 
 
 def _event(ts, pid, probe, **data):
@@ -584,6 +672,91 @@ class TestRunBoundaryCarries:
         assert live.counters.extends == 2
         batch = synthesize_from_store(TraceStore(target), jobs=1)
         assert _signature(live.model()) == _signature(batch)
+
+
+def _service_run(base, client, server, src_ts):
+    """One client/server run at clock ``base``: a timer callback of PID
+    ``client`` sends a ``/srv`` request stamped ``src_ts``, and a
+    service callback of PID ``server`` takes it."""
+    ros = [
+        _event(base + 10, client, P2_TIMER_START),
+        _event(base + 11, client, P3_TIMER_CALL, cb_id=f"call{client}"),
+        _event(
+            base + 12, client, P16_DDS_WRITE, topic="/srv", src_ts=src_ts,
+            kind="request",
+        ),
+        _event(base + 20, client, P4_TIMER_END),
+        _event(base + 30, server, P9_SERVICE_START),
+        _event(
+            base + 31, server, P10_TAKE_REQUEST, topic="/srv", src_ts=src_ts,
+            cb_id="serve",
+        ),
+        _event(base + 40, server, P11_SERVICE_END),
+    ]
+    return Trace(
+        ros_events=ros, sched_events=[],
+        pid_map={client: "client", server: "server"},
+        start_ts=base, stop_ts=base + 100,
+    )
+
+
+class TestWalkFragmentFallback:
+    """Retained runs that share walk state take the full re-walk, and
+    the model still equals batch synthesis at every commit point."""
+
+    @staticmethod
+    def _stream(tmp_path, traces, window):
+        """Deliver ``traces`` in order to a live synthesizer with
+        ``window``, pinning the model to batch synthesis over the
+        retained runs after every arrival; returns the counters."""
+        source = TestRunBoundaryCarries._store(str(tmp_path / "source"), traces)
+        target = str(tmp_path / "target")
+        live = LiveSynthesizer(TraceStore.create(target), retain_window=window)
+        for run_id in source.run_ids():
+            _deliver(source.directory, target, run_id)
+            assert live.refresh() == [run_id]
+            batch = _batch_over(
+                source.directory, live.run_ids, str(tmp_path / f"ref_{run_id}")
+            )
+            assert _signature(live.model()) == _signature(batch), run_id
+        assert live.counters.rebuilds == 0
+        return live.counters
+
+    @pytest.mark.parametrize("window", [2, None])
+    def test_recurring_pids_rewalk(self, tmp_path, window):
+        """PIDs 1 and 2 recur in every run, with a callback open across
+        the first boundary and writes carried across both: each later
+        arrival shares with the runs before it."""
+        counters = self._stream(
+            tmp_path,
+            [
+                _handbuilt_run(0, open_at_end=True),
+                _handbuilt_run(1000, leading_write=True, leading_end=True),
+                _handbuilt_run(2000, timer=False, leading_write=True),
+            ],
+            window,
+        )
+        assert counters.pids_rewalked > 0
+        assert counters.walk_fragments_built == 1
+
+    @pytest.mark.parametrize("window", [2, None])
+    def test_shared_service_key_rewalks(self, tmp_path, window):
+        """run000 and run001 have disjoint PIDs but send their request
+        under one ``(topic, src_ts)`` key, so FindCaller pairs run001's
+        take with run001's own write only in a walk that has consumed
+        run000's first.  run002 shares nothing; with a window of two it
+        evicts run000, and run001 is walked on its own."""
+        counters = self._stream(
+            tmp_path,
+            [
+                _service_run(0, 1, 2, src_ts=5),
+                _service_run(1000, 3, 4, src_ts=5),
+                _service_run(2000, 5, 6, src_ts=2012),
+            ],
+            window,
+        )
+        assert counters.pids_rewalked > 0
+        assert counters.walk_fragments_built == (3 if window else 2)
 
 
 class TestLatencyFragmentCache:
@@ -808,6 +981,51 @@ class TestStoreRefresh:
         _deliver(sources["syn"], directory, "run001")
         _deliver(sources["syn"], directory, "run002")
         assert store.refresh() == ["run001", "run002"]
+
+
+class TestUnreadableSegments:
+    """A segment that cannot be read is rejected before it changes any
+    state: the runs after it still fold in, and the model stays the
+    batch model of the readable retained runs."""
+
+    @pytest.mark.parametrize(
+        "damage",
+        [lambda data: data[: len(data) // 2], lambda data: b"NOTASEG!" + data[8:]],
+        ids=["truncated", "bad_magic"],
+    )
+    def test_bad_segment_is_skipped(self, stream, damage, tmp_path):
+        source = TraceStore(stream)
+        run_ids = source.run_ids()[:7]
+        bad = run_ids[4]
+        target = str(tmp_path / "target")
+        live = LiveSynthesizer(TraceStore.create(target), retain_window=3)
+        readable = []
+        for run_id in run_ids:
+            if run_id == bad:
+                with open(source.path_of(run_id), "rb") as handle:
+                    data = damage(handle.read())
+                path = os.path.join(target, run_id + SEGMENT_SUFFIX)
+                with open(path, "wb") as handle:
+                    handle.write(data)
+                live.store.refresh()
+                before = live.run_ids
+                with pytest.raises(StoreFormatError):
+                    live.ingest(run_id)
+                assert live.run_ids == before
+                assert live.refresh() == []
+                assert live.counters.segments_rejected == 1
+            else:
+                _deliver(stream, target, run_id)
+                assert live.refresh() == [run_id]
+                readable.append(run_id)
+            assert live.run_ids == readable[-3:]
+            batch = _batch_over(
+                stream, readable[-3:], str(tmp_path / f"ref_{run_id}")
+            )
+            assert _signature(live.model()) == _signature(batch), run_id
+        assert live.refresh() == []
+        assert live.counters.segments_rejected == 1
+        assert live.counters.rebuilds == 0
 
 
 class TestFinishPathAtomicity:
