@@ -13,23 +13,21 @@ Implements the extensions sketched in the paper's Sec. VII:
   (``TracingSession(record_wakeups=True)``), the time between a node
   thread's wakeup and the start of the dispatched callback.
 
-All three analyses run off one :class:`LatencyIndex`, built in a single
-pass over a chronological row stream ``(ts, pid, code, payload)`` --
-either adapted from an in-memory :class:`~repro.tracing.session.Trace`
-(:meth:`LatencyIndex.from_trace`) or streamed straight from stored
-segments without materializing a trace
-(:func:`repro.analysis.store.latency_index_from_store`).  The row codes
-are the integer probe codes of :mod:`repro.core.index`; ``payload`` is
-only dereferenced for take (P6) and ``dds_write`` (P16) rows, matching
-the aux contract of ``SegmentReader.walk_rows``.
+All three analyses run off one :class:`LatencyIndex`, built from the
+resolved ``(ts, pid, code, aux)`` columns the Alg. 1 store index
+consumes (:func:`repro.store.index._resolve`) plus ``(ts, pid)``
+wakeup columns.  Stored runs enter through their segment readers
+(:mod:`repro.analysis.store`), a loaded trace through
+:class:`~repro.store.reader.InMemorySegment`
+(:meth:`LatencyIndex.from_trace`): both in the same stable ts order.
 
 Indexes over consecutive pieces of one stream concatenate
 (:meth:`LatencyIndex.concat`) into the index of the whole stream: each
 piece records the callback start it leaves open per PID and the
 callback end it opens with per PID, so a window spanning two pieces
-pairs up exactly as the single pass pairs it.  Stores index one
-fragment per run and concatenate them, and the live service caches
-those fragments per retained run.
+pairs up exactly as one build over the whole stream pairs it.  Stores
+index one fragment per run and concatenate them, and the live service
+caches those fragments per retained run.
 """
 
 from __future__ import annotations
@@ -37,24 +35,38 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from heapq import merge as _heap_merge
-from itertools import chain
 from operator import itemgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..core.index import (
     CODE_CB_END,
     CODE_CB_START,
     CODE_DDS_WRITE,
-    CODE_OTHER,
     CODE_TAKE,
-    PROBE_CODES,
     TopicKey,
 )
+from ..store.index import _resolve
+from ..store.reader import InMemorySegment
 from ..tracing.session import Trace
 
 #: One hop record: (ts, topic, src_ts) of a dds_write, or (ts, src_ts)
 #: in the per-topic views.
 _WriteRow = Tuple[int, Optional[str], Optional[int]]
+
+
+def _split(keys: np.ndarray, values: List[Any]) -> Dict[int, List[Any]]:
+    """``values`` cut into one list per key, for ``keys`` grouped (equal
+    keys adjacent) and parallel to ``values``."""
+    if not len(keys):
+        return {}
+    cuts = (np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist()
+    bounds = [0, *cuts, len(values)]
+    return {
+        key: values[lo:hi]
+        for key, lo, hi in zip(keys[bounds[:-1]].tolist(), bounds, bounds[1:])
+    }
 
 
 @dataclass(frozen=True)
@@ -70,30 +82,27 @@ class ChainLatency:
         return self.end_ts - self.start_ts
 
 
-def _trace_rows(trace: Trace) -> Iterator[Tuple[int, int, int, Optional[dict]]]:
-    """Adapt a loaded trace's ROS events to the index's row stream."""
-    code_of = PROBE_CODES.get
-    for event in trace.ros_events:
-        # TraceEvent is a NamedTuple: ts=0, pid=1, probe=2, data=3.
-        yield event[0], event[1], code_of(event[2], CODE_OTHER), event[3]
-
-
 class LatencyIndex:
-    """Single-pass lookup structures behind the latency analyses.
+    """Lookup structures behind the latency analyses, built in bulk
+    from resolved columns.
 
-    Consumes any chronological ``(ts, pid, code, payload)`` row stream
-    plus an optional ``(ts, pid)`` wakeup stream, and indexes:
+    Takes one stream's resolved columns and its wakeup columns,
+    optionally restricted to ``pids``, and indexes:
 
     * per-PID callback-instance windows (CB start/end pairs), with the
       start array precomputed and windows defensively sorted so an
       unsorted input cannot silently break the bisect lookup;
     * per-PID and per-topic ``dds_write`` rows;
     * ``take`` rows keyed by the paper's (topic, srcTS) correlation key
-      and grouped per topic -- all in stream order, so results are
-      byte-identical to scanning the merged in-memory trace;
+      and grouped per topic -- all in stream order;
+    * per-PID ``sched_wakeup`` times in stable ts order;
     * the stream's boundary state (see :meth:`concat`): the ts range of
       its rows, the CB start still open per PID at its end, and per PID
       the first CB end that arrived before any CB start of that PID.
+
+    Callback windows pair per PID: a window is a CB end whose PID's
+    previous CB row is a start, so a start followed by another start
+    is replaced, and an end with no open start pairs with nothing.
 
     Lookups return the index's own lists, which an assembled index
     shares with its parts: callers must not modify them.
@@ -115,76 +124,81 @@ class LatencyIndex:
 
     def __init__(
         self,
-        rows: Iterable[Tuple[int, int, int, Optional[dict]]],
-        wakeups: Iterable[Tuple[int, int]] = (),
+        columns: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+        wakeups: Tuple[Sequence[int], Sequence[int]] = ((), ()),
+        pids: Optional[Iterable[int]] = None,
     ):
-        self._windows: Dict[int, List[Tuple[int, int]]] = {}
+        ts_np, pid_np, code_np, aux = columns
+        wake_ts, wake_pid = (np.asarray(c, dtype=np.int64) for c in wakeups)
+        if pids is not None:
+            wanted = np.fromiter(pids, dtype=np.int64)
+            keep = np.isin(pid_np, wanted)
+            ts_np, pid_np, code_np, aux = (c[keep] for c in columns)
+            keep = np.isin(wake_pid, wanted)
+            wake_ts, wake_pid = wake_ts[keep], wake_pid[keep]
+        #: (first, last) row timestamp, None for an empty stream.
+        self._span = (int(ts_np[0]), int(ts_np[-1])) if len(ts_np) else None
+
+        # CB rows grouped per PID, stream order kept within a PID.
+        cb = np.flatnonzero((code_np == CODE_CB_START) | (code_np == CODE_CB_END))
+        cb = cb[np.argsort(pid_np[cb], kind="stable")]
+        cb_pid, cb_ts = pid_np[cb], ts_np[cb]
+        is_start = code_np[cb] == CODE_CB_START
+        first = np.ones(len(cb), dtype=bool)  # the PID's first CB row
+        first[1:] = cb_pid[1:] != cb_pid[:-1]
+
+        def per_pid(mask: np.ndarray) -> Dict[int, int]:
+            return dict(zip(cb_pid[mask].tolist(), cb_ts[mask].tolist()))
+
+        #: pid -> start of the CB instance still open at the stream end.
+        self._open_tail = per_pid(np.roll(first, -1) & is_start)
+        #: pid -> ts of the first CB end seen before any CB start of the
+        #: PID (the end of an instance begun before this stream).
+        self._lead_end = per_pid(first & ~is_start)
+        self._cb_starts = _split(cb_pid[is_start], cb_ts[is_start].tolist())
+        # A window is an end right after a start of its PID; windows go
+        # in start order per PID (a stable sort: the defensive one).
+        ends = np.flatnonzero(~is_start & ~first & np.roll(is_start, 1))
+        ends = ends[np.lexsort((cb_ts[ends - 1], cb_pid[ends]))]
+        starts = cb_ts[ends - 1].tolist()
+        self._windows = _split(cb_pid[ends], list(zip(starts, cb_ts[ends].tolist())))
+        #: per-PID window start arrays, computed once -- lookups are a
+        #: bisect, never a per-call list rebuild.
+        self._starts = _split(cb_pid[ends], starts)
+
         self._writes: Dict[int, List[_WriteRow]] = {}
         self._writes_by_topic: Dict[Optional[str], List[Tuple[int, Optional[int]]]] = {}
         self._takes_by_key: Dict[TopicKey, List[Tuple[int, int]]] = {}
         self._takes_by_topic: Dict[Optional[str], List[Tuple[int, Optional[int]]]] = {}
-        self._cb_starts: Dict[int, List[int]] = {}
-        open_start: Dict[int, int] = {}
-        lead_end: Dict[int, int] = {}
-        rows = iter(rows)
-        first = next(rows, None)
-        ts = None
-        if first is not None:
-            for ts, pid, code, payload in chain((first,), rows):
-                if code == CODE_CB_START:
-                    open_start[pid] = ts
-                    self._cb_starts.setdefault(pid, []).append(ts)
-                elif code == CODE_CB_END:
-                    start = open_start.pop(pid, None)
-                    if start is not None:
-                        self._windows.setdefault(pid, []).append((start, ts))
-                    elif pid not in self._cb_starts:
-                        lead_end.setdefault(pid, ts)
-                elif code == CODE_DDS_WRITE:
-                    topic = payload.get("topic")
-                    src_ts = payload.get("src_ts")
-                    self._writes.setdefault(pid, []).append((ts, topic, src_ts))
-                    self._writes_by_topic.setdefault(topic, []).append((ts, src_ts))
-                elif code == CODE_TAKE:
-                    topic = payload.get("topic")
-                    src_ts = payload.get("src_ts")
-                    self._takes_by_key.setdefault((topic, src_ts), []).append((ts, pid))
-                    self._takes_by_topic.setdefault(topic, []).append((ts, src_ts))
-        #: (first, last) row timestamp, None for an empty stream.
-        self._span = None if first is None else (first[0], ts)
-        #: pid -> start of the CB instance still open at the stream end.
-        self._open_tail = open_start
-        #: pid -> ts of the first CB end seen before any CB start of the
-        #: PID (the end of an instance begun before this stream).
-        self._lead_end = lead_end
-        #: per-PID window start arrays, computed once -- lookups are a
-        #: bisect, never a per-call list rebuild.
-        self._starts: Dict[int, List[int]] = {}
-        for pid, windows in self._windows.items():
-            if any(
-                windows[i][0] > windows[i + 1][0]
-                for i in range(len(windows) - 1)
-            ):
-                windows.sort(key=itemgetter(0))
-            self._starts[pid] = [w[0] for w in windows]
-        self._wakeups: Dict[int, List[int]] = {}
-        for ts, pid in wakeups:
-            self._wakeups.setdefault(pid, []).append(ts)
+        rows = np.flatnonzero((code_np == CODE_DDS_WRITE) | (code_np == CODE_TAKE))
+        for ts, pid, code, payload in zip(
+            *(column[rows].tolist() for column in (ts_np, pid_np, code_np, aux))
+        ):
+            topic = payload.get("topic")
+            src_ts = payload.get("src_ts")
+            if code == CODE_DDS_WRITE:
+                self._writes.setdefault(pid, []).append((ts, topic, src_ts))
+                self._writes_by_topic.setdefault(topic, []).append((ts, src_ts))
+            else:
+                self._takes_by_key.setdefault((topic, src_ts), []).append((ts, pid))
+                self._takes_by_topic.setdefault(topic, []).append((ts, src_ts))
+        order = np.lexsort((wake_ts, wake_pid))  # per PID, stable ts order
+        self._wakeups = _split(wake_pid[order], wake_ts[order].tolist())
 
     @classmethod
     def concat(cls, parts: Sequence["LatencyIndex"]) -> "LatencyIndex":
-        """The index of the concatenated row streams of ``parts``.
+        """The index of the concatenated streams of ``parts``.
 
-        Equal, on every slot, to one pass over the concatenation of the
-        parts' row streams, with the parts' wakeup streams merged per
-        PID by timestamp (ties keep part order).  The parts are not
-        modified, so cached fragments can be assembled again.
+        Equal, on every slot, to the index built over the parts' columns
+        concatenated, with the parts' wakeups merged per PID by
+        timestamp (ties keep part order).  The parts are not modified,
+        so cached fragments can be assembled again.
 
         A CB end a part opens with closes the CB start that an earlier
-        part left open for the same PID, as the single pass's
-        ``open_start`` carries it: through parts with no CB rows for the
-        PID, and never past a part that starts a CB of the PID.  The
-        carried window goes before the part's own windows, and the one
+        part left open for the same PID, as one build over the whole
+        stream pairs them: through parts with no CB rows for the PID,
+        and never past a part that starts a CB of the PID.  The carried
+        window goes before the part's own windows, and the one
         defensive sort then runs over the whole window list.
         """
         index = cls.__new__(cls)
@@ -253,17 +267,17 @@ class LatencyIndex:
 
     @classmethod
     def from_trace(cls, trace: Trace) -> "LatencyIndex":
+        segment = InMemorySegment(trace)
         return cls(
-            _trace_rows(trace),
-            ((w.ts, w.pid) for w in trace.wakeup_events),
+            _resolve(segment.walk_fastpath()), segment.wakeup_pid_columns()
         )
 
     # -- lookups -----------------------------------------------------------
 
     @property
     def span(self) -> Optional[Tuple[int, int]]:
-        """(first, last) timestamp of the indexed row stream, or None
-        when it had no rows."""
+        """(first, last) timestamp of the indexed rows, or None when
+        there were none."""
         return self._span
 
     def window_containing(self, pid: int, ts: int) -> Optional[Tuple[int, int]]:

@@ -15,12 +15,14 @@ Two data paths, mirroring the pipeline split:
   the unchanged in-memory analysis.  The synthesized model is pinned
   byte-identical to the in-memory pipeline, so these reports are too.
 * **Trace-based analyses** (chain latency, waiting time, per-topic DDS
-  latency) consume raw events.  :func:`latency_index_from_store` feeds
-  :class:`~repro.analysis.latency.LatencyIndex` from the same columnar
-  ``walk_rows`` streams the Alg. 1 store walk uses -- time-disjoint runs
-  are indexed one fragment per run and the fragments concatenated,
-  overlapping runs k-way merge on the ``(ts, run, row)`` int prefix --
-  so no merged :class:`Trace` and no
+  latency) consume raw events.  :func:`latency_index_from_store` builds
+  :class:`~repro.analysis.latency.LatencyIndex` from the resolved
+  columns the Alg. 1 store index consumes
+  (:func:`~repro.store.index._resolve`): time-disjoint runs are indexed
+  one fragment per run and the fragments concatenated, overlapping runs
+  go through one build over their columns merged by the store index's
+  stable ts sort (:func:`~repro.store.index._merged_columns`) -- so no
+  merged :class:`Trace` and no
   :class:`~repro.tracing.events.TraceEvent` objects are ever
   materialized, and the row order equals ``Trace.merge`` order, making
   results value-identical to the in-memory analyses
@@ -28,20 +30,29 @@ Two data paths, mirroring the pipeline split:
 
 :class:`StoreAnalysis` bundles both paths behind one lazily-caching
 handle (one synthesis, one latency index, any number of reports) -- the
-engine behind ``repro analyze``.
+engine behind ``repro analyze``.  It opens the store's readers once and
+hands them to the serial synthesis and to the latency index alike, so
+each segment is inflated once: the second consumer reads the sections
+the first one decoded from the reader's cache.
 """
 
 from __future__ import annotations
 
-from heapq import merge as _heap_merge
-from operator import itemgetter
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Dict, Iterable, List, Optional, Sequence
+
+import numpy as np
 
 from ..core.dag import TimingDag
 from ..core.pipeline import STRATEGY_MERGE_TRACES
 from ..store.database import StoreLike, as_store
-from ..store.index import _runs_are_time_ordered, _spans_are_ordered
-from ..store.synthesis import synthesize_from_store
+from ..store.index import (
+    _merged_columns,
+    _resolve,
+    _runs_are_time_ordered,
+    _spans_are_ordered,
+)
+from ..store.synthesis import _synthesize_readers, synthesize_from_store
 from .chains import Chain, enumerate_chains
 from .jitter import ActivationModel, activation_models
 from .latency import (
@@ -55,55 +66,44 @@ from .latency import (
 from .load import CallbackLoad, callback_loads, node_loads
 
 
-def _reader_rows(
-    reader, pids: Optional[frozenset]
-) -> Iterator[Tuple[int, int, int, Optional[dict]]]:
-    """One run's ``(ts, pid, code, payload)`` rows from its columnar
-    ``walk_rows`` (payloads decode only for the ID-carrying rows)."""
-    for ts, _order, _row, pid, code, aux in reader.walk_rows(0):
-        if pids is None or pid in pids:
-            yield ts, pid, code, aux
-
-
-def _reader_wakeups(
-    reader, pids: Optional[frozenset]
-) -> Iterator[Tuple[int, int]]:
-    # Two int columns per segment instead of SchedWakeup objects (on v3
-    # the other three wakeup streams never inflate).
-    for ts, pid in reader.wakeup_ts_pid_rows():
-        if pids is None or pid in pids:
-            yield ts, pid
-
-
 def latency_fragment(reader, pids: Optional[frozenset] = None) -> LatencyIndex:
     """One run's :class:`LatencyIndex` -- the piece
     :func:`latency_index_from_store` concatenates over time-ordered
     runs, and the live service caches per retained run.  Its
     :attr:`~LatencyIndex.span` is the run's ROS ts range when ``pids``
     is None."""
-    return LatencyIndex(_reader_rows(reader, pids), _reader_wakeups(reader, pids))
+    return LatencyIndex(
+        _resolve(reader.walk_fastpath()), reader.wakeup_pid_columns(), pids
+    )
 
 
 def _merged_latency_index(
     readers: Sequence, pids: Optional[frozenset]
 ) -> LatencyIndex:
-    """The single pass over time-overlapping runs: rows k-way merged on
-    the ``(ts, run, row)`` int prefix, so the order equals
-    ``Trace.merge`` order (ties keep run-id order), and wakeups merged
-    by ts (``heapq.merge`` breaks ties in iterator order, as the object
-    merge does)."""
-    streams = [reader.walk_rows(order) for order, reader in enumerate(readers)]
-    merged = streams[0] if len(streams) == 1 else _heap_merge(*streams)
-    rows = (
-        (ts, pid, code, aux)
-        for ts, _order, _row, pid, code, aux in merged
-        if pids is None or pid in pids
+    """One build over time-overlapping runs: the store index's merged
+    columns (ties keep ``(run, row)`` order, so the order equals
+    ``Trace.merge`` order) and every run's wakeup columns, concatenated
+    in run order -- the index sorts wakeups stably by ts per PID, so
+    ties keep run order as the object merge does."""
+    wakeups = zip(*(reader.wakeup_pid_columns() for reader in readers))
+    return LatencyIndex(
+        _merged_columns(readers),
+        tuple(np.concatenate(column) for column in wakeups),
+        pids,
     )
-    wakeups = _heap_merge(
-        *(_reader_wakeups(reader, pids) for reader in readers),
-        key=itemgetter(0),
-    )
-    return LatencyIndex(rows, wakeups)
+
+
+def _readers_latency_index(
+    readers: Sequence, pids: Optional[frozenset]
+) -> LatencyIndex:
+    """The index over open readers in run-id order: per-run fragments
+    concatenated when the runs are time-ordered, else one merged
+    build."""
+    if _runs_are_time_ordered(readers):
+        return LatencyIndex.concat(
+            [latency_fragment(reader, pids) for reader in readers]
+        )
+    return _merged_latency_index(readers, pids)
 
 
 def latency_index_from_store(
@@ -112,7 +112,7 @@ def latency_index_from_store(
     run_ids: Optional[Sequence[str]] = None,
     fragments: Optional[Dict[str, LatencyIndex]] = None,
 ) -> LatencyIndex:
-    """Build a :class:`LatencyIndex` by streaming a store's segments.
+    """Build a :class:`LatencyIndex` from a store's segments.
 
     ``pids`` restricts the analysis to those nodes' events (takes,
     writes and windows of other PIDs are then invisible, exactly as if
@@ -123,7 +123,7 @@ def latency_index_from_store(
 
     Time-disjoint runs (the usual case) are indexed one
     :func:`latency_fragment` per run and concatenated; overlapping runs
-    go through one pass over their merged rows.  ``fragments`` is a
+    go through one build over their merged columns.  ``fragments`` is a
     per-run cache of unfiltered fragments, consulted together with
     ``run_ids`` and ``pids=None``: cached runs are not read again, and
     the fragments built here are added to it.
@@ -131,12 +131,7 @@ def latency_index_from_store(
     resolved = as_store(store)
     wanted = None if pids is None else frozenset(pids)
     if run_ids is None:
-        readers = resolved.readers()
-        if _runs_are_time_ordered(readers):
-            return LatencyIndex.concat(
-                [latency_fragment(reader, wanted) for reader in readers]
-            )
-        return _merged_latency_index(readers, wanted)
+        return _readers_latency_index(resolved.readers(), wanted)
     cache = fragments if fragments is not None and wanted is None else {}
     readers = {
         run_id: resolved.open(run_id) for run_id in run_ids if run_id not in cache
@@ -160,12 +155,14 @@ def latency_index_from_store(
 
 
 class StoreAnalysis:
-    """One analysis handle over a trace store: synthesize once, stream
+    """One analysis handle over a trace store: synthesize once, index
     the raw events once, answer any number of analysis queries.
 
     Parameters mirror :func:`synthesize_from_store`; ``jobs`` shards
     the synthesis across worker processes with the store layer's
-    PID-shard planning.
+    PID-shard planning.  The store's readers are opened once and
+    shared by the serial ``merge_traces`` synthesis and the latency
+    index.
     """
 
     def __init__(
@@ -186,25 +183,41 @@ class StoreAnalysis:
         self._dag: Optional[TimingDag] = None
         self._index: Optional[LatencyIndex] = None
 
+    @cached_property
+    def _readers(self) -> List:
+        """The store's readers, opened on first use."""
+        return self.store.readers()
+
     @property
     def dag(self) -> TimingDag:
         """The synthesized timing model (computed once, out-of-core)."""
         if self._dag is None:
-            self._dag = synthesize_from_store(
-                self.store,
-                pids=self.pids,
-                jobs=self.jobs,
-                split_services=self.split_services,
-                model_sync=self.model_sync,
-                strategy=self.strategy,
-            )
+            if self.jobs == 1 and self.strategy == STRATEGY_MERGE_TRACES:
+                self._dag = _synthesize_readers(
+                    self._readers,
+                    self.pids,
+                    split_services=self.split_services,
+                    model_sync=self.model_sync,
+                )
+            else:
+                self._dag = synthesize_from_store(
+                    self.store,
+                    pids=self.pids,
+                    jobs=self.jobs,
+                    split_services=self.split_services,
+                    model_sync=self.model_sync,
+                    strategy=self.strategy,
+                )
         return self._dag
 
     @property
     def index(self) -> LatencyIndex:
-        """The streamed latency index (built once)."""
+        """The latency index over the same readers (built once)."""
         if self._index is None:
-            self._index = latency_index_from_store(self.store, pids=self.pids)
+            self._index = _readers_latency_index(
+                self._readers,
+                None if self.pids is None else frozenset(self.pids),
+            )
         return self._index
 
     # -- model-based analyses ---------------------------------------------

@@ -378,6 +378,7 @@ def _measure_selective_read(
     through zlib -- deterministic for a fixed workload, so the derived
     fractions transfer across machines like the speedup ratios do.
     """
+    from ..store.index import _resolve
 
     def inflated(consume) -> int:
         total = 0
@@ -388,13 +389,11 @@ def _measure_selective_read(
         return total
 
     def drain_walk(reader) -> None:
-        for _ in reader.walk_rows(0):
-            pass
+        _resolve(reader.walk_fastpath())
 
     def drain_analysis(reader) -> None:
         reader.sched_pid_columns()
-        for _ in reader.wakeup_ts_pid_rows():
-            pass
+        reader.wakeup_pid_columns()
 
     body_bytes = 0
     all_pids: set = set()

@@ -102,10 +102,11 @@ them (tiny sections), so every stream stays self-describing.
 What the directory buys readers is *section-selective I/O*:
 ``peek_header`` still reads the fixed header only, ``read_pid_map``
 seeks straight to the pid_map stream and inflates nothing else, and the
-Alg. 1 walk (``walk_rows`` / ``walk_fastpath``) touches the ros columns
-and only the payload columns of the shapes it actually dereferences --
-sched columns beyond ``(ts, prev_pid, next_pid)`` and the wakeup
-section never inflate during synthesis.  An uncompressed v3 segment
+Alg. 1 walk (``walk_fastpath``, resolved once per run for the trace
+index and the latency index) touches the ros columns and only the
+payload columns of the shapes it actually dereferences -- sched columns
+beyond ``(ts, prev_pid, next_pid)`` and the wakeup section never
+inflate during synthesis.  An uncompressed v3 segment
 (``comp`` 0 everywhere) is the mmap-friendly layout the store's
 segment cache materializes: every column is a zero-copy
 ``memoryview.cast`` straight out of the page cache.

@@ -163,6 +163,21 @@ def _resolve(
     )
 
 
+def _merged_columns(
+    readers: Sequence[Any],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Time-overlapping runs' resolved columns (see :func:`_resolve`)
+    as one chronological stream: concatenated in run order and
+    reordered by one stable sort on ts, so ties keep ``(run, row)``
+    order exactly like ``Trace.merge``."""
+    columns = [_resolve(reader.walk_fastpath()) for reader in readers]
+    ts_np, pid_np, row_codes, aux_row = (
+        np.concatenate(column) for column in zip(*columns)
+    )
+    order = np.argsort(ts_np, kind="stable")
+    return ts_np[order], pid_np[order], row_codes[order], aux_row[order]
+
+
 class _RunExtent:
     """What one appended run contributed to a :class:`StoreTraceIndex`,
     kept so the run can later be dropped in place."""
@@ -270,20 +285,10 @@ class StoreTraceIndex:
             for reader in readers:
                 self._append(reader)
         else:
-            # Overlapping runs: every run's resolved columns,
-            # concatenated in run order and merged by one stable ts
-            # sort -- ties keep (run, row) order, exactly like
-            # Trace.merge.  The extent is not kept: no eviction.
+            # Overlapping runs: one stable ts merge of every run's
+            # resolved columns.  The extent is not kept: no eviction.
             merged = _RunExtent(0, {})
-            columns = [_resolve(reader.walk_fastpath()) for reader in readers]
-            ts_np, pid_np, row_codes, aux_row = (
-                np.concatenate(column) for column in zip(*columns)
-            )
-            order = np.argsort(ts_np, kind="stable")
-            self._consume(
-                ts_np[order], pid_np[order], row_codes[order], aux_row[order],
-                merged,
-            )
+            self._consume(*_merged_columns(readers), merged)
             for reader in readers:
                 self.pid_map.update(reader.pid_map)
                 self._fold_sched(reader, merged)

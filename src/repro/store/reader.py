@@ -58,18 +58,10 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tupl
 
 import numpy as np
 
-from ..core.index import (
-    CODE_CB_START,
-    CODE_OTHER,
-    CODE_TAKE_TYPE_ERASED,
-    CODE_TIMER_CALL,
-    PROBE_CODES,
-    cb_start_type_table,
-    probe_code_table,
-)
+from ..core.index import cb_start_type_table, probe_code_table
 from ..core.exec_time import column, sched_columns, ts_ordered
 from ..sim.scheduler import SchedSwitch, SchedWakeup
-from ..tracing.events import CB_TYPE_BY_START, TraceEvent
+from ..tracing.events import TraceEvent
 from ..tracing.session import Trace
 from .format import (
     FIELD_BOOL,
@@ -280,8 +272,8 @@ class SegmentReader:
         #: JSON-fallback row (all rows of a v1 segment) decodes
         #: through this.
         self._payload_cache: Dict[int, Dict[str, Any]] = {}
-        #: per-string-id probe-code / CB-type tables, built lazily on
-        #: the first columnar walk (see :meth:`walk_rows`).
+        #: per-string-id probe-code / CB-type tables, built on the
+        #: first :meth:`walk_fastpath`.
         self._code_table: Optional[bytearray] = None
         self._start_types: Optional[List[Optional[str]]] = None
 
@@ -582,39 +574,6 @@ class SegmentReader:
                     payload(shape_col[i], vidx_col[i]),
                 )
 
-    def _walk_tables(self) -> Tuple[bytearray, List[Optional[str]]]:
-        """The per-string-id probe-code and CB-type tables of the
-        columnar walks, built on first use."""
-        if self._code_table is None:
-            self._code_table = probe_code_table(self._strings)
-            self._start_types = cb_start_type_table(self._strings)
-        return self._code_table, self._start_types
-
-    def walk_rows(self, order: int) -> Iterator[tuple]:
-        """Columnar Alg. 1 rows: ``(ts, order, row, pid, code, aux)``.
-
-        The first three fields are ints forming a unique, heap-mergeable
-        sort key (``order`` is the reader's position in the store's
-        run-id order, so ties between runs keep run order without a key
-        function).  ``aux`` is the CB-type label for CB-start rows, the
-        payload mapping for the ID-carrying rows (publish / take /
-        response -- the only rows whose payload Alg. 1 dereferences),
-        and ``None`` otherwise; no :class:`TraceEvent` is ever built.
-        """
-        codes, start_types = self._walk_tables()
-        ts_col, pid_col, probe_col, shape_col, vidx_col = self._ros
-        payload = self._payload_at
-        for i in range(self.num_ros_events):
-            string_id = probe_col[i]
-            code = codes[string_id]
-            if CODE_TIMER_CALL <= code <= CODE_TAKE_TYPE_ERASED:
-                aux: Any = payload(shape_col[i], vidx_col[i])
-            elif code == CODE_CB_START:
-                aux = start_types[string_id]
-            else:
-                aux = None
-            yield (ts_col[i], order, i, pid_col[i], code, aux)
-
     def ros_ts_range(self) -> Optional[Tuple[int, int]]:
         """(first, last) ROS timestamp, or None for an eventless run --
         how the columnar merge detects time-disjoint stored runs."""
@@ -624,19 +583,20 @@ class SegmentReader:
         return ts_col[0], ts_col[self.num_ros_events - 1]
 
     def walk_fastpath(self) -> Tuple:
-        """Raw material of :meth:`walk_rows`, consumed in bulk by
-        :class:`~repro.store.index.StoreTraceIndex` with no per-row
-        generator or tuple: the ``(ts, pid, probe, shape, vidx)``
+        """The columnar Alg. 1 input, resolved in bulk by
+        :func:`~repro.store.index._resolve` for the trace index and the
+        latency index alike: the ``(ts, pid, probe, shape, vidx)``
         columns (v1 segments arrive normalized to this layout), the
         per-string-id code/CB-type tables, the :class:`_Shape` list
         (bulk typed-column payload rows, materialized lazily per shape)
         and the bound JSON decoder for fallback rows.
         """
-        codes, start_types = self._walk_tables()
-        ts_col, pid_col, probe_col, shape_col, vidx_col = self._ros
+        if self._code_table is None:
+            self._code_table = probe_code_table(self._strings)
+            self._start_types = cb_start_type_table(self._strings)
         return (
-            ts_col, pid_col, probe_col, shape_col, vidx_col,
-            codes, start_types, self._shapes, self._payload,
+            *self._ros, self._code_table, self._start_types, self._shapes,
+            self._payload,
         )
 
     def sched_pid_columns(self) -> Tuple[Sequence, Sequence, Sequence]:
@@ -648,12 +608,12 @@ class SegmentReader:
         streams inflate."""
         return self._sched[0], self._sched[2], self._sched[6]
 
-    def wakeup_ts_pid_rows(self) -> Iterator[Tuple[int, int]]:
-        """``(ts, pid)`` per sched_wakeup row -- two int-column scans
-        (the only wakeup fields :class:`~repro.analysis.latency.LatencyIndex`
-        consumes); on v3 segments the other three wakeup streams never
-        inflate."""
-        return zip(self._wakeup[0], self._wakeup[2])
+    def wakeup_pid_columns(self) -> Tuple[Sequence, Sequence]:
+        """The ``(ts, pid)`` sched_wakeup columns -- no
+        :class:`SchedWakeup` objects, and the only wakeup fields
+        :class:`~repro.analysis.latency.LatencyIndex` consumes.  On v3
+        segments the other three wakeup streams never inflate."""
+        return self._wakeup[0], self._wakeup[2]
 
     def iter_sched(self) -> Iterator[SchedSwitch]:
         ts, cpu, prev_pid, prev_comm, prev_prio, prev_state, next_pid, next_comm, next_prio = self._sched
@@ -859,21 +819,6 @@ class InMemorySegment:
         wanted = pids if isinstance(pids, frozenset) else frozenset(pids)
         return (e for e in events if e.pid in wanted)
 
-    def walk_rows(self, order: int) -> Iterator[tuple]:
-        """The loaded-trace view of :meth:`SegmentReader.walk_rows`.
-        Payloads are already-decoded mappings; no re-encode happens."""
-        code_of = PROBE_CODES.get
-        start_type = CB_TYPE_BY_START.get
-        for i, event in enumerate(self._ros_in_order()[0]):
-            code = code_of(event[2], CODE_OTHER)
-            if CODE_TIMER_CALL <= code <= CODE_TAKE_TYPE_ERASED:
-                aux: Any = event[3]
-            elif code == CODE_CB_START:
-                aux = start_type(event[2])
-            else:
-                aux = None
-            yield (event[0], order, i, event[1], code, aux)
-
     def walk_fastpath(self) -> Tuple:
         """:meth:`SegmentReader.walk_fastpath` of the loaded trace."""
         if self._fastpath is None:
@@ -908,8 +853,11 @@ class InMemorySegment:
             self._sched = sched_columns(self._trace.sched_events)
         return self._sched
 
-    def wakeup_ts_pid_rows(self) -> Iterator[Tuple[int, int]]:
-        return ((e[0], e[2]) for e in self._trace.wakeup_events)
+    def wakeup_pid_columns(self) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`SegmentReader.wakeup_pid_columns` packed from the
+        loaded events, in list order."""
+        events = self._trace.wakeup_events
+        return column(events, 0, np.int64), column(events, 2, np.int32)
 
     def iter_sched(self) -> Iterator[SchedSwitch]:
         return iter(ts_ordered(self._trace.sched_events)[0])

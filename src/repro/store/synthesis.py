@@ -115,6 +115,29 @@ def _synthesize_run_shard(
     ]
 
 
+def _synthesize_readers(
+    readers: Sequence,
+    pids: Optional[Iterable[int]],
+    split_services: bool,
+    model_sync: bool,
+) -> TimingDag:
+    """Serial ``merge_traces`` synthesis over open readers (each
+    segment decoded once; the readers carry the union pid_map, so no
+    planning prefix-read is needed)."""
+    if pids is not None:
+        wanted = sorted(pids)
+        cblists = _extract_store_cblists(readers, wanted)
+    else:
+        union: Dict[int, Optional[str]] = {}
+        for reader in readers:
+            union.update(reader.pid_map)
+        wanted = sorted(union)
+        cblists = _extract_store_cblists(readers, wanted, build_all=True)
+    return synthesize_dag(
+        cblists, split_services=split_services, model_sync=model_sync
+    )
+
+
 def synthesize_from_store(
     store: StoreLike,
     pids: Optional[Iterable[int]] = None,
@@ -141,20 +164,8 @@ def synthesize_from_store(
         )
 
     if jobs == 1:
-        # Serial: decode every segment exactly once -- the open readers
-        # carry the union pid_map, so no planning prefix-read is needed.
-        readers = store.readers()
-        if pids is not None:
-            wanted = sorted(pids)
-            cblists = _extract_store_cblists(readers, wanted)
-        else:
-            union: Dict[int, Optional[str]] = {}
-            for reader in readers:
-                union.update(reader.pid_map)
-            wanted = sorted(union)
-            cblists = _extract_store_cblists(readers, wanted, build_all=True)
-        return synthesize_dag(
-            cblists, split_services=split_services, model_sync=model_sync
+        return _synthesize_readers(
+            store.readers(), pids, split_services, model_sync
         )
 
     # Sharded: plan from the cheap pid_map prefixes, decode in workers.

@@ -1,5 +1,6 @@
 """Tests for the analysis layer: chains, latency, load, response time."""
 
+import numpy as np
 import pytest
 
 from repro.analysis import (
@@ -189,8 +190,22 @@ class TestLatency:
         assert waiting_times(index, node.pid) == waits
 
 
+def columns_of(rows):
+    """``(ts, pid, code, aux)`` rows as the resolved column arrays the
+    index is built from."""
+    aux = np.empty(len(rows), dtype=object)
+    for i, row in enumerate(rows):
+        aux[i] = row[3]
+    return (
+        np.array([row[0] for row in rows], dtype=np.int64),
+        np.array([row[1] for row in rows], dtype=np.int32),
+        np.array([row[2] for row in rows], dtype=np.uint8),
+        aux,
+    )
+
+
 class TestLatencyIndex:
-    """The single-pass row-stream index behind all latency analyses."""
+    """The column-built index behind all latency analyses."""
 
     @staticmethod
     def window_rows(windows, pid=1):
@@ -201,7 +216,7 @@ class TestLatencyIndex:
         return rows
 
     def test_window_containing_basic(self):
-        index = LatencyIndex(self.window_rows([(10, 20), (30, 40)]))
+        index = LatencyIndex(columns_of(self.window_rows([(10, 20), (30, 40)])))
         assert index.window_containing(1, 15) == (10, 20)
         assert index.window_containing(1, 30) == (30, 40)
         assert index.window_containing(1, 40) == (30, 40)
@@ -214,7 +229,7 @@ class TestLatencyIndex:
         streams are concatenated without a merge) must not break the
         bisect lookup."""
         rows = self.window_rows([(100, 200)]) + self.window_rows([(50, 80)])
-        index = LatencyIndex(rows)
+        index = LatencyIndex(columns_of(rows))
         assert index.window_containing(1, 60) == (50, 80)
         assert index.window_containing(1, 150) == (100, 200)
         assert index.window_containing(1, 90) is None
@@ -237,13 +252,24 @@ class TestLatencyIndex:
 
     def test_wakeups_and_cb_starts_recorded(self):
         rows = self.window_rows([(10, 20), (30, 40)])
-        index = LatencyIndex(rows, wakeups=[(8, 1), (28, 1), (5, 2)])
+        index = LatencyIndex(columns_of(rows), wakeups=([8, 28, 5], [1, 1, 2]))
         assert index.cb_starts(1) == [10, 30]
         assert index.wakeups(1) == [8, 28]
         assert index.wakeups(2) == [5]
         waits = waiting_times(index, 1)
         assert [(w.wakeup_ts, w.start_ts) for w in waits] == [(8, 10), (28, 30)]
         assert [w.waiting_ns for w in waits] == [2, 2]
+
+    def test_wakeups_out_of_order_are_sorted_per_pid(self):
+        """``waiting_times`` bisects a PID's wakeups, so they are kept in
+        stable ts order whatever order the wakeup columns arrive in."""
+        rows = self.window_rows([(10, 20), (30, 40)])
+        index = LatencyIndex(
+            columns_of(rows), wakeups=([28, 5, 8, 29], [1, 2, 1, 3])
+        )
+        assert index.wakeups(1) == [8, 28]
+        waits = waiting_times(index, 1)
+        assert [(w.wakeup_ts, w.start_ts) for w in waits] == [(8, 10), (28, 30)]
 
 
 class TestLoad:

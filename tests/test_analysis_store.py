@@ -1,15 +1,26 @@
-"""Out-of-core analysis equivalence: the PR's acceptance pins.
+"""Out-of-core analysis equivalence.
 
 Every analysis the package computes in memory must give value-identical
-results when streamed from a trace store: the DAG-based reports
-(chains, activation models, loads) ride on the already-pinned
+results when read from a trace store: the DAG-based reports (chains,
+activation models, loads) ride on the already-pinned
 ``synthesize_from_store``, and the trace-based reports (chain latency,
-waiting time, per-topic DDS latency) ride on the new row-stream
+waiting time, per-topic DDS latency) ride on the column-built
 :class:`LatencyIndex` -- both checked against the in-memory reference
-on all registry scenarios.
+on all registry scenarios.  Since the store and in-memory paths share
+one index constructor, that constructor is also pinned, slot for slot,
+against a frozen copy of the row-loop constructor it replaced
+(:class:`RowLoopLatencyIndex`): on random streams and on every
+scenario, over time-ordered and overlapping stores.
 """
 
+import dataclasses
+from itertools import chain
+from operator import itemgetter
+
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import (
     LatencyIndex,
@@ -31,19 +42,139 @@ from repro.analysis import (
     node_loads_from_store,
 )
 from repro.core import dag_to_json, synthesize_from_trace
-from repro.core.index import CODE_DDS_WRITE, PROBE_CODES
+from repro.core.index import (
+    CODE_CB_END,
+    CODE_CB_START,
+    CODE_DDS_WRITE,
+    CODE_OTHER,
+    CODE_TAKE,
+    CODE_TIMER_CALL,
+    PROBE_CODES,
+)
 from repro.experiments.batch import BatchConfig
 from repro.experiments.runner import run_once
 from repro.ros2 import Node
 from repro.scenarios import build_scenario_spec, scenario_names
 from repro.sim.kernel import MSEC, SEC
-from repro.store import TraceStore, record_batch
+from repro.store import SegmentReader, TraceStore, record_batch, write_segment
+from repro.store.index import _runs_are_time_ordered
 from repro.tracing import TracingSession
 from repro.tracing.session import Trace
 from repro.world import World
 
 DURATION_NS = int(1.0 * SEC)
 RUNS = 2
+
+
+class RowLoopLatencyIndex(LatencyIndex):
+    """Frozen oracle: the single-pass row-loop constructor
+    :class:`LatencyIndex` had before it was built from columns, kept
+    verbatim.  Consumes a chronological ``(ts, pid, code, payload)``
+    row stream and a ``(ts, pid)`` wakeup stream, appended in the order
+    given."""
+
+    __slots__ = ()
+
+    def __init__(self, rows, wakeups=()):
+        self._windows = {}
+        self._writes = {}
+        self._writes_by_topic = {}
+        self._takes_by_key = {}
+        self._takes_by_topic = {}
+        self._cb_starts = {}
+        open_start = {}
+        lead_end = {}
+        rows = iter(rows)
+        first = next(rows, None)
+        ts = None
+        if first is not None:
+            for ts, pid, code, payload in chain((first,), rows):
+                if code == CODE_CB_START:
+                    open_start[pid] = ts
+                    self._cb_starts.setdefault(pid, []).append(ts)
+                elif code == CODE_CB_END:
+                    start = open_start.pop(pid, None)
+                    if start is not None:
+                        self._windows.setdefault(pid, []).append((start, ts))
+                    elif pid not in self._cb_starts:
+                        lead_end.setdefault(pid, ts)
+                elif code == CODE_DDS_WRITE:
+                    topic = payload.get("topic")
+                    src_ts = payload.get("src_ts")
+                    self._writes.setdefault(pid, []).append((ts, topic, src_ts))
+                    self._writes_by_topic.setdefault(topic, []).append((ts, src_ts))
+                elif code == CODE_TAKE:
+                    topic = payload.get("topic")
+                    src_ts = payload.get("src_ts")
+                    self._takes_by_key.setdefault((topic, src_ts), []).append((ts, pid))
+                    self._takes_by_topic.setdefault(topic, []).append((ts, src_ts))
+        #: (first, last) row timestamp, None for an empty stream.
+        self._span = None if first is None else (first[0], ts)
+        #: pid -> start of the CB instance still open at the stream end.
+        self._open_tail = open_start
+        #: pid -> ts of the first CB end seen before any CB start of the
+        #: PID (the end of an instance begun before this stream).
+        self._lead_end = lead_end
+        #: per-PID window start arrays, computed once -- lookups are a
+        #: bisect, never a per-call list rebuild.
+        self._starts = {}
+        for pid, windows in self._windows.items():
+            if any(
+                windows[i][0] > windows[i + 1][0]
+                for i in range(len(windows) - 1)
+            ):
+                windows.sort(key=itemgetter(0))
+            self._starts[pid] = [w[0] for w in windows]
+        self._wakeups = {}
+        for ts, pid in wakeups:
+            self._wakeups.setdefault(pid, []).append(ts)
+
+
+def oracle_of_columns(columns, wakeups=((), ()), pids=None):
+    """The oracle over resolved columns: the same rows, restricted to
+    ``pids``, and the wakeups in stable ts order (the order the column
+    constructor keeps per PID; the row loop appended them as given)."""
+    rows = zip(*(column.tolist() for column in columns))
+    wake = sorted(zip(list(wakeups[0]), list(wakeups[1])), key=itemgetter(0))
+    if pids is not None:
+        rows = (row for row in rows if row[1] in pids)
+        wake = [row for row in wake if row[1] in pids]
+    return RowLoopLatencyIndex(rows, wake)
+
+
+def oracle_of_trace(trace, pids=None):
+    """The oracle over a loaded trace's events, in list order."""
+    rows = (
+        (event.ts, event.pid, PROBE_CODES.get(event.probe, CODE_OTHER), event.data)
+        for event in trace.ros_events
+        if pids is None or event.pid in pids
+    )
+    wake = sorted(
+        (
+            (event.ts, event.pid) for event in trace.wakeup_events
+            if pids is None or event.pid in pids
+        ),
+        key=itemgetter(0),
+    )
+    return RowLoopLatencyIndex(rows, wake)
+
+
+def assert_same_slots(index, oracle):
+    for slot in LatencyIndex.__slots__:
+        assert getattr(index, slot) == getattr(oracle, slot), slot
+
+
+def columns_of(rows):
+    """``(ts, pid, code, aux)`` rows as resolved column arrays."""
+    aux = np.empty(len(rows), dtype=object)
+    for i, row in enumerate(rows):
+        aux[i] = row[3]
+    return (
+        np.array([row[0] for row in rows], dtype=np.int64),
+        np.array([row[1] for row in rows], dtype=np.int32),
+        np.array([row[2] for row in rows], dtype=np.uint8),
+        aux,
+    )
 
 
 def _reference_traces(name):
@@ -192,6 +323,25 @@ class TestStoreAnalysisHandle:
         assert dag_to_json(serial.dag) == dag_to_json(sharded.dag)
         assert serial.activation_models() == sharded.activation_models()
 
+    def test_one_segment_open_per_run(self, stores, monkeypatch):
+        """Synthesis and the latency index share one set of readers:
+        the model plus latency and waiting-time reports open each
+        segment once (a work count, no timing)."""
+        store, merged = stores["syn"]
+        opened = []
+        original = SegmentReader.open.__func__
+
+        def counting_open(cls, path, use_mmap=False):
+            opened.append(path)
+            return original(cls, path, use_mmap)
+
+        monkeypatch.setattr(SegmentReader, "open", classmethod(counting_open))
+        analysis = StoreAnalysis(store.directory)
+        analysis.dag
+        analysis.chain_latencies(_write_topics(merged)[:2])
+        analysis.waiting_times(sorted(merged.pid_map)[0])
+        assert len(opened) == len(store.run_ids()) == RUNS
+
     def test_accepts_directory_path(self, stores):
         store, _ = stores["syn"]
         by_path = StoreAnalysis(store.directory)
@@ -233,9 +383,26 @@ class TestWaitingTimesFromStore:
         assert expected  # the scenario produces real contention
         assert measure_waiting_times_from_store(store, pid) == expected
 
+    def test_out_of_order_wakeups(self, tmp_path):
+        """``waiting_times`` bisects a PID's wakeups: a wakeup list out
+        of ts order must give the waiting times of the sorted list, in
+        memory and from the store alike."""
+        trace, pid = self._wakeup_trace(seed=5)
+        wakeups = trace.wakeup_events
+        assert len({(w.pid, w.ts) for w in wakeups}) == len(wakeups)
+        half = len(wakeups) // 2
+        rotated = dataclasses.replace(
+            trace, wakeup_events=wakeups[half:] + wakeups[:half]
+        )
+        expected = measure_waiting_times(trace, pid)
+        assert measure_waiting_times(rotated, pid) == expected
+        store = TraceStore.create(str(tmp_path / "rotated"))
+        store.add_trace("run000", rotated)
+        assert measure_waiting_times_from_store(store, pid) == expected
+
     def test_multi_run_wakeup_merge(self, tmp_path):
-        """Two overlapping runs (both start near t=0) force the k-way
-        heap-merge path for rows and wakeups alike."""
+        """Two overlapping runs (both start near t=0) force the merged
+        build for rows and wakeups alike."""
         t1, pid1 = self._wakeup_trace(seed=5)
         t2, _ = self._wakeup_trace(seed=6)
         store = TraceStore.create(str(tmp_path / "wakeups2"))
@@ -250,3 +417,177 @@ class TestWaitingTimesFromStore:
         for pid in merged.pid_map:
             assert index.wakeups(pid) == reference.wakeups(pid)
             assert index.cb_starts(pid) == reference.cb_starts(pid)
+
+
+# -- the column constructor against the frozen row loop ---------------------
+
+_CODES = (
+    CODE_OTHER, CODE_CB_START, CODE_CB_END, CODE_DDS_WRITE, CODE_TAKE,
+    CODE_TIMER_CALL,
+)
+
+#: payloads with the correlation keys present or missing.
+_payloads = st.fixed_dictionaries(
+    {},
+    optional={
+        "topic": st.sampled_from(["/a", "/b"]),
+        "src_ts": st.integers(min_value=0, max_value=3),
+    },
+)
+
+
+@st.composite
+def _streams(draw):
+    """A multi-PID row stream on a narrow clock (equal timestamps),
+    chronological or in any order, plus an unordered wakeup stream."""
+    drawn = draw(st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=20),
+            st.integers(min_value=1, max_value=4),
+            st.sampled_from(_CODES),
+            _payloads,
+        ),
+        max_size=40,
+    ))
+    rows = []
+    for ts, pid, code, payload in drawn:
+        if code == CODE_CB_START:
+            aux = "timer"
+        elif code in (CODE_DDS_WRITE, CODE_TAKE, CODE_TIMER_CALL):
+            aux = payload
+        else:
+            aux = None
+        rows.append((ts, pid, code, aux))
+    if draw(st.booleans()):
+        rows.sort(key=itemgetter(0))  # stable: the readers' order
+    wakeups = draw(st.lists(
+        st.tuples(
+            st.integers(min_value=0, max_value=20),
+            st.integers(min_value=1, max_value=4),
+        ),
+        max_size=12,
+    ))
+    return rows, wakeups
+
+
+def _wakeup_columns(wakeups):
+    return [ts for ts, _ in wakeups], [pid for _, pid in wakeups]
+
+
+#: PID 1 starts twice before its end, PID 2 ends before any start, PID 3
+#: is left open; the write and take lack their keys.
+_EDGE_ROWS = [
+    (1, 1, CODE_CB_START, "timer"),
+    (1, 2, CODE_CB_END, None),
+    (2, 1, CODE_CB_START, "timer"),
+    (2, 3, CODE_CB_START, "timer"),
+    (3, 1, CODE_DDS_WRITE, {}),
+    (3, 2, CODE_TAKE, {"topic": "/a"}),
+    (4, 1, CODE_CB_END, None),
+    (4, 2, CODE_CB_START, "timer"),
+    (5, 2, CODE_CB_END, None),
+]
+_EDGE_WAKEUPS = [(3, 1), (0, 1), (2, 2)]
+
+
+class TestColumnsMatchRowLoop:
+    """Every slot of the column-built index equals the frozen row loop
+    over the same stream (wakeups in stable ts order)."""
+
+    @given(stream=_streams())
+    @example(stream=(_EDGE_ROWS, _EDGE_WAKEUPS))
+    @settings(max_examples=200, deadline=None)
+    def test_whole_stream(self, stream):
+        rows, wakeups = stream
+        columns = columns_of(rows)
+        wake = _wakeup_columns(wakeups)
+        assert_same_slots(
+            LatencyIndex(columns, wake), oracle_of_columns(columns, wake)
+        )
+
+    @given(
+        stream=_streams(),
+        cuts=st.lists(st.integers(min_value=0, max_value=40), max_size=4),
+    )
+    @example(stream=(_EDGE_ROWS, _EDGE_WAKEUPS), cuts=[1, 3, 7])
+    @example(stream=(_EDGE_ROWS, _EDGE_WAKEUPS), cuts=[8])
+    @settings(max_examples=200, deadline=None)
+    def test_concat_over_cut_points(self, stream, cuts):
+        rows, wakeups = stream
+        columns = columns_of(rows)
+        wake = _wakeup_columns(wakeups)
+        bounds = [0, *sorted(min(cut, len(rows)) for cut in cuts), len(rows)]
+        wake_bounds = [0, *sorted(min(cut, len(wakeups)) for cut in cuts),
+                       len(wakeups)]
+        parts = [
+            LatencyIndex(
+                tuple(column[lo:hi] for column in columns),
+                (wake[0][wlo:whi], wake[1][wlo:whi]),
+            )
+            for lo, hi, wlo, whi in zip(
+                bounds, bounds[1:], wake_bounds, wake_bounds[1:]
+            )
+        ]
+        assert_same_slots(
+            LatencyIndex.concat(parts), oracle_of_columns(columns, wake)
+        )
+
+    @given(
+        stream=_streams(),
+        pids=st.frozensets(st.integers(min_value=1, max_value=5)),
+    )
+    @example(stream=(_EDGE_ROWS, _EDGE_WAKEUPS), pids=frozenset({1, 2}))
+    @settings(max_examples=200, deadline=None)
+    def test_pid_filter(self, stream, pids):
+        rows, wakeups = stream
+        columns = columns_of(rows)
+        wake = _wakeup_columns(wakeups)
+        assert_same_slots(
+            LatencyIndex(columns, wake, pids),
+            oracle_of_columns(columns, wake, pids),
+        )
+
+
+def _shifted_to_zero(trace):
+    """The run on a clock starting at 0, so runs overlap in time."""
+    start = trace.start_ts
+    return dataclasses.replace(
+        trace,
+        ros_events=[e._replace(ts=e.ts - start) for e in trace.ros_events],
+        sched_events=[e._replace(ts=e.ts - start) for e in trace.sched_events],
+        wakeup_events=[e._replace(ts=e.ts - start) for e in trace.wakeup_events],
+        start_ts=0,
+        stop_ts=trace.stop_ts - start,
+    )
+
+
+class TestScenariosMatchRowLoop:
+    """The store-built index equals the frozen row loop over the merged
+    trace on every scenario, whether the runs are time-ordered (per-run
+    fragments concatenated) or overlap (one merged build)."""
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_time_ordered_store(self, stores, name):
+        store, merged = stores[name]
+        assert _runs_are_time_ordered(store.readers())
+        oracle = oracle_of_trace(merged)
+        assert_same_slots(latency_index_from_store(store), oracle)
+        assert_same_slots(StoreAnalysis(store).index, oracle)
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_overlapping_store(self, stores, name, tmp_path):
+        store, _ = stores[name]
+        traces = [_shifted_to_zero(store.load(run_id)) for run_id in store.run_ids()]
+        for run_id, trace in zip(store.run_ids(), traces):
+            write_segment(trace, str(tmp_path / f"{run_id}.trace.bin"))
+        overlapping = TraceStore(str(tmp_path))
+        assert not _runs_are_time_ordered(overlapping.readers())
+        merged = Trace.merge(traces)
+        oracle = oracle_of_trace(merged)
+        assert_same_slots(latency_index_from_store(overlapping), oracle)
+        assert_same_slots(StoreAnalysis(overlapping).index, oracle)
+        keep = frozenset(sorted(merged.pid_map)[::2])
+        assert_same_slots(
+            latency_index_from_store(overlapping, pids=keep),
+            oracle_of_trace(merged, keep),
+        )

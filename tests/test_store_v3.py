@@ -40,6 +40,7 @@ from repro.store.format import (
     VERSION_V1,
     VERSION_V2,
 )
+from repro.store.index import _resolve
 from repro.store.reader import peek_sections, read_pid_map
 from repro.sim import SchedSwitch
 from repro.tracing.events import (
@@ -168,12 +169,10 @@ class TestSelectiveIO:
         full.to_trace()
         opened = SegmentReader.open(path)
         walk = SegmentReader.open(path)
-        for _ in walk.walk_rows(0):
-            pass
+        _resolve(walk.walk_fastpath())
         analysis = SegmentReader.open(path)
         analysis.sched_pid_columns()
-        for _ in analysis.wakeup_ts_pid_rows():
-            pass
+        analysis.wakeup_pid_columns()
 
         assert 0 < full.bytes_inflated <= full.body_bytes
         assert opened.bytes_inflated < walk.bytes_inflated < full.bytes_inflated
@@ -288,8 +287,7 @@ class TestGoldenV3Fixture:
         entries = peek_sections(path)
         assert any(entry.comp == SECTION_COMP_ZLIB for entry in entries)
         reader = SegmentReader.open(path)
-        for _ in reader.walk_rows(0):
-            pass
+        _resolve(reader.walk_fastpath())
         assert 0 < reader.bytes_inflated < reader.body_bytes
 
 
@@ -499,8 +497,7 @@ class TestSectionErrorDiagnostics:
             try:
                 reader = SegmentReader.open(path)
                 reader.to_trace()
-                for _ in reader.walk_rows(0):
-                    pass
+                _resolve(reader.walk_fastpath())
             except StoreFormatError:
                 pass  # the only acceptable failure type
             except (zlib.error, struct.error) as error:  # pragma: no cover
@@ -616,9 +613,36 @@ def traces(draw):
     )
 
 
+def _rows_from_events(trace, order):
+    """Walk rows ``(ts, order, row, pid, code, aux)`` straight from a
+    trace's events in stable ts order: the reference the fastpath
+    columns must reassemble to."""
+    from repro.core.index import (
+        CODE_CB_START,
+        CODE_OTHER,
+        CODE_TAKE_TYPE_ERASED,
+        CODE_TIMER_CALL,
+        PROBE_CODES,
+    )
+    from repro.tracing.events import CB_TYPE_BY_START
+
+    out = []
+    events = sorted(trace.ros_events, key=lambda event: event.ts)
+    for i, event in enumerate(events):
+        code = PROBE_CODES.get(event.probe, CODE_OTHER)
+        if CODE_TIMER_CALL <= code <= CODE_TAKE_TYPE_ERASED:
+            aux = event.data
+        elif code == CODE_CB_START:
+            aux = CB_TYPE_BY_START.get(event.probe)
+        else:
+            aux = None
+        out.append((event.ts, order, i, event.pid, code, aux))
+    return out
+
+
 def _rows_from_fastpath(reader, order):
     """Reassemble walk rows from the raw fastpath columns -- an
-    independent re-derivation the generator must match exactly."""
+    independent re-derivation of what the resolved columns hold."""
     from repro.core.index import (
         CODE_CB_START,
         CODE_TAKE_TYPE_ERASED,
@@ -653,14 +677,21 @@ def _rows_from_fastpath(reader, order):
 class TestWalkFastpathProperties:
     @given(trace=traces())
     @settings(max_examples=60, deadline=None)
-    def test_fastpath_reassembles_to_walk_rows(self, trace):
-        reference = list(InMemorySegment(trace).walk_rows(0))
-        for version in (1, 2, 3):
-            reader = SegmentReader(
-                encode_trace(trace, format_version=version)
-            )
-            assert list(reader.walk_rows(0)) == reference
+    def test_fastpath_rows_match_trace_events(self, trace):
+        """Stored segments of every version and the loaded trace hold
+        the trace's walk rows, both reassembled row by row and resolved
+        in bulk (:func:`_resolve`, what the trace and latency indexes
+        consume)."""
+        reference = _rows_from_events(trace, 0)
+        resolved = [(ts, pid, code, aux) for ts, _, _, pid, code, aux in reference]
+        readers = [InMemorySegment(trace)] + [
+            SegmentReader(encode_trace(trace, format_version=version))
+            for version in (1, 2, 3)
+        ]
+        for reader in readers:
             assert _rows_from_fastpath(reader, 0) == reference
+            columns = _resolve(reader.walk_fastpath())
+            assert list(zip(*(column.tolist() for column in columns))) == resolved
 
     @given(trace=traces(), split=st.integers(min_value=0, max_value=24))
     @settings(max_examples=30, deadline=None)
