@@ -36,9 +36,9 @@ empty payload).  Every payload read costs a JSON parse, and a segment
 full of distinct payloads (per-message ``src_ts``) stores one JSON
 string per event.
 
-**Version 2** (the writer default) stores payloads whose values fit the
-closed schema the domain actually uses -- ints, floats, bools, strings,
-``None`` -- as *typed per-field columns*, grouped by **shape**.  A shape
+**Version 2** stores payloads whose values fit the closed schema the
+domain actually uses -- ints, floats, bools, strings, ``None`` -- as
+*typed per-field columns*, grouped by **shape**.  A shape
 is the ordered tuple of ``(field name, field type)`` pairs of a payload
 dict; every payload of the same shape appends one value per field to
 that shape's columns.  Between the string table and the ros section v2

@@ -85,7 +85,7 @@ def record_run(
     push_to: Optional[str] = None,
 ) -> RecordedRun:
     """One seeded, traced, spooled scenario run -> one binary segment
-    (``format_version`` selects the segment encoding; default v2).
+    (``format_version`` selects the segment encoding; default v3).
 
     ``push_to`` additionally streams the finished segment to a running
     ``repro serve`` endpoint as soon as it commits locally -- the
@@ -120,8 +120,7 @@ def record_run(
     # Init events (P1 discovery) precede every runtime segment
     # chronologically, so spooling them first keeps the stored stream
     # sorted -- the same order session.trace() would produce.
-    for event in session.init_events():
-        spool.append_ros(event)
+    spool.add_ros(session.init_events())
 
     session.start_runtime()
     start_ts = world.now

@@ -12,19 +12,33 @@ Two producers share the same encoder core (:class:`SegmentSpool`):
   plus the compact columns.  :mod:`repro.store.record` drives this
   against live scenario runs.
 
+Both go through one bulk encoder, a rotation (or a whole trace) at a
+time.  The ROS rows are transposed into columns and grouped by payload
+key set.  Each group's value types are checked a column at a time
+against a *plan*: the shape accumulator, built once per spool for each
+payload signature ``(keys, value types)``.  Then every field packs with
+one ``array`` conversion.  Strings the table does not know yet (after
+the first rotation, usually none) are interned in one pass, in the
+order a row-at-a-time writer would meet them, so the bytes do not
+depend on how the stream was cut into calls.  Every new column is
+packed and checked before any spool column grows, so an append that
+raises leaves the spool as it was.
+
 Payload encoding is format-versioned (see :mod:`repro.store.format`):
 
-* **v2** (default): schema inference during spooling.  Each payload
-  dict whose values fit the closed scalar schema is classified into a
-  *shape* -- the ordered ``(key, type)`` tuple -- and its values append
-  to that shape's typed per-field columns (ints/floats/bools/interned
-  strings; always-``None`` fields store nothing).  Rows that do not fit
-  (nested containers, huge ints, non-string keys) fall back to the v1
-  JSON-interned representation per row.
+* **v3** (default) and **v2**: schema inference during spooling.  Each
+  payload dict whose values fit the closed scalar schema is classified
+  into a *shape* -- the ordered ``(key, type)`` tuple -- and its values
+  append to that shape's typed per-field columns (ints/floats/bools/
+  interned strings; always-``None`` fields store nothing).  Rows that do
+  not fit (nested containers, ints outside int64, non-string keys) fall
+  back to the v1 JSON-interned representation per row.  v3 differs
+  from v2 only in how :meth:`SegmentSpool.finish` lays out and
+  compresses the sections.
 * **v1**: payloads are canonical compact JSON interned in the string
-  table.
+  table (every non-empty payload takes the JSON plan).
 
-In both versions the empty payload is a reserved ``NONE_ID``, so the
+In every version the empty payload is a reserved ``NONE_ID``, so the
 dominant payload-less sched events and bare probes stay cheap.
 """
 
@@ -34,7 +48,9 @@ import json
 import os
 import zlib
 from array import array
-from typing import IO, Any, Dict, List, Mapping, Optional, Tuple
+from itertools import chain, compress, count, filterfalse, repeat
+from operator import is_, itemgetter, not_
+from typing import IO, Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..sim.scheduler import SchedSwitch, SchedWakeup
 from ..tracing.events import TraceEvent
@@ -48,7 +64,6 @@ from .format import (
     FIELD_TYPECODES,
     FLAG_ZLIB_BODY,
     HEADER,
-    MAX_SHAPES,
     NONE_CPU,
     NONE_ID,
     ROS_COLUMNS,
@@ -82,10 +97,69 @@ from .format import (
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
 
+#: Plan of the payloads that take the JSON fallback; every other
+#: non-empty payload's plan is a :class:`_ShapeAcc`.
+_JSON = object()
+
 
 def _encode_payload(data: Mapping[str, Any]) -> str:
     """Canonical compact JSON for a ``TraceEvent.data`` mapping."""
     return json.dumps(dict(data), separators=(",", ":"), ensure_ascii=False)
+
+
+def _json_texts(probes: Sequence[str], datas: Sequence[Mapping], rows: List[int]) -> List[str]:
+    """Canonical JSON of the fallback payloads ``datas[rows]``.
+
+    A value JSON cannot encode either (``np.int64``, an arbitrary
+    object) raises ``ValueError`` naming the row's probe, the key and the
+    value type.
+    """
+    try:
+        return list(map(_encode_payload, map(datas.__getitem__, rows)))
+    except (TypeError, ValueError) as exc:
+        for row in rows:
+            for key, value in datas[row].items():
+                try:
+                    _encode_payload({key: value})
+                except (TypeError, ValueError):
+                    raise ValueError(
+                        f"cannot spool the payload of probe {probes[row]!r}: "
+                        f"key {key!r} holds a {type(value).__name__} value, "
+                        "which neither the typed columns nor JSON encode"
+                    ) from exc
+        raise
+
+
+def _group_rows(datas: Sequence[Mapping]) -> Dict[tuple, List[int]]:
+    """Rows of the non-empty payloads per key tuple; key tuples and
+    rows in first-seen order."""
+    groups: Dict[tuple, List[int]] = {}
+    for row in compress(range(len(datas)), datas):
+        keys = tuple(datas[row])
+        rows = groups.get(keys)
+        if rows is None:
+            rows = groups[keys] = []
+        rows.append(row)
+    return groups
+
+
+def _field_type(value_type: type) -> Optional[int]:
+    """Field type of payload values of ``value_type``, or ``None`` when
+    they do not fit the closed schema (-> the row falls back to JSON).
+
+    The schema's ``isinstance`` rules, decided once per type: ``bool``
+    before ``int``, and subclasses (``IntEnum``, ``np.float64``) keep
+    their base's field.  Whether an int fits int64 is a per-value check
+    (:meth:`_ShapeAcc.stage`).
+    """
+    if value_type is type(None):
+        return FIELD_NONE
+    for base, ftype in (
+        (bool, FIELD_BOOL), (int, FIELD_INT), (str, FIELD_STR), (float, FIELD_FLOAT),
+    ):
+        if issubclass(value_type, base):
+            return ftype
+    return None
 
 
 class StringTable:
@@ -102,53 +176,99 @@ class StringTable:
             self.strings.append(text)
         return table_id
 
+    def knows(self, *columns: Iterable[str]) -> bool:
+        """Whether every string of ``columns`` is interned already."""
+        return self._ids.keys() >= set().union(*columns)
+
+    def intern_all(self, texts: Iterable[str]) -> None:
+        """Intern ``texts`` in order -- the ids one :meth:`intern` call
+        per string would assign -- adding only the strings not yet known."""
+        new = list(filterfalse(self._ids.__contains__, dict.fromkeys(texts)))
+        self._ids.update(zip(new, count(len(self.strings))))
+        self.strings.extend(new)
+
+    def ids(self, texts: Sequence[str]) -> array:
+        """The ids of interned ``texts``, as a u32 column."""
+        if len(texts) < 2:  # itemgetter of one key returns it bare
+            return array("I", map(self._ids.__getitem__, texts))
+        return array("I", itemgetter(*texts)(self._ids))
+
     def __len__(self) -> int:
         return len(self.strings)
 
 
 class _ShapeAcc:
-    """Writer-side accumulator for one payload shape."""
+    """Writer-side plan and accumulator for one payload shape.
 
-    __slots__ = ("index", "fields", "columns", "count")
+    Built once per spool, the first time a payload signature maps to
+    this shape; every signature of the same shape shares it.  ``index``
+    stays -1 until a spooled row registers the shape, so shape ids
+    follow first-seen row order.
+    """
 
-    def __init__(self, index: int, fields: Tuple[Tuple[str, int], ...]):
-        self.index = index
+    __slots__ = ("index", "fields", "columns", "count", "str_fields")
+
+    def __init__(self, fields: Tuple[Tuple[str, int], ...]):
+        self.index = -1
         self.fields = fields
         #: one array per field; ``None`` for FIELD_NONE fields.
-        self.columns: Tuple[Optional[array], ...] = tuple(
+        self.columns: Tuple[Optional[array], ...] = tuple([
             array(FIELD_TYPECODES[ftype]) if ftype != FIELD_NONE else None
             for _, ftype in fields
-        )
+        ])
         self.count = 0
+        #: positions of the FIELD_STR fields (interned in field order).
+        self.str_fields = tuple([
+            position for position, (_, ftype) in enumerate(fields)
+            if ftype == FIELD_STR
+        ])
 
+    def stage(self, rows: List[int], values: List[tuple]):
+        """Pack one group of this shape's payloads column by column.
 
-def _classify(value: Any) -> Optional[int]:
-    """Field type of one payload value, or ``None`` when it does not fit
-    the closed schema (-> whole row falls back to JSON)."""
-    if value is None:
-        return FIELD_NONE
-    if isinstance(value, bool):
-        return FIELD_BOOL
-    if isinstance(value, int):
-        return FIELD_INT if _INT64_MIN <= value <= _INT64_MAX else None
-    if isinstance(value, str):
-        return FIELD_STR
-    if isinstance(value, float):
-        return FIELD_FLOAT
-    return None
+        ``values`` holds the group's field values, one tuple per field.
+        Returns ``(rows, staged, dropped)``: ``staged`` holds one entry
+        per field (a packed array, or the raw values of string and
+        ``None`` fields), ``dropped`` the rows whose ints overflow int64
+        -- those fall back to JSON whole, and ``rows`` keeps the rest.
+        """
+        try:
+            staged = [
+                column if ftype in (FIELD_STR, FIELD_NONE)
+                else array(FIELD_TYPECODES[ftype], column)
+                for (_, ftype), column in zip(self.fields, values)
+            ]
+        except OverflowError:
+            ints = [
+                column for (_, ftype), column in zip(self.fields, values)
+                if ftype == FIELD_INT
+            ]
+            fits = [
+                all(_INT64_MIN <= value <= _INT64_MAX for value in row)
+                for row in zip(*ints)
+            ]
+            kept, staged, _ = self.stage(
+                list(compress(rows, fits)),
+                [tuple(compress(column, fits)) for column in values],
+            )
+            return kept, staged, list(compress(rows, map(not_, fits)))
+        return rows, staged, []
 
 
 class SegmentSpool:
     """Columnar accumulator for one run's trace.
 
-    Append events (individually or a whole rotation segment at a time),
-    then :meth:`finish` to emit the packed bytes.  Between appends the
-    spool holds only native-typed arrays and the string table -- no
-    event objects -- which is what bounds memory for streamed
-    collection.
+    Append events a rotation at a time (:meth:`add_segment`,
+    :meth:`add_trace`, or one stream through :meth:`add_ros`,
+    :meth:`add_sched`, :meth:`add_wakeups`), then :meth:`finish` to emit
+    the packed bytes.  Between appends the spool holds only
+    native-typed arrays and the string table -- no event objects --
+    which is what bounds memory for streamed collection.  Each append
+    packs every new column before any column grows, so one that raises
+    leaves the spool as it was.
 
-    ``format_version`` selects the payload encoding (2 = typed per-field
-    columns, 1 = interned JSON; see :mod:`repro.store.format`).
+    ``format_version`` selects the payload encoding (2 and 3 = typed
+    per-field columns, 1 = interned JSON; see :mod:`repro.store.format`).
     """
 
     def __init__(self, format_version: int = VERSION) -> None:
@@ -163,114 +283,189 @@ class SegmentSpool:
         self._ros = tuple(array(code) for code in ros_columns)
         self._sched = tuple(array(code) for code in SCHED_COLUMNS)
         self._wakeup = tuple(array(code) for code in WAKEUP_COLUMNS)
-        #: shape key (ordered (key, type) tuple) -> accumulator, in
-        #: first-seen order (the shape-id order of the directory).
+        #: payload signature ``(keys, value types)`` -> plan (``_JSON``
+        #: or a shape accumulator).
+        self._plans: Dict[Tuple[tuple, tuple], Any] = {}
+        #: shape key (ordered (key, type) tuple) -> accumulator, whether
+        #: registered or not.
+        self._accs: Dict[Tuple[Tuple[str, int], ...], _ShapeAcc] = {}
+        #: the registered shapes, in first-seen order (the shape-id
+        #: order of the directory).
         self._shapes: Dict[Tuple[Tuple[str, int], ...], _ShapeAcc] = {}
 
     # -- appending --------------------------------------------------------
 
-    def _typed_payload(self, data: Mapping[str, Any]) -> Optional[Tuple[int, int]]:
-        """Append one payload to its shape's columns; returns (shape id,
-        row index) or ``None`` when the payload needs the JSON fallback."""
-        items: List[Tuple[str, int, Any]] = []
-        for key, value in data.items():
-            if not isinstance(key, str):
-                return None
-            ftype = _classify(value)
-            if ftype is None:
-                return None
-            items.append((key, ftype, value))
-        shape_key = tuple((key, ftype) for key, ftype, _ in items)
-        acc = self._shapes.get(shape_key)
-        if acc is None:
-            if len(self._shapes) >= MAX_SHAPES:  # pragma: no cover - 4B shapes
-                return None
-            acc = self._shapes[shape_key] = _ShapeAcc(len(self._shapes), shape_key)
-        intern = self.strings.intern
-        for (key, ftype, value), column in zip(items, acc.columns):
-            if ftype == FIELD_STR:
-                column.append(intern(value))
-            elif ftype == FIELD_INT:
-                column.append(value)
-            elif ftype == FIELD_BOOL:
-                column.append(1 if value else 0)
-            elif ftype == FIELD_FLOAT:
-                column.append(value)
-            # FIELD_NONE stores nothing.
-        row = acc.count
-        acc.count = row + 1
-        return acc.index, row
-
-    def append_ros(self, event: TraceEvent) -> None:
-        if self.format_version >= 2:
-            ts_col, pid_col, probe_col, shape_col, vidx_col = self._ros
-            ts_col.append(event[0])
-            pid_col.append(event[1])
-            probe_col.append(self.strings.intern(event[2]))
-            data = event[3]
-            if not data:
-                shape_col.append(NONE_ID)
-                vidx_col.append(0)
-            else:
-                typed = self._typed_payload(data)
-                if typed is None:
-                    shape_col.append(SHAPE_JSON)
-                    vidx_col.append(self.strings.intern(_encode_payload(data)))
-                else:
-                    shape_col.append(typed[0])
-                    vidx_col.append(typed[1])
-            return
-        ts_col, pid_col, probe_col, data_col = self._ros
-        ts_col.append(event[0])
-        pid_col.append(event[1])
-        probe_col.append(self.strings.intern(event[2]))
-        data = event[3]
-        if not data:
-            data_col.append(NONE_ID)
+    def _plan(self, signature: Tuple[tuple, tuple]) -> Any:
+        """The plan of one non-empty payload signature ``(keys, value
+        types)``, built once per spool: ``_JSON`` when the payload does
+        not fit the closed schema (a non-``str`` key or an unsupported
+        value type; every payload in v1), else its shape's accumulator."""
+        plan = self._plans.get(signature)
+        if plan is not None:
+            return plan
+        keys, types = signature
+        ftypes = tuple(map(_field_type, types))
+        if (
+            self.format_version < 2
+            or not all(map(isinstance, keys, repeat(str)))
+            or None in ftypes
+        ):
+            plan = _JSON
         else:
-            # Identical payloads dedupe through the intern table keyed
-            # by their canonical JSON (no identity tricks: spooled
-            # segments drop their event objects, so ids would be
-            # unstable across rotations).
-            data_col.append(self.strings.intern(_encode_payload(data)))
+            fields = tuple(zip(keys, ftypes))
+            plan = self._accs.get(fields)
+            if plan is None:
+                plan = self._accs[fields] = _ShapeAcc(fields)
+        self._plans[signature] = plan
+        return plan
 
-    def append_sched(self, event: SchedSwitch) -> None:
-        cols = self._sched
-        intern = self.strings.intern
-        cols[0].append(event.ts)
-        cols[1].append(event.cpu)
-        cols[2].append(event.prev_pid)
-        cols[3].append(intern(event.prev_comm))
-        cols[4].append(event.prev_prio)
-        cols[5].append(intern(event.prev_state))
-        cols[6].append(event.next_pid)
-        cols[7].append(intern(event.next_comm))
-        cols[8].append(event.next_prio)
+    def _planned_groups(self, keys: tuple, rows: List[int], values: List[tuple]):
+        """Split the rows of one key set by plan: ``(plan, rows, values)``
+        per plan, rows ascending.  Value types are checked a column at a
+        time; only a key set whose types vary across rows is split row
+        by row."""
+        column_types = list(map(set, map(map, repeat(type), values)))
+        if sum(map(len, column_types)) == len(column_types):  # one type each
+            types = tuple(map(set.pop, column_types))
+            return [(self._plan((keys, types)), rows, values)]
+        row_types = list(zip(*[list(map(type, column)) for column in values]))
+        plans = {
+            types: self._plan((keys, types)) for types in dict.fromkeys(row_types)
+        }
+        row_plans = list(map(plans.__getitem__, row_types))
+        groups = []
+        for plan in dict.fromkeys(row_plans):
+            mask = list(map(is_, row_plans, repeat(plan)))
+            groups.append((
+                plan,
+                list(compress(rows, mask)),
+                [tuple(compress(column, mask)) for column in values],
+            ))
+        return groups
 
-    def append_wakeup(self, event: SchedWakeup) -> None:
-        cols = self._wakeup
-        cols[0].append(event.ts)
-        cols[1].append(NONE_CPU if event.cpu is None else event.cpu)
-        cols[2].append(event.pid)
-        cols[3].append(self.strings.intern(event.comm))
-        cols[4].append(event.prio)
+    def add_ros(self, events: Iterable[TraceEvent]) -> None:
+        """Spool ROS events in bulk.
+
+        Rows group by payload key set, each group's values transpose
+        into one tuple per field, and each field packs into one array.
+        Strings intern in the order a row-at-a-time writer meets them
+        -- the probe, then the row's string values in field order (or
+        its JSON) -- so segments do not depend on how the stream was cut
+        into calls.
+        """
+        columns = tuple(zip(*events))
+        if not columns:
+            return
+        ts, pids, probes, datas = columns
+        n = len(ts)
+        ts_column = array("q", ts)
+        pid_column = array("i", pids)
+
+        typed = []  # (shape accumulator, rows, staged field columns)
+        json_rows: List[int] = []
+        for keys, rows in _group_rows(datas).items():
+            payloads = list(map(datas.__getitem__, rows))
+            values = [tuple(map(itemgetter(key), payloads)) for key in keys]
+            for plan, plan_rows, plan_values in self._planned_groups(keys, rows, values):
+                if plan is _JSON:
+                    json_rows += plan_rows
+                    continue
+                plan_rows, staged, dropped = plan.stage(plan_rows, plan_values)
+                json_rows += dropped
+                if plan_rows:
+                    typed.append((plan, plan_rows, staged))
+        json_rows.sort()
+        texts = _json_texts(probes, datas, json_rows)
+
+        # Everything is packed and valid; from here on the spool grows.
+        table = self.strings
+        payload_strings = [
+            staged[field] for acc, _, staged in typed for field in acc.str_fields
+        ]
+        if not table.knows(probes, texts, *payload_strings):
+            row_strings = list(zip(probes))
+            for acc, rows, staged in typed:
+                if acc.str_fields:
+                    strings = zip(*[staged[field] for field in acc.str_fields])
+                    for row, row_values in zip(rows, strings):
+                        row_strings[row] += row_values
+            for row, text in zip(json_rows, texts):
+                row_strings[row] += (text,)
+            table.intern_all(chain.from_iterable(row_strings))
+
+        typed.sort(key=itemgetter(1))  # by first row: shape ids in row order
+        shapes = [NONE_ID] * n
+        # An empty payload is shape NONE_ID, vidx 0; v1 keeps only the
+        # payload's JSON string id, NONE_ID when empty.
+        vidx = [0 if self.format_version >= 2 else NONE_ID] * n
+        for acc, rows, staged in typed:
+            if acc.index < 0:
+                acc.index = len(self._shapes)
+                self._shapes[acc.fields] = acc
+            shape = acc.index
+            for row, index in zip(rows, range(acc.count, acc.count + len(rows))):
+                shapes[row] = shape
+                vidx[row] = index
+            acc.count += len(rows)
+            for (_, ftype), column, values in zip(acc.fields, acc.columns, staged):
+                if column is not None:
+                    column.extend(table.ids(values) if ftype == FIELD_STR else values)
+        for row, text_id in zip(json_rows, table.ids(texts)):
+            shapes[row] = SHAPE_JSON
+            vidx[row] = text_id
+        if self.format_version >= 2:
+            payload = (array("I", shapes), array("I", vidx))
+        else:
+            payload = (array("I", vidx),)
+        for column, values in zip(
+            self._ros, (ts_column, pid_column, table.ids(probes), *payload)
+        ):
+            column.extend(values)
+
+    def _add_records(
+        self, section: Tuple[array, ...], columns: tuple, string_fields: Tuple[int, ...]
+    ) -> None:
+        """Append record columns to ``section``: each is packed before
+        any grows, and strings intern row by row in field order."""
+        if not columns:
+            return
+        packed = [
+            None if field in string_fields else array(column.typecode, values)
+            for field, (column, values) in enumerate(zip(section, columns))
+        ]
+        strings = [columns[field] for field in string_fields]
+        table = self.strings
+        if not table.knows(*strings):
+            table.intern_all(chain.from_iterable(zip(*strings)))
+        for field, values in zip(string_fields, strings):
+            packed[field] = table.ids(values)
+        for column, values in zip(section, packed):
+            column.extend(values)
+
+    def add_sched(self, events: Iterable[SchedSwitch]) -> None:
+        """Spool ``sched_switch`` records in bulk."""
+        self._add_records(self._sched, tuple(zip(*events)), (3, 5, 7))
+
+    def add_wakeups(self, events: Iterable[SchedWakeup]) -> None:
+        """Spool ``sched_wakeup`` records in bulk (``cpu=None`` is
+        stored as ``NONE_CPU``)."""
+        columns = tuple(zip(*events))
+        if columns:
+            ts, cpus, pids, comms, prios = columns
+            cpus = [NONE_CPU if cpu is None else cpu for cpu in cpus]
+            self._add_records(self._wakeup, (ts, cpus, pids, comms, prios), (3,))
 
     def add_segment(self, segment: TraceSegment) -> None:
         """Spool one buffer rotation (the streaming entry point)."""
-        for event in segment.ros_events:
-            self.append_ros(event)
-        for sched in segment.sched_events:
-            self.append_sched(sched)
-        for wakeup in segment.wakeup_events:
-            self.append_wakeup(wakeup)
+        self.add_ros(segment.ros_events)
+        self.add_sched(segment.sched_events)
+        self.add_wakeups(segment.wakeup_events)
 
     def add_trace(self, trace: Trace) -> None:
-        for event in trace.ros_events:
-            self.append_ros(event)
-        for sched in trace.sched_events:
-            self.append_sched(sched)
-        for wakeup in trace.wakeup_events:
-            self.append_wakeup(wakeup)
+        """Spool a whole in-memory trace."""
+        self.add_ros(trace.ros_events)
+        self.add_sched(trace.sched_events)
+        self.add_wakeups(trace.wakeup_events)
 
     @property
     def num_ros(self) -> int:

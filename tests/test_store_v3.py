@@ -269,6 +269,14 @@ class TestGoldenV3Fixture:
         expected = load_trace(str(DATA_DIR / "golden_v1.trace.json.gz"))
         assert reader.to_trace().to_dict() == expected.to_dict()
 
+    def test_writer_reproduces_committed_v3_bytes(self):
+        """Encoding the golden trace gives the committed v3 segment
+        byte for byte, so a writer change that alters the bytes shows
+        up here rather than only in a decode."""
+        trace = load_trace(str(DATA_DIR / "golden_v1.trace.json.gz"))
+        committed = (DATA_DIR / "golden_v3.trace.bin").read_bytes()
+        assert encode_trace(trace) == committed
+
     def test_committed_v1_segment_upgrades_to_v3(self, tmp_path):
         directory = str(tmp_path / "s")
         os.makedirs(directory)
