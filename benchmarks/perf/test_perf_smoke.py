@@ -69,6 +69,7 @@ def test_batch_and_scaling_report_sane_values(suite):
 
 def test_store_reports_sane_values(suite):
     store = suite["store"]
+    assert store["format_version"] == 3
     assert store["decode"]["speedup_vs_json"] > 1.0, "binary decode slower than gzip-JSON"
     assert store["encode"]["binary_bytes"] > 0
     # Store-backed serial synthesis re-reads segments from disk, so it
@@ -76,26 +77,6 @@ def test_store_reports_sane_values(suite):
     # dominates the tiny synthesis workload); the columnar walk keeps
     # even that within a small factor.
     assert store["synthesis"]["store_overhead"] < 4.0
-
-
-def test_v2_format_holds_its_ground_vs_v1(suite):
-    """Typed payload columns must not lose to JSON-interned payloads on
-    the identical workload (generous floors: smoke runs are noisy)."""
-    v1 = suite["store"]["format_v1"]
-    assert suite["store"]["format_version"] == 3
-    assert v1["v2_synthesis_speedup"] > 0.9, "v2 store synthesis slower than v1"
-    assert v1["v2_bytes_ratio"] < 1.2, "v2 segments grew past v1 size"
-
-
-def test_v3_format_holds_its_ground_vs_v2(suite):
-    """Per-section compression must stay near v2 wall-clock on whole
-    reads (very generous floors: smoke segments are tiny, and many
-    small zlib streams cost more than one big one) without growing the
-    files, while buying the selective reads checked below."""
-    v2 = suite["store"]["format_v2"]
-    assert v2["v3_synthesis_speedup"] > 0.4, "v3 store synthesis collapsed vs v2"
-    assert v2["v3_decode_speedup"] > 0.5, "v3 decode collapsed vs v2"
-    assert v2["v3_bytes_ratio"] < 1.25, "v3 segments grew well past v2 size"
 
 
 def test_selective_reads_inflate_a_strict_subset(suite):

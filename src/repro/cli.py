@@ -17,7 +17,7 @@ Usage::
                           [--replay FILE]
     python -m repro record <scenario> [--out DIR] [--push ADDR] [--runs 8]
                           [--jobs 4] [--duration 10] [--seed 1000]
-                          [--segment-every 1.0] [--force] [--format-version 3]
+                          [--segment-every 1.0] [--force]
     python -m repro synthesize DIR [--jobs 4] [--strategy merge-traces]
                           [--pids 1,2,...] [--dot out.dot] [--json out.json]
     python -m repro store-info DIR [--json] [--watch] [--interval 0.5]
@@ -29,8 +29,7 @@ Usage::
     python -m repro query ADDR {status,model,chains,latency,store-info,
                           ping,shutdown} [--format dot] [--out FILE]
                           [--topics a,b] [--sources k1] [--sinks k2]
-    python -m repro convert DIR [--remove] [--upgrade] [--format-version 3]
-                          [--cache DIR]
+    python -m repro convert DIR [--remove] [--upgrade] [--cache DIR]
     python -m repro diff OLD NEW [--drift-threshold 0.10] [--percentile 99]
                           [--gate-factor 1.2] [--old-run ID] [--new-run ID]
                           [--jobs 4] [--fail-on any] [--json out.json]
@@ -354,9 +353,7 @@ def _cmd_record(args) -> int:
         try:
             result = record_batch(
                 args.scenario, runs=args.runs, directory=out, jobs=args.jobs,
-                config=config, force=args.force,
-                format_version=args.format_version,
-                push_to=args.push,
+                config=config, force=args.force, push_to=args.push,
             )
         except (ValueError, OSError, ServiceError) as error:
             # E.g. recording over a store that already holds the run ids
@@ -682,15 +679,11 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    from .store import StoreError, StoreFormatError, TraceStore
+    from .store import VERSION, StoreError, StoreFormatError, TraceStore
 
     try:
         store = TraceStore(args.store, cache_dir=args.cache)
-        written = store.convert_legacy(
-            remove=args.remove,
-            format_version=args.format_version,
-            upgrade=args.upgrade,
-        )
+        written = store.convert_legacy(remove=args.remove, upgrade=args.upgrade)
         if args.cache is not None:
             cached = store.warm_cache()
             print(f"cached {len(cached)} uncompressed segment(s) in {args.cache}")
@@ -700,14 +693,14 @@ def _cmd_convert(args) -> int:
     if not written:
         print(
             f"nothing to convert in {store.directory} "
-            f"(all runs already v{args.format_version}"
+            f"(all runs already v{VERSION}"
             + ("" if args.upgrade else " or binary; --upgrade lifts old segments")
             + ")"
         )
         return 0
     for path in written:
         print(f"converted {path}")
-    print(f"\n{len(written)} run(s) -> format v{args.format_version}")
+    print(f"\n{len(written)} run(s) -> format v{VERSION}")
     return 0
 
 
@@ -1123,13 +1116,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "recording left in --out (refused by default; "
                              "non-colliding stored runs stay and will merge "
                              "into later synthesis)")
-    record.add_argument("--format-version", type=int, default=3,
-                        choices=[1, 2, 3],
-                        help="segment format to write (3 = per-section "
-                             "compression, the default; 2 = typed payload "
-                             "columns behind one body stream; 1 = "
-                             "JSON-interned payloads, the original escape "
-                             "hatch)")
 
     synthesize = sub.add_parser(
         "synthesize",
@@ -1247,11 +1233,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="delete legacy JSON originals after conversion")
     convert.add_argument("--upgrade", action="store_true",
                          help="also rewrite binary segments older than "
-                              "--format-version (the v1/v2 -> v3 upgrade "
-                              "path)")
-    convert.add_argument("--format-version", type=int, default=3,
-                         choices=[1, 2, 3],
-                         help="target segment format (default 3)")
+                              "the current format (the v1/v2 -> v3 "
+                              "upgrade path)")
     convert.add_argument("--cache", metavar="DIR", default=None,
                          help="also materialize every binary run as an "
                               "uncompressed mmap-ready copy under DIR (the "

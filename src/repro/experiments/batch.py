@@ -96,10 +96,12 @@ class BatchResult:
         return format_exec_table(self.merged_dag)
 
 
-def _execute_run(
+def _run_setup(
     scenario: str, run_index: int, runs: int, config: BatchConfig
-) -> Tuple[int, TimingDag, Optional[Trace]]:
-    """One seeded, traced, synthesized scenario run (worker body)."""
+) -> Tuple[Any, RunConfig]:
+    """One run's scenario spec and machine config: duration, CPU count
+    and scheduling policy come from ``config`` when it sets them, else
+    from the spec.  Shared by batch runs and ``repro record``."""
     spec = build_scenario_spec(
         scenario,
         run_index=run_index,
@@ -113,7 +115,14 @@ def _execute_run(
     # "priority" maps to None (the scheduler's default) so default-policy
     # batches keep working with injected legacy scheduler classes.
     policy = spec.policy if spec.policy != "priority" else None
-    run_config = config.run_config(duration, num_cpus, sched_policy=policy)
+    return spec, config.run_config(duration, num_cpus, sched_policy=policy)
+
+
+def _execute_run(
+    scenario: str, run_index: int, runs: int, config: BatchConfig
+) -> Tuple[int, TimingDag, Optional[Trace]]:
+    """One seeded, traced, synthesized scenario run (worker body)."""
+    spec, run_config = _run_setup(scenario, run_index, runs, config)
     result = run_once(lambda world, i: spec.build(world), run_config, run_index=run_index)
     dag = synthesize_from_trace(result.trace, pids=result.apps.pids)
     return (run_index, dag, result.trace if config.collect_traces else None)

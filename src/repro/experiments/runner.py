@@ -11,7 +11,7 @@ this with per-run seeds and build parameters and store every trace in a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..sim.kernel import MSEC, SEC
 from ..tracing.session import Trace, TraceDatabase, TracingSession
@@ -72,12 +72,13 @@ class RunConfig:
         return 1 + run_index * self.pid_stride
 
 
-def run_once(
-    builder: Builder,
-    config: RunConfig = RunConfig(),
-    run_index: int = 0,
-) -> RunResult:
-    """One traced application run following the Fig. 2 deployment."""
+def bring_up(
+    builder: Builder, config: RunConfig, run_index: int = 0
+) -> Tuple[World, TracingSession, Any]:
+    """A traced run up to the start of runtime tracing: a fresh seeded
+    world, the application(s) built on it, and the init phase traced
+    (TR-IN) over launch and warm-up.  Returns ``(world, session, apps)``.
+    """
     world = World(
         num_cpus=config.num_cpus,
         seed=config.seed_for(run_index),
@@ -93,6 +94,16 @@ def run_once(
     world.launch()
     world.run(for_ns=config.warmup_ns)
     session.stop_init()
+    return world, session, apps
+
+
+def run_once(
+    builder: Builder,
+    config: RunConfig = RunConfig(),
+    run_index: int = 0,
+) -> RunResult:
+    """One traced application run following the Fig. 2 deployment."""
+    world, session, apps = bring_up(builder, config, run_index)
     session.start_runtime()
     if config.segment_every_ns:
         remaining = config.duration_ns

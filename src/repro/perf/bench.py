@@ -20,13 +20,11 @@ Six benchmarks, each reporting wall-clock and a derived throughput:
 * **store** -- the binary trace store: segment encode/decode MB and
   Mev/s against the legacy gzip-JSON storage, plus store-backed
   synthesis (``synthesize_from_store``) inline overhead and PID-sharded
-  scaling.  Segments are written in the current format (v3, per-section
-  compression); ``format_v1`` / ``format_v2`` sub-sections re-measure
-  the same workload against the older formats so each generation's
-  gains stay visible run over run, and a ``selective_read`` sub-section
-  reports how few section bytes the v3 layout inflates for partial
-  reads (Alg. 1 walk only, sched/wakeup analysis only, PID subsets) via
-  the readers' ``bytes_inflated`` counter;
+  scaling.  Segments are written in the only format the writer emits
+  (v3, per-section compression), and a ``selective_read`` sub-section
+  reports how few section bytes that layout inflates for partial reads
+  (Alg. 1 walk only, sched/wakeup analysis only, PID subsets) via the
+  readers' ``bytes_inflated`` counter;
 * **service ingest** -- the live synthesis service's incremental
   maintenance: segments committed one at a time into a
   :class:`~repro.service.live.LiveSynthesizer` (extend-in-place + model
@@ -459,21 +457,11 @@ def bench_store(scale: BenchScale) -> Dict[str, Any]:
 
     with tempfile.TemporaryDirectory(prefix="repro-store-bench-") as tmp:
         bin_dir = os.path.join(tmp, "bin")
-        v1_dir = os.path.join(tmp, "v1")
-        v2_dir = os.path.join(tmp, "v2")
         json_dir = os.path.join(tmp, "json")
         os.makedirs(bin_dir)
-        os.makedirs(v1_dir)
-        os.makedirs(v2_dir)
         os.makedirs(json_dir)
         bin_paths = [
             os.path.join(bin_dir, f"run{i:03d}.trace.bin") for i in range(runs)
-        ]
-        v1_paths = [
-            os.path.join(v1_dir, f"run{i:03d}.trace.bin") for i in range(runs)
-        ]
-        v2_paths = [
-            os.path.join(v2_dir, f"run{i:03d}.trace.bin") for i in range(runs)
         ]
         json_paths = [
             os.path.join(json_dir, f"run{i:03d}{TRACE_SUFFIX}") for i in range(runs)
@@ -483,37 +471,17 @@ def bench_store(scale: BenchScale) -> Dict[str, Any]:
             for trace, path in zip(traces, bin_paths):
                 write_segment(trace, path)
 
-        def encode_v1() -> None:
-            for trace, path in zip(traces, v1_paths):
-                write_segment(trace, path, format_version=1)
-
-        def encode_v2() -> None:
-            for trace, path in zip(traces, v2_paths):
-                write_segment(trace, path, format_version=2)
-
         def encode_json() -> None:
             for trace, path in zip(traces, json_paths):
                 save_trace(trace, path)
 
         encode_bin_s = _best_of(encode_binary, scale.reps)
-        encode_v1_s = _best_of(encode_v1, scale.reps)
-        encode_v2_s = _best_of(encode_v2, scale.reps)
         encode_json_s = _best_of(encode_json, scale.reps)
         bin_bytes = sum(os.path.getsize(p) for p in bin_paths)
-        v1_bytes = sum(os.path.getsize(p) for p in v1_paths)
-        v2_bytes = sum(os.path.getsize(p) for p in v2_paths)
         json_bytes = sum(os.path.getsize(p) for p in json_paths)
 
         decode_bin_s = _best_of(
             lambda: [SegmentReader.open(p).to_trace() for p in bin_paths],
-            scale.reps,
-        )
-        decode_v1_s = _best_of(
-            lambda: [SegmentReader.open(p).to_trace() for p in v1_paths],
-            scale.reps,
-        )
-        decode_v2_s = _best_of(
-            lambda: [SegmentReader.open(p).to_trace() for p in v2_paths],
             scale.reps,
         )
         decode_json_s = _best_of(
@@ -521,17 +489,9 @@ def bench_store(scale: BenchScale) -> Dict[str, Any]:
         )
 
         store = TraceStore(bin_dir)
-        v1_store = TraceStore(v1_dir)
-        v2_store = TraceStore(v2_dir)
         inline_s = _best_of(lambda: synthesize_from_trace(merged), scale.reps)
         store_serial_s = _best_of(
             lambda: synthesize_from_store(store, jobs=1), scale.reps
-        )
-        store_v1_serial_s = _best_of(
-            lambda: synthesize_from_store(v1_store, jobs=1), scale.reps
-        )
-        store_v2_serial_s = _best_of(
-            lambda: synthesize_from_store(v2_store, jobs=1), scale.reps
         )
         jobs = scale.scaling_jobs
         store_sharded_s = _best_of(
@@ -547,31 +507,6 @@ def bench_store(scale: BenchScale) -> Dict[str, Any]:
         "duration_s": scale.batch_duration_s,
         "events": events,
         "format_version": 3,
-        # The two previous segment formats on the identical workload:
-        # how much the typed payload columns (v2) and the per-section
-        # compression + vectorized walk (v3) buy, re-measured every run.
-        "format_v1": {
-            "encode_s": round(encode_v1_s, 6),
-            "decode_s": round(decode_v1_s, 6),
-            "bytes": v1_bytes,
-            "synthesis_serial_s": round(store_v1_serial_s, 6),
-            "v2_bytes_ratio": round(v2_bytes / max(1, v1_bytes), 3),
-            "v2_decode_speedup": round(decode_v1_s / decode_v2_s, 3),
-            "v2_synthesis_speedup": round(
-                store_v1_serial_s / store_v2_serial_s, 3
-            ),
-        },
-        "format_v2": {
-            "encode_s": round(encode_v2_s, 6),
-            "decode_s": round(decode_v2_s, 6),
-            "bytes": v2_bytes,
-            "synthesis_serial_s": round(store_v2_serial_s, 6),
-            "v3_bytes_ratio": round(bin_bytes / max(1, v2_bytes), 3),
-            "v3_decode_speedup": round(decode_v2_s / decode_bin_s, 3),
-            "v3_synthesis_speedup": round(
-                store_v2_serial_s / store_serial_s, 3
-            ),
-        },
         "selective_read": selective,
         "encode": {
             "binary_s": round(encode_bin_s, 6),
@@ -901,20 +836,6 @@ def format_report(payload: Dict[str, Any]) -> str:
             f"{synth['store_overhead']:.2f}x inline overhead, "
             f"{synth['sharded_speedup']:.2f}x sharded speedup",
         ]
-        v1 = store.get("format_v1")
-        if v1:
-            lines.append(
-                f"store v2 vs v1    : {v1['v2_decode_speedup']:.2f}x decode, "
-                f"{v1['v2_synthesis_speedup']:.2f}x serial synthesis, "
-                f"{v1['v2_bytes_ratio']:.2f}x bytes"
-            )
-        v2 = store.get("format_v2")
-        if v2:
-            lines.append(
-                f"store v3 vs v2    : {v2['v3_decode_speedup']:.2f}x decode, "
-                f"{v2['v3_synthesis_speedup']:.2f}x serial synthesis, "
-                f"{v2['v3_bytes_ratio']:.2f}x bytes"
-            )
         sel = store.get("selective_read")
         if sel:
             lines.append(

@@ -1,7 +1,8 @@
 """The on-disk trace store: a directory of per-run segments.
 
 A store directory holds one file per run -- binary ``.trace.bin``
-segments (this subsystem's format, version 1 or 2) and/or legacy
+segments (this subsystem's format: v3 as written, v1/v2 from older
+stores, read as they are) and/or legacy
 ``.trace.json.gz`` files (the pre-store gzip-JSON database) side by
 side.  The run id is the file stem; a run stored in both formats
 resolves to the binary segment.
@@ -349,9 +350,7 @@ class TraceStore:
 
     # -- writing -----------------------------------------------------------
 
-    def add_trace(
-        self, run_id: str, trace: Trace, format_version: int = VERSION
-    ) -> str:
+    def add_trace(self, run_id: str, trace: Trace) -> str:
         """Write one run as a binary segment; returns the path.
 
         Refuses *any* existing run id: writing a binary segment over a
@@ -364,10 +363,7 @@ class TraceStore:
                 f"run {run_id!r} already stored as {self._files[run_id]!r}"
             )
         name = f"{run_id}{SEGMENT_SUFFIX}"
-        write_segment(
-            trace, os.path.join(self.directory, name),
-            format_version=format_version,
-        )
+        write_segment(trace, os.path.join(self.directory, name))
         self._files[run_id] = name
         return os.path.join(self.directory, name)
 
@@ -379,21 +375,19 @@ class TraceStore:
     # -- conversion --------------------------------------------------------
 
     def convert_legacy(
-        self,
-        remove: bool = False,
-        format_version: int = VERSION,
-        upgrade: bool = False,
+        self, remove: bool = False, upgrade: bool = False
     ) -> List[str]:
-        """Re-encode stored runs into ``format_version`` binary segments
-        (idempotent); returns the written paths.
+        """Re-encode stored runs into current-format (v3) binary
+        segments (idempotent); returns the written paths.
 
         By default only legacy ``.trace.json.gz`` runs convert.
-        ``upgrade=True`` additionally re-encodes binary segments whose
-        format version is *older* than ``format_version`` -- the v1 ->
-        v2 upgrade path (newer-or-equal segments are left untouched, so
-        re-running is a no-op).  ``remove=True`` deletes the legacy JSON
-        originals after conversion; upgraded binary segments are
-        rewritten in place.
+        ``upgrade=True`` additionally re-encodes binary segments older
+        than the current format -- the v1/v2 -> v3 upgrade path (current
+        segments are left untouched, so re-running is a no-op).
+        ``remove=True`` deletes the legacy JSON originals after
+        conversion; upgraded binary segments are rewritten in place,
+        through :func:`write_segment`'s staging file and atomic rename,
+        so an interrupted upgrade never truncates the only copy of a run.
         """
         written: List[str] = []
         for run_id in self.run_ids():
@@ -401,23 +395,15 @@ class TraceStore:
                 if not upgrade:
                     continue
                 path = self.path_of(run_id)
-                if peek_header(path)[0] >= format_version:
+                if peek_header(path)[0] >= VERSION:
                     continue
-                trace = self.load(run_id)
-                # Write-then-replace: an interrupted upgrade must never
-                # truncate the only copy of the run.
-                staging = f"{path}.tmp"
-                write_segment(trace, staging, format_version=format_version)
-                os.replace(staging, path)
+                write_segment(self.load(run_id), path)
                 written.append(path)
                 continue
             legacy_path = self.path_of(run_id)
             trace = _load_legacy(legacy_path)
             name = f"{run_id}{SEGMENT_SUFFIX}"
-            write_segment(
-                trace, os.path.join(self.directory, name),
-                format_version=format_version,
-            )
+            write_segment(trace, os.path.join(self.directory, name))
             self._files[run_id] = name
             self._legacy_readers.pop(run_id, None)
             written.append(os.path.join(self.directory, name))
@@ -427,26 +413,18 @@ class TraceStore:
 
 
 def convert_database(
-    directory: str,
-    remove: bool = False,
-    format_version: int = VERSION,
-    upgrade: bool = False,
+    directory: str, remove: bool = False, upgrade: bool = False
 ) -> List[str]:
     """Convert a legacy gzip-JSON trace directory in place (and with
-    ``upgrade=True`` also lift older binary segments to
-    ``format_version``)."""
-    return TraceStore(directory).convert_legacy(
-        remove=remove, format_version=format_version, upgrade=upgrade
-    )
+    ``upgrade=True`` also lift older binary segments to v3)."""
+    return TraceStore(directory).convert_legacy(remove=remove, upgrade=upgrade)
 
 
-def save_database_binary(
-    database: TraceDatabase, directory: str, format_version: int = VERSION
-) -> List[str]:
+def save_database_binary(database: TraceDatabase, directory: str) -> List[str]:
     """Write every run of an in-memory database as binary segments."""
     store = TraceStore.create(directory)
     return [
-        store.add_trace(run_id, database.get(run_id), format_version=format_version)
+        store.add_trace(run_id, database.get(run_id))
         for run_id in database.run_ids()
     ]
 

@@ -1,5 +1,8 @@
 """The binary trace-segment format (``.trace.bin``), versions 1, 2 and 3.
 
+The writer emits version 3 only; versions 1 and 2 are read from older
+stores and lifted to v3 by ``TraceStore.convert_legacy(upgrade=True)``.
+
 One file stores one run's complete trace in a struct-packed *columnar*
 layout: a fixed header, a string table (probe names, process names,
 payload strings), the PID map, then one section per event stream where
@@ -71,13 +74,13 @@ marks a wakeup without a CPU.  On big-endian hosts columns are
 byteswapped on the way in/out; the on-disk format is always
 little-endian.
 
-In v1/v2, with ``FLAG_ZLIB_BODY`` set (the writer default) everything
-after the header is one zlib stream: segment files then land at
+In v1/v2, with ``FLAG_ZLIB_BODY`` set (how compressed segments were
+written) everything after the header is one zlib stream: segment files then land at
 gzip-JSON size while decoding still skips the JSON parse entirely.
 Uncompressed segments (``compress=False``) trade bytes for zero-copy
 column views.
 
-**Version 3** (the writer default) keeps the v2 payload encoding but
+**Version 3** (the format the writer emits) keeps the v2 payload encoding but
 replaces the single body stream with *per-section compression*: every
 section -- the pid_map, the string table, the shape directory, each
 payload column, and each individual ros/sched/wakeup column -- is its
@@ -124,7 +127,8 @@ from typing import List, NamedTuple, Sequence, Tuple
 SEGMENT_SUFFIX = ".trace.bin"
 
 MAGIC = b"RPROSEG1"
-#: Current writer default (v2 payload encoding + per-section streams).
+#: The version the writer emits (v2 payload encoding + per-section
+#: streams).
 VERSION = 3
 #: Version byte of the JSON-interned-payload format.
 VERSION_V1 = 1

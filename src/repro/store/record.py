@@ -23,13 +23,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from ..experiments.batch import BatchConfig, _shard
+from ..experiments.batch import BatchConfig, _run_setup, _shard
+from ..experiments.runner import bring_up
 from ..scenarios.registry import build_scenario_spec
 from ..sim.kernel import SEC
-from ..tracing.session import TracingSession
-from ..world import World
 from .database import TraceStore
-from .format import SUPPORTED_VERSIONS, VERSION
 from .writer import SegmentSpool, segment_path, spool_session_segment
 
 #: Default rotation interval for spooled recording.
@@ -81,42 +79,24 @@ def record_run(
     runs: int,
     config: BatchConfig,
     directory: str,
-    format_version: int = VERSION,
     push_to: Optional[str] = None,
 ) -> RecordedRun:
-    """One seeded, traced, spooled scenario run -> one binary segment
-    (``format_version`` selects the segment encoding; default v3).
+    """One seeded, traced, spooled scenario run -> one binary segment.
+
+    The run is the one :func:`~repro.experiments.batch.run_batch` makes
+    for ``run_index`` (same spec, scheduling policy, world and init
+    phase), so the segment decodes to that run's trace.
 
     ``push_to`` additionally streams the finished segment to a running
     ``repro serve`` endpoint as soon as it commits locally -- the
     recorder side of the live-ingestion workflow.
     """
-    spec = build_scenario_spec(
-        scenario,
-        run_index=run_index,
-        runs=runs,
-        duration_ns=config.duration_ns,
-        **config.scenario_params,
+    spec, run_config = _run_setup(scenario, run_index, runs, config)
+    world, session, _ = bring_up(
+        lambda world, i: spec.build(world), run_config, run_index
     )
-    duration = config.duration_ns if config.duration_ns is not None else spec.duration_ns
-    num_cpus = config.num_cpus if config.num_cpus is not None else spec.num_cpus
-    run_config = config.run_config(duration, num_cpus)
-    world = World(
-        num_cpus=run_config.num_cpus,
-        seed=run_config.seed_for(run_index),
-        timeslice=run_config.timeslice_ns,
-        dds_latency_ns=run_config.dds_latency_ns,
-        start_time_ns=run_config.time_base_for(run_index),
-        first_pid=run_config.pid_base_for(run_index),
-    )
-    spec.build(world)
-    session = TracingSession(world, kernel_filter=run_config.kernel_filter)
-    session.start_init()
-    world.launch()
-    world.run(for_ns=run_config.warmup_ns)
-    session.stop_init()
 
-    spool = SegmentSpool(format_version=format_version)
+    spool = SegmentSpool()
     # Init events (P1 discovery) precede every runtime segment
     # chronologically, so spooling them first keeps the stored stream
     # sorted -- the same order session.trace() would produce.
@@ -127,7 +107,7 @@ def record_run(
     spool_every = config.segment_every_ns or DEFAULT_SPOOL_NS
     if spool_every <= 0:
         raise ValueError("segment_every_ns must be positive")
-    remaining = duration
+    remaining = run_config.duration_ns
     while remaining > 0:
         step = min(spool_every, remaining)
         world.run(for_ns=step)
@@ -163,15 +143,12 @@ def record_run(
 
 
 def _record_shard(
-    args: Tuple[str, Tuple[int, ...], int, BatchConfig, str, int, Optional[str]],
+    args: Tuple[str, Tuple[int, ...], int, BatchConfig, str, Optional[str]],
 ) -> List[RecordedRun]:
     """Record a shard of run indices (module-level for pickling)."""
-    scenario, run_indices, runs, config, directory, format_version, push_to = args
+    scenario, run_indices, runs, config, directory, push_to = args
     return [
-        record_run(
-            scenario, run_index, runs, config, directory,
-            format_version=format_version, push_to=push_to,
-        )
+        record_run(scenario, run_index, runs, config, directory, push_to=push_to)
         for run_index in run_indices
     ]
 
@@ -183,7 +160,6 @@ def record_batch(
     jobs: int = 1,
     config: Optional[BatchConfig] = None,
     force: bool = False,
-    format_version: int = VERSION,
     push_to: Optional[str] = None,
 ) -> RecordResult:
     """Record ``runs`` seeded runs of ``scenario`` into ``directory``.
@@ -208,11 +184,6 @@ def record_batch(
         raise ValueError("need at least one run")
     if jobs < 1:
         raise ValueError("need at least one job")
-    if format_version not in SUPPORTED_VERSIONS:
-        raise ValueError(
-            f"unsupported format version {format_version!r} "
-            f"(writable: {', '.join(map(str, SUPPORTED_VERSIONS))})"
-        )
     if not force and os.path.isdir(directory):
         existing = TraceStore(directory, allow_empty=True)
         colliding = sorted(
@@ -235,6 +206,7 @@ def record_batch(
         run_index=0,
         runs=runs,
         duration_ns=config.duration_ns,
+        policy=config.sched_policy,
         **config.scenario_params,
     )
     os.makedirs(directory, exist_ok=True)
@@ -243,8 +215,7 @@ def record_batch(
     jobs = min(jobs, runs)
     if jobs == 1:
         recorded = _record_shard(
-            (scenario, tuple(run_indices), runs, config, directory,
-             format_version, push_to)
+            (scenario, tuple(run_indices), runs, config, directory, push_to)
         )
     else:
         shards = _shard(run_indices, jobs)
@@ -253,8 +224,7 @@ def record_batch(
             for shard_result in pool.map(
                 _record_shard,
                 [
-                    (scenario, tuple(shard), runs, config, directory,
-                     format_version, push_to)
+                    (scenario, tuple(shard), runs, config, directory, push_to)
                     for shard in shards
                 ],
             ):

@@ -24,22 +24,19 @@ depend on how the stream was cut into calls.  Every new column is
 packed and checked before any spool column grows, so an append that
 raises leaves the spool as it was.
 
-Payload encoding is format-versioned (see :mod:`repro.store.format`):
-
-* **v3** (default) and **v2**: schema inference during spooling.  Each
-  payload dict whose values fit the closed scalar schema is classified
-  into a *shape* -- the ordered ``(key, type)`` tuple -- and its values
-  append to that shape's typed per-field columns (ints/floats/bools/
-  interned strings; always-``None`` fields store nothing).  Rows that do
-  not fit (nested containers, ints outside int64, non-string keys) fall
-  back to the v1 JSON-interned representation per row.  v3 differs
-  from v2 only in how :meth:`SegmentSpool.finish` lays out and
-  compresses the sections.
-* **v1**: payloads are canonical compact JSON interned in the string
-  table (every non-empty payload takes the JSON plan).
-
-In every version the empty payload is a reserved ``NONE_ID``, so the
-dominant payload-less sched events and bare probes stay cheap.
+The writer emits format v3 only (see :mod:`repro.store.format`); v1
+and v2 segments from older stores stay readable, and
+``TraceStore.convert_legacy(upgrade=True)`` lifts them to v3.  Payloads
+are schema-inferred during spooling: each payload dict whose values fit
+the closed scalar schema is classified into a *shape* -- the ordered
+``(key, type)`` tuple -- and its values append to that shape's typed
+per-field columns (ints/floats/bools/interned strings; always-``None``
+fields store nothing).  Rows that do not fit (nested containers, ints
+outside int64, non-string keys) fall back to canonical JSON interned in
+the string table.  The empty payload is the reserved shape ``NONE_ID``,
+so the dominant payload-less sched events and bare probes stay cheap.
+:meth:`SegmentSpool.finish` deflates every section independently
+behind a section directory.
 """
 
 from __future__ import annotations
@@ -66,7 +63,6 @@ from .format import (
     HEADER,
     NONE_CPU,
     NONE_ID,
-    ROS_COLUMNS,
     ROS_COLUMNS_V2,
     SCHED_COLUMNS,
     SECTION_COMP_RAW,
@@ -79,7 +75,6 @@ from .format import (
     SECTION_STRINGS,
     SECTION_WAKEUP,
     SHAPE_JSON,
-    SUPPORTED_VERSIONS,
     SectionEntry,
     VERSION,
     WAKEUP_COLUMNS,
@@ -266,21 +261,11 @@ class SegmentSpool:
     which is what bounds memory for streamed collection.  Each append
     packs every new column before any column grows, so one that raises
     leaves the spool as it was.
-
-    ``format_version`` selects the payload encoding (2 and 3 = typed
-    per-field columns, 1 = interned JSON; see :mod:`repro.store.format`).
     """
 
-    def __init__(self, format_version: int = VERSION) -> None:
-        if format_version not in SUPPORTED_VERSIONS:
-            raise ValueError(
-                f"unsupported format version {format_version!r} "
-                f"(writable: {', '.join(map(str, SUPPORTED_VERSIONS))})"
-            )
-        self.format_version = format_version
+    def __init__(self) -> None:
         self.strings = StringTable()
-        ros_columns = ROS_COLUMNS_V2 if format_version >= 2 else ROS_COLUMNS
-        self._ros = tuple(array(code) for code in ros_columns)
+        self._ros = tuple(array(code) for code in ROS_COLUMNS_V2)
         self._sched = tuple(array(code) for code in SCHED_COLUMNS)
         self._wakeup = tuple(array(code) for code in WAKEUP_COLUMNS)
         #: payload signature ``(keys, value types)`` -> plan (``_JSON``
@@ -299,17 +284,13 @@ class SegmentSpool:
         """The plan of one non-empty payload signature ``(keys, value
         types)``, built once per spool: ``_JSON`` when the payload does
         not fit the closed schema (a non-``str`` key or an unsupported
-        value type; every payload in v1), else its shape's accumulator."""
+        value type), else its shape's accumulator."""
         plan = self._plans.get(signature)
         if plan is not None:
             return plan
         keys, types = signature
         ftypes = tuple(map(_field_type, types))
-        if (
-            self.format_version < 2
-            or not all(map(isinstance, keys, repeat(str)))
-            or None in ftypes
-        ):
+        if not all(map(isinstance, keys, repeat(str))) or None in ftypes:
             plan = _JSON
         else:
             fields = tuple(zip(keys, ftypes))
@@ -394,10 +375,8 @@ class SegmentSpool:
             table.intern_all(chain.from_iterable(row_strings))
 
         typed.sort(key=itemgetter(1))  # by first row: shape ids in row order
-        shapes = [NONE_ID] * n
-        # An empty payload is shape NONE_ID, vidx 0; v1 keeps only the
-        # payload's JSON string id, NONE_ID when empty.
-        vidx = [0 if self.format_version >= 2 else NONE_ID] * n
+        shapes = [NONE_ID] * n  # an empty payload is shape NONE_ID, vidx 0
+        vidx = [0] * n
         for acc, rows, staged in typed:
             if acc.index < 0:
                 acc.index = len(self._shapes)
@@ -413,12 +392,10 @@ class SegmentSpool:
         for row, text_id in zip(json_rows, table.ids(texts)):
             shapes[row] = SHAPE_JSON
             vidx[row] = text_id
-        if self.format_version >= 2:
-            payload = (array("I", shapes), array("I", vidx))
-        else:
-            payload = (array("I", vidx),)
         for column, values in zip(
-            self._ros, (ts_column, pid_column, table.ids(probes), *payload)
+            self._ros,
+            (ts_column, pid_column, table.ids(probes),
+             array("I", shapes), array("I", vidx)),
         ):
             column.extend(values)
 
@@ -485,65 +462,6 @@ class SegmentSpool:
 
     # -- finishing --------------------------------------------------------
 
-    def finish(
-        self,
-        handle: IO[bytes],
-        pid_map: Mapping[int, Optional[str]],
-        start_ts: int,
-        stop_ts: int,
-        compress: bool = True,
-    ) -> int:
-        """Write the packed segment to ``handle``; returns bytes written.
-
-        ``compress`` deflates the body (default; ~gzip-JSON file size);
-        ``False`` keeps raw columns for zero-copy readers.  v3 segments
-        deflate (or keep raw) every section independently behind the
-        section directory, so readers inflate only what they touch.
-        """
-        if self.format_version >= 3:
-            return self._finish_v3(handle, pid_map, start_ts, stop_ts, compress)
-        body_parts: List[bytes] = [pack_pid_map(pid_map)]
-        if self.format_version >= 2:
-            intern = self.strings.intern
-            shapes = sorted(self._shapes.values(), key=lambda acc: acc.index)
-            directory = [
-                ([(intern(key), ftype) for key, ftype in acc.fields], acc.count)
-                for acc in shapes
-            ]
-            # Interning the field names may have grown the string table,
-            # so its blob is built only after the directory.
-            body_parts.append(pack_strings(self.strings.strings))
-            body_parts.append(pack_shape_dir(directory))
-            for acc in shapes:
-                for column in acc.columns:
-                    if column is not None:
-                        body_parts.append(column_bytes(column))
-        else:
-            body_parts.append(pack_strings(self.strings.strings))
-        for section in (self._ros, self._sched, self._wakeup):
-            for column in section:
-                body_parts.append(column_bytes(column))
-        body = b"".join(body_parts)
-        flags = 0
-        if compress:
-            body = zlib.compress(body, ZLIB_LEVEL)
-            flags |= FLAG_ZLIB_BODY
-        written = handle.write(
-            pack_header(
-                len(self.strings),
-                len(pid_map),
-                len(self._ros[0]),
-                len(self._sched[0]),
-                len(self._wakeup[0]),
-                start_ts,
-                stop_ts,
-                flags=flags,
-                version=self.format_version,
-            )
-        )
-        written += handle.write(body)
-        return written
-
     def _section_blobs(self, pid_map: Mapping[int, Optional[str]]):
         """The v3 sections in file order: ``(kind, index, raw bytes)``."""
         intern = self.strings.intern
@@ -576,19 +494,21 @@ class SegmentSpool:
                 blobs.append((kind, column_index, column_bytes(column)))
         return blobs
 
-    def _finish_v3(
+    def finish(
         self,
         handle: IO[bytes],
         pid_map: Mapping[int, Optional[str]],
         start_ts: int,
         stop_ts: int,
-        compress: bool,
+        compress: bool = True,
     ) -> int:
-        """v3 emit: header, section directory, per-section streams.
+        """Write the packed segment to ``handle``; returns bytes written.
 
-        Each section deflates independently; sections deflate does not
-        shrink (tiny ones) stay raw with ``comp`` 0, so compression is
-        a per-stream property, not a file-level mode.
+        Header, section directory, then one stream per section.
+        ``compress`` (default) deflates each section independently, so
+        readers inflate only what they touch; a section deflate does
+        not shrink (tiny ones) stays raw with ``comp`` 0.  ``False``
+        keeps every section raw for zero-copy readers.
         """
         entries: List[SectionEntry] = []
         streams: List[bytes] = []
@@ -616,7 +536,7 @@ class SegmentSpool:
                 start_ts,
                 stop_ts,
                 flags=0,
-                version=self.format_version,
+                version=VERSION,
             )
         )
         written += handle.write(pack_section_dir(entries))
@@ -653,27 +573,20 @@ class SegmentSpool:
         return written
 
 
-def write_segment(
-    trace: Trace,
-    path: str,
-    compress: bool = True,
-    format_version: int = VERSION,
-) -> int:
+def write_segment(trace: Trace, path: str, compress: bool = True) -> int:
     """Pack one in-memory trace into ``path``; returns bytes written."""
-    spool = SegmentSpool(format_version=format_version)
+    spool = SegmentSpool()
     spool.add_trace(trace)
     return spool.finish_path(
         path, trace.pid_map, trace.start_ts, trace.stop_ts, compress=compress
     )
 
 
-def encode_trace(
-    trace: Trace, compress: bool = True, format_version: int = VERSION
-) -> bytes:
+def encode_trace(trace: Trace, compress: bool = True) -> bytes:
     """The segment bytes for one trace (in-memory variant)."""
     import io
 
-    spool = SegmentSpool(format_version=format_version)
+    spool = SegmentSpool()
     spool.add_trace(trace)
     buffer = io.BytesIO()
     spool.finish(

@@ -8,10 +8,11 @@ import os
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.experiments.batch import BatchConfig
+from repro.experiments.batch import BatchConfig, run_batch
 from repro.experiments.runner import RunConfig, run_once
 from repro.scenarios import build_scenario_spec
-from repro.sim.kernel import SEC
+from repro.sim.kernel import MSEC, SEC
+from repro.sim.policies import POLICY_NAMES
 from repro.sim.scheduler import SchedSwitch, SchedWakeup
 from repro.store import (
     SEGMENT_SUFFIX,
@@ -333,6 +334,19 @@ class TestSpooledRecording:
         assert stored.to_dict() == reference.to_dict()
         assert recorded.ros_events == len(reference.ros_events)
         assert recorded.sched_events == len(reference.sched_events)
+
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    def test_record_run_matches_batch_run_under_policy(self, policy, tmp_path):
+        """A recorded run is the batch run of the same index, scheduling
+        policy included: the segment decodes to the trace ``run_batch``
+        collects for it."""
+        config = BatchConfig(
+            duration_ns=300 * MSEC, sched_policy=policy, collect_traces=True
+        )
+        recorded = record_run("avp-interference", 0, 1, config, str(tmp_path))
+        stored = SegmentReader.open(recorded.path).to_trace()
+        batch = run_batch("avp-interference", runs=1, config=config)
+        assert stored.to_dict() == batch.database.get("run000").to_dict()
 
     def test_rotation_interval_does_not_change_the_trace(self, tmp_path):
         fine = record_run(

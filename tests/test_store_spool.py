@@ -5,8 +5,8 @@
 (``append_ros``, ``_typed_payload``, ``_classify``, ``append_sched``,
 ``append_wakeup``); it lives here only as an oracle.  Every stream the
 bulk encoder spools must ``finish`` to the bytes the row writer
-produces -- for every format version, compressed or not -- and every
-recorded scenario segment must hash the same.  Also here: an append
+produces -- compressed or not -- and every recorded scenario segment
+must hash the same.  Also here: an append
 that fails leaves the spool untouched, and the number of Python calls
 per rotation does not grow with the rotation's length.
 """
@@ -40,7 +40,6 @@ from repro.store.format import (
     NONE_CPU,
     NONE_ID,
     SHAPE_JSON,
-    SUPPORTED_VERSIONS,
 )
 from repro.store.record import record_run
 from repro.store.writer import SegmentSpool
@@ -128,37 +127,22 @@ class RowSpool(SegmentSpool):
         return acc.index, row
 
     def append_ros(self, event: TraceEvent) -> None:
-        if self.format_version >= 2:
-            ts_col, pid_col, probe_col, shape_col, vidx_col = self._ros
-            ts_col.append(event[0])
-            pid_col.append(event[1])
-            probe_col.append(self.strings.intern(event[2]))
-            data = event[3]
-            if not data:
-                shape_col.append(NONE_ID)
-                vidx_col.append(0)
-            else:
-                typed = self._typed_payload(data)
-                if typed is None:
-                    shape_col.append(SHAPE_JSON)
-                    vidx_col.append(self.strings.intern(_encode_payload(data)))
-                else:
-                    shape_col.append(typed[0])
-                    vidx_col.append(typed[1])
-            return
-        ts_col, pid_col, probe_col, data_col = self._ros
+        ts_col, pid_col, probe_col, shape_col, vidx_col = self._ros
         ts_col.append(event[0])
         pid_col.append(event[1])
         probe_col.append(self.strings.intern(event[2]))
         data = event[3]
         if not data:
-            data_col.append(NONE_ID)
+            shape_col.append(NONE_ID)
+            vidx_col.append(0)
         else:
-            # Identical payloads dedupe through the intern table keyed
-            # by their canonical JSON (no identity tricks: spooled
-            # segments drop their event objects, so ids would be
-            # unstable across rotations).
-            data_col.append(self.strings.intern(_encode_payload(data)))
+            typed = self._typed_payload(data)
+            if typed is None:
+                shape_col.append(SHAPE_JSON)
+                vidx_col.append(self.strings.intern(_encode_payload(data)))
+            else:
+                shape_col.append(typed[0])
+                vidx_col.append(typed[1])
 
     def append_sched(self, event: SchedSwitch) -> None:
         cols = self._sched
@@ -204,8 +188,8 @@ def _finished(spool: SegmentSpool, compress: bool) -> bytes:
     return buffer.getvalue()
 
 
-def _spooled(cls, rotations, version: int, compress: bool) -> bytes:
-    spool = cls(format_version=version)
+def _spooled(cls, rotations, compress: bool) -> bytes:
+    spool = cls()
     for segment in rotations:
         spool.add_segment(segment)
     return _finished(spool, compress)
@@ -304,12 +288,9 @@ class TestBulkMatchesRowWriter:
     @settings(max_examples=300, deadline=None)
     @given(rotations=_ROTATIONS)
     def test_random_streams(self, rotations):
-        for version in SUPPORTED_VERSIONS:
-            for compress in (True, False):
-                expected = _spooled(RowSpool, rotations, version, compress)
-                assert _spooled(SegmentSpool, rotations, version, compress) == expected, (
-                    version, compress,
-                )
+        for compress in (True, False):
+            expected = _spooled(RowSpool, rotations, compress)
+            assert _spooled(SegmentSpool, rotations, compress) == expected, compress
 
     def test_edge_stream(self):
         """New strings first seen mid-rotation and in later rotations,
@@ -336,11 +317,10 @@ class TestBulkMatchesRowWriter:
                 TraceEvent(13, 1, "p1", {"n": -big, "s": "x"}),
             ], [SchedSwitch(14, 1, 2, "c3", 120, "R", 1, "c1", 120)], []),
         ]
-        for version in SUPPORTED_VERSIONS:
-            for compress in (True, False):
-                assert _spooled(SegmentSpool, rotations, version, compress) == _spooled(
-                    RowSpool, rotations, version, compress
-                )
+        for compress in (True, False):
+            assert _spooled(SegmentSpool, rotations, compress) == _spooled(
+                RowSpool, rotations, compress
+            )
 
     def test_add_trace_and_sliced_add_ros_agree(self):
         """One rotation through ``add_trace`` or in three ``add_ros``
@@ -350,7 +330,7 @@ class TestBulkMatchesRowWriter:
             for ts in range(30)
         ]
         segment = TraceSegment(0, 0, 0, events, [], [])
-        expected = _spooled(RowSpool, [segment], 3, True)
+        expected = _spooled(RowSpool, [segment], True)
         whole = SegmentSpool()
         whole.add_trace(segment)
         sliced = SegmentSpool()
@@ -364,10 +344,9 @@ class TestBulkMatchesRowWriter:
 # ---------------------------------------------------------------------------
 
 
-def _record_digest(scenario: str, directory, version: int) -> str:
+def _record_digest(scenario: str, directory) -> str:
     run = record_run(
-        scenario, 0, 1, BatchConfig(duration_ns=500 * MSEC), str(directory),
-        format_version=version,
+        scenario, 0, 1, BatchConfig(duration_ns=500 * MSEC), str(directory)
     )
     with open(run.path, "rb") as handle:
         return hashlib.sha256(handle.read()).hexdigest()
@@ -375,13 +354,11 @@ def _record_digest(scenario: str, directory, version: int) -> str:
 
 @pytest.mark.parametrize("scenario", scenario_names())
 def test_recorded_scenarios_match_row_writer(scenario, tmp_path, monkeypatch):
-    versions = SUPPORTED_VERSIONS if scenario == "avp-interference" else (3,)
-    for version in versions:
-        bulk = _record_digest(scenario, tmp_path / f"bulk{version}", version)
-        with monkeypatch.context() as patch:
-            patch.setattr(record_module, "SegmentSpool", RowSpool)
-            row = _record_digest(scenario, tmp_path / f"row{version}", version)
-        assert bulk == row, (scenario, version)
+    bulk = _record_digest(scenario, tmp_path / "bulk")
+    with monkeypatch.context() as patch:
+        patch.setattr(record_module, "SegmentSpool", RowSpool)
+        row = _record_digest(scenario, tmp_path / "row")
+    assert bulk == row, scenario
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +375,8 @@ def _state(spool: SegmentSpool):
 
 
 class TestFailedAppend:
-    @pytest.mark.parametrize("version", SUPPORTED_VERSIONS)
-    def test_unencodable_payload_raises_and_keeps_spool(self, version):
-        spool = SegmentSpool(format_version=version)
+    def test_unencodable_payload_raises_and_keeps_spool(self):
+        spool = SegmentSpool()
         spool.add_ros([TraceEvent(1, 1, "p1", {"cb_id": "a", "n": 1})])
         before = _state(spool)
         with pytest.raises(ValueError) as raised:

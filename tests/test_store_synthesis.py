@@ -213,9 +213,9 @@ class TestColumnarWalkEquivalence:
         v3) ride the time-ordered column consumer at its smallest
         sizes."""
         from repro.sim.scheduler import SchedSwitch
-        from repro.store import write_segment
         from repro.tracing.events import P16_DDS_WRITE, TraceEvent
         from repro.tracing.storage import TRACE_SUFFIX, save_trace
+        from segment_fixtures import write_as
 
         store_dir = str(tmp_path / "mixed")
         record_batch(
@@ -248,12 +248,12 @@ class TestColumnarWalkEquivalence:
                 stop_ts=ts + 1,
             )
             for trace in (empty, single):
-                write_segment(
+                write_as(
                     trace,
                     os.path.join(
                         store_dir, f"run{len(traces):03d}{SEGMENT_SUFFIX}"
                     ),
-                    format_version=version,
+                    version,
                 )
                 traces.append(trace)
         mixed = TraceStore(store_dir)

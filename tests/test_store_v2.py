@@ -1,7 +1,8 @@
-"""Trace format v2 (typed payload columns): round trips, the v1 -> v2
-conversion/upgrade path, mixed-version synthesis equivalence, the
-committed golden v1 fixture, format-error diagnostics, and the
-store-info / usage-error CLI satellites."""
+"""Trace format v2 (typed payload columns): round trips, reading v1/v2
+segments (made by the test-side fixture writer) and upgrading them,
+mixed-version synthesis equivalence, the committed golden v1 and v2
+fixtures, format-error diagnostics, and the store-info / usage-error
+CLI satellites."""
 
 import os
 import shutil
@@ -32,6 +33,7 @@ from repro.store.format import SHAPE_JSON, VERSION_V1, VERSION_V2
 from repro.tracing.events import TraceEvent
 from repro.tracing.session import Trace
 from repro.tracing.storage import TRACE_SUFFIX, load_trace, save_trace
+from segment_fixtures import encode_as, write_as
 
 DATA_DIR = Path(__file__).parent / "data"
 DURATION_NS = int(1.0 * SEC)
@@ -64,34 +66,32 @@ def fusion_traces():
 
 class TestFormatV2:
     def test_v2_still_writable(self, syn_trace, tmp_path):
+        """v2 segments, as older stores hold them, read back whole."""
         path = str(tmp_path / f"run{SEGMENT_SUFFIX}")
-        write_segment(syn_trace, path, format_version=2)
+        write_as(syn_trace, path, 2)
         assert peek_header(path)[0] == VERSION_V2 == 2
         reader = SegmentReader.open(path)
         assert reader.version == 2
         assert reader.to_trace().to_dict() == syn_trace.to_dict()
 
     def test_v1_escape_hatch_still_writable(self, syn_trace, tmp_path):
+        """v1 segments, as older stores hold them, read back whole."""
         path = str(tmp_path / f"run{SEGMENT_SUFFIX}")
-        write_segment(syn_trace, path, format_version=1)
+        write_as(syn_trace, path, 1)
         assert peek_header(path)[0] == VERSION_V1
         assert SegmentReader.open(path).to_trace().to_dict() == syn_trace.to_dict()
 
     @pytest.mark.parametrize("compress", [True, False])
     def test_v1_v2_describe_one_trace(self, syn_trace, compress):
-        via_v1 = SegmentReader(
-            encode_trace(syn_trace, compress=compress, format_version=1)
-        ).to_trace()
-        via_v2 = SegmentReader(
-            encode_trace(syn_trace, compress=compress, format_version=2)
-        ).to_trace()
+        via_v1 = SegmentReader(encode_as(syn_trace, 1, compress=compress)).to_trace()
+        via_v2 = SegmentReader(encode_as(syn_trace, 2, compress=compress)).to_trace()
         assert via_v1.to_dict() == via_v2.to_dict() == syn_trace.to_dict()
 
     def test_v2_scenario_segments_are_smaller(self, syn_trace):
         """Typed columns beat per-row JSON strings on the domain's
         ID-heavy payloads (the whole point of the format)."""
-        v1 = len(encode_trace(syn_trace, format_version=1))
-        v2 = len(encode_trace(syn_trace, format_version=2))
+        v1 = len(encode_as(syn_trace, 1))
+        v2 = len(encode_as(syn_trace, 2))
         assert v2 < v1
 
     def test_payload_key_order_preserved(self):
@@ -180,20 +180,12 @@ class TestUpgradePath:
     def _v1_store(self, traces, directory):
         os.makedirs(directory, exist_ok=True)
         for index, trace in enumerate(traces):
-            write_segment(
+            write_as(
                 trace,
                 os.path.join(directory, f"run{index:03d}{SEGMENT_SUFFIX}"),
-                format_version=1,
+                1,
             )
         return TraceStore(directory)
-
-    def test_upgrade_v1_to_v2_round_trip(self, fusion_traces, tmp_path):
-        store = self._v1_store(fusion_traces, str(tmp_path / "s"))
-        before = {r: store.load(r).to_dict() for r in store.run_ids()}
-        written = store.convert_legacy(upgrade=True, format_version=2)
-        assert len(written) == len(fusion_traces)
-        assert all(store.format_version(r) == 2 for r in store.run_ids())
-        assert {r: store.load(r).to_dict() for r in store.run_ids()} == before
 
     def test_upgrade_is_idempotent(self, fusion_traces, tmp_path):
         store = self._v1_store(fusion_traces[:1], str(tmp_path / "s"))
@@ -201,15 +193,6 @@ class TestUpgradePath:
         assert store.convert_legacy(upgrade=True) == []
         # and without upgrade, binary runs are never touched
         assert store.convert_legacy() == []
-
-    def test_convert_legacy_json_writes_v2(self, fusion_traces, tmp_path):
-        directory = str(tmp_path / "s")
-        os.makedirs(directory)
-        save_trace(fusion_traces[0], os.path.join(directory, f"a{TRACE_SUFFIX}"))
-        store = TraceStore(directory)
-        store.convert_legacy(format_version=2)
-        assert store.format_version("a") == 2
-        assert store.load("a").to_dict() == fusion_traces[0].to_dict()
 
     def test_upgrade_preserves_synthesis_bytes(self, fusion_traces, tmp_path):
         store = self._v1_store(fusion_traces, str(tmp_path / "s"))
@@ -228,15 +211,11 @@ class TestUpgradePath:
         in-memory pipeline at any jobs value."""
         directory = str(tmp_path / "mixed")
         os.makedirs(directory)
-        write_segment(
-            fusion_traces[0],
-            os.path.join(directory, f"run000{SEGMENT_SUFFIX}"),
-            format_version=1,
+        write_as(
+            fusion_traces[0], os.path.join(directory, f"run000{SEGMENT_SUFFIX}"), 1
         )
-        write_segment(
-            fusion_traces[1],
-            os.path.join(directory, f"run001{SEGMENT_SUFFIX}"),
-            format_version=2,
+        write_as(
+            fusion_traces[1], os.path.join(directory, f"run001{SEGMENT_SUFFIX}"), 2
         )
         save_trace(
             fusion_traces[2], os.path.join(directory, f"run002{TRACE_SUFFIX}")
@@ -250,8 +229,43 @@ class TestUpgradePath:
 
 
 # ---------------------------------------------------------------------------
-# Golden v1 fixture: v1 readability can never silently regress
+# Golden v1/v2 fixtures: reading old formats can never silently regress
 # ---------------------------------------------------------------------------
+
+
+def _golden_trace():
+    return load_trace(str(DATA_DIR / "golden_v1.trace.json.gz"))
+
+
+def _golden_store(tmp_path, version):
+    """A store holding the committed golden segment of ``version`` as
+    run ``golden``."""
+    directory = str(tmp_path / "s")
+    os.makedirs(directory)
+    shutil.copy(
+        DATA_DIR / f"golden_v{version}.trace.bin",
+        os.path.join(directory, f"golden{SEGMENT_SUFFIX}"),
+    )
+    store = TraceStore(directory)
+    assert store.format_version("golden") == version
+    return store
+
+
+def _assert_synthesizes_like_companion(store):
+    expected = synthesize_from_trace(_golden_trace())
+    actual = synthesize_from_store(store, jobs=1)
+    assert dag_to_json(actual) == dag_to_json(expected)
+    assert to_dot(actual) == to_dot(expected)
+
+
+def _assert_upgrades_to_committed_v3(store):
+    """``upgrade=True`` lifts the run to v3 with the trace unchanged --
+    to exactly the committed golden v3 bytes."""
+    assert store.convert_legacy(upgrade=True) == [store.path_of("golden")]
+    assert store.format_version("golden") == 3
+    assert store.load("golden").to_dict() == _golden_trace().to_dict()
+    with open(store.path_of("golden"), "rb") as handle:
+        assert handle.read() == (DATA_DIR / "golden_v3.trace.bin").read_bytes()
 
 
 class TestGoldenV1Fixture:
@@ -260,8 +274,7 @@ class TestGoldenV1Fixture:
         gzip-JSON companion decodes through an independent code path."""
         reader = SegmentReader.open(str(DATA_DIR / "golden_v1.trace.bin"))
         assert reader.version == 1
-        expected = load_trace(str(DATA_DIR / "golden_v1.trace.json.gz"))
-        assert reader.to_trace().to_dict() == expected.to_dict()
+        assert reader.to_trace().to_dict() == _golden_trace().to_dict()
 
     def test_committed_v1_segment_synthesizes_like_its_companion(
         self, tmp_path
@@ -269,33 +282,37 @@ class TestGoldenV1Fixture:
         """The v1 columns normalized on open feed the same column
         consumer as v2/v3: the committed v1 bytes must synthesize the
         model of the gzip-JSON companion, byte for byte."""
-        directory = str(tmp_path / "s")
-        os.makedirs(directory)
-        shutil.copy(
-            DATA_DIR / "golden_v1.trace.bin",
-            os.path.join(directory, f"golden{SEGMENT_SUFFIX}"),
-        )
-        store = TraceStore(directory)
-        assert store.format_version("golden") == 1
-        expected = synthesize_from_trace(
-            load_trace(str(DATA_DIR / "golden_v1.trace.json.gz"))
-        )
-        actual = synthesize_from_store(store, jobs=1)
-        assert dag_to_json(actual) == dag_to_json(expected)
-        assert to_dot(actual) == to_dot(expected)
+        _assert_synthesizes_like_companion(_golden_store(tmp_path, 1))
 
     def test_committed_v1_segment_upgrades(self, tmp_path):
-        directory = str(tmp_path / "s")
-        os.makedirs(directory)
-        shutil.copy(
-            DATA_DIR / "golden_v1.trace.bin",
-            os.path.join(directory, f"golden{SEGMENT_SUFFIX}"),
-        )
-        store = TraceStore(directory)
-        store.convert_legacy(upgrade=True, format_version=2)
-        assert store.format_version("golden") == 2
-        expected = load_trace(str(DATA_DIR / "golden_v1.trace.json.gz"))
-        assert store.load("golden").to_dict() == expected.to_dict()
+        _assert_upgrades_to_committed_v3(_golden_store(tmp_path, 1))
+
+
+class TestGoldenV2Fixture:
+    def test_committed_v2_segment_decodes(self):
+        """The committed v2 bytes (one zlib body stream) must stay
+        readable forever; they describe the golden v1 companion trace."""
+        reader = SegmentReader.open(str(DATA_DIR / "golden_v2.trace.bin"))
+        assert reader.version == 2
+        assert reader.to_trace().to_dict() == _golden_trace().to_dict()
+
+    def test_committed_v2_segment_synthesizes_like_its_companion(
+        self, tmp_path
+    ):
+        _assert_synthesizes_like_companion(_golden_store(tmp_path, 2))
+
+    def test_committed_v2_segment_upgrades(self, tmp_path):
+        _assert_upgrades_to_committed_v3(_golden_store(tmp_path, 2))
+
+
+class TestFixtureWriter:
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_reproduces_committed_segment_bytes(self, version):
+        """The test-side v1/v2 encoder makes the committed golden bytes
+        byte for byte, so the segments it writes for the read-side
+        tests are the formats older stores hold."""
+        committed = (DATA_DIR / f"golden_v{version}.trace.bin").read_bytes()
+        assert encode_as(_golden_trace(), version) == committed
 
 
 # ---------------------------------------------------------------------------
@@ -400,27 +417,28 @@ class TestFormatErrorDiagnostics:
             assert [info.run_id for info in lenient.run_infos()] == ["good"]
 
     def test_interrupted_upgrade_leaves_original_intact(self, syn_trace, tmp_path, monkeypatch):
-        """The v1->v2 upgrade stages to a temp file and os.replace()s,
-        so a failed rewrite never truncates the only copy of a run."""
-        import repro.store.database as database_module
+        """The v1 -> v3 upgrade writes through a staging file and
+        os.replace()s it, so a failed rewrite never truncates the only
+        copy of a run and leaves no staging file behind."""
+        from repro.store.writer import SegmentSpool
 
         directory = str(tmp_path / "s")
         os.makedirs(directory)
         path = os.path.join(directory, f"run000{SEGMENT_SUFFIX}")
-        write_segment(syn_trace, path, format_version=1)
+        write_as(syn_trace, path, 1)
         original = open(path, "rb").read()
 
-        def exploding_write(trace, target, compress=True, format_version=2):
-            with open(target, "wb") as handle:
-                handle.write(b"partial")
+        def exploding_finish(spool, handle, *args, **kwargs):
+            handle.write(b"partial")
             raise OSError("disk full")
 
-        monkeypatch.setattr(database_module, "write_segment", exploding_write)
+        monkeypatch.setattr(SegmentSpool, "finish", exploding_finish)
         store = TraceStore(directory)
         with pytest.raises(OSError, match="disk full"):
             store.convert_legacy(upgrade=True)
         assert open(path, "rb").read() == original
         assert SegmentReader.open(path).version == 1
+        assert os.listdir(directory) == [f"run000{SEGMENT_SUFFIX}"]
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +454,8 @@ class TestCliUsageErrors:
             ["synthesize", "somewhere", "--jobs", "-3"],
             ["synthesize", "somewhere", "--jobs", "two"],
             ["record", "syn", "--out", "somewhere", "--jobs", "0"],
-            ["record", "syn", "--out", "somewhere", "--format-version", "4"],
+            # The segment format is not selectable: the flag is gone.
+            ["record", "syn", "--out", "somewhere", "--format-version", "3"],
         ],
     )
     def test_bad_arguments_exit_2(self, argv, capsys):
@@ -450,15 +469,11 @@ class TestStoreInfoCli:
     def test_mixed_store_listing(self, fusion_traces, tmp_path, capsys):
         directory = str(tmp_path / "s")
         os.makedirs(directory)
-        write_segment(
-            fusion_traces[0],
-            os.path.join(directory, f"run000{SEGMENT_SUFFIX}"),
-            format_version=1,
+        write_as(
+            fusion_traces[0], os.path.join(directory, f"run000{SEGMENT_SUFFIX}"), 1
         )
-        write_segment(
-            fusion_traces[1],
-            os.path.join(directory, f"run001{SEGMENT_SUFFIX}"),
-            format_version=2,
+        write_as(
+            fusion_traces[1], os.path.join(directory, f"run001{SEGMENT_SUFFIX}"), 2
         )
         save_trace(
             fusion_traces[2], os.path.join(directory, f"run002{TRACE_SUFFIX}")
@@ -492,27 +507,20 @@ class TestConvertCli:
     def test_convert_upgrade_cli(self, fusion_traces, tmp_path, capsys):
         directory = str(tmp_path / "s")
         os.makedirs(directory)
-        write_segment(
-            fusion_traces[0],
-            os.path.join(directory, f"run000{SEGMENT_SUFFIX}"),
-            format_version=1,
+        write_as(
+            fusion_traces[0], os.path.join(directory, f"run000{SEGMENT_SUFFIX}"), 1
         )
         save_trace(
             fusion_traces[1], os.path.join(directory, f"run001{TRACE_SUFFIX}")
         )
-        assert main(
-            ["convert", directory, "--upgrade", "--remove",
-             "--format-version", "2"]
-        ) == 0
+        assert main(["convert", directory, "--upgrade", "--remove"]) == 0
         out = capsys.readouterr().out
-        assert "2 run(s) -> format v2" in out
+        assert "2 run(s) -> format v3" in out
         store = TraceStore(directory)
-        assert [store.format_version(r) for r in store.run_ids()] == [2, 2]
+        assert [store.format_version(r) for r in store.run_ids()] == [3, 3]
         assert not any(
             name.endswith(TRACE_SUFFIX) for name in os.listdir(directory)
         )
         # idempotent second pass
-        assert main(
-            ["convert", directory, "--upgrade", "--format-version", "2"]
-        ) == 0
+        assert main(["convert", directory, "--upgrade"]) == 0
         assert "nothing to convert" in capsys.readouterr().out

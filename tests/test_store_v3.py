@@ -64,6 +64,7 @@ from repro.tracing.events import (
 )
 from repro.tracing.session import Trace
 from repro.tracing.storage import TRACE_SUFFIX, load_trace, save_trace
+from segment_fixtures import encode_as, write_as
 
 DATA_DIR = Path(__file__).parent / "data"
 DURATION_NS = int(1.0 * SEC)
@@ -112,7 +113,7 @@ class TestFormatV3:
     def test_all_versions_describe_one_trace(self, syn_trace, compress):
         dicts = {
             v: SegmentReader(
-                encode_trace(syn_trace, compress=compress, format_version=v)
+                encode_as(syn_trace, v, compress=compress)
             ).to_trace().to_dict()
             for v in (1, 2, 3)
         }
@@ -137,7 +138,7 @@ class TestFormatV3:
     def test_v1_v2_have_no_section_directory(self, syn_trace, tmp_path):
         for version in (1, 2):
             path = str(tmp_path / f"v{version}{SEGMENT_SUFFIX}")
-            write_segment(syn_trace, path, format_version=version)
+            write_as(syn_trace, path, version)
             assert peek_sections(path) == []
 
     def test_writer_keeps_incompressible_sections_raw(self, syn_trace, tmp_path):
@@ -207,10 +208,10 @@ class TestUpgradeToV3:
     def _store(self, traces, directory, version):
         os.makedirs(directory, exist_ok=True)
         for index, trace in enumerate(traces):
-            write_segment(
+            write_as(
                 trace,
                 os.path.join(directory, f"run{index:03d}{SEGMENT_SUFFIX}"),
-                format_version=version,
+                version,
             )
         return TraceStore(directory)
 
@@ -238,10 +239,10 @@ class TestUpgradeToV3:
         directory = str(tmp_path / "mixed")
         os.makedirs(directory)
         for index, version in enumerate((1, 2, 3)):
-            write_segment(
+            write_as(
                 fusion_traces[index],
                 os.path.join(directory, f"run{index:03d}{SEGMENT_SUFFIX}"),
-                format_version=version,
+                version,
             )
         save_trace(
             fusion_traces[3], os.path.join(directory, f"run003{TRACE_SUFFIX}")
@@ -421,10 +422,10 @@ class TestSegmentCache:
         directory = str(tmp_path / "s")
         cache = str(tmp_path / "cache")
         os.makedirs(directory)
-        write_segment(
+        write_as(
             fusion_traces[0],
             os.path.join(directory, f"run000{SEGMENT_SUFFIX}"),
-            format_version=1,
+            1,
         )
         assert main(
             ["convert", directory, "--upgrade", "--cache", cache]
@@ -542,10 +543,10 @@ class TestStoreInfoJson:
             fusion_traces[0],
             os.path.join(directory, f"run000{SEGMENT_SUFFIX}"),
         )
-        write_segment(
+        write_as(
             fusion_traces[1],
             os.path.join(directory, f"run001{SEGMENT_SUFFIX}"),
-            format_version=2,
+            2,
         )
         assert main(["store-info", directory, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -693,7 +694,7 @@ class TestWalkFastpathProperties:
         reference = _rows_from_events(trace, 0)
         resolved = [(ts, pid, code, aux) for ts, _, _, pid, code, aux in reference]
         readers = [InMemorySegment(trace)] + [
-            SegmentReader(encode_trace(trace, format_version=version))
+            SegmentReader(encode_as(trace, version))
             for version in (1, 2, 3)
         ]
         for reader in readers:
@@ -713,7 +714,7 @@ class TestWalkFastpathProperties:
         for version in (1, 2, 3):
             for parts in ([trace], _halves(trace, split)):
                 index = StoreTraceIndex([
-                    SegmentReader(encode_trace(part, format_version=version))
+                    SegmentReader(encode_as(part, version))
                     for part in parts
                 ])
                 assert _index_tables(index) == _index_tables(reference)
