@@ -26,8 +26,12 @@ Indexes over consecutive pieces of one stream concatenate
 piece records the callback start it leaves open per PID and the
 callback end it opens with per PID, so a window spanning two pieces
 pairs up exactly as one build over the whole stream pairs it.  Stores
-index one fragment per run and concatenate them, and the live service
-caches those fragments per retained run.
+index one fragment per run.  Chain journeys rarely cross runs: when no
+taking PID and no ``(topic, src_ts)`` key spans two fragments
+(:func:`fragments_are_separable`), :func:`chain_latencies` follows each
+fragment on its own and skips the concatenation, and the live service
+keeps each retained run's fragment and journeys, so an arrival follows
+only the new run.
 """
 
 from __future__ import annotations
@@ -35,8 +39,9 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from heapq import merge as _heap_merge
+from itertools import repeat
 from operator import itemgetter
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -47,7 +52,7 @@ from ..core.index import (
     CODE_TAKE,
     TopicKey,
 )
-from ..store.index import _resolve
+from ..store.index import _resolve, _spans_are_ordered
 from ..store.reader import InMemorySegment
 from ..tracing.session import Trace
 
@@ -98,7 +103,11 @@ class LatencyIndex:
     * per-PID ``sched_wakeup`` times in stable ts order;
     * the stream's boundary state (see :meth:`concat`): the ts range of
       its rows, the CB start still open per PID at its end, and per PID
-      the first CB end that arrived before any CB start of that PID.
+      the first CB end that arrived before any CB start of that PID;
+    * what chain journeys over it read (see
+      :func:`fragments_are_separable`): the PIDs with CB, write or take
+      rows, the PIDs with take rows, and the ``(topic, src_ts)`` keys
+      of the writes and takes.
 
     Callback windows pair per PID: a window is a CB end whose PID's
     previous CB row is a start, so a start followed by another start
@@ -120,6 +129,9 @@ class LatencyIndex:
         "_open_tail",
         "_lead_end",
         "_span",
+        "_pids",
+        "_takers",
+        "_keys",
     )
 
     def __init__(
@@ -171,9 +183,10 @@ class LatencyIndex:
         self._takes_by_key: Dict[TopicKey, List[Tuple[int, int]]] = {}
         self._takes_by_topic: Dict[Optional[str], List[Tuple[int, Optional[int]]]] = {}
         rows = np.flatnonzero((code_np == CODE_DDS_WRITE) | (code_np == CODE_TAKE))
-        for ts, pid, code, payload in zip(
-            *(column[rows].tolist() for column in (ts_np, pid_np, code_np, aux))
-        ):
+        row_ts, row_pid, row_code, row_aux = (
+            column[rows].tolist() for column in (ts_np, pid_np, code_np, aux)
+        )
+        for ts, pid, code, payload in zip(row_ts, row_pid, row_code, row_aux):
             topic = payload.get("topic")
             src_ts = payload.get("src_ts")
             if code == CODE_DDS_WRITE:
@@ -182,6 +195,15 @@ class LatencyIndex:
             else:
                 self._takes_by_key.setdefault((topic, src_ts), []).append((ts, pid))
                 self._takes_by_topic.setdefault(topic, []).append((ts, src_ts))
+        #: PIDs with CB, write or take rows, the PIDs with take rows and
+        #: the (topic, src_ts) keys of the writes and takes: what chain
+        #: journeys read.
+        self._pids = frozenset(cb_pid[first].tolist()).union(row_pid)
+        self._takers = frozenset(pid_np[code_np == CODE_TAKE].tolist())
+        keys = set(self._takes_by_key)
+        for topic, topic_writes in self._writes_by_topic.items():
+            keys.update(zip(repeat(topic), map(itemgetter(1), topic_writes)))
+        self._keys = frozenset(keys)
         order = np.lexsort((wake_ts, wake_pid))  # per PID, stable ts order
         self._wakeups = _split(wake_pid[order], wake_ts[order].tolist())
 
@@ -263,6 +285,9 @@ class LatencyIndex:
         index._open_tail = open_start
         index._lead_end = lead_end
         index._span = None if first is None else (first, last)
+        index._pids = frozenset().union(*(part._pids for part in parts))
+        index._takers = frozenset().union(*(part._takers for part in parts))
+        index._keys = frozenset().union(*(part._keys for part in parts))
         return index
 
     @classmethod
@@ -361,19 +386,86 @@ class _ListConcat:
         return key in self._copied
 
 
+def fragments_are_separable(fragments: Sequence[LatencyIndex]) -> bool:
+    """True when the chain journeys over the concatenation of
+    ``fragments`` are the fragments' own journeys, concatenated.
+
+    That holds when the fragments are time-ordered, no PID that takes
+    in one fragment has CB, write or take rows in another, and no
+    ``(topic, src_ts)`` key of a write or take (``src_ts`` None
+    included) appears in two of them.  A journey follows keys of its
+    own fragment's writes to the takes under them, and reads the
+    windows and writes of the PIDs that take -- so every row it reads
+    lies in the fragment it started in.  A PID that only writes (the
+    one PID of the publishers outside the traced nodes writes in every
+    run) is read only through its topics' write lists, which
+    concatenate in fragment order, so it may recur."""
+    if not _spans_are_ordered(fragment.span for fragment in fragments):
+        return False
+    pids: set = set()
+    takers: set = set()
+    keys: set = set()
+    for fragment in fragments:
+        if not (
+            pids.isdisjoint(fragment._takers)
+            and takers.isdisjoint(fragment._pids)
+            and keys.isdisjoint(fragment._keys)
+        ):
+            return False
+        pids |= fragment._pids
+        takers |= fragment._takers
+        keys |= fragment._keys
+    return True
+
+
 def chain_latencies(
-    index: LatencyIndex,
+    index: Union[LatencyIndex, Sequence[LatencyIndex]],
     topics: Sequence[str],
     max_instances: Optional[int] = None,
+    journeys: Optional[Dict[LatencyIndex, List[ChainLatency]]] = None,
 ) -> List[ChainLatency]:
-    """Follow data through ``topics`` (in order) over a built index.
+    """Follow data through ``topics`` (in order) over a built index, or
+    over the time-ordered per-run fragments of one stream.
 
     ``topics[0]`` is the chain's entry topic; each subsequent topic must
     be published from within the callback consuming the previous one.
     Incomplete journeys (data dropped by QoS, run boundary) are skipped.
+
+    Over fragments, the result equals the result over
+    ``LatencyIndex.concat(fragments)``.  When
+    :func:`fragments_are_separable` holds, each fragment is followed on
+    its own, and ``journeys`` -- a cache of per-fragment results for
+    this same ``topics``, keyed by fragment -- supplies the fragments
+    it holds and takes the ones followed here.  Otherwise the fragments
+    are concatenated and followed as one index.
     """
     if not topics:
         raise ValueError("need at least one topic")
+    if isinstance(index, LatencyIndex):
+        return _chain_latencies(index, topics, max_instances)
+    if not fragments_are_separable(index):
+        return _chain_latencies(LatencyIndex.concat(index), topics, max_instances)
+    latencies: List[ChainLatency] = []
+    for fragment in index:
+        if max_instances is not None and len(latencies) >= max_instances:
+            break
+        if journeys is None:
+            left = None if max_instances is None else max_instances - len(latencies)
+            latencies += _chain_latencies(fragment, topics, left)
+            continue
+        part = journeys.get(fragment)
+        if part is None:
+            part = journeys[fragment] = _chain_latencies(fragment, topics, None)
+        latencies += part
+    return latencies[:max_instances]
+
+
+def _chain_latencies(
+    index: LatencyIndex,
+    topics: Sequence[str],
+    max_instances: Optional[int],
+) -> List[ChainLatency]:
+    """:func:`chain_latencies` over one index."""
     latencies: List[ChainLatency] = []
     for write_ts, src_ts in index.writes_on(topics[0]):
         if max_instances is not None and len(latencies) >= max_instances:

@@ -33,7 +33,9 @@ handle (one synthesis, one latency index, any number of reports) -- the
 engine behind ``repro analyze``.  It opens the store's readers once and
 hands them to the serial synthesis and to the latency index alike, so
 each segment is inflated once: the second consumer reads the sections
-the first one decoded from the reader's cache.
+the first one decoded from the reader's cache.  Chain latencies follow
+the per-run fragments one at a time when no journey can cross a run
+(:func:`~repro.analysis.latency.chain_latencies`).
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from ..store.index import (
     _merged_columns,
     _resolve,
     _runs_are_time_ordered,
-    _spans_are_ordered,
 )
 from ..store.synthesis import _synthesize_readers, synthesize_from_store
 from .chains import Chain, enumerate_chains
@@ -69,9 +70,8 @@ from .load import CallbackLoad, callback_loads, node_loads
 def latency_fragment(reader, pids: Optional[frozenset] = None) -> LatencyIndex:
     """One run's :class:`LatencyIndex` -- the piece
     :func:`latency_index_from_store` concatenates over time-ordered
-    runs, and the live service caches per retained run.  Its
-    :attr:`~LatencyIndex.span` is the run's ROS ts range when ``pids``
-    is None."""
+    runs.  Its :attr:`~LatencyIndex.span` is the run's ROS ts range
+    when ``pids`` is None."""
     return LatencyIndex(
         _resolve(reader.walk_fastpath()), reader.wakeup_pid_columns(), pids
     )
@@ -93,65 +93,42 @@ def _merged_latency_index(
     )
 
 
-def _readers_latency_index(
+def _latency_fragments(
     readers: Sequence, pids: Optional[frozenset]
-) -> LatencyIndex:
-    """The index over open readers in run-id order: per-run fragments
-    concatenated when the runs are time-ordered, else one merged
-    build."""
-    if _runs_are_time_ordered(readers):
-        return LatencyIndex.concat(
-            [latency_fragment(reader, pids) for reader in readers]
-        )
-    return _merged_latency_index(readers, pids)
+) -> Optional[List[LatencyIndex]]:
+    """One fragment per run when the runs (in run-id order) are
+    time-ordered, else None: they need one merged build."""
+    if not _runs_are_time_ordered(readers):
+        return None
+    return [latency_fragment(reader, pids) for reader in readers]
 
 
 def latency_index_from_store(
     store: StoreLike,
     pids: Optional[Iterable[int]] = None,
     run_ids: Optional[Sequence[str]] = None,
-    fragments: Optional[Dict[str, LatencyIndex]] = None,
 ) -> LatencyIndex:
     """Build a :class:`LatencyIndex` from a store's segments.
 
     ``pids`` restricts the analysis to those nodes' events (takes,
     writes and windows of other PIDs are then invisible, exactly as if
     the in-memory trace had been filtered before indexing).  ``run_ids``
-    restricts it to a frozen run list in the given order -- how a live
-    service snapshot analyzes exactly its retained runs while newer
-    segments keep landing in the same directory.
+    restricts it to a frozen run list in the given order.
 
     Time-disjoint runs (the usual case) are indexed one
     :func:`latency_fragment` per run and concatenated; overlapping runs
-    go through one build over their merged columns.  ``fragments`` is a
-    per-run cache of unfiltered fragments, consulted together with
-    ``run_ids`` and ``pids=None``: cached runs are not read again, and
-    the fragments built here are added to it.
+    go through one build over their merged columns.
     """
     resolved = as_store(store)
     wanted = None if pids is None else frozenset(pids)
     if run_ids is None:
-        return _readers_latency_index(resolved.readers(), wanted)
-    cache = fragments if fragments is not None and wanted is None else {}
-    readers = {
-        run_id: resolved.open(run_id) for run_id in run_ids if run_id not in cache
-    }
-    spans = (
-        readers[run_id].ros_ts_range() if run_id in readers
-        else cache[run_id].span
-        for run_id in run_ids
-    )
-    if not _spans_are_ordered(spans):
-        return _merged_latency_index(
-            [
-                readers[run_id] if run_id in readers else resolved.open(run_id)
-                for run_id in run_ids
-            ],
-            wanted,
-        )
-    for run_id, reader in readers.items():
-        cache[run_id] = latency_fragment(reader, wanted)
-    return LatencyIndex.concat([cache[run_id] for run_id in run_ids])
+        readers = resolved.readers()
+    else:
+        readers = [resolved.open(run_id) for run_id in run_ids]
+    fragments = _latency_fragments(readers, wanted)
+    if fragments is None:
+        return _merged_latency_index(readers, wanted)
+    return LatencyIndex.concat(fragments)
 
 
 class StoreAnalysis:
@@ -176,6 +153,7 @@ class StoreAnalysis:
     ):
         self.store = as_store(store)
         self.pids = None if pids is None else sorted(pids)
+        self._wanted = None if pids is None else frozenset(self.pids)
         self.jobs = jobs
         self.split_services = split_services
         self.model_sync = model_sync
@@ -187,6 +165,12 @@ class StoreAnalysis:
     def _readers(self) -> List:
         """The store's readers, opened on first use."""
         return self.store.readers()
+
+    @cached_property
+    def _fragments(self) -> Optional[List[LatencyIndex]]:
+        """Per-run latency fragments over the same readers, or None when
+        the runs overlap in time."""
+        return _latency_fragments(self._readers, self._wanted)
 
     @property
     def dag(self) -> TimingDag:
@@ -214,10 +198,11 @@ class StoreAnalysis:
     def index(self) -> LatencyIndex:
         """The latency index over the same readers (built once)."""
         if self._index is None:
-            self._index = _readers_latency_index(
-                self._readers,
-                None if self.pids is None else frozenset(self.pids),
-            )
+            fragments = self._fragments
+            if fragments is None:
+                self._index = _merged_latency_index(self._readers, self._wanted)
+            else:
+                self._index = LatencyIndex.concat(fragments)
         return self._index
 
     # -- model-based analyses ---------------------------------------------
@@ -246,7 +231,13 @@ class StoreAnalysis:
     def chain_latencies(
         self, topics: Sequence[str], max_instances: Optional[int] = None
     ) -> List[ChainLatency]:
-        return chain_latencies(self.index, topics, max_instances)
+        """Per run when the runs' journeys stay inside them (see
+        :func:`~repro.analysis.latency.chain_latencies`), so the
+        fragments need no concatenation."""
+        fragments = self._fragments
+        return chain_latencies(
+            self.index if fragments is None else fragments, topics, max_instances
+        )
 
     def waiting_times(self, pid: int) -> List[WaitingTime]:
         return waiting_times(self.index, pid)

@@ -7,9 +7,9 @@ The DOT output mirrors Fig. 3's visual conventions: one color per node,
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
-from .dag import DagVertex, TimingDag
+from .dag import DagEdge, DagVertex, TimingDag
 
 _PALETTE = [
     "#8dd3c7", "#ffffb3", "#bebada", "#fb8072", "#80b1d3",
@@ -41,28 +41,41 @@ def to_dot(dag: TimingDag, title: str = "timing_model") -> str:
     return "\n".join(lines)
 
 
+#: The JSON schema's vertex fields, in document order; the list-valued
+#: ones are copied into lists by :func:`dag_to_dict`.
+_VERTEX_FIELDS = (
+    "key", "node", "cb_id", "cb_type", "intopic", "outtopics",
+    "is_sync_member", "is_or_junction",
+    "exec_times", "start_times", "response_times",
+)
+_LIST_FIELDS = frozenset(
+    ("outtopics", "exec_times", "start_times", "response_times")
+)
+_EDGE_FIELDS = ("src", "dst", "topic")
+
+
+def _sorted_vertices(dag: TimingDag) -> List[DagVertex]:
+    return sorted(dag.vertices(), key=lambda v: v.key)
+
+
+def _sorted_edges(dag: TimingDag) -> List[DagEdge]:
+    return sorted(dag.edges(), key=lambda e: (e.src, e.dst, e.topic))
+
+
 def dag_to_dict(dag: TimingDag) -> Dict[str, Any]:
     """JSON-serializable form of the model (lossless round trip)."""
     return {
         "vertices": [
             {
-                "key": v.key,
-                "node": v.node,
-                "cb_id": v.cb_id,
-                "cb_type": v.cb_type,
-                "intopic": v.intopic,
-                "outtopics": list(v.outtopics),
-                "is_sync_member": v.is_sync_member,
-                "is_or_junction": v.is_or_junction,
-                "exec_times": list(v.exec_times),
-                "start_times": list(v.start_times),
-                "response_times": list(v.response_times),
+                name: list(getattr(v, name)) if name in _LIST_FIELDS
+                else getattr(v, name)
+                for name in _VERTEX_FIELDS
             }
-            for v in sorted(dag.vertices(), key=lambda v: v.key)
+            for v in _sorted_vertices(dag)
         ],
         "edges": [
-            {"src": e.src, "dst": e.dst, "topic": e.topic}
-            for e in sorted(dag.edges(), key=lambda e: (e.src, e.dst, e.topic))
+            {name: getattr(e, name) for name in _EDGE_FIELDS}
+            for e in _sorted_edges(dag)
         ],
     }
 
@@ -90,8 +103,89 @@ def dag_from_dict(raw: Dict[str, Any]) -> TimingDag:
     return dag
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+#: Any other scalar (None, bools, ints, floats with ``NaN``/``Infinity``)
+#: goes through the json module's own encoder.
+_encode_other = json.JSONEncoder().encode
+
+
+def _scalar(value: Any) -> str:
+    return _encode_str(value) if type(value) is str else _encode_other(value)
+
+
+#: (field, its rendered ``"name": `` prefix[, list-valued]).
+_VERTEX_KEYS = tuple(
+    (name, _encode_str(name) + ": ", name in _LIST_FIELDS)
+    for name in _VERTEX_FIELDS
+)
+_EDGE_KEYS = tuple((name, _encode_str(name) + ": ") for name in _EDGE_FIELDS)
+
+
 def dag_to_json(dag: TimingDag, indent: Optional[int] = None) -> str:
-    return json.dumps(dag_to_dict(dag), indent=indent)
+    """The model as JSON text: byte-identical to
+    ``json.dumps(dag_to_dict(dag), indent=indent)``, rendered from the
+    fixed schema without the intermediate dict.
+
+    ``json.dumps`` with an ``indent`` falls back to the json module's
+    pure-Python encoder, one call per value.  Here every string goes
+    through the C ``encode_basestring_ascii``, and a sample list of
+    plain ints is one C-level ``join(map(int.__repr__, ...))``; other
+    scalars follow the json module's own rules."""
+    if indent is None:
+        newline = [""] * 5
+        item_sep = ", "
+    else:
+        pad = " " * indent if isinstance(indent, int) else indent
+        newline = ["\n" + pad * level for level in range(5)]
+        item_sep = ","
+    # newline[level] opens a container's items at ``level``; joins[level]
+    # separates them.
+    joins = [item_sep + line for line in newline]
+
+    def container(items: List[str], level: int, brackets: str) -> str:
+        if not items:
+            return brackets
+        return (
+            brackets[0] + newline[level] + joins[level].join(items)
+            + newline[level - 1] + brackets[1]
+        )
+
+    def array(values: Any) -> str:
+        if not values:
+            return "[]"
+        encode = int.__repr__ if set(map(type, values)) == {int} else _scalar
+        return (
+            "[" + newline[4] + joins[4].join(map(encode, values))
+            + newline[3] + "]"
+        )
+
+    vertices = [
+        container(
+            [
+                key + (array if is_list else _scalar)(getattr(vertex, name))
+                for name, key, is_list in _VERTEX_KEYS
+            ],
+            3,
+            "{}",
+        )
+        for vertex in _sorted_vertices(dag)
+    ]
+    edges = [
+        container(
+            [key + _scalar(getattr(edge, name)) for name, key in _EDGE_KEYS],
+            3,
+            "{}",
+        )
+        for edge in _sorted_edges(dag)
+    ]
+    return container(
+        [
+            '"vertices": ' + container(vertices, 2, "[]"),
+            '"edges": ' + container(edges, 2, "[]"),
+        ],
+        1,
+        "{}",
+    )
 
 
 def dag_from_json(text: str) -> TimingDag:

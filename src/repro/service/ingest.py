@@ -6,11 +6,13 @@
 *accepts* already-encoded segment bytes from elsewhere (a socket put,
 a file dropped by another process) and commits them into a
 :class:`~repro.store.database.TraceStore`.  Every commit fully
-structurally validates the bytes first (header magic/version/counts,
-section directory bounds, stream integrity -- by constructing a
-:class:`~repro.store.reader.SegmentReader` over them) and lands via a
-same-directory tmp file + ``os.replace``, so concurrent store readers
-never observe a partial or malformed segment.
+validates the bytes first: a :class:`~repro.store.reader.SegmentReader`
+over them checks the header and the section directory, and
+:func:`~repro.store.index.resolve_run` decodes every section the live
+fold reads.  The commit lands via a same-directory tmp file +
+``os.replace``, so concurrent store readers never observe a partial or
+malformed segment, and it hands the decoded run on
+(:attr:`IngestResult.resolved`), so the fold inflates nothing again.
 
 :class:`DropDirWatcher` polls a drop directory for ``*.trace.bin``
 files.  A file that fails validation is *not* rejected immediately --
@@ -23,11 +25,12 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..store.database import TraceStore
-from ..store.format import SEGMENT_SUFFIX, StoreFormatError, unpack_header
+from ..store.format import SEGMENT_SUFFIX, StoreFormatError
+from ..store.index import ResolvedRun, resolve_run
 from ..store.reader import SegmentReader
 from ..store.writer import segment_path
 
@@ -59,6 +62,8 @@ class IngestResult:
     path: str
     events: int
     bytes_written: int
+    #: the validated segment, decoded: what the live fold consumes.
+    resolved: ResolvedRun = field(repr=False, compare=False)
 
 
 class IngestSpool:
@@ -68,10 +73,11 @@ class IngestSpool:
         self.store = store
         self.committed = 0
 
-    def validate_bytes(self, run_id: str, data: bytes) -> Tuple[int, int]:
-        """Full structural validation; returns ``(format_version,
-        events)``.  Raises :class:`IngestError` for anything that must
-        not land in the store."""
+    def validate_bytes(self, run_id: str, data: bytes) -> ResolvedRun:
+        """Full validation: the run id, then every section the live fold
+        reads, decoded (:func:`~repro.store.index.resolve_run`).
+        Returns the decoded run; raises :class:`IngestError` for
+        anything that must not land in the store."""
         validate_run_id(run_id)
         if run_id in self.store:
             raise IngestError(
@@ -79,22 +85,14 @@ class IngestSpool:
                 f"{os.path.basename(self.store.path_of(run_id))!r}"
             )
         try:
-            header = unpack_header(data, source=f"<ingest:{run_id}>")
-            # Constructing a reader bounds-checks the section directory
-            # and stream layout beyond the fixed header; touching the
-            # ROS ts range additionally inflates the walk hot path's
-            # first section, so a corrupt stream fails here, not later
-            # inside synthesis.
-            SegmentReader(data, path=f"<ingest:{run_id}>").ros_ts_range()
+            return resolve_run(SegmentReader(data, path=f"<ingest:{run_id}>"))
         except StoreFormatError as error:
             raise IngestError(str(error)) from None
-        version, _flags, _n_strings, _n_pids, n_ros, n_sched, n_wakeup = header[:7]
-        return version, n_ros + n_sched + n_wakeup
 
     def commit_bytes(self, run_id: str, data: bytes) -> IngestResult:
         """Validate and atomically land one segment; refreshes the
         store handle so the new run is immediately listable."""
-        _version, events = self.validate_bytes(run_id, data)
+        resolved = self.validate_bytes(run_id, data)
         dst = segment_path(self.store.directory, run_id)
         staging = f"{dst}.{os.getpid()}.ingest.tmp"
         try:
@@ -110,7 +108,11 @@ class IngestSpool:
         self.store.refresh()
         self.committed += 1
         return IngestResult(
-            run_id=run_id, path=dst, events=events, bytes_written=len(data)
+            run_id=run_id,
+            path=dst,
+            events=resolved.events,
+            bytes_written=len(data),
+            resolved=resolved,
         )
 
     def commit_file(

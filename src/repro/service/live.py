@@ -29,6 +29,20 @@ shares a merged sched bucket with a later run.  A rebuild drops every
 walk fragment; the next model walks each retained run once.
 :class:`LiveSynthesizer` makes these decisions per arriving segment and
 tracks the :class:`ServiceCounters`.
+
+Each arriving run is decoded once, before any state changes
+(:func:`~repro.store.index.resolve_run`: the resolved ROS columns, the
+payload rows they reference, the sched and wakeup columns), so a
+corrupt segment is rejected whole.  The same resolved columns feed the
+index extend and the run's
+:class:`~repro.analysis.latency.LatencyIndex` fragment, which is built
+at ingest and kept while the run is retained -- a rebuild keeps it,
+since it depends on its run only.  A latency query follows chains over
+those fragments and opens no segment; the journeys of the last-queried
+chain are cached per run, so after an arrival only the new run's
+writes are followed (:func:`~repro.analysis.latency.chain_latencies`).
+Only a time-overlapping window needs one index over the runs' merged
+columns, built from the segments on the first query after an arrival.
 """
 
 from __future__ import annotations
@@ -37,16 +51,22 @@ from bisect import insort
 from dataclasses import dataclass, fields
 from operator import attrgetter
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from ..analysis.latency import LatencyIndex
+from ..analysis.latency import ChainLatency, LatencyIndex
+from ..analysis.store import _merged_latency_index
 from ..core.dag import TimingDag
 from ..core.index import CODE_DDS_WRITE, CODE_TAKE_REQUEST, TopicKey
 from ..core.records import CBList
 from ..core.synthesis import synthesize_dag
 from ..store.database import TraceStore
 from ..store.format import StoreFormatError
-from ..store.index import StoreTraceIndex
+from ..store.index import (
+    ResolvedRun,
+    StoreTraceIndex,
+    _spans_are_ordered,
+    resolve_run,
+)
 from ..store.synthesis import _extract_index_cblists
 
 
@@ -66,8 +86,8 @@ class ServiceCounters:
     #: requests that failed with an unexpected exception (answered
     #: ``{"ok": false, "kind": "internal"}``).
     internal_errors: int = 0
-    #: per-run latency fragments built by ``latency`` queries and kept
-    #: for later queries (one per retained run while the cache holds).
+    #: per-run latency fragments, built at ingest: one per run that
+    #: enters the window.
     latency_fragments_built: int = 0
     #: per-run Alg. 1 walk fragments built (one per in-order arrival
     #: while no retained runs share state).
@@ -75,6 +95,10 @@ class ServiceCounters:
     #: PIDs walked by full re-walks, taken while retained runs share a
     #: stateful PID or a service key.
     pids_rewalked: int = 0
+    #: segments whose columns the service resolved: one per ingested
+    #: run, plus every retained run at a rebuild and at a latency query
+    #: over a time-overlapping window.
+    segments_decoded: int = 0
     extend_s: float = 0.0
     rebuild_s: float = 0.0
     #: estimated wall-clock the incremental extends saved vs rebuilding
@@ -230,9 +254,10 @@ class LiveSynthesizer:
     changes: :meth:`ingest` raises, and :meth:`refresh` skips it for
     good (``segments_rejected``) and ingests the runs after it.
 
-    The synthesizer also holds the per-run latency fragments queries
-    have built for retained runs (:meth:`latency_fragments`); a
-    fragment leaves with its run's eviction.
+    Each retained run also has its latency fragment, built at ingest
+    from the run's resolved columns, and the journeys of the
+    last-queried chain through it (:meth:`latency_index`,
+    :meth:`journeys`); both leave with the run's eviction.
     """
 
     def __init__(
@@ -265,8 +290,15 @@ class LiveSynthesizer:
         self._dag: Optional[TimingDag] = None
         #: measured full-build seconds per event (updated by rebuilds).
         self._build_rate: Optional[float] = None
-        #: retained run id -> its complete latency fragment.
-        self._fragments: Dict[str, LatencyIndex] = {}
+        #: retained run id -> its latency fragment.
+        self._latency: Dict[str, LatencyIndex] = {}
+        #: one index over a time-overlapping window's merged columns,
+        #: built on the first latency query after an arrival.
+        self._merged_latency: Optional[LatencyIndex] = None
+        #: the last-queried chain, and its journeys per retained run's
+        #: latency fragment.
+        self._journey_topics: Tuple[str, ...] = ()
+        self._journeys: Dict[LatencyIndex, List[ChainLatency]] = {}
         #: the retained runs' walk fragments; None while the index is
         #: sort-merged (it keeps no run extents to check sharing with).
         self._walks: Optional[_WalkFragments] = _WalkFragments()
@@ -292,39 +324,40 @@ class LiveSynthesizer:
             if run_id in self._seen:
                 continue
             try:
-                opened = self._open(run_id)
+                resolved = resolve_run(self.store.open(run_id))
             except StoreFormatError:
                 self._seen.add(run_id)
                 self.counters.segments_rejected += 1
                 continue
-            self._fold(run_id, *opened)
+            self._fold(run_id, resolved)
             ingested.append(run_id)
         return ingested
 
-    def ingest(self, run_id: str) -> None:
-        """Fold one stored run into the maintained model.  Raises
-        :class:`~repro.store.format.StoreFormatError`, with nothing
-        changed, when the run's segment cannot be read."""
+    def ingest(self, run_id: str, resolved: Optional[ResolvedRun] = None) -> None:
+        """Fold one stored run into the maintained model.  ``resolved``
+        is the run's segment as its validation decoded it
+        (:attr:`~repro.service.ingest.IngestResult.resolved`); without
+        it the run is opened and decoded here, and a segment that
+        cannot be read raises
+        :class:`~repro.store.format.StoreFormatError` with nothing
+        changed."""
         if run_id in self._seen:
             raise ValueError(f"run {run_id!r} already ingested")
         if run_id not in self.store:
             raise ValueError(
                 f"run {run_id!r} is not in store {self.store.directory!r}"
             )
-        self._fold(run_id, *self._open(run_id))
+        if resolved is None:
+            resolved = resolve_run(self.store.open(run_id))
+        self._fold(run_id, resolved)
 
-    def _open(self, run_id: str) -> Tuple[Any, int]:
-        """The run's reader and event count, read before any state
-        changes (the ROS ts column read is the check the ingest spool
-        applies to pushed bytes)."""
-        reader = self.store.open(run_id)
-        reader.ros_ts_range()
-        return reader, self.store.run_info(run_id).events
-
-    def _fold(self, run_id: str, reader: Any, events: int) -> None:
+    def _fold(self, run_id: str, resolved: ResolvedRun) -> None:
         counters = self.counters
+        reader = resolved.reader
+        events = resolved.events
         self._seen.add(run_id)
         counters.segments_ingested += 1
+        counters.segments_decoded += 1
         counters.events_indexed += events
         consumed = self._consumed
         window = self.retain_window
@@ -340,27 +373,32 @@ class LiveSynthesizer:
         else:
             insort(consumed, run_id)
         self._events_by_run[run_id] = events
+        self._latency[run_id] = LatencyIndex(
+            resolved.columns, reader.wakeup_pid_columns()
+        )
+        counters.latency_fragments_built += 1
         evicted: List[str] = []
         if window is not None and len(consumed) > window:
             evicted = consumed[: len(consumed) - window]
             del consumed[: len(evicted)]
             for old in evicted:
                 counters.rows_evicted += self._events_by_run.pop(old)
-                self._fragments.pop(old, None)
+                self._journeys.pop(self._latency.pop(old), None)
                 if self._walks is not None:
                     self._walks.drop(old)
             counters.runs_evicted += len(evicted)
         self._dag = None
+        self._merged_latency = None
 
         if not (in_order and self._index.can_append(reader)):
-            self._rebuild()
+            self._rebuild(run_id, reader)
             return
         started = perf_counter()
         for _ in evicted:
             if not self._index.evict_oldest():
-                self._rebuild()
+                self._rebuild(run_id, reader)
                 return
-        self._index.extend(reader)
+        self._index.extend(reader, resolved.columns)
         elapsed = perf_counter() - started
         counters.extends += 1
         counters.extend_s += elapsed
@@ -385,11 +423,17 @@ class LiveSynthesizer:
         if self._walks.add(run_id, extent, _service_keys(index, extent, starts)):
             self._walk(run_id)
 
-    def _rebuild(self) -> None:
+    def _rebuild(self, run_id: str, reader: Any) -> None:
+        """A new index over the retained runs; ``reader`` is the arriving
+        run ``run_id``'s, whose sections are already inflated."""
         counters = self.counters
         started = perf_counter()
-        readers = [self.store.open(run_id) for run_id in self._consumed]
+        readers = [
+            reader if retained == run_id else self.store.open(retained)
+            for retained in self._consumed
+        ]
         self._index = StoreTraceIndex(readers)
+        counters.segments_decoded += len(readers)
         elapsed = perf_counter() - started
         counters.rebuilds += 1
         counters.rebuild_s += elapsed
@@ -415,21 +459,33 @@ class LiveSynthesizer:
         )
         self.counters.walk_fragments_built += 1
 
-    def latency_fragments(self) -> Dict[str, LatencyIndex]:
-        """A copy of the cached latency fragments of the retained runs,
-        for a query snapshot to complete outside the service lock (see
-        :func:`~repro.analysis.store.latency_index_from_store`)."""
-        return dict(self._fragments)
+    def latency_index(self) -> Union[List[LatencyIndex], LatencyIndex]:
+        """What a latency query follows chains over: the retained runs'
+        latency fragments in run order when their spans are
+        time-ordered, else one index over their merged columns (built
+        from the segments once per arrival).
+        :func:`~repro.analysis.latency.chain_latencies` takes either."""
+        fragments = [self._latency[run_id] for run_id in self._consumed]
+        if _spans_are_ordered(fragment.span for fragment in fragments):
+            return fragments
+        if self._merged_latency is None:
+            readers = [self.store.open(run_id) for run_id in self._consumed]
+            self._merged_latency = _merged_latency_index(readers, None)
+            self.counters.segments_decoded += len(readers)
+        return self._merged_latency
 
-    def keep_latency_fragments(self, fragments: Dict[str, LatencyIndex]) -> None:
-        """Cache the complete fragments a query built, for the runs that
-        are still retained."""
-        cache = self._fragments
-        retained = set(self._consumed)
-        for run_id, fragment in fragments.items():
-            if run_id in retained and run_id not in cache:
-                cache[run_id] = fragment
-                self.counters.latency_fragments_built += 1
+    def journeys(
+        self, topics: Sequence[str]
+    ) -> Dict[LatencyIndex, List[ChainLatency]]:
+        """The per-fragment journey cache for the chain ``topics`` (see
+        :func:`~repro.analysis.latency.chain_latencies`).  Only the
+        last-queried chain is kept: another chain starts an empty
+        cache."""
+        topics = tuple(topics)
+        if topics != self._journey_topics:
+            self._journey_topics = topics
+            self._journeys = {}
+        return self._journeys
 
     def _cblists(self) -> List[CBList]:
         """The CBLists of every retained PID, ascending -- the retained

@@ -6,10 +6,10 @@
 store, a :class:`~repro.service.live.LiveSynthesizer` folds each commit
 into the incrementally maintained model, and queries are answered from
 :class:`~repro.service.state.ServiceState` snapshots taken under the
-service lock.  The socket listener is thread-per-connection; ingest and
-snapshot-taking serialize on one lock, while snapshot *consumption*
-(model rendering, latency scans over immutable committed files) runs
-outside it.
+service lock.  The socket listener is thread-per-connection; ingest,
+snapshot-taking and latency queries (in-memory, O(one run) per
+arrival) serialize on one lock, while snapshot *consumption* (model
+rendering, chains, store info) runs outside it.
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ class SynthesisService:
             except IngestError:
                 self.counters.segments_rejected += 1
                 raise
-            self.live.ingest(run_id)
+            self.live.ingest(run_id, result.resolved)
         self._log(
             f"ingested {run_id!r}: {result.events} events, "
             f"{result.bytes_written} bytes"
@@ -130,7 +130,7 @@ class SynthesisService:
         with self._lock:
             committed = self.watcher.poll() if self.watcher is not None else []
             for result in committed:
-                self.live.ingest(result.run_id)
+                self.live.ingest(result.run_id, result.resolved)
                 self._log(
                     f"ingested dropped {result.run_id!r}: "
                     f"{result.events} events"
@@ -157,15 +157,12 @@ class SynthesisService:
             )
 
     def latency_summary(self, topics: List[str]) -> Dict[str, Any]:
-        """Chain-latency stats over a snapshot, completed outside the
-        lock; the fragments it had to build join the cache afterwards."""
+        """Chain-latency stats over the retained runs, answered under
+        the lock: the journey cache it fills is shared."""
         with self._lock:
-            state = self.state()
-            fragments = self.live.latency_fragments()
-        summary = state.latency_summary(topics, fragments)
-        with self._lock:
-            self.live.keep_latency_fragments(fragments)
-        return summary
+            return self.state().latency_summary(
+                topics, self.live.latency_index(), self.live.journeys(topics)
+            )
 
     def handle_request(
         self, payload: Dict[str, Any], body: bytes

@@ -1,33 +1,32 @@
 """The api side of the service's api/worker split.
 
 A :class:`ServiceState` is taken under the service lock at query time
-and then answers entirely without it: the run-id list is frozen, the
-timing DAG is the maintainer's already-built (cached) model, and any
-store reads go against committed segment files, which are immutable --
-the ingest worker only ever *adds* runs via atomic rename.  So a slow
-``latency`` scan or a large ``model`` export never blocks ingestion,
-and a segment that commits mid-query does not shear the answer.
+and then answers without it: the run-id list is frozen, the timing DAG
+is the maintainer's already-built (cached) model, and store reads go
+against committed segment files, which are immutable -- the ingest
+worker only ever *adds* runs via atomic rename.  So a large ``model``
+export never blocks ingestion, and a segment that commits mid-query
+does not shear the answer.  ``model --format json`` renders with
+:func:`~repro.core.export.dag_to_json`, which writes the JSON schema
+with C-level string and int encoding.
 
-``latency`` answers from per-run fragments
-(:func:`~repro.analysis.store.latency_fragment`) rather than a scan of
-the whole window.  The :class:`~repro.service.live.LiveSynthesizer`
-caches one fragment per retained run.  A query takes a copy of that
-cache together with the snapshot, builds the fragments it lacks from
-the committed segments outside the lock, and concatenates them
-(:meth:`~repro.analysis.latency.LatencyIndex.concat`).  Only then does
-the service put the new, complete fragments into the cache -- for the
-runs still retained -- so a steady stream builds one fragment per
-arriving run, and an evicted run's fragment leaves the cache with it.
+``latency`` reads no segment: it follows the chain over the per-run
+latency fragments the :class:`~repro.service.live.LiveSynthesizer`
+built at ingest, with the journeys of the last-queried chain cached
+per run, so after an arrival only the new run's writes are followed
+(:func:`~repro.analysis.latency.chain_latencies`).  That cache is
+shared, so the service answers ``latency`` under its lock -- at
+O(one run) per arrival.  Only a time-overlapping window falls back to
+one index over the runs' merged columns.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from ..analysis.chains import Chain, enumerate_chains, format_chains
-from ..analysis.latency import LatencyIndex, chain_latencies
-from ..analysis.store import latency_index_from_store
+from ..analysis.latency import ChainLatency, LatencyIndex, chain_latencies
 from ..core.dag import TimingDag
 from ..core.export import dag_to_json, format_edges, format_exec_table, to_dot
 from ..store.database import TraceStore
@@ -98,20 +97,20 @@ class ServiceState:
     def latency_summary(
         self,
         topics: Sequence[str],
-        fragments: Dict[str, LatencyIndex],
+        index: Union[LatencyIndex, Sequence[LatencyIndex]],
+        journeys: Dict[LatencyIndex, List[ChainLatency]],
     ) -> Dict[str, Any]:
         """Chain-latency stats for a topic chain over exactly the
-        retained runs (ns, like the analysis CLI).  ``fragments`` is
-        the snapshot's copy of the per-run fragment cache: runs found
-        there are not read again, and the fragments built here are
-        added to it."""
-        store = TraceStore(self.directory, allow_empty=True)
-        index = latency_index_from_store(
-            store, run_ids=self.run_ids, fragments=fragments
-        )
+        retained runs (ns, like the analysis CLI).  ``index`` and
+        ``journeys`` are what
+        :func:`~repro.analysis.latency.chain_latencies` follows: the
+        runs' latency fragments (or one merged index) and the per-run
+        journey cache of this chain."""
         values = [
             latency.latency_ns
-            for latency in chain_latencies(index, list(topics))
+            for latency in chain_latencies(
+                index, list(topics), journeys=journeys
+            )
         ]
         summary: Dict[str, Any] = {
             "topics": list(topics),

@@ -68,7 +68,7 @@ from bisect import bisect_right
 from heapq import merge as _heap_merge
 from itertools import islice, takewhile
 from operator import itemgetter
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -82,7 +82,7 @@ from ..core.index import (
     TopicKey,
     probe_code_lut,
 )
-from .format import SHAPE_JSON
+from .format import SHAPE_JSON, StoreFormatError
 
 #: One PID's walk columns: timestamps, probe codes, and the per-row aux
 #: slot (CB-type label / decoded payload / None) -- parallel sequences
@@ -161,6 +161,48 @@ def _resolve(
         row_codes,
         aux_row,
     )
+
+
+class ResolvedRun(NamedTuple):
+    """One run's reader with its ROS columns resolved (see
+    :func:`_resolve`) -- the input of
+    :meth:`StoreTraceIndex.extend` and of the run's
+    :class:`~repro.analysis.latency.LatencyIndex` fragment alike."""
+
+    reader: Any
+    columns: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+    @property
+    def events(self) -> int:
+        """The run's ROS, sched and wakeup event count."""
+        reader = self.reader
+        return (
+            reader.num_ros_events + reader.num_sched_events
+            + reader.num_wakeup_events
+        )
+
+
+def resolve_run(reader: Any) -> ResolvedRun:
+    """Decode every section an append of the run reads -- the resolved
+    ROS columns with the payload rows they reference, the sched and
+    the wakeup PID columns -- so a corrupt segment fails here, before
+    an index or a service changes any state.  The reader caches what
+    it inflated, so later reads of those sections inflate nothing.
+
+    Raises :class:`~repro.store.format.StoreFormatError` for a corrupt
+    section, including an uncompressed one whose ids point outside
+    their tables."""
+    try:
+        columns = _resolve(reader.walk_fastpath())
+        reader.sched_pid_columns()
+        reader.wakeup_pid_columns()
+    except StoreFormatError:
+        raise
+    except (IndexError, ValueError) as error:
+        raise StoreFormatError(
+            f"{reader.path or '<segment>'}: corrupt segment: {error}"
+        ) from None
+    return ResolvedRun(reader, columns)
 
 
 def _merged_columns(
@@ -310,26 +352,30 @@ class StoreTraceIndex:
             return True
         return span[0] >= self._last_ros_end
 
-    def extend(self, reader: Any) -> None:
-        """Consume one more segment as the next run of the merge order.
+    def extend(self, reader: Any, columns: Optional[Tuple] = None) -> None:
+        """Consume one more segment as the next run of the merge order;
+        ``columns`` are the reader's resolved columns when the caller
+        already has them (:func:`resolve_run`).
 
         Caller contract: ``can_append(reader)`` holds and the reader's
         run id sorts after every previously consumed run.
         """
-        self._append(reader)
+        self._append(reader, columns)
         # from_buckets copies only the dict (the column arrays are
         # shared), so regenerating the SchedIndex view per commit is
         # O(pids), not O(rows).
         self.sched = SchedIndex.from_buckets(self._sched_buckets)
 
-    def _append(self, reader: Any) -> None:
+    def _append(self, reader: Any, columns: Optional[Tuple] = None) -> None:
         """One reader as the next run of a time-ordered merge, noting in
         a new :class:`_RunExtent` what it added."""
+        if columns is None:
+            columns = _resolve(reader.walk_fastpath())
         run = _RunExtent(self._next_index, reader.pid_map)
         self.pid_map.update(reader.pid_map)
         writes, responses = self.writes, self.take_responses
         before = (len(writes), len(responses))
-        self._consume(*_resolve(reader.walk_fastpath()), run)
+        self._consume(*columns, run)
         run.stop = self._next_index
         # Tables only ever gain keys here, so the run's new keys are the
         # dicts' insertion tails.

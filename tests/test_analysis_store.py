@@ -41,6 +41,8 @@ from repro.analysis import (
     node_loads,
     node_loads_from_store,
 )
+from repro.analysis.latency import chain_latencies, fragments_are_separable
+from repro.analysis.store import latency_fragment
 from repro.core import dag_to_json, synthesize_from_trace
 from repro.core.index import (
     CODE_CB_END,
@@ -69,9 +71,10 @@ RUNS = 2
 class RowLoopLatencyIndex(LatencyIndex):
     """Frozen oracle: the single-pass row-loop constructor
     :class:`LatencyIndex` had before it was built from columns, kept
-    verbatim.  Consumes a chronological ``(ts, pid, code, payload)``
-    row stream and a ``(ts, pid)`` wakeup stream, appended in the order
-    given."""
+    verbatim, plus the PIDs and ``(topic, src_ts)`` keys chain journeys
+    read (the ``_pids``/``_takers``/``_keys`` slots).  Consumes a chronological
+    ``(ts, pid, code, payload)`` row stream and a ``(ts, pid)`` wakeup
+    stream, appended in the order given."""
 
     __slots__ = ()
 
@@ -82,6 +85,9 @@ class RowLoopLatencyIndex(LatencyIndex):
         self._takes_by_key = {}
         self._takes_by_topic = {}
         self._cb_starts = {}
+        pids = set()
+        takers = set()
+        keys = set()
         open_start = {}
         lead_end = {}
         rows = iter(rows)
@@ -89,6 +95,12 @@ class RowLoopLatencyIndex(LatencyIndex):
         ts = None
         if first is not None:
             for ts, pid, code, payload in chain((first,), rows):
+                if code in (CODE_CB_START, CODE_CB_END, CODE_DDS_WRITE, CODE_TAKE):
+                    pids.add(pid)
+                if code in (CODE_DDS_WRITE, CODE_TAKE):
+                    keys.add((payload.get("topic"), payload.get("src_ts")))
+                if code == CODE_TAKE:
+                    takers.add(pid)
                 if code == CODE_CB_START:
                     open_start[pid] = ts
                     self._cb_starts.setdefault(pid, []).append(ts)
@@ -128,6 +140,9 @@ class RowLoopLatencyIndex(LatencyIndex):
         self._wakeups = {}
         for ts, pid in wakeups:
             self._wakeups.setdefault(pid, []).append(ts)
+        self._pids = frozenset(pids)
+        self._takers = frozenset(takers)
+        self._keys = frozenset(keys)
 
 
 def oracle_of_columns(columns, wakeups=((), ()), pids=None):
@@ -591,3 +606,205 @@ class TestScenariosMatchRowLoop:
             latency_index_from_store(overlapping, pids=keep),
             oracle_of_trace(merged, keep),
         )
+
+
+# -- per-run chain journeys ----------------------------------------------------
+
+
+def _chains(topics):
+    """One-, two- and three-hop chains over consecutive published
+    topics."""
+    return [
+        list(topics[i:i + hops])
+        for hops in (1, 2, 3)
+        for i in range(len(topics) - hops + 1)
+    ]
+
+
+def _journey_fragment(base, writer, reader, taker, src_ts=None, **flags):
+    """One run at clock ``base``: ``writer``'s timer writes ``/a``,
+    ``reader`` takes it and writes ``/b``, ``taker`` takes that; PID 0
+    (the publishers outside the traced nodes) writes ``/ext`` in every
+    run.  ``flags`` break the run apart from its neighbours:
+    ``open_take`` leaves ``reader``'s callback open after its take,
+    ``lead_end`` opens the run with a ``reader`` callback end, and
+    ``take_only`` makes the run a lone ``reader`` take of ``/a``
+    stamped ``src_ts``."""
+    src = base if src_ts is None else src_ts
+    if flags.get("take_only"):
+        rows = [
+            (base, reader, CODE_CB_START, "sub"),
+            (base + 1, reader, CODE_TAKE, {"topic": "/a", "src_ts": src_ts}),
+            (base + 2, reader, CODE_CB_END, None),
+        ]
+    elif flags.get("lead_end"):
+        rows = [(base, reader, CODE_CB_END, None)]
+    else:
+        rows = [
+            (base, writer, CODE_CB_START, "timer"),
+            (base + 1, writer, CODE_DDS_WRITE, {"topic": "/a", "src_ts": src}),
+            (base + 2, writer, CODE_CB_END, None),
+            (base + 3, reader, CODE_CB_START, "sub"),
+            (base + 4, reader, CODE_TAKE, {"topic": "/a", "src_ts": src}),
+        ]
+        if not flags.get("open_take"):
+            rows += [
+                (base + 5, reader, CODE_DDS_WRITE, {"topic": "/b", "src_ts": src + 5}),
+                (base + 6, reader, CODE_CB_END, None),
+                (base + 7, taker, CODE_CB_START, "sub"),
+                (base + 8, taker, CODE_TAKE, {"topic": "/b", "src_ts": src + 5}),
+                (base + 9, taker, CODE_CB_END, None),
+            ]
+    rows.append((base + 10, 0, CODE_DDS_WRITE, {"topic": "/ext", "src_ts": base}))
+    return LatencyIndex(columns_of(rows))
+
+
+#: Two runs each: apart, then breaking one separability condition.
+_FRAGMENT_CASES = {
+    "separable": [
+        _journey_fragment(0, 1, 2, 3), _journey_fragment(100, 4, 5, 6),
+    ],
+    # PID 2 takes in run000 inside a callback run001 closes.
+    "shared_pid": [
+        _journey_fragment(0, 1, 2, 3, open_take=True),
+        _journey_fragment(100, 4, 2, 6, lead_end=True),
+    ],
+    # run001 takes the /a sample run000 wrote.
+    "cross_run_key": [
+        _journey_fragment(0, 1, 2, 3, open_take=True),
+        _journey_fragment(100, 4, 5, 6, src_ts=0, take_only=True),
+    ],
+    # Samples without a source timestamp share the key (/a, None).
+    "none_src_ts": [
+        LatencyIndex(columns_of([
+            (0, 1, CODE_CB_START, "timer"),
+            (1, 1, CODE_DDS_WRITE, {"topic": "/a"}),
+            (2, 1, CODE_CB_END, None),
+        ])),
+        _journey_fragment(100, 4, 5, 6, take_only=True),
+    ],
+    "overlapping_spans": [
+        _journey_fragment(0, 1, 2, 3), _journey_fragment(5, 4, 5, 6),
+    ],
+}
+
+
+@st.composite
+def _instance_streams(draw):
+    """A run of whole callback instances, one after another: each a CB
+    start, writes and takes of ``/a`` and ``/b`` keyed by a small
+    ``src_ts``, and a CB end unless the instance is left open; the run
+    may open with a CB end (an instance begun in an earlier run)."""
+    rows = []
+    if draw(st.booleans()):
+        rows.append((0, draw(st.integers(1, 3)), CODE_CB_END, None))
+    ts = 1
+    for _ in range(draw(st.integers(0, 5))):
+        pid = draw(st.integers(1, 3))
+        rows.append((ts, pid, CODE_CB_START, "sub"))
+        for code, topic, src_ts in draw(st.lists(
+            st.tuples(
+                st.sampled_from([CODE_DDS_WRITE, CODE_TAKE]),
+                st.sampled_from(["/a", "/b"]),
+                st.integers(0, 2),
+            ),
+            max_size=3,
+        )):
+            ts += 1
+            rows.append((ts, pid, code, {"topic": topic, "src_ts": src_ts}))
+        ts += 1
+        if draw(st.booleans()) or draw(st.booleans()):
+            rows.append((ts, pid, CODE_CB_END, None))
+        ts += 1
+    return rows
+
+
+class TestFragmentJourneys:
+    """``chain_latencies`` over per-run fragments equals the result over
+    their concatenation; it follows each run on its own only when
+    ``fragments_are_separable`` holds."""
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_registry_windows(self, stores, name):
+        store, merged = stores[name]
+        fragments = [latency_fragment(reader) for reader in store.readers()]
+        assert len(fragments) == RUNS
+        assert fragments_are_separable(fragments)
+        whole = LatencyIndex.concat(fragments)
+        analysis = StoreAnalysis(store)
+        found = 0
+        for chain in _chains(_write_topics(merged)):
+            expected = chain_latencies(whole, chain)
+            assert chain_latencies(fragments, chain) == expected, chain
+            assert chain_latencies(fragments, chain, 2) == expected[:2]
+            cache = {}
+            for _ in range(2):  # fills the cache, then reads it
+                assert chain_latencies(fragments, chain, journeys=cache) == expected
+                assert set(cache) == set(fragments)
+            assert analysis.chain_latencies(chain) == (
+                measure_chain_latencies(merged, chain)
+            )
+            found += len(expected)
+        assert found
+
+    @pytest.mark.parametrize("case", sorted(_FRAGMENT_CASES))
+    def test_each_condition_takes_the_fallback(self, case):
+        fragments = _FRAGMENT_CASES[case]
+        assert fragments_are_separable(fragments) == (case == "separable")
+        whole = LatencyIndex.concat(fragments)
+        for chain in (["/a"], ["/a", "/b"], ["/ext"]):
+            expected = chain_latencies(whole, chain)
+            cache = {}
+            assert chain_latencies(fragments, chain) == expected
+            assert chain_latencies(fragments, chain, journeys=cache) == expected
+            assert bool(cache) == (case == "separable")
+        if case in ("shared_pid", "cross_run_key", "none_src_ts"):
+            # A journey crosses the runs: run by run would miss it.
+            per_run = [
+                latency
+                for fragment in fragments
+                for latency in chain_latencies(fragment, ["/a"])
+            ]
+            assert per_run != chain_latencies(whole, ["/a"])
+
+    @given(parts=st.lists(
+        st.tuples(
+            _instance_streams(), st.booleans(), st.booleans(),
+            st.integers(min_value=0, max_value=2),
+        ),
+        min_size=1,
+        max_size=4,
+    ))
+    @example(parts=[  # PID 2's take sits in a callback the next run ends
+        (
+            [
+                (1, 1, CODE_CB_START, "timer"),
+                (2, 1, CODE_DDS_WRITE, {"topic": "/a", "src_ts": 0}),
+                (3, 1, CODE_CB_END, None),
+                (4, 2, CODE_CB_START, "sub"),
+                (5, 2, CODE_TAKE, {"topic": "/a", "src_ts": 0}),
+            ],
+            False, False, 0,
+        ),
+        ([(0, 2, CODE_CB_END, None)], False, True, 1),
+    ])
+    @settings(max_examples=300, deadline=None)
+    def test_random_fragments_match_concat(self, parts):
+        """Each part is a random run on its own PIDs, keys and clock --
+        or sharing them with the other parts -- so both paths run, and
+        journeys cross the parts that share."""
+        fragments = []
+        for k, (rows, own_pids, own_keys, clock) in enumerate(parts):
+            moved = []
+            for ts, pid, code, aux in rows:
+                if own_keys and isinstance(aux, dict):
+                    aux = {**aux, "src_ts": aux["src_ts"] + 100 * k}
+                moved.append((
+                    ts + 50 * k * clock, pid + 10 * k * own_pids, code, aux,
+                ))
+            fragments.append(LatencyIndex(columns_of(moved)))
+        whole = LatencyIndex.concat(fragments)
+        for chain in (["/a"], ["/a", "/b"], ["/b", "/a"]):
+            expected = chain_latencies(whole, chain)
+            assert chain_latencies(fragments, chain) == expected
+            assert chain_latencies(fragments, chain, journeys={}) == expected

@@ -4,6 +4,8 @@ multi-mode)."""
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     DagVertex,
@@ -16,8 +18,12 @@ from repro.core import (
     format_edges,
     format_exec_table,
     merge_dags,
+    synthesize_from_trace,
     to_dot,
 )
+from repro.experiments.batch import BatchConfig
+from repro.experiments.runner import run_once
+from repro.scenarios import build_scenario_spec, scenario_names
 from repro.sim import MSEC
 
 
@@ -75,6 +81,108 @@ class TestJsonRoundTrip:
         clone = dag_from_dict(dag_to_dict(small_dag()))
         assert clone.vertex("a/t").exec_stats.mwcet == 2 * MSEC
         assert clone.vertex("a/t").period_ns == 100 * MSEC
+
+
+#: Strings with non-ASCII and control characters (keys, topics, ids).
+_texts = st.text(max_size=6)
+#: Samples the JSON schema may hold: ints past 64 bits either way,
+#: floats with nan/inf, and the occasional bool or None.
+_samples = st.one_of(
+    st.lists(st.integers(min_value=-(2**70), max_value=2**70), max_size=6),
+    st.lists(
+        st.one_of(st.integers(), st.floats(), st.booleans(), st.none()),
+        max_size=6,
+    ),
+)
+
+
+@st.composite
+def _dags(draw):
+    dag = TimingDag()
+    keys = draw(st.lists(_texts, unique=True, max_size=5))
+    for key in keys:
+        dag.add_vertex(
+            DagVertex(
+                key=key,
+                node=draw(_texts),
+                cb_id=draw(_texts),
+                cb_type=draw(st.sampled_from(["timer", "subscriber", "and_junction"])),
+                intopic=draw(st.none() | _texts),
+                outtopics=draw(st.lists(_texts, max_size=3)),
+                is_sync_member=draw(st.booleans()),
+                is_or_junction=draw(st.booleans()),
+                exec_times=draw(_samples),
+                start_times=draw(_samples),
+                response_times=draw(_samples),
+            )
+        )
+    if keys:
+        for src, dst, topic in draw(st.lists(
+            st.tuples(st.sampled_from(keys), st.sampled_from(keys), _texts),
+            max_size=6,
+        )):
+            dag.add_edge(src, dst, topic)
+    return dag
+
+
+def _edge_dag():
+    """Every awkward value at once: unicode and control characters,
+    an empty DAG's worth of empty lists, None, big and negative ints,
+    nan and infinities."""
+    dag = TimingDag()
+    dag.add_vertex(
+        DagVertex(
+            key="k\u00e9\n\x00\"", node="n\u2603", cb_id="\ud83d\ude00",
+            cb_type="timer", intopic=None,
+            exec_times=[-1, 2**63, -(2**64)],
+            start_times=[0.5, float("nan"), float("inf"), float("-inf")],
+        )
+    )
+    dag.add_vertex(DagVertex(key="z", node="z", cb_id="z", cb_type="timer",
+                             intopic="/t\t", outtopics=["/\x7f"]))
+    dag.add_edge("z", "k\u00e9\n\x00\"", topic="\u00ff")
+    return dag
+
+
+class TestJsonRenderer:
+    """``dag_to_json`` renders the ``dag_to_dict`` schema itself; its
+    bytes must be ``json.dumps``' for every indent."""
+
+    @pytest.mark.parametrize("indent", [None, 0, 2, 4])
+    def test_empty_and_edge_dags(self, indent):
+        for dag in (TimingDag(), small_dag(), _edge_dag()):
+            assert dag_to_json(dag, indent=indent) == json.dumps(
+                dag_to_dict(dag), indent=indent
+            )
+
+    @given(dag=_dags())
+    @example(dag=_edge_dag())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_json_dumps(self, dag):
+        expected = dag_to_dict(dag)
+        for indent in (None, 0, 2, 4):
+            assert dag_to_json(dag, indent=indent) == json.dumps(
+                expected, indent=indent
+            )
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_registry_scenario_models(self, name):
+        duration_ns = 500 * MSEC
+        spec = build_scenario_spec(
+            name, run_index=0, runs=1, duration_ns=duration_ns
+        )
+        config = BatchConfig(duration_ns=duration_ns).run_config(
+            duration_ns, spec.num_cpus
+        )
+        trace = run_once(
+            lambda world, i, spec=spec: spec.build(world), config, run_index=0
+        ).trace
+        dag = synthesize_from_trace(trace)
+        assert dag.vertices()
+        for indent in (None, 0, 2, 4):
+            assert dag_to_json(dag, indent=indent) == json.dumps(
+                dag_to_dict(dag), indent=indent
+            )
 
 
 class TestTables:

@@ -13,6 +13,7 @@ are answered over the socket instead of dropping the client.
 """
 
 import copy
+import dataclasses
 import io
 import os
 import random
@@ -26,21 +27,34 @@ import zlib
 import pytest
 
 from repro.analysis import StoreAnalysis
+from repro.analysis import latency as latency_module
 from repro.analysis.latency import LatencyIndex
-from repro.analysis.store import latency_index_from_store
+from repro.analysis.store import latency_fragment, latency_index_from_store
 from repro.core import dag_to_json, exec_time, format_exec_table, to_dot
 from repro.experiments.batch import BatchConfig
 from repro.scenarios import scenario_names
 from repro.sim.kernel import SEC
-from repro.sim.scheduler import SchedSwitch
+from repro.sim.scheduler import SchedSwitch, SchedWakeup
 from repro.store import (
     StoreTraceIndex,
     TraceStore,
     record_batch,
     synthesize_from_store,
 )
-from repro.store.format import SEGMENT_SUFFIX, StoreFormatError
-from repro.store.writer import SegmentSpool
+from repro.store import index as index_module
+from repro.store.format import (
+    HEADER,
+    SECTION_COMP_ZLIB,
+    SECTION_PAYLOAD,
+    SECTION_ROS,
+    SECTION_SCHED,
+    SECTION_WAKEUP,
+    SEGMENT_SUFFIX,
+    StoreFormatError,
+    unpack_section_dir,
+)
+from repro.store.reader import SegmentReader
+from repro.store.writer import SegmentSpool, encode_trace
 from repro.service import (
     DropDirWatcher,
     IngestError,
@@ -75,6 +89,13 @@ from repro.tracing.storage import TRACE_SUFFIX, save_trace
 
 DURATION_NS = int(1.0 * SEC)
 RUNS = 3
+
+#: The AVP chain the benchmark's latency query follows.
+AVP_CHAIN = (
+    "lidar_front/points_filtered",
+    "lidars/points_fused",
+    "lidars/points_fused_downsampled",
+)
 
 
 def _signature(dag):
@@ -212,6 +233,7 @@ class TestIncrementalEquivalence:
             ("latency_fragments_built", 0),
             ("walk_fragments_built", 0),
             ("pids_rewalked", 0),
+            ("segments_decoded", 0),
             ("extend_s", 1.234568),
             ("rebuild_s", 0.0),
             ("saved_s", 0.0),
@@ -645,15 +667,20 @@ class TestRunBoundaryCarries:
         store = self._store(str(tmp_path / "carry"), traces)
         reference = LatencyIndex.from_trace(Trace.merge(traces))
         assert reference.window_containing(1, 55) == window
-        cache = {}
+        target = str(tmp_path / "target")
+        live = LiveSynthesizer(TraceStore.create(target))
+        for run_id in store.run_ids():
+            _deliver(store.directory, target, run_id)
+        live.refresh()
+        fragments = live.latency_index()
+        assert len(fragments) == len(traces)
         for index in (
             latency_index_from_store(store),
-            latency_index_from_store(store, run_ids=store.run_ids(), fragments=cache),
-            latency_index_from_store(store, run_ids=store.run_ids(), fragments=cache),
+            latency_index_from_store(store, run_ids=store.run_ids()),
+            LatencyIndex.concat(fragments),
         ):
             for slot in LatencyIndex.__slots__:
                 assert getattr(index, slot) == getattr(reference, slot), slot
-        assert sorted(cache) == store.run_ids()
 
     def test_model_between_arrivals_never_pins_sched_columns(
         self, tmp_path, monkeypatch
@@ -759,8 +786,129 @@ class TestWalkFragmentFallback:
         assert counters.walk_fragments_built == (3 if window else 2)
 
 
+def _assert_fragments_of(live, run_ids, topics):
+    """``live`` holds one latency fragment per retained run ``run_ids``
+    -- each the fragment a fresh build over the run's segment gives --
+    and journeys of ``topics`` for exactly those fragments."""
+    assert live.run_ids == run_ids
+    fragments = live.latency_index()
+    assert len(fragments) == len(run_ids)
+    for run_id, fragment in zip(run_ids, fragments):
+        built = latency_fragment(live.store.open(run_id))
+        for slot in LatencyIndex.__slots__:
+            assert getattr(fragment, slot) == getattr(built, slot), slot
+    assert set(live.journeys(topics)) == set(fragments)
+
+
 class TestLatencyFragmentCache:
-    """``latency`` queries build one fragment per arriving run."""
+    """Ingest builds one latency fragment per arriving run, and
+    ``latency`` queries answer from the fragments without reading a
+    segment."""
+
+    def test_each_arrival_is_decoded_once(self, sources, tmp_path, monkeypatch):
+        """Each pushed run is read into exactly one reader and resolved
+        exactly once (the reader caches what it inflates), and neither
+        a model nor a latency query reads or inflates anything."""
+        source = TraceStore(sources["avp-interference"])
+        blobs = []
+        for run_id in source.run_ids():
+            with open(source.path_of(run_id), "rb") as handle:
+                blobs.append((run_id, handle.read()))
+        readers, resolved = [], []
+        init = SegmentReader.__init__
+
+        def counting_init(self, *args, **kwargs):
+            readers.append(self)
+            init(self, *args, **kwargs)
+
+        resolve = index_module._resolve
+
+        def counting_resolve(columns):
+            resolved.append(columns)
+            return resolve(columns)
+
+        monkeypatch.setattr(SegmentReader, "__init__", counting_init)
+        monkeypatch.setattr(index_module, "_resolve", counting_resolve)
+        service = SynthesisService(str(tmp_path / "served"), retain_window=2)
+        for arrived, (run_id, blob) in enumerate(blobs, start=1):
+            service.ingest_bytes(run_id, blob)
+            assert len(readers) == len(resolved) == arrived
+            inflated = [reader.bytes_inflated for reader in readers]
+            service.handle_request({"cmd": "model", "format": "json"}, b"")
+            reply, _ = service.handle_request(
+                {"cmd": "latency", "topics": list(AVP_CHAIN)}, b""
+            )
+            assert reply["count"] > 0
+            assert len(readers) == len(resolved) == arrived
+            assert [reader.bytes_inflated for reader in readers] == inflated
+            assert service.counters.segments_decoded == arrived
+            assert service.counters.latency_fragments_built == arrived
+
+    def test_overlapping_window_reads_the_merged_runs(self, sources, tmp_path):
+        """Runs on one clock cannot be followed fragment by fragment:
+        the first query after an arrival builds one index over the
+        runs' merged columns, and later queries reuse it."""
+        trace = TraceStore(sources["syn"]).load("run000")
+        source = TraceStore.create(str(tmp_path / "source"))
+        for run_id in ["run000", "run001"]:
+            source.add_trace(run_id, trace)
+        service = SynthesisService(str(tmp_path / "served"))
+        for run_id in source.run_ids():
+            with open(source.path_of(run_id), "rb") as handle:
+                service.ingest_bytes(run_id, handle.read())
+        counters = service.counters
+        decoded = counters.segments_decoded
+        expected = StoreAnalysis(source.directory).chain_latencies(["/t1"])
+        for _ in range(2):
+            reply, _ = service.handle_request(
+                {"cmd": "latency", "topics": ["/t1"]}, b""
+            )
+            assert reply["count"] == len(expected) > 0
+            assert reply["min_ns"] == min(item.latency_ns for item in expected)
+            assert counters.segments_decoded == decoded + 2
+        assert isinstance(service.live.latency_index(), LatencyIndex)
+
+    def test_journeys_follow_only_new_runs(self, sources, tmp_path, monkeypatch):
+        """The journey cache holds the last-queried chain only: an
+        arrival follows just the new run, another chain starts over,
+        and an evicted run's journeys leave with it."""
+        followed = []
+        follow = latency_module._chain_latencies
+
+        def counting_follow(index, topics, max_instances):
+            followed.append(index)
+            return follow(index, topics, max_instances)
+
+        monkeypatch.setattr(latency_module, "_chain_latencies", counting_follow)
+        source = TraceStore(sources["syn"])
+        service = SynthesisService(str(tmp_path / "served"), retain_window=2)
+        live = service.live
+
+        def query(topic):
+            followed.clear()
+            reply, _ = service.handle_request(
+                {"cmd": "latency", "topics": [topic]}, b""
+            )
+            assert reply["count"] > 0
+            return list(followed)
+
+        def arrive(run_id):
+            with open(source.path_of(run_id), "rb") as handle:
+                service.ingest_bytes(run_id, handle.read())
+
+        arrive("run000")
+        arrive("run001")
+        fragments = live.latency_index()
+        assert query("/t1") == fragments
+        assert query("/t1") == []
+        assert query("/f1") == fragments
+        assert query("/t1") == fragments
+        arrive("run002")
+        newest = live.latency_index()
+        assert newest[0] is fragments[1]
+        assert set(live.journeys(["/t1"])) == {fragments[1]}
+        assert query("/t1") == [newest[1]]
+        _assert_fragments_of(live, ["run001", "run002"], ["/t1"])
 
     def test_one_fragment_per_arrival(self, sources, tmp_path):
         source = TraceStore(sources["syn"])
@@ -770,9 +918,11 @@ class TestLatencyFragmentCache:
         for arrived, run_id in enumerate(run_ids, start=1):
             with open(source.path_of(run_id), "rb") as handle:
                 service.ingest_bytes(run_id, handle.read())
+            decoded = counters.segments_decoded
             reply, _ = service.handle_request(
                 {"cmd": "latency", "topics": ["/t1"]}, b""
             )
+            assert counters.segments_decoded == decoded == arrived
             retained = run_ids[max(0, arrived - 2):arrived]
             truncated = str(tmp_path / f"ref{arrived}")
             os.makedirs(truncated)
@@ -789,7 +939,7 @@ class TestLatencyFragmentCache:
             assert counters.rebuilds == 0
         status, _ = service.handle_request({"cmd": "status"}, b"")
         assert status["counters"]["latency_fragments_built"] == RUNS
-        assert sorted(service.live.latency_fragments()) == run_ids[-2:]
+        _assert_fragments_of(service.live, run_ids[-2:], ["/t1"])
 
 
     @pytest.mark.stress
@@ -841,8 +991,8 @@ class TestLatencyFragmentCache:
         assert errors == []
         assert counts and set(counts) <= expected
         service.handle_request({"cmd": "latency", "topics": ["/t1"]}, b"")
-        assert sorted(service.live.latency_fragments()) == run_ids[-2:]
-        assert service.counters.latency_fragments_built <= len(run_ids)
+        _assert_fragments_of(service.live, run_ids[-2:], ["/t1"])
+        assert service.counters.latency_fragments_built == len(run_ids)
         assert service.counters.rebuilds == 0
 
 
@@ -1026,6 +1176,111 @@ class TestUnreadableSegments:
         assert live.refresh() == []
         assert live.counters.segments_rejected == 1
         assert live.counters.rebuilds == 0
+
+
+def _with_wakeups(trace):
+    """The trace with a ``sched_wakeup`` for every thread switched in,
+    so its wakeup section has content."""
+    return dataclasses.replace(trace, wakeup_events=[
+        SchedWakeup(event.ts, event.cpu, event.next_pid, event.next_comm,
+                    event.next_prio)
+        for event in trace.sched_events
+    ])
+
+
+#: Per section kind, the column indexes to damage: sections the live
+#: fold reads, none of them the ROS ts column an open already checks.
+_FOLD_SECTIONS = {
+    "ros": (SECTION_ROS, (4,)),
+    "payload": (SECTION_PAYLOAD, None),  # every payload column
+    "sched": (SECTION_SCHED, (2,)),
+    "wakeup": (SECTION_WAKEUP, (2,)),
+}
+
+
+def _corrupt(data, kind):
+    """``data`` with the first 8 bytes of the ``kind`` sections flipped;
+    the header and the section directory stay intact."""
+    section_kind, indexes = _FOLD_SECTIONS[kind]
+    entries, body = unpack_section_dir(data, HEADER.size)
+    damaged = bytearray(data)
+    hits = 0
+    for entry in entries:
+        if entry.kind == section_kind and (indexes is None or entry.index in indexes):
+            assert entry.comp == SECTION_COMP_ZLIB and entry.comp_len >= 8
+            start = body + entry.offset
+            for offset in range(start, start + 8):
+                damaged[offset] ^= 0xFF
+            hits += 1
+    assert hits
+    return bytes(damaged)
+
+
+class TestCorruptSections:
+    """A segment whose header and section directory read fine but whose
+    ROS, payload, sched or wakeup stream is corrupt is rejected before
+    it lands and before any service state changes; the next good run
+    folds in as if it had never arrived."""
+
+    @pytest.fixture(scope="class")
+    def blobs(self, sources):
+        source = TraceStore(sources["avp-interference"])
+        return {
+            run_id: encode_trace(_with_wakeups(source.load(run_id)))
+            for run_id in source.run_ids()
+        }
+
+    @staticmethod
+    def _reference(blobs, run_ids, directory):
+        store = TraceStore.create(directory)
+        for run_id in run_ids:
+            with open(os.path.join(directory, run_id + SEGMENT_SUFFIX), "wb") as handle:
+                handle.write(blobs[run_id])
+        store.refresh()
+        return store
+
+    @pytest.mark.parametrize("kind", sorted(_FOLD_SECTIONS))
+    def test_pushed_segment_is_rejected(self, blobs, tmp_path, kind):
+        first, bad, last = sorted(blobs)
+        directory = str(tmp_path / "served")
+        service = SynthesisService(directory)
+        service.ingest_bytes(first, blobs[first])
+        with pytest.raises(IngestError, match="corrupt"):
+            service.ingest_bytes(bad, _corrupt(blobs[bad], kind))
+        assert os.listdir(directory) == [first + SEGMENT_SUFFIX]
+        assert service.counters.segments_rejected == 1
+        assert service.live.run_ids == [first]
+        assert len(service.live.index.runs()) == 1
+        service.ingest_bytes(last, blobs[last])
+        reference = self._reference(
+            blobs, [first, last], str(tmp_path / "reference")
+        )
+        batch = synthesize_from_store(reference, jobs=1)
+        assert _signature(service.live.model()) == _signature(batch)
+        reply, _ = service.handle_request(
+            {"cmd": "latency", "topics": list(AVP_CHAIN)}, b""
+        )
+        expected = StoreAnalysis(reference).chain_latencies(list(AVP_CHAIN))
+        assert reply["count"] == len(expected) > 0
+        assert service.counters.rebuilds == 0
+
+    @pytest.mark.parametrize("kind", sorted(_FOLD_SECTIONS))
+    def test_stored_segment_is_skipped(self, blobs, tmp_path, kind):
+        """The same damage in a file another process put in the store:
+        ``refresh`` skips the run for good."""
+        first, bad, last = sorted(blobs)
+        directory = str(tmp_path / "store")
+        live = LiveSynthesizer(TraceStore.create(directory))
+        damaged = dict(blobs, **{bad: _corrupt(blobs[bad], kind)})
+        self._reference(damaged, sorted(blobs), directory)
+        assert live.refresh() == [first, last]
+        assert live.counters.segments_rejected == 1
+        assert live.run_ids == [first, last]
+        reference = self._reference(
+            blobs, [first, last], str(tmp_path / "reference")
+        )
+        batch = synthesize_from_store(reference, jobs=1)
+        assert _signature(live.model()) == _signature(batch)
 
 
 class TestFinishPathAtomicity:
