@@ -104,27 +104,20 @@ def _latency_fragments(
 
 
 def latency_index_from_store(
-    store: StoreLike,
-    pids: Optional[Iterable[int]] = None,
-    run_ids: Optional[Sequence[str]] = None,
+    store: StoreLike, pids: Optional[Iterable[int]] = None
 ) -> LatencyIndex:
     """Build a :class:`LatencyIndex` from a store's segments.
 
     ``pids`` restricts the analysis to those nodes' events (takes,
     writes and windows of other PIDs are then invisible, exactly as if
-    the in-memory trace had been filtered before indexing).  ``run_ids``
-    restricts it to a frozen run list in the given order.
+    the in-memory trace had been filtered before indexing).
 
     Time-disjoint runs (the usual case) are indexed one
     :func:`latency_fragment` per run and concatenated; overlapping runs
     go through one build over their merged columns.
     """
-    resolved = as_store(store)
+    readers = as_store(store).readers()
     wanted = None if pids is None else frozenset(pids)
-    if run_ids is None:
-        readers = resolved.readers()
-    else:
-        readers = [resolved.open(run_id) for run_id in run_ids]
     fragments = _latency_fragments(readers, wanted)
     if fragments is None:
         return _merged_latency_index(readers, wanted)

@@ -41,8 +41,13 @@ since it depends on its run only.  A latency query follows chains over
 those fragments and opens no segment; the journeys of the last-queried
 chain are cached per run, so after an arrival only the new run's
 writes are followed (:func:`~repro.analysis.latency.chain_latencies`).
-Only a time-overlapping window needs one index over the runs' merged
+What stays O(window) per query is C-level: the set check that no
+journey crosses runs, and joining the runs' journeys.  A window that
+fails the check is concatenated and followed whole, and a
+time-overlapping window needs one index over the runs' merged
 columns, built from the segments on the first query after an arrival.
+A query takes its inputs as a :class:`LatencyView` under the service
+lock and does that work outside it.
 """
 
 from __future__ import annotations
@@ -256,8 +261,8 @@ class LiveSynthesizer:
 
     Each retained run also has its latency fragment, built at ingest
     from the run's resolved columns, and the journeys of the
-    last-queried chain through it (:meth:`latency_index`,
-    :meth:`journeys`); both leave with the run's eviction.
+    last-queried chain through it (:meth:`latency_view`,
+    :meth:`keep_latency`); both leave with the run's eviction.
     """
 
     def __init__(
@@ -459,33 +464,31 @@ class LiveSynthesizer:
         )
         self.counters.walk_fragments_built += 1
 
-    def latency_index(self) -> Union[List[LatencyIndex], LatencyIndex]:
-        """What a latency query follows chains over: the retained runs'
-        latency fragments in run order when their spans are
-        time-ordered, else one index over their merged columns (built
-        from the segments once per arrival).
-        :func:`~repro.analysis.latency.chain_latencies` takes either."""
-        fragments = [self._latency[run_id] for run_id in self._consumed]
-        if _spans_are_ordered(fragment.span for fragment in fragments):
-            return fragments
-        if self._merged_latency is None:
-            readers = [self.store.open(run_id) for run_id in self._consumed]
-            self._merged_latency = _merged_latency_index(readers, None)
-            self.counters.segments_decoded += len(readers)
-        return self._merged_latency
-
-    def journeys(
-        self, topics: Sequence[str]
-    ) -> Dict[LatencyIndex, List[ChainLatency]]:
-        """The per-fragment journey cache for the chain ``topics`` (see
-        :func:`~repro.analysis.latency.chain_latencies`).  Only the
-        last-queried chain is kept: another chain starts an empty
-        cache."""
+    def latency_view(self, topics: Sequence[str]) -> "LatencyView":
+        """What a latency query over ``topics`` follows, taken under the
+        service lock and followed outside it; hand it back to
+        :meth:`keep_latency` afterwards.  Only the last-queried chain's
+        journeys are kept: another chain starts an empty cache."""
         topics = tuple(topics)
         if topics != self._journey_topics:
             self._journey_topics = topics
             self._journeys = {}
-        return self._journeys
+        return LatencyView(self, topics)
+
+    def keep_latency(self, view: "LatencyView") -> None:
+        """Keep what following ``view`` built: its merged index while the
+        window is unchanged, and the journeys of still-retained runs
+        while its chain is the last-queried one."""
+        self.counters.segments_decoded += view.decoded
+        if view.run_ids == tuple(self._consumed):
+            self._merged_latency = view.merged
+        if view.topics == self._journey_topics:
+            retained = set(self._latency.values())
+            self._journeys.update(
+                (fragment, part)
+                for fragment, part in view.journeys.items()
+                if fragment in retained
+            )
 
     def _cblists(self) -> List[CBList]:
         """The CBLists of every retained PID, ascending -- the retained
@@ -520,3 +523,39 @@ class LiveSynthesizer:
                 model_sync=self.model_sync,
             )
         return self._dag
+
+
+class LatencyView:
+    """One latency query's inputs, taken from a :class:`LiveSynthesizer`
+    under the service lock so the query can follow them outside it.
+
+    The retained runs' latency fragments are immutable, and
+    ``journeys`` is a copy of the chain's per-run journey cache: the
+    query fills the copy, and :meth:`LiveSynthesizer.keep_latency`
+    folds it back.  Ingestion and other queries are not held up while
+    a query concatenates the window (a journey may cross runs) or
+    builds the merged index of a time-overlapping window."""
+
+    def __init__(self, live: LiveSynthesizer, topics: Tuple[str, ...]):
+        self.topics = topics
+        self.run_ids = tuple(live._consumed)
+        self.fragments = [live._latency[run_id] for run_id in self.run_ids]
+        #: the window's merged index, once built.
+        self.merged = live._merged_latency
+        self.journeys = dict(live._journeys)
+        #: segments this view decoded (for ``segments_decoded``).
+        self.decoded = 0
+        self._store = live.store
+
+    def index(self) -> Union[List[LatencyIndex], LatencyIndex]:
+        """The fragments in run order when their spans are time-ordered,
+        else one index over the runs' merged columns, built from the
+        segments (which are immutable) on the window's first query.
+        :func:`~repro.analysis.latency.chain_latencies` takes either."""
+        if _spans_are_ordered(fragment.span for fragment in self.fragments):
+            return self.fragments
+        if self.merged is None:
+            readers = [self._store.open(run_id) for run_id in self.run_ids]
+            self.merged = _merged_latency_index(readers, None)
+            self.decoded = len(readers)
+        return self.merged

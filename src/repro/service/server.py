@@ -6,10 +6,12 @@
 store, a :class:`~repro.service.live.LiveSynthesizer` folds each commit
 into the incrementally maintained model, and queries are answered from
 :class:`~repro.service.state.ServiceState` snapshots taken under the
-service lock.  The socket listener is thread-per-connection; ingest,
-snapshot-taking and latency queries (in-memory, O(one run) per
-arrival) serialize on one lock, while snapshot *consumption* (model
-rendering, chains, store info) runs outside it.
+service lock.  The socket listener is thread-per-connection; ingest
+and snapshot-taking serialize on one lock, while snapshot
+*consumption* (model rendering, chains, store info) runs outside it.
+A latency query takes a :class:`~repro.service.live.LatencyView` under
+the lock, follows the chain outside it, and folds the journeys it
+followed back in under the lock again.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .protocol import (
     recv_message,
     send_message,
 )
-from .state import MODEL_FORMATS, ServiceState
+from .state import MODEL_FORMATS, ServiceState, latency_summary
 
 #: Default drop-dir / store re-scan cadence.
 DEFAULT_POLL_INTERVAL_S = 0.5
@@ -157,12 +159,15 @@ class SynthesisService:
             )
 
     def latency_summary(self, topics: List[str]) -> Dict[str, Any]:
-        """Chain-latency stats over the retained runs, answered under
-        the lock: the journey cache it fills is shared."""
+        """Chain-latency stats over the retained runs.  The lock is held
+        only to take the query's view and to keep what it built; the
+        chain is followed outside it."""
         with self._lock:
-            return self.state().latency_summary(
-                topics, self.live.latency_index(), self.live.journeys(topics)
-            )
+            view = self.live.latency_view(topics)
+        summary = latency_summary(topics, view.index(), view.journeys)
+        with self._lock:
+            self.live.keep_latency(view)
+        return summary
 
     def handle_request(
         self, payload: Dict[str, Any], body: bytes

@@ -10,14 +10,18 @@ does not shear the answer.  ``model --format json`` renders with
 :func:`~repro.core.export.dag_to_json`, which writes the JSON schema
 with C-level string and int encoding.
 
-``latency`` reads no segment: it follows the chain over the per-run
-latency fragments the :class:`~repro.service.live.LiveSynthesizer`
-built at ingest, with the journeys of the last-queried chain cached
-per run, so after an arrival only the new run's writes are followed
-(:func:`~repro.analysis.latency.chain_latencies`).  That cache is
-shared, so the service answers ``latency`` under its lock -- at
-O(one run) per arrival.  Only a time-overlapping window falls back to
-one index over the runs' merged columns.
+``latency`` reads no segment: :func:`latency_summary` follows the
+chain over the per-run latency fragments the
+:class:`~repro.service.live.LiveSynthesizer` built at ingest, with the
+journeys of the last-queried chain cached per run, so after an arrival
+only the new run's writes are followed
+(:func:`~repro.analysis.latency.chain_latencies`).  What the query
+follows is taken under the service lock as a
+:class:`~repro.service.live.LatencyView` and followed outside it.
+Per query, the fragments are also checked for a journey that could
+cross runs -- C-level set operations over the window's PIDs and
+``(topic, src_ts)`` keys -- and a window that fails the check, or
+whose runs overlap in time, is followed as one index.
 """
 
 from __future__ import annotations
@@ -33,6 +37,31 @@ from ..store.database import TraceStore
 
 #: ``model`` query output formats.
 MODEL_FORMATS = ("dot", "json", "edges", "exec")
+
+
+def latency_summary(
+    topics: Sequence[str],
+    index: Union[LatencyIndex, Sequence[LatencyIndex]],
+    journeys: Optional[Dict[LatencyIndex, List[ChainLatency]]] = None,
+) -> Dict[str, Any]:
+    """Chain-latency stats for a topic chain (ns, like the analysis
+    CLI).  ``index`` and ``journeys`` are what
+    :func:`~repro.analysis.latency.chain_latencies` follows: a live
+    service's retained latency fragments (or one merged index) and
+    its per-run journey cache of this chain
+    (:class:`~repro.service.live.LatencyView`)."""
+    values = [
+        latency.latency_ns
+        for latency in chain_latencies(index, list(topics), journeys=journeys)
+    ]
+    summary: Dict[str, Any] = {"topics": list(topics), "count": len(values)}
+    if values:
+        summary.update(
+            min_ns=min(values),
+            max_ns=max(values),
+            mean_ns=sum(values) / len(values),
+        )
+    return summary
 
 
 class ServiceState:
@@ -93,36 +122,6 @@ class ServiceState:
         sinks: Optional[Sequence[str]] = None,
     ) -> str:
         return format_chains(self._dag, self.chains(sources, sinks))
-
-    def latency_summary(
-        self,
-        topics: Sequence[str],
-        index: Union[LatencyIndex, Sequence[LatencyIndex]],
-        journeys: Dict[LatencyIndex, List[ChainLatency]],
-    ) -> Dict[str, Any]:
-        """Chain-latency stats for a topic chain over exactly the
-        retained runs (ns, like the analysis CLI).  ``index`` and
-        ``journeys`` are what
-        :func:`~repro.analysis.latency.chain_latencies` follows: the
-        runs' latency fragments (or one merged index) and the per-run
-        journey cache of this chain."""
-        values = [
-            latency.latency_ns
-            for latency in chain_latencies(
-                index, list(topics), journeys=journeys
-            )
-        ]
-        summary: Dict[str, Any] = {
-            "topics": list(topics),
-            "count": len(values),
-        }
-        if values:
-            summary.update(
-                min_ns=min(values),
-                max_ns=max(values),
-                mean_ns=sum(values) / len(values),
-            )
-        return summary
 
     # -- inspection ---------------------------------------------------------
 

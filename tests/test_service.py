@@ -65,6 +65,8 @@ from repro.service import (
 )
 from repro.service import live as live_module
 from repro.service import server as server_module
+from repro.service import state as state_module
+from repro.service.state import latency_summary
 from repro.service.protocol import (
     ProtocolError,
     connect,
@@ -672,11 +674,10 @@ class TestRunBoundaryCarries:
         for run_id in store.run_ids():
             _deliver(store.directory, target, run_id)
         live.refresh()
-        fragments = live.latency_index()
+        fragments = live.latency_view(["/t1"]).index()
         assert len(fragments) == len(traces)
         for index in (
             latency_index_from_store(store),
-            latency_index_from_store(store, run_ids=store.run_ids()),
             LatencyIndex.concat(fragments),
         ):
             for slot in LatencyIndex.__slots__:
@@ -791,13 +792,14 @@ def _assert_fragments_of(live, run_ids, topics):
     -- each the fragment a fresh build over the run's segment gives --
     and journeys of ``topics`` for exactly those fragments."""
     assert live.run_ids == run_ids
-    fragments = live.latency_index()
+    view = live.latency_view(topics)
+    fragments = view.index()
     assert len(fragments) == len(run_ids)
     for run_id, fragment in zip(run_ids, fragments):
         built = latency_fragment(live.store.open(run_id))
         for slot in LatencyIndex.__slots__:
             assert getattr(fragment, slot) == getattr(built, slot), slot
-    assert set(live.journeys(topics)) == set(fragments)
+    assert set(view.journeys) == set(fragments)
 
 
 class TestLatencyFragmentCache:
@@ -866,7 +868,7 @@ class TestLatencyFragmentCache:
             assert reply["count"] == len(expected) > 0
             assert reply["min_ns"] == min(item.latency_ns for item in expected)
             assert counters.segments_decoded == decoded + 2
-        assert isinstance(service.live.latency_index(), LatencyIndex)
+        assert isinstance(service.live.latency_view(["/t1"]).index(), LatencyIndex)
 
     def test_journeys_follow_only_new_runs(self, sources, tmp_path, monkeypatch):
         """The journey cache holds the last-queried chain only: an
@@ -898,15 +900,16 @@ class TestLatencyFragmentCache:
 
         arrive("run000")
         arrive("run001")
-        fragments = live.latency_index()
+        fragments = live.latency_view(["/t1"]).index()
         assert query("/t1") == fragments
         assert query("/t1") == []
         assert query("/f1") == fragments
         assert query("/t1") == fragments
         arrive("run002")
-        newest = live.latency_index()
+        view = live.latency_view(["/t1"])
+        newest = view.index()
         assert newest[0] is fragments[1]
-        assert set(live.journeys(["/t1"])) == {fragments[1]}
+        assert set(view.journeys) == {fragments[1]}
         assert query("/t1") == [newest[1]]
         _assert_fragments_of(live, ["run001", "run002"], ["/t1"])
 
@@ -941,6 +944,76 @@ class TestLatencyFragmentCache:
         assert status["counters"]["latency_fragments_built"] == RUNS
         _assert_fragments_of(service.live, run_ids[-2:], ["/t1"])
 
+    @pytest.mark.parametrize("overlapping", [False, True])
+    def test_chain_is_followed_outside_the_lock(
+        self, sources, tmp_path, monkeypatch, overlapping
+    ):
+        """While a latency query follows the chain -- and, over a
+        time-overlapping window, builds the merged index -- another
+        thread can take the service lock."""
+        source = TraceStore(sources["syn"])
+        if overlapping:  # two runs on one clock
+            trace = source.load("run000")
+            source = TraceStore.create(str(tmp_path / "source"))
+            for run_id in ["run000", "run001"]:
+                source.add_trace(run_id, trace)
+        service = SynthesisService(str(tmp_path / "served"))
+        for run_id in ["run000", "run001"]:
+            with open(source.path_of(run_id), "rb") as handle:
+                service.ingest_bytes(run_id, handle.read())
+        taken = []
+
+        def take_the_lock(function):
+            def wrapped(*args, **kwargs):
+                other = threading.Thread(
+                    target=lambda: taken.append(service.state())
+                )
+                other.start()
+                other.join(timeout=10.0)
+                assert not other.is_alive(), "the service lock was held"
+                return function(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(
+            state_module, "chain_latencies",
+            take_the_lock(state_module.chain_latencies),
+        )
+        monkeypatch.setattr(
+            live_module, "_merged_latency_index",
+            take_the_lock(live_module._merged_latency_index),
+        )
+        reply, _ = service.handle_request(
+            {"cmd": "latency", "topics": ["/t1"]}, b""
+        )
+        assert reply["count"] > 0
+        assert len(taken) == (2 if overlapping else 1)
+
+    def test_arrival_during_a_query_keeps_only_retained_journeys(
+        self, sources, tmp_path
+    ):
+        """A run that arrives while a query follows its view evicts the
+        oldest run: the view's journeys are kept for the runs still
+        retained only."""
+        source = TraceStore(sources["syn"])
+        service = SynthesisService(str(tmp_path / "served"), retain_window=2)
+        live = service.live
+
+        def arrive(run_id):
+            with open(source.path_of(run_id), "rb") as handle:
+                service.ingest_bytes(run_id, handle.read())
+
+        arrive("run000")
+        arrive("run001")
+        view = live.latency_view(["/t1"])
+        arrive("run002")
+        summary = latency_summary(["/t1"], view.index(), view.journeys)
+        assert summary["count"] > 0
+        assert set(view.journeys) == set(view.fragments)
+        live.keep_latency(view)
+        kept = live.latency_view(["/t1"])
+        assert kept.fragments[0] is view.fragments[1]
+        assert set(kept.journeys) == {view.fragments[1]}
 
     @pytest.mark.stress
     def test_concurrent_queries_keep_the_cache_consistent(
