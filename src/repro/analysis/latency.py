@@ -183,27 +183,29 @@ class LatencyIndex:
         self._takes_by_key: Dict[TopicKey, List[Tuple[int, int]]] = {}
         self._takes_by_topic: Dict[Optional[str], List[Tuple[int, Optional[int]]]] = {}
         rows = np.flatnonzero((code_np == CODE_DDS_WRITE) | (code_np == CODE_TAKE))
-        row_ts, row_pid, row_code, row_aux = (
+        row_ts, row_pid, row_code, payloads = (
             column[rows].tolist() for column in (ts_np, pid_np, code_np, aux)
         )
-        for ts, pid, code, payload in zip(row_ts, row_pid, row_code, row_aux):
-            topic = payload.get("topic")
-            src_ts = payload.get("src_ts")
+        topics = list(map(dict.get, payloads, repeat("topic")))
+        hops = list(zip(row_ts, map(dict.get, payloads, repeat("src_ts"))))
+        writes = self._writes
+        writes_by_topic = self._writes_by_topic
+        takes_by_key = self._takes_by_key
+        takes_by_topic = self._takes_by_topic
+        for pid, code, topic, hop in zip(row_pid, row_code, topics, hops):
             if code == CODE_DDS_WRITE:
-                self._writes.setdefault(pid, []).append((ts, topic, src_ts))
-                self._writes_by_topic.setdefault(topic, []).append((ts, src_ts))
+                ts, src_ts = hop
+                writes.setdefault(pid, []).append((ts, topic, src_ts))
+                writes_by_topic.setdefault(topic, []).append(hop)
             else:
-                self._takes_by_key.setdefault((topic, src_ts), []).append((ts, pid))
-                self._takes_by_topic.setdefault(topic, []).append((ts, src_ts))
+                takes_by_key.setdefault((topic, hop[1]), []).append((hop[0], pid))
+                takes_by_topic.setdefault(topic, []).append(hop)
         #: PIDs with CB, write or take rows, the PIDs with take rows and
         #: the (topic, src_ts) keys of the writes and takes: what chain
         #: journeys read.
         self._pids = frozenset(cb_pid[first].tolist()).union(row_pid)
         self._takers = frozenset(pid_np[code_np == CODE_TAKE].tolist())
-        keys = set(self._takes_by_key)
-        for topic, topic_writes in self._writes_by_topic.items():
-            keys.update(zip(repeat(topic), map(itemgetter(1), topic_writes)))
-        self._keys = frozenset(keys)
+        self._keys = frozenset(zip(topics, map(itemgetter(1), hops)))
         order = np.lexsort((wake_ts, wake_pid))  # per PID, stable ts order
         self._wakeups = _split(wake_pid[order], wake_ts[order].tolist())
 
@@ -423,6 +425,7 @@ def chain_latencies(
     topics: Sequence[str],
     max_instances: Optional[int] = None,
     journeys: Optional[Dict[LatencyIndex, List[ChainLatency]]] = None,
+    separable: Optional[bool] = None,
 ) -> List[ChainLatency]:
     """Follow data through ``topics`` (in order) over a built index, or
     over the time-ordered per-run fragments of one stream.
@@ -437,13 +440,17 @@ def chain_latencies(
     its own, and ``journeys`` -- a cache of per-fragment results for
     this same ``topics``, keyed by fragment -- supplies the fragments
     it holds and takes the ones followed here.  Otherwise the fragments
-    are concatenated and followed as one index.
+    are concatenated and followed as one index.  ``separable`` is
+    :func:`fragments_are_separable` of the fragments when the caller
+    knows it already.
     """
     if not topics:
         raise ValueError("need at least one topic")
     if isinstance(index, LatencyIndex):
         return _chain_latencies(index, topics, max_instances)
-    if not fragments_are_separable(index):
+    if separable is None:
+        separable = fragments_are_separable(index)
+    if not separable:
         return _chain_latencies(LatencyIndex.concat(index), topics, max_instances)
     latencies: List[ChainLatency] = []
     for fragment in index:

@@ -30,10 +30,11 @@ Two data paths, mirroring the pipeline split:
 
 :class:`StoreAnalysis` bundles both paths behind one lazily-caching
 handle (one synthesis, one latency index, any number of reports) -- the
-engine behind ``repro analyze``.  It opens the store's readers once and
-hands them to the serial synthesis and to the latency index alike, so
-each segment is inflated once: the second consumer reads the sections
-the first one decoded from the reader's cache.  Chain latencies follow
+engine behind ``repro analyze``.  It opens the store's readers once,
+resolves each one's columns once
+(:func:`~repro.store.index.resolve_run`) and hands both to the serial
+synthesis and to the latency index alike, so each segment is inflated
+and resolved once.  Chain latencies follow
 the per-run fragments one at a time when no journey can cross a run
 (:func:`~repro.analysis.latency.chain_latencies`).
 """
@@ -41,7 +42,7 @@ the per-run fragments one at a time when no journey can cross a run
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,6 +53,7 @@ from ..store.index import (
     _merged_columns,
     _resolve,
     _runs_are_time_ordered,
+    resolve_run,
 )
 from ..store.synthesis import _synthesize_readers, synthesize_from_store
 from .chains import Chain, enumerate_chains
@@ -67,18 +69,23 @@ from .latency import (
 from .load import CallbackLoad, callback_loads, node_loads
 
 
-def latency_fragment(reader, pids: Optional[frozenset] = None) -> LatencyIndex:
+def latency_fragment(
+    reader, pids: Optional[frozenset] = None, columns: Optional[Tuple] = None
+) -> LatencyIndex:
     """One run's :class:`LatencyIndex` -- the piece
     :func:`latency_index_from_store` concatenates over time-ordered
-    runs.  Its :attr:`~LatencyIndex.span` is the run's ROS ts range
+    runs; ``columns`` are the reader's resolved columns when the caller
+    has them.  Its :attr:`~LatencyIndex.span` is the run's ROS ts range
     when ``pids`` is None."""
-    return LatencyIndex(
-        _resolve(reader.walk_fastpath()), reader.wakeup_pid_columns(), pids
-    )
+    if columns is None:
+        columns = _resolve(reader.walk_fastpath())
+    return LatencyIndex(columns, reader.wakeup_pid_columns(), pids)
 
 
 def _merged_latency_index(
-    readers: Sequence, pids: Optional[frozenset]
+    readers: Sequence,
+    pids: Optional[frozenset],
+    columns: Optional[Sequence[Tuple]] = None,
 ) -> LatencyIndex:
     """One build over time-overlapping runs: the store index's merged
     columns (ties keep ``(run, row)`` order, so the order equals
@@ -87,20 +94,27 @@ def _merged_latency_index(
     ties keep run order as the object merge does."""
     wakeups = zip(*(reader.wakeup_pid_columns() for reader in readers))
     return LatencyIndex(
-        _merged_columns(readers),
+        _merged_columns(readers, columns),
         tuple(np.concatenate(column) for column in wakeups),
         pids,
     )
 
 
 def _latency_fragments(
-    readers: Sequence, pids: Optional[frozenset]
+    readers: Sequence,
+    pids: Optional[frozenset],
+    columns: Optional[Sequence[Tuple]] = None,
 ) -> Optional[List[LatencyIndex]]:
     """One fragment per run when the runs (in run-id order) are
     time-ordered, else None: they need one merged build."""
     if not _runs_are_time_ordered(readers):
         return None
-    return [latency_fragment(reader, pids) for reader in readers]
+    if columns is None:
+        columns = [None] * len(readers)
+    return [
+        latency_fragment(reader, pids, resolved)
+        for reader, resolved in zip(readers, columns)
+    ]
 
 
 def latency_index_from_store(
@@ -130,9 +144,9 @@ class StoreAnalysis:
 
     Parameters mirror :func:`synthesize_from_store`; ``jobs`` shards
     the synthesis across worker processes with the store layer's
-    PID-shard planning.  The store's readers are opened once and
-    shared by the serial ``merge_traces`` synthesis and the latency
-    index.
+    PID-shard planning.  The store's readers are opened and resolved
+    once, and shared by the serial ``merge_traces`` synthesis and the
+    latency index.
     """
 
     def __init__(
@@ -160,10 +174,16 @@ class StoreAnalysis:
         return self.store.readers()
 
     @cached_property
+    def _columns(self) -> List[Tuple]:
+        """Each reader's resolved columns (:func:`resolve_run`), shared
+        by the synthesis and the latency index."""
+        return [resolve_run(reader).columns for reader in self._readers]
+
+    @cached_property
     def _fragments(self) -> Optional[List[LatencyIndex]]:
         """Per-run latency fragments over the same readers, or None when
         the runs overlap in time."""
-        return _latency_fragments(self._readers, self._wanted)
+        return _latency_fragments(self._readers, self._wanted, self._columns)
 
     @property
     def dag(self) -> TimingDag:
@@ -175,6 +195,7 @@ class StoreAnalysis:
                     self.pids,
                     split_services=self.split_services,
                     model_sync=self.model_sync,
+                    columns=self._columns,
                 )
             else:
                 self._dag = synthesize_from_store(
@@ -193,7 +214,9 @@ class StoreAnalysis:
         if self._index is None:
             fragments = self._fragments
             if fragments is None:
-                self._index = _merged_latency_index(self._readers, self._wanted)
+                self._index = _merged_latency_index(
+                    self._readers, self._wanted, self._columns
+                )
             else:
                 self._index = LatencyIndex.concat(fragments)
         return self._index

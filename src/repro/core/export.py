@@ -7,7 +7,9 @@ The DOT output mirrors Fig. 3's visual conventions: one color per node,
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional
+from typing import (
+    Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
+)
 
 from .dag import DagEdge, DagVertex, TimingDag
 
@@ -110,7 +112,17 @@ _encode_other = json.JSONEncoder().encode
 
 
 def _scalar(value: Any) -> str:
-    return _encode_str(value) if type(value) is str else _encode_other(value)
+    if type(value) is str:
+        return _encode_str(value)
+    # The constants the json module writes, without a trip through its
+    # encoder (~2 us a call).
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    return _encode_other(value)
 
 
 #: (field, its rendered ``"name": `` prefix[, list-valued]).
@@ -119,9 +131,60 @@ _VERTEX_KEYS = tuple(
     for name in _VERTEX_FIELDS
 )
 _EDGE_KEYS = tuple((name, _encode_str(name) + ": ") for name in _EDGE_FIELDS)
+#: The list fields that hold measurement samples.  A merged model's
+#: sample lists are its runs' lists concatenated, so they can be
+#: rendered per run (:func:`render_samples`) and joined.
+_SAMPLE_FIELDS = tuple(
+    name for name in _VERTEX_FIELDS if name in _LIST_FIELDS and name != "outtopics"
+)
+
+#: Per vertex key, the items text of each of the ``_SAMPLE_FIELDS``.
+RenderedSamples = Dict[str, Tuple[str, ...]]
 
 
-def dag_to_json(dag: TimingDag, indent: Optional[int] = None) -> str:
+def _layout(indent: Optional[Union[int, str]]) -> Tuple[List[str], List[str]]:
+    """``(newline, joins)``: ``newline[level]`` opens a container's
+    items at ``level``, and ``joins[level]`` separates them."""
+    if indent is None:
+        newline = [""] * 5
+        item_sep = ", "
+    else:
+        pad = " " * indent if isinstance(indent, int) else indent
+        newline = ["\n" + pad * level for level in range(5)]
+        item_sep = ","
+    return newline, [item_sep + line for line in newline]
+
+
+def _items(values: Any, separator: str) -> str:
+    """The items of one JSON array, without brackets: a list of plain
+    ints is one C-level ``join(map(int.__repr__, ...))``, other values
+    follow the json module's own rules -- which render a plain int as
+    ``int.__repr__`` does, so items texts of consecutive pieces of a
+    list join into the items text of the whole list."""
+    encode = int.__repr__ if set(map(type, values)) == {int} else _scalar
+    return separator.join(map(encode, values))
+
+
+def render_samples(
+    vertices: Iterable[DagVertex], indent: Optional[Union[int, str]] = None
+) -> RenderedSamples:
+    """The items text :func:`dag_to_json` renders for ``vertices``'
+    sample lists, to be joined by a later ``dag_to_json(...,
+    samples=...)`` with the same ``indent``."""
+    separator = _layout(indent)[1][4]
+    return {
+        vertex.key: tuple(
+            _items(getattr(vertex, name), separator) for name in _SAMPLE_FIELDS
+        )
+        for vertex in vertices
+    }
+
+
+def dag_to_json(
+    dag: TimingDag,
+    indent: Optional[Union[int, str]] = None,
+    samples: Optional[Sequence[RenderedSamples]] = None,
+) -> str:
     """The model as JSON text: byte-identical to
     ``json.dumps(dag_to_dict(dag), indent=indent)``, rendered from the
     fixed schema without the intermediate dict.
@@ -130,62 +193,73 @@ def dag_to_json(dag: TimingDag, indent: Optional[int] = None) -> str:
     pure-Python encoder, one call per value.  Here every string goes
     through the C ``encode_basestring_ascii``, and a sample list of
     plain ints is one C-level ``join(map(int.__repr__, ...))``; other
-    scalars follow the json module's own rules."""
-    if indent is None:
-        newline = [""] * 5
-        item_sep = ", "
-    else:
-        pad = " " * indent if isinstance(indent, int) else indent
-        newline = ["\n" + pad * level for level in range(5)]
-        item_sep = ","
-    # newline[level] opens a container's items at ``level``; joins[level]
-    # separates them.
-    joins = [item_sep + line for line in newline]
+    scalars follow the json module's own rules.
 
-    def container(items: List[str], level: int, brackets: str) -> str:
-        if not items:
-            return brackets
-        return (
-            brackets[0] + newline[level] + joins[level].join(items)
-            + newline[level - 1] + brackets[1]
-        )
+    ``samples`` are the :func:`render_samples` of pieces whose sample
+    lists concatenate, per vertex key and in order, into ``dag``'s (the
+    runs a model was merged from): their items texts are joined instead
+    of rendering the lists again.  Vertices none of them holds (AND
+    junctions) render their own."""
+    newline, joins = _layout(indent)
+    # The text is one list of pieces, joined once: each intermediate
+    # string would copy a large model's samples again.
+    out: List[str] = []
+    emit = out.append
 
-    def array(values: Any) -> str:
-        if not values:
-            return "[]"
-        encode = int.__repr__ if set(map(type, values)) == {int} else _scalar
-        return (
-            "[" + newline[4] + joins[4].join(map(encode, values))
-            + newline[3] + "]"
-        )
+    def objects(rows: List[Any], write: Callable[[Any], None]) -> None:
+        """A list of objects; ``write`` emits one object's fields."""
+        if not rows:
+            emit("[]")
+            return
+        emit("[")
+        for number, row in enumerate(rows):
+            out.extend((joins[2] if number else newline[2], "{"))
+            write(row)
+            out.extend((newline[2], "}"))
+        out.extend((newline[1], "]"))
 
-    vertices = [
-        container(
-            [
-                key + (array if is_list else _scalar)(getattr(vertex, name))
-                for name, key, is_list in _VERTEX_KEYS
-            ],
-            3,
-            "{}",
-        )
-        for vertex in _sorted_vertices(dag)
-    ]
-    edges = [
-        container(
-            [key + _scalar(getattr(edge, name)) for name, key in _EDGE_KEYS],
-            3,
-            "{}",
-        )
-        for edge in _sorted_edges(dag)
-    ]
-    return container(
-        [
-            '"vertices": ' + container(vertices, 2, "[]"),
-            '"edges": ' + container(edges, 2, "[]"),
-        ],
-        1,
-        "{}",
-    )
+    def prefixes(keys: Any) -> List[Tuple[str, ...]]:
+        """Each field's name, its separator plus ``"name": ``, and the
+        rest of its entry in ``keys``."""
+        return [
+            (name, (joins[3] if position else newline[3]) + key, *rest)
+            for position, (name, key, *rest) in enumerate(keys)
+        ]
+
+    vertex_keys = prefixes(_VERTEX_KEYS)
+    edge_keys = prefixes(_EDGE_KEYS)
+
+    def write_vertex(vertex: DagVertex) -> None:
+        joined: Dict[str, str] = {}
+        if samples is not None:
+            pieces = [piece[vertex.key] for piece in samples if vertex.key in piece]
+            joined = {
+                name: joins[4].join(filter(None, texts))
+                for name, texts in zip(_SAMPLE_FIELDS, zip(*pieces))
+            }
+        for name, prefix, is_list in vertex_keys:
+            emit(prefix)
+            if not is_list:
+                emit(_scalar(getattr(vertex, name)))
+                continue
+            items = joined.get(name)
+            if items is None:
+                items = _items(getattr(vertex, name), joins[4])
+            if items:
+                out.extend(("[", newline[4], items, newline[3], "]"))
+            else:
+                emit("[]")
+
+    def write_edge(edge: DagEdge) -> None:
+        for name, prefix in edge_keys:
+            out.extend((prefix, _scalar(getattr(edge, name))))
+
+    out.extend(("{", newline[1], '"vertices": '))
+    objects(_sorted_vertices(dag), write_vertex)
+    out.extend((joins[1], '"edges": '))
+    objects(_sorted_edges(dag), write_edge)
+    out.extend((newline[0], "}"))
+    return "".join(out)
 
 
 def dag_from_json(text: str) -> TimingDag:

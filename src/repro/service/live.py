@@ -12,14 +12,22 @@ stream costs one run of work per arrival, not one window.
 
 The Alg. 1/2 walk is kept per run too: after an in-place extend, only
 the new run's PIDs are walked, and the run's CBLists are cached as its
-walk fragment until the run leaves the window.  The model assembles the
-cached fragments in sorted-PID order.  A fragment is only valid while
-nothing another retained run added reaches it (the rule of
-:class:`_WalkFragments`: no shared stateful PID, no shared service
-key); while any two retained runs share, the model re-walks every
-retained PID over the index instead, exactly as batch synthesis does.
-Recorded streams never share -- each run has its own PIDs and clock --
-so there the walk costs one run per arrival.
+walk fragment until the run leaves the window, beside the fragment's
+records folded per vertex key
+(:func:`~repro.core.synthesis.fold_records`) and, once a model JSON
+query has asked for them, its sample lists rendered as model JSON
+(:func:`~repro.core.export.render_samples`).
+A fragment is only valid while nothing another retained run added
+reaches it (the rule of :class:`_WalkFragments`: no shared stateful
+PID, no shared service key); while any two retained runs share, the
+model re-walks every retained PID over the index instead, exactly as
+batch synthesis does.  Recorded streams never share -- each run has
+its own PIDs, above the previous run's, and its own clock -- so there
+the model merges the runs' folds and runs only DAG synthesis's
+structural pass over the window
+(:func:`~repro.core.synthesis.dag_from_fold`), and a model JSON query
+joins the runs' rendered sample lists: an arrival walks, folds and
+(for JSON) renders one run.
 
 A full rebuild over the retained readers (``StoreTraceIndex(readers)``)
 still happens for an out-of-order arrival, a time-overlapping arrival
@@ -41,8 +49,9 @@ since it depends on its run only.  A latency query follows chains over
 those fragments and opens no segment; the journeys of the last-queried
 chain are cached per run, so after an arrival only the new run's
 writes are followed (:func:`~repro.analysis.latency.chain_latencies`).
-What stays O(window) per query is C-level: the set check that no
-journey crosses runs, and joining the runs' journeys.  A window that
+The check that no journey crosses runs (C-level set operations over
+the window) runs on the first query after an arrival; what stays
+O(window) per query is joining the runs' journeys.  A window that
 fails the check is concatenated and followed whole, and a
 time-overlapping window needs one index over the runs' merged
 columns, built from the segments on the first query after an arrival.
@@ -58,12 +67,19 @@ from operator import attrgetter
 from time import perf_counter
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from ..analysis.latency import ChainLatency, LatencyIndex
+from ..analysis.latency import ChainLatency, LatencyIndex, fragments_are_separable
 from ..analysis.store import _merged_latency_index
 from ..core.dag import TimingDag
+from ..core.export import RenderedSamples, render_samples
 from ..core.index import CODE_DDS_WRITE, CODE_TAKE_REQUEST, TopicKey
 from ..core.records import CBList
-from ..core.synthesis import synthesize_dag
+from ..core.synthesis import (
+    CallbackFold,
+    dag_from_fold,
+    fold_records,
+    merge_folds,
+    synthesize_dag,
+)
 from ..store.database import TraceStore
 from ..store.format import StoreFormatError
 from ..store.index import (
@@ -73,6 +89,7 @@ from ..store.index import (
     resolve_run,
 )
 from ..store.synthesis import _extract_index_cblists
+from .state import MODEL_JSON_INDENT
 
 
 @dataclass
@@ -97,6 +114,9 @@ class ServiceCounters:
     #: per-run Alg. 1 walk fragments built (one per in-order arrival
     #: while no retained runs share state).
     walk_fragments_built: int = 0
+    #: walk fragments whose sample lists a model JSON query rendered:
+    #: at most one per walk fragment built, none per repeated query.
+    model_runs_rendered: int = 0
     #: PIDs walked by full re-walks, taken while retained runs share a
     #: stateful PID or a service key.
     pids_rewalked: int = 0
@@ -147,8 +167,10 @@ def _service_keys(
 
 class _WalkFragments:
     """One cached Alg. 1 walk fragment per retained run -- the CBLists
-    of the PIDs the run names, ascending -- and the rule that says when
-    the fragments add up to a full walk over the window.
+    of the PIDs the run names, ascending, with their records folded per
+    vertex key and, once asked for, their sample lists rendered as
+    model JSON -- and the rule that says when the fragments add up to a
+    full walk over the window.
 
     A run's fragment is its share of the full walk as long as nothing
     another retained run added reaches it.  Two runs *share* when
@@ -169,6 +191,11 @@ class _WalkFragments:
     def __init__(self) -> None:
         #: retained run id -> CBLists of its named PIDs, ascending.
         self.fragments: Dict[str, List[CBList]] = {}
+        #: retained run id -> its fragment's records, folded.
+        self.folds: Dict[str, CallbackFold] = {}
+        #: retained run id -> its fold's rendered sample lists, once a
+        #: model JSON query asked for them.
+        self.samples: Dict[str, RenderedSamples] = {}
         #: retained run id -> its named PIDs, ascending.
         self.pids: Dict[str, List[int]] = {}
         #: retained run id -> its ("touch" | "state" | "key", value)
@@ -203,8 +230,13 @@ class _WalkFragments:
         self._shares[run_id] = partners
         for other in partners:
             self._shares[other].add(run_id)
-            self.fragments.pop(other, None)
+            self._forget(other)
         return not partners
+
+    def _forget(self, run_id: str) -> None:
+        self.fragments.pop(run_id, None)
+        self.folds.pop(run_id, None)
+        self.samples.pop(run_id, None)
 
     def drop(self, run_id: str) -> None:
         """Forget a run that left the window, with its fragment."""
@@ -216,13 +248,26 @@ class _WalkFragments:
                 del holders[entry]
         for other in self._shares.pop(run_id):
             self._shares[other].discard(run_id)
-        self.fragments.pop(run_id, None)
+        self._forget(run_id)
         del self.pids[run_id]
 
     def complete(self) -> bool:
         """True when no two retained runs share: every fragment, cached
         or still to build, is valid."""
         return not any(self._shares.values())
+
+    def ascending(self, run_ids: Sequence[str]) -> bool:
+        """True when each of ``run_ids``' runs names only PIDs above the
+        previous runs': the runs' fragments, concatenated in order, are
+        then in sorted-PID order."""
+        highest = None
+        for run_id in run_ids:
+            pids = self.pids[run_id]
+            if pids:
+                if highest is not None and pids[0] <= highest:
+                    return False
+                highest = pids[-1]
+        return True
 
 
 class LiveSynthesizer:
@@ -293,6 +338,8 @@ class LiveSynthesizer:
         self._events_by_run: Dict[str, int] = {}
         self._index = StoreTraceIndex()
         self._dag: Optional[TimingDag] = None
+        #: True when ``_dag`` was merged from the runs' folds.
+        self._merged = False
         #: measured full-build seconds per event (updated by rebuilds).
         self._build_rate: Optional[float] = None
         #: retained run id -> its latency fragment.
@@ -300,6 +347,9 @@ class LiveSynthesizer:
         #: one index over a time-overlapping window's merged columns,
         #: built on the first latency query after an arrival.
         self._merged_latency: Optional[LatencyIndex] = None
+        #: fragments_are_separable over the window's latency fragments,
+        #: found by the first latency query after an arrival.
+        self._separable: Optional[bool] = None
         #: the last-queried chain, and its journeys per retained run's
         #: latency fragment.
         self._journey_topics: Tuple[str, ...] = ()
@@ -394,6 +444,7 @@ class LiveSynthesizer:
             counters.runs_evicted += len(evicted)
         self._dag = None
         self._merged_latency = None
+        self._separable = None
 
         if not (in_order and self._index.can_append(reader)):
             self._rebuild(run_id, reader)
@@ -457,11 +508,12 @@ class LiveSynthesizer:
 
     def _walk(self, run_id: str) -> None:
         """Walk one retained run's PIDs into its fragment (a fresh
-        :class:`~repro.core.extraction.EventIndex` per walk)."""
+        :class:`~repro.core.extraction.EventIndex` per walk) and fold
+        its records."""
         walks = self._walks
-        walks.fragments[run_id] = _extract_index_cblists(
-            self._index, walks.pids[run_id]
-        )
+        cblists = _extract_index_cblists(self._index, walks.pids[run_id])
+        walks.fragments[run_id] = cblists
+        walks.folds[run_id] = fold_records(cblists, self.split_services)
         self.counters.walk_fragments_built += 1
 
     def latency_view(self, topics: Sequence[str]) -> "LatencyView":
@@ -476,12 +528,13 @@ class LiveSynthesizer:
         return LatencyView(self, topics)
 
     def keep_latency(self, view: "LatencyView") -> None:
-        """Keep what following ``view`` built: its merged index while the
-        window is unchanged, and the journeys of still-retained runs
-        while its chain is the last-queried one."""
+        """Keep what following ``view`` built: its merged index and
+        separability while the window is unchanged, and the journeys of
+        still-retained runs while its chain is the last-queried one."""
         self.counters.segments_decoded += view.decoded
         if view.run_ids == tuple(self._consumed):
             self._merged_latency = view.merged
+            self._separable = view.separable
         if view.topics == self._journey_topics:
             retained = set(self._latency.values())
             self._journeys.update(
@@ -490,19 +543,26 @@ class LiveSynthesizer:
                 if fragment in retained
             )
 
+    def _fragments_complete(self) -> bool:
+        """True when the retained runs' walk fragments add up to the
+        full walk; walks the runs that have none yet."""
+        walks = self._walks
+        if walks is None or not walks.complete():
+            return False
+        for run_id in self._consumed:
+            if run_id not in walks.fragments:
+                self._walk(run_id)
+        return True
+
     def _cblists(self) -> List[CBList]:
         """The CBLists of every retained PID, ascending -- the retained
         runs' walk fragments while they are all valid, else one full
         walk over the index."""
-        walks = self._walks
-        if walks is None or not walks.complete():
+        if not self._fragments_complete():
             pids = sorted(self._index.pid_map)
             self.counters.pids_rewalked += len(pids)
             return _extract_index_cblists(self._index, pids)
-        fragments = walks.fragments
-        for run_id in self._consumed:
-            if run_id not in fragments:
-                self._walk(run_id)
+        fragments = self._walks.fragments
         return sorted(
             (
                 cblist
@@ -514,15 +574,52 @@ class LiveSynthesizer:
 
     def model(self) -> TimingDag:
         """The timing DAG over the retained runs -- byte-identical to
-        ``synthesize_from_store(store_of_retained_runs, jobs=1)``.
-        Cached until the next ingest."""
+        ``synthesize_from_store(store_of_retained_runs, jobs=1)``, down
+        to the vertex and edge insertion order.  Cached until the next
+        ingest.
+
+        While the fragments are complete and each run's PIDs lie above
+        the previous run's, the runs' folds merged in run order are the
+        fold of the sorted-PID walk, so only the structural pass runs
+        over the window; otherwise the walk is synthesized whole."""
         if self._dag is None:
-            self._dag = synthesize_dag(
-                self._cblists(),
-                split_services=self.split_services,
-                model_sync=self.model_sync,
+            consumed = self._consumed
+            walks = self._walks
+            self._merged = self._fragments_complete() and walks.ascending(
+                consumed
             )
+            if self._merged:
+                self._dag = dag_from_fold(
+                    merge_folds([walks.folds[run_id] for run_id in consumed]),
+                    model_sync=self.model_sync,
+                )
+            else:
+                self._dag = synthesize_dag(
+                    self._cblists(),
+                    split_services=self.split_services,
+                    model_sync=self.model_sync,
+                )
         return self._dag
+
+    def model_samples(self) -> Optional[Tuple[RenderedSamples, ...]]:
+        """The sample lists of the retained runs :meth:`model` was merged
+        from, rendered for ``dag_to_json(model, MODEL_JSON_INDENT,
+        samples=...)``, in run order; None when the model was
+        synthesized whole.  A run is rendered on the first call that
+        needs it and kept with its fold (``model_runs_rendered``).
+        Each run's rendering is immutable, so the tuple is a
+        snapshot."""
+        self.model()
+        if not self._merged:
+            return None
+        walks = self._walks
+        for run_id in self._consumed:
+            if run_id not in walks.samples:
+                walks.samples[run_id] = render_samples(
+                    walks.folds[run_id].vertices.values(), indent=MODEL_JSON_INDENT
+                )
+                self.counters.model_runs_rendered += 1
+        return tuple(walks.samples[run_id] for run_id in self._consumed)
 
 
 class LatencyView:
@@ -542,6 +639,8 @@ class LatencyView:
         self.fragments = [live._latency[run_id] for run_id in self.run_ids]
         #: the window's merged index, once built.
         self.merged = live._merged_latency
+        #: fragments_are_separable(fragments), once known.
+        self.separable = live._separable
         self.journeys = dict(live._journeys)
         #: segments this view decoded (for ``segments_decoded``).
         self.decoded = 0
@@ -551,8 +650,14 @@ class LatencyView:
         """The fragments in run order when their spans are time-ordered,
         else one index over the runs' merged columns, built from the
         segments (which are immutable) on the window's first query.
-        :func:`~repro.analysis.latency.chain_latencies` takes either."""
-        if _spans_are_ordered(fragment.span for fragment in self.fragments):
+        :func:`~repro.analysis.latency.chain_latencies` takes either;
+        over the fragments, it follows :attr:`separable`, checked here
+        on the window's first query."""
+        if self.separable is None:
+            self.separable = fragments_are_separable(self.fragments)
+        if self.separable or _spans_are_ordered(
+            fragment.span for fragment in self.fragments
+        ):
             return self.fragments
         if self.merged is None:
             readers = [self._store.open(run_id) for run_id in self.run_ids]

@@ -144,14 +144,16 @@ class SynthesisService:
 
     # -- queries -----------------------------------------------------------
 
-    def state(self) -> ServiceState:
+    def state(self, json_samples: bool = False) -> ServiceState:
         """A consistent snapshot (model built under the lock, consumed
-        outside it)."""
+        outside it); ``json_samples`` adds the retained runs' rendered
+        sample lists, which a model JSON export joins."""
         with self._lock:
             return ServiceState(
                 directory=self.directory,
                 run_ids=self.live.run_ids,
                 dag=self.live.model(),
+                samples=self.live.model_samples() if json_samples else None,
                 counters=self.counters.as_dict(),
                 retain_window=self.live.retain_window,
                 endpoint=self.endpoint,
@@ -164,7 +166,9 @@ class SynthesisService:
         chain is followed outside it."""
         with self._lock:
             view = self.live.latency_view(topics)
-        summary = latency_summary(topics, view.index(), view.journeys)
+        summary = latency_summary(
+            topics, view.index(), view.journeys, view.separable
+        )
         with self._lock:
             self.live.keep_latency(view)
         return summary
@@ -195,7 +199,7 @@ class SynthesisService:
                     f"unknown model format {fmt!r}; expected one of "
                     f"{', '.join(MODEL_FORMATS)}"
                 )
-            text = self.state().model_text(fmt)
+            text = self.state(json_samples=fmt == "json").model_text(fmt)
             return {"ok": True, "format": fmt}, text.encode()
         if command == "chains":
             sources = _string_list(payload, "sources")

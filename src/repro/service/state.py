@@ -8,7 +8,10 @@ worker only ever *adds* runs via atomic rename.  So a large ``model``
 export never blocks ingestion, and a segment that commits mid-query
 does not shear the answer.  ``model --format json`` renders with
 :func:`~repro.core.export.dag_to_json`, which writes the JSON schema
-with C-level string and int encoding.
+with C-level string and int encoding, and joins the sample lists of
+the retained runs, each rendered once, by the first JSON query after
+the run entered the window (the snapshot's ``samples``), so a query
+renders no sample rendered before.
 
 ``latency`` reads no segment: :func:`latency_summary` follows the
 chain over the per-run latency fragments the
@@ -18,8 +21,8 @@ only the new run's writes are followed
 (:func:`~repro.analysis.latency.chain_latencies`).  What the query
 follows is taken under the service lock as a
 :class:`~repro.service.live.LatencyView` and followed outside it.
-Per query, the fragments are also checked for a journey that could
-cross runs -- C-level set operations over the window's PIDs and
+Once per window, the fragments are also checked for a journey that
+could cross runs -- C-level set operations over the window's PIDs and
 ``(topic, src_ts)`` keys -- and a window that fails the check, or
 whose runs overlap in time, is followed as one index.
 """
@@ -27,32 +30,43 @@ whose runs overlap in time, is followed as one index.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..analysis.chains import Chain, enumerate_chains, format_chains
 from ..analysis.latency import ChainLatency, LatencyIndex, chain_latencies
 from ..core.dag import TimingDag
-from ..core.export import dag_to_json, format_edges, format_exec_table, to_dot
+from ..core.export import (
+    RenderedSamples,
+    dag_to_json,
+    format_edges,
+    format_exec_table,
+    to_dot,
+)
 from ..store.database import TraceStore
 
 #: ``model`` query output formats.
 MODEL_FORMATS = ("dot", "json", "edges", "exec")
+#: The indent ``model --format json`` renders with.
+MODEL_JSON_INDENT = 2
 
 
 def latency_summary(
     topics: Sequence[str],
     index: Union[LatencyIndex, Sequence[LatencyIndex]],
     journeys: Optional[Dict[LatencyIndex, List[ChainLatency]]] = None,
+    separable: Optional[bool] = None,
 ) -> Dict[str, Any]:
     """Chain-latency stats for a topic chain (ns, like the analysis
-    CLI).  ``index`` and ``journeys`` are what
+    CLI).  ``index``, ``journeys`` and ``separable`` are what
     :func:`~repro.analysis.latency.chain_latencies` follows: a live
-    service's retained latency fragments (or one merged index) and
-    its per-run journey cache of this chain
-    (:class:`~repro.service.live.LatencyView`)."""
+    service's retained latency fragments (or one merged index), its
+    per-run journey cache of this chain and whether the fragments are
+    separable (:class:`~repro.service.live.LatencyView`)."""
     values = [
         latency.latency_ns
-        for latency in chain_latencies(index, list(topics), journeys=journeys)
+        for latency in chain_latencies(
+            index, list(topics), journeys=journeys, separable=separable
+        )
     ]
     summary: Dict[str, Any] = {"topics": list(topics), "count": len(values)}
     if values:
@@ -76,10 +90,14 @@ class ServiceState:
         retain_window: Optional[int],
         endpoint: Optional[str] = None,
         uptime_s: float = 0.0,
+        samples: Optional[Tuple[RenderedSamples, ...]] = None,
     ):
         self.directory = directory
         self.run_ids = list(run_ids)
         self._dag = dag
+        #: the retained runs' rendered sample lists ``dag`` was merged
+        #: from (:meth:`~repro.service.live.LiveSynthesizer.model_samples`).
+        self._samples = samples
         self.counters = dict(counters)
         self.retain_window = retain_window
         self.endpoint = endpoint
@@ -97,7 +115,9 @@ class ServiceState:
         if fmt == "dot":
             return to_dot(self._dag)
         if fmt == "json":
-            return dag_to_json(self._dag, indent=2)
+            return dag_to_json(
+                self._dag, indent=MODEL_JSON_INDENT, samples=self._samples
+            )
         if fmt == "edges":
             return format_edges(self._dag)
         if fmt == "exec":

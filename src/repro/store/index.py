@@ -66,7 +66,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from heapq import merge as _heap_merge
-from itertools import islice, takewhile
+from itertools import islice, repeat, takewhile
 from operator import itemgetter
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -206,13 +206,14 @@ def resolve_run(reader: Any) -> ResolvedRun:
 
 
 def _merged_columns(
-    readers: Sequence[Any],
+    readers: Sequence[Any], columns: Optional[Sequence[Tuple]] = None
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Time-overlapping runs' resolved columns (see :func:`_resolve`)
-    as one chronological stream: concatenated in run order and
-    reordered by one stable sort on ts, so ties keep ``(run, row)``
-    order exactly like ``Trace.merge``."""
-    columns = [_resolve(reader.walk_fastpath()) for reader in readers]
+    """Time-overlapping runs' resolved columns (see :func:`_resolve`;
+    ``columns`` when the caller has them) as one chronological stream:
+    concatenated in run order and reordered by one stable sort on ts,
+    so ties keep ``(run, row)`` order exactly like ``Trace.merge``."""
+    if columns is None:
+        columns = [_resolve(reader.walk_fastpath()) for reader in readers]
     ts_np, pid_np, row_codes, aux_row = (
         np.concatenate(column) for column in zip(*columns)
     )
@@ -262,6 +263,9 @@ class StoreTraceIndex:
         shard); the cross-node tables always cover the full stream --
         FindCaller/FindClient reach across shards by design.  ``None``
         builds every PID (the serial path).
+    columns:
+        Each reader's resolved columns (:func:`resolve_run`), when the
+        caller has them already; ``None`` resolves them here.
 
     :class:`~repro.core.extraction.EventIndex` reads the cross-node
     tables (``writes`` / ``writer_cb`` / ``take_responses`` /
@@ -292,6 +296,7 @@ class StoreTraceIndex:
         self,
         readers: Sequence[Any] = (),
         wanted_pids: Optional[Iterable[int]] = None,
+        columns: Optional[Sequence[Tuple]] = None,
     ):
         self.pid_map: Dict[int, Optional[str]] = {}
         self._by_pid: Dict[int, WalkColumns] = {}
@@ -324,13 +329,15 @@ class StoreTraceIndex:
         #: the appended runs, oldest first (empty when not _ordered).
         self._runs: List[_RunExtent] = []
         if self._ordered:
-            for reader in readers:
-                self._append(reader)
+            for reader, resolved in zip(
+                readers, columns if columns is not None else repeat(None)
+            ):
+                self._append(reader, resolved)
         else:
             # Overlapping runs: one stable ts merge of every run's
             # resolved columns.  The extent is not kept: no eviction.
             merged = _RunExtent(0, {})
-            self._consume(*_merged_columns(readers), merged)
+            self._consume(*_merged_columns(readers, columns), merged)
             for reader in readers:
                 self.pid_map.update(reader.pid_map)
                 self._fold_sched(reader, merged)

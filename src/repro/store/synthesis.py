@@ -68,7 +68,10 @@ def _extract_index_cblists(
 
 
 def _extract_store_cblists(
-    readers: Sequence, wanted: Sequence[int], build_all: bool = False
+    readers: Sequence,
+    wanted: Sequence[int],
+    build_all: bool = False,
+    columns: Optional[Sequence[Tuple]] = None,
 ) -> List[CBList]:
     """Alg. 1 over ``wanted`` PIDs straight from segment columns.
 
@@ -77,9 +80,12 @@ def _extract_store_cblists(
     whole stream), then the columnar walk extracts per PID -- no merged
     event list, no :class:`TraceEvent` construction for non-ID rows.
     ``build_all`` skips the per-row PID filter when ``wanted`` is known
-    to cover every traced PID (the serial unfiltered path).
+    to cover every traced PID (the serial unfiltered path).  ``columns``
+    are the readers' resolved columns when the caller has them.
     """
-    index = StoreTraceIndex(readers, wanted_pids=None if build_all else wanted)
+    index = StoreTraceIndex(
+        readers, wanted_pids=None if build_all else wanted, columns=columns
+    )
     return _extract_index_cblists(index, wanted)
 
 
@@ -120,19 +126,23 @@ def _synthesize_readers(
     pids: Optional[Iterable[int]],
     split_services: bool,
     model_sync: bool,
+    columns: Optional[Sequence[Tuple]] = None,
 ) -> TimingDag:
     """Serial ``merge_traces`` synthesis over open readers (each
     segment decoded once; the readers carry the union pid_map, so no
-    planning prefix-read is needed)."""
+    planning prefix-read is needed).  ``columns`` are the readers'
+    resolved columns when the caller has them."""
     if pids is not None:
         wanted = sorted(pids)
-        cblists = _extract_store_cblists(readers, wanted)
+        cblists = _extract_store_cblists(readers, wanted, columns=columns)
     else:
         union: Dict[int, Optional[str]] = {}
         for reader in readers:
             union.update(reader.pid_map)
         wanted = sorted(union)
-        cblists = _extract_store_cblists(readers, wanted, build_all=True)
+        cblists = _extract_store_cblists(
+            readers, wanted, build_all=True, columns=columns
+        )
     return synthesize_dag(
         cblists, split_services=split_services, model_sync=model_sync
     )

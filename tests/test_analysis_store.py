@@ -42,6 +42,7 @@ from repro.analysis import (
     node_loads_from_store,
 )
 from repro.analysis.latency import chain_latencies, fragments_are_separable
+from repro.analysis import store as analysis_store_module
 from repro.analysis.store import latency_fragment
 from repro.core import dag_to_json, synthesize_from_trace
 from repro.core.index import (
@@ -59,6 +60,7 @@ from repro.ros2 import Node
 from repro.scenarios import build_scenario_spec, scenario_names
 from repro.sim.kernel import MSEC, SEC
 from repro.store import SegmentReader, TraceStore, record_batch, write_segment
+from repro.store import index as index_module
 from repro.store.index import _runs_are_time_ordered
 from repro.tracing import TracingSession
 from repro.tracing.session import Trace
@@ -356,6 +358,34 @@ class TestStoreAnalysisHandle:
         analysis.chain_latencies(_write_topics(merged)[:2])
         analysis.waiting_times(sorted(merged.pid_map)[0])
         assert len(opened) == len(store.run_ids()) == RUNS
+
+    @pytest.mark.parametrize("overlapping", [False, True])
+    def test_one_resolve_per_run(self, stores, overlapping, tmp_path, monkeypatch):
+        """Synthesis and the latency index share each run's resolved
+        columns: the model plus latency and waiting-time reports resolve
+        each segment once, whether the runs are time-ordered (per-run
+        fragments) or overlap (one merged build)."""
+        store, merged = stores["syn"]
+        if overlapping:
+            for run_id in store.run_ids():
+                trace = _shifted_to_zero(store.load(run_id))
+                write_segment(trace, str(tmp_path / f"{run_id}.trace.bin"))
+            store = TraceStore(str(tmp_path))
+            assert not _runs_are_time_ordered(store.readers())
+        resolved = []
+        original = index_module._resolve
+
+        def counting_resolve(columns):
+            resolved.append(columns)
+            return original(columns)
+
+        monkeypatch.setattr(index_module, "_resolve", counting_resolve)
+        monkeypatch.setattr(analysis_store_module, "_resolve", counting_resolve)
+        analysis = StoreAnalysis(store.directory)
+        analysis.dag
+        analysis.chain_latencies(_write_topics(merged)[:2])
+        analysis.waiting_times(sorted(merged.pid_map)[0])
+        assert len(resolved) == len(store.run_ids()) == RUNS
 
     def test_accepts_directory_path(self, stores):
         store, _ = stores["syn"]

@@ -21,6 +21,7 @@ from repro.core import (
     synthesize_from_trace,
     to_dot,
 )
+from repro.core.export import _SAMPLE_FIELDS, render_samples
 from repro.experiments.batch import BatchConfig
 from repro.experiments.runner import run_once
 from repro.scenarios import build_scenario_spec, scenario_names
@@ -164,6 +165,53 @@ class TestJsonRenderer:
             assert dag_to_json(dag, indent=indent) == json.dumps(
                 expected, indent=indent
             )
+
+    @staticmethod
+    def _assert_chunked(dag, runs, holders, cut):
+        """Cut each vertex's sample lists into consecutive pieces, one
+        per run in ``holders(vertex)`` (none: the vertex renders its own
+        lists, as an AND junction does), render each run's pieces and
+        join them: the bytes are ``json.dumps``'."""
+        pieces = [dict() for _ in range(runs)]
+        for vertex in dag.vertices():
+            held = holders(vertex)
+            cuts = {}
+            for name in _SAMPLE_FIELDS:
+                values = getattr(vertex, name)
+                bounds = [0, *cut(len(values), len(held) - 1), len(values)]
+                cuts[name] = [values[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+            for number, run in enumerate(held):
+                pieces[run][vertex.key] = DagVertex(
+                    key=vertex.key, node=vertex.node, cb_id=vertex.cb_id,
+                    cb_type=vertex.cb_type,
+                    **{name: cuts[name][number] for name in _SAMPLE_FIELDS},
+                )
+        expected = dag_to_dict(dag)
+        for indent in (None, 0, 2, 4):
+            samples = [render_samples(run.values(), indent) for run in pieces]
+            assert dag_to_json(dag, indent=indent, samples=samples) == json.dumps(
+                expected, indent=indent
+            )
+
+    def test_chunked_edge_dag(self):
+        self._assert_chunked(
+            _edge_dag(), 2, lambda vertex: [0, 1],
+            lambda size, count: [size // 2] * count,
+        )
+
+    @given(dag=_dags(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_chunked_assembly_matches_json_dumps(self, dag, data):
+        runs = data.draw(st.integers(1, 4))
+        self._assert_chunked(
+            dag,
+            runs,
+            lambda vertex: sorted(data.draw(st.sets(st.integers(0, runs - 1)))),
+            lambda size, count: sorted(data.draw(st.lists(
+                st.integers(0, size), min_size=max(count, 0),
+                max_size=max(count, 0),
+            ))),
+        )
 
     @pytest.mark.parametrize("name", scenario_names())
     def test_registry_scenario_models(self, name):

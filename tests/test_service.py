@@ -54,6 +54,7 @@ from repro.store.format import (
     unpack_section_dir,
 )
 from repro.store.reader import SegmentReader
+from repro.store.synthesis import _synthesize_readers
 from repro.store.writer import SegmentSpool, encode_trace
 from repro.service import (
     DropDirWatcher,
@@ -66,7 +67,7 @@ from repro.service import (
 from repro.service import live as live_module
 from repro.service import server as server_module
 from repro.service import state as state_module
-from repro.service.state import latency_summary
+from repro.service.state import MODEL_FORMATS, ServiceState, latency_summary
 from repro.service.protocol import (
     ProtocolError,
     connect,
@@ -234,6 +235,7 @@ class TestIncrementalEquivalence:
             ("internal_errors", 0),
             ("latency_fragments_built", 0),
             ("walk_fragments_built", 0),
+            ("model_runs_rendered", 0),
             ("pids_rewalked", 0),
             ("segments_decoded", 0),
             ("extend_s", 1.234568),
@@ -913,6 +915,40 @@ class TestLatencyFragmentCache:
         assert query("/t1") == [newest[1]]
         _assert_fragments_of(live, ["run001", "run002"], ["/t1"])
 
+    def test_separability_is_checked_once_per_window(
+        self, sources, tmp_path, monkeypatch
+    ):
+        """The check that no journey crosses runs is O(window): it runs
+        on the first latency query after an arrival, and repeated
+        queries over the unchanged window reuse its result."""
+        checked = []
+        check = latency_module.fragments_are_separable
+
+        def counting_check(fragments):
+            checked.append(len(fragments))
+            return check(fragments)
+
+        monkeypatch.setattr(live_module, "fragments_are_separable", counting_check)
+        monkeypatch.setattr(latency_module, "fragments_are_separable", counting_check)
+        source = TraceStore(sources["syn"])
+        service = SynthesisService(str(tmp_path / "served"), retain_window=2)
+
+        def query(topic):
+            reply, _ = service.handle_request(
+                {"cmd": "latency", "topics": [topic]}, b""
+            )
+            assert reply["count"] > 0
+            return reply
+
+        for run_id in sorted(source.run_ids()):
+            with open(source.path_of(run_id), "rb") as handle:
+                service.ingest_bytes(run_id, handle.read())
+            checked.clear()
+            first = query("/t1")
+            assert query("/t1") == first
+            assert query("/f1")["count"] > 0
+            assert checked == [len(service.live.run_ids)], run_id
+
     def test_one_fragment_per_arrival(self, sources, tmp_path):
         source = TraceStore(sources["syn"])
         service = SynthesisService(str(tmp_path / "served"), retain_window=2)
@@ -1067,6 +1103,169 @@ class TestLatencyFragmentCache:
         _assert_fragments_of(service.live, run_ids[-2:], ["/t1"])
         assert service.counters.latency_fragments_built == len(run_ids)
         assert service.counters.rebuilds == 0
+
+
+#: Runs in the per-scenario streams that feed the served-model windows
+#: (the largest window is 16 runs).
+MODEL_STREAM_RUNS = 18
+
+
+@pytest.fixture(scope="module")
+def model_streams(tmp_path_factory):
+    """One longer recorded stream of short runs per registry scenario."""
+    root = tmp_path_factory.mktemp("model_streams")
+    result = {}
+    for name in scenario_names():
+        directory = str(root / name)
+        record_batch(
+            name, runs=MODEL_STREAM_RUNS, directory=directory,
+            config=BatchConfig(duration_ns=DURATION_NS // 4),
+        )
+        result[name] = directory
+    return result
+
+
+def _assert_served_equals_batch(live):
+    """``live``'s model is ``synthesize_dag`` over the retained runs'
+    CBLists -- vertices and edges in the same insertion order, every
+    vertex field equal -- and the service renders it, in every model
+    format, byte for byte as it renders that batch model."""
+    store = live.store
+    run_ids = live.run_ids
+    reference = _synthesize_readers(
+        [store.open(run_id) for run_id in run_ids],
+        None,
+        split_services=live.split_services,
+        model_sync=live.model_sync,
+    )
+    dag = live.model()
+    assert [vars(vertex) for vertex in dag.vertices()] == [
+        vars(vertex) for vertex in reference.vertices()
+    ]
+    assert dag.edges() == reference.edges()
+    served = ServiceState(
+        store.directory, run_ids, dag, {}, live.retain_window,
+        samples=live.model_samples(),
+    )
+    batch = ServiceState(store.directory, run_ids, reference, {}, live.retain_window)
+    for fmt in MODEL_FORMATS:
+        assert served.model_text(fmt) == batch.model_text(fmt), fmt
+
+
+class TestServedModelEqualsBatch:
+    """The served model is assembled from per-run folds and rendered
+    sample lists; after every arrival it equals batch synthesis over
+    the retained runs, down to insertion order and rendered bytes."""
+
+    @staticmethod
+    def _feed(source, target, order, **options):
+        """Deliver ``order`` from ``source``, pinning the served model
+        to batch synthesis after every arrival; returns the synthesizer."""
+        live = LiveSynthesizer(TraceStore.create(target), **options)
+        for run_id in order:
+            _deliver(source, target, run_id)
+            assert live.refresh() == [run_id]
+            _assert_served_equals_batch(live)
+        return live
+
+    @pytest.mark.parametrize("window", [1, 4, 16])
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_every_arrival(self, model_streams, name, window, tmp_path):
+        """Recorded runs name PIDs above the previous run's, so every
+        model is merged from the runs' folds: one fold and rendering
+        per arriving run, none per model."""
+        source = model_streams[name]
+        run_ids = TraceStore(source).run_ids()
+        live = self._feed(
+            source, str(tmp_path / "served"), run_ids, retain_window=window
+        )
+        assert live.model_samples() is not None
+        counters = live.counters
+        assert counters.model_runs_rendered == MODEL_STREAM_RUNS
+        assert counters.rebuilds == counters.pids_rewalked == 0
+
+    def test_out_of_order_arrival(self, model_streams, tmp_path):
+        """A rebuild drops every fragment: the next model walks, folds
+        and renders each retained run once, then merges them."""
+        source = model_streams["syn"]
+        run_ids = TraceStore(source).run_ids()[:6]
+        order = [run_ids[1], run_ids[0], *run_ids[2:]]
+        live = self._feed(source, str(tmp_path / "served"), order, retain_window=4)
+        assert live.model_samples() is not None
+        counters = live.counters
+        assert counters.rebuilds == 1
+        # run001 on arrival, both retained runs after the rebuild, then
+        # one per in-order arrival.
+        assert counters.model_runs_rendered == 1 + 2 + 4
+
+    def test_json_queries_render_each_run_once(self, model_streams, tmp_path):
+        """Sample lists are rendered by the first model JSON query that
+        needs them: DOT queries render none, and a repeated JSON query
+        renders nothing again."""
+        source = TraceStore(model_streams["syn"])
+        service = SynthesisService(str(tmp_path / "served"), retain_window=4)
+        counters = service.counters
+
+        def query(fmt):
+            reply, body = service.handle_request({"cmd": "model", "format": fmt}, b"")
+            assert reply["ok"], reply
+            return body
+
+        for run_id in source.run_ids()[:6]:
+            with open(source.path_of(run_id), "rb") as handle:
+                service.ingest_bytes(run_id, handle.read())
+            query("dot")
+            assert counters.model_runs_rendered == 0
+        first = query("json")
+        assert counters.model_runs_rendered == 4
+        assert query("json") == first
+        assert counters.model_runs_rendered == 4
+        reference = _batch_over(
+            model_streams["syn"], service.live.run_ids, str(tmp_path / "reference")
+        )
+        assert first.decode() == dag_to_json(reference, indent=2)
+
+    @pytest.mark.parametrize("window", [2, None])
+    def test_descending_pids_fall_back(self, tmp_path, window):
+        """run001 names PIDs below run000's: the runs share nothing,
+        but their folds concatenated are not the sorted-PID walk, so
+        the model is synthesized whole until run000 leaves the
+        window."""
+        source = TestRunBoundaryCarries._store(
+            str(tmp_path / "source"),
+            [
+                _service_run(0, 5, 6, src_ts=5),
+                _service_run(1000, 1, 2, src_ts=1012),
+                _service_run(2000, 7, 8, src_ts=2012),
+            ],
+        )
+        target = str(tmp_path / "served")
+        live = LiveSynthesizer(TraceStore.create(target), retain_window=window)
+        merged = []
+        for run_id in source.run_ids():
+            _deliver(source.directory, target, run_id)
+            assert live.refresh() == [run_id]
+            _assert_served_equals_batch(live)
+            merged.append(live.model_samples() is not None)
+        assert merged == [True, False, window == 2]
+        assert live.counters.pids_rewalked == 0
+
+    @pytest.mark.parametrize(
+        "split_services, model_sync", [(False, True), (True, False)]
+    )
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_ablation_switches(
+        self, model_streams, name, split_services, model_sync, tmp_path
+    ):
+        source = model_streams[name]
+        live = self._feed(
+            source, str(tmp_path / "served"),
+            TraceStore(source).run_ids()[:8],
+            retain_window=4,
+            split_services=split_services,
+            model_sync=model_sync,
+        )
+        assert live.model_samples() is not None
 
 
 class TestIngestSpool:

@@ -1,9 +1,24 @@
-"""Unit tests for the DAG-synthesis rules on hand-built CBlists."""
+"""Unit tests for the DAG-synthesis rules on hand-built CBlists.
 
-import pytest
+The per-key fold (:func:`fold_records`, :func:`merge_folds`) is also
+pinned against a frozen copy of the per-record loop
+:func:`synthesize_dag` ran before it folded
+(:func:`record_loop_synthesis`): vertices and edges in the same
+insertion order, every vertex field equal, on random CBlists.
+"""
 
-from repro.core import CallbackInstance, CBList, synthesize_dag
-from repro.core.synthesis import junction_key, vertex_key
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import CallbackInstance, CallbackRecord, CBList, synthesize_dag
+from repro.core.dag import DagVertex, TimingDag
+from repro.core.synthesis import (
+    dag_from_fold,
+    fold_records,
+    junction_key,
+    merge_folds,
+    vertex_key,
+)
 
 
 def cblist(pid, node, *instances):
@@ -163,3 +178,191 @@ class TestServiceReplication:
         records = {r.cb_id: r for r in lists[0]}
         assert "@" in vertex_key(records["SV"])
         assert vertex_key(records["SV"], split_services=False) == "server/SV"
+
+
+class TestFoldContract:
+    """What merging per-run folds relies on: a key's first record
+    gives its attributes, its outtopics are the ordered union of its
+    records', and its samples concatenate in CBlist (PID) order."""
+
+    def records(self):
+        first = CallbackRecord(
+            pid=1, node="n", cb_type="subscriber", cb_id="S", intopic="/a",
+            outtopics=["/x", "/y"], is_sync_subscriber=False,
+            exec_times=[1, 2], start_times=[10, 20], response_times=[3, 4],
+        )
+        second = CallbackRecord(
+            pid=2, node="n", cb_type="timer", cb_id="S", intopic="/b",
+            outtopics=["/z", "/x"], is_sync_subscriber=True,
+            exec_times=[5], start_times=[30], response_times=[6],
+        )
+        return first, second
+
+    def test_first_record_wins(self):
+        vertex = synthesize_dag([[r] for r in self.records()]).vertex("n/S")
+        assert (vertex.cb_type, vertex.intopic, vertex.is_sync_member) == (
+            "subscriber", "/a", False,
+        )
+        assert vertex.outtopics == ["/x", "/y", "/z"]
+        assert vertex.exec_times == [1, 2, 5]
+        assert vertex.start_times == [10, 20, 30]
+        assert vertex.response_times == [3, 4, 6]
+
+    def test_merge_leaves_parts_unchanged(self):
+        folds = [fold_records([[r]]) for r in self.records()]
+        before = [vars(fold.vertices["n/S"]).copy() for fold in folds]
+        merged = dag_from_fold(merge_folds(folds))
+        assert merged.vertex("n/S").exec_times == [1, 2, 5]
+        assert [vars(fold.vertices["n/S"]) for fold in folds] == before
+
+
+def record_loop_synthesis(cblists, split_services=True, model_sync=True):
+    """Frozen oracle: the per-record loop :func:`synthesize_dag` ran
+    before it folded records per key, kept verbatim."""
+    dag = TimingDag()
+    records = []
+    for cblist in cblists:
+        for record in cblist:
+            key = vertex_key(record, split_services)
+            records.append((key, record))
+            vertex = DagVertex(
+                key=key,
+                node=record.node,
+                cb_id=record.cb_id,
+                cb_type=record.cb_type,
+                intopic=record.intopic,
+                outtopics=list(record.outtopics),
+                is_sync_member=record.is_sync_subscriber,
+                exec_times=list(record.exec_times),
+                start_times=list(record.start_times),
+                response_times=list(record.response_times),
+            )
+            if dag.has_vertex(key):
+                existing = dag.vertex(key)
+                existing.exec_times.extend(vertex.exec_times)
+                existing.start_times.extend(vertex.start_times)
+                existing.response_times.extend(vertex.response_times)
+                for topic in vertex.outtopics:
+                    if topic not in existing.outtopics:
+                        existing.outtopics.append(topic)
+            else:
+                dag.add_vertex(vertex)
+    sync_members = {}
+    if model_sync:
+        for key, record in records:
+            if record.is_sync_subscriber:
+                members = sync_members.setdefault(record.node, [])
+                if key not in members:
+                    members.append(key)
+    junction_out = {}
+    for node, members in sync_members.items():
+        if len(members) < 2:
+            continue
+        jkey = junction_key(node)
+        outtopics = []
+        for member_key in members:
+            for topic in dag.vertex(member_key).outtopics:
+                if topic not in outtopics:
+                    outtopics.append(topic)
+        dag.add_vertex(
+            DagVertex(
+                key=jkey, node=node, cb_id=jkey, cb_type="and_junction",
+                outtopics=outtopics,
+            )
+        )
+        for member_key in members:
+            dag.add_edge(member_key, jkey, topic="&")
+        junction_out[jkey] = outtopics
+    rerouted = {
+        m for members in sync_members.values() if len(members) >= 2 for m in members
+    }
+    publishers = {}
+    for key, record in records:
+        if key in rerouted:
+            continue
+        for topic in record.outtopics:
+            sources = publishers.setdefault(topic, [])
+            if key not in sources:
+                sources.append(key)
+    for jkey, outtopics in junction_out.items():
+        for topic in outtopics:
+            sources = publishers.setdefault(topic, [])
+            if jkey not in sources:
+                sources.append(jkey)
+    for key, record in records:
+        intopic = record.intopic
+        if intopic is None:
+            continue
+        sources = publishers.get(intopic, [])
+        for src in sources:
+            if src != key:
+                dag.add_edge(src, key, topic=intopic)
+        if len(set(sources) - {key}) > 1:
+            dag.vertex(key).is_or_junction = True
+    return dag
+
+
+_names = st.sampled_from(["a", "b", "c"])
+_topics = st.sampled_from(["/x", "/y", "/z", "/w"])
+_times = st.lists(st.integers(min_value=0, max_value=99), max_size=3)
+
+
+@st.composite
+def _cblists(draw):
+    """CBlists whose records repeat keys -- within a list, across lists
+    and across callback types -- with random sync flags and topics."""
+    cblists = []
+    for pid in range(draw(st.integers(min_value=0, max_value=5))):
+        node = draw(_names)
+        cblists.append([
+            CallbackRecord(
+                pid=pid,
+                node=node,
+                cb_type=draw(st.sampled_from(["timer", "subscriber", "service"])),
+                cb_id=draw(_names),
+                intopic=draw(st.none() | _topics),
+                outtopics=draw(st.lists(_topics, max_size=3, unique=True)),
+                is_sync_subscriber=draw(st.booleans()),
+                exec_times=draw(_times),
+                start_times=draw(_times),
+                response_times=draw(_times),
+            )
+            for _ in range(draw(st.integers(min_value=0, max_value=4)))
+        ])
+    return cblists
+
+
+def _state(dag):
+    return (
+        [vars(vertex) for vertex in dag.vertices()],
+        [vars(edge) for edge in dag.edges()],
+    )
+
+
+class TestFoldMatchesRecordLoop:
+    @given(
+        cblists=_cblists(),
+        split_services=st.booleans(),
+        model_sync=st.booleans(),
+        cuts=st.lists(st.integers(min_value=0, max_value=5), max_size=3),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_insertion_order_and_fields(
+        self, cblists, split_services, model_sync, cuts
+    ):
+        """synthesize_dag, and the folds of consecutive CBlist runs
+        merged, give the oracle's DAG in its insertion order."""
+        expected = _state(
+            record_loop_synthesis(cblists, split_services, model_sync)
+        )
+        assert _state(
+            synthesize_dag(cblists, split_services, model_sync)
+        ) == expected
+        bounds = [0, *sorted(min(cut, len(cblists)) for cut in cuts), len(cblists)]
+        folds = [
+            fold_records(cblists[lo:hi], split_services)
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        assert _state(dag_from_fold(merge_folds(folds), model_sync)) == expected
+        # The parts stay reusable: merging them again gives the same DAG.
+        assert _state(dag_from_fold(merge_folds(folds), model_sync)) == expected
