@@ -7,9 +7,10 @@ Four stages:
    bounded no matter how long the runs are;
 2. inspect the store: per-run segment readers decode lazily and can
    select single PIDs without materializing anything else;
-3. synthesize the timing model out-of-core with PID-sharded
-   multi-process extraction -- byte-identical to the in-memory
-   pipeline for any job count;
+3. synthesize the timing model out-of-core with both strategies of
+   Sec. V -- merged traces in one process, and one DAG per run fanned
+   out over worker processes -- each byte-identical to the in-memory
+   pipeline;
 4. show a legacy gzip-JSON database converting into the store format.
 
 Run with::
@@ -20,7 +21,12 @@ Run with::
 import os
 import tempfile
 
-from repro.core import dag_to_json, format_exec_table, synthesize_from_trace
+from repro.core import (
+    dag_to_json,
+    format_exec_table,
+    synthesize_from_database,
+    synthesize_from_trace,
+)
 from repro.experiments import BatchConfig
 from repro.sim import SEC
 from repro.store import TraceStore, record_batch, synthesize_from_store
@@ -55,9 +61,9 @@ print(f"run {result.run_ids[0]}: {reader.num_ros_events} ROS events "
       f"({reader.pid_map[first_pid]})")
 
 # ----------------------------------------------------------------------
-# 3. Synthesize out-of-core, sharded by PID.
+# 3. Synthesize out-of-core: merged traces, then one DAG per run.
 
-dag = synthesize_from_store(store, jobs=2)
+dag = synthesize_from_store(store)
 print()
 print(format_exec_table(dag))
 
@@ -65,6 +71,13 @@ print(format_exec_table(dag))
 inline = synthesize_from_trace(store.merged_trace())
 assert dag_to_json(dag) == dag_to_json(inline)
 print("\nstore-backed model == in-memory model: OK")
+
+# The merge-DAGs strategy shards runs (never PIDs) over two workers:
+per_run = synthesize_from_store(store, jobs=2, strategy="merge_dags")
+assert dag_to_json(per_run) == dag_to_json(
+    synthesize_from_database(store.to_database(), strategy="merge_dags")
+)
+print("merge_dags over 2 workers == in-memory merge_dags: OK")
 
 # ----------------------------------------------------------------------
 # 4. Legacy gzip-JSON traces live side by side and convert in place.

@@ -64,14 +64,16 @@ avp --runs 50 --jobs 8`` (see ``examples/batch_scenarios.py``).
 
 For runs too numerous to hold in memory, ``repro.store`` persists every
 run as a compact binary segment (written from a trace or streamed
-during simulation) and synthesizes the model straight from disk with
-PID-sharded multi-process extraction -- byte-identical to the
-in-memory pipeline::
+during simulation) and synthesizes the model straight from disk --
+byte-identical to the in-memory pipeline.  Worker processes shard
+runs, never PIDs: recording fans runs out, and the ``merge_dags``
+strategy synthesizes one DAG per run on ``jobs`` workers::
 
     from repro import record_batch, synthesize_from_store
 
     record_batch("avp", runs=50, directory="traces/", jobs=8)
-    dag = synthesize_from_store("traces/", jobs=8)
+    dag = synthesize_from_store("traces/")              # merge_traces
+    dag = synthesize_from_store("traces/", jobs=8, strategy="merge_dags")
 
 (``python -m repro record`` / ``python -m repro synthesize`` from a
 shell.)

@@ -9,10 +9,9 @@ made synthesis itself stream out-of-core.
 Two data paths, mirroring the pipeline split:
 
 * **Model-based analyses** (chains, activation/jitter models, loads,
-  response bounds) consume the timing DAG, so the store path is
-  :func:`~repro.store.synthesis.synthesize_from_store` -- including its
-  PID-shard planning and multi-process fan-out (``jobs``) -- followed by
-  the unchanged in-memory analysis.  The synthesized model is pinned
+  response bounds) consume the timing DAG, so the store path is the
+  store synthesis (:mod:`repro.store.synthesis`) followed by the
+  unchanged in-memory analysis.  The synthesized model is pinned
   byte-identical to the in-memory pipeline, so these reports are too.
 * **Trace-based analyses** (chain latency, waiting time, per-topic DDS
   latency) consume raw events.  :func:`latency_index_from_store` builds
@@ -32,10 +31,10 @@ Two data paths, mirroring the pipeline split:
 handle (one synthesis, one latency index, any number of reports) -- the
 engine behind ``repro analyze``.  It opens the store's readers once,
 resolves each one's columns once
-(:func:`~repro.store.index.resolve_run`) and hands both to the serial
-synthesis and to the latency index alike, so each segment is inflated
-and resolved once.  Chain latencies follow
-the per-run fragments one at a time when no journey can cross a run
+(:func:`~repro.store.index.resolve_run`) and hands both to the
+``merge_traces`` synthesis and to the latency index alike, so each
+segment is inflated and resolved once.  Chain latencies follow the
+per-run fragments one at a time when no journey can cross a run
 (:func:`~repro.analysis.latency.chain_latencies`).
 """
 
@@ -142,18 +141,15 @@ class StoreAnalysis:
     """One analysis handle over a trace store: synthesize once, index
     the raw events once, answer any number of analysis queries.
 
-    Parameters mirror :func:`synthesize_from_store`; ``jobs`` shards
-    the synthesis across worker processes with the store layer's
-    PID-shard planning.  The store's readers are opened and resolved
-    once, and shared by the serial ``merge_traces`` synthesis and the
-    latency index.
+    Parameters mirror :func:`synthesize_from_store`.  The store's
+    readers are opened and resolved once, and shared by the
+    ``merge_traces`` synthesis and the latency index.
     """
 
     def __init__(
         self,
         store: StoreLike,
         pids: Optional[Iterable[int]] = None,
-        jobs: int = 1,
         split_services: bool = True,
         model_sync: bool = True,
         strategy: str = STRATEGY_MERGE_TRACES,
@@ -161,7 +157,6 @@ class StoreAnalysis:
         self.store = as_store(store)
         self.pids = None if pids is None else sorted(pids)
         self._wanted = None if pids is None else frozenset(self.pids)
-        self.jobs = jobs
         self.split_services = split_services
         self.model_sync = model_sync
         self.strategy = strategy
@@ -189,7 +184,7 @@ class StoreAnalysis:
     def dag(self) -> TimingDag:
         """The synthesized timing model (computed once, out-of-core)."""
         if self._dag is None:
-            if self.jobs == 1 and self.strategy == STRATEGY_MERGE_TRACES:
+            if self.strategy == STRATEGY_MERGE_TRACES:
                 self._dag = _synthesize_readers(
                     self._readers,
                     self.pids,
@@ -201,7 +196,6 @@ class StoreAnalysis:
                 self._dag = synthesize_from_store(
                     self.store,
                     pids=self.pids,
-                    jobs=self.jobs,
                     split_services=self.split_services,
                     model_sync=self.model_sync,
                     strategy=self.strategy,
@@ -270,29 +264,28 @@ def enumerate_chains_from_store(
     sources: Optional[Sequence[str]] = None,
     sinks: Optional[Sequence[str]] = None,
     pids: Optional[Iterable[int]] = None,
-    jobs: int = 1,
 ) -> List[Chain]:
-    return StoreAnalysis(store, pids=pids, jobs=jobs).chains(
+    return StoreAnalysis(store, pids=pids).chains(
         sources=sources, sinks=sinks
     )
 
 
 def activation_models_from_store(
-    store: StoreLike, pids: Optional[Iterable[int]] = None, jobs: int = 1
+    store: StoreLike, pids: Optional[Iterable[int]] = None
 ) -> List[ActivationModel]:
-    return StoreAnalysis(store, pids=pids, jobs=jobs).activation_models()
+    return StoreAnalysis(store, pids=pids).activation_models()
 
 
 def callback_loads_from_store(
-    store: StoreLike, pids: Optional[Iterable[int]] = None, jobs: int = 1
+    store: StoreLike, pids: Optional[Iterable[int]] = None
 ) -> List[CallbackLoad]:
-    return StoreAnalysis(store, pids=pids, jobs=jobs).callback_loads()
+    return StoreAnalysis(store, pids=pids).callback_loads()
 
 
 def node_loads_from_store(
-    store: StoreLike, pids: Optional[Iterable[int]] = None, jobs: int = 1
+    store: StoreLike, pids: Optional[Iterable[int]] = None
 ) -> Dict[str, float]:
-    return StoreAnalysis(store, pids=pids, jobs=jobs).node_loads()
+    return StoreAnalysis(store, pids=pids).node_loads()
 
 
 def measure_chain_latencies_from_store(

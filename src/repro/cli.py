@@ -18,7 +18,7 @@ Usage::
     python -m repro record <scenario> [--out DIR] [--push ADDR] [--runs 8]
                           [--jobs 4] [--duration 10] [--seed 1000]
                           [--segment-every 1.0] [--force]
-    python -m repro synthesize DIR [--jobs 4] [--strategy merge-traces]
+    python -m repro synthesize DIR [--strategy merge-dags --jobs 4]
                           [--pids 1,2,...] [--dot out.dot] [--json out.json]
     python -m repro store-info DIR [--json] [--watch] [--interval 0.5]
                           [--watch-count N]
@@ -32,9 +32,9 @@ Usage::
     python -m repro convert DIR [--remove] [--upgrade] [--cache DIR]
     python -m repro diff OLD NEW [--drift-threshold 0.10] [--percentile 99]
                           [--gate-factor 1.2] [--old-run ID] [--new-run ID]
-                          [--jobs 4] [--fail-on any] [--json out.json]
+                          [--fail-on any] [--json out.json]
     python -m repro analyze DIR [--report chains,jitter,load] [--topics a,b]
-                          [--pids 1,2,...] [--jobs 4] [--sources k1,k2]
+                          [--pids 1,2,...] [--sources k1,k2]
                           [--sinks k3] [--waiting-pid PID]
     python -m repro perf  [--scale smoke|default|full] [--out BENCH_6.json]
                           [--baseline-src PATH] [--baseline-ref REF]
@@ -46,8 +46,9 @@ regenerated table/figure in the same shape the paper reports;
 across worker processes and reports the merged timing model.
 ``record`` stores seeded scenario runs as binary trace segments (the
 Fig. 2 database server) and ``synthesize`` turns a store back into the
-timing model with PID-sharded multi-process extraction -- the two
-halves of the collect-now/synthesize-later workflow.  ``store-info``
+timing model (``--strategy merge-dags --jobs N`` synthesizes one DAG
+per run on N worker processes) -- the two halves of the
+collect-now/synthesize-later workflow.  ``store-info``
 summarizes what a (possibly mixed-format) store directory contains
 (``--json`` for tooling, including per-section sizes of v3 segments)
 and ``convert`` re-encodes legacy gzip-JSON runs -- and, with
@@ -417,10 +418,17 @@ def _cmd_synthesize(args) -> int:
         "merge-traces": STRATEGY_MERGE_TRACES,
         "merge-dags": STRATEGY_MERGE_DAGS,
     }[args.strategy]
-    pids = args.pids
+    if args.jobs > 1 and strategy == STRATEGY_MERGE_TRACES:
+        print(
+            f"error: --jobs {args.jobs} needs --strategy merge-dags "
+            "(merge-traces synthesizes in one process; worker processes "
+            "shard runs, one DAG per run)",
+            file=sys.stderr,
+        )
+        return 2
     store = TraceStore(args.store)
     dag = synthesize_from_store(
-        store, pids=pids, jobs=args.jobs, strategy=strategy
+        store, pids=args.pids, jobs=args.jobs, strategy=strategy
     )
     print(
         f"synthesized {len(store)} stored run(s) from {store.directory} "
@@ -704,12 +712,12 @@ def _cmd_convert(args) -> int:
     return 0
 
 
-def _load_model(path: str, run: Optional[str], jobs: int):
+def _load_model(path: str, run: Optional[str]):
     """One ``repro diff`` side -> a :class:`TimingDag`.
 
     ``path`` is either an exported model JSON file or a trace-store
-    directory; a directory synthesizes out-of-core (``--jobs``-sharded),
-    optionally narrowed to one recorded run id.
+    directory; a directory synthesizes out-of-core, optionally narrowed
+    to one recorded run id.
     """
     import os
 
@@ -733,7 +741,7 @@ def _load_model(path: str, run: Optional[str], jobs: int):
                 f"(has: {', '.join(store.run_ids())})"
             )
         return synthesize_from_trace(store.load(run))
-    return synthesize_from_store(store, jobs=jobs)
+    return synthesize_from_store(store)
 
 
 def _cmd_diff(args) -> int:
@@ -743,8 +751,8 @@ def _cmd_diff(args) -> int:
     from .store import StoreError, StoreFormatError
 
     try:
-        old = _load_model(args.old, args.old_run, args.jobs)
-        new = _load_model(args.new, args.new_run, args.jobs)
+        old = _load_model(args.old, args.old_run)
+        new = _load_model(args.new, args.new_run)
     except (FileNotFoundError, StoreError, StoreFormatError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -873,7 +881,7 @@ def _cmd_analyze(args) -> int:
         return 2
 
     try:
-        analysis = StoreAnalysis(args.store, pids=args.pids, jobs=args.jobs)
+        analysis = StoreAnalysis(args.store, pids=args.pids)
         analysis.dag  # synthesize up front so store errors exit cleanly
     except (FileNotFoundError, StoreError, StoreFormatError) as error:
         print(f"error: {error}", file=sys.stderr)
@@ -1119,12 +1127,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     synthesize = sub.add_parser(
         "synthesize",
-        help="trace store -> timing model (PID-sharded across processes)",
+        help="trace store -> timing model",
     )
     synthesize.add_argument("store", help="directory written by `repro record`")
     synthesize.add_argument("--jobs", type=_positive_int, default=1,
-                            help="worker processes (results identical for "
-                                 "any value)")
+                            help="worker processes for --strategy "
+                                 "merge-dags, one run per task (results "
+                                 "identical for any value)")
     synthesize.add_argument("--strategy", default="merge-traces",
                             choices=["merge-traces", "merge-dags"])
     synthesize.add_argument("--pids", default=None, type=_parse_pids,
@@ -1252,8 +1261,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="synthesize only this run id of the old store")
     diff.add_argument("--new-run", default=None,
                       help="synthesize only this run id of the new store")
-    diff.add_argument("--jobs", type=_positive_int, default=1,
-                      help="worker processes for store synthesis")
     diff.add_argument("--drift-threshold", type=float, default=0.10,
                       help="relative mWCET/mACET movement flagged as drift "
                            "(default 0.10)")
@@ -1292,8 +1299,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "here even when successors exist)")
     analyze.add_argument("--pids", default=None, type=_parse_pids,
                          help="comma-separated PID filter")
-    analyze.add_argument("--jobs", type=_positive_int, default=1,
-                         help="worker processes for store synthesis")
 
     perf = sub.add_parser(
         "perf", help="run the perf harness; write/check BENCH_*.json"

@@ -3,11 +3,15 @@
 The paper's multi-run experiments (Table II, Fig. 4) need 50+
 independent simulated runs; each run is a self-contained simulation, so
 the set parallelises perfectly.  :func:`run_batch` executes any
-registered scenario ``runs`` times with per-run seeds, sharding the run
-indices over a :class:`concurrent.futures.ProcessPoolExecutor`, and
-collects per-run synthesized DAGs, the merged DAG (strategy 2 of
-Sec. V) and, optionally, every trace in a
-:class:`~repro.tracing.session.TraceDatabase`.
+registered scenario ``runs`` times with per-run seeds, fanning the run
+indices out with :func:`_fan_out`, and collects per-run synthesized
+DAGs, the merged DAG (strategy 2 of Sec. V) and, optionally, every
+trace in a :class:`~repro.tracing.session.TraceDatabase`.
+
+:func:`_fan_out` is the one process pool of the codebase: recording
+(``repro.store.record``), the scenario fuzzer and ``merge_dags`` store
+synthesis call it too.  Pools shard independent runs (or samples),
+never the PIDs of one run.
 
 Determinism is independent of the worker count: a run's seed, clock
 base and PID base derive only from its ``run_index`` (exactly as in
@@ -20,9 +24,10 @@ live objects, and results are re-sorted by run index before merging.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+import concurrent.futures
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.dag import TimingDag
 from ..core.export import format_exec_table
@@ -120,33 +125,55 @@ def _run_setup(
 
 def _execute_run(
     scenario: str, run_index: int, runs: int, config: BatchConfig
-) -> Tuple[int, TimingDag, Optional[Trace]]:
+) -> Tuple[TimingDag, Optional[Trace]]:
     """One seeded, traced, synthesized scenario run (worker body)."""
     spec, run_config = _run_setup(scenario, run_index, runs, config)
     result = run_once(lambda world, i: spec.build(world), run_config, run_index=run_index)
     dag = synthesize_from_trace(result.trace, pids=result.apps.pids)
-    return (run_index, dag, result.trace if config.collect_traces else None)
+    return dag, result.trace if config.collect_traces else None
 
 
-def _execute_shard(
-    args: Tuple[str, List[int], int, BatchConfig],
-) -> List[Tuple[int, TimingDag, Optional[Trace]]]:
-    """Run a shard of run indices (module-level for pickling)."""
-    scenario, run_indices, runs, config = args
-    return [_execute_run(scenario, i, runs, config) for i in run_indices]
-
-
-def _shard(run_indices: List[int], jobs: int) -> List[List[int]]:
-    """Round-robin split, so long batches balance across workers.
-
-    Also the single balancing rule for the store subsystem's sharded
-    recording and synthesis (``repro.store``) -- one implementation
-    backs every jobs-determinism guarantee.
-    """
+def _shard(items: List[int], jobs: int) -> List[List[int]]:
+    """Round-robin split, so long batches balance across workers."""
     shards: List[List[int]] = [[] for _ in range(jobs)]
-    for position, run_index in enumerate(run_indices):
-        shards[position % jobs].append(run_index)
+    for position, item in enumerate(items):
+        shards[position % jobs].append(item)
     return [shard for shard in shards if shard]
+
+
+def _apply(task: Tuple[Callable, List]) -> List:
+    """Worker body of :func:`_fan_out`: one shard of items through its
+    function (module-level for pickling)."""
+    fn, items = task
+    return [fn(item) for item in items]
+
+
+def _fan_out(fn: Callable, items: Sequence, jobs: int) -> List:
+    """``[fn(item) for item in items]`` on up to ``jobs`` worker
+    processes: one result per item, in item order.
+
+    Items are independent units of work (runs, fuzz samples), split
+    round-robin by :func:`_shard`, so results are identical for any
+    ``jobs`` value; only wall-clock time changes.  ``jobs=1`` (or a
+    single item) stays in-process with no executor, which is also the
+    fallback under interpreters without ``fork``/pickling support.
+    ``fn`` must pickle: a module-level function or a
+    :func:`functools.partial` of one over picklable arguments.
+    """
+    if jobs < 1:
+        raise ValueError("need at least one job")
+    items = list(items)
+    jobs = min(jobs, len(items))
+    if jobs <= 1:
+        return _apply((fn, items))
+    shards = _shard(list(range(len(items))), jobs)
+    results: List = [None] * len(items)
+    tasks = [(fn, [items[i] for i in shard]) for shard in shards]
+    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        for shard, shard_results in zip(shards, pool.map(_apply, tasks)):
+            for position, result in zip(shard, shard_results):
+                results[position] = result
+    return results
 
 
 def run_batch(
@@ -155,17 +182,10 @@ def run_batch(
     jobs: int = 1,
     config: Optional[BatchConfig] = None,
 ) -> BatchResult:
-    """Execute ``runs`` seeded runs of ``scenario`` on ``jobs`` workers.
-
-    Results are identical for any ``jobs`` value; only wall-clock time
-    changes.  ``jobs=1`` stays in-process (no executor), which is also
-    the fallback to use under interpreters without ``fork``/pickling
-    support for worker dispatch.
-    """
+    """Execute ``runs`` seeded runs of ``scenario`` on ``jobs`` workers
+    (:func:`_fan_out`: results are identical for any ``jobs`` value)."""
     if runs < 1:
         raise ValueError("need at least one run")
-    if jobs < 1:
-        raise ValueError("need at least one job")
     config = config if config is not None else BatchConfig()
     if config.duration_ns is not None and config.duration_ns <= 0:
         raise ValueError("duration must be positive")
@@ -180,30 +200,20 @@ def run_batch(
         **config.scenario_params,
     )
 
-    run_indices = list(range(runs))
-    jobs = min(jobs, runs)
-    if jobs == 1:
-        outcomes = _execute_shard((scenario, run_indices, runs, config))
-    else:
-        shards = _shard(run_indices, jobs)
-        outcomes = []
-        with ProcessPoolExecutor(max_workers=len(shards)) as pool:
-            for shard_result in pool.map(
-                _execute_shard,
-                [(scenario, shard, runs, config) for shard in shards],
-            ):
-                outcomes.extend(shard_result)
-
-    outcomes.sort(key=lambda outcome: outcome[0])
-    per_run_dags = [dag for _, dag, _ in outcomes]
+    outcomes = _fan_out(
+        partial(_execute_run, scenario, runs=runs, config=config),
+        range(runs),
+        jobs,
+    )
+    per_run_dags = [dag for dag, _ in outcomes]
     database = TraceDatabase()
-    for run_index, _, trace in outcomes:
+    for run_index, (_, trace) in enumerate(outcomes):
         if trace is not None:
             database.add(f"run{run_index:03d}", trace)
     return BatchResult(
         scenario=scenario,
         runs=runs,
-        jobs=jobs,
+        jobs=min(jobs, runs),
         spec=spec,
         per_run_dags=per_run_dags,
         merged_dag=merge_dags(per_run_dags),

@@ -19,8 +19,8 @@ Six benchmarks, each reporting wall-clock and a derived throughput:
 * **jobs scaling macro** -- ``run_batch --jobs`` parallel efficiency;
 * **store** -- the binary trace store: segment encode/decode MB and
   Mev/s against the legacy gzip-JSON storage, plus store-backed
-  synthesis (``synthesize_from_store``) inline overhead and PID-sharded
-  scaling.  Segments are written in the only format the writer emits
+  synthesis (``synthesize_from_store``) overhead against the inline
+  pipeline.  Segments are written in the only format the writer emits
   (v3, per-section compression), and a ``selective_read`` sub-section
   reports how few section bytes that layout inflates for partial reads
   (Alg. 1 walk only, sched/wakeup analysis only, PID subsets) via the
@@ -363,7 +363,7 @@ def bench_jobs_scaling(scale: BenchScale) -> Dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# Store: binary segments vs gzip-JSON + sharded synthesis
+# Store: binary segments vs gzip-JSON + store-backed synthesis
 # ---------------------------------------------------------------------------
 
 def _measure_selective_read(
@@ -434,7 +434,7 @@ def _measure_selective_read(
 
 def bench_store(scale: BenchScale) -> Dict[str, Any]:
     """Trace-store throughput: encode/decode vs the legacy gzip-JSON
-    storage, and store-backed synthesis inline + sharded."""
+    storage, and store-backed synthesis against the inline pipeline."""
     import tempfile
 
     from ..store import (
@@ -490,18 +490,11 @@ def bench_store(scale: BenchScale) -> Dict[str, Any]:
 
         store = TraceStore(bin_dir)
         inline_s = _best_of(lambda: synthesize_from_trace(merged), scale.reps)
-        store_serial_s = _best_of(
-            lambda: synthesize_from_store(store, jobs=1), scale.reps
-        )
-        jobs = scale.scaling_jobs
-        store_sharded_s = _best_of(
-            lambda: synthesize_from_store(store, jobs=jobs), scale.reps
-        )
+        store_serial_s = _best_of(lambda: synthesize_from_store(store), scale.reps)
         selective = _measure_selective_read(
             SegmentReader, StoreTraceIndex, bin_paths, scale
         )
 
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return {
         "runs": runs,
         "duration_s": scale.batch_duration_s,
@@ -535,10 +528,6 @@ def bench_store(scale: BenchScale) -> Dict[str, Any]:
             # the two column producers (segment decode vs. packing the
             # loaded trace).
             "speedup_vs_inline": round(inline_s / store_serial_s, 3),
-            "store_sharded_s": round(store_sharded_s, 6),
-            "jobs": jobs,
-            "available_cpus": cpus,
-            "sharded_speedup": round(store_serial_s / store_sharded_s, 3),
         },
     }
 
@@ -592,7 +581,7 @@ def bench_service_ingest(scale: BenchScale) -> Dict[str, Any]:
         with tempfile.TemporaryDirectory(prefix="repro-serve-bench-") as tmp:
             for index in range(runs):
                 deliver(tmp, index)
-                synthesize_from_store(TraceStore(tmp), jobs=1)
+                synthesize_from_store(TraceStore(tmp))
 
     incremental_s = _best_of(incremental, scale.reps)
     rebuild_s = _best_of(rebuild_every_commit, scale.reps)
@@ -831,10 +820,7 @@ def format_report(payload: Dict[str, Any]) -> str:
             f"store decode      : {decode['binary_s'] * 1000:.1f} ms, "
             f"{decode['events_per_sec'] / 1e6:.2f} Mev/s, "
             f"{decode['speedup_vs_json']:.2f}x vs gzip-JSON",
-            f"store synthesis   (jobs={synth['jobs']}, "
-            f"{synth['available_cpus']} usable CPU(s)): "
-            f"{synth['store_overhead']:.2f}x inline overhead, "
-            f"{synth['sharded_speedup']:.2f}x sharded speedup",
+            f"store synthesis   : {synth['store_overhead']:.2f}x inline overhead",
         ]
         sel = store.get("selective_read")
         if sel:

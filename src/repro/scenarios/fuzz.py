@@ -37,8 +37,8 @@ its check therefore indicts the synthesis, not the sampler.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -603,17 +603,6 @@ def check_sample(
     )
 
 
-def _check_shard(
-    args: Tuple[int, List[int], Tuple[str, ...], int],
-) -> List[FuzzVerdict]:
-    """Check a shard of sample indices (module-level for pickling)."""
-    seed, indices, policies, duration_ns = args
-    return [
-        check_sample(seed, index, policies=policies, duration_ns=duration_ns)
-        for index in indices
-    ]
-
-
 def run_fuzz(
     seed: int,
     count: int,
@@ -625,36 +614,27 @@ def run_fuzz(
 
     ``policies`` restricts the rotation (default: all registered
     policies).  Verdicts are identical for any ``jobs`` value: sampling
-    and world seeds derive from ``(seed, index)`` only, and results are
-    re-sorted by index.
+    and world seeds derive from ``(seed, index)`` only, and
+    :func:`~repro.experiments.batch._fan_out` returns them in index
+    order.
     """
     if count < 1:
         raise ValueError("need at least one sample")
-    if jobs < 1:
-        raise ValueError("need at least one job")
     policies = tuple(policies) if policies else POLICY_NAMES
     unknown = [p for p in policies if p not in POLICY_NAMES]
     if unknown:
         raise ValueError(
             f"unknown policies {unknown}; expected a subset of {', '.join(POLICY_NAMES)}"
         )
-    indices = list(range(count))
-    jobs = min(jobs, count)
-    if jobs == 1:
-        verdicts = _check_shard((seed, indices, policies, duration_ns))
-    else:
-        # Round-robin sharding, same as the batch runner.
-        from ..experiments.batch import _shard
+    # Imported here: the batch runner imports the scenarios package.
+    from ..experiments.batch import _fan_out
 
-        shards = _shard(indices, jobs)
-        verdicts = []
-        with ProcessPoolExecutor(max_workers=len(shards)) as pool:
-            for shard_result in pool.map(
-                _check_shard,
-                [(seed, shard, policies, duration_ns) for shard in shards],
-            ):
-                verdicts.extend(shard_result)
-    verdicts.sort(key=lambda v: v.index)
+    verdicts = _fan_out(
+        partial(check_sample, seed, policies=policies, duration_ns=duration_ns),
+        range(count),
+        jobs,
+    )
     return FuzzReport(
-        seed=seed, count=count, policies=policies, jobs=jobs, verdicts=verdicts
+        seed=seed, count=count, policies=policies, jobs=min(jobs, count),
+        verdicts=verdicts,
     )

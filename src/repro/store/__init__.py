@@ -1,21 +1,24 @@
-"""``repro.store``: binary trace store + out-of-core sharded synthesis.
+"""``repro.store``: binary trace store + out-of-core synthesis.
 
 The scalable back end of the paper's Fig. 2 "database server": per-run
 struct-packed columnar segment files (``.trace.bin``), written from
 in-memory traces or streamed during simulation, read back lazily with
-PID selection and k-way merging, and synthesized into timing DAGs with
-Alg. 1 extraction sharded by PID across worker processes -- all
-byte-identical to the in-memory pipeline.
+PID selection and k-way merging, and synthesized into timing DAGs by
+the columnar Alg. 1 walk -- all byte-identical to the in-memory
+pipeline.  Worker processes shard runs, never PIDs: recording writes
+runs in parallel, and the ``merge_dags`` strategy synthesizes one DAG
+per run on ``jobs`` workers.
 
 Quickstart::
 
     from repro.store import record_batch, synthesize_from_store
 
     record_batch("avp", runs=16, directory="traces/", jobs=4)
-    dag = synthesize_from_store("traces/", jobs=4)
+    dag = synthesize_from_store("traces/")
 
-or from a shell: ``python -m repro record avp --runs 16 --out traces/``
-then ``python -m repro synthesize traces/ --jobs 4``.
+or from a shell: ``python -m repro record avp --runs 16 --out traces/
+--jobs 4`` then ``python -m repro synthesize traces/`` (``--strategy
+merge-dags --jobs 4`` for the per-run DAGs on four workers).
 """
 
 from .database import (

@@ -9,7 +9,7 @@ resolves to the binary segment.
 
 :class:`TraceStore` is the directory handle (list, open readers,
 write, convert, inspect).  ``strict=False`` makes the aggregate paths
-(:meth:`TraceStore.readers`, :meth:`TraceStore.union_pid_map`,
+(:meth:`TraceStore.open_runs`, :meth:`TraceStore.readers`,
 :meth:`TraceStore.run_infos`) skip unreadable runs with a warning
 instead of raising, so one truncated segment does not strand an
 otherwise healthy store; per-run :meth:`TraceStore.open` always raises.
@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Union
 from ..tracing.session import Trace, TraceDatabase
 from ..tracing.storage import TRACE_SUFFIX, load_trace
 from .format import SEGMENT_SUFFIX, StoreFormatError, VERSION
-from .reader import InMemorySegment, SegmentReader, peek_header, read_pid_map
+from .reader import InMemorySegment, SegmentReader, peek_header
 from .writer import decompress_segment, write_segment
 
 StoreLike = Union[str, "TraceStore"]
@@ -120,11 +120,19 @@ class TraceStore:
                 "(pass allow_empty=True to open it anyway)"
             )
         #: run id -> loaded legacy reader.  Legacy gzip-JSON runs decode
-        #: fully on every open, so planning passes (``union_pid_map``)
-        #: followed by synthesis would load each legacy trace twice;
-        #: binary segments stay uncached (their planning reads are
-        #: cheap file-prefix decodes).
+        #: fully on every open, so a pass that opens the runs (run
+        #: infos, the readers a synthesis validates) followed by one
+        #: that opens them again would load each legacy trace twice;
+        #: binary segments stay uncached (their opens are cheap).
         self._legacy_readers: Dict[str, InMemorySegment] = {}
+
+    def __reduce__(self):
+        """Pickle as a re-open of the same directory with the same
+        ``strict`` flag and ``cache_dir``: a worker process gets a fresh
+        handle, never this one's loaded legacy readers."""
+        return (
+            type(self), (self.directory, True, self.strict, self.cache_dir)
+        )
 
     def _scan(self) -> Dict[str, str]:
         """Map run id -> file name from one directory listing.  Only the
@@ -298,44 +306,30 @@ class TraceStore:
             self._legacy_readers[run_id] = reader
         return reader
 
-    def readers(self) -> List[object]:
-        """Readers for every run, in run-id order (the merge order).
+    def open_runs(self) -> Dict[str, object]:
+        """Run id -> reader for every run, in run-id order (the merge
+        order).
 
         ``strict=False`` skips runs whose files fail to parse
         (truncated, corrupt, unknown version) with a warning instead of
         raising, so the rest of the store stays synthesizable.
         """
-        readers: List[object] = []
+        opened: Dict[str, object] = {}
         for run_id in self.run_ids():
             try:
-                readers.append(self.open(run_id))
+                opened[run_id] = self.open(run_id)
             except StoreFormatError as error:
                 if self.strict:
                     raise
                 self._skip_unreadable(run_id, error)
-        return readers
+        return opened
+
+    def readers(self) -> List[object]:
+        """The :meth:`open_runs` readers, in run-id order."""
+        return list(self.open_runs().values())
 
     def load(self, run_id: str) -> Trace:
         return self.open(run_id).to_trace()
-
-    def union_pid_map(self) -> Dict[int, Optional[str]]:
-        """PID -> node name over all runs, in run-id order (later runs
-        win ties, like ``Trace.merge``).  Binary runs decode only their
-        pid_map prefix; legacy JSON runs must load fully but the loaded
-        reader is cached, so a planning pass followed by synthesis
-        decodes each legacy run once, not twice."""
-        pid_map: Dict[int, Optional[str]] = {}
-        for run_id in self.run_ids():
-            try:
-                if self.is_binary(run_id):
-                    pid_map.update(read_pid_map(self.path_of(run_id)))
-                else:
-                    pid_map.update(self.open(run_id).pid_map)
-            except StoreFormatError as error:
-                if self.strict:
-                    raise
-                self._skip_unreadable(run_id, error)
-        return pid_map
 
     def merged_trace(self) -> Trace:
         """All runs merged chronologically (Fig. 2's merge-traces path)."""

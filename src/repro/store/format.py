@@ -19,7 +19,7 @@ Common layout (all integers little-endian)::
                start_ts i64, stop_ts i64
     pid_map    n_pids x (pid i32, name byte-length i32 [-1 = None],
                UTF-8 bytes) -- self-contained and first, so consumers
-               needing only the traced PIDs (shard planning) decode a
+               needing only the traced PIDs (``read_pid_map``) decode a
                short body prefix instead of the whole segment
     strings    n_strings x (u32 byte-length + UTF-8 bytes), id = position
     ...        per-version payload sections (below)

@@ -24,10 +24,10 @@ A run's columns go through two steps:
   columns per PID in bulk and runs the association state machine over
   the rows the tables read.  ``sched_switch`` rows feed
   :func:`~repro.core.exec_time.sched_buckets` from three int columns --
-  only for the ``wanted_pids`` a shard worker will query.
+  only for the ``wanted_pids`` a ``--pids`` synthesis will query.
 
-One build path serves the in-memory pipeline, batch synthesis, shard
-workers and the live service.  Runs that are time-ordered (run ids
+One build path serves the in-memory pipeline, batch synthesis, the
+``merge_dags`` per-run builds and the live service.  Runs that are time-ordered (run ids
 ascending, ROS time ranges disjoint in that order -- seeded batch runs
 stagger their clock bases) merge chronologically by concatenation, so
 the constructor consumes them one at a time, exactly as
@@ -259,10 +259,10 @@ class StoreTraceIndex:
         :meth:`~repro.store.database.TraceStore.readers`; empty for an
         index that :meth:`extend` grows one run at a time.
     wanted_pids:
-        PIDs whose walk columns and sched buckets to build (a worker's
-        shard); the cross-node tables always cover the full stream --
-        FindCaller/FindClient reach across shards by design.  ``None``
-        builds every PID (the serial path).
+        PIDs whose walk columns and sched buckets to build (a
+        ``--pids`` subset); the cross-node tables always cover the full
+        stream -- FindCaller/FindClient reach across nodes by design.
+        ``None`` builds every PID.
     columns:
         Each reader's resolved columns (:func:`resolve_run`), when the
         caller has them already; ``None`` resolves them here.
@@ -478,7 +478,7 @@ class StoreTraceIndex:
                     dispatch_after[p13_index] = will_dispatch
         self._next_index = index + n
 
-    # -- sched stream: shard-local columnar buckets ------------------------
+    # -- sched stream: per-PID columnar buckets ----------------------------
 
     def _fold_sched(self, reader: Any, run: _RunExtent) -> None:
         """Fold one reader's per-PID sched buckets into the kept ones:

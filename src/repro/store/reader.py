@@ -603,7 +603,7 @@ class SegmentReader:
         """The ``(ts, prev_pid, next_pid)`` sched_switch columns -- no
         :class:`SchedSwitch` objects -- which
         :class:`~repro.store.index.StoreTraceIndex` buckets in bulk
-        into shard-local :class:`~repro.core.exec_time.SchedIndex`
+        into per-PID :class:`~repro.core.exec_time.SchedIndex`
         buckets.  On v3 segments only those three of the nine sched
         streams inflate."""
         return self._sched[0], self._sched[2], self._sched[6]
@@ -704,9 +704,8 @@ def read_pid_map(path: str) -> Dict[int, Optional[str]]:
     """The PID -> node-name map of a segment, from a file prefix.
 
     The pid_map section leads the body in every format version, so
-    planning a sharded synthesis over a large store decodes a few KB per
-    run (one inflate window for compressed segments) instead of every
-    event column.  v3 segments do even less: seek to the pid_map
+    reading a run's node names decodes a few KB (one inflate window for
+    compressed segments) instead of every event column.  v3 segments do even less: seek to the pid_map
     stream named by the section directory and inflate exactly that.
     """
     with open(path, "rb") as handle:

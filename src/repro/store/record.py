@@ -9,21 +9,22 @@ each drained rotation is packed immediately, so the recorder's
 footprint is one rotation window of event objects plus the growing
 columns, never the whole trace.
 
-Determinism mirrors :mod:`repro.experiments.batch`: a run's seed,
-clock base and PID base derive only from its ``run_index``; workers
-rebuild the scenario spec from ``(name, params, run_index)`` and write
-disjoint files, so the store contents are byte-identical for any
-``jobs`` value.
+Determinism mirrors :mod:`repro.experiments.batch` (whose
+:func:`~repro.experiments.batch._fan_out` pool runs the workers): a
+run's seed, clock base and PID base derive only from its
+``run_index``; workers rebuild the scenario spec from ``(name, params,
+run_index)`` and write disjoint files, so the store contents are
+byte-identical for any ``jobs`` value.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from functools import partial
+from typing import List, Optional
 
-from ..experiments.batch import BatchConfig, _run_setup, _shard
+from ..experiments.batch import BatchConfig, _fan_out, _run_setup
 from ..experiments.runner import bring_up
 from ..scenarios.registry import build_scenario_spec
 from ..sim.kernel import SEC
@@ -142,17 +143,6 @@ def record_run(
     )
 
 
-def _record_shard(
-    args: Tuple[str, Tuple[int, ...], int, BatchConfig, str, Optional[str]],
-) -> List[RecordedRun]:
-    """Record a shard of run indices (module-level for pickling)."""
-    scenario, run_indices, runs, config, directory, push_to = args
-    return [
-        record_run(scenario, run_index, runs, config, directory, push_to=push_to)
-        for run_index in run_indices
-    ]
-
-
 def record_batch(
     scenario: str,
     runs: int,
@@ -182,8 +172,6 @@ def record_batch(
     """
     if runs < 1:
         raise ValueError("need at least one run")
-    if jobs < 1:
-        raise ValueError("need at least one job")
     if not force and os.path.isdir(directory):
         existing = TraceStore(directory, allow_empty=True)
         colliding = sorted(
@@ -209,27 +197,16 @@ def record_batch(
         policy=config.sched_policy,
         **config.scenario_params,
     )
-    os.makedirs(directory, exist_ok=True)
-
-    run_indices = list(range(runs))
-    jobs = min(jobs, runs)
-    if jobs == 1:
-        recorded = _record_shard(
-            (scenario, tuple(run_indices), runs, config, directory, push_to)
-        )
-    else:
-        shards = _shard(run_indices, jobs)
-        recorded = []
-        with ProcessPoolExecutor(max_workers=len(shards)) as pool:
-            for shard_result in pool.map(
-                _record_shard,
-                [
-                    (scenario, tuple(shard), runs, config, directory, push_to)
-                    for shard in shards
-                ],
-            ):
-                recorded.extend(shard_result)
-    recorded.sort(key=lambda run: run.run_index)
+    # Every record_run creates ``directory`` itself before writing.
+    recorded = _fan_out(
+        partial(
+            record_run, scenario, runs=runs, config=config,
+            directory=directory, push_to=push_to,
+        ),
+        range(runs),
+        jobs,
+    )
     return RecordResult(
-        scenario=scenario, directory=directory, runs=recorded, jobs=jobs
+        scenario=scenario, directory=directory, runs=recorded,
+        jobs=min(jobs, runs),
     )

@@ -640,9 +640,9 @@ def decompress_segment(src: str, dst: str) -> int:
         payload = HEADER.pack(*fields) + zlib.decompress(data[HEADER.size:])
     else:
         payload = data
-    # Per-process staging name: parallel synthesis workers may race to
-    # materialize the same cache entry, and the atomic replace makes
-    # the last finisher win with a complete file either way.
+    # Per-process staging name: processes opening one cached store may
+    # race to materialize the same cache entry, and the atomic replace
+    # makes the last finisher win with a complete file either way.
     staging = f"{dst}.{os.getpid()}.tmp"
     with open(staging, "wb") as handle:
         written = handle.write(payload)

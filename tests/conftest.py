@@ -1,8 +1,8 @@
 """Shared pytest configuration.
 
 ``stress`` marks the tests that run two processes or threads against
-one store (service threads, a second writer or watcher process, sharded
-workers sharing a segment cache).  They run once in the tier-1 suite;
+one store (service threads, a second writer or watcher process,
+processes filling one segment cache).  They run once in the tier-1 suite;
 CI repeats ``pytest -m stress`` so that a race shows up as a failure
 rather than as an occasional flake.
 """

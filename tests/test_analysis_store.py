@@ -333,13 +333,6 @@ class TestStoreAnalysisHandle:
             c.keys for c in enumerate_chains(dag)
         ]
 
-    def test_jobs_do_not_change_reports(self, stores):
-        store, _ = stores["syn"]
-        serial = StoreAnalysis(store, jobs=1)
-        sharded = StoreAnalysis(store, jobs=2)
-        assert dag_to_json(serial.dag) == dag_to_json(sharded.dag)
-        assert serial.activation_models() == sharded.activation_models()
-
     def test_one_segment_open_per_run(self, stores, monkeypatch):
         """Synthesis and the latency index share one set of readers:
         the model plus latency and waiting-time reports open each

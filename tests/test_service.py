@@ -316,16 +316,17 @@ class TestOneBuildPath:
     """The batch constructor, ``extend`` and ``evict_oldest`` are one
     path: growing or shrinking an index by a run lands on the index a
     batch build over the same runs makes, for the full stream and for
-    a shard worker's PID subset."""
+    a ``--pids`` subset."""
 
     @pytest.mark.parametrize("shard", [False, True])
     @pytest.mark.parametrize("name", scenario_names())
     def test_extend_and_evict_equal_batch_builds(self, sources, name, shard):
         store = TraceStore(sources[name])
-        wanted = sorted(store.union_pid_map())[::2] if shard else None
-
         def readers():
             return [store.open(run_id) for run_id in store.run_ids()]
+
+        pids = sorted({pid for reader in readers() for pid in reader.pid_map})
+        wanted = pids[::2] if shard else None
 
         runs = readers()
         assert len(runs) == RUNS

@@ -499,13 +499,15 @@ class TestLegacyReaderCache:
             str(tmp_path / f"run001{SEGMENT_SUFFIX}"),
         )
         store = TraceStore(str(tmp_path))
-        union = store.union_pid_map()
+        union = {}
+        for reader in store.readers():
+            union.update(reader.pid_map)
         expected = dict(sample_traces["syn"].pid_map)
         expected.update(sample_traces["sensor-fusion"].pid_map)
         assert union == expected
-        # The planning pass loaded the legacy run; synthesis readers
+        # The pass over the readers loaded the legacy run; later opens
         # reuse that instance instead of re-decoding the JSON.
-        assert store.open("run000") is store.open("run000")
+        assert store.readers()[0] is store.open("run000")
 
     def test_convert_legacy_drops_cached_reader(self, sample_traces, tmp_path):
         save_trace(sample_traces["syn"], str(tmp_path / f"run000{TRACE_SUFFIX}"))

@@ -2,10 +2,10 @@
 
 For every registry scenario, ``synthesize_from_store`` over recorded
 binary segments must be byte-identical (DAG JSON, exec tables, DOT) to
-``synthesize_from_trace`` over the merged in-memory traces -- and
-independent of the worker count, for both multi-run strategies.  Also
-drives the record -> synthesize CLI end to end against the in-memory
-golden DOT.
+the in-memory pipeline for both multi-run strategies: ``merge_traces``
+in one process, ``merge_dags`` at any worker count (its runs fan out
+over worker processes).  Also drives the record -> synthesize CLI end
+to end against the in-memory golden DOT.
 """
 
 import os
@@ -14,6 +14,7 @@ import sys
 
 import pytest
 
+from repro.cli import main
 from repro.core import (
     dag_to_json,
     format_exec_table,
@@ -36,6 +37,23 @@ from repro.tracing.session import Trace, TraceDatabase
 
 DURATION_NS = int(1.0 * SEC)
 RUNS = 2
+
+
+def _assert_same_model(actual, expected, label):
+    assert dag_to_json(actual) == dag_to_json(expected), label
+    assert to_dot(actual) == to_dot(expected), label
+    assert format_exec_table(actual) == format_exec_table(expected), label
+
+
+def _merged_dags(traces, pids=None):
+    """The in-memory ``merge_dags`` model of ``traces`` (one DAG per
+    run, merged in run order)."""
+    database = TraceDatabase()
+    for run_index, trace in enumerate(traces):
+        database.add(f"run{run_index:03d}", trace)
+    return synthesize_from_database(
+        database, strategy=STRATEGY_MERGE_DAGS, pids=pids
+    )
 
 
 def _reference_traces(name):
@@ -105,21 +123,19 @@ class TestStoreSynthesisEquivalence:
 
 
 class TestShardingDeterminism:
-    """``--jobs`` must never change a byte of the model."""
-
-    @pytest.mark.parametrize("name", scenario_names())
-    def test_pid_sharded_jobs_identical(self, stores, name):
-        store, _ = stores[name]
-        serial = synthesize_from_store(store, jobs=1)
-        sharded = synthesize_from_store(store, jobs=3)
-        assert dag_to_json(serial) == dag_to_json(sharded), name
-        assert to_dot(serial) == to_dot(sharded), name
+    """``--jobs`` shards runs, never PIDs, and never changes a byte."""
 
     def test_run_sharded_jobs_identical(self, stores):
         store, _ = stores["avp-interference"]
         serial = synthesize_from_store(store, jobs=1, strategy=STRATEGY_MERGE_DAGS)
         sharded = synthesize_from_store(store, jobs=2, strategy=STRATEGY_MERGE_DAGS)
         assert dag_to_json(serial) == dag_to_json(sharded)
+        assert to_dot(serial) == to_dot(sharded)
+
+    def test_merge_traces_refuses_worker_processes(self, stores):
+        store, _ = stores["syn"]
+        with pytest.raises(ValueError, match="merge_dags"):
+            synthesize_from_store(store, jobs=2)
 
     def test_recording_jobs_do_not_change_store(self, tmp_path):
         config = BatchConfig(duration_ns=DURATION_NS)
@@ -140,25 +156,25 @@ class TestShardingDeterminism:
         merged = Trace.merge(traces)
         pids = merged.pids()[: len(merged.pids()) // 2]
         expected = synthesize_from_trace(merged, pids=pids)
-        for jobs in (1, 2):
-            actual = synthesize_from_store(store, pids=pids, jobs=jobs)
-            assert dag_to_json(actual) == dag_to_json(expected), jobs
+        actual = synthesize_from_store(store, pids=pids)
+        assert dag_to_json(actual) == dag_to_json(expected)
 
 
 class TestColumnarWalkEquivalence:
     """The columnar Alg. 1 walk (store-native index, lazy payloads,
-    shard-local sched buckets) vs the in-memory pipeline: property-style
-    coverage over every registry scenario at jobs in {1, 2, 4}, plus an
-    explicit --pids subset and a PID absent from the store."""
+    per-PID sched buckets) vs the in-memory pipeline: ``merge_dags``
+    over every registry scenario at jobs in {1, 2, 4} (each run
+    synthesized from its own reader), plus an explicit --pids subset
+    and a PID absent from the store under both strategies."""
 
     @pytest.mark.parametrize("name", scenario_names())
     @pytest.mark.parametrize("jobs", [1, 2, 4])
     def test_every_scenario_every_jobs(self, stores, name, jobs):
         store, traces = stores[name]
-        expected = synthesize_from_trace(Trace.merge(traces))
-        actual = synthesize_from_store(store, jobs=jobs)
-        assert dag_to_json(actual) == dag_to_json(expected), (name, jobs)
-        assert to_dot(actual) == to_dot(expected), (name, jobs)
+        actual = synthesize_from_store(
+            store, jobs=jobs, strategy=STRATEGY_MERGE_DAGS
+        )
+        _assert_same_model(actual, _merged_dags(traces), (name, jobs))
 
     @pytest.mark.parametrize("jobs", [1, 2, 4])
     def test_pid_subset_and_absent_pid(self, stores, jobs):
@@ -166,18 +182,25 @@ class TestColumnarWalkEquivalence:
         merged = Trace.merge(traces)
         absent = max(merged.pids()) + 1000
         pids = merged.pids()[::2] + [absent]
-        expected = synthesize_from_trace(merged, pids=pids)
-        actual = synthesize_from_store(store, pids=pids, jobs=jobs)
-        assert dag_to_json(actual) == dag_to_json(expected), jobs
-        assert format_exec_table(actual) == format_exec_table(expected), jobs
+        _assert_same_model(
+            synthesize_from_store(store, pids=pids),
+            synthesize_from_trace(merged, pids=pids),
+            "merge_traces",
+        )
+        _assert_same_model(
+            synthesize_from_store(
+                store, pids=pids, jobs=jobs, strategy=STRATEGY_MERGE_DAGS
+            ),
+            _merged_dags(traces, pids=pids),
+            ("merge_dags", jobs),
+        )
 
     def test_only_absent_pids_yield_empty_model(self, stores):
         store, traces = stores["syn"]
         absent = [max(Trace.merge(traces).pids()) + 1000]
         expected = synthesize_from_trace(Trace.merge(traces), pids=absent)
-        for jobs in (1, 2):
-            actual = synthesize_from_store(store, pids=absent, jobs=jobs)
-            assert dag_to_json(actual) == dag_to_json(expected), jobs
+        actual = synthesize_from_store(store, pids=absent)
+        assert dag_to_json(actual) == dag_to_json(expected)
 
     def test_overlapping_run_clocks_use_the_merge_path(self, tmp_path):
         """Runs sharing a clock base (time-overlapping streams) must
@@ -202,16 +225,14 @@ class TestColumnarWalkEquivalence:
             write_segment(trace, str(store_dir / f"run{run_index:03d}.trace.bin"))
         store = TraceStore(str(store_dir))
         expected = synthesize_from_trace(Trace.merge(overlapping))
-        for jobs in (1, 2):
-            actual = synthesize_from_store(store, jobs=jobs)
-            assert dag_to_json(actual) == dag_to_json(expected), jobs
+        actual = synthesize_from_store(store)
+        assert dag_to_json(actual) == dag_to_json(expected)
 
     def test_mixed_binary_and_legacy_store_sharded(self, tmp_path):
-        """Sharded synthesis over a mixed store: planning reads the
-        legacy run once (cached reader) and every jobs value matches the
-        in-memory pipeline.  Trailing 0-row and 1-row segments (v1 and
-        v3) ride the time-ordered column consumer at its smallest
-        sizes."""
+        """Synthesis over a mixed store matches the in-memory pipeline
+        under both strategies, ``merge_dags`` sharded by run at every
+        jobs value.  Trailing 0-row and 1-row segments (v1 and v3) ride
+        the time-ordered column consumer at its smallest sizes."""
         from repro.sim.scheduler import SchedSwitch
         from repro.tracing.events import P16_DDS_WRITE, TraceEvent
         from repro.tracing.storage import TRACE_SUFFIX, save_trace
@@ -261,11 +282,17 @@ class TestColumnarWalkEquivalence:
         assert [mixed.format_version(r) for r in mixed.run_ids()[3:]] == [
             1, 1, 3, 3,
         ]
-        expected = synthesize_from_trace(Trace.merge(traces))
+        _assert_same_model(
+            synthesize_from_store(mixed),
+            synthesize_from_trace(Trace.merge(traces)),
+            "merge_traces",
+        )
+        expected = _merged_dags(traces)
         for jobs in (1, 2, 4):
-            actual = synthesize_from_store(mixed, jobs=jobs)
-            assert dag_to_json(actual) == dag_to_json(expected), jobs
-            assert to_dot(actual) == to_dot(expected), jobs
+            actual = synthesize_from_store(
+                mixed, jobs=jobs, strategy=STRATEGY_MERGE_DAGS
+            )
+            _assert_same_model(actual, expected, jobs)
 
 
 class TestCliRecordSynthesize:
@@ -279,10 +306,26 @@ class TestCliRecordSynthesize:
             check=True, capture_output=True,
         )
         subprocess.run(
-            env_cmd + ["synthesize", store_dir, "--jobs", "2",
-                       "--dot", dot_path],
+            env_cmd + ["synthesize", store_dir, "--dot", dot_path],
             check=True, capture_output=True,
         )
         expected = to_dot(synthesize_from_trace(Trace.merge(_reference_traces("syn"))))
         with open(dot_path) as handle:
             assert handle.read() == expected
+
+    def test_merge_traces_with_jobs_is_a_usage_error(self, stores, tmp_path, capsys):
+        store, _ = stores["syn"]
+        dot = tmp_path / "never.dot"
+        assert main(["synthesize", store.directory, "--jobs", "2",
+                     "--dot", str(dot)]) == 2
+        assert "--strategy merge-dags" in capsys.readouterr().err
+        assert not dot.exists()
+
+    @pytest.mark.parametrize("command", ["analyze", "diff"])
+    def test_jobs_is_gone_from_analyze_and_diff(self, stores, command, capsys):
+        store, _ = stores["syn"]
+        sides = [store.directory] * (2 if command == "diff" else 1)
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, *sides, "--jobs", "2"])
+        assert excinfo.value.code == 2
+        assert "--jobs" in capsys.readouterr().err

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
-from repro.core import dag_to_json, synthesize_from_trace, to_dot
+from repro.core import dag_from_runs, dag_to_json, synthesize_from_trace, to_dot
+from repro.core.pipeline import STRATEGY_MERGE_DAGS
 from repro.experiments.batch import BatchConfig
 from repro.experiments.runner import RunConfig, run_once
 from repro.scenarios import build_scenario_spec
@@ -208,7 +209,8 @@ class TestUpgradePath:
     def test_mixed_v1_v2_legacy_store_synthesis(self, fusion_traces, tmp_path, jobs):
         """One run per format in one directory: v1 segment, v2 segment,
         legacy gzip-JSON -- synthesis stays byte-identical to the
-        in-memory pipeline at any jobs value."""
+        in-memory pipeline, ``merge_traces`` in one process and
+        ``merge_dags`` at any jobs value."""
         directory = str(tmp_path / "mixed")
         os.makedirs(directory)
         write_as(
@@ -223,7 +225,11 @@ class TestUpgradePath:
         store = TraceStore(directory)
         assert [store.format_version(r) for r in store.run_ids()] == [1, 2, None]
         expected = synthesize_from_trace(Trace.merge(fusion_traces))
-        actual = synthesize_from_store(store, jobs=jobs)
+        actual = synthesize_from_store(store)
+        assert dag_to_json(actual) == dag_to_json(expected)
+        assert to_dot(actual) == to_dot(expected)
+        expected = dag_from_runs(fusion_traces)
+        actual = synthesize_from_store(store, jobs=jobs, strategy=STRATEGY_MERGE_DAGS)
         assert dag_to_json(actual) == dag_to_json(expected)
         assert to_dot(actual) == to_dot(expected)
 
@@ -376,8 +382,7 @@ class TestFormatErrorDiagnostics:
         with pytest.warns(RuntimeWarning, match="bad"):
             readers = store.readers()
         assert len(readers) == 1
-        with pytest.warns(RuntimeWarning):
-            assert store.union_pid_map() == syn_trace.pid_map
+        assert readers[0].pid_map == syn_trace.pid_map
         with pytest.warns(RuntimeWarning):
             infos = store.run_infos()
         assert [info.run_id for info in infos] == ["good"]
@@ -386,17 +391,31 @@ class TestFormatErrorDiagnostics:
             store.open("bad")
 
     def test_lenient_store_skips_in_sharded_workers(self, syn_trace, tmp_path):
-        """The strict flag rides into the worker pool: jobs>1 synthesis
-        over a lenient store skips the same unreadable run the serial
-        path skips, instead of failing in a worker."""
-        store = self._store_with_corruption(syn_trace, tmp_path, strict=False)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            serial = synthesize_from_store(store, jobs=1)
-            sharded = synthesize_from_store(store, jobs=2)
-        expected = synthesize_from_trace(syn_trace)
-        assert dag_to_json(serial) == dag_to_json(expected)
-        assert dag_to_json(sharded) == dag_to_json(expected)
+        """A lenient store's ``strict`` flag reaches every ``merge_dags``
+        run, in-process and in worker processes: a truncated run is
+        skipped with a warning, as ``merge_traces`` skips it, instead of
+        failing the synthesis."""
+        directory = str(tmp_path / "s")
+        os.makedirs(directory)
+        runs = {"run000": syn_trace, "run001": syn_trace, "run002": traced_run("syn", 2)}
+        for run_id, trace in runs.items():
+            write_segment(trace, os.path.join(directory, f"{run_id}{SEGMENT_SUFFIX}"))
+        good = [runs["run000"], runs["run002"]]
+        truncated = os.path.join(directory, f"run001{SEGMENT_SUFFIX}")
+        os.truncate(truncated, os.path.getsize(truncated) // 2)
+        store = TraceStore(directory, strict=False)
+        with pytest.warns(RuntimeWarning, match="run001"):
+            merged = synthesize_from_store(store)
+        assert dag_to_json(merged) == dag_to_json(
+            synthesize_from_trace(Trace.merge(good))
+        )
+        expected = dag_to_json(dag_from_runs(good))
+        for jobs in (1, 2):
+            with pytest.warns(RuntimeWarning, match="run001"):
+                per_run = synthesize_from_store(
+                    store, jobs=jobs, strategy=STRATEGY_MERGE_DAGS
+                )
+            assert dag_to_json(per_run) == expected, jobs
 
     def test_corrupt_legacy_json_is_a_format_error(self, syn_trace, tmp_path):
         """Corrupt .trace.json.gz runs diagnose like corrupt segments:

@@ -4,7 +4,9 @@ golden v3 fixture, the uncompressed segment cache, per-section error
 diagnostics, the ``store-info --json`` satellite, walk_fastpath
 equivalence properties, and the vectorized Alg. 2 window floor."""
 
+import hashlib
 import json
+import multiprocessing
 import os
 import shutil
 import struct
@@ -15,7 +17,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
-from repro.core import dag_to_json, synthesize_from_trace, to_dot
+from repro.core import dag_from_runs, dag_to_json, synthesize_from_trace, to_dot
+from repro.core.pipeline import STRATEGY_MERGE_DAGS
 from repro.experiments.runner import RunConfig, run_once
 from repro.scenarios import build_scenario_spec
 from repro.sim.kernel import SEC
@@ -78,6 +81,33 @@ def traced_run(name, run_index=0, runs=4):
     return run_once(
         lambda world, i: spec.build(world), config, run_index=run_index
     ).trace
+
+
+def _trace_digest(trace):
+    return hashlib.sha256(
+        json.dumps(trace.to_dict(), sort_keys=True).encode()
+    ).hexdigest()
+
+
+def _decode_through_cache(directory, cache_root, rounds, barrier, results):
+    """Stress worker: every round, wait for all peers, then open and
+    decode every run through that round's cold cache directory, so the
+    peers race to materialize the same entries."""
+    try:
+        decoded = []
+        for round_index in range(rounds):
+            store = TraceStore(
+                directory, cache_dir=os.path.join(cache_root, str(round_index))
+            )
+            barrier.wait(timeout=60)
+            decoded.append(
+                {run_id: _trace_digest(store.load(run_id))
+                 for run_id in store.run_ids()}
+            )
+        results.put(decoded)
+    except Exception as error:  # reported to the parent, never swallowed
+        barrier.abort()  # release the peers at once
+        results.put(repr(error))
 
 
 @pytest.fixture(scope="module")
@@ -235,7 +265,8 @@ class TestUpgradeToV3:
         self, fusion_traces, tmp_path, jobs
     ):
         """One run per format in one directory -- synthesis stays
-        byte-identical to the in-memory pipeline at any jobs value."""
+        byte-identical to the in-memory pipeline, ``merge_traces`` in
+        one process and ``merge_dags`` at any jobs value."""
         directory = str(tmp_path / "mixed")
         os.makedirs(directory)
         for index, version in enumerate((1, 2, 3)):
@@ -250,7 +281,11 @@ class TestUpgradeToV3:
         store = TraceStore(directory)
         assert [store.format_version(r) for r in store.run_ids()] == [1, 2, 3, None]
         expected = synthesize_from_trace(Trace.merge(fusion_traces))
-        actual = synthesize_from_store(store, jobs=jobs)
+        actual = synthesize_from_store(store)
+        assert dag_to_json(actual) == dag_to_json(expected)
+        assert to_dot(actual) == to_dot(expected)
+        expected = dag_from_runs(fusion_traces)
+        actual = synthesize_from_store(store, jobs=jobs, strategy=STRATEGY_MERGE_DAGS)
         assert dag_to_json(actual) == dag_to_json(expected)
         assert to_dot(actual) == to_dot(expected)
 
@@ -329,20 +364,70 @@ class TestSegmentCache:
         reader.to_trace()
         assert reader.bytes_inflated == 0
 
-    @pytest.mark.stress
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_cached_synthesis_is_byte_identical(
         self, fusion_traces, tmp_path, jobs
     ):
+        """Both strategies over a cached store match the in-memory
+        pipeline, and ``merge_dags`` opens its runs through the store's
+        cache at any jobs value: one cache entry per run."""
         directory = str(tmp_path / "s")
-        cache = str(tmp_path / "cache")
-        self._recorded_store(fusion_traces[:3], directory)
-        expected = synthesize_from_trace(Trace.merge(fusion_traces[:3]))
+        traces = fusion_traces[:3]
+        self._recorded_store(traces, directory)
+        dags_cache = tmp_path / "dags-cache"
         actual = synthesize_from_store(
-            TraceStore(directory, cache_dir=cache), jobs=jobs
+            TraceStore(directory, cache_dir=str(dags_cache)),
+            jobs=jobs,
+            strategy=STRATEGY_MERGE_DAGS,
         )
+        assert len(os.listdir(dags_cache)) == len(traces)
+        expected = dag_from_runs(traces)
         assert dag_to_json(actual) == dag_to_json(expected)
         assert to_dot(actual) == to_dot(expected)
+        actual = synthesize_from_store(
+            TraceStore(directory, cache_dir=str(tmp_path / "traces-cache"))
+        )
+        expected = synthesize_from_trace(Trace.merge(traces))
+        assert dag_to_json(actual) == dag_to_json(expected)
+        assert to_dot(actual) == to_dot(expected)
+
+    @pytest.mark.stress
+    def test_concurrent_cold_cache_fills_never_tear(self, fusion_traces, tmp_path):
+        """Four processes race to fill the same cold cache entries,
+        round after round: every decode equals the uncached decode, no
+        process sees a torn entry, and each round's cache ends with
+        exactly one committed entry per run (no staging leftovers)."""
+        processes, rounds = 4, 5
+        directory = str(tmp_path / "s")
+        store = self._recorded_store(fusion_traces[:3], directory)
+        expected = {
+            run_id: _trace_digest(store.load(run_id)) for run_id in store.run_ids()
+        }
+        cache_root = str(tmp_path / "cache")
+        context = multiprocessing.get_context()
+        barrier = context.Barrier(processes)
+        results = context.Queue()
+        workers = [
+            context.Process(
+                target=_decode_through_cache,
+                args=(directory, cache_root, rounds, barrier, results),
+            )
+            for _ in range(processes)
+        ]
+        for worker in workers:
+            worker.start()
+        try:
+            outcomes = [results.get(timeout=300) for _ in workers]
+        finally:
+            for worker in workers:
+                worker.join(timeout=60)
+        assert [worker.exitcode for worker in workers] == [0] * processes
+        assert not [o for o in outcomes if isinstance(o, str)]  # worker errors
+        assert outcomes == [[expected] * rounds] * processes
+        for round_index in range(rounds):
+            entries = os.listdir(os.path.join(cache_root, str(round_index)))
+            assert len(entries) == len(expected), entries
+            assert all(entry.endswith(SEGMENT_SUFFIX) for entry in entries)
 
     def test_warm_cache_is_idempotent(self, fusion_traces, tmp_path):
         directory = str(tmp_path / "s")
