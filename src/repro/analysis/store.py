@@ -46,7 +46,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.dag import TimingDag
-from ..core.pipeline import STRATEGY_MERGE_TRACES
+from ..core.gcpause import paused_gc
+from ..core.pipeline import STRATEGY_MERGE_DAGS, STRATEGY_MERGE_TRACES
 from ..store.database import StoreLike, as_store
 from ..store.index import (
     _merged_columns,
@@ -54,7 +55,7 @@ from ..store.index import (
     _runs_are_time_ordered,
     resolve_run,
 )
-from ..store.synthesis import _synthesize_readers, synthesize_from_store
+from ..store.synthesis import _merge_run_dags, _synthesize_readers
 from .chains import Chain, enumerate_chains
 from .jitter import ActivationModel, activation_models
 from .latency import (
@@ -116,6 +117,7 @@ def _latency_fragments(
     ]
 
 
+@paused_gc()
 def latency_index_from_store(
     store: StoreLike, pids: Optional[Iterable[int]] = None
 ) -> LatencyIndex:
@@ -141,9 +143,17 @@ class StoreAnalysis:
     """One analysis handle over a trace store: synthesize once, index
     the raw events once, answer any number of analysis queries.
 
-    Parameters mirror :func:`synthesize_from_store`.  The store's
-    readers are opened and resolved once, and shared by the
-    ``merge_traces`` synthesis and the latency index.
+    Parameters mirror
+    :func:`~repro.store.synthesis.synthesize_from_store`.  The store's
+    readers are opened and resolved once, and shared by the synthesis
+    (either strategy) and the latency index.
+
+    The builds and queries (:attr:`dag`, :attr:`index`,
+    :meth:`chain_latencies`, :meth:`waiting_times`,
+    :meth:`communication_latencies`) run with the cyclic collector
+    paused (:class:`~repro.core.gcpause.paused_gc`): they make no
+    reference cycles, so a collection during one would only re-scan
+    the readers' columns, the index and the model it is building.
     """
 
     def __init__(
@@ -181,28 +191,30 @@ class StoreAnalysis:
         return _latency_fragments(self._readers, self._wanted, self._columns)
 
     @property
+    @paused_gc()
     def dag(self) -> TimingDag:
         """The synthesized timing model (computed once, out-of-core)."""
         if self._dag is None:
             if self.strategy == STRATEGY_MERGE_TRACES:
-                self._dag = _synthesize_readers(
-                    self._readers,
-                    self.pids,
-                    split_services=self.split_services,
-                    model_sync=self.model_sync,
-                    columns=self._columns,
-                )
+                synthesize = _synthesize_readers
+            elif self.strategy == STRATEGY_MERGE_DAGS:
+                synthesize = _merge_run_dags
             else:
-                self._dag = synthesize_from_store(
-                    self.store,
-                    pids=self.pids,
-                    split_services=self.split_services,
-                    model_sync=self.model_sync,
-                    strategy=self.strategy,
+                raise ValueError(
+                    f"unknown strategy {self.strategy!r}; expected "
+                    f"{STRATEGY_MERGE_TRACES!r} or {STRATEGY_MERGE_DAGS!r}"
                 )
+            self._dag = synthesize(
+                self._readers,
+                self.pids,
+                split_services=self.split_services,
+                model_sync=self.model_sync,
+                columns=self._columns,
+            )
         return self._dag
 
     @property
+    @paused_gc()
     def index(self) -> LatencyIndex:
         """The latency index over the same readers (built once)."""
         if self._index is None:
@@ -238,6 +250,7 @@ class StoreAnalysis:
 
     # -- trace-based analyses ---------------------------------------------
 
+    @paused_gc()
     def chain_latencies(
         self, topics: Sequence[str], max_instances: Optional[int] = None
     ) -> List[ChainLatency]:
@@ -249,9 +262,11 @@ class StoreAnalysis:
             self.index if fragments is None else fragments, topics, max_instances
         )
 
+    @paused_gc()
     def waiting_times(self, pid: int) -> List[WaitingTime]:
         return waiting_times(self.index, pid)
 
+    @paused_gc()
     def communication_latencies(self, topic: str) -> List[int]:
         return topic_latencies(self.index, topic)
 

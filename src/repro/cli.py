@@ -100,15 +100,25 @@ from .sim.kernel import SEC
 from .sim.policies import POLICY_NAMES
 
 
-def _write_artifacts(dag, args) -> None:
+def _write_artifacts(dag, args) -> List[str]:
+    """Write the ``--dot`` / ``--json`` artifacts of ``dag``; returns
+    the lines that report them, for the caller to print last.
+
+    Callers write before printing anything: when the reader of stdout
+    closes it early (``repro ... | head -1``), a print raises
+    :class:`BrokenPipeError`, which :func:`main` turns into the exit
+    code, and the files must not be lost with the rest of the output.
+    """
+    notes = []
     if getattr(args, "dot", None):
         with open(args.dot, "w") as handle:
             handle.write(to_dot(dag))
-        print(f"\nwrote {args.dot}")
+        notes.append(f"\nwrote {args.dot}")
     if getattr(args, "json", None):
         with open(args.json, "w") as handle:
             handle.write(dag_to_json(dag, indent=2))
-        print(f"wrote {args.json}")
+        notes.append(f"wrote {args.json}")
+    return notes
 
 
 def _cmd_table1(args) -> int:
@@ -122,17 +132,20 @@ def _cmd_table1(args) -> int:
 
 def _cmd_fig3a(args) -> int:
     result = run_fig3a(duration_ns=int(args.duration * SEC), seed=args.seed)
+    notes = _write_artifacts(result.dag, args)
     print("Fig. 3a -- SYN callbacks and precedence relations\n")
     print(format_edges(result.dag))
     print()
     for name, ok in result.checks:
         print(f"  [{'PASS' if ok else 'FAIL'}] {name}")
-    _write_artifacts(result.dag, args)
+    for note in notes:
+        print(note)
     return 0 if result.all_passed else 1
 
 
 def _cmd_fig3b(args) -> int:
     result = run_fig3b(duration_ns=int(args.duration * SEC), seed=args.seed)
+    notes = _write_artifacts(result.dag, args)
     print("Fig. 3b -- AVP localization DAG\n")
     print(format_edges(result.dag))
     print()
@@ -140,7 +153,8 @@ def _cmd_fig3b(args) -> int:
     print()
     for name, ok in result.checks:
         print(f"  [{'PASS' if ok else 'FAIL'}] {name}")
-    _write_artifacts(result.dag, args)
+    for note in notes:
+        print(note)
     return 0 if result.all_passed else 1
 
 
@@ -217,6 +231,7 @@ def _cmd_batch(args) -> int:
         sched_policy=args.policy,
     )
     result = run_batch(args.scenario, runs=args.runs, jobs=args.jobs, config=config)
+    notes = _write_artifacts(result.merged_dag, args)
     seconds = (duration_ns if duration_ns is not None else result.spec.duration_ns) / SEC
     policy_note = f", policy {args.policy}" if args.policy else ""
     print(
@@ -226,7 +241,8 @@ def _cmd_batch(args) -> int:
     print(format_edges(result.merged_dag))
     print()
     print(result.table())
-    _write_artifacts(result.merged_dag, args)
+    for note in notes:
+        print(note)
     return 0
 
 
@@ -430,6 +446,7 @@ def _cmd_synthesize(args) -> int:
     dag = synthesize_from_store(
         store, pids=args.pids, jobs=args.jobs, strategy=strategy
     )
+    notes = _write_artifacts(dag, args)
     print(
         f"synthesized {len(store)} stored run(s) from {store.directory} "
         f"({args.strategy}, {args.jobs} job(s))\n"
@@ -437,7 +454,8 @@ def _cmd_synthesize(args) -> int:
     print(format_edges(dag))
     print()
     print(format_exec_table(dag))
-    _write_artifacts(dag, args)
+    for note in notes:
+        print(note)
     return 0
 
 

@@ -71,6 +71,7 @@ from ..analysis.latency import ChainLatency, LatencyIndex, fragments_are_separab
 from ..analysis.store import _merged_latency_index
 from ..core.dag import TimingDag
 from ..core.export import RenderedSamples, render_samples
+from ..core.gcpause import paused_gc
 from ..core.index import CODE_DDS_WRITE, CODE_TAKE_REQUEST, TopicKey
 from ..core.records import CBList
 from ..core.synthesis import (
@@ -308,6 +309,12 @@ class LiveSynthesizer:
     from the run's resolved columns, and the journeys of the
     last-queried chain through it (:meth:`latency_view`,
     :meth:`keep_latency`); both leave with the run's eviction.
+
+    :meth:`ingest`, :meth:`refresh`, :meth:`model` and
+    :meth:`model_samples` run with the cyclic collector paused
+    (:class:`~repro.core.gcpause.paused_gc`): they make no reference
+    cycles, so a collection during one would only re-scan the retained
+    index, fragments and folds.
     """
 
     def __init__(
@@ -367,6 +374,7 @@ class LiveSynthesizer:
     def index(self) -> StoreTraceIndex:
         return self._index
 
+    @paused_gc()
     def refresh(self) -> List[str]:
         """Pick up and ingest runs that appeared in the store directory
         since the last look (second writer processes, the drop-dir
@@ -388,6 +396,7 @@ class LiveSynthesizer:
             ingested.append(run_id)
         return ingested
 
+    @paused_gc()
     def ingest(self, run_id: str, resolved: Optional[ResolvedRun] = None) -> None:
         """Fold one stored run into the maintained model.  ``resolved``
         is the run's segment as its validation decoded it
@@ -572,6 +581,7 @@ class LiveSynthesizer:
             key=attrgetter("pid"),
         )
 
+    @paused_gc()
     def model(self) -> TimingDag:
         """The timing DAG over the retained runs -- byte-identical to
         ``synthesize_from_store(store_of_retained_runs, jobs=1)``, down
@@ -601,6 +611,7 @@ class LiveSynthesizer:
                 )
         return self._dag
 
+    @paused_gc()
     def model_samples(self) -> Optional[Tuple[RenderedSamples, ...]]:
         """The sample lists of the retained runs :meth:`model` was merged
         from, rendered for ``dag_to_json(model, MODEL_JSON_INDENT,

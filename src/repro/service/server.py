@@ -23,6 +23,7 @@ import time
 import traceback
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..core.gcpause import paused_gc
 from ..store.database import TraceStore
 from .ingest import DropDirWatcher, IngestError, IngestSpool
 from .live import LiveSynthesizer, ServiceCounters
@@ -106,8 +107,11 @@ class SynthesisService:
 
     # -- ingest ------------------------------------------------------------
 
+    @paused_gc()
     def ingest_bytes(self, run_id: str, data: bytes) -> Dict[str, Any]:
-        """Commit + fold one pushed segment (the socket ``put`` path)."""
+        """Commit + fold one pushed segment (the socket ``put`` path),
+        its validating decode included, with the cyclic collector
+        paused."""
         with self._lock:
             try:
                 result = self.spool.commit_bytes(run_id, data)

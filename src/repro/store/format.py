@@ -18,9 +18,7 @@ Common layout (all integers little-endian)::
                n_ros u64, n_sched u64, n_wakeup u64,
                start_ts i64, stop_ts i64
     pid_map    n_pids x (pid i32, name byte-length i32 [-1 = None],
-               UTF-8 bytes) -- self-contained and first, so consumers
-               needing only the traced PIDs (``read_pid_map``) decode a
-               short body prefix instead of the whole segment
+               UTF-8 bytes) -- self-contained and first
     strings    n_strings x (u32 byte-length + UTF-8 bytes), id = position
     ...        per-version payload sections (below)
     ros        per-version columns (below)
@@ -103,8 +101,8 @@ independently and keeps the raw bytes whenever deflate does not shrink
 them (tiny sections), so every stream stays self-describing.
 
 What the directory buys readers is *section-selective I/O*:
-``peek_header`` still reads the fixed header only, ``read_pid_map``
-seeks straight to the pid_map stream and inflates nothing else, and the
+``peek_header`` still reads the fixed header only, opening a reader
+inflates only the pid_map, string table and shape directory, and the
 Alg. 1 walk (``walk_fastpath``, resolved once per run for the trace
 index and the latency index) touches the ros columns and only the
 payload columns of the shapes it actually dereferences -- sched columns

@@ -199,6 +199,110 @@ class _Shape:
         return rows
 
 
+class _Sections:
+    """A v3 segment's section streams: the file bytes, the section
+    directory and the inflated sections, cached.
+
+    Split out of :class:`SegmentReader` so the lazy handles that load
+    columns on first touch (:class:`_LazyColumns`, the payload column
+    loaders of each :class:`_Shape`) reference the sections, not the
+    reader that holds them: a reader owns no reference cycle, so
+    dropping it frees its inflated sections at once, by reference
+    counting alone.
+    """
+
+    __slots__ = ("_source", "_data", "_body_start", "_entries", "_cache",
+                 "body_bytes", "bytes_inflated")
+
+    def __init__(self, data, source: str):
+        self._source = source
+        try:
+            entries, body_start = unpack_section_dir(data, HEADER.size)
+        except StoreFormatError as error:
+            raise StoreFormatError(f"{source}: {error}") from None
+        self._data = memoryview(data)
+        self._body_start = body_start
+        self._entries: Dict[Tuple[int, int], SectionEntry] = {
+            (entry.kind, entry.index): entry for entry in entries
+        }
+        self._cache: Dict[Tuple[int, int], Sequence] = {}
+        self.body_bytes = sum(entry.raw_len for entry in entries)
+        self.bytes_inflated = 0
+        end = body_start + max(
+            (entry.offset + entry.comp_len for entry in entries), default=0
+        )
+        if end > len(data):
+            raise StoreFormatError(
+                f"{source}: truncated segment: section directory "
+                f"addresses {end} bytes, file has {len(data)}"
+            )
+
+    def raw(self, kind: int, index: int):
+        """One section's raw bytes (sliced, inflated if deflated,
+        cached); parse failures surface as :class:`StoreFormatError`
+        naming the file, the section and its offset."""
+        key = (kind, index)
+        cached = self._cache.get(key)
+        if cached is not None:
+            return cached
+        entry = self._entries.get(key)
+        if entry is None:
+            raise StoreFormatError(
+                f"{self._source}: missing section "
+                f"{SectionEntry(kind, 0, index, 0, 0, 0).name} "
+                "(absent from the section directory)"
+            )
+        start = self._body_start + entry.offset
+        raw = self._data[start:start + entry.comp_len]
+        if len(raw) != entry.comp_len:
+            raise StoreFormatError(
+                f"{self._source}: truncated section {entry.name} "
+                f"(at file offset {start}): need {entry.comp_len} bytes, "
+                f"have {len(raw)}"
+            )
+        if entry.comp == SECTION_COMP_ZLIB:
+            try:
+                raw = zlib.decompress(raw)
+            except zlib.error as error:
+                raise StoreFormatError(
+                    f"{self._source}: corrupt section {entry.name} "
+                    f"(at file offset {start}): {error}"
+                ) from None
+            if len(raw) != entry.raw_len:
+                raise StoreFormatError(
+                    f"{self._source}: corrupt section {entry.name} "
+                    f"(at file offset {start}): inflated to {len(raw)} "
+                    f"bytes, directory says {entry.raw_len}"
+                )
+        self._cache[key] = raw
+        if entry.comp == SECTION_COMP_ZLIB:
+            self.bytes_inflated += entry.raw_len
+        return raw
+
+    def column(
+        self, typecode: str, count: int, kind: int, index: int
+    ) -> Sequence:
+        """One column as a typed view over its section stream."""
+        raw = self.raw(kind, index)
+        expected = _ITEMSIZE[typecode] * count
+        if len(raw) != expected:
+            entry = self._entries[(kind, index)]
+            raise StoreFormatError(
+                f"{self._source}: corrupt section {entry.name} "
+                f"(at file offset {self._body_start + entry.offset}): "
+                f"{len(raw)} bytes for {count} {typecode!r} values "
+                f"(expected {expected})"
+            )
+        if _BIG_ENDIAN:  # pragma: no cover - LE containers
+            return column_from_bytes(typecode, bytes(raw))
+        view = raw if isinstance(raw, memoryview) else memoryview(raw)
+        return view.cast(typecode)
+
+    def loader(self, typecode: str, count: int, index: int):
+        """A zero-argument handle materializing one payload column."""
+        return lambda: self.column(typecode, count, SECTION_PAYLOAD, index)
+
+
 class _LazyColumns:
     """One v3 event section as per-column lazy handles.
 
@@ -209,13 +313,13 @@ class _LazyColumns:
     ``ros_ts_range()`` a single ros column.
     """
 
-    __slots__ = ("_reader", "_kind", "_typecodes", "_count", "_loaded")
+    __slots__ = ("_sections", "_kind", "_typecodes", "_count", "_loaded")
 
     def __init__(
-        self, reader: "SegmentReader", kind: int,
+        self, sections: _Sections, kind: int,
         typecodes: Sequence[str], count: int,
     ):
-        self._reader = reader
+        self._sections = sections
         self._kind = kind
         self._typecodes = typecodes
         self._count = count
@@ -227,7 +331,7 @@ class _LazyColumns:
     def __getitem__(self, index: int) -> Sequence:
         column = self._loaded[index]
         if column is None:
-            column = self._loaded[index] = self._reader._section_column(
+            column = self._loaded[index] = self._sections.column(
                 self._typecodes[index], self._count, self._kind, index
             )
         return column
@@ -244,7 +348,13 @@ class SegmentReader:
     counts per touched section; a compressed v1/v2 body counts fully up
     front; uncompressed data counts nothing); ``body_bytes`` is the
     segment's total raw body size, so ``bytes_inflated < body_bytes``
-    on a compressed segment demonstrates a selective read."""
+    on a compressed segment demonstrates a selective read.
+
+    A reader owns no reference cycle: the v3 lazy column handles hold
+    the segment's :class:`_Sections`, never the reader.  The bulk
+    builds that read segments run with the cyclic collector paused
+    (:class:`~repro.core.gcpause.paused_gc`), so a dropped reader and
+    its inflated sections are freed by reference counting alone."""
 
     def __init__(self, data, path: Optional[str] = None):
         self.path = path
@@ -261,7 +371,9 @@ class SegmentReader:
         self.num_sched_events = n_sched
         self.num_wakeup_events = n_wakeup
         self._shapes: List[_Shape] = []
-        self.bytes_inflated = 0
+        #: a v3 segment's sections; None for v1/v2 (one eager body).
+        self._sections: Optional[_Sections] = None
+        self._body_inflated = 0
         if version >= 3:
             self._init_v3(data, n_strings, n_pids, n_ros, n_sched, n_wakeup)
         else:
@@ -276,6 +388,11 @@ class SegmentReader:
         #: first :meth:`walk_fastpath`.
         self._code_table: Optional[bytearray] = None
         self._start_types: Optional[List[Optional[str]]] = None
+
+    @property
+    def bytes_inflated(self) -> int:
+        sections = self._sections
+        return self._body_inflated if sections is None else sections.bytes_inflated
 
     def _init_body(
         self, data, flags: int, n_strings: int, n_pids: int,
@@ -296,7 +413,7 @@ class SegmentReader:
         self._body = body
         self.body_bytes = len(body)
         if flags & FLAG_ZLIB_BODY:
-            self.bytes_inflated = len(body)
+            self._body_inflated = len(body)
         section = "pid_map"
         offset = 0
         try:
@@ -351,34 +468,17 @@ class SegmentReader:
     ) -> None:
         """v3 parse: section directory + small eager sections; event
         and payload columns stay lazy per-stream handles."""
-        try:
-            entries, body_start = unpack_section_dir(data, HEADER.size)
-        except StoreFormatError as error:
-            raise StoreFormatError(f"{self._source}: {error}") from None
-        self._data = memoryview(data)
-        self._body_start = body_start
-        self._sections: Dict[Tuple[int, int], SectionEntry] = {
-            (entry.kind, entry.index): entry for entry in entries
-        }
-        self._section_cache: Dict[Tuple[int, int], Sequence] = {}
-        self.body_bytes = sum(entry.raw_len for entry in entries)
-        end = body_start + max(
-            (entry.offset + entry.comp_len for entry in entries), default=0
-        )
-        if end > len(data):
-            raise StoreFormatError(
-                f"{self._source}: truncated segment: section directory "
-                f"addresses {end} bytes, file has {len(data)}"
-            )
+        self._sections = sections = _Sections(data, self._source)
+        self.body_bytes = sections.body_bytes
         section = "pid_map"
         try:
-            raw = self._section_bytes(SECTION_PID_MAP, 0)
+            raw = sections.raw(SECTION_PID_MAP, 0)
             self.pid_map, _ = unpack_pid_map(raw, 0, n_pids)
             section = "string table"
-            raw = self._section_bytes(SECTION_STRINGS, 0)
+            raw = sections.raw(SECTION_STRINGS, 0)
             self._strings, _ = unpack_strings(raw, 0, n_strings)
             section = "shape directory"
-            raw = self._section_bytes(SECTION_SHAPES, 0)
+            raw = sections.raw(SECTION_SHAPES, 0)
             shape_dir, _ = unpack_shape_dir(raw, 0)
         except StoreFormatError as error:
             message = str(error)
@@ -401,83 +501,16 @@ class SegmentReader:
                 if ftype == FIELD_NONE:
                     columns.append(None)
                 else:
-                    columns.append(self._payload_loader(
+                    columns.append(sections.loader(
                         FIELD_TYPECODES[ftype], count, payload_index
                     ))
                     payload_index += 1
             self._shapes.append(_Shape(keys, types, count, columns, strings))
-        self._ros = _LazyColumns(self, SECTION_ROS, ROS_COLUMNS_V2, n_ros)
-        self._sched = _LazyColumns(self, SECTION_SCHED, SCHED_COLUMNS, n_sched)
+        self._ros = _LazyColumns(sections, SECTION_ROS, ROS_COLUMNS_V2, n_ros)
+        self._sched = _LazyColumns(sections, SECTION_SCHED, SCHED_COLUMNS, n_sched)
         self._wakeup = _LazyColumns(
-            self, SECTION_WAKEUP, WAKEUP_COLUMNS, n_wakeup
+            sections, SECTION_WAKEUP, WAKEUP_COLUMNS, n_wakeup
         )
-
-    def _payload_loader(self, typecode: str, count: int, index: int):
-        """A zero-argument handle materializing one payload column."""
-        return lambda: self._section_column(
-            typecode, count, SECTION_PAYLOAD, index
-        )
-
-    def _section_bytes(self, kind: int, index: int):
-        """One v3 section's raw bytes (sliced, inflated if deflated,
-        cached); parse failures surface as :class:`StoreFormatError`
-        naming the file, the section and its offset."""
-        key = (kind, index)
-        cached = self._section_cache.get(key)
-        if cached is not None:
-            return cached
-        entry = self._sections.get(key)
-        if entry is None:
-            raise StoreFormatError(
-                f"{self._source}: missing section "
-                f"{SectionEntry(kind, 0, index, 0, 0, 0).name} "
-                "(absent from the section directory)"
-            )
-        start = self._body_start + entry.offset
-        raw = self._data[start:start + entry.comp_len]
-        if len(raw) != entry.comp_len:
-            raise StoreFormatError(
-                f"{self._source}: truncated section {entry.name} "
-                f"(at file offset {start}): need {entry.comp_len} bytes, "
-                f"have {len(raw)}"
-            )
-        if entry.comp == SECTION_COMP_ZLIB:
-            try:
-                raw = zlib.decompress(raw)
-            except zlib.error as error:
-                raise StoreFormatError(
-                    f"{self._source}: corrupt section {entry.name} "
-                    f"(at file offset {start}): {error}"
-                ) from None
-            if len(raw) != entry.raw_len:
-                raise StoreFormatError(
-                    f"{self._source}: corrupt section {entry.name} "
-                    f"(at file offset {start}): inflated to {len(raw)} "
-                    f"bytes, directory says {entry.raw_len}"
-                )
-        self._section_cache[key] = raw
-        if entry.comp == SECTION_COMP_ZLIB:
-            self.bytes_inflated += entry.raw_len
-        return raw
-
-    def _section_column(
-        self, typecode: str, count: int, kind: int, index: int
-    ) -> Sequence:
-        """One v3 column as a typed view over its section stream."""
-        raw = self._section_bytes(kind, index)
-        expected = _ITEMSIZE[typecode] * count
-        if len(raw) != expected:
-            entry = self._sections[(kind, index)]
-            raise StoreFormatError(
-                f"{self._source}: corrupt section {entry.name} "
-                f"(at file offset {self._body_start + entry.offset}): "
-                f"{len(raw)} bytes for {count} {typecode!r} values "
-                f"(expected {expected})"
-            )
-        if _BIG_ENDIAN:  # pragma: no cover - LE containers
-            return column_from_bytes(typecode, bytes(raw))
-        view = raw if isinstance(raw, memoryview) else memoryview(raw)
-        return view.cast(typecode)
 
     @classmethod
     def open(cls, path: str, use_mmap: bool = False) -> "SegmentReader":
@@ -667,25 +700,6 @@ def peek_header(path: str) -> Tuple[int, int, int, int, int, int, int, int, int]
         return unpack_header(handle.read(HEADER.size), source=path)
 
 
-def _read_section_dir(
-    handle, head: bytes, path: str
-) -> Tuple[List[SectionEntry], int]:
-    """The section directory of a v3 segment file whose ``head``er
-    bytes were just read from ``handle``: ``(entries, body start)``,
-    reading only the directory bytes."""
-    prefix = handle.read(4)
-    if len(prefix) < 4:
-        raise StoreFormatError(
-            f"{path}: truncated segment: section directory cut off"
-        )
-    (count,) = struct.unpack("<I", prefix)
-    raw = head + prefix + handle.read(count * SECTION_ENTRY.size)
-    try:
-        return unpack_section_dir(raw, HEADER.size)
-    except StoreFormatError as error:
-        raise StoreFormatError(f"{path}: {error}") from None
-
-
 def peek_sections(path: str) -> List[SectionEntry]:
     """The section directory of a v3 segment (header + directory bytes
     only -- no event stream is touched); empty for v1/v2 segments,
@@ -696,73 +710,18 @@ def peek_sections(path: str) -> List[SectionEntry]:
         version, *_ = unpack_header(head, source=path)
         if version < 3:
             return []
-        entries, _ = _read_section_dir(handle, head, path)
-        return entries
-
-
-def read_pid_map(path: str) -> Dict[int, Optional[str]]:
-    """The PID -> node-name map of a segment, from a file prefix.
-
-    The pid_map section leads the body in every format version, so
-    reading a run's node names decodes a few KB (one inflate window for
-    compressed segments) instead of every event column.  v3 segments do even less: seek to the pid_map
-    stream named by the section directory and inflate exactly that.
-    """
-    with open(path, "rb") as handle:
-        head = handle.read(HEADER.size)
-        version, flags, _, n_pids, _, _, _, _, _ = unpack_header(
-            head, source=path
-        )
-        if version >= 3:
-            entries, body_start = _read_section_dir(handle, head, path)
-            entry = next(
-                (e for e in entries if e.kind == SECTION_PID_MAP), None
+        prefix = handle.read(4)
+        if len(prefix) < 4:
+            raise StoreFormatError(
+                f"{path}: truncated segment: section directory cut off"
             )
-            if entry is None:
-                raise StoreFormatError(
-                    f"{path}: missing section pid_map "
-                    "(absent from the section directory)"
-                )
-            handle.seek(body_start + entry.offset)
-            raw_section = handle.read(entry.comp_len)
-            if len(raw_section) != entry.comp_len:
-                raise StoreFormatError(
-                    f"{path}: truncated section pid_map (at file offset "
-                    f"{body_start + entry.offset}): need {entry.comp_len} "
-                    f"bytes, have {len(raw_section)}"
-                )
-            if entry.comp == SECTION_COMP_ZLIB:
-                try:
-                    raw_section = zlib.decompress(raw_section)
-                except zlib.error as error:
-                    raise StoreFormatError(
-                        f"{path}: corrupt section pid_map (at file offset "
-                        f"{body_start + entry.offset}): {error}"
-                    ) from None
-            try:
-                pid_map, _ = unpack_pid_map(raw_section, 0, n_pids)
-            except (IncompletePrefix, ValueError, struct.error) as error:
-                raise StoreFormatError(
-                    f"{path}: corrupt section pid_map: {error}"
-                ) from None
-            return pid_map
-        inflater = zlib.decompressobj() if flags & FLAG_ZLIB_BODY else None
-        buffer = b""
-        while True:
-            try:
-                pid_map, _ = unpack_pid_map(buffer, 0, n_pids)
-                return pid_map
-            except IncompletePrefix:
-                pass
-            chunk = handle.read(1 << 16)
-            if not chunk:
-                raise StoreFormatError(f"truncated segment {path!r}: pid_map cut off")
-            try:
-                buffer += inflater.decompress(chunk) if inflater else chunk
-            except zlib.error as error:
-                raise StoreFormatError(
-                    f"{path}: corrupt zlib body: {error}"
-                ) from None
+        (count,) = struct.unpack("<I", prefix)
+        raw = head + prefix + handle.read(count * SECTION_ENTRY.size)
+        try:
+            entries, _ = unpack_section_dir(raw, HEADER.size)
+        except StoreFormatError as error:
+            raise StoreFormatError(f"{path}: {error}") from None
+        return entries
 
 
 class _PayloadShape:

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import List, Optional
 
+from ..core.gcpause import paused_gc
 from ..experiments.batch import BatchConfig, _fan_out, _run_setup
 from ..experiments.runner import bring_up
 from ..scenarios.registry import build_scenario_spec
@@ -74,6 +75,7 @@ class RecordResult:
         return sum(run.bytes_written for run in self.runs)
 
 
+@paused_gc()
 def record_run(
     scenario: str,
     run_index: int,
@@ -91,6 +93,12 @@ def record_run(
     ``push_to`` additionally streams the finished segment to a running
     ``repro serve`` endpoint as soon as it commits locally -- the
     recorder side of the live-ingestion workflow.
+
+    Runs with the cyclic collector paused
+    (:class:`~repro.core.gcpause.paused_gc`): the simulated world and
+    the growing spool live until the run ends, and the simulator
+    makes no reference cycles per event, so a collection during the
+    run would only re-scan them.
     """
     spec, run_config = _run_setup(scenario, run_index, runs, config)
     world, session, _ = bring_up(

@@ -13,12 +13,19 @@ Sec. V without an in-memory :class:`TraceDatabase`; both run
   the live service run.  It runs in one process.
 * **merge_dags**: one DAG per stored run, each synthesized from that
   run's reader alone, merged with :func:`~repro.core.merge.merge_dags`.
-  Runs are independent, so ``jobs > 1`` fans them out over worker
-  processes (:func:`~repro.experiments.batch._fan_out`); each worker
-  re-opens the store with the parent's ``strict`` flag and
-  ``cache_dir`` and synthesizes only runs the parent's readers
-  accepted.  The DAGs merge in run-id order, so the model is
-  byte-identical for any ``jobs`` value.
+  In one process, the runs are synthesized from the readers that
+  validated the store.  Runs are independent, so ``jobs > 1`` fans
+  them out over worker processes
+  (:func:`~repro.experiments.batch._fan_out`); each worker re-opens
+  the store with the parent's ``strict`` flag and ``cache_dir`` and
+  synthesizes only runs the parent's readers accepted.  The DAGs merge
+  in run-id order, so the model is byte-identical for any ``jobs``
+  value.
+
+Both run with the cyclic collector paused
+(:class:`~repro.core.gcpause.paused_gc`): a synthesis makes no
+reference cycles, so a collection during one would only re-scan the
+index, the walk's records and the DAG it is building.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 from ..core.dag import TimingDag
 from ..core.extraction import EventIndex, _extract_pid_walk
+from ..core.gcpause import paused_gc
 from ..core.merge import merge_dags
 from ..core.pipeline import STRATEGY_MERGE_DAGS, STRATEGY_MERGE_TRACES
 from ..core.records import CBList
@@ -85,6 +93,26 @@ def _synthesize_readers(
     )
 
 
+def _merge_run_dags(
+    readers: Sequence,
+    pids: Optional[Iterable[int]],
+    split_services: bool,
+    model_sync: bool,
+    columns: Optional[Sequence[Tuple]] = None,
+) -> TimingDag:
+    """``merge_dags`` in this process over open readers: one DAG per
+    run, merged in reader order; ``columns`` are the readers' resolved
+    columns when the caller has them."""
+    if columns is None:
+        columns = [None] * len(readers)
+    return merge_dags([
+        _synthesize_readers(
+            [reader], pids, split_services, model_sync, columns=[resolved]
+        )
+        for reader, resolved in zip(readers, columns)
+    ])
+
+
 def _synthesize_run(
     run_id: str,
     store: TraceStore,
@@ -92,13 +120,15 @@ def _synthesize_run(
     split_services: bool,
     model_sync: bool,
 ) -> TimingDag:
-    """One stored run's DAG, the ``merge_dags`` unit (module-level for
-    pickling: a worker receives ``store`` as a re-opened handle)."""
+    """One stored run's DAG, the ``merge_dags`` unit of a worker process
+    (module-level for pickling: the worker receives ``store`` as a
+    re-opened handle and opens only its own runs)."""
     return _synthesize_readers(
         [store.open(run_id)], pids, split_services, model_sync
     )
 
 
+@paused_gc()
 def synthesize_from_store(
     store: StoreLike,
     pids: Optional[Iterable[int]] = None,
@@ -111,20 +141,27 @@ def synthesize_from_store(
 
     ``merge_traces`` synthesizes in this process; ``jobs`` applies to
     ``merge_dags`` only, whose per-run DAGs fan out over ``jobs``
-    worker processes with byte-identical results for any value.
+    worker processes with byte-identical results for any value.  Each
+    run is opened once per process: in-process synthesis reuses the
+    readers that validated the store, and a worker opens only its own
+    runs.
     """
     store = as_store(store)
     pids = None if pids is None else sorted(pids)
     if strategy == STRATEGY_MERGE_DAGS:
-        run_ids = list(store.open_runs())
-        if not run_ids:
+        opened = store.open_runs()
+        if not opened:
             raise ValueError(f"trace store {store.directory!r} holds no runs")
+        if min(jobs, len(opened)) == 1:
+            return _merge_run_dags(
+                list(opened.values()), pids, split_services, model_sync
+            )
         return merge_dags(_fan_out(
             partial(
                 _synthesize_run, store=store, pids=pids,
                 split_services=split_services, model_sync=model_sync,
             ),
-            run_ids,
+            list(opened),
             jobs,
         ))
     if strategy != STRATEGY_MERGE_TRACES:

@@ -315,3 +315,60 @@ class TestAnalyzeCommand:
     def test_missing_store_exits_two(self, capsys, tmp_path):
         assert main(["analyze", str(tmp_path / "none")]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone (``repro ... | head -1``): every
+    write raises :class:`BrokenPipeError`.  ``fileno`` names a scratch
+    file, which :func:`main` points at ``/dev/null`` on the way out."""
+
+    def __init__(self, path):
+        self._handle = open(path, "w")
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self._handle.fileno()
+
+    def close(self):
+        self._handle.close()
+
+
+class TestArtifactsSurviveAClosedPipe:
+    """``--dot`` / ``--json`` are written before anything is printed, so
+    a closed stdout pipe cannot lose them."""
+
+    @pytest.mark.parametrize("command", [
+        "synthesize", "batch", "fig3a", "fig3b",
+    ])
+    def test_artifacts_written_when_stdout_is_closed(
+        self, command, capsys, monkeypatch, recorded_store, tmp_path
+    ):
+        head = {
+            "synthesize": ["synthesize", recorded_store],
+            "batch": ["batch", "deep-pipeline", "--runs", "1",
+                      "--duration", "1"],
+            "fig3a": ["fig3a", "--duration", "2"],
+            "fig3b": ["fig3b", "--duration", "2"],
+        }[command]
+
+        def artifacts(name):
+            return ["--dot", str(tmp_path / f"{name}.dot"),
+                    "--json", str(tmp_path / f"{name}.json")]
+
+        assert main(head + artifacts("unpiped")) == 0
+        capsys.readouterr()
+        pipe = _ClosedPipe(tmp_path / "stdout")
+        monkeypatch.setattr("sys.stdout", pipe)
+        try:
+            assert main(head + artifacts("piped")) == 1
+        finally:
+            monkeypatch.undo()
+            pipe.close()
+        for suffix in ("dot", "json"):
+            piped = (tmp_path / f"piped.{suffix}").read_text()
+            assert piped == (tmp_path / f"unpiped.{suffix}").read_text()

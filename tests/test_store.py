@@ -32,7 +32,6 @@ from repro.store import (
     save_database_binary,
     write_segment,
 )
-from repro.store.reader import read_pid_map
 from repro.tracing.events import TraceEvent
 from repro.tracing.session import Trace, TraceDatabase
 from repro.tracing.storage import TRACE_SUFFIX, load_database, save_database, save_trace
@@ -86,7 +85,8 @@ class TestRoundTrip:
         for compress in (True, False):
             path = str(tmp_path / f"pm-{compress}{SEGMENT_SUFFIX}")
             write_segment(sample_traces["service-mesh"], path, compress=compress)
-            assert read_pid_map(path) == sample_traces["service-mesh"].pid_map
+            reader = SegmentReader.open(path)
+            assert reader.pid_map == sample_traces["service-mesh"].pid_map
 
     def test_pid_selection_matches_filter(self, sample_traces):
         trace = sample_traces["sensor-fusion"]

@@ -27,8 +27,10 @@ from repro.experiments.batch import BatchConfig
 from repro.experiments.runner import run_once
 from repro.scenarios import build_scenario_spec, scenario_names
 from repro.sim.kernel import SEC
+from repro.analysis.store import StoreAnalysis
 from repro.store import (
     SEGMENT_SUFFIX,
+    SegmentReader,
     TraceStore,
     record_batch,
     synthesize_from_store,
@@ -131,6 +133,36 @@ class TestShardingDeterminism:
         sharded = synthesize_from_store(store, jobs=2, strategy=STRATEGY_MERGE_DAGS)
         assert dag_to_json(serial) == dag_to_json(sharded)
         assert to_dot(serial) == to_dot(sharded)
+
+    def test_merge_dags_opens_each_run_once(self, stores, monkeypatch):
+        """In-process ``merge_dags`` synthesizes from the readers that
+        validated the store, and ``StoreAnalysis`` from its own: one
+        open per run, the model unchanged at jobs 1 and 2."""
+        store, traces = stores["avp-interference"]
+        expected = _merged_dags(traces)
+        opened = []
+        init = SegmentReader.__init__
+
+        def counting_init(self, *args, **kwargs):
+            opened.append(kwargs.get("path"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SegmentReader, "__init__", counting_init)
+        fresh = TraceStore(store.directory)
+        serial = synthesize_from_store(
+            fresh, jobs=1, strategy=STRATEGY_MERGE_DAGS
+        )
+        assert sorted(opened) == [fresh.path_of(r) for r in fresh.run_ids()]
+        _assert_same_model(serial, expected, "jobs=1")
+        del opened[:]
+        analysis = StoreAnalysis(fresh, strategy=STRATEGY_MERGE_DAGS)
+        _assert_same_model(analysis.dag, expected, "StoreAnalysis")
+        assert len(analysis.chain_latencies(["/none"])) == 0
+        assert len(opened) == RUNS
+        sharded = synthesize_from_store(
+            fresh, jobs=2, strategy=STRATEGY_MERGE_DAGS
+        )
+        _assert_same_model(sharded, expected, "jobs=2")
 
     def test_merge_traces_refuses_worker_processes(self, stores):
         store, _ = stores["syn"]

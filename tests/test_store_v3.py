@@ -44,7 +44,7 @@ from repro.store.format import (
     VERSION_V2,
 )
 from repro.store.index import _resolve
-from repro.store.reader import peek_sections, read_pid_map
+from repro.store.reader import peek_sections
 from repro.sim import SchedSwitch
 from repro.tracing.events import (
     CB_START_PROBES,
@@ -190,7 +190,9 @@ class TestSelectiveIO:
     def test_read_pid_map_matches_trace_without_body(self, syn_trace, tmp_path):
         path = str(tmp_path / f"run{SEGMENT_SUFFIX}")
         write_segment(syn_trace, path)
-        assert read_pid_map(path) == syn_trace.pid_map
+        reader = SegmentReader.open(path)
+        assert reader.pid_map == syn_trace.pid_map
+        assert 0 < reader.bytes_inflated < reader.body_bytes
 
     def test_partial_reads_inflate_strict_subsets(self, syn_trace, tmp_path):
         path = str(tmp_path / f"run{SEGMENT_SUFFIX}")
@@ -609,7 +611,7 @@ class TestSectionErrorDiagnostics:
             handle.seek(body_start + entry.offset + 2)
             handle.write(b"\xff" * min(8, max(1, entry.comp_len - 2)))
         with pytest.raises(StoreFormatError) as excinfo:
-            read_pid_map(path)
+            SegmentReader.open(path)
         assert "pid_map" in str(excinfo.value)
 
 
