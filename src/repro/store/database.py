@@ -2,7 +2,7 @@
 
 A store directory holds one file per run -- binary ``.trace.bin``
 segments (this subsystem's format: v3 as written, v1/v2 from older
-stores, read as they are) and/or legacy
+stores, transcoded to v3 when opened) and/or legacy
 ``.trace.json.gz`` files (the pre-store gzip-JSON database) side by
 side.  The run id is the file stem; a run stored in both formats
 resolves to the binary segment.
@@ -14,12 +14,12 @@ write, convert, inspect).  ``strict=False`` makes the aggregate paths
 instead of raising, so one truncated segment does not strand an
 otherwise healthy store; per-run :meth:`TraceStore.open` always raises.
 
-``cache_dir=`` points the handle at a directory of uncompressed
-segment copies: :meth:`TraceStore.open` materializes each binary run
-there once (named by the source's size + mtime, so an overwritten run
-re-materializes and stale copies are swept) and opens the copy through
-``mmap``, trading disk for zero inflation on every synthesis over the
-same store.  The cache is purely derived state -- deleting it is
+``cache_dir=`` points the handle at a directory of uncompressed v3
+segment copies (a v1/v2 run's copy is its v3 transcoding):
+:meth:`TraceStore.open` materializes each binary run there once (named
+by the source's size + mtime, so an overwritten run re-materializes and
+stale copies are swept) and opens the copy through ``mmap``, trading
+disk for zero inflation on every synthesis over the same store.  The cache is purely derived state -- deleting it is
 always safe.
 
 :class:`StoreDatabase` is the store-backed mode of
@@ -242,7 +242,7 @@ class TraceStore:
     # -- reading -----------------------------------------------------------
 
     def _cached_segment(self, run_id: str, path: str) -> str:
-        """Materialize ``path`` as an uncompressed copy under
+        """Materialize ``path`` as an uncompressed v3 copy under
         ``cache_dir`` (once per source size + mtime) and return the
         copy's path.  Stale copies of the same run -- left behind when
         the source segment was rewritten, e.g. by ``convert --upgrade``

@@ -1,7 +1,10 @@
 """The binary trace-segment format (``.trace.bin``), versions 1, 2 and 3.
 
-The writer emits version 3 only; versions 1 and 2 are read from older
-stores and lifted to v3 by ``TraceStore.convert_legacy(upgrade=True)``.
+The writer emits version 3 only.  Versions 1 and 2 come from older
+stores: the reader transcodes them to v3 once, at open
+(:func:`repro.store.reader.transcode`), so only the v3 layout is ever
+parsed, the store's segment cache holds v3 copies, and
+``TraceStore.convert_legacy(upgrade=True)`` rewrites them as v3 on disk.
 
 One file stores one run's complete trace in a struct-packed *columnar*
 layout: a fixed header, a string table (probe names, process names,
@@ -73,10 +76,10 @@ byteswapped on the way in/out; the on-disk format is always
 little-endian.
 
 In v1/v2, with ``FLAG_ZLIB_BODY`` set (how compressed segments were
-written) everything after the header is one zlib stream: segment files then land at
-gzip-JSON size while decoding still skips the JSON parse entirely.
-Uncompressed segments (``compress=False``) trade bytes for zero-copy
-column views.
+written) everything after the header is one zlib stream.  A v2 body is
+exactly the v3 sections below, raw, in file order; a v1 body lacks the
+shape directory and the ``shape`` column, which the transcoder derives
+(an empty directory; ``NONE_ID`` or ``SHAPE_JSON`` per row).
 
 **Version 3** (the format the writer emits) keeps the v2 payload encoding but
 replaces the single body stream with *per-section compression*: every
@@ -117,8 +120,9 @@ from __future__ import annotations
 
 import struct
 import sys
+import zlib
 from array import array
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
 #: File suffix of binary trace segments (next to the legacy
 #: ``.trace.json.gz`` suffix of :mod:`repro.tracing.storage`).
@@ -277,6 +281,30 @@ def pack_section_dir(entries: Sequence[SectionEntry]) -> bytes:
             )
         )
     return b"".join(parts)
+
+
+def pack_sections(
+    header: bytes, blobs: Iterable[Tuple[int, int, bytes]], compress: bool
+) -> List[bytes]:
+    """A v3 segment's byte parts: ``header``, the section directory,
+    one stream per ``(kind, index, raw bytes)`` blob.  ``compress``
+    deflates each section on its own, keeping raw any it does not
+    shrink (``comp`` 0)."""
+    entries: List[SectionEntry] = []
+    streams: List[bytes] = []
+    offset = 0
+    for kind, index, raw in blobs:
+        comp = SECTION_COMP_RAW
+        data = raw
+        if compress and raw:
+            deflated = zlib.compress(raw, ZLIB_LEVEL)
+            if len(deflated) < len(raw):
+                comp = SECTION_COMP_ZLIB
+                data = deflated
+        entries.append(SectionEntry(kind, comp, index, offset, len(data), len(raw)))
+        streams.append(data)
+        offset += len(data)
+    return [header, pack_section_dir(entries), *streams]
 
 
 def unpack_section_dir(

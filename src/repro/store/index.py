@@ -72,7 +72,7 @@ from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tu
 
 import numpy as np
 
-from ..core.exec_time import SchedIndex, sched_buckets
+from ..core.exec_time import SchedIndex, distinct, sched_buckets
 from ..core.index import (
     CODE_CB_START,
     CODE_DDS_WRITE,
@@ -143,7 +143,7 @@ def _resolve(
     if len(id_rows):
         sid_np = np.frombuffer(shape_col, dtype=np.uint32)[id_rows]
         vidx_np = np.frombuffer(vidx_col, dtype=np.uint32)[id_rows]
-        for sid in np.unique(sid_np).tolist():
+        for sid in distinct(sid_np):
             sel = sid_np == sid
             vidxs = vidx_np[sel].tolist()
             if sid < len(shapes):
@@ -423,7 +423,7 @@ class StoreTraceIndex:
         all_wanted = wanted is None
 
         nonzero = row_codes != 0
-        for pid in np.unique(pid_np[nonzero]).tolist():
+        for pid in distinct(pid_np[nonzero]):
             if not (all_wanted or pid in wanted):
                 continue
             rows = np.nonzero(nonzero & (pid_np == pid))[0]

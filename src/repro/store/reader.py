@@ -1,17 +1,20 @@
 """Reading binary trace segments without materializing events.
 
-:class:`SegmentReader` parses a ``.trace.bin`` file -- format v1, v2 or
-v3 -- into column *views* (`memoryview.cast` on little-endian hosts --
-no copy of the event sections) plus the decoded string table.  Event
-objects are constructed lazily, per iteration, and only for the rows a
-consumer asks for: ``iter_ros(pids=...)`` scans the int32 PID column
-and skips everything else, so selecting one node out of a 50-run merged
-store never builds the other nodes' events.
+:class:`SegmentReader` parses a ``.trace.bin`` file into column *views*
+(`memoryview.cast` on little-endian hosts -- no copy of the event
+sections) plus the decoded string table.  It parses one layout, v3:
+a v1/v2 file is transcoded to v3 once, at open (:func:`transcode`, the
+only code that knows the older layouts), and the store's segment cache
+holds that transcoding, so cached opens of old stores parse v3 too.
+Event objects are constructed lazily, per iteration, and only for the
+rows a consumer asks for: ``iter_ros(pids=...)`` scans the int32 PID
+column and skips everything else, so selecting one node out of a
+50-run merged store never builds the other nodes' events.
 
-v3 segments add *section-selective I/O*: every column is its own
-stream behind the section directory, materialized (and inflated) only
-on first touch through :class:`_LazyColumns`.  A synthesis pass over a
-v3 store therefore never inflates the wakeup section, the six sched
+Reads are *section-selective*: every column is its own stream behind
+the section directory, materialized (and inflated) only on first touch
+through :class:`_LazyColumns`.  A synthesis pass over a compressed v3
+store therefore never inflates the wakeup section, the six sched
 columns beyond ``(ts, prev_pid, next_pid)``, or the payload columns of
 shapes Alg. 1 never dereferences.  ``bytes_inflated`` counts the raw
 bytes actually run through zlib (vs ``body_bytes``, the segment's
@@ -19,22 +22,20 @@ total raw body size) -- the observable behind the selective-read CI
 assertion and the ``store.selective_read`` bench section; an
 uncompressed cache copy reads at zero inflation.
 
-Every format reads through one column layout, ``(ts, pid, probe,
-shape, vidx)``.  v2/v3 payloads live in typed per-field columns grouped
-by shape (:class:`_Shape`): the first access to a shape bulk-decodes
-its columns -- string ids resolve through the table once per *column*,
-ints/floats come straight out of the fixed-width views -- and every row
-of the shape then costs a list index, with no JSON anywhere.  Rows
-written through the JSON fallback (payloads outside the closed schema)
-are interned JSON strings, decoded through a bound C scanner and cached
-per string id.  A v1 segment's ``data`` column is normalized into that
-layout on open: v1 payloads are interned JSON, so every v1 row reads as
-a JSON-fallback row of the v2 layout.
+Payloads live in typed per-field columns grouped by shape
+(:class:`_Shape`): the first access to a shape bulk-decodes its columns
+-- string ids resolve through the table once per *column*, ints/floats
+come straight out of the fixed-width views -- and every row of the
+shape then costs a list index, with no JSON anywhere.  Rows written
+through the JSON fallback (payloads outside the closed schema, and
+every row of a transcoded v1 segment) are interned JSON strings,
+decoded through a bound C scanner and cached per string id.
 
 Parse errors surface as :class:`~repro.store.format.StoreFormatError`
 carrying the file path and the failing section/offset -- truncated
-files, corrupt zlib bodies and unknown version bytes never leak raw
-``struct.error`` / ``zlib.error``.
+files, corrupt zlib bodies, unknown version bytes and ids that point
+outside their tables never leak raw ``struct.error`` / ``zlib.error`` /
+``IndexError``.
 
 :func:`merge_ros_streams` / :func:`merge_sched_streams` k-way merge
 many stored runs chronologically (ties keep run order, exactly like
@@ -50,11 +51,12 @@ from __future__ import annotations
 import struct
 import sys
 import zlib
-from array import array
 from heapq import merge as _heap_merge
 from json.decoder import JSONDecoder
 from operator import itemgetter
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
@@ -70,7 +72,6 @@ from .format import (
     FIELD_TYPECODES,
     FLAG_ZLIB_BODY,
     HEADER,
-    IncompletePrefix,
     NONE_CPU,
     NONE_ID,
     ROS_COLUMNS,
@@ -88,8 +89,13 @@ from .format import (
     SHAPE_JSON,
     SectionEntry,
     StoreFormatError,
+    VERSION,
+    VERSION_V1,
     WAKEUP_COLUMNS,
     column_from_bytes,
+    pack_header,
+    pack_sections,
+    pack_shape_dir,
     unpack_header,
     unpack_pid_map,
     unpack_section_dir,
@@ -131,43 +137,31 @@ def _row_builder(keys: Tuple[str, ...]):
     return code
 
 
-def _v1_ros_as_v2(columns: Sequence[Sequence[int]]) -> List[Sequence[int]]:
-    """v1 ROS columns ``(ts, pid, probe, data)`` in the v2 layout.
-
-    v1 payloads are interned JSON strings, so every v1 row is a v2
-    JSON-fallback row: shape ``SHAPE_JSON`` with the data id as its
-    vidx, or ``NONE_ID`` for an empty payload.  One vectorized pass at
-    open time leaves every reader path a single (v2/v3) column layout.
-    """
-    ts_col, pid_col, probe_col, data_col = columns
-    data = np.frombuffer(data_col, dtype=np.uint32)
-    shape = np.where(data == NONE_ID, NONE_ID, SHAPE_JSON).astype(np.uint32)
-    return [ts_col, pid_col, probe_col, array("I", shape.tobytes()), data_col]
-
-
 class _Shape:
-    """One v2 payload shape: ordered field names/types + column views.
+    """One payload shape: ordered field names/types + column loaders.
 
     ``rows()`` bulk-decodes the shape on first use into one dict per
     row (string ids resolved once per column, key order preserved);
-    repeated access is a list index.  Payload dicts are shared by the
-    ``TraceEvent`` immutability contract, like the JSON payload cache.
+    repeated access is a list index.  A column's section is sliced (and
+    inflated) only then, so shapes nothing dereferences never inflate
+    their streams.  Payload dicts are shared by the ``TraceEvent``
+    immutability contract, like the JSON payload cache.
     """
 
-    __slots__ = ("keys", "types", "count", "_columns", "_strings", "_rows")
+    __slots__ = ("keys", "types", "count", "_loaders", "_strings", "_rows")
 
     def __init__(
         self,
         keys: Tuple[str, ...],
         types: Tuple[int, ...],
         count: int,
-        columns: Sequence[Optional[Sequence]],
+        loaders: Sequence[Optional[Callable[[], Sequence]]],
         strings: Sequence[str],
     ):
         self.keys = keys
         self.types = types
         self.count = count
-        self._columns = columns
+        self._loaders = loaders  # None for FIELD_NONE (no column)
         self._strings = strings
         self._rows: Optional[List[Dict[str, Any]]] = None
 
@@ -176,19 +170,15 @@ class _Shape:
         if rows is None:
             strings = self._strings
             seqs: List[Sequence] = []
-            for ftype, column in zip(self.types, self._columns):
-                if callable(column):
-                    # v3: the column is a lazy section handle; shapes
-                    # nothing dereferences never inflate their streams.
-                    column = column()
+            for ftype, load in zip(self.types, self._loaders):
                 if ftype == FIELD_NONE:
                     seqs.append([None] * self.count)
                 elif ftype == FIELD_STR:
-                    seqs.append([strings[i] for i in column])
+                    seqs.append([strings[i] for i in load()])
                 elif ftype == FIELD_BOOL:
-                    seqs.append([bool(v) for v in column])
+                    seqs.append([bool(v) for v in load()])
                 else:
-                    seqs.append(column)
+                    seqs.append(load())
             if seqs:
                 rows = eval(  # compiled dict-display listcomp, data-only
                     _row_builder(self.keys), {"_rows": zip(*seqs)}
@@ -306,8 +296,8 @@ class _Sections:
 class _LazyColumns:
     """One v3 event section as per-column lazy handles.
 
-    Quacks like the column tuple the eager reader builds -- indexing,
-    iteration, unpacking -- but a column's stream is only sliced (and
+    Quacks like a column tuple -- indexing, iteration, unpacking --
+    but a column's stream is only sliced (and
     inflated, when deflated) on its first access, then cached.  That is
     what lets ``sched_pid_columns()`` read three of nine sched columns and
     ``ros_ts_range()`` a single ros column.
@@ -340,45 +330,191 @@ class _LazyColumns:
         return (self[index] for index in range(len(self._typecodes)))
 
 
+def transcode(data, source: str = "<segment bytes>") -> Tuple[bytes, int]:
+    """A segment of any version as a v3 segment with raw sections, and
+    the bytes inflated on the way -- the one code that knows the older
+    layouts.  The reader calls it at open for v1/v2; the segment cache
+    stores its output for every version.
+
+    v3 sections are inflated.  A v2 body (inflated, when compressed)
+    already is the v3 sections in file order, so it is cut at the
+    offsets its pid_map, string table and shape directory imply.  A v1
+    body is cut the same way; its payloads are all interned JSON, so
+    its ``data`` column becomes the ``vidx`` of JSON-fallback rows
+    beside a derived ``shape`` column, behind an empty shape directory.
+    Values are never re-encoded."""
+    (
+        version, flags, n_strings, n_pids, n_ros, n_sched, n_wakeup,
+        start, stop,
+    ) = unpack_header(data, source=source)
+    header = pack_header(n_strings, n_pids, n_ros, n_sched, n_wakeup, start, stop)
+    if version == VERSION:
+        sections = _Sections(data, source)
+        blobs = [
+            (kind, index, sections.raw(kind, index))
+            for kind, index in sections._entries
+        ]
+        return (
+            b"".join(pack_sections(header, blobs, compress=False)),
+            sections.bytes_inflated,
+        )
+    inflated = 0
+    if flags & FLAG_ZLIB_BODY:
+        try:
+            body = memoryview(zlib.decompress(data[HEADER.size:]))
+        except zlib.error as error:
+            raise StoreFormatError(
+                f"{source}: corrupt zlib body "
+                f"(at file offset {HEADER.size}): {error}"
+            ) from None
+        inflated = len(body)
+    else:
+        body = memoryview(data)[HEADER.size:]
+    section = "pid_map"
+    try:
+        _, strings_at = unpack_pid_map(body, 0, n_pids)
+        section = "string table"
+        _, offset = unpack_strings(body, strings_at, n_strings)
+        blobs = [
+            (SECTION_PID_MAP, 0, body[:strings_at]),
+            (SECTION_STRINGS, 0, body[strings_at:offset]),
+        ]
+        columns: List[Tuple[int, int, str, int]] = []  # kind, index, code, count
+        if version == VERSION_V1:
+            blobs.append((SECTION_SHAPES, 0, pack_shape_dir([])))
+            # (ts, pid, probe, data): data becomes vidx, column 4.
+            ros = zip((0, 1, 2, 4), ROS_COLUMNS)
+        else:
+            section = "shape directory"
+            shape_dir, end = unpack_shape_dir(body, offset)
+            blobs.append((SECTION_SHAPES, 0, body[offset:end]))
+            offset = end
+            stored = [
+                (FIELD_TYPECODES[ftype], count)
+                for fields, count in shape_dir
+                for _, ftype in fields if ftype != FIELD_NONE
+            ]
+            columns += [
+                (SECTION_PAYLOAD, index, code, count)
+                for index, (code, count) in enumerate(stored)
+            ]
+            ros = enumerate(ROS_COLUMNS_V2)
+        columns += [(SECTION_ROS, index, code, n_ros) for index, code in ros]
+        for kind, codes, count in (
+            (SECTION_SCHED, SCHED_COLUMNS, n_sched),
+            (SECTION_WAKEUP, WAKEUP_COLUMNS, n_wakeup),
+        ):
+            columns += [(kind, index, code, count) for index, code in enumerate(codes)]
+        for kind, index, code, count in columns:
+            end = offset + _ITEMSIZE[code] * count
+            blobs.append((kind, index, body[offset:end]))
+            offset = end
+        if offset > len(body):
+            raise StoreFormatError(
+                f"truncated segment body: need {offset} bytes, "
+                f"have {len(body)}"
+            )
+    except StoreFormatError as error:
+        raise StoreFormatError(f"{source}: {error}") from None
+    except (ValueError, TypeError, struct.error, IndexError) as error:
+        # A cut anywhere (pid_map, string table, shape directory)
+        # surfaces as one clear diagnosis, never a low-level error.
+        raise StoreFormatError(
+            f"{source}: corrupt or truncated segment (in {section}): {error}"
+        ) from None
+    if version == VERSION_V1:
+        position = 6  # pid_map, strings, shapes, ts, pid, probe | data
+        data_ids = np.frombuffer(blobs[position][2], dtype="<u4")
+        shape = np.where(data_ids == NONE_ID, data_ids, SHAPE_JSON)
+        blobs.insert(position, (SECTION_ROS, 3, shape.astype("<u4").tobytes()))
+    return b"".join(pack_sections(header, blobs, compress=False)), inflated
+
+
 class SegmentReader:
-    """One stored run (format v1, v2 or v3), decoded lazily from its
-    packed columns.  ``version`` exposes the file's format-version byte.
+    """One stored run, decoded lazily from its packed columns.
+    ``version`` is the file's format-version byte; a v1/v2 file is
+    transcoded to v3 at open (:func:`transcode`), then parsed as v3.
 
     ``bytes_inflated`` counts the raw bytes run through zlib so far (v3
-    counts per touched section; a compressed v1/v2 body counts fully up
-    front; uncompressed data counts nothing); ``body_bytes`` is the
-    segment's total raw body size, so ``bytes_inflated < body_bytes``
-    on a compressed segment demonstrates a selective read.
+    counts per touched section; a compressed v1/v2 body counts fully,
+    at open; uncompressed data counts nothing); ``body_bytes`` is the
+    v3 segment's total raw body size, so ``bytes_inflated < body_bytes``
+    on a compressed v3 segment demonstrates a selective read.
 
-    A reader owns no reference cycle: the v3 lazy column handles hold
-    the segment's :class:`_Sections`, never the reader.  The bulk
-    builds that read segments run with the cyclic collector paused
+    A reader owns no reference cycle: the lazy column handles hold the
+    segment's :class:`_Sections`, never the reader.  The bulk builds
+    that read segments run with the cyclic collector paused
     (:class:`~repro.core.gcpause.paused_gc`), so a dropped reader and
     its inflated sections are freed by reference counting alone."""
 
     def __init__(self, data, path: Optional[str] = None):
         self.path = path
-        self._source = path if path is not None else "<segment bytes>"
+        self._source = source = path if path is not None else "<segment bytes>"
         self.size_bytes = len(data)
         (
-            version, flags, n_strings, n_pids, n_ros, n_sched, n_wakeup,
+            version, _, n_strings, n_pids, n_ros, n_sched, n_wakeup,
             start, stop,
-        ) = unpack_header(data, source=self._source)
+        ) = unpack_header(data, source=source)
         self.version = version
         self.start_ts = start
         self.stop_ts = stop
         self.num_ros_events = n_ros
         self.num_sched_events = n_sched
         self.num_wakeup_events = n_wakeup
+        inflated = 0
+        if version < VERSION:
+            data, inflated = transcode(data, source)
+        # Eager: the directory and the small sections; event and payload
+        # columns stay lazy per-stream handles.
+        self._sections = sections = _Sections(data, source)
+        sections.bytes_inflated = inflated  # a transcoded compressed body
+        self.body_bytes = sections.body_bytes
         self._shapes: List[_Shape] = []
-        #: a v3 segment's sections; None for v1/v2 (one eager body).
-        self._sections: Optional[_Sections] = None
-        self._body_inflated = 0
-        if version >= 3:
-            self._init_v3(data, n_strings, n_pids, n_ros, n_sched, n_wakeup)
-        else:
-            self._init_body(data, flags, n_strings, n_pids, n_ros, n_sched,
-                            n_wakeup)
+        section = "pid_map"
+        try:
+            raw = sections.raw(SECTION_PID_MAP, 0)
+            self.pid_map, _ = unpack_pid_map(raw, 0, n_pids)
+            section = "string table"
+            raw = sections.raw(SECTION_STRINGS, 0)
+            self._strings, _ = unpack_strings(raw, 0, n_strings)
+            section = "shape directory"
+            raw = sections.raw(SECTION_SHAPES, 0)
+            shape_dir, _ = unpack_shape_dir(raw, 0)
+            strings = self._strings
+            payload_index = 0
+            for fields, count in shape_dir:
+                if count > n_ros:  # every shape row is one ROS row
+                    raise StoreFormatError(
+                        f"shape of {count} rows in a segment of {n_ros} "
+                        "ROS events"
+                    )
+                keys = tuple(strings[name_id] for name_id, _ in fields)
+                types = tuple(ftype for _, ftype in fields)
+                loaders: List[Optional[Callable[[], Sequence]]] = []
+                for ftype in types:
+                    if ftype == FIELD_NONE:
+                        loaders.append(None)
+                    else:
+                        loaders.append(sections.loader(
+                            FIELD_TYPECODES[ftype], count, payload_index
+                        ))
+                        payload_index += 1
+                self._shapes.append(_Shape(keys, types, count, loaders, strings))
+        except StoreFormatError as error:
+            message = str(error)
+            if not message.startswith(source):
+                message = f"{source}: {message}"
+            raise StoreFormatError(message) from None
+        except (ValueError, TypeError, struct.error, IndexError) as error:
+            raise StoreFormatError(
+                f"{source}: corrupt or truncated segment "
+                f"(in {section}): {error}"
+            ) from None
+        self._ros = _LazyColumns(sections, SECTION_ROS, ROS_COLUMNS_V2, n_ros)
+        self._sched = _LazyColumns(sections, SECTION_SCHED, SCHED_COLUMNS, n_sched)
+        self._wakeup = _LazyColumns(
+            sections, SECTION_WAKEUP, WAKEUP_COLUMNS, n_wakeup
+        )
         #: payload string id -> decoded mapping, shared across events
         #: (payloads are immutable by the TraceEvent contract); every
         #: JSON-fallback row (all rows of a v1 segment) decodes
@@ -391,126 +527,7 @@ class SegmentReader:
 
     @property
     def bytes_inflated(self) -> int:
-        sections = self._sections
-        return self._body_inflated if sections is None else sections.bytes_inflated
-
-    def _init_body(
-        self, data, flags: int, n_strings: int, n_pids: int,
-        n_ros: int, n_sched: int, n_wakeup: int,
-    ) -> None:
-        """v1/v2 parse: one (possibly deflated) body, eager sections;
-        v1 ROS columns are normalized to the v2 layout."""
-        if flags & FLAG_ZLIB_BODY:
-            try:
-                body: bytes = zlib.decompress(data[HEADER.size:])
-            except zlib.error as error:
-                raise StoreFormatError(
-                    f"{self._source}: corrupt zlib body "
-                    f"(at file offset {HEADER.size}): {error}"
-                ) from None
-        else:
-            body = memoryview(data)[HEADER.size:]
-        self._body = body
-        self.body_bytes = len(body)
-        if flags & FLAG_ZLIB_BODY:
-            self._body_inflated = len(body)
-        section = "pid_map"
-        offset = 0
-        try:
-            self.pid_map, offset = unpack_pid_map(body, 0, n_pids)
-            section = "string table"
-            self._strings, offset = unpack_strings(body, offset, n_strings)
-            if self.version >= 2:
-                section = "shape directory"
-                shape_dir, offset = unpack_shape_dir(body, offset)
-                section = "payload columns"
-                offset = self._read_shapes(shape_dir, offset)
-                ros_columns = ROS_COLUMNS_V2
-            else:
-                ros_columns = ROS_COLUMNS
-            section = "ros columns"
-            self._ros = self._read_section(ros_columns, n_ros, offset)
-            offset += sum(_ITEMSIZE[c] for c in ros_columns) * n_ros
-            section = "sched columns"
-            self._sched = self._read_section(SCHED_COLUMNS, n_sched, offset)
-            offset += sum(_ITEMSIZE[c] for c in SCHED_COLUMNS) * n_sched
-            section = "wakeup columns"
-            self._wakeup = self._read_section(WAKEUP_COLUMNS, n_wakeup, offset)
-            offset += sum(_ITEMSIZE[c] for c in WAKEUP_COLUMNS) * n_wakeup
-            if offset > len(body):
-                raise StoreFormatError(
-                    f"truncated segment body: need {offset} bytes, "
-                    f"have {len(body)}"
-                )
-        except StoreFormatError as error:
-            message = str(error)
-            if not message.startswith(self._source):
-                message = f"{self._source}: {message}"
-            raise StoreFormatError(message) from None
-        except IncompletePrefix as error:
-            raise StoreFormatError(
-                f"{self._source}: truncated segment "
-                f"(in {section}, body offset {offset}): {error}"
-            ) from None
-        except (ValueError, TypeError, struct.error, IndexError) as error:
-            # A cut anywhere (string table, column cast) surfaces as the
-            # same clear diagnosis instead of a low-level parse error.
-            raise StoreFormatError(
-                f"{self._source}: corrupt or truncated segment "
-                f"(in {section}, body offset {offset}): {error}"
-            ) from None
-        if self.version < 2:
-            self._ros = _v1_ros_as_v2(self._ros)
-
-    def _init_v3(
-        self, data, n_strings: int, n_pids: int,
-        n_ros: int, n_sched: int, n_wakeup: int,
-    ) -> None:
-        """v3 parse: section directory + small eager sections; event
-        and payload columns stay lazy per-stream handles."""
-        self._sections = sections = _Sections(data, self._source)
-        self.body_bytes = sections.body_bytes
-        section = "pid_map"
-        try:
-            raw = sections.raw(SECTION_PID_MAP, 0)
-            self.pid_map, _ = unpack_pid_map(raw, 0, n_pids)
-            section = "string table"
-            raw = sections.raw(SECTION_STRINGS, 0)
-            self._strings, _ = unpack_strings(raw, 0, n_strings)
-            section = "shape directory"
-            raw = sections.raw(SECTION_SHAPES, 0)
-            shape_dir, _ = unpack_shape_dir(raw, 0)
-        except StoreFormatError as error:
-            message = str(error)
-            if not message.startswith(self._source):
-                message = f"{self._source}: {message}"
-            raise StoreFormatError(message) from None
-        except (IncompletePrefix, ValueError, TypeError, struct.error,
-                IndexError) as error:
-            raise StoreFormatError(
-                f"{self._source}: corrupt or truncated segment "
-                f"(in {section}): {error}"
-            ) from None
-        strings = self._strings
-        payload_index = 0
-        for fields, count in shape_dir:
-            keys = tuple(strings[name_id] for name_id, _ in fields)
-            types = tuple(ftype for _, ftype in fields)
-            columns: List[Any] = []
-            for ftype in types:
-                if ftype == FIELD_NONE:
-                    columns.append(None)
-                else:
-                    columns.append(sections.loader(
-                        FIELD_TYPECODES[ftype], count, payload_index
-                    ))
-                    payload_index += 1
-            self._shapes.append(_Shape(keys, types, count, columns, strings))
-        self._ros = _LazyColumns(sections, SECTION_ROS, ROS_COLUMNS_V2, n_ros)
-        self._sched = _LazyColumns(sections, SECTION_SCHED, SCHED_COLUMNS, n_sched)
-        self._wakeup = _LazyColumns(
-            sections, SECTION_WAKEUP, WAKEUP_COLUMNS, n_wakeup
-        )
+        return self._sections.bytes_inflated
 
     @classmethod
     def open(cls, path: str, use_mmap: bool = False) -> "SegmentReader":
@@ -532,41 +549,10 @@ class SegmentReader:
         with open(path, "rb") as handle:
             return cls(handle.read(), path=path)
 
-    def _read_section(
-        self, typecodes: Sequence[str], count: int, offset: int
-    ) -> List[Sequence[int]]:
-        """Column views for one section (zero-copy casts on LE hosts)."""
-        columns: List[Sequence[int]] = []
-        view = memoryview(self._body)
-        for code in typecodes:
-            size = _ITEMSIZE[code] * count
-            raw = view[offset:offset + size]
-            if _BIG_ENDIAN:  # pragma: no cover - LE containers
-                columns.append(column_from_bytes(code, bytes(raw)))
-            else:
-                columns.append(raw.cast(code))
-            offset += size
-        return columns
-
-    def _read_shapes(self, shape_dir, offset: int) -> int:
-        """Build the :class:`_Shape` views of a v2 segment; returns the
-        offset past the payload columns."""
-        strings = self._strings
-        for fields, count in shape_dir:
-            keys = tuple(strings[name_id] for name_id, _ in fields)
-            types = tuple(ftype for _, ftype in fields)
-            stored = [t for t in types if t != FIELD_NONE]
-            views = iter(
-                self._read_section(
-                    [FIELD_TYPECODES[t] for t in stored], count, offset
-                )
-            )
-            offset += sum(_ITEMSIZE[FIELD_TYPECODES[t]] for t in stored) * count
-            columns: List[Optional[Sequence]] = [
-                None if t == FIELD_NONE else next(views) for t in types
-            ]
-            self._shapes.append(_Shape(keys, types, count, columns, strings))
-        return offset
+    def _corrupt(self, where: str, error: Exception) -> StoreFormatError:
+        return StoreFormatError(
+            f"{self._source}: corrupt segment (in {where}): {error}"
+        )
 
     # -- decoding ----------------------------------------------------------
 
@@ -579,12 +565,20 @@ class SegmentReader:
             # (no leading whitespace, no trailing bytes), so the bound C
             # scanner replaces json.loads' per-call dispatch -- ~2.4x
             # cheaper on the store's small payload documents.
-            payload = _SCAN_PAYLOAD(self._strings[data_id], 0)[0]
+            try:
+                payload = _SCAN_PAYLOAD(self._strings[data_id], 0)[0]
+            except (ValueError, StopIteration):  # no JSON value at 0
+                payload = None
+            if type(payload) is not dict:
+                raise StoreFormatError(
+                    f"{self._source}: corrupt segment: payload string "
+                    f"{data_id} is not a JSON object"
+                )
             self._payload_cache[data_id] = payload
         return payload
 
     def _payload_at(self, sid: int, vidx: int) -> Dict[str, Any]:
-        """One v2 row's payload from its (shape, vidx) coordinates."""
+        """One row's payload from its (shape, vidx) coordinates."""
         if sid == NONE_ID:
             return {}
         if sid == SHAPE_JSON:
@@ -600,12 +594,15 @@ class SegmentReader:
             wanted = pids if isinstance(pids, frozenset) else frozenset(pids)
         ts_col, pid_col, probe_col, shape_col, vidx_col = self._ros
         payload = self._payload_at
-        for i in range(self.num_ros_events):
-            if wanted is None or pid_col[i] in wanted:
-                yield TraceEvent(
-                    ts_col[i], pid_col[i], strings[probe_col[i]],
-                    payload(shape_col[i], vidx_col[i]),
-                )
+        try:
+            for i in range(self.num_ros_events):
+                if wanted is None or pid_col[i] in wanted:
+                    yield TraceEvent(
+                        ts_col[i], pid_col[i], strings[probe_col[i]],
+                        payload(shape_col[i], vidx_col[i]),
+                    )
+        except IndexError as error:  # a string, shape or row id past its table
+            raise self._corrupt("ros columns", error) from None
 
     def ros_ts_range(self) -> Optional[Tuple[int, int]]:
         """(first, last) ROS timestamp, or None for an eventless run --
@@ -619,7 +616,7 @@ class SegmentReader:
         """The columnar Alg. 1 input, resolved in bulk by
         :func:`~repro.store.index._resolve` for the trace index and the
         latency index alike: the ``(ts, pid, probe, shape, vidx)``
-        columns (v1 segments arrive normalized to this layout), the
+        columns (v1 segments arrive transcoded to this layout), the
         per-string-id code/CB-type tables, the :class:`_Shape` list
         (bulk typed-column payload rows, materialized lazily per shape)
         and the bound JSON decoder for fallback rows.
@@ -637,36 +634,41 @@ class SegmentReader:
         :class:`SchedSwitch` objects -- which
         :class:`~repro.store.index.StoreTraceIndex` buckets in bulk
         into per-PID :class:`~repro.core.exec_time.SchedIndex`
-        buckets.  On v3 segments only those three of the nine sched
-        streams inflate."""
+        buckets.  Only those three of the nine sched streams inflate."""
         return self._sched[0], self._sched[2], self._sched[6]
 
     def wakeup_pid_columns(self) -> Tuple[Sequence, Sequence]:
         """The ``(ts, pid)`` sched_wakeup columns -- no
         :class:`SchedWakeup` objects, and the only wakeup fields
-        :class:`~repro.analysis.latency.LatencyIndex` consumes.  On v3
-        segments the other three wakeup streams never inflate."""
+        :class:`~repro.analysis.latency.LatencyIndex` consumes.  The
+        other three wakeup streams never inflate."""
         return self._wakeup[0], self._wakeup[2]
 
     def iter_sched(self) -> Iterator[SchedSwitch]:
         ts, cpu, prev_pid, prev_comm, prev_prio, prev_state, next_pid, next_comm, next_prio = self._sched
         strings = self._strings
-        for i in range(self.num_sched_events):
-            yield SchedSwitch(
-                ts[i], cpu[i], prev_pid[i], strings[prev_comm[i]], prev_prio[i],
-                strings[prev_state[i]], next_pid[i], strings[next_comm[i]],
-                next_prio[i],
-            )
+        try:
+            for i in range(self.num_sched_events):
+                yield SchedSwitch(
+                    ts[i], cpu[i], prev_pid[i], strings[prev_comm[i]],
+                    prev_prio[i], strings[prev_state[i]], next_pid[i],
+                    strings[next_comm[i]], next_prio[i],
+                )
+        except IndexError as error:
+            raise self._corrupt("sched columns", error) from None
 
     def iter_wakeups(self) -> Iterator[SchedWakeup]:
         ts, cpu, pid, comm, prio = self._wakeup
         strings = self._strings
-        for i in range(self.num_wakeup_events):
-            cpu_value = cpu[i]
-            yield SchedWakeup(
-                ts[i], None if cpu_value == NONE_CPU else cpu_value, pid[i],
-                strings[comm[i]], prio[i],
-            )
+        try:
+            for i in range(self.num_wakeup_events):
+                cpu_value = cpu[i]
+                yield SchedWakeup(
+                    ts[i], None if cpu_value == NONE_CPU else cpu_value,
+                    pid[i], strings[comm[i]], prio[i],
+                )
+        except IndexError as error:
+            raise self._corrupt("wakeup columns", error) from None
 
     # -- aggregate views ---------------------------------------------------
 

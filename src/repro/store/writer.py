@@ -24,9 +24,11 @@ depend on how the stream was cut into calls.  Every new column is
 packed and checked before any spool column grows, so an append that
 raises leaves the spool as it was.
 
-The writer emits format v3 only (see :mod:`repro.store.format`); v1
-and v2 segments from older stores stay readable, and
-``TraceStore.convert_legacy(upgrade=True)`` lifts them to v3.  Payloads
+The writer emits format v3 only (see :mod:`repro.store.format`).  v1
+and v2 segments from older stores are transcoded to v3 when a reader
+opens them, :func:`decompress_segment` writes that v3 transcoding as
+the segment cache's copy, and ``TraceStore.convert_legacy(upgrade=True)``
+rewrites them as v3 on disk.  Payloads
 are schema-inferred during spooling: each payload dict whose values fit
 the closed scalar schema is classified into a *shape* -- the ordered
 ``(key, type)`` tuple -- and its values append to that shape's typed
@@ -43,7 +45,6 @@ from __future__ import annotations
 
 import json
 import os
-import zlib
 from array import array
 from itertools import chain, compress, count, filterfalse, repeat
 from operator import is_, itemgetter, not_
@@ -59,14 +60,10 @@ from .format import (
     FIELD_NONE,
     FIELD_STR,
     FIELD_TYPECODES,
-    FLAG_ZLIB_BODY,
-    HEADER,
     NONE_CPU,
     NONE_ID,
     ROS_COLUMNS_V2,
     SCHED_COLUMNS,
-    SECTION_COMP_RAW,
-    SECTION_COMP_ZLIB,
     SECTION_PAYLOAD,
     SECTION_PID_MAP,
     SECTION_ROS,
@@ -75,19 +72,15 @@ from .format import (
     SECTION_STRINGS,
     SECTION_WAKEUP,
     SHAPE_JSON,
-    SectionEntry,
-    VERSION,
     WAKEUP_COLUMNS,
-    ZLIB_LEVEL,
     column_bytes,
     pack_header,
     pack_pid_map,
-    pack_section_dir,
+    pack_sections,
     pack_shape_dir,
     pack_strings,
-    unpack_header,
-    unpack_section_dir,
 )
+from .reader import transcode
 
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
@@ -504,45 +497,25 @@ class SegmentSpool:
     ) -> int:
         """Write the packed segment to ``handle``; returns bytes written.
 
-        Header, section directory, then one stream per section.
-        ``compress`` (default) deflates each section independently, so
-        readers inflate only what they touch; a section deflate does
-        not shrink (tiny ones) stays raw with ``comp`` 0.  ``False``
-        keeps every section raw for zero-copy readers.
+        Header, section directory, then one stream per section (see
+        :func:`~repro.store.format.pack_sections`).  ``compress``
+        (default) deflates each section independently, so readers
+        inflate only what they touch; ``False`` keeps every section raw
+        for zero-copy readers.
         """
-        entries: List[SectionEntry] = []
-        streams: List[bytes] = []
-        offset = 0
-        for kind, index, raw in self._section_blobs(pid_map):
-            comp = SECTION_COMP_RAW
-            data = raw
-            if compress and raw:
-                deflated = zlib.compress(raw, ZLIB_LEVEL)
-                if len(deflated) < len(raw):
-                    comp = SECTION_COMP_ZLIB
-                    data = deflated
-            entries.append(
-                SectionEntry(kind, comp, index, offset, len(data), len(raw))
-            )
-            streams.append(data)
-            offset += len(data)
-        written = handle.write(
-            pack_header(
-                len(self.strings),
-                len(pid_map),
-                len(self._ros[0]),
-                len(self._sched[0]),
-                len(self._wakeup[0]),
-                start_ts,
-                stop_ts,
-                flags=0,
-                version=VERSION,
-            )
+        # The blobs first: interning the shape field names may grow the
+        # string table the header counts.
+        blobs = self._section_blobs(pid_map)
+        header = pack_header(
+            len(self.strings),
+            len(pid_map),
+            len(self._ros[0]),
+            len(self._sched[0]),
+            len(self._wakeup[0]),
+            start_ts,
+            stop_ts,
         )
-        written += handle.write(pack_section_dir(entries))
-        for data in streams:
-            written += handle.write(data)
-        return written
+        return sum(map(handle.write, pack_sections(header, blobs, compress)))
 
     def finish_path(
         self,
@@ -596,50 +569,21 @@ def encode_trace(trace: Trace, compress: bool = True) -> bytes:
 
 
 def decompress_segment(src: str, dst: str) -> int:
-    """Rewrite segment ``src`` as an uncompressed same-version copy at
-    ``dst``; returns bytes written.
+    """Rewrite segment ``src`` as an uncompressed v3 copy at ``dst``;
+    returns bytes written.
 
-    Value-preserving by construction -- the body bytes are the inflated
-    originals, never re-encoded -- so a reader over the copy sees the
-    exact columns of the source.  This is the materialization step of
-    the store's mmap-backed segment cache: an uncompressed segment's
-    columns are zero-copy ``memoryview`` casts, so repeated synthesis
-    over the same store reads straight from the page cache.
+    The copy is :func:`~repro.store.reader.transcode`'s output:
+    value-preserving by construction (v3 sections are the inflated
+    originals, v1/v2 bodies are cut into the same sections, never
+    re-encoded), so a reader over the copy sees the exact columns of
+    the source.  This is the materialization step of the store's
+    mmap-backed segment cache: an uncompressed segment's columns are
+    zero-copy ``memoryview`` casts, so repeated synthesis over the same
+    store reads straight from the page cache, and every cache entry
+    parses as v3 whatever the source's version.
     """
     with open(src, "rb") as handle:
-        data = handle.read()
-    version, flags, *_ = unpack_header(data, source=src)
-    if version >= 3:
-        entries, body_start = unpack_section_dir(data, HEADER.size)
-        sections: List[bytes] = []
-        new_entries: List[SectionEntry] = []
-        offset = 0
-        for entry in entries:
-            raw = data[
-                body_start + entry.offset:
-                body_start + entry.offset + entry.comp_len
-            ]
-            if entry.comp == SECTION_COMP_ZLIB:
-                raw = zlib.decompress(raw)
-            new_entries.append(
-                entry._replace(
-                    comp=SECTION_COMP_RAW, offset=offset,
-                    comp_len=len(raw), raw_len=len(raw),
-                )
-            )
-            sections.append(raw)
-            offset += len(raw)
-        payload = b"".join(
-            [data[:HEADER.size], pack_section_dir(new_entries), *sections]
-        )
-    elif flags & FLAG_ZLIB_BODY:
-        # Clear the body-stream flag; every other header field (counts,
-        # timestamps, version) stays byte-identical.
-        fields = list(HEADER.unpack_from(data, 0))
-        fields[2] &= ~FLAG_ZLIB_BODY
-        payload = HEADER.pack(*fields) + zlib.decompress(data[HEADER.size:])
-    else:
-        payload = data
+        payload, _ = transcode(handle.read(), src)
     # Per-process staging name: processes opening one cached store may
     # race to materialize the same cache entry, and the atomic replace
     # makes the last finisher win with a complete file either way.

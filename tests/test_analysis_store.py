@@ -14,6 +14,8 @@ scenario, over time-ordered and overlapping stores.
 """
 
 import dataclasses
+import subprocess
+import sys
 from itertools import chain
 from operator import itemgetter
 
@@ -379,6 +381,26 @@ class TestStoreAnalysisHandle:
         analysis.chain_latencies(_write_topics(merged)[:2])
         analysis.waiting_times(sorted(merged.pid_map)[0])
         assert len(resolved) == len(store.run_ids()) == RUNS
+
+    def test_fresh_analysis_never_imports_numpy_ma(self, stores):
+        """The builds' distinct-value scans sort and mask instead of
+        calling ``np.unique``, which imports ``numpy.ma`` (~12 ms) on
+        its first call in a process: a fresh interpreter's model and
+        chain-latency report leave it unimported."""
+        store, _ = stores["syn"]
+        script = "\n".join([
+            "import sys",
+            "from repro.analysis import StoreAnalysis",
+            f"analysis = StoreAnalysis({store.directory!r})",
+            "analysis.dag",
+            "assert analysis.chain_latencies(['/t1'])",
+            "print('numpy.ma' in sys.modules)",
+        ])
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            check=True, capture_output=True, text=True,
+        )
+        assert result.stdout.strip() == "False"
 
     def test_accepts_directory_path(self, stores):
         store, _ = stores["syn"]

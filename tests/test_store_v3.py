@@ -14,7 +14,7 @@ import zlib
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cli import main
 from repro.core import dag_from_runs, dag_to_json, synthesize_from_trace, to_dot
@@ -43,8 +43,8 @@ from repro.store.format import (
     VERSION_V1,
     VERSION_V2,
 )
-from repro.store.index import _resolve
-from repro.store.reader import peek_sections
+from repro.store.index import _resolve, resolve_run
+from repro.store.reader import peek_sections, transcode
 from repro.sim import SchedSwitch
 from repro.tracing.events import (
     CB_START_PROBES,
@@ -613,6 +613,130 @@ class TestSectionErrorDiagnostics:
         with pytest.raises(StoreFormatError) as excinfo:
             SegmentReader.open(path)
         assert "pid_map" in str(excinfo.value)
+
+
+# ---------------------------------------------------------------------------
+# v1/v2 -> v3 transcoding at open (the one parse path)
+# ---------------------------------------------------------------------------
+
+
+class TestTranscoder:
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_v2_transcodes_to_the_uncompressed_v3_bytes(self, syn_trace, compress):
+        """A v2 body already is the v3 sections in file order: cutting
+        it gives exactly what the writer emits uncompressed."""
+        v3, _ = transcode(encode_as(syn_trace, VERSION_V2, compress=compress))
+        assert v3 == encode_trace(syn_trace, compress=False)
+
+    @pytest.mark.parametrize("version", [VERSION_V1, VERSION_V2])
+    def test_committed_fixtures_transcode_to_v3(self, version):
+        data = (DATA_DIR / f"golden_v{version}.trace.bin").read_bytes()
+        v3, _ = transcode(data)
+        reader = SegmentReader(v3)
+        assert reader.version == VERSION
+        expected = load_trace(str(DATA_DIR / "golden_v1.trace.json.gz"))
+        assert reader.to_trace().to_dict() == expected.to_dict()
+        assert SegmentReader(data).version == version  # the on-disk byte
+
+    @pytest.mark.parametrize("version", [VERSION_V1, VERSION_V2])
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_old_body_counts_as_inflated_at_open(self, syn_trace, version, compress):
+        data = encode_as(syn_trace, version, compress=compress)
+        reader = SegmentReader(data)
+        body = zlib.decompress(data[HEADER.size:]) if compress else b""
+        assert reader.bytes_inflated == len(body)
+        reader.to_trace()
+        assert reader.bytes_inflated == len(body)  # sections are raw
+
+    @pytest.mark.parametrize("version", [VERSION_V1, VERSION_V2])
+    @pytest.mark.parametrize("compress", [False, True])
+    def test_cache_entry_is_v3_and_synthesizes_like_the_source(
+        self, fusion_traces, tmp_path, version, compress
+    ):
+        directory = tmp_path / "s"
+        directory.mkdir()
+        for index, trace in enumerate(fusion_traces[:2]):
+            write_as(
+                trace, str(directory / f"run{index:03d}{SEGMENT_SUFFIX}"),
+                version, compress=compress,
+            )
+        cache = tmp_path / "cache"
+        cached = TraceStore(str(directory), cache_dir=str(cache))
+        assert all(cached.format_version(r) == version for r in cached.run_ids())
+        expected = dag_to_json(synthesize_from_store(TraceStore(str(directory))))
+        assert dag_to_json(synthesize_from_store(cached)) == expected
+        entries = sorted(cache.iterdir())
+        assert len(entries) == 2
+        assert all(peek_header(str(entry))[0] == VERSION for entry in entries)
+        reader = cached.open("run000")
+        assert reader.version == VERSION and reader.bytes_inflated == 0
+
+
+#: The golden trace in every format, compressed or not (see
+#: :func:`_garbled`).
+_ENCODED = {}
+
+
+def _garbled(version, compress, cut, flips):
+    """The golden trace's ``version`` encoding with ``flips`` (position,
+    byte) applied, then cut to ``cut`` bytes (positions wrap)."""
+    key = (version, compress)
+    if key not in _ENCODED:
+        trace = load_trace(str(DATA_DIR / "golden_v1.trace.json.gz"))
+        _ENCODED[key] = encode_as(trace, version, compress=compress)
+    data = bytearray(_ENCODED[key])
+    for position, value in flips:
+        data[position % len(data)] = value
+    if cut is not None:
+        data = data[:cut % len(data)]
+    return bytes(data)
+
+
+class TestGarbledSegments:
+    """Truncated or byte-flipped segments of every format diagnose as
+    :class:`StoreFormatError` -- at open, when resolved, and when
+    materialized -- and never leak another exception type."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        version=st.sampled_from([VERSION_V1, VERSION_V2, VERSION]),
+        compress=st.booleans(),
+        cut=st.none() | st.integers(min_value=0, max_value=4096),
+        flips=st.lists(
+            st.tuples(st.integers(0, 4095), st.integers(0, 255)), max_size=3
+        ),
+    )
+    # A shape field name id outside the string table (n_strings zeroed).
+    @example(version=VERSION, compress=False, cut=None, flips=[(12, 0)])
+    # String, shape or row ids outside their tables.
+    @example(version=VERSION_V1, compress=False, cut=None, flips=[(20, 0)])
+    @example(version=VERSION_V2, compress=True, cut=None, flips=[(20, 0)])
+    @example(version=VERSION, compress=True, cut=None, flips=[(152, 0)])
+    # A fallback payload that is not JSON, or has no JSON value at all.
+    @example(version=VERSION_V1, compress=False, cut=None, flips=[(120, 0)])
+    @example(version=VERSION_V1, compress=False, cut=None, flips=[(119, 0)])
+    @example(version=VERSION_V2, compress=False, cut=None, flips=[(487, 0)])
+    @example(version=VERSION, compress=False, cut=None, flips=[(1443, 0)])
+    # A fallback payload that is JSON, but not an object.
+    @example(version=VERSION_V1, compress=False, cut=None, flips=[(119, 0x35)])
+    def test_only_store_format_errors(self, version, compress, cut, flips):
+        data = _garbled(version, compress, cut, flips)
+        try:
+            reader = SegmentReader(data)
+            resolve_run(reader)
+            reader.to_trace()
+        except StoreFormatError:
+            pass  # the only acceptable failure type
+
+    def test_store_load_names_the_path(self, tmp_path):
+        path = str(tmp_path / f"run000{SEGMENT_SUFFIX}")
+        with open(path, "wb") as handle:
+            handle.write(_garbled(VERSION_V1, False, None, [(120, 0)]))
+        store = TraceStore(str(tmp_path))
+        for action in (lambda: store.load("run000"), store.merged_trace,
+                       lambda: store.convert_legacy(upgrade=True)):
+            with pytest.raises(StoreFormatError, match="run000"):
+                action()
 
 
 # ---------------------------------------------------------------------------
