@@ -39,7 +39,6 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from heapq import merge as _heap_merge
-from itertools import repeat
 from operator import itemgetter
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -50,6 +49,8 @@ from ..core.index import (
     CODE_CB_START,
     CODE_DDS_WRITE,
     CODE_TAKE,
+    F_SRC_TS,
+    F_TOPIC,
     TopicKey,
 )
 from ..store.index import _resolve, _spans_are_ordered
@@ -162,15 +163,19 @@ class LatencyIndex:
         def per_pid(mask: np.ndarray) -> Dict[int, int]:
             return dict(zip(cb_pid[mask].tolist(), cb_ts[mask].tolist()))
 
+        last = np.ones(len(cb), dtype=bool)  # the PID's last CB row
+        last[:-1] = first[1:]
         #: pid -> start of the CB instance still open at the stream end.
-        self._open_tail = per_pid(np.roll(first, -1) & is_start)
+        self._open_tail = per_pid(last & is_start)
         #: pid -> ts of the first CB end seen before any CB start of the
         #: PID (the end of an instance begun before this stream).
         self._lead_end = per_pid(first & ~is_start)
         self._cb_starts = _split(cb_pid[is_start], cb_ts[is_start].tolist())
         # A window is an end right after a start of its PID; windows go
         # in start order per PID (a stable sort: the defensive one).
-        ends = np.flatnonzero(~is_start & ~first & np.roll(is_start, 1))
+        after_start = np.zeros(len(cb), dtype=bool)
+        after_start[1:] = is_start[:-1]
+        ends = np.flatnonzero(~is_start & ~first & after_start)
         ends = ends[np.lexsort((cb_ts[ends - 1], cb_pid[ends]))]
         starts = cb_ts[ends - 1].tolist()
         self._windows = _split(cb_pid[ends], list(zip(starts, cb_ts[ends].tolist())))
@@ -186,8 +191,8 @@ class LatencyIndex:
         row_ts, row_pid, row_code, payloads = (
             column[rows].tolist() for column in (ts_np, pid_np, code_np, aux)
         )
-        topics = list(map(dict.get, payloads, repeat("topic")))
-        hops = list(zip(row_ts, map(dict.get, payloads, repeat("src_ts"))))
+        topics = list(map(itemgetter(F_TOPIC), payloads))
+        hops = list(zip(row_ts, map(itemgetter(F_SRC_TS), payloads)))
         writes = self._writes
         writes_by_topic = self._writes_by_topic
         takes_by_key = self._takes_by_key
@@ -295,9 +300,7 @@ class LatencyIndex:
     @classmethod
     def from_trace(cls, trace: Trace) -> "LatencyIndex":
         segment = InMemorySegment(trace)
-        return cls(
-            _resolve(segment.walk_fastpath()), segment.wakeup_pid_columns()
-        )
+        return cls(_resolve(segment), segment.wakeup_pid_columns())
 
     # -- lookups -----------------------------------------------------------
 

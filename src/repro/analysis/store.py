@@ -78,7 +78,7 @@ def latency_fragment(
     has them.  Its :attr:`~LatencyIndex.span` is the run's ROS ts range
     when ``pids`` is None."""
     if columns is None:
-        columns = _resolve(reader.walk_fastpath())
+        columns = _resolve(reader)
     return LatencyIndex(columns, reader.wakeup_pid_columns(), pids)
 
 

@@ -16,25 +16,25 @@ events with ``start < t < end`` strictly and unconditionally closes the
 final segment at ``end``.  On a discrete-time simulator a dispatch can
 coincide *exactly* with the CB-end probe (the thread resumes and
 finishes the callback at the same nanosecond), which would leave a
-stale segment start and over-count.  Both implementations therefore
-track an explicit running flag with inclusive boundaries; on real
-traces (where probe instructions always execute strictly after the
-dispatch) the two formulations are identical.
+stale segment start and over-count.  Alg. 2 here therefore tracks an
+explicit running flag with inclusive boundaries; on real traces (where
+probe instructions always execute strictly after the dispatch) the two
+formulations are identical.
 
-:func:`get_exec_time` is the direct one-shot translation;
-:class:`SchedIndex` is the production fast path.  It stores *columnar*
+Alg. 2 has one implementation, :meth:`SchedIndex.exec_times`: every
+callback window of a walk in one vectorized call over *columnar*
 per-PID buckets -- an ``array('q')`` of timestamps and a parallel
-``bytearray`` of open/close flags -- so a window query binary-searches
-plain integers and folds without touching a single
-:class:`SchedSwitch` object.  Equivalence with the literal algorithm
-(and with the frozen pre-columnar index in :mod:`repro._legacy`) is
-enforced by property-based tests.
+``bytearray`` of open/close flags -- that never touches a
+:class:`SchedSwitch` object.  :meth:`SchedIndex.exec_time` is its
+one-window call.  :func:`get_exec_time` is the paper's algorithm
+translated line by line over a raw event list: the oracle the
+property tests hold the batched pass (and the frozen pre-columnar
+index in :mod:`repro._legacy`) to.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right
 from operator import itemgetter
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -48,24 +48,18 @@ from ..sim.scheduler import SchedSwitch
 _CLOSES = 1
 _OPENS = 2
 
-#: Window sizes below this stay on the bisect fold: the numpy call
-#: overhead only amortizes over larger slices (measured on the perf
-#: harness; correctness does not depend on the value, but it must stay
-#: >= 1 -- the vectorized integral needs a non-empty window).
-MIN_VECTOR_ROWS = 64
 
-
-def _fold_segments(
-    start: int, end: int, pid: int, events: Iterable[SchedSwitch]
+def get_exec_time(
+    start: int, end: int, pid: int, sched_events: Sequence[SchedSwitch]
 ) -> int:
-    """Shared folding core: sum execution segments inside [start, end].
-
-    ``events`` must be time-ordered and may contain unrelated PIDs.
-    """
+    """Alg. 2 over a raw event list (sorted internally, as the paper's
+    line 3 does): sum the execution segments inside [start, end]."""
+    if end < start:
+        raise ValueError(f"end {end} precedes start {start}")
     exec_time = 0
     last_start = start
     running = True  # the CB-start probe fired in the thread's context
-    for event in events:
+    for event in sorted(sched_events, key=lambda e: e.ts):
         if event.ts < start:
             continue
         if event.ts > end:
@@ -79,18 +73,6 @@ def _fold_segments(
     if running:
         exec_time += end - last_start
     return exec_time
-
-
-def get_exec_time(
-    start: int, end: int, pid: int, sched_events: Sequence[SchedSwitch]
-) -> int:
-    """Alg. 2 over a raw event list (sorted internally, as the paper's
-    line 3 does)."""
-    if end < start:
-        raise ValueError(f"end {end} precedes start {start}")
-    return _fold_segments(
-        start, end, pid, sorted(sched_events, key=lambda e: e.ts)
-    )
 
 
 def column(records: Sequence[Any], field: int, dtype: Any) -> np.ndarray:
@@ -174,15 +156,54 @@ def sched_buckets(
     return buckets
 
 
+def _prefix_sum(values: np.ndarray) -> np.ndarray:
+    """``out[k]`` = the sum of ``values[:k]``."""
+    out = np.zeros(len(values) + 1, dtype=np.int64)
+    np.cumsum(values, out=out[1:])
+    return out
+
+
+def _window_bounds(
+    ts: np.ndarray,
+    sizes: np.ndarray,
+    rank: np.ndarray,
+    starts: np.ndarray,
+    ends: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Each window's event bounds ``[lo, hi)`` in ``ts``, the
+    concatenated buckets of ``sizes`` events each; window ``i`` reads
+    bucket ``rank[i]``.
+
+    Every bucket is shifted onto its own stretch of one ascending int64
+    key axis -- its events and its windows' bounds, clipped to just
+    outside the bucket, alike -- so one ``searchsorted`` pair bounds
+    every window.  The stretches add up to the buckets' time spans:
+    ValueError when they would not fit the axis (more than 2**61 ns,
+    73 years, of scheduling)."""
+    first = np.cumsum(sizes) - sizes
+    low, high = ts[first], ts[first + sizes - 1]
+    width = float(np.sum(high.astype(float) - low.astype(float) + 3))
+    if not (width < 2.0**61 and -2.0**61 < low.min() and high.max() < 2.0**61):
+        raise ValueError(
+            "sched timestamps span more than 2**61 ns: "
+            f"[{int(low.min())}, {int(high.max())}]"
+        )
+    spans = high - low + 3
+    base = (np.cumsum(spans) - spans + 1) - low
+    keys = ts + np.repeat(base, sizes)
+    low, high, base = low[rank], high[rank], base[rank]
+    lo = np.searchsorted(keys, np.clip(starts, low - 1, high + 1) + base, "left")
+    hi = np.searchsorted(keys, np.clip(ends, low - 1, high + 1) + base, "right")
+    return lo, hi
+
+
 class SchedIndex:
     """Columnar per-PID index over sched_switch events for Alg. 2.
 
     For every PID mentioned by the stream the index keeps two parallel
     columns: event timestamps (``array('q')``) and open/close flag bits
-    (``bytearray``).  A window query binary-searches the timestamp
-    column and folds over machine integers, making per-instance cost
-    O(log n + segments) with none of the per-event attribute lookups of
-    the object-walking variant.
+    (``bytearray``).  :meth:`exec_times` measures any number of windows
+    in one pass over the queried PIDs' columns.
 
     Bucket order matches the pre-columnar implementation exactly: the
     stream is stable-sorted by timestamp and bucketed by
@@ -196,9 +217,6 @@ class SchedIndex:
         self._buckets: Dict[int, Tuple[array, bytearray]] = sched_buckets(
             *sched_columns(sched_events)
         )
-        #: pid -> zero-copy numpy views of the (frozen) bucket columns,
-        #: built lazily on the first large-window query.
-        self._np_views: Dict[int, Tuple] = {}
 
     @classmethod
     def from_buckets(
@@ -212,87 +230,106 @@ class SchedIndex:
         """
         index = cls.__new__(cls)
         index._buckets = dict(buckets)
-        index._np_views = {}
         return index
 
     def pids(self) -> List[int]:
         return sorted(self._buckets)
 
     def exec_time(self, start: int, end: int, pid: int) -> int:
-        """Alg. 2 over the indexed window (identical result, fast)."""
-        if end < start:
-            raise ValueError(f"end {end} precedes start {start}")
-        bucket = self._buckets.get(pid)
-        if bucket is None:
-            return end - start
-        times, flags = bucket
-        lo = bisect_left(times, start)
-        hi = bisect_right(times, end)
-        # Typical callback windows span a handful of switches, where the
-        # scalar fold wins; wide windows (long-running callbacks, the
-        # analysis reports) amortize the vectorized integral below.
-        if hi - lo >= MIN_VECTOR_ROWS:
-            return self._exec_time_np(start, end, pid, lo, hi)
-        exec_time = 0
-        last_start = start
-        running = True  # the CB-start probe fired in the thread's context
-        for i in range(lo, hi):
-            flag = flags[i]
-            if running:
-                if flag & _CLOSES:
-                    exec_time += times[i] - last_start
-                    running = False
-            elif flag & _OPENS:
-                last_start = times[i]
-                running = True
-        if running:
-            exec_time += end - last_start
-        return exec_time
+        """Alg. 2 over one window: :meth:`exec_times` of that window."""
+        return int(self.exec_times((pid,), (start,), (end,))[0])
 
-    def _exec_time_np(self, start: int, end: int, pid: int, lo: int, hi: int) -> int:
-        """The fold as a vectorized integral of the running state.
+    def exec_times(
+        self,
+        pids: Sequence[int],
+        starts: Sequence[int],
+        ends: Sequence[int],
+    ) -> np.ndarray:
+        """Alg. 2 over many windows at once: the execution time of PID
+        ``pids[i]`` inside ``[starts[i], ends[i]]``, for every ``i``, as
+        an int64 array.  Windows may come in any order, overlap, share
+        bounds or be empty; a PID without a bucket ran throughout.
 
-        The scalar fold's state after each event is forced by close-only
-        events (False) and open-only events (True), and *toggled* by
-        close+open self-switches (running -> closed -> the next one
-        reopens); this holds for arbitrary flag sequences, not just
-        well-formed ones, so the rewrite is exactly the fold.  The
-        summed execution time equals the integral of that
-        piecewise-constant state over [start, end] with the initial
-        state running=True -- three numpy scans (last forced event,
-        toggle parity, masked diff sum) instead of a Python loop over
-        the window.
+        The queried PIDs' buckets are copied into one event sequence
+        ordered by ``(pid, ts)`` (a copy, so no bucket stays pinned),
+        and one ``searchsorted`` pair bounds every window in it (see
+        :func:`_window_bounds`).  The running state after each event is
+        then *forced* by close-only (False) and open-only (True) events
+        and *toggled* by close+open self-switches, as in the literal
+        fold.  A window starts running,
+        so until its first forced event its state alternates with each
+        toggle, and from that event on it equals the state anchored at
+        the last forced event, which no window changes.  Prefix sums of
+        the inter-event gaps -- per state, and per index parity for the
+        alternating stretch -- turn every window's integral into a few
+        gathers.
         """
-        views = self._np_views.get(pid)
-        if views is None:
-            times, flags = self._buckets[pid]
-            views = self._np_views[pid] = (
-                np.frombuffer(times, dtype=np.int64),
-                np.frombuffer(flags, dtype=np.uint8),
+        pid_np = np.asarray(pids, dtype=np.int64)
+        start_np = np.asarray(starts, dtype=np.int64)
+        end_np = np.asarray(ends, dtype=np.int64)
+        late = np.flatnonzero(end_np < start_np)
+        if len(late):
+            first = late[0]
+            raise ValueError(
+                f"end {int(end_np[first])} precedes start {int(start_np[first])}"
             )
-        window_ts = views[0][lo:hi]
-        window_flags = views[1][lo:hi]
-        n = hi - lo
-        toggles = window_flags == (_CLOSES | _OPENS)
-        last_forced = np.maximum.accumulate(
-            np.where(toggles, -1, np.arange(n))
+        result = end_np - start_np  # no events inside: running throughout
+        buckets = self._buckets
+        queried = [
+            pid for pid in distinct(pid_np) if pid in buckets and buckets[pid][0]
+        ]
+        if not queried:
+            return result
+        # The queried buckets, ordered by (pid, ts), copied by one join
+        # each: no view on a bucket outlives the call.
+        columns = [buckets[pid] for pid in queried]
+        ts = np.frombuffer(b"".join([column[0] for column in columns]), np.int64)
+        flags = np.frombuffer(b"".join([column[1] for column in columns]), np.uint8)
+        sizes = np.fromiter(
+            (len(times) for times, _ in columns), np.int64, len(columns)
         )
+        queried_np = np.asarray(queried, dtype=np.int64)
+        rank = np.minimum(np.searchsorted(queried_np, pid_np), len(queried) - 1)
+        in_bucket = np.flatnonzero(queried_np[rank] == pid_np)
+        lo, hi = _window_bounds(
+            ts, sizes, rank[in_bucket], start_np[in_bucket], end_np[in_bucket]
+        )
+        inside = hi > lo
+        lo, hi, inside = lo[inside], hi[inside], in_bucket[inside]
+        if not len(inside):
+            return result
+        n = len(ts)
+        positions = np.arange(n)
+        toggles = flags == (_CLOSES | _OPENS)
+        anchor = np.maximum.accumulate(np.where(toggles, 0, positions))
+        next_forced = np.minimum.accumulate(
+            np.where(toggles, n, positions)[::-1]
+        )[::-1]
         toggle_count = np.cumsum(toggles)
-        anchor = np.maximum(last_forced, 0)
-        has_anchor = last_forced >= 0
-        base = np.where(has_anchor, window_flags[anchor] == _OPENS, True)
-        toggles_since = toggle_count - np.where(
-            has_anchor, toggle_count[anchor], 0
+        # The state after each event as anchored at the last forced one
+        # (valid from a window's first forced event on).
+        anchored = (flags[anchor] == _OPENS) ^ (
+            (toggle_count - toggle_count[anchor]) & 1
+        ).astype(bool)
+        gaps = np.diff(ts)  # gaps[j]: event j to event j + 1
+        odd = (positions[:-1] & 1).astype(bool)
+        anchored_sum = _prefix_sum(np.where(anchored[:-1], gaps, 0))
+        even_sum = _prefix_sum(np.where(odd, 0, gaps))
+        odd_sum = _prefix_sum(np.where(odd, gaps, 0))
+        last = hi - 1
+        forced = np.minimum(next_forced[lo], last)
+        # The alternating stretch [lo, forced) runs after an odd number
+        # of toggles: on the gaps from events of the other parity than lo.
+        total = ts[lo] - start_np[inside] + np.where(
+            lo & 1, even_sum[forced] - even_sum[lo], odd_sum[forced] - odd_sum[lo]
         )
-        state = base ^ (toggles_since & 1).astype(bool)
-        total = int(window_ts[0]) - start
-        if n > 1:
-            total += int(
-                ((window_ts[1:] - window_ts[:-1])[state[:-1]]).sum()
-            )
-        if state[n - 1]:
-            total += end - int(window_ts[n - 1])
-        return total
+        total += anchored_sum[last] - anchored_sum[forced]
+        final = np.where(
+            next_forced[lo] <= last, anchored[last], ((last - lo) & 1).astype(bool)
+        )
+        total += np.where(final, end_np[inside] - ts[last], 0)
+        result[inside] = total
+        return result
 
     def preemption_time(self, start: int, end: int, pid: int) -> int:
         """Time inside the window the thread did *not* run."""

@@ -7,11 +7,18 @@ see :class:`~repro.store.reader.InMemorySegment`) references probe names
 by string id, so the code and the CB-type label resolve once per
 string-table entry; :class:`~repro.store.index.StoreTraceIndex` then
 turns a whole probe-id column into per-row codes with one numpy gather.
+
+The payload of an ID-carrying row reaches the walk as a *field tuple*:
+the five payload fields Alg. 1, the association tables and the latency
+index read (:data:`PAYLOAD_FIELDS`), ``None`` where the payload has no
+such key -- what ``payload.get(key)`` would return.  Readers read them
+by position (``F_CB_ID`` .. ``F_WILL_DISPATCH``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,6 +53,12 @@ CODE_TAKE_TYPE_ERASED = 7
 CODE_SYNC_OP = 8
 CODE_CB_END = 9
 
+#: The payload keys an ID-carrying row's field tuple holds, in order.
+PAYLOAD_FIELDS = ("cb_id", "topic", "src_ts", "kind", "will_dispatch")
+F_CB_ID, F_TOPIC, F_SRC_TS, F_KIND, F_WILL_DISPATCH = range(len(PAYLOAD_FIELDS))
+#: The field tuple of an empty payload.
+NO_FIELDS: Tuple[None, ...] = (None,) * len(PAYLOAD_FIELDS)
+
 PROBE_CODES: Dict[str, int] = {p: CODE_CB_START for p in CB_START_PROBES}
 PROBE_CODES.update({p: CODE_CB_END for p in CB_END_PROBES})
 PROBE_CODES[P3_TIMER_CALL] = CODE_TIMER_CALL
@@ -64,8 +77,7 @@ def probe_code_table(strings: Sequence[str]) -> bytearray:
     the code once per *table entry* replaces a per-event dict lookup on
     the probe string with a bytearray index on the stored id.
     """
-    code_of = PROBE_CODES.get
-    return bytearray(code_of(text, CODE_OTHER) for text in strings)
+    return bytearray(map(PROBE_CODES.get, strings, repeat(CODE_OTHER)))
 
 
 def probe_code_lut(code_table: Sequence[int]) -> np.ndarray:
@@ -78,4 +90,15 @@ def probe_code_lut(code_table: Sequence[int]) -> np.ndarray:
 def cb_start_type_table(strings: Sequence[str]) -> List[Optional[str]]:
     """Callback-type label per string-table id (None for non-start
     probes) -- the columnar counterpart of :meth:`TraceEvent.cb_type`."""
-    return [CB_TYPE_BY_START.get(text) for text in strings]
+    return list(map(CB_TYPE_BY_START.get, strings))
+
+
+def payload_fields(payloads: Iterable[Mapping[str, Any]]) -> List[Tuple]:
+    """Decoded payload dicts projected to their field tuples: one
+    C-level ``dict.get`` map per field and one ``zip``, no Python call
+    per payload.  The projection of JSON-fallback rows and of loaded
+    traces; typed payload shapes zip their field columns instead."""
+    payloads = list(payloads)
+    return list(zip(*(
+        map(dict.get, payloads, repeat(key)) for key in PAYLOAD_FIELDS
+    )))

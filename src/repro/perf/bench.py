@@ -387,7 +387,7 @@ def _measure_selective_read(
         return total
 
     def drain_walk(reader) -> None:
-        _resolve(reader.walk_fastpath())
+        _resolve(reader)
 
     def drain_analysis(reader) -> None:
         reader.sched_pid_columns()

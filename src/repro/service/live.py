@@ -72,7 +72,14 @@ from ..analysis.store import _merged_latency_index
 from ..core.dag import TimingDag
 from ..core.export import RenderedSamples, render_samples
 from ..core.gcpause import paused_gc
-from ..core.index import CODE_DDS_WRITE, CODE_TAKE_REQUEST, TopicKey
+from ..core.index import (
+    CODE_DDS_WRITE,
+    CODE_TAKE_REQUEST,
+    F_KIND,
+    F_SRC_TS,
+    F_TOPIC,
+    TopicKey,
+)
 from ..core.records import CBList
 from ..core.synthesis import (
     CallbackFold,
@@ -160,9 +167,9 @@ def _service_keys(
         starts[pid] = stop = start + count
         for code, data in zip(codes[start:stop], aux[start:stop]):
             if CODE_TAKE_REQUEST <= code <= CODE_DDS_WRITE and (
-                code != CODE_DDS_WRITE or data.get("kind") in _SERVICE_WRITES
+                code != CODE_DDS_WRITE or data[F_KIND] in _SERVICE_WRITES
             ):
-                keys.add((data.get("topic"), data.get("src_ts")))
+                keys.add((data[F_TOPIC], data[F_SRC_TS]))
     return keys
 
 

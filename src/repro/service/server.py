@@ -94,6 +94,9 @@ class SynthesisService:
         self._lock = threading.RLock()
         self._stop = threading.Event()
         self._started = time.monotonic()
+        #: threads serving client connections; the accept loop drops
+        #: the finished ones at every turn.
+        self._clients: List[threading.Thread] = []
         self.endpoint: Optional[str] = None
         # Catch up on whatever the store already holds before serving.
         with self._lock:
@@ -310,9 +313,10 @@ class SynthesisService:
             time.monotonic() + max_seconds if max_seconds is not None else None
         )
         sock.settimeout(0.2)
-        clients = []
+        clients = self._clients
         try:
             while not self._stop.is_set():
+                clients[:] = [thread for thread in clients if thread.is_alive()]
                 if deadline is not None and time.monotonic() >= deadline:
                     self._log(f"max runtime {max_seconds}s reached; stopping")
                     self._stop.set()

@@ -14,12 +14,18 @@ A run's columns go through two steps:
 
 * :func:`_resolve` turns them into whole-column arrays: probe codes
   through one numpy gather over a per-reader table keyed by the
-  probe-string id, and an aux column holding the payload mapping of
-  the ID-carrying rows Alg. 1 dereferences (publish / take / response
-  keys) and the CB-type label of CB starts.  Payloads resolve in bulk
-  per payload shape, so CB start/end and kernel probe rows -- the bulk
-  of a trace -- are never decoded, and only JSON-fallback rows (all
-  rows of a v1 segment) see the JSON scanner;
+  probe-string id, and an aux column holding the CB-type label of CB
+  starts and, for the ID-carrying rows Alg. 1 dereferences (publish /
+  take / response keys), the payload's *field tuple*
+  ``(cb_id, topic, src_ts, kind, will_dispatch)``
+  (:data:`~repro.core.index.PAYLOAD_FIELDS`, ``None`` where a key is
+  absent), read by position everywhere downstream.  The tuples come
+  in bulk per payload shape, zipped straight from the shape's field
+  columns -- no payload dict is built -- so CB start/end and kernel
+  probe rows, the bulk of a trace, are never decoded, and only
+  JSON-fallback rows (all rows of a v1 segment) see the JSON scanner.
+  A garbled column raises :class:`~repro.store.format.StoreFormatError`
+  naming the segment's file;
 * :meth:`StoreTraceIndex._consume`, the one consumer, cuts walk
   columns per PID in bulk and runs the association state machine over
   the rows the tables read.  ``sched_switch`` rows feed
@@ -79,13 +85,20 @@ from ..core.index import (
     CODE_TAKE_RESPONSE,
     CODE_TAKE_TYPE_ERASED,
     CODE_TIMER_CALL,
+    F_CB_ID,
+    F_KIND,
+    F_SRC_TS,
+    F_TOPIC,
+    F_WILL_DISPATCH,
+    NO_FIELDS,
     TopicKey,
+    payload_fields,
     probe_code_lut,
 )
 from .format import SHAPE_JSON, StoreFormatError
 
 #: One PID's walk columns: timestamps, probe codes, and the per-row aux
-#: slot (CB-type label / decoded payload / None) -- parallel sequences
+#: slot (CB-type label / payload field tuple / None) -- parallel sequences
 #: consumed by :func:`~repro.core.extraction._extract_pid_walk`.
 WalkColumns = Tuple[List[int], bytearray, List[Any]]
 
@@ -113,17 +126,41 @@ def _runs_are_time_ordered(readers: Sequence[Any]) -> bool:
 
 
 def _resolve(
-    columns: Tuple,
+    reader: Any,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One reader's :meth:`~repro.store.reader.SegmentReader.walk_fastpath`
+    """A reader's :meth:`~repro.store.reader.SegmentReader.walk_fastpath`
     columns as whole-column arrays: ``(ts, pid, code, aux)``.
 
     The per-string-id code table becomes a ``uint8`` lookup array and
     one gather yields every row's probe code.  The per-row aux slot
-    (``None``-initialized object array) holds the payload mapping for
-    the ID-carrying codes -- resolved in bulk, one ``map`` per
-    referenced payload shape -- and the CB-type label for CB starts;
-    every other row's payload is never touched."""
+    (``None``-initialized object array) holds the payload's field tuple
+    (:data:`~repro.core.index.PAYLOAD_FIELDS`) for the ID-carrying
+    codes -- projected in bulk, one ``zip`` per referenced payload
+    shape, with JSON-fallback and loaded-trace rows through
+    :func:`~repro.core.index.payload_fields` -- and the CB-type label
+    for CB starts; every other row's payload is never touched.
+
+    A garbled column (an id past its table, a truncated column) raises
+    :class:`~repro.store.format.StoreFormatError` naming the reader's
+    file."""
+    try:
+        return _resolve_columns(reader.walk_fastpath())
+    except StoreFormatError:
+        raise
+    except (IndexError, ValueError) as error:
+        raise _corrupt(reader, error) from None
+
+
+def _corrupt(reader: Any, error: Exception) -> StoreFormatError:
+    return StoreFormatError(
+        f"{reader.path or '<segment>'}: corrupt segment: {error}"
+    )
+
+
+def _resolve_columns(
+    columns: Tuple,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_resolve` over the ``walk_fastpath`` column tuple."""
     (
         ts_col, pid_col, probe_col, shape_col, vidx_col,
         codes, start_types, shapes, json_payload,
@@ -134,7 +171,7 @@ def _resolve(
 
     def assign(rows: np.ndarray, values: Iterable) -> None:
         # fromiter builds the object column without numpy peering into
-        # the dict/str values.
+        # the tuple/str values.
         aux_row[rows] = np.fromiter(values, dtype=object, count=len(rows))
 
     id_rows = np.nonzero(
@@ -147,11 +184,11 @@ def _resolve(
             sel = sid_np == sid
             vidxs = vidx_np[sel].tolist()
             if sid < len(shapes):
-                values = map(shapes[sid].rows().__getitem__, vidxs)
+                values = shapes[sid].project(vidxs)
             elif sid == SHAPE_JSON:
-                values = map(json_payload, vidxs)
+                values = payload_fields(map(json_payload, vidxs))
             else:  # NONE_ID: ID-carrying probes without payload
-                values = ({} for _ in vidxs)
+                values = repeat(NO_FIELDS, len(vidxs))
             assign(id_rows[sel], values)
     cb_rows = np.nonzero(row_codes == CODE_CB_START)[0]
     assign(cb_rows, map(start_types.__getitem__, probe_np[cb_rows].tolist()))
@@ -184,24 +221,23 @@ class ResolvedRun(NamedTuple):
 
 def resolve_run(reader: Any) -> ResolvedRun:
     """Decode every section an append of the run reads -- the resolved
-    ROS columns with the payload rows they reference, the sched and
-    the wakeup PID columns -- so a corrupt segment fails here, before
-    an index or a service changes any state.  The reader caches what
-    it inflated, so later reads of those sections inflate nothing.
+    ROS columns with the payload rows they reference (:func:`_resolve`),
+    the sched and the wakeup PID columns -- so a corrupt segment fails
+    here, before an index or a service changes any state.  The reader
+    caches what it inflated, so later reads of those sections inflate
+    nothing.
 
     Raises :class:`~repro.store.format.StoreFormatError` for a corrupt
     section, including an uncompressed one whose ids point outside
     their tables."""
+    columns = _resolve(reader)
     try:
-        columns = _resolve(reader.walk_fastpath())
         reader.sched_pid_columns()
         reader.wakeup_pid_columns()
     except StoreFormatError:
         raise
     except (IndexError, ValueError) as error:
-        raise StoreFormatError(
-            f"{reader.path or '<segment>'}: corrupt segment: {error}"
-        ) from None
+        raise _corrupt(reader, error) from None
     return ResolvedRun(reader, columns)
 
 
@@ -213,7 +249,7 @@ def _merged_columns(
     concatenated in run order and reordered by one stable sort on ts,
     so ties keep ``(run, row)`` order exactly like ``Trace.merge``."""
     if columns is None:
-        columns = [_resolve(reader.walk_fastpath()) for reader in readers]
+        columns = [_resolve(reader) for reader in readers]
     ts_np, pid_np, row_codes, aux_row = (
         np.concatenate(column) for column in zip(*columns)
     )
@@ -270,7 +306,7 @@ class StoreTraceIndex:
     :class:`~repro.core.extraction.EventIndex` reads the cross-node
     tables (``writes`` / ``writer_cb`` / ``take_responses`` /
     ``dispatch_after``); their entries pair a stream position with the
-    row's payload mapping.
+    row's payload field tuple.
     """
 
     __slots__ = (
@@ -300,12 +336,13 @@ class StoreTraceIndex:
     ):
         self.pid_map: Dict[int, Optional[str]] = {}
         self._by_pid: Dict[int, WalkColumns] = {}
-        #: (topic, src_ts) -> [(position, payload)] of the service
-        #: *request* writes, FIFO order: FindCaller's table.
+        #: (topic, src_ts) -> [(position, payload fields)] of the
+        #: service *request* writes, FIFO order: FindCaller's table.
         self.writes: Dict[TopicKey, List[Tuple[int, Any]]] = {}
         #: dds_write position -> CB id active in the writer at write time.
         self.writer_cb: Dict[int, Optional[str]] = {}
-        #: (topic, src_ts) -> [(position, payload)] of take_response rows.
+        #: (topic, src_ts) -> [(position, payload fields)] of
+        #: take_response rows.
         self.take_responses: Dict[TopicKey, List[Tuple[int, Any]]] = {}
         #: take_response position -> will_dispatch of the next P14 in
         #: the same PID (absent when no P14 follows).
@@ -377,7 +414,7 @@ class StoreTraceIndex:
         """One reader as the next run of a time-ordered merge, noting in
         a new :class:`_RunExtent` what it added."""
         if columns is None:
-            columns = _resolve(reader.walk_fastpath())
+            columns = _resolve(reader)
         run = _RunExtent(self._next_index, reader.pid_map)
         self.pid_map.update(reader.pid_map)
         writes, responses = self.writes, self.take_responses
@@ -408,9 +445,10 @@ class StoreTraceIndex:
         stretch of resolved columns (see :func:`_resolve`).
 
         Walk rows (``code != 0`` -- code-0 rows are no-ops to the Alg. 1
-        walk and are dropped) are cut per PID with boolean masks and
-        bulk ``.tolist()`` / ``.tobytes()`` extraction (Python ints, so
-        downstream byte-identity is untouched).  The association loop
+        walk and are dropped) are grouped per PID by one stable sort and
+        extracted in bulk with ``.tolist()`` / ``.tobytes()`` (Python
+        ints, so downstream byte-identity is untouched), then sliced per
+        PID.  The association loop
         then visits only the rows the cross-node tables read, resuming
         the state the previous stretch left (``current_cb``, pending
         P13 rows, the stream position); the run's walk rows, carried
@@ -422,18 +460,24 @@ class StoreTraceIndex:
         wanted = self._wanted
         all_wanted = wanted is None
 
-        nonzero = row_codes != 0
-        for pid in distinct(pid_np[nonzero]):
+        rows = np.flatnonzero(row_codes != 0)
+        rows = rows[np.argsort(pid_np[rows], kind="stable")]
+        row_pids = pid_np[rows]
+        cuts = (np.flatnonzero(row_pids[1:] != row_pids[:-1]) + 1).tolist()
+        bounds = [0, *cuts, len(rows)] if len(rows) else [0]
+        times = ts_np[rows].tolist()
+        codes = row_codes[rows].tobytes()
+        auxes = aux_row[rows].tolist()
+        for pid, lo, hi in zip(row_pids[bounds[:-1]].tolist(), bounds, bounds[1:]):
             if not (all_wanted or pid in wanted):
                 continue
-            rows = np.nonzero(nonzero & (pid_np == pid))[0]
-            run.walk_rows[pid] = len(rows)
+            run.walk_rows[pid] = hi - lo
             walk = by_pid.get(pid)
             if walk is None:
                 walk = by_pid[pid] = ([], bytearray(), [])
-            walk[0].extend(ts_np[rows].tolist())
-            walk[1].extend(row_codes[rows].tobytes())
-            walk[2].extend(aux_row[rows].tolist())
+            walk[0].extend(times[lo:hi])
+            walk[1].extend(codes[lo:hi])
+            walk[2].extend(auxes[lo:hi])
 
         # The association state machine, in stream order over the rows
         # it reads (CB starts and the ID-carrying codes): each write
@@ -459,21 +503,21 @@ class StoreTraceIndex:
                 writer_cb[position] = current_cb.get(pid)
                 if pid in current_cb and pid not in setters:
                     run.carried.setdefault(pid, []).append(position)
-                if aux.get("kind") == "request":  # what FindCaller reads
-                    key = (aux.get("topic"), aux.get("src_ts"))
+                if aux[F_KIND] == "request":  # what FindCaller reads
+                    key = (aux[F_TOPIC], aux[F_SRC_TS])
                     writes.setdefault(key, []).append((position, aux))
             elif code == CODE_CB_START:
                 current_cb[pid] = None
                 setters.add(pid)
             elif code <= CODE_TAKE_RESPONSE:
-                current_cb[pid] = aux.get("cb_id")
+                current_cb[pid] = aux[F_CB_ID]
                 setters.add(pid)
                 if code == CODE_TAKE_RESPONSE:
                     pending_p13.setdefault(pid, []).append(position)
-                    key = (aux.get("topic"), aux.get("src_ts"))
+                    key = (aux[F_TOPIC], aux[F_SRC_TS])
                     take_responses.setdefault(key, []).append((position, aux))
             else:  # CODE_TAKE_TYPE_ERASED
-                will_dispatch = bool(aux.get("will_dispatch"))
+                will_dispatch = bool(aux[F_WILL_DISPATCH])
                 for p13_index in pending_p13.pop(pid, ()):
                     dispatch_after[p13_index] = will_dispatch
         self._next_index = index + n

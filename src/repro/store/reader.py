@@ -26,8 +26,10 @@ Payloads live in typed per-field columns grouped by shape
 (:class:`_Shape`): the first access to a shape bulk-decodes its columns
 -- string ids resolve through the table once per *column*, ints/floats
 come straight out of the fixed-width views -- and every row of the
-shape then costs a list index, with no JSON anywhere.  Rows written
-through the JSON fallback (payloads outside the closed schema, and
+shape then costs a list index, with no JSON anywhere.  The Alg. 1
+walk reads no payload dict at all: it takes each shape's field tuples
+(:meth:`_Shape.project`), zipped straight from the columns.  Rows
+written through the JSON fallback (payloads outside the closed schema, and
 every row of a transcoded v1 segment) are interned JSON strings,
 decoded through a bound C scanner and cached per string id.
 
@@ -52,6 +54,7 @@ import struct
 import sys
 import zlib
 from heapq import merge as _heap_merge
+from itertools import repeat
 from json.decoder import JSONDecoder
 from operator import itemgetter
 from typing import (
@@ -60,7 +63,12 @@ from typing import (
 
 import numpy as np
 
-from ..core.index import cb_start_type_table, probe_code_table
+from ..core.index import (
+    PAYLOAD_FIELDS,
+    cb_start_type_table,
+    payload_fields,
+    probe_code_table,
+)
 from ..core.exec_time import column, sched_columns, ts_ordered
 from ..sim.scheduler import SchedSwitch, SchedWakeup
 from ..tracing.events import TraceEvent
@@ -142,7 +150,10 @@ class _Shape:
 
     ``rows()`` bulk-decodes the shape on first use into one dict per
     row (string ids resolved once per column, key order preserved);
-    repeated access is a list index.  A column's section is sliced (and
+    repeated access is a list index.  ``project(vidxs)`` hands the walk
+    the field tuples of the given rows (see
+    :data:`~repro.core.index.PAYLOAD_FIELDS`) from one ``zip`` over the
+    field columns, building no dict.  A column's section is sliced (and
     inflated) only then, so shapes nothing dereferences never inflate
     their streams.  Payload dicts are shared by the ``TraceEvent``
     immutability contract, like the JSON payload cache.
@@ -165,28 +176,41 @@ class _Shape:
         self._strings = strings
         self._rows: Optional[List[Dict[str, Any]]] = None
 
+    def _column(self, position: int) -> Iterable:
+        """The values of field ``position``, one per row, as the Python
+        objects a decoded payload holds."""
+        ftype = self.types[position]
+        if ftype == FIELD_NONE:
+            return repeat(None, self.count)
+        values = self._loaders[position]()
+        if ftype == FIELD_STR:
+            return map(self._strings.__getitem__, values)
+        if ftype == FIELD_BOOL:
+            return map(bool, values)
+        return values
+
     def rows(self) -> List[Dict[str, Any]]:
         rows = self._rows
         if rows is None:
-            strings = self._strings
-            seqs: List[Sequence] = []
-            for ftype, load in zip(self.types, self._loaders):
-                if ftype == FIELD_NONE:
-                    seqs.append([None] * self.count)
-                elif ftype == FIELD_STR:
-                    seqs.append([strings[i] for i in load()])
-                elif ftype == FIELD_BOOL:
-                    seqs.append([bool(v) for v in load()])
-                else:
-                    seqs.append(load())
-            if seqs:
+            if self.keys:
+                columns = map(self._column, range(len(self.keys)))
                 rows = eval(  # compiled dict-display listcomp, data-only
-                    _row_builder(self.keys), {"_rows": zip(*seqs)}
+                    _row_builder(self.keys), {"_rows": zip(*columns)}
                 )
             else:  # degenerate: a shape with no fields (hand-built file)
                 rows = [{} for _ in range(self.count)]
             self._rows = rows
         return rows
+
+    def project(self, vidxs: List[int]) -> Iterator[Tuple]:
+        """The field tuples of rows ``vidxs``."""
+        keys = self.keys
+        fields = list(zip(*(
+            self._column(keys.index(key)) if key in keys
+            else repeat(None, self.count)
+            for key in PAYLOAD_FIELDS
+        )))
+        return map(fields.__getitem__, vidxs)
 
 
 class _Sections:
@@ -618,7 +642,7 @@ class SegmentReader:
         latency index alike: the ``(ts, pid, probe, shape, vidx)``
         columns (v1 segments arrive transcoded to this layout), the
         per-string-id code/CB-type tables, the :class:`_Shape` list
-        (bulk typed-column payload rows, materialized lazily per shape)
+        (typed payload columns, projected per shape to field tuples)
         and the bound JSON decoder for fallback rows.
         """
         if self._code_table is None:
@@ -737,6 +761,10 @@ class _PayloadShape:
 
     def rows(self) -> List[Dict[str, Any]]:
         return self._rows
+
+    def project(self, vidxs: List[int]) -> List[Tuple]:
+        """The field tuples of rows ``vidxs``."""
+        return payload_fields(map(self._rows.__getitem__, vidxs))
 
 
 class InMemorySegment:

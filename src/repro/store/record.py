@@ -98,7 +98,9 @@ def record_run(
     (:class:`~repro.core.gcpause.paused_gc`): the simulated world and
     the growing spool live until the run ends, and the simulator
     makes no reference cycles per event, so a collection during the
-    run would only re-scan them.
+    run would only re-scan them.  Once the segment is written the
+    world is torn down (:meth:`~repro.world.World.close`), so reference
+    counting frees it on return, with no cycle left for a collection.
     """
     spec, run_config = _run_setup(scenario, run_index, runs, config)
     world, session, _ = bring_up(
@@ -134,6 +136,7 @@ def record_run(
     ros_events = spool.num_ros
     sched_events = spool.num_sched
     written = spool.finish_path(path, session.pid_map(), start_ts, stop_ts)
+    world.close()
     pushed = False
     if push_to is not None:
         from ..service.client import ServiceClient

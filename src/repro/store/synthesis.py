@@ -30,11 +30,15 @@ index, the walk's records and the DAG it is building.
 
 from __future__ import annotations
 
+from array import array
 from functools import partial
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..core.dag import TimingDag
-from ..core.extraction import EventIndex, _extract_pid_walk
+from ..core.exec_time import SchedIndex
+from ..core.extraction import EventIndex, _extract_pid_walk, fill_exec_times
 from ..core.gcpause import paused_gc
 from ..core.merge import merge_dags
 from ..core.pipeline import STRATEGY_MERGE_DAGS, STRATEGY_MERGE_TRACES
@@ -46,20 +50,36 @@ from .index import StoreTraceIndex
 
 
 def _extract_index_cblists(
-    index: StoreTraceIndex, pids: Iterable[int]
+    index: StoreTraceIndex,
+    pids: Iterable[int],
+    sched: Optional[SchedIndex] = None,
 ) -> List[CBList]:
-    """The columnar Alg. 1 walk over a built index: one CBList per PID,
-    in ``pids`` order (the extraction of the in-memory pipeline, the
-    batch build and the live service)."""
+    """Alg. 1 + Alg. 2 over a built index: one CBList per PID, in
+    ``pids`` order -- the one walk of the in-memory pipeline, the batch
+    build and the live service.
+
+    The Alg. 1 walk runs PID by PID and collects every callback
+    instance's window; one :meth:`SchedIndex.exec_times` call over the
+    index's sched buckets (or ``sched``) then measures them all, and
+    the samples are filled in walk order."""
+    pids = list(pids)
     event_index = EventIndex(index)
     pid_map = index.pid_map
-    return [
-        _extract_pid_walk(
-            pid, *index.walk_for_pid(pid), index.sched, event_index,
-            pid_map.get(pid, ""),
-        )
-        for pid in pids
-    ]
+    starts = array("q")
+    ends = array("q")
+    counts: List[int] = []
+    cblists = []
+    for pid in pids:
+        before = len(starts)
+        cblists.append(_extract_pid_walk(
+            pid, *index.walk_for_pid(pid), event_index, pid_map.get(pid, ""),
+            starts, ends,
+        ))
+        counts.append(len(starts) - before)
+    sched = index.sched if sched is None else sched
+    window_pids = np.repeat(np.asarray(pids, dtype=np.int64), counts)
+    fill_exec_times(cblists, sched.exec_times(window_pids, starts, ends).tolist())
+    return cblists
 
 
 def _synthesize_readers(

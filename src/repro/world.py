@@ -168,6 +168,35 @@ class World:
         target = self.kernel.now + for_ns if for_ns is not None else until
         self.kernel.run(until=target)
 
+    def close(self) -> None:
+        """Tear a finished world down, so that reference counting alone
+        frees it once the caller drops it.
+
+        Nodes, executors, DDS endpoints, threads, timers and callback
+        closures reference each other and the world, so a finished
+        world would otherwise wait for a cyclic garbage collection.
+        Every thread's activity is closed (its generator frame let go),
+        then the hubs every cycle passes through -- the world, its
+        kernel, scheduler, DDS bus and topics, symbol table, threads,
+        nodes, executors and the nodes' entities -- drop their
+        attributes.  The world can neither run nor be inspected
+        afterwards."""
+        scheduler = self.scheduler
+        threads = list(scheduler._threads.values())
+        for thread in threads:
+            thread.activity.close()
+        hubs = [self, self.kernel, scheduler, self.dds, self.symbols, *threads]
+        hubs.extend(self.dds.topics.values())
+        for node in self.nodes:
+            hubs += (node, node.executor, node.executor._api)
+            for entities in (
+                node.timers, node.subscriptions, node.services,
+                node.clients, node.publishers, node.synchronizers,
+            ):
+                hubs += entities
+        for hub in hubs:
+            vars(hub).clear()
+
     def fresh_rng(self, salt: int) -> np.random.Generator:
         """Derive an independent generator (stable across runs)."""
         return np.random.default_rng(np.random.SeedSequence([salt]))

@@ -23,7 +23,7 @@ from repro.analysis import (
     suggest_binding,
     waiting_times,
 )
-from repro.core.index import CODE_CB_END, CODE_CB_START
+from repro.core.index import CODE_CB_END, CODE_CB_START, payload_fields
 from repro.apps import build_avp, build_syn
 from repro.core import DagVertex, TimingDag, synthesize_from_trace
 from repro.experiments import RunConfig, run_once
@@ -192,10 +192,10 @@ class TestLatency:
 
 def columns_of(rows):
     """``(ts, pid, code, aux)`` rows as the resolved column arrays the
-    index is built from."""
+    index is built from, payload dicts projected to their field tuples."""
     aux = np.empty(len(rows), dtype=object)
     for i, row in enumerate(rows):
-        aux[i] = row[3]
+        aux[i] = payload_fields([row[3]])[0] if isinstance(row[3], dict) else row[3]
     return (
         np.array([row[0] for row in rows], dtype=np.int64),
         np.array([row[1] for row in rows], dtype=np.int32),

@@ -54,7 +54,9 @@ from repro.core.index import (
     CODE_OTHER,
     CODE_TAKE,
     CODE_TIMER_CALL,
+    PAYLOAD_FIELDS,
     PROBE_CODES,
+    payload_fields,
 )
 from repro.experiments.batch import BatchConfig
 from repro.experiments.runner import run_once
@@ -152,8 +154,13 @@ class RowLoopLatencyIndex(LatencyIndex):
 def oracle_of_columns(columns, wakeups=((), ()), pids=None):
     """The oracle over resolved columns: the same rows, restricted to
     ``pids``, and the wakeups in stable ts order (the order the column
-    constructor keeps per PID; the row loop appended them as given)."""
-    rows = zip(*(column.tolist() for column in columns))
+    constructor keeps per PID; the row loop appended them as given).
+    Payload field tuples go back to the dicts the row loop reads."""
+    rows = (
+        (ts, pid, code, dict(zip(PAYLOAD_FIELDS, aux))
+         if isinstance(aux, tuple) else aux)
+        for ts, pid, code, aux in zip(*(column.tolist() for column in columns))
+    )
     wake = sorted(zip(list(wakeups[0]), list(wakeups[1])), key=itemgetter(0))
     if pids is not None:
         rows = (row for row in rows if row[1] in pids)
@@ -184,10 +191,11 @@ def assert_same_slots(index, oracle):
 
 
 def columns_of(rows):
-    """``(ts, pid, code, aux)`` rows as resolved column arrays."""
+    """``(ts, pid, code, aux)`` rows as resolved column arrays, payload
+    dicts projected to their field tuples."""
     aux = np.empty(len(rows), dtype=object)
     for i, row in enumerate(rows):
-        aux[i] = row[3]
+        aux[i] = payload_fields([row[3]])[0] if isinstance(row[3], dict) else row[3]
     return (
         np.array([row[0] for row in rows], dtype=np.int64),
         np.array([row[1] for row in rows], dtype=np.int32),

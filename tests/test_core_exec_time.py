@@ -174,3 +174,72 @@ class TestEquivalenceProperty:
     def test_exec_time_bounded_by_window(self, soup, start, width, pid):
         value = SchedIndex(soup).exec_time(start, start + width, pid)
         assert 0 <= value <= width
+
+
+@st.composite
+def multi_pid_soup(draw):
+    """Sched streams over PIDs 1-4 with self-switches (toggles), equal
+    timestamps and out-of-order input: any switch, not only plausible
+    ones.  PID 5 never appears, so it has no bucket."""
+    pids = st.integers(min_value=1, max_value=4)
+    events = []
+    t = 0
+    for _ in range(draw(st.integers(min_value=0, max_value=40))):
+        t += draw(st.sampled_from([0, 0, 1, 3, 50]))
+        prev = draw(pids)
+        nxt = prev if draw(st.booleans()) else draw(pids)
+        events.append(switch(t, prev, nxt))
+    if draw(st.booleans()):
+        events = draw(st.permutations(events))
+    return events, t
+
+
+@st.composite
+def window_sets(draw, horizon):
+    """Windows in any order: overlapping, zero-length, and sharing
+    bounds with each other and with event timestamps."""
+    bounds = st.integers(min_value=-5, max_value=horizon + 5)
+    windows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=12))):
+        pid = draw(st.integers(min_value=1, max_value=5))
+        if windows and draw(st.booleans()):
+            start = draw(st.sampled_from([w[1] for w in windows] + [w[2] for w in windows]))
+        else:
+            start = draw(bounds)
+        end = start + draw(st.sampled_from([0, 0, 1, 2, 10, 60, 400]))
+        windows.append((pid, start, end))
+    return windows
+
+
+class TestBatchedExecTimes:
+    """``SchedIndex.exec_times`` -- Alg. 2 over many windows in one
+    call -- against the literal translation, window by window."""
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_exec_times_equal_literal_per_window(self, data):
+        soup, horizon = data.draw(multi_pid_soup())
+        windows = data.draw(window_sets(horizon))
+        index = SchedIndex(soup)
+        got = index.exec_times(
+            [w[0] for w in windows], [w[1] for w in windows], [w[2] for w in windows]
+        ).tolist()
+        assert got == [get_exec_time(s, e, p, soup) for p, s, e in windows]
+        assert [index.exec_time(s, e, p) for p, s, e in windows] == got
+
+    def test_no_windows(self):
+        assert SchedIndex([switch(5, 1, 2)]).exec_times([], [], []).tolist() == []
+
+    def test_first_inverted_window_raises(self):
+        index = SchedIndex([switch(5, 1, 2)])
+        with pytest.raises(ValueError, match="end 3 precedes start 4"):
+            index.exec_times([1, 1, 2], [0, 4, 9], [10, 3, 1])
+
+    def test_timestamps_too_wide_for_one_key_axis(self):
+        """Buckets spanning more than 2**61 ns in all do not fit the one
+        int64 key axis the windows are searched on: a diagnosed error,
+        never an overflowed answer."""
+        far = 2**62
+        index = SchedIndex([switch(0, 1, 2), switch(far, 1, 3)])
+        with pytest.raises(ValueError, match="more than 2\\*\\*61 ns"):
+            index.exec_times([1], [0], [far])

@@ -9,6 +9,7 @@ splitting.
 import pytest
 
 from repro.core import CBList, EventIndex, SchedIndex, cat, extract_callbacks
+from repro.core.index import payload_fields
 from repro.store import InMemorySegment, StoreTraceIndex
 from repro.tracing import (
     P2_TIMER_START,
@@ -234,8 +235,9 @@ class TestEventIndex:
                 ev(115, pid, P4_TIMER_END),
             ]
         index = EventIndex(trace_index(events))
-        take = ev(200, 2, P10_TAKE_REQUEST, cb_id="SV", topic="/svRequest",
-                  service="/sv", src_ts=110)
+        [take] = payload_fields([ev(200, 2, P10_TAKE_REQUEST, cb_id="SV",
+                                    topic="/svRequest", service="/sv",
+                                    src_ts=110).data])
         assert index.find_caller(take) == "A"
         assert index.find_caller(take) == "B"
 
@@ -248,5 +250,6 @@ class TestEventIndex:
             ev(301, 5, P14_TAKE_TYPE_ERASED, will_dispatch=1),
         ]
         index = EventIndex(trace_index(events))
-        write = ev(230, 2, P16_DDS_WRITE, topic="/svReply", kind="response", src_ts=230)
+        [write] = payload_fields([ev(230, 2, P16_DDS_WRITE, topic="/svReply",
+                                     kind="response", src_ts=230).data])
         assert index.find_client(write) == "CL_Y"

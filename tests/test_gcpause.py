@@ -176,6 +176,16 @@ class TestBulkBuildsAreGCQuiet:
         )
         assert run.ros_events and starts == []
 
+    def test_finished_record_run_leaves_no_cyclic_garbage(self, tmp_path):
+        """The recorded world is torn down after its segment is written:
+        with the collector off, nothing of it is left in a cycle."""
+        config = BatchConfig(duration_ns=SEC)
+        record_run("avp-interference", 0, 1, config, str(tmp_path / "warm"))
+        gc.collect()
+        gc.disable()
+        record_run("avp-interference", 0, 1, config, str(tmp_path))
+        assert gc.collect() == 0
+
     def test_dropped_analysis_leaves_no_cyclic_garbage(self, avp_store):
         """With the collector off throughout, whatever a build leaves
         in a reference cycle stays uncollected until the explicit

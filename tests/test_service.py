@@ -30,7 +30,7 @@ from repro.analysis import StoreAnalysis
 from repro.analysis import latency as latency_module
 from repro.analysis.latency import LatencyIndex
 from repro.analysis.store import latency_fragment, latency_index_from_store
-from repro.core import dag_to_json, exec_time, format_exec_table, to_dot
+from repro.core import dag_to_json, format_exec_table, to_dot
 from repro.experiments.batch import BatchConfig
 from repro.scenarios import scenario_names
 from repro.sim.kernel import SEC
@@ -686,12 +686,9 @@ class TestRunBoundaryCarries:
             for slot in LatencyIndex.__slots__:
                 assert getattr(index, slot) == getattr(reference, slot), slot
 
-    def test_model_between_arrivals_never_pins_sched_columns(
-        self, tmp_path, monkeypatch
-    ):
-        """Vectorized Alg. 2 windows leave numpy views on the sched
-        columns; a later arrival of the same PID must still fold in."""
-        monkeypatch.setattr(exec_time, "MIN_VECTOR_ROWS", 1)
+    def test_model_between_arrivals_never_pins_sched_columns(self, tmp_path):
+        """Batched Alg. 2 reads the sched columns through numpy; a later
+        arrival of the same PID must still fold into them."""
         source = str(tmp_path / "source")
         self._store(source, [_handbuilt_run(0), _handbuilt_run(1000)])
         target = str(tmp_path / "target")

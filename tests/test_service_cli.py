@@ -200,6 +200,26 @@ def served_cli(tmp_path):
         process.wait(timeout=15)
 
 
+class TestServeLoop:
+    def test_finished_client_threads_are_pruned(self, tmp_path):
+        """One thread serves each connection; the accept loop keeps only
+        the live ones, so 200 pings do not pile up 200 threads."""
+        running = _RunningService(str(tmp_path / "served"))
+        client = ServiceClient(running.address)
+        try:
+            for _ in range(200):
+                assert client.ping()
+            retained = running.service._clients
+            idle = threading.Event()
+            for _ in range(200):  # the loop turns at least every 0.2 s
+                if not retained:
+                    break
+                idle.wait(0.05)
+            assert retained == []
+        finally:
+            running.stop()
+
+
 class TestServiceCli:
     """serve / record --push / ingest / query as real processes."""
 

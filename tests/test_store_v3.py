@@ -18,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.cli import main
 from repro.core import dag_from_runs, dag_to_json, synthesize_from_trace, to_dot
+from repro.core.index import payload_fields
 from repro.core.pipeline import STRATEGY_MERGE_DAGS
 from repro.experiments.runner import RunConfig, run_once
 from repro.scenarios import build_scenario_spec
@@ -202,7 +203,7 @@ class TestSelectiveIO:
         full.to_trace()
         opened = SegmentReader.open(path)
         walk = SegmentReader.open(path)
-        _resolve(walk.walk_fastpath())
+        _resolve(walk)
         analysis = SegmentReader.open(path)
         analysis.sched_pid_columns()
         analysis.wakeup_pid_columns()
@@ -333,7 +334,7 @@ class TestGoldenV3Fixture:
         entries = peek_sections(path)
         assert any(entry.comp == SECTION_COMP_ZLIB for entry in entries)
         reader = SegmentReader.open(path)
-        _resolve(reader.walk_fastpath())
+        _resolve(reader)
         assert 0 < reader.bytes_inflated < reader.body_bytes
 
 
@@ -593,7 +594,7 @@ class TestSectionErrorDiagnostics:
             try:
                 reader = SegmentReader.open(path)
                 reader.to_trace()
-                _resolve(reader.walk_fastpath())
+                _resolve(reader)
             except StoreFormatError:
                 pass  # the only acceptable failure type
             except (zlib.error, struct.error) as error:  # pragma: no cover
@@ -727,6 +728,33 @@ class TestGarbledSegments:
             reader.to_trace()
         except StoreFormatError:
             pass  # the only acceptable failure type
+
+    def test_store_builds_name_the_path(self, syn_trace, tmp_path):
+        """A probe id past the string table in an uncompressed segment
+        passes open, and every store build that resolves the run --
+        synthesis and the latency index -- diagnoses it naming the
+        file."""
+        from repro.analysis import latency_index_from_store
+        from repro.store.format import SECTION_ROS
+
+        path = str(tmp_path / f"run000{SEGMENT_SUFFIX}")
+        write_segment(syn_trace, path, compress=False)
+        with open(path, "rb") as handle:
+            data = bytearray(handle.read())
+        entries = peek_sections(path)
+        body_start = HEADER.size + 4 + len(entries) * SECTION_ENTRY.size
+        [probe] = [
+            entry for entry in entries
+            if (entry.kind, entry.index) == (SECTION_ROS, 2)
+        ]
+        data[body_start + probe.offset:body_start + probe.offset + 4] = b"\xff" * 4
+        with open(path, "wb") as handle:
+            handle.write(bytes(data))
+        store = TraceStore(str(tmp_path))
+        store.open("run000")  # the open checks pass
+        for build in (synthesize_from_store, latency_index_from_store):
+            with pytest.raises(StoreFormatError, match="run000"):
+                build(TraceStore(str(tmp_path)))
 
     def test_store_load_names_the_path(self, tmp_path):
         path = str(tmp_path / f"run000{SEGMENT_SUFFIX}")
@@ -903,14 +931,17 @@ class TestWalkFastpathProperties:
         in bulk (:func:`_resolve`, what the trace and latency indexes
         consume)."""
         reference = _rows_from_events(trace, 0)
-        resolved = [(ts, pid, code, aux) for ts, _, _, pid, code, aux in reference]
+        resolved = [
+            (ts, pid, code, payload_fields([aux])[0] if isinstance(aux, dict) else aux)
+            for ts, _, _, pid, code, aux in reference
+        ]
         readers = [InMemorySegment(trace)] + [
             SegmentReader(encode_as(trace, version))
             for version in (1, 2, 3)
         ]
         for reader in readers:
             assert _rows_from_fastpath(reader, 0) == reference
-            columns = _resolve(reader.walk_fastpath())
+            columns = _resolve(reader)
             assert list(zip(*(column.tolist() for column in columns))) == resolved
 
     @given(trace=traces(), split=st.integers(min_value=0, max_value=24))
@@ -1104,31 +1135,30 @@ class TestOneIndexOracle:
             assert _index_tables(index) == before
 
 
-class TestExecTimeVectorFloor:
-    def test_exec_time_vector_floor_forced(self, syn_trace):
-        """Every Alg. 2 window answered by the vectorized integral must
-        equal the scalar fold on a real scenario's sched stream."""
-        from repro.core import exec_time
-        from repro.core.exec_time import SchedIndex
+class TestExecTimesOnRealStream:
+    def test_exec_times_equal_literal_alg2(self, syn_trace):
+        """Batched Alg. 2 over a real scenario's sched stream equals the
+        literal per-window translation on every window: each PID's whole
+        bucket, windows around its middle event, zero-length windows on
+        an event, windows sharing a bound, and a PID with no bucket --
+        handed over in one call, PIDs interleaved."""
+        from repro.core.exec_time import SchedIndex, get_exec_time
 
-        index = SchedIndex(syn_trace.sched_events)
-        saved = exec_time.MIN_VECTOR_ROWS
-        windows = []
+        events = syn_trace.sched_events
+        index = SchedIndex(events)
+        windows = [(10**6, 0, 10**12)]  # no bucket: ran throughout
         for pid in index.pids()[:6]:
             times, _flags = index._buckets[pid]
-            if len(times) < 2:
-                continue
-            windows.append((times[0], times[-1], pid))
-            mid = len(times) // 2
-            windows.append((times[mid] - 1, times[mid] + 1, pid))
-        try:
-            exec_time.MIN_VECTOR_ROWS = 10 ** 9  # bisect fold everywhere
-            scalar = [index.exec_time(*w) for w in windows]
-            exec_time.MIN_VECTOR_ROWS = 1  # every non-empty window vectorized
-            vector = [
-                SchedIndex(syn_trace.sched_events).exec_time(*w)
-                for w in windows
+            mid = times[len(times) // 2]
+            windows += [
+                (pid, times[0], times[-1]),
+                (pid, mid - 1, mid + 1),
+                (pid, mid, mid),
+                (pid, times[0], mid),
+                (pid, mid, times[-1]),
             ]
-        finally:
-            exec_time.MIN_VECTOR_ROWS = saved
-        assert scalar == vector
+        windows = windows[::2] + windows[1::2]
+        pids, starts, ends = zip(*windows)
+        assert index.exec_times(pids, starts, ends).tolist() == [
+            get_exec_time(start, end, pid, events) for pid, start, end in windows
+        ]

@@ -20,6 +20,7 @@ from repro.core.index import (
     CODE_DDS_WRITE,
     CODE_TAKE,
     PROBE_CODES,
+    payload_fields,
 )
 from repro.experiments.runner import RunConfig, run_once
 from repro.scenarios import build_scenario_spec
@@ -154,7 +155,7 @@ class TestPerPidViews:
         timestamps, codes, aux = index_of(events).walk_for_pid(1)
         assert timestamps == [10, 11, 12, 13]
         assert list(codes) == [CODE_CB_START, CODE_TAKE, CODE_DDS_WRITE, CODE_CB_END]
-        assert aux == ["timer", take, write, None]
+        assert aux == ["timer", *payload_fields([take, write]), None]
 
     def test_walk_for_unknown_pid_empty(self):
         timestamps, codes, aux = index_of().walk_for_pid(5)
@@ -195,7 +196,7 @@ class TestCrossNodeTables:
             ev(14, 2, P16_DDS_WRITE, topic="u", src_ts=1, kind="request"),
         ]
         index = index_of(events)
-        take = {"topic": "u", "src_ts": 1}
+        [take] = payload_fields([{"topic": "u", "src_ts": 1}])
         first = EventIndex(index)
         assert first.find_caller(take) == "A"
         assert first.find_caller(take) == "B"  # cursor advanced
