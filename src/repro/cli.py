@@ -624,7 +624,8 @@ def _cmd_serve(args) -> int:
     print(
         f"served {counters.queries_served} request(s); "
         f"{counters.segments_ingested} segment(s) ingested "
-        f"({counters.extends} extend(s), {counters.rebuilds} rebuild(s)), "
+        f"({counters.walk_fragments_built} walked, "
+        f"{counters.rebuilds} rebuild(s)), "
         f"{counters.segments_rejected} rejected, "
         f"{counters.runs_evicted} run(s) evicted"
     )

@@ -27,8 +27,8 @@ Six benchmarks, each reporting wall-clock and a derived throughput:
   readers' ``bytes_inflated`` counter;
 * **service ingest** -- the live synthesis service's incremental
   maintenance: segments committed one at a time into a
-  :class:`~repro.service.live.LiveSynthesizer` (extend-in-place + model
-  per commit) against re-running a from-scratch
+  :class:`~repro.service.live.LiveSynthesizer` (one run walked into
+  its fragment + model per commit) against re-running a from-scratch
   ``synthesize_from_store`` at every commit point -- the win the
   ``repro serve`` worker banks on every arrival.
 
@@ -540,14 +540,15 @@ def bench_service_ingest(scale: BenchScale) -> Dict[str, Any]:
     """Live-service maintenance cost per arriving segment.
 
     Both sides commit the identical pre-encoded segments one at a time
-    and produce a model after every commit; the incremental side folds
-    each arrival into its kept index with
-    :meth:`~repro.store.index.StoreTraceIndex.extend`, the rebuild side
-    re-runs ``synthesize_from_store`` from scratch, whose constructor
-    appends every run through that same per-run path -- what a
-    query-after-every-arrival service would cost without the
-    incremental layer.  Encoding and simulation stay outside the timed
-    regions.
+    and produce a model after every commit; the incremental side walks
+    each arrival over a one-run index into its fragment and merges the
+    retained runs' folds (:class:`~repro.service.live.LiveSynthesizer`),
+    the rebuild side re-runs ``synthesize_from_store`` from scratch
+    over every committed run -- what a query-after-every-arrival
+    service would cost without the per-run fragments.  The counters
+    pin the incremental side's work: one walk fragment per arrival
+    (``walk_fragments_built``) and no whole synthesis (``rebuilds``).
+    Encoding and simulation stay outside the timed regions.
     """
     import tempfile
 
@@ -596,9 +597,8 @@ def bench_service_ingest(scale: BenchScale) -> Dict[str, Any]:
         "rebuild_s": round(rebuild_s, 6),
         "speedup_vs_rebuild": round(rebuild_s / incremental_s, 3),
         "per_segment_ms": round(incremental_s / runs * 1000, 3),
-        "extends": counters.extends,
+        "walk_fragments_built": counters.walk_fragments_built,
         "rebuilds": counters.rebuilds,
-        "saved_s": round(counters.saved_s, 6),
     }
 
 
@@ -838,7 +838,8 @@ def format_report(payload: Dict[str, Any]) -> str:
             f"{ingest['events']} events): "
             f"{ingest['per_segment_ms']:.1f} ms/segment incremental, "
             f"{ingest['speedup_vs_rebuild']:.2f}x vs per-commit rebuild "
-            f"({ingest['extends']} extend(s), {ingest['rebuilds']} rebuild(s))"
+            f"({ingest['walk_fragments_built']} walked, "
+            f"{ingest['rebuilds']} rebuild(s))"
         )
     return "\n".join(lines)
 

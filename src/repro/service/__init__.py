@@ -7,18 +7,22 @@ into a long-running ingest + query system, in four layers:
   validates and atomically commits ``.trace.bin`` segments arriving
   over the socket or a watched drop directory;
 * **incremental maintenance** (:mod:`~repro.service.live`):
-  :class:`LiveSynthesizer` folds each commit into one
-  :class:`~repro.store.index.StoreTraceIndex` (``extend``), the same
-  index the batch pipeline builds -- byte-identical to a from-scratch
-  ``synthesize_from_store`` at every commit point, with in-place
-  windowed eviction (``evict_oldest``) for unbounded streams;
+  :class:`LiveSynthesizer` turns each commit into a fragment of its own
+  run -- its walk over a one-run
+  :class:`~repro.store.index.StoreTraceIndex`, the index the batch
+  pipeline builds, folded, plus its latency fragment -- and merges the
+  retained runs' folds into the model, or, for a window they cannot
+  assemble, runs the batch synthesis over the retained runs:
+  byte-identical to a from-scratch ``synthesize_from_store`` at every
+  commit point, and a windowed eviction for unbounded streams just
+  drops the oldest run's fragment;
 * **api/worker split** (:mod:`~repro.service.server` /
   :mod:`~repro.service.state`): :class:`SynthesisService` runs the
   ingest worker and hands out :class:`ServiceState` snapshots that
   answer ``model`` / ``chains`` / ``latency`` / ``store-info`` queries
   off the lock;
 * **observability** (:class:`~repro.service.live.ServiceCounters`):
-  ingest/eviction/extend-vs-rebuild counters behind the ``status``
+  ingest/eviction/fragment/rebuild counters behind the ``status``
   query and ``repro perf``'s ``service.ingest`` bench section.
 
 Quickstart::

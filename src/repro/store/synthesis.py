@@ -5,12 +5,13 @@ Sec. V without an in-memory :class:`TraceDatabase`; both run
 :func:`_synthesize_readers` over the store's own readers:
 
 * **merge_traces** (default): the stored runs' columns feed one
-  :class:`~repro.store.index.StoreTraceIndex` -- consumed run by run
-  when the runs are time-ordered, merged as columns by one stable ts
-  sort when they overlap -- and :func:`_extract_index_cblists` runs the
-  columnar Alg. 1 walk over it.  This is the same index and walk the
-  in-memory pipeline (:func:`~repro.core.extraction.extract_all`) and
-  the live service run.  It runs in one process.
+  :class:`~repro.store.index.StoreTraceIndex` -- merged as columns into
+  one chronological stream by one stable ts sort -- and
+  :func:`_extract_index_cblists` runs the columnar Alg. 1 walk over it.
+  This is the same index and walk the in-memory pipeline
+  (:func:`~repro.core.extraction.extract_all`) and the live service's
+  per-run fragments run; it is also the service's model for a window
+  the runs' folds cannot assemble.  It runs in one process.
 * **merge_dags**: one DAG per stored run, each synthesized from that
   run's reader alone, merged with :func:`~repro.core.merge.merge_dags`.
   In one process, the runs are synthesized from the readers that

@@ -50,6 +50,7 @@ from itertools import chain, compress, count, filterfalse, repeat
 from operator import is_, itemgetter, not_
 from typing import IO, Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from ..core.exec_time import ts_ordered
 from ..sim.scheduler import SchedSwitch, SchedWakeup
 from ..tracing.events import TraceEvent
 from ..tracing.session import Trace, TraceSegment
@@ -432,10 +433,13 @@ class SegmentSpool:
         self.add_wakeups(segment.wakeup_events)
 
     def add_trace(self, trace: Trace) -> None:
-        """Spool a whole in-memory trace."""
-        self.add_ros(trace.ros_events)
-        self.add_sched(trace.sched_events)
-        self.add_wakeups(trace.wakeup_events)
+        """Spool a whole in-memory trace, each stream in stable
+        timestamp order (``Trace.sort``'s order; the trace itself is not
+        mutated): readers reject a segment whose ts columns are out of
+        order."""
+        self.add_ros(ts_ordered(trace.ros_events)[0])
+        self.add_sched(ts_ordered(trace.sched_events)[0])
+        self.add_wakeups(ts_ordered(trace.wakeup_events)[0])
 
     @property
     def num_ros(self) -> int:

@@ -12,7 +12,6 @@ refresh against a second writer process, and the spool's atomic
 are answered over the socket instead of dropping the client.
 """
 
-import copy
 import dataclasses
 import io
 import os
@@ -31,6 +30,7 @@ from repro.analysis import latency as latency_module
 from repro.analysis.latency import LatencyIndex
 from repro.analysis.store import latency_fragment, latency_index_from_store
 from repro.core import dag_to_json, format_exec_table, to_dot
+from repro.core.synthesis import fold_records
 from repro.experiments.batch import BatchConfig
 from repro.scenarios import scenario_names
 from repro.sim.kernel import SEC
@@ -53,8 +53,8 @@ from repro.store.format import (
     StoreFormatError,
     unpack_section_dir,
 )
-from repro.store.reader import SegmentReader
-from repro.store.synthesis import _synthesize_readers
+from repro.store.reader import InMemorySegment, SegmentReader
+from repro.store.synthesis import _extract_index_cblists, _synthesize_readers
 from repro.store.writer import SegmentSpool, encode_trace
 from repro.service import (
     DropDirWatcher,
@@ -191,12 +191,17 @@ class TestIncrementalEquivalence:
         for run_id in sorted(TraceStore(source).run_ids()):
             _deliver(source, target, run_id)
             live.refresh()
-        assert counters.extends == RUNS
+            live.model()
+        assert counters.walk_fragments_built == RUNS
         assert counters.rebuilds == 0
         assert counters.segments_ingested == RUNS
         assert counters.events_indexed > 0
 
-    def test_out_of_order_arrival_rebuilds(self, sources, tmp_path):
+    def test_out_of_order_arrival_keeps_fragments(self, sources, tmp_path):
+        """A fragment does not depend on arrival order: run000 arriving
+        after run001 slots in before it, the window (run-id order) is
+        still time-ordered, and every model is merged from the runs'
+        folds -- each run walked once, no whole synthesis."""
         source = sources["syn"]
         target = str(tmp_path / "ooo")
         counters = ServiceCounters()
@@ -204,9 +209,11 @@ class TestIncrementalEquivalence:
         for run_id in ["run001", "run000", "run002"]:
             _deliver(source, target, run_id)
             live.refresh()
-        assert counters.rebuilds >= 1
-        batch = synthesize_from_store(TraceStore(target), jobs=1)
-        assert _signature(live.model()) == _signature(batch)
+            batch = synthesize_from_store(TraceStore(target), jobs=1)
+            assert _signature(live.model()) == _signature(batch), run_id
+            assert live.model_samples() is not None
+        assert counters.walk_fragments_built == RUNS
+        assert counters.rebuilds == counters.pids_rewalked == 0
 
     def test_ingest_rejects_duplicates_and_unknown_runs(self, sources, tmp_path):
         source = sources["syn"]
@@ -221,26 +228,22 @@ class TestIncrementalEquivalence:
 
     def test_counters_as_dict_lists_every_field(self):
         """The ``status`` reply's counters: every field in declaration
-        order, floats rounded to 6 places."""
-        counters = ServiceCounters(extends=2, extend_s=1.23456789)
+        order."""
+        counters = ServiceCounters(rebuilds=2, pids_rewalked=5)
         assert list(counters.as_dict().items()) == [
             ("segments_ingested", 0),
             ("events_indexed", 0),
             ("rows_evicted", 0),
             ("runs_evicted", 0),
-            ("extends", 2),
-            ("rebuilds", 0),
+            ("rebuilds", 2),
             ("segments_rejected", 0),
             ("queries_served", 0),
             ("internal_errors", 0),
             ("latency_fragments_built", 0),
             ("walk_fragments_built", 0),
             ("model_runs_rendered", 0),
-            ("pids_rewalked", 0),
+            ("pids_rewalked", 5),
             ("segments_decoded", 0),
-            ("extend_s", 1.234568),
-            ("rebuild_s", 0.0),
-            ("saved_s", 0.0),
         ]
 
     def test_retain_window_validation(self, tmp_path):
@@ -250,128 +253,111 @@ class TestIncrementalEquivalence:
             )
 
 
-def _shifted(table, offset):
-    """A position-keyed or position-listing table with every stream
-    position moved down by ``offset``."""
-    if all(isinstance(key, int) for key in table):
-        return {key - offset: value for key, value in table.items()}
+#: The cross-node association tables of a :class:`StoreTraceIndex`.
+_TABLES = ("writes", "writer_cb", "take_responses", "dispatch_after")
+
+
+def _index_tables(index):
+    """Everything a build leaves in a :class:`StoreTraceIndex`: walk
+    columns, sched buckets, pid_map and the association tables."""
     return {
-        key: [(position - offset, aux) for position, aux in entries]
-        for key, entries in table.items()
-    }
-
-
-def _assert_matches_rebuild(index, readers):
-    """An in-place-evicted index equals a from-scratch build over the
-    retained readers: walk columns, sched buckets and pid_map exactly,
-    the association tables and state modulo the position offset."""
-    fresh = StoreTraceIndex(readers)
-    assert index._by_pid == fresh._by_pid
-    assert {
-        pid: (list(times), bytes(flags))
-        for pid, (times, flags) in index._sched_buckets.items()
-    } == {
-        pid: (list(times), bytes(flags))
-        for pid, (times, flags) in fresh._sched_buckets.items()
-    }
-    assert index.sched.pids() == fresh.sched.pids()
-    assert index.pid_map == fresh.pid_map
-    offset = index._runs[0].start if index._runs else 0
-    for table in ("writes", "writer_cb", "take_responses", "dispatch_after"):
-        assert _shifted(getattr(index, table), offset) == getattr(fresh, table), table
-    assert {
-        pid: [position - offset for position in positions]
-        for pid, positions in index._pending_p13.items()
-    } == fresh._pending_p13
-    assert index._current_cb == fresh._current_cb
-    assert index._next_index - offset == fresh._next_index
-
-
-def _index_state(index):
-    """Everything a build leaves in a :class:`StoreTraceIndex`, with
-    stream positions taken relative to its oldest run."""
-    offset = index._runs[0].start if index._runs else 0
-    return {
-        "walks": index._by_pid,
+        "walks": {pid: index.walk_for_pid(pid) for pid in index.pids()},
         "sched": {
             pid: (list(times), bytes(flags))
-            for pid, (times, flags) in index._sched_buckets.items()
+            for pid, (times, flags) in index.sched._buckets.items()
         },
-        "sched_pids": index.sched.pids(),
         "pid_map": index.pid_map,
-        "tables": [
-            _shifted(getattr(index, table), offset)
-            for table in ("writes", "writer_cb", "take_responses", "dispatch_after")
-        ],
-        "pending_p13": {
-            pid: [position - offset for position in positions]
-            for pid, positions in index._pending_p13.items()
-        },
-        "current_cb": index._current_cb,
-        "next_index": index._next_index - offset,
+        "tables": [getattr(index, table) for table in _TABLES],
     }
+
+
+def _stitched(readers, wanted=None):
+    """One-run builds over ``readers``, put together in run order with
+    each run's stream positions moved past the rows of the runs before
+    it: the build a window of time-ordered runs that share no state
+    gets, assembled from the service's per-run pieces."""
+    state = {"walks": {}, "sched": {}, "pid_map": {}, "tables": [{} for _ in _TABLES]}
+    offset = 0
+    for reader in readers:
+        part = _index_tables(StoreTraceIndex([reader], wanted_pids=wanted))
+        for pid, columns in part["walks"].items():
+            walk = state["walks"].setdefault(pid, ([], bytearray(), []))
+            for kept, column in zip(walk, columns):
+                kept.extend(column)
+        for pid, (times, flags) in part["sched"].items():
+            kept_times, kept_flags = state["sched"].get(pid, ([], b""))
+            state["sched"][pid] = (kept_times + times, kept_flags + flags)
+        state["pid_map"].update(part["pid_map"])
+        for kept, table in zip(state["tables"], part["tables"]):
+            for key, value in table.items():
+                if isinstance(value, list):  # (position, fields) entries
+                    kept.setdefault(key, []).extend(
+                        (position + offset, aux) for position, aux in value
+                    )
+                else:  # keyed by position
+                    kept[key + offset] = value
+        offset += reader.num_ros_events
+    return state
 
 
 class TestOneBuildPath:
-    """The batch constructor, ``extend`` and ``evict_oldest`` are one
-    path: growing or shrinking an index by a run lands on the index a
-    batch build over the same runs makes, for the full stream and for
-    a ``--pids`` subset."""
+    """One build path: a batch build over a window of recorded runs
+    equals the one-run builds the service's fragments walk, put
+    together -- for the window grown by a run (an extend) and shrunk by
+    its oldest run (an eviction), over the full stream and a
+    ``--pids`` subset."""
 
     @pytest.mark.parametrize("shard", [False, True])
     @pytest.mark.parametrize("name", scenario_names())
     def test_extend_and_evict_equal_batch_builds(self, sources, name, shard):
         store = TraceStore(sources[name])
-        def readers():
-            return [store.open(run_id) for run_id in store.run_ids()]
-
-        pids = sorted({pid for reader in readers() for pid in reader.pid_map})
-        wanted = pids[::2] if shard else None
-
-        runs = readers()
+        runs = [store.open(run_id) for run_id in store.run_ids()]
         assert len(runs) == RUNS
-        batch = StoreTraceIndex(runs, wanted_pids=wanted)
-        assert len(batch._runs) == RUNS  # time-ordered: appended per run
-        grown = StoreTraceIndex(readers()[:2], wanted_pids=wanted)
-        grown.extend(readers()[2])
-        assert _index_state(grown) == _index_state(batch)
-        assert [
-            (run.start, run.stop, run.walk_rows, run.sched_rows, run.keys,
-             run.carried, run.setters)
-            for run in grown._runs
-        ] == [
-            (run.start, run.stop, run.walk_rows, run.sched_rows, run.keys,
-             run.carried, run.setters)
-            for run in batch._runs
-        ]
-
-        assert batch.evict_oldest()
-        if wanted is None:
-            _assert_matches_rebuild(batch, runs[1:])
-        assert _index_state(batch) == _index_state(
-            StoreTraceIndex(readers()[1:], wanted_pids=wanted)
-        )
+        pids = sorted({pid for reader in runs for pid in reader.pid_map})
+        wanted = pids[::2] if shard else None
+        for window in (runs[:2], runs, runs[1:]):
+            batch = StoreTraceIndex(window, wanted_pids=wanted)
+            assert _index_tables(batch) == _stitched(window, wanted)
 
     def test_overlapping_runs_neither_grow_nor_evict(self, sources, tmp_path):
-        """Two runs on the same clock: the sort-merged index refuses
-        both in-place operations and stays as built."""
-        trace = TraceStore(sources["syn"]).load("run000")
+        """Two runs on the same clock: the build is the chronological
+        merge of both streams (``Trace.merge``'s order), not their
+        concatenation, and a live window holding both is synthesized
+        whole; once a later run evicts one, the folds assemble the
+        window again."""
+        source = TraceStore(sources["syn"])
+        trace = source.load("run000")
         store = TraceStore.create(str(tmp_path / "overlap"))
         for run_id in ["run000", "run001"]:
             store.add_trace(run_id, trace)
         index = StoreTraceIndex(store.readers())
-        assert index._runs == []
-        later = TraceStore(sources["syn"]).open("run002")
+        merged = StoreTraceIndex([InMemorySegment(Trace.merge([trace, trace]))])
+        assert _index_tables(index) == _index_tables(merged)
+        assert _index_tables(index) != _stitched(store.readers())
+        later = source.open("run002")
         assert later.ros_ts_range()[0] > trace.ros_events[-1].ts
-        assert not index.can_append(later)
-        before = copy.deepcopy(_index_state(index))
-        assert index.evict_oldest() is False
-        assert _index_state(index) == before
+
+        target = str(tmp_path / "served")
+        live = LiveSynthesizer(TraceStore.create(target), retain_window=2)
+        assembled = []
+        for directory, run_id in [
+            (store.directory, "run000"),
+            (store.directory, "run001"),
+            (source.directory, "run002"),
+        ]:
+            _deliver(directory, target, run_id)
+            assert live.refresh() == [run_id]
+            _assert_served_equals_batch(live)
+            assembled.append(live.model_samples() is not None)
+        assert assembled == [True, False, True]
+        assert live.counters.rebuilds == 1
+        assert live.counters.walk_fragments_built == 3
 
 
 class TestEvictionWindow:
     """retain_window=N == batch synthesis of the N newest runs; an
-    in-order stream evicts in place and never rebuilds."""
+    eviction drops the oldest run's fragment, and a recorded stream
+    never rebuilds."""
 
     def test_eviction_matches_truncated_batch_store(self, sources, tmp_path):
         source = sources["syn"]
@@ -428,16 +414,12 @@ class TestEvictionWindow:
             # arrival, no full re-walk.
             assert counters.walk_fragments_built == arrived
             assert counters.pids_rewalked == 0
-            reference = TraceStore(truncated)
-            _assert_matches_rebuild(
-                live.index, [reference.open(keep) for keep in retained]
-            )
         assert counters.runs_evicted == RUNS - window
-        assert counters.extends == RUNS
 
     def test_stale_arrival_leaves_the_index_alone(self, sources, tmp_path):
         """A run older than the whole full window is evicted on arrival:
-        no rebuild, and the model is still the retained runs' model."""
+        no fragment is built for it, no rebuild, and the model is still
+        the retained runs' model."""
         source = sources["syn"]
         target = str(tmp_path / "stale")
         counters = ServiceCounters()
@@ -448,7 +430,6 @@ class TestEvictionWindow:
             _deliver(source, target, run_id)
             assert live.refresh() == [run_id]
         assert live.run_ids == ["run001", "run002"]
-        assert counters.rebuilds == 0
         assert counters.runs_evicted == 1
         assert counters.segments_ingested == 3
         truncated = str(tmp_path / "stale_ref")
@@ -457,6 +438,8 @@ class TestEvictionWindow:
             _deliver(source, truncated, keep)
         batch = synthesize_from_store(TraceStore(truncated), jobs=1)
         assert _signature(live.model()) == _signature(batch)
+        assert counters.rebuilds == 0
+        assert counters.walk_fragments_built == counters.latency_fragments_built == 2
         assert live.refresh() == []
 
 
@@ -552,9 +535,20 @@ RUN_FORMATS = pytest.mark.parametrize(
 )
 
 
+def _run_starts(readers):
+    """Each run's first stream position in a build over ``readers``
+    (time-ordered: the runs' rows follow one another)."""
+    starts, offset = [], 0
+    for reader in readers:
+        starts.append(offset)
+        offset += reader.num_ros_events
+    return starts
+
+
 class TestRunBoundaryCarries:
     """State one run carries into the next, on hand-built two-run
-    stores: eviction must forget it, concatenation must pair it."""
+    stores: a build over the runs must carry it, a build without the
+    earlier run must not, and concatenation must pair it."""
 
     @staticmethod
     def _store(directory, traces, suffix=SEGMENT_SUFFIX):
@@ -572,23 +566,18 @@ class TestRunBoundaryCarries:
     @RUN_FORMATS
     def test_evicted_setter_no_longer_feeds_writer_cb(self, tmp_path, suffix):
         """run001's first PID-1 write precedes every PID-1 setter of
-        run001, so it read run000's cbA; without run000 it reads None --
-        whether run000 leaves after run001 was consumed (the write is
-        rewritten) or before (the carried state is dropped)."""
+        run001, so it reads run000's cbA in a build over both runs, and
+        None in one without run000 -- the build a one-run window's
+        model equals once run000 is evicted."""
         store = self._store(
             str(tmp_path / "source"),
             [_handbuilt_run(0), _handbuilt_run(1000, leading_write=True)],
             suffix,
         )
         first, second = store.open("run000"), store.open("run001")
-        index = StoreTraceIndex()
-        index.extend(first)
-        index.extend(second)
-        carried = index._runs[1].start
-        assert index.writer_cb[carried] == "cbA"
-        assert index.evict_oldest()
-        assert index.writer_cb[carried] is None
-        _assert_matches_rebuild(index, [second])
+        carried = _run_starts([first, second])[1]
+        assert StoreTraceIndex([first, second]).writer_cb[carried] == "cbA"
+        assert StoreTraceIndex([second]).writer_cb[0] is None
 
         target = str(tmp_path / "target")
         counters = ServiceCounters()
@@ -598,21 +587,21 @@ class TestRunBoundaryCarries:
         for run_id in ["run000", "run001"]:
             _deliver(store.directory, target, run_id, suffix)
             live.refresh()
-        assert counters.rebuilds == 0
-        assert live.index.writer_cb[carried] is None
-        _assert_matches_rebuild(live.index, [second])
         reference = str(tmp_path / "reference")
         os.makedirs(reference)
         _deliver(store.directory, reference, "run001", suffix)
         batch = synthesize_from_store(TraceStore(reference), jobs=1)
         assert _signature(live.model()) == _signature(batch)
+        assert counters.rebuilds == 0
 
     @RUN_FORMATS
     def test_carry_skips_runs_without_a_setter(self, tmp_path, suffix):
         """run001 writes with no PID-1 setter at all, run002 and run003
-        write before their first setter.  Evicting run000 resets the
-        writes of run001 and run002 (their value came from run000) but
-        not run003's (it came from run002)."""
+        write before their first setter.  Without run000, the writes of
+        run001 and run002 read None (their value came from run000) but
+        run003's still reads cbA (it came from run002); a live window
+        of the last three runs shares PID 1, so its model is the batch
+        synthesis of those runs."""
         store = self._store(
             str(tmp_path / "source"),
             [
@@ -624,32 +613,41 @@ class TestRunBoundaryCarries:
             suffix,
         )
         readers = [store.open(run_id) for run_id in store.run_ids()]
-        index = StoreTraceIndex()
-        for reader in readers:
-            index.extend(reader)
-        assert index.evict_oldest()
-        assert [index.writer_cb[run.start] for run in index._runs] == [
+        index = StoreTraceIndex(readers)
+        assert [index.writer_cb[start] for start in _run_starts(readers)[1:]] == [
+            "cbA", "cbA", "cbA",
+        ]
+        index = StoreTraceIndex(readers[1:])
+        assert [index.writer_cb[start] for start in _run_starts(readers[1:])] == [
             None, None, "cbA",
         ]
-        _assert_matches_rebuild(index, readers[1:])
+
+        target = str(tmp_path / "target")
+        live = LiveSynthesizer(TraceStore.create(target), retain_window=3)
+        for run_id in store.run_ids():
+            _deliver(store.directory, target, run_id, suffix)
+            live.refresh()
+        batch = _batch_over(
+            store.directory, store.run_ids()[1:], str(tmp_path / "reference"),
+            suffix,
+        )
+        assert _signature(live.model()) == _signature(batch)
+        assert live.counters.rebuilds == 1
 
     @RUN_FORMATS
     def test_setter_without_a_cb_start_is_not_a_carry(self, tmp_path, suffix):
         """run001's first PID-1 setter is a timer call with no callback
-        start before it: the write after it reads run001's own cbB, so
-        evicting run000 leaves it alone."""
+        start before it: the write after it reads run001's own cbB, with
+        or without run000 before it."""
         store = self._store(
             str(tmp_path / "source"),
             [_handbuilt_run(0), _handbuilt_run(1000, timer=False, leading_call=True)],
             suffix,
         )
         readers = [store.open(run_id) for run_id in store.run_ids()]
-        index = StoreTraceIndex(readers)
-        write = index._runs[1].start + 1
-        assert index.writer_cb[write] == "cbB"
-        assert index.evict_oldest()
-        assert index.writer_cb[write] == "cbB"
-        _assert_matches_rebuild(index, readers[1:])
+        write = _run_starts(readers)[1] + 1
+        assert StoreTraceIndex(readers).writer_cb[write] == "cbB"
+        assert StoreTraceIndex(readers[1:]).writer_cb[1] == "cbB"
 
     @pytest.mark.parametrize(
         "middle, window",
@@ -697,7 +695,7 @@ class TestRunBoundaryCarries:
             _deliver(source, target, run_id)
             live.refresh()
             live.model()
-        assert live.counters.extends == 2
+        assert live.counters.walk_fragments_built == 2
         batch = synthesize_from_store(TraceStore(target), jobs=1)
         assert _signature(live.model()) == _signature(batch)
 
@@ -729,34 +727,53 @@ def _service_run(base, client, server, src_ts):
 
 
 class TestWalkFragmentFallback:
-    """Retained runs that share walk state take the full re-walk, and
-    the model still equals batch synthesis at every commit point."""
+    """Every run is walked once, into its own fragment, whatever the
+    stream; a window whose runs share walk state or are out of time
+    order gets the batch synthesis over its runs, once per arrival,
+    and equals batch synthesis at every commit point."""
 
     @staticmethod
-    def _stream(tmp_path, traces, window):
+    def _stream(tmp_path, monkeypatch, traces, window):
         """Deliver ``traces`` in order to a live synthesizer with
         ``window``, pinning the model to batch synthesis over the
-        retained runs after every arrival; returns the counters."""
+        retained runs after every arrival; returns the counters and,
+        per arrival, how many times the model ran the batch synthesis
+        (``_synthesize_readers``)."""
+        calls = []
+        synthesize = live_module._synthesize_readers
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return synthesize(*args, **kwargs)
+
+        monkeypatch.setattr(live_module, "_synthesize_readers", counting)
         source = TestRunBoundaryCarries._store(str(tmp_path / "source"), traces)
         target = str(tmp_path / "target")
         live = LiveSynthesizer(TraceStore.create(target), retain_window=window)
+        whole = []
         for run_id in source.run_ids():
             _deliver(source.directory, target, run_id)
             assert live.refresh() == [run_id]
             batch = _batch_over(
                 source.directory, live.run_ids, str(tmp_path / f"ref_{run_id}")
             )
-            assert _signature(live.model()) == _signature(batch), run_id
-        assert live.counters.rebuilds == 0
-        return live.counters
+            calls.clear()
+            for _ in range(2):  # the second model is the cached one
+                assert _signature(live.model()) == _signature(batch), run_id
+            whole.append(len(calls))
+        counters = live.counters
+        assert counters.walk_fragments_built == len(traces)
+        assert counters.rebuilds == sum(whole)
+        return counters, whole
 
     @pytest.mark.parametrize("window", [2, None])
-    def test_recurring_pids_rewalk(self, tmp_path, window):
+    def test_recurring_pids_rewalk(self, tmp_path, monkeypatch, window):
         """PIDs 1 and 2 recur in every run, with a callback open across
         the first boundary and writes carried across both: each later
         arrival shares with the runs before it."""
-        counters = self._stream(
+        counters, whole = self._stream(
             tmp_path,
+            monkeypatch,
             [
                 _handbuilt_run(0, open_at_end=True),
                 _handbuilt_run(1000, leading_write=True, leading_end=True),
@@ -764,18 +781,19 @@ class TestWalkFragmentFallback:
             ],
             window,
         )
-        assert counters.pids_rewalked > 0
-        assert counters.walk_fragments_built == 1
+        assert whole == [0, 1, 1]
+        assert counters.pids_rewalked == 2 + 2
 
     @pytest.mark.parametrize("window", [2, None])
-    def test_shared_service_key_rewalks(self, tmp_path, window):
+    def test_shared_service_key_rewalks(self, tmp_path, monkeypatch, window):
         """run000 and run001 have disjoint PIDs but send their request
         under one ``(topic, src_ts)`` key, so FindCaller pairs run001's
         take with run001's own write only in a walk that has consumed
         run000's first.  run002 shares nothing; with a window of two it
-        evicts run000, and run001 is walked on its own."""
-        counters = self._stream(
+        evicts run000, and the folds assemble the window again."""
+        counters, whole = self._stream(
             tmp_path,
+            monkeypatch,
             [
                 _service_run(0, 1, 2, src_ts=5),
                 _service_run(1000, 3, 4, src_ts=5),
@@ -783,8 +801,29 @@ class TestWalkFragmentFallback:
             ],
             window,
         )
-        assert counters.pids_rewalked > 0
-        assert counters.walk_fragments_built == (3 if window else 2)
+        assert whole == [0, 1, 0 if window else 1]
+        assert counters.pids_rewalked == (4 if window else 4 + 6)
+
+    @pytest.mark.parametrize("window", [2, None])
+    def test_window_out_of_time_order_synthesizes_whole(
+        self, tmp_path, monkeypatch, window
+    ):
+        """run001's clock lies before run000's: the runs share nothing
+        and their PIDs ascend, but in run-id order their streams are
+        not time-ordered, so the model is synthesized whole until
+        run000 leaves the window."""
+        counters, whole = self._stream(
+            tmp_path,
+            monkeypatch,
+            [
+                _service_run(1000, 1, 2, src_ts=1012),
+                _service_run(0, 3, 4, src_ts=12),
+                _service_run(2000, 5, 6, src_ts=2012),
+            ],
+            window,
+        )
+        assert whole == [0, 1, 0 if window else 1]
+        assert counters.pids_rewalked == (4 if window else 4 + 6)
 
 
 def _assert_fragments_of(live, run_ids, topics):
@@ -973,6 +1012,7 @@ class TestLatencyFragmentCache:
             assert reply["min_ns"] == min(expected)
             assert reply["max_ns"] == max(expected)
             assert counters.latency_fragments_built == arrived
+            service.live.model()
             assert counters.rebuilds == 0
         status, _ = service.handle_request({"cmd": "status"}, b"")
         assert status["counters"]["latency_fragments_built"] == RUNS
@@ -1100,6 +1140,7 @@ class TestLatencyFragmentCache:
         service.handle_request({"cmd": "latency", "topics": ["/t1"]}, b"")
         _assert_fragments_of(service.live, run_ids[-2:], ["/t1"])
         assert service.counters.latency_fragments_built == len(run_ids)
+        service.live.model()
         assert service.counters.rebuilds == 0
 
 
@@ -1183,18 +1224,40 @@ class TestServedModelEqualsBatch:
         assert counters.rebuilds == counters.pids_rewalked == 0
 
     def test_out_of_order_arrival(self, model_streams, tmp_path):
-        """A rebuild drops every fragment: the next model walks, folds
-        and renders each retained run once, then merges them."""
+        """An out-of-order arrival slots its fragment in before the
+        later runs': every model is merged, and each run is walked,
+        folded and rendered once."""
         source = model_streams["syn"]
         run_ids = TraceStore(source).run_ids()[:6]
         order = [run_ids[1], run_ids[0], *run_ids[2:]]
         live = self._feed(source, str(tmp_path / "served"), order, retain_window=4)
         assert live.model_samples() is not None
         counters = live.counters
-        assert counters.rebuilds == 1
-        # run001 on arrival, both retained runs after the rebuild, then
-        # one per in-order arrival.
-        assert counters.model_runs_rendered == 1 + 2 + 4
+        assert counters.rebuilds == counters.pids_rewalked == 0
+        assert counters.walk_fragments_built == counters.model_runs_rendered == 6
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_fragment_folds_are_the_runs_share_of_the_batch_walk(
+        self, sources, name, tmp_path
+    ):
+        """Each run's fragment, walked over the run alone, folds exactly
+        the records batch synthesis's walk over the whole store gives
+        the run's PIDs, in the same order."""
+        store = TraceStore(sources[name])
+        run_ids = store.run_ids()
+        index = StoreTraceIndex(store.readers())
+        target = str(tmp_path / "served")
+        live = LiveSynthesizer(TraceStore.create(target))
+        for run_id in run_ids:
+            _deliver(sources[name], target, run_id)
+        assert live.refresh() == run_ids
+        for run_id in run_ids:
+            share = fold_records(_extract_index_cblists(
+                index, sorted(store.open(run_id).pid_map)
+            ))
+            fold = live._runs.fragments[run_id].fold
+            assert fold == share, (name, run_id)
+            assert list(fold.vertices) == list(share.vertices)
 
     def test_json_queries_render_each_run_once(self, model_streams, tmp_path):
         """Sample lists are rendered by the first model JSON query that
@@ -1246,7 +1309,11 @@ class TestServedModelEqualsBatch:
             _assert_served_equals_batch(live)
             merged.append(live.model_samples() is not None)
         assert merged == [True, False, window == 2]
-        assert live.counters.pids_rewalked == 0
+        # The whole syntheses walk PIDs 5, 6, 1, 2 (and 7, 8 without a
+        # window); every run was walked into its fragment once.
+        assert live.counters.rebuilds == merged.count(False)
+        assert live.counters.pids_rewalked == (4 if window else 4 + 6)
+        assert live.counters.walk_fragments_built == 3
 
     @pytest.mark.parametrize(
         "split_services, model_sync", [(False, True), (True, False)]
@@ -1520,7 +1587,7 @@ class TestCorruptSections:
         assert os.listdir(directory) == [first + SEGMENT_SUFFIX]
         assert service.counters.segments_rejected == 1
         assert service.live.run_ids == [first]
-        assert len(service.live.index.runs()) == 1
+        assert service.counters.walk_fragments_built == 1
         service.ingest_bytes(last, blobs[last])
         reference = self._reference(
             blobs, [first, last], str(tmp_path / "reference")
