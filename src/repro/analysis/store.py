@@ -30,18 +30,36 @@ Two data paths, mirroring the pipeline split:
 :class:`StoreAnalysis` bundles both paths behind one lazily-caching
 handle (one synthesis, one latency index, any number of reports) -- the
 engine behind ``repro analyze``.  It opens the store's readers once,
-resolves each one's columns once
+resolves each one's columns at most once
 (:func:`~repro.store.index.resolve_run`) and hands both to the
-``merge_traces`` synthesis and to the latency index alike, so each
-segment is inflated and resolved once.  Chain latencies follow the
-per-run fragments one at a time when no journey can cross a run
+synthesis and to the latency index alike, so each segment is inflated
+and resolved at most once.  A whole-store ``merge_traces`` handle over
+stored runs that share nothing builds from per-run fragments
+(:mod:`repro.analysis.fragments`, the code the live service builds its
+fragments with) once it shares a run with the previous handle in the
+process: each run is looked up in a process-wide cache keyed by the
+sha256 of its segment bytes, only the misses are resolved, one walk
+over them builds their fragments, and the model is the fragments'
+merged folds.  So a handle over a window that shares all but one run
+with the previous handle does O(new run) of the work.  A handle that
+shares no run with the previous one -- a store's first, ``repro
+analyze``'s one per process, a one-shot front end's below -- builds in
+batch and keeps no fragment, since none would be looked up again.
+Chain latencies follow the per-run fragments one at a time when no
+journey can cross a run
 (:func:`~repro.analysis.latency.chain_latencies`).
+
+``strict=False`` on the store skips a run that fails its open or the
+resolve of its columns
+(:meth:`~repro.store.database.TraceStore.resolve_runs`), with a
+warning, in :class:`StoreAnalysis` and :func:`latency_index_from_store`
+alike.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,6 +68,7 @@ from ..core.gcpause import paused_gc
 from ..core.pipeline import STRATEGY_MERGE_DAGS, STRATEGY_MERGE_TRACES
 from ..store.database import StoreLike, as_store
 from ..store.index import (
+    ResolvedRun,
     _merged_columns,
     _resolve,
     _runs_are_time_ordered,
@@ -57,6 +76,16 @@ from ..store.index import (
 )
 from ..store.synthesis import _merge_run_dags, _synthesize_readers
 from .chains import Chain, enumerate_chains
+from .fragments import (
+    FRAGMENTS,
+    FragmentKey,
+    _assembles,
+    _run_fragments,
+    _RunFragment,
+    _sharing,
+    assembled_dag,
+    fragment_key,
+)
 from .jitter import ActivationModel, activation_models
 from .latency import (
     ChainLatency,
@@ -117,6 +146,12 @@ def _latency_fragments(
     ]
 
 
+def _resolve_ros(reader) -> ResolvedRun:
+    """A run's ROS columns (:func:`~repro.store.index._resolve`): all a
+    latency index reads, so damage elsewhere does not stop one."""
+    return ResolvedRun(reader, _resolve(reader))
+
+
 @paused_gc()
 def latency_index_from_store(
     store: StoreLike, pids: Optional[Iterable[int]] = None
@@ -129,14 +164,29 @@ def latency_index_from_store(
 
     Time-disjoint runs (the usual case) are indexed one
     :func:`latency_fragment` per run and concatenated; overlapping runs
-    go through one build over their merged columns.
+    go through one build over their merged columns.  A run whose
+    columns fail to resolve is skipped when the store is not strict.
     """
-    readers = as_store(store).readers()
+    resolved = as_store(store).resolve_runs(resolve=_resolve_ros).values()
+    readers = [run.reader for run in resolved]
+    columns = [run.columns for run in resolved]
     wanted = None if pids is None else frozenset(pids)
-    fragments = _latency_fragments(readers, wanted)
+    fragments = _latency_fragments(readers, wanted, columns)
     if fragments is None:
-        return _merged_latency_index(readers, wanted)
+        return _merged_latency_index(readers, wanted, columns)
     return LatencyIndex.concat(fragments)
+
+
+class _Runs(NamedTuple):
+    """A :class:`StoreAnalysis` handle's runs, in run-id order."""
+
+    readers: List
+    #: each run's resolved columns; None where the handle builds from
+    #: fragments, and for a run whose fragment came from the cache
+    #: (resolved when a batch build needs it).
+    columns: List[Optional[Tuple]]
+    #: each run's fragment, or None when the handle builds in batch.
+    fragments: Optional[List[_RunFragment]]
 
 
 class StoreAnalysis:
@@ -145,8 +195,24 @@ class StoreAnalysis:
 
     Parameters mirror
     :func:`~repro.store.synthesis.synthesize_from_store`.  The store's
-    readers are opened and resolved once, and shared by the synthesis
-    (either strategy) and the latency index.
+    readers are opened once, each run is resolved at most once, and
+    both are shared by the synthesis (either strategy) and the latency
+    index.  ``strict=False`` on the store skips a run that fails its
+    open or its resolve, with a warning.
+
+    A ``merge_traces`` handle over the whole store (no ``pids``) whose
+    runs are stored segments looks them up in the process-wide fragment
+    cache (:mod:`repro.analysis.fragments`) by the sha256 of their
+    segment bytes.  When it shares a run with the previous handle to
+    look the cache up and its runs share no walk state, it builds from
+    per-run fragments: only the misses are resolved, one walk over them
+    builds their fragments, the model is the fragments' merged folds
+    and the latency index their latency fragments.  A handle that
+    shares no run with the previous one builds in batch and keeps no
+    fragment; one whose runs overlap in time or share walk state builds
+    in batch and keeps the fragments it found.  ``pids=``,
+    ``merge_dags`` and gzip-JSON runs build in batch and leave the
+    cache alone.
 
     The builds and queries (:attr:`dag`, :attr:`index`,
     :meth:`chain_latencies`, :meth:`waiting_times`,
@@ -174,21 +240,85 @@ class StoreAnalysis:
         self._index: Optional[LatencyIndex] = None
 
     @cached_property
-    def _readers(self) -> List:
-        """The store's readers, opened on first use."""
-        return self.store.readers()
+    def _runs(self) -> _Runs:
+        """The store's runs, opened and (for misses) resolved on first
+        use, with their fragments when the handle builds from them."""
+        store = self.store
+        opened = store.open_runs()
+        keys: Dict[str, Optional[FragmentKey]] = {}
+        if self.pids is None and self.strategy == STRATEGY_MERGE_TRACES:
+            keys = {
+                run_id: fragment_key(reader, self.split_services)
+                for run_id, reader in opened.items()
+            }
+        cached = None
+        if keys and None not in keys.values():
+            cached = FRAGMENTS.lookup(keys.values())
+        if cached is None:
+            resolved = store.resolve_runs(opened).values()
+            return _Runs(
+                [run.reader for run in resolved],
+                [run.columns for run in resolved],
+                None,
+            )
+        resolved = store.resolve_runs({
+            run_id: reader for run_id, reader in opened.items()
+            if keys[run_id] not in cached
+        })
+        ids = [
+            run_id for run_id in opened
+            if keys[run_id] in cached or run_id in resolved
+        ]
+        readers = [opened[run_id] for run_id in ids]
+        columns = [
+            resolved[run_id].columns if run_id in resolved else None
+            for run_id in ids
+        ]
+        sharings = [
+            _sharing(resolved[run_id]) if run_id in resolved
+            else cached[keys[run_id]].sharing
+            for run_id in ids
+        ]
+        if not _assembles(sharings):
+            FRAGMENTS.keep(cached)
+            return _Runs(readers, columns, None)
+        # The misses assemble too (any part of an assembling window
+        # does): one walk builds them all, each distinct segment once.
+        missing: Dict[FragmentKey, Tuple] = {}
+        for run_id, sharing in zip(ids, sharings):
+            key = keys[run_id]
+            if key not in cached and key not in missing:
+                missing[key] = (resolved[run_id], sharing)
+        built: Dict[FragmentKey, _RunFragment] = dict(cached)
+        if missing:
+            runs, parts = zip(*missing.values())
+            fragments = _run_fragments(runs, parts, self.split_services)
+            built.update(zip(missing, fragments))
+        FRAGMENTS.keep(built)
+        # The fragments are all the handle reads: the columns go now.
+        return _Runs(
+            readers, [None] * len(ids), [built[keys[run_id]] for run_id in ids]
+        )
 
     @cached_property
     def _columns(self) -> List[Tuple]:
-        """Each reader's resolved columns (:func:`resolve_run`), shared
-        by the synthesis and the latency index."""
-        return [resolve_run(reader).columns for reader in self._readers]
+        """Each run's resolved columns, shared by the batch synthesis and
+        the latency index: a run whose fragment came from the cache is
+        resolved here, once."""
+        runs = self._runs
+        return [
+            resolve_run(reader).columns if columns is None else columns
+            for reader, columns in zip(runs.readers, runs.columns)
+        ]
 
     @cached_property
     def _fragments(self) -> Optional[List[LatencyIndex]]:
         """Per-run latency fragments over the same readers, or None when
         the runs overlap in time."""
-        return _latency_fragments(self._readers, self._wanted, self._columns)
+        runs = self._runs
+        if runs.fragments is not None:
+            return [fragment.latency for fragment in runs.fragments]
+        return _latency_fragments(runs.readers, self._wanted, self._columns)
 
     @property
     @paused_gc()
@@ -204,13 +334,17 @@ class StoreAnalysis:
                     f"unknown strategy {self.strategy!r}; expected "
                     f"{STRATEGY_MERGE_TRACES!r} or {STRATEGY_MERGE_DAGS!r}"
                 )
-            self._dag = synthesize(
-                self._readers,
-                self.pids,
-                split_services=self.split_services,
-                model_sync=self.model_sync,
-                columns=self._columns,
-            )
+            fragments = self._runs.fragments
+            if fragments is not None:
+                self._dag = assembled_dag(fragments, self.model_sync)
+            if self._dag is None:
+                self._dag = synthesize(
+                    self._runs.readers,
+                    self.pids,
+                    split_services=self.split_services,
+                    model_sync=self.model_sync,
+                    columns=self._columns,
+                )
         return self._dag
 
     @property
@@ -221,7 +355,7 @@ class StoreAnalysis:
             fragments = self._fragments
             if fragments is None:
                 self._index = _merged_latency_index(
-                    self._readers, self._wanted, self._columns
+                    self._runs.readers, self._wanted, self._columns
                 )
             else:
                 self._index = LatencyIndex.concat(fragments)

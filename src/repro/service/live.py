@@ -1,27 +1,35 @@
 """Incremental model maintenance for the live service.
 
 :class:`LiveSynthesizer` keeps one fragment per retained run, built at
-ingest from that run's segment alone (:func:`_run_fragment`): a one-run
+ingest from that run's segment alone by the fragment code it shares
+with batch analysis (:mod:`repro.analysis.fragments`,
+:func:`~repro.analysis.fragments._run_fragments`): a one-run
 :class:`~repro.store.index.StoreTraceIndex`, dropped once the run's
 PIDs are walked; the walk's records folded per vertex key
 (:func:`~repro.core.synthesis.fold_records`); the run's
-:class:`~repro.analysis.latency.LatencyIndex` fragment; its sharing
-entries and named PIDs; and, once a model JSON query has asked for
-them, its sample lists rendered as model JSON
+:class:`~repro.analysis.latency.LatencyIndex` fragment; its span, PID
+and key sets (:class:`~repro.analysis.fragments._Sharing`); and, once
+a model JSON query has asked for them, its sample lists rendered as
+model JSON
 (:func:`~repro.core.export.render_samples`).  A fragment depends on its
 own run only, so it is never invalidated or walked again: an arrival
-builds one fragment and an eviction drops one.
+builds one fragment and an eviction drops one.  The service builds
+its fragments from the runs it ingests and never reads or fills
+:class:`~repro.analysis.store.StoreAnalysis`'s process-wide fragment
+cache (:data:`~repro.analysis.fragments.FRAGMENTS`).
 
 The model merges the retained runs' folds and runs only DAG
 synthesis's structural pass over the window
-(:func:`~repro.core.synthesis.dag_from_fold`) when the folds add up to
+(:func:`~repro.analysis.fragments.assembled_dag`) when the folds add up to
 batch synthesis's walk over those runs: their ROS spans are
 time-ordered in run-id order, no two of them share walk state (the
-rule of :class:`_RunFragments`), and each run names only PIDs above the
-previous runs'.  Recorded streams meet all three -- each run has its
-own PIDs, above the previous run's, and its own clock -- so there an
-arrival walks, folds and (for a model JSON query) renders one run, and
-a model JSON query joins the runs' rendered sample lists.  Any other
+rule of :func:`~repro.analysis.fragments._assembles`, the one
+:class:`~repro.analysis.store.StoreAnalysis` applies), and each run
+names only PIDs above the previous runs'.  Recorded streams meet all
+three -- each run has its own PIDs, above the previous run's, and its
+own clock -- so there an arrival walks, folds and (for a model JSON
+query) renders one run, and a model JSON query joins the runs'
+rendered sample lists.  Any other
 window's model *is* the batch synthesis:
 :func:`~repro.store.synthesis._synthesize_readers` over the retained
 runs' segments, run by the first model query after an arrival and
@@ -50,36 +58,18 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
+from ..analysis.fragments import _RunFragment, _run_fragments, _sharing, assembled_dag
 from ..analysis.latency import ChainLatency, LatencyIndex, fragments_are_separable
 from ..analysis.store import _merged_latency_index
 from ..core.dag import TimingDag
-from ..core.exec_time import distinct
 from ..core.export import RenderedSamples, render_samples
 from ..core.gcpause import paused_gc
-from ..core.index import (
-    CODE_CB_START,
-    CODE_DDS_WRITE,
-    CODE_TAKE_REQUEST,
-    CODE_TAKE_RESPONSE,
-    F_KIND,
-    F_SRC_TS,
-    F_TOPIC,
-    TopicKey,
-)
-from ..core.synthesis import CallbackFold, dag_from_fold, fold_records, merge_folds
 from ..store.database import TraceStore
 from ..store.format import StoreFormatError
-from ..store.index import (
-    ResolvedRun,
-    StoreTraceIndex,
-    _spans_are_ordered,
-    resolve_run,
-)
-from ..store.synthesis import _extract_index_cblists, _synthesize_readers
+from ..store.index import ResolvedRun, _spans_are_ordered, resolve_run
+from ..store.synthesis import _synthesize_readers
 from .state import MODEL_JSON_INDENT
 
 
@@ -121,154 +111,17 @@ class ServiceCounters:
         return asdict(self)
 
 
-#: ``kind`` of the writes FindCaller and FindClient match.
-_SERVICE_WRITES = ("request", "response")
-
-
-def _service_keys(columns: Tuple) -> Set[TopicKey]:
-    """The ``(topic, src_ts)`` keys of one run's service rows -- request
-    and response takes and writes, the keys FindCaller and FindClient
-    match -- from the run's resolved columns."""
-    _ts, _pid, codes, aux = columns
-    rows = np.flatnonzero((codes >= CODE_TAKE_REQUEST) & (codes <= CODE_DDS_WRITE))
-    return {
-        (data[F_TOPIC], data[F_SRC_TS])
-        for code, data in zip(codes[rows].tolist(), aux[rows].tolist())
-        if code != CODE_DDS_WRITE or data[F_KIND] in _SERVICE_WRITES
-    }
-
-
-@dataclass(eq=False)
-class _RunFragment:
-    """One retained run's share of the model, built from the run alone
-    by :func:`_run_fragment`."""
-
-    events: int
-    #: the records of the run's walk, folded.
-    fold: CallbackFold
-    latency: LatencyIndex
-    #: the PIDs the run names, ascending.
-    pids: List[int]
-    #: the run's ("touch" | "state" | "key", value) sharing entries.
-    entries: List[Tuple[str, Any]]
-    #: the fold's rendered sample lists, once a model JSON query asked
-    #: for them.
-    samples: Optional[RenderedSamples] = None
-
-
-def _run_fragment(resolved: ResolvedRun, split_services: bool) -> _RunFragment:
-    """One run's fragment: its Alg. 1/2 walk over a one-run index (a
-    fresh :class:`~repro.core.extraction.EventIndex` per walk), folded;
-    its latency fragment; and its sharing entries (see
-    :class:`_RunFragments`) -- the PIDs it names or sets ``current_cb``
-    for (stateful), every PID with walk rows or a sched bucket
-    (touched), and its service keys."""
-    reader, columns = resolved
-    index = StoreTraceIndex([reader], columns=[columns])
-    pids = sorted(reader.pid_map)
-    fold = fold_records(_extract_index_cblists(index, pids), split_services)
-    _ts, pid_np, codes, _aux = columns
-    setters = (codes >= CODE_CB_START) & (codes <= CODE_TAKE_RESPONSE)
-    stateful = set(pids).union(distinct(pid_np[setters]))
-    touched = stateful.union(index.pids(), index.sched.pids())
-    entries = [("touch", pid) for pid in touched]
-    entries += [("state", pid) for pid in stateful]
-    entries += [("key", key) for key in _service_keys(columns)]
-    latency = LatencyIndex(columns, reader.wakeup_pid_columns())
-    return _RunFragment(resolved.events, fold, latency, pids, entries)
-
-
-class _RunFragments:
-    """The retained runs' fragments, and the rule that says when their
-    folds add up to batch synthesis's walk over the window.
-
-    A run's walk is its share of the window's walk as long as nothing
-    another retained run added reaches it.  Two runs *share* when
-
-    (a) a stateful PID of one -- a PID it names (Alg. 1 reads the PID's
-        walk columns and sched bucket) or sets ``current_cb`` for (the
-        state later runs' writes read, and the P13 rows a later P14
-        pairs with) -- has rows in the other; or
-    (b) both hold service rows under one ``(topic, src_ts)`` key:
-        FindCaller's FIFO cursor is shared per key across one walk, and
-        FindClient reads every take of the key.
-
-    The sharing unions are kept incrementally, so an arrival or an
-    eviction costs O(run).  PIDs that only write plain topics
-    (publishers outside the traced nodes, all under one PID) never
-    share.
-    """
-
-    def __init__(self) -> None:
-        #: retained run id -> its fragment.
-        self.fragments: Dict[str, _RunFragment] = {}
-        #: entry -> retained runs holding it.
-        self._holders: Dict[Tuple[str, Any], Set[str]] = {}
-        #: retained run id -> retained runs it shares with.
-        self._shares: Dict[str, Set[str]] = {}
-
-    def add(self, run_id: str, fragment: _RunFragment) -> None:
-        """Track one more retained run."""
-        holders = self._holders
-        partners: Set[str] = set()
-        for kind, value in fragment.entries:
-            if kind == "key":
-                partners.update(holders.get(("key", value), ()))
-            elif kind == "touch":
-                partners.update(holders.get(("state", value), ()))
-            else:
-                partners.update(holders.get(("touch", value), ()))
-        for entry in fragment.entries:
-            holders.setdefault(entry, set()).add(run_id)
-        self.fragments[run_id] = fragment
-        self._shares[run_id] = partners
-        for other in partners:
-            self._shares[other].add(run_id)
-
-    def drop(self, run_id: str) -> _RunFragment:
-        """Forget a run that left the window; returns its fragment."""
-        fragment = self.fragments.pop(run_id)
-        holders = self._holders
-        for entry in fragment.entries:
-            runs = holders[entry]
-            runs.discard(run_id)
-            if not runs:
-                del holders[entry]
-        for other in self._shares.pop(run_id):
-            self._shares[other].discard(run_id)
-        return fragment
-
-    def assemble(self, run_ids: Sequence[str]) -> bool:
-        """True when the folds of ``run_ids``' fragments (every retained
-        run, ascending), merged in that order, are the fold of batch
-        synthesis's sorted-PID walk over those runs: the runs' ROS spans
-        are time-ordered, no two runs share, and each run names only
-        PIDs above the previous runs'."""
-        if any(self._shares.values()):
-            return False
-        fragments = [self.fragments[run_id] for run_id in run_ids]
-        if not _spans_are_ordered(fragment.latency.span for fragment in fragments):
-            return False
-        highest = None
-        for fragment in fragments:
-            pids = fragment.pids
-            if pids:
-                if highest is not None and pids[0] <= highest:
-                    return False
-                highest = pids[-1]
-        return True
-
-
 class LiveSynthesizer:
     """Incrementally maintained store synthesis.
 
-    Keeps one :class:`_RunFragment` per retained run of ``store``,
-    built at ingest from the run alone (``walk_fragments_built``,
-    ``latency_fragments_built``).  :meth:`model` then produces exactly
+    Keeps one :class:`~repro.analysis.fragments._RunFragment` per
+    retained run of ``store``, built at ingest from the run alone
+    (``walk_fragments_built``, ``latency_fragments_built``).
+    :meth:`model` then produces exactly
     the DAG ``synthesize_from_store(store, jobs=1)`` would over the
     retained runs -- the byte-identity contract the service tests pin
     at every commit point: the runs' folds merged when they assemble
-    the window (:meth:`_RunFragments.assemble`), else
+    the window (:func:`~repro.analysis.fragments.assembled_dag`), else
     :func:`~repro.store.synthesis._synthesize_readers` over the
     retained runs' segments (``rebuilds``, ``pids_rewalked``).
 
@@ -318,7 +171,8 @@ class LiveSynthesizer:
         #: ones -- refresh() must not re-ingest an evicted run's on-disk
         #: file.
         self._seen: set = set()
-        self._runs = _RunFragments()
+        #: retained run id -> its fragment.
+        self._fragments: Dict[str, _RunFragment] = {}
         self._dag: Optional[TimingDag] = None
         #: True when ``_dag`` was merged from the runs' folds.
         self._merged = False
@@ -394,16 +248,18 @@ class LiveSynthesizer:
             counters.runs_evicted += 1
             counters.rows_evicted += events
             return
-        fragment = _run_fragment(resolved, self.split_services)
+        [fragment] = _run_fragments(
+            [resolved], [_sharing(resolved)], self.split_services
+        )
         counters.walk_fragments_built += 1
         counters.latency_fragments_built += 1
         insort(consumed, run_id)
-        self._runs.add(run_id, fragment)
+        self._fragments[run_id] = fragment
         if window is not None and len(consumed) > window:
             evicted = consumed[: len(consumed) - window]
             del consumed[: len(evicted)]
             for old in evicted:
-                gone = self._runs.drop(old)
+                gone = self._fragments.pop(old)
                 counters.rows_evicted += gone.events
                 self._journeys.pop(gone.latency, None)
             counters.runs_evicted += len(evicted)
@@ -432,7 +288,7 @@ class LiveSynthesizer:
             self._separable = view.separable
         if view.topics == self._journey_topics:
             retained = {
-                fragment.latency for fragment in self._runs.fragments.values()
+                fragment.latency for fragment in self._fragments.values()
             }
             self._journeys.update(
                 (fragment, part)
@@ -453,20 +309,16 @@ class LiveSynthesizer:
         function."""
         if self._dag is None:
             consumed = self._consumed
-            runs = self._runs
-            self._merged = runs.assemble(consumed)
-            if self._merged:
-                self._dag = dag_from_fold(
-                    merge_folds([runs.fragments[run_id].fold for run_id in consumed]),
-                    model_sync=self.model_sync,
-                )
-            else:
+            fragments = [self._fragments[run_id] for run_id in consumed]
+            self._dag = assembled_dag(fragments, self.model_sync)
+            self._merged = self._dag is not None
+            if not self._merged:
                 counters = self.counters
                 readers = [self.store.open(run_id) for run_id in consumed]
                 counters.segments_decoded += len(readers)
                 counters.rebuilds += 1
                 counters.pids_rewalked += len(
-                    set().union(*(runs.fragments[run_id].pids for run_id in consumed))
+                    set().union(*(fragment.sharing.pids for fragment in fragments))
                 )
                 self._dag = _synthesize_readers(
                     readers, None, self.split_services, self.model_sync
@@ -485,7 +337,7 @@ class LiveSynthesizer:
         self.model()
         if not self._merged:
             return None
-        fragments = [self._runs.fragments[run_id] for run_id in self._consumed]
+        fragments = [self._fragments[run_id] for run_id in self._consumed]
         for fragment in fragments:
             if fragment.samples is None:
                 fragment.samples = render_samples(
@@ -510,7 +362,7 @@ class LatencyView:
         self.topics = topics
         self.run_ids = tuple(live._consumed)
         self.fragments = [
-            live._runs.fragments[run_id].latency for run_id in self.run_ids
+            live._fragments[run_id].latency for run_id in self.run_ids
         ]
         #: the window's merged index, once built.
         self.merged = live._merged_latency

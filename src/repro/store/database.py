@@ -10,9 +10,11 @@ resolves to the binary segment.
 :class:`TraceStore` is the directory handle (list, open readers,
 write, convert, inspect).  ``strict=False`` makes the aggregate paths
 (:meth:`TraceStore.open_runs`, :meth:`TraceStore.readers`,
-:meth:`TraceStore.run_infos`) skip unreadable runs with a warning
-instead of raising, so one truncated segment does not strand an
-otherwise healthy store; per-run :meth:`TraceStore.open` always raises.
+:meth:`TraceStore.resolve_runs`, :meth:`TraceStore.run_infos`) skip
+unreadable runs -- at the open or, for the builds, where their columns
+are resolved -- with a warning instead of raising, so one truncated
+segment does not strand an otherwise healthy store; per-run
+:meth:`TraceStore.open` always raises.
 
 ``cache_dir=`` points the handle at a directory of uncompressed v3
 segment copies (a v1/v2 run's copy is its v3 transcoding):
@@ -35,11 +37,12 @@ from __future__ import annotations
 import os
 import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Union
 
 from ..tracing.session import Trace, TraceDatabase
 from ..tracing.storage import TRACE_SUFFIX, load_trace
 from .format import SEGMENT_SUFFIX, StoreFormatError, VERSION
+from .index import ResolvedRun, resolve_run
 from .reader import InMemorySegment, SegmentReader, peek_header
 from .writer import decompress_segment, write_segment
 
@@ -327,6 +330,34 @@ class TraceStore:
     def readers(self) -> List[object]:
         """The :meth:`open_runs` readers, in run-id order."""
         return list(self.open_runs().values())
+
+    def resolve_runs(
+        self,
+        opened: Optional[Dict[str, object]] = None,
+        resolve: Callable[[object], ResolvedRun] = resolve_run,
+    ) -> Dict[str, ResolvedRun]:
+        """Run id -> the run's reader with its columns resolved, in
+        run-id order, for the ``opened`` readers (default:
+        :meth:`open_runs`).  ``resolve`` is
+        :func:`~repro.store.index.resolve_run` (every section a
+        synthesis reads), or a narrower resolve for a build that reads
+        fewer sections.
+
+        Resolving diagnoses what the open cannot see (an id past its
+        table, a ts column out of order or too wide for Alg. 2), so
+        ``strict`` governs it as it governs the open: ``strict=False``
+        skips such a run with the same warning."""
+        if opened is None:
+            opened = self.open_runs()
+        resolved: Dict[str, ResolvedRun] = {}
+        for run_id, reader in opened.items():
+            try:
+                resolved[run_id] = resolve(reader)
+            except StoreFormatError as error:
+                if self.strict:
+                    raise
+                self._skip_unreadable(run_id, error)
+        return resolved
 
     def load(self, run_id: str) -> Trace:
         return self.open(run_id).to_trace()

@@ -288,8 +288,9 @@ def _merged_columns(
     entry of ``columns`` when the caller has it) as one chronological
     stream: concatenated in run order and reordered by one stable sort
     on ts, so ties keep ``(run, row)`` order exactly like
-    ``Trace.merge``.  One run's columns are that stream already
-    (:func:`_resolve` checks their order)."""
+    ``Trace.merge``.  One run's columns, and time-ordered runs' columns
+    concatenated, are that stream already (:func:`_resolve` checks each
+    run's order), so the sort, the identity there, is skipped."""
     columns = [
         _resolve(reader) if resolved is None else resolved
         for reader, resolved in zip(
@@ -301,6 +302,8 @@ def _merged_columns(
     ts_np, pid_np, row_codes, aux_row = (
         np.concatenate(column) for column in zip(*columns)
     )
+    if not (ts_np[1:] < ts_np[:-1]).any():
+        return ts_np, pid_np, row_codes, aux_row  # time-ordered runs
     order = np.argsort(ts_np, kind="stable")
     return ts_np[order], pid_np[order], row_codes[order], aux_row[order]
 

@@ -553,6 +553,12 @@ class SegmentReader:
     def bytes_inflated(self) -> int:
         return self._sections.bytes_inflated
 
+    def segment_bytes(self) -> memoryview:
+        """The v3 segment bytes this reader parses (a v1/v2 file's
+        transcoding): what a run's cached fragments are keyed by
+        (:func:`~repro.analysis.fragments.fragment_key`)."""
+        return self._sections._data
+
     @classmethod
     def open(cls, path: str, use_mmap: bool = False) -> "SegmentReader":
         """Read (or, with ``use_mmap``, map) ``path`` into a reader.
@@ -793,6 +799,11 @@ class InMemorySegment:
         self._ros: Optional[Tuple[List[TraceEvent], np.ndarray]] = None
         self._fastpath: Optional[Tuple] = None
         self._sched: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+
+    def segment_bytes(self) -> None:
+        """None: a loaded trace has no segment bytes to key fragments
+        by."""
+        return None
 
     def _ros_in_order(self) -> Tuple[List[TraceEvent], np.ndarray]:
         """The ROS events in stable ts order and their ts column."""

@@ -165,7 +165,9 @@ def synthesize_from_store(
     worker processes with byte-identical results for any value.  Each
     run is opened once per process: in-process synthesis reuses the
     readers that validated the store, and a worker opens only its own
-    runs.
+    runs.  ``merge_traces`` resolves each run once, up front
+    (:meth:`~repro.store.database.TraceStore.resolve_runs`), so a store
+    opened with ``strict=False`` skips a run diagnosed there too.
     """
     store = as_store(store)
     pids = None if pids is None else sorted(pids)
@@ -196,4 +198,8 @@ def synthesize_from_store(
             f"(jobs={jobs}); only {STRATEGY_MERGE_DAGS!r} fans runs out "
             "over worker processes"
         )
-    return _synthesize_readers(store.readers(), pids, split_services, model_sync)
+    resolved = store.resolve_runs().values()
+    return _synthesize_readers(
+        [run.reader for run in resolved], pids, split_services, model_sync,
+        columns=[run.columns for run in resolved],
+    )

@@ -14,8 +14,11 @@ scenario, over time-ordered and overlapping stores.
 """
 
 import dataclasses
+import os
+import shutil
 import subprocess
 import sys
+import threading
 from itertools import chain
 from operator import itemgetter
 
@@ -43,10 +46,14 @@ from repro.analysis import (
     node_loads,
     node_loads_from_store,
 )
+from repro.analysis.fragments import FragmentCache, _run_fragments, _sharing
 from repro.analysis.latency import chain_latencies, fragments_are_separable
 from repro.analysis import store as analysis_store_module
 from repro.analysis.store import latency_fragment
-from repro.core import dag_to_json, synthesize_from_trace
+from repro.analysis.latency import waiting_times
+from repro.core import dag_to_json, format_exec_table, synthesize_from_trace, to_dot
+from repro.core.pipeline import STRATEGY_MERGE_DAGS
+from repro.cli import main as cli_main
 from repro.core.index import (
     CODE_CB_END,
     CODE_CB_START,
@@ -65,8 +72,20 @@ from repro.scenarios import build_scenario_spec, scenario_names
 from repro.sim.kernel import MSEC, SEC
 from repro.store import SegmentReader, TraceStore, record_batch, write_segment
 from repro.store import index as index_module
-from repro.store.index import _runs_are_time_ordered
+from repro.store.format import SEGMENT_SUFFIX
+from repro.store.index import StoreTraceIndex, _runs_are_time_ordered, resolve_run
+from repro.store.synthesis import synthesize_from_store
 from repro.tracing import TracingSession
+from repro.tracing.events import (
+    P2_TIMER_START,
+    P3_TIMER_CALL,
+    P4_TIMER_END,
+    P9_SERVICE_START,
+    P10_TAKE_REQUEST,
+    P11_SERVICE_END,
+    P16_DDS_WRITE,
+    TraceEvent,
+)
 from repro.tracing.session import Trace
 from repro.world import World
 
@@ -363,11 +382,15 @@ class TestStoreAnalysisHandle:
         assert len(opened) == len(store.run_ids()) == RUNS
 
     @pytest.mark.parametrize("overlapping", [False, True])
-    def test_one_resolve_per_run(self, stores, overlapping, tmp_path, monkeypatch):
+    def test_one_resolve_per_run(
+        self, stores, overlapping, tmp_path, monkeypatch, cache
+    ):
         """Synthesis and the latency index share each run's resolved
-        columns: the model plus latency and waiting-time reports resolve
-        each segment once, whether the runs are time-ordered (per-run
-        fragments) or overlap (one merged build)."""
+        columns: from an empty fragment cache, the model plus latency
+        and waiting-time reports resolve each segment once, whether the
+        runs are time-ordered or overlap (one merged build), and
+        whether the handle builds in batch (the first) or builds every
+        run's fragment (the second)."""
         store, merged = stores["syn"]
         if overlapping:
             for run_id in store.run_ids():
@@ -384,11 +407,14 @@ class TestStoreAnalysisHandle:
 
         monkeypatch.setattr(index_module, "_resolve", counting_resolve)
         monkeypatch.setattr(analysis_store_module, "_resolve", counting_resolve)
-        analysis = StoreAnalysis(store.directory)
-        analysis.dag
-        analysis.chain_latencies(_write_topics(merged)[:2])
-        analysis.waiting_times(sorted(merged.pid_map)[0])
-        assert len(resolved) == len(store.run_ids()) == RUNS
+        for _ in range(2):
+            resolved.clear()
+            analysis = StoreAnalysis(store.directory)
+            analysis.dag
+            analysis.chain_latencies(_write_topics(merged)[:2])
+            analysis.waiting_times(sorted(merged.pid_map)[0])
+            assert len(resolved) == len(store.run_ids()) == RUNS
+        assert len(cache) == (0 if overlapping else RUNS)
 
     def test_fresh_analysis_never_imports_numpy_ma(self, stores):
         """The builds' distinct-value scans sort and mask instead of
@@ -861,3 +887,337 @@ class TestFragmentJourneys:
             expected = chain_latencies(whole, chain)
             assert chain_latencies(fragments, chain) == expected
             assert chain_latencies(fragments, chain, journeys={}) == expected
+
+
+# ---------------------------------------------------------------------------
+# The fragment cache: a fresh handle equals a cache-free build
+# ---------------------------------------------------------------------------
+
+
+POOL_RUNS = 3
+
+
+@pytest.fixture(scope="module")
+def pools(tmp_path_factory):
+    """Three recorded runs per scenario: the arrivals of a sliding
+    window."""
+    root = tmp_path_factory.mktemp("fragment_pools")
+    result = {}
+    for name in scenario_names():
+        directory = str(root / name)
+        record_batch(
+            name, runs=POOL_RUNS, directory=directory,
+            config=BatchConfig(duration_ns=DURATION_NS),
+        )
+        result[name] = TraceStore(directory)
+    return result
+
+
+def _copy_run(source, run_id, directory, as_id=None):
+    shutil.copyfile(
+        source.path_of(run_id),
+        os.path.join(directory, f"{as_id or run_id}{SEGMENT_SUFFIX}"),
+    )
+
+
+def _queries(store):
+    """Chains (every published topic, and consecutive pairs) and PIDs
+    the outputs below are taken over."""
+    merged = Trace.merge([store.load(run_id) for run_id in store.run_ids()])
+    topics = _write_topics(merged)
+    chains = [[topic] for topic in topics] + [list(p) for p in zip(topics, topics[1:])]
+    return chains, sorted(merged.pid_map)
+
+
+def _outputs(dag, chain_of, waits_of, chains, pids):
+    return (
+        dag_to_json(dag, indent=2),
+        to_dot(dag),
+        format_exec_table(dag),
+        [chain_of(chain) for chain in chains],
+        [waits_of(pid) for pid in pids],
+    )
+
+
+def _assert_matches_cache_free(directory, **options):
+    """A fresh :class:`StoreAnalysis` over ``directory`` equals the
+    cache-free batch builds -- ``synthesize_from_store`` and
+    ``latency_index_from_store`` -- on the DAG JSON, DOT, exec table,
+    chain latencies, waiting times and every index slot."""
+    store = TraceStore(directory)
+    chains, pids = _queries(store)
+    analysis = StoreAnalysis(directory, **options)
+    reference_dag = synthesize_from_store(store, **options)
+    reference = latency_index_from_store(store, pids=options.get("pids"))
+    assert _outputs(
+        analysis.dag, analysis.chain_latencies, analysis.waiting_times,
+        chains, pids,
+    ) == _outputs(
+        reference_dag,
+        lambda chain: chain_latencies(reference, chain),
+        lambda pid: waiting_times(reference, pid),
+        chains, pids,
+    )
+    assert_same_slots(analysis.index, reference)
+    return analysis
+
+
+@pytest.fixture
+def cache(monkeypatch):
+    """A fresh fragment cache in place of the process-wide one."""
+    fresh = FragmentCache()
+    monkeypatch.setattr(analysis_store_module, "FRAGMENTS", fresh)
+    return fresh
+
+
+@pytest.fixture
+def built(monkeypatch, cache):
+    """The fragments each handle builds, from a fresh cache: one entry
+    per run a :func:`_run_fragments` call builds, and the walks in
+    ``built.walks``."""
+    calls = BuiltFragments()
+    original = analysis_store_module._run_fragments
+
+    def counting(runs, sharings, split_services):
+        calls.extend(run.reader.path for run in runs)
+        calls.walks += 1
+        return original(runs, sharings, split_services)
+
+    monkeypatch.setattr(analysis_store_module, "_run_fragments", counting)
+    return calls
+
+
+class BuiltFragments(list):
+    """The segment paths of the fragments built, and the walks that
+    built them."""
+
+    walks = 0
+
+
+def _segment(directory, run_id):
+    return os.path.join(directory, f"{run_id}{SEGMENT_SUFFIX}")
+
+
+class TestFragmentCache:
+    """:class:`StoreAnalysis` builds from cached per-run fragments once
+    a handle shares runs with the previous one, and a fresh handle
+    always equals a cache-free build."""
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_sliding_window(self, pools, name, built, tmp_path):
+        """Record a run, drop the oldest: each step equals the cache-free
+        build.  The first handle builds in batch, the second -- the
+        first to share a run with the previous one -- builds both runs'
+        fragments, and every later one only the arriving run's."""
+        pool = pools[name]
+        window = str(tmp_path / "window")
+        os.makedirs(window)
+        for step, run_id in enumerate(pool.run_ids()):
+            _copy_run(pool, run_id, window)
+            if step >= 2:
+                os.remove(_segment(window, f"run{step - 2:03d}"))
+            assert _runs_are_time_ordered(TraceStore(window).readers())
+            built.clear()
+            _assert_matches_cache_free(window)
+            expected = [_segment(window, run_id)]
+            if step == 0:
+                expected = []
+            elif step == 1:
+                expected = [_segment(window, "run000"), *expected]
+            assert built == expected, (name, step)
+
+    def test_rewritten_run_is_rebuilt(self, pools, built, tmp_path):
+        pool = pools["syn"]
+        directory = str(tmp_path)
+        for run_id in pool.run_ids()[:2]:
+            _copy_run(pool, run_id, directory)
+        _assert_matches_cache_free(directory)
+        _assert_matches_cache_free(directory)
+        assert len(built) == 2
+        _copy_run(pool, "run002", directory, as_id="run001")
+        built.clear()
+        _assert_matches_cache_free(directory)
+        assert built == [_segment(directory, "run001")]
+
+    def test_one_segment_under_two_run_ids(self, pools, built, tmp_path):
+        pool = pools["syn"]
+        directory = str(tmp_path)
+        _copy_run(pool, "run000", directory)
+        _copy_run(pool, "run000", directory, as_id="run001")
+        for _ in range(2):
+            _assert_matches_cache_free(directory)
+        assert built == []  # the runs overlap: batch
+
+    def test_overlapping_store_builds_in_batch(self, pools, built, tmp_path):
+        pool = pools["avp"]
+        for run_id in pool.run_ids():
+            write_segment(
+                _shifted_to_zero(pool.load(run_id)),
+                _segment(str(tmp_path), run_id),
+            )
+        assert not _runs_are_time_ordered(TraceStore(str(tmp_path)).readers())
+        for _ in range(2):
+            _assert_matches_cache_free(str(tmp_path))
+        assert built == []
+
+    def test_service_sharing_store_falls_back_to_batch(
+        self, built, tmp_path, monkeypatch
+    ):
+        """run000 and run001 send their request under one ``(topic,
+        src_ts)`` key: their fragments cannot assemble the window, so
+        a second handle's model is the batch synthesis over its readers
+        too, and no fragment is built."""
+        store = TraceStore.create(str(tmp_path))
+        store.add_trace("run000", _service_run(0, 1, 2, src_ts=5))
+        store.add_trace("run001", _service_run(1000, 3, 4, src_ts=5))
+        batch = []
+        synthesize = analysis_store_module._synthesize_readers
+
+        def counting(*args, **kwargs):
+            batch.append(args)
+            return synthesize(*args, **kwargs)
+
+        monkeypatch.setattr(analysis_store_module, "_synthesize_readers", counting)
+        for _ in range(2):
+            _assert_matches_cache_free(str(tmp_path))
+        assert built == [] and len(batch) == 2
+
+    @pytest.mark.parametrize("options", [
+        {"pids": "half"}, {"strategy": STRATEGY_MERGE_DAGS},
+    ])
+    def test_pids_and_merge_dags_bypass_the_cache(
+        self, stores, built, cache, options
+    ):
+        store, merged = stores["syn"]
+        if options.get("pids") == "half":
+            options = {"pids": sorted(merged.pid_map)[::2]}
+        for _ in range(2):  # the cache now holds the store's runs
+            StoreAnalysis(store).dag
+        held = len(cache)
+        assert held == RUNS
+        built.clear()
+        _assert_matches_cache_free(store.directory, **options)
+        assert built == [] and len(cache) == held
+        StoreAnalysis(store).dag  # still the previous handle's runs
+        assert built == []
+
+    def test_handle_sharing_no_run_builds_in_batch(
+        self, pools, built, cache, capsys
+    ):
+        """A handle that shares no run with the previous one -- a
+        store's first, ``repro analyze``'s, a one-shot front end's --
+        builds in batch, keeps no fragment and lets the previous
+        handle's fragments go."""
+        syn, avp = pools["syn"], pools["avp"]
+        assert cli_main(["analyze", syn.directory]) == 0
+        assert "== chains" in capsys.readouterr().out
+        assert built == [] and len(cache) == 0
+        enumerate_chains_from_store(syn)  # the second handle over syn
+        assert len(built) == POOL_RUNS and len(cache) == POOL_RUNS
+        built.clear()
+        activation_models_from_store(avp)
+        assert built == [] and len(cache) == 0
+        callback_loads_from_store(syn)
+        assert built == [] and len(cache) == 0
+
+    def test_threads_analysing_different_stores(self, pools):
+        """Threads (more than cores) analysing different stores at once,
+        each handle fresh, every build equal to its store's cache-free
+        build, with thread switches forced often."""
+        names = ("syn", "avp", "service-mesh")
+        expected = {}
+        for name in names:
+            directory = pools[name].directory
+            chains, pids = _queries(pools[name])
+            dag = synthesize_from_store(pools[name])
+            index = latency_index_from_store(pools[name])
+            expected[name] = (chains, pids, _outputs(
+                dag,
+                lambda chain, index=index: chain_latencies(index, chain),
+                lambda pid, index=index: waiting_times(index, pid),
+                chains, pids,
+            ))
+        start = threading.Barrier(len(names), timeout=60)
+        failures = []
+
+        def analyse(name):
+            chains, pids, reference = expected[name]
+            start.wait()
+            try:
+                for _ in range(4):
+                    analysis = StoreAnalysis(pools[name].directory)
+                    outputs = _outputs(
+                        analysis.dag, analysis.chain_latencies,
+                        analysis.waiting_times, chains, pids,
+                    )
+                    if outputs != reference:
+                        failures.append(name)
+            except Exception as error:  # reported below
+                failures.append(repr(error))
+
+        threads = [threading.Thread(target=analyse, args=(n,)) for n in names]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_cold_window_is_one_walk(self, pools, name, built):
+        """The first handle to share the window's runs with the previous
+        one builds every run's fragment from one walk, and each equals
+        the fragment its run alone gives."""
+        pool = pools[name]
+        _assert_matches_cache_free(pool.directory)
+        assert built == []
+        analysis = _assert_matches_cache_free(pool.directory)
+        assert built == [_segment(pool.directory, run_id) for run_id in pool.run_ids()]
+        assert built.walks == 1
+        runs = analysis._runs
+        for reader, fragment in zip(runs.readers, runs.fragments):
+            resolved = resolve_run(reader)
+            [alone] = _run_fragments([resolved], [_sharing(resolved)], True)
+            assert fragment.fold == alone.fold
+            assert list(fragment.fold.vertices) == list(alone.fold.vertices)
+            assert fragment.sharing == alone.sharing
+            index = StoreTraceIndex([reader], columns=[resolved.columns])
+            assert fragment.sharing.touched == fragment.sharing.stateful.union(
+                index.pids(), index.sched.pids()
+            )
+            assert_same_slots(fragment.latency, alone.latency)
+
+
+def _service_run(base, client, server, src_ts):
+    """One client/server run at clock ``base``: a timer callback of PID
+    ``client`` sends a ``/srv`` request stamped ``src_ts``, and a
+    service callback of PID ``server`` takes it."""
+
+    def event(ts, pid, probe, **data):
+        return TraceEvent(ts, pid, probe, data)
+
+    ros = [
+        event(base + 10, client, P2_TIMER_START),
+        event(base + 11, client, P3_TIMER_CALL, cb_id=f"call{client}"),
+        event(
+            base + 12, client, P16_DDS_WRITE, topic="/srv", src_ts=src_ts,
+            kind="request",
+        ),
+        event(base + 20, client, P4_TIMER_END),
+        event(base + 30, server, P9_SERVICE_START),
+        event(
+            base + 31, server, P10_TAKE_REQUEST, topic="/srv", src_ts=src_ts,
+            cb_id="serve",
+        ),
+        event(base + 40, server, P11_SERVICE_END),
+    ]
+    return Trace(
+        ros_events=ros, sched_events=[],
+        pid_map={client: "client", server: "server"},
+        start_ts=base, stop_ts=base + 100,
+    )

@@ -16,6 +16,8 @@ import threading
 
 import pytest
 
+from repro.analysis import store as analysis_store
+from repro.analysis.fragments import FragmentCache
 from repro.analysis.store import StoreAnalysis
 from repro.core.gcpause import paused_gc
 from repro.experiments.batch import BatchConfig
@@ -134,6 +136,14 @@ def avp_store(tmp_path_factory):
     return directory
 
 
+@pytest.fixture
+def fresh_cache(monkeypatch):
+    """A fresh fragment cache in place of the process-wide one."""
+    cache = FragmentCache()
+    monkeypatch.setattr(analysis_store, "FRAGMENTS", cache)
+    return cache
+
+
 def _collections(action):
     """``action()``'s result and the collections that ran inside it,
     counted from a fresh gen0 (so none is due on entry)."""
@@ -161,6 +171,21 @@ class TestBulkBuildsAreGCQuiet:
             lambda: analysis.chain_latencies(TOPICS)
         )
         assert latencies and starts == []
+
+    def test_cached_store_analysis(self, avp_store, fresh_cache):
+        """The second handle over a window, which builds every run's
+        fragment, and the third, whose runs' fragments are all cached,
+        build without a collection too."""
+        StoreAnalysis(avp_store).dag  # the first handle builds in batch
+        for held in (0, 16):
+            assert len(fresh_cache) == held
+            analysis = StoreAnalysis(avp_store)
+            dag, starts = _collections(lambda: analysis.dag)
+            assert dag.vertices and starts == []
+            latencies, starts = _collections(
+                lambda: analysis.chain_latencies(TOPICS)
+            )
+            assert latencies and starts == []
 
     def test_live_ingest_and_model(self, avp_store):
         live = LiveSynthesizer(TraceStore(avp_store), retain_window=16)
@@ -198,3 +223,19 @@ class TestBulkBuildsAreGCQuiet:
         assert analysis.communication_latencies(TOPICS[0])
         del analysis
         assert gc.collect() == 0
+
+    def test_cached_build_leaves_no_cyclic_garbage(self, avp_store, fresh_cache):
+        """The build that fills the fragment cache, a build from cached
+        fragments, and the fragments the cache keeps make no reference
+        cycle."""
+        StoreAnalysis(avp_store).dag  # the first handle builds in batch
+        gc.collect()
+        gc.disable()
+        for held in (0, 16):
+            assert len(fresh_cache) == held
+            analysis = StoreAnalysis(avp_store)
+            assert analysis.dag.vertices
+            assert analysis.chain_latencies(TOPICS)
+            assert gc.collect() == 0
+            del analysis
+            assert gc.collect() == 0

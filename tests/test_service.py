@@ -42,6 +42,7 @@ from repro.store import (
     synthesize_from_store,
 )
 from repro.store import index as index_module
+from repro.store import synthesis as store_synthesis_module
 from repro.store.format import (
     HEADER,
     SECTION_COMP_ZLIB,
@@ -450,13 +451,16 @@ class TestEvictionWindow:
         """The walk is O(run), not O(window): every in-order arrival walks
         exactly the arriving run's PIDs, once, at any window size."""
         walked = []
-        extract = live_module._extract_index_cblists
 
         def recording(index, pids):
             walked.append(list(pids))
-            return extract(index, pids)
+            return _extract_index_cblists(index, pids)
 
-        monkeypatch.setattr(live_module, "_extract_index_cblists", recording)
+        # Every walk -- a run's fragment and a whole synthesis -- goes
+        # through the store synthesis module's walk.
+        monkeypatch.setattr(
+            store_synthesis_module, "_extract_index_cblists", recording
+        )
         source = TraceStore(stream)
         target = str(tmp_path / "window")
         live = LiveSynthesizer(TraceStore.create(target), retain_window=window)
@@ -1255,7 +1259,7 @@ class TestServedModelEqualsBatch:
             share = fold_records(_extract_index_cblists(
                 index, sorted(store.open(run_id).pid_map)
             ))
-            fold = live._runs.fragments[run_id].fold
+            fold = live._fragments[run_id].fold
             assert fold == share, (name, run_id)
             assert list(fold.vertices) == list(share.vertices)
 

@@ -848,6 +848,46 @@ class TestGarbledTimestamps:
         store.open("run001")
         _assert_every_build_names(store, live, "run001", sched_only=True)
 
+    def test_strict_governs_runs_diagnosed_at_resolve(self, tmp_path):
+        """Bit 62 of row 10 of run001's ROS ts column passes the open
+        and fails the resolve.  ``strict=False`` skips run001 there,
+        with the open's warning, so every build equals the same build
+        over the other two runs; ``strict=True`` raises naming it."""
+        from repro.analysis import StoreAnalysis, latency_index_from_store
+
+        garbled = str(tmp_path / "garbled")
+        os.makedirs(garbled)
+        store, _ = _flip_ts_bit(garbled, SECTION_ROS, lambda trace: (10, 62))
+        store.open("run001")  # the open checks pass
+        others = str(tmp_path / "others")
+        os.makedirs(others)
+        for run_id in ("run000", "run002"):
+            shutil.copy(store.path_of(run_id), others)
+
+        def analysis_outputs(store):
+            analysis = StoreAnalysis(store)
+            return (
+                dag_to_json(analysis.dag, indent=2),
+                analysis.chain_latencies(["/t1"]),
+                analysis.communication_latencies("/t1"),
+            )
+
+        def index_slots(store):
+            index = latency_index_from_store(store)
+            return [getattr(index, slot) for slot in index.__slots__]
+
+        builds = [
+            analysis_outputs,
+            lambda store: dag_to_json(synthesize_from_store(store)),
+            index_slots,
+        ]
+        for build in builds:
+            with pytest.warns(RuntimeWarning, match="run001"):
+                skipped = build(TraceStore(garbled, strict=False))
+            assert skipped == build(TraceStore(others)), build
+            with pytest.raises(StoreFormatError, match="run001"):
+                build(TraceStore(garbled))
+
     def test_unsorted_trace_is_stored_sorted(self, syn_trace, tmp_path):
         """A trace whose lists break the chronological contract is
         written in ``Trace.sort``'s stable order, never rejected, and
