@@ -41,21 +41,26 @@ def test_synthesis_is_faster_than_legacy(suite):
     assert suite["micro"]["synthesis"]["merged"]["speedup"] > 1.0
 
 
-def test_sim_stack_not_slower_than_legacy(suite):
-    # Generous floor: shared layers already carry PR-2 optimizations,
-    # so the frozen stack is a conservative baseline.
-    assert suite["micro"]["sim"]["speedup_vs_legacy"] > 0.8
+#: Allowed growth of the sim stack's Python calls per trace event over
+#: the committed baseline.  One extra Python frame per kernel post adds
+#: ~6% (10.49 -> 11.1 at smoke scale), so the margin stays below that.
+SIM_CALLS_FACTOR = 1.05
 
 
 def test_sim_call_counts_are_measured_not_folklore(suite):
-    """The flattened dispatch must do far fewer Python calls per trace
-    event than the legacy trampoline stack (ROADMAP's ~48 calls/event).
-    Call counts are deterministic for a fixed workload, so the floors
-    here are tight even at smoke scale."""
+    """The flattened dispatch must keep its Python calls per trace
+    event within ``SIM_CALLS_FACTOR`` of the committed baseline.  Call
+    counts are deterministic for a fixed workload, so the bound is
+    tight even at smoke scale: one extra Python frame per kernel post
+    already breaks it."""
     sim = suite["micro"]["sim"]
     assert sim["python_calls"] > 0
-    assert sim["calls_per_event"] < sim["legacy_calls_per_event"]
-    assert sim["call_reduction_vs_legacy"] > 1.5
+    committed = json.loads(BASELINE_PATH.read_text())["micro"]["sim"]
+    bound = committed["calls_per_event"] * SIM_CALLS_FACTOR
+    assert sim["calls_per_event"] <= bound, (
+        f"{sim['calls_per_event']} calls/event > {bound:.2f} "
+        f"(committed {committed['calls_per_event']} x {SIM_CALLS_FACTOR})"
+    )
     assert sim["calls_per_event"] < 30
 
 

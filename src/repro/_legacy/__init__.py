@@ -1,37 +1,23 @@
-"""Frozen pre-optimization reference implementations (PR 2).
+"""Frozen Alg. 1/2 oracles: the pre-index extraction and exec-time code.
 
-Verbatim copies of the simulation kernel, scheduler, Alg. 1 extraction
-and Alg. 2 exec-time index as they stood *before* the single-pass
-:class:`repro.core.index.TraceIndex` layer and the sim hot-loop
-overhaul.  They exist for two purposes only:
+Verbatim copies of Alg. 1 extraction and the Alg. 2 exec-time index as
+they stood *before* the single-pass :class:`repro.core.index.TraceIndex`
+layer.  They stay because a committed digest cannot replace them: the
+tests compare the production pipeline against them on *random* inputs
+(hypothesis event soups and generated apps, unsorted streams, stores
+built by the CI smoke steps), which no table of fixed outputs covers.
+``repro perf``'s synthesis micro-benchmark also times against them.
 
-1. **Equivalence pinning** -- the golden tests in
-   ``tests/test_perf_equivalence.py`` assert that the optimized pipeline
-   produces byte-identical DAGs, exec tables and DOT exports;
-2. **Perf baseline** -- ``repro perf`` / ``benchmarks/perf`` measure the
-   optimized paths against these to compute the speedups recorded in
-   ``BENCH_2.json``.
+The simulator needs no such copy: its output on the fixed registry
+scenarios is pinned by ``tests/data/golden_digests.json``.
 
-Nothing in production code may import from this package, and nothing in
-it may be optimized: its value is that it does not change.
+Nothing but the tests and the perf harness may import from this
+package (a test checks that importing the CLI, world, store, service
+and analysis packages loads none of it), and nothing in it may be
+optimized: its value is that it does not change.
 """
 
 from .exec_time import SchedIndex as LegacySchedIndex
-from .exec_time import get_exec_time as legacy_get_exec_time
-from .extraction import EventIndex as LegacyEventIndex
 from .extraction import extract_all as legacy_extract_all
-from .extraction import extract_callbacks as legacy_extract_callbacks
-from .kernel import EventHandle as LegacyEventHandle
-from .kernel import SimKernel as LegacySimKernel
-from .scheduler import Scheduler as LegacyScheduler
 
-__all__ = [
-    "LegacyEventHandle",
-    "LegacyEventIndex",
-    "LegacySchedIndex",
-    "LegacyScheduler",
-    "LegacySimKernel",
-    "legacy_extract_all",
-    "legacy_extract_callbacks",
-    "legacy_get_exec_time",
-]
+__all__ = ["LegacySchedIndex", "legacy_extract_all"]

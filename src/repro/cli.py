@@ -1337,8 +1337,8 @@ def build_parser() -> argparse.ArgumentParser:
     perf.add_argument("--factor", type=float, default=2.0,
                       help="allowed regression factor for --check")
     perf.add_argument("--profile",
-                      help="cProfile one section (sim | sim-legacy | "
-                           "synthesis | batch) instead of running the "
+                      help="cProfile one section (sim | synthesis | "
+                           "batch) instead of running the "
                            "suite; writes a .pstats artifact (--out "
                            "overrides the path)")
     perf.add_argument("--top", type=int, default=25,

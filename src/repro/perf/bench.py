@@ -7,10 +7,10 @@ Six benchmarks, each reporting wall-clock and a derived throughput:
   index, ``StoreTraceIndex``, removes) and on a single-run trace,
   measured against the frozen pre-change pipeline in
   :mod:`repro._legacy`;
-* **sim micro** -- full-stack traced simulation events/sec, new kernel /
-  scheduler / tracer stack vs the frozen ``repro._legacy`` stack
-  (conservative: layers shared by both stacks carry this PR's
-  optimizations too);
+* **sim micro** -- full-stack traced simulation events/sec and Python
+  calls per trace event (a deterministic work counter for a fixed
+  workload, gated against the committed baseline by the perf smoke
+  test; the simulated output itself is pinned by the golden digests);
 * **Table II macro** -- wall-clock of the reduced-scale Table II batch
   (``run_batch`` of ``avp-interference``).  When ``baseline_src`` points
   at a pre-change checkout's ``src`` directory, the identical workload
@@ -32,10 +32,10 @@ Six benchmarks, each reporting wall-clock and a derived throughput:
   ``synthesize_from_store`` at every commit point -- the win the
   ``repro serve`` worker banks on every arrival.
 
-Speedup ratios (new vs frozen legacy, measured in the same process) are
-machine-independent and are what the CI regression gate compares;
-absolute events/sec document the trajectory on the machine that wrote
-the JSON.
+Speedup ratios (two measurements taken in the same process) and
+deterministic counters are machine-independent and are what the CI
+regression gate compares; absolute events/sec document the trajectory
+on the machine that wrote the JSON.
 """
 
 from __future__ import annotations
@@ -50,8 +50,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from .._legacy.extraction import extract_all as legacy_extract_all
-from .._legacy.tracing.session import TracingSession as LegacyTracingSession
-from .._legacy.world import World as LegacyWorld
 from ..core.pipeline import synthesize_from_trace
 from ..core.synthesis import synthesize_dag
 from ..experiments.batch import BatchConfig, run_batch
@@ -137,16 +135,11 @@ def _best_of(fn, reps: int) -> float:
     return best
 
 
-def _simulate(
-    run_index: int,
-    duration_ns: int,
-    world_cls=World,
-    session_cls=TracingSession,
-) -> Trace:
-    """One traced ``avp-interference`` run on the given substrate."""
+def _simulate(run_index: int, duration_ns: int) -> Trace:
+    """One traced ``avp-interference`` run."""
     spec = build_scenario_spec(BENCH_SCENARIO, run_index=run_index, runs=50)
     config = RunConfig(duration_ns=duration_ns, num_cpus=spec.num_cpus)
-    world = world_cls(
+    world = World(
         num_cpus=config.num_cpus,
         seed=config.seed_for(run_index),
         timeslice=config.timeslice_ns,
@@ -155,7 +148,7 @@ def _simulate(
         first_pid=config.pid_base_for(run_index),
     )
     spec.build(world)
-    session = session_cls(world, kernel_filter=config.kernel_filter)
+    session = TracingSession(world, kernel_filter=config.kernel_filter)
     session.start_init()
     world.launch()
     world.run(for_ns=config.warmup_ns)
@@ -228,37 +221,24 @@ def _count_calls(fn) -> int:
 
 
 def bench_sim(scale: BenchScale) -> Dict[str, Any]:
-    """Traced-simulation wall-clock, new stack vs frozen legacy stack.
+    """Traced-simulation wall-clock and Python calls per trace event.
 
-    Both stacks replay the identical workload and -- pinned by
-    ``tests/test_perf_equivalence.py`` -- emit byte-identical traces, so
-    one event count serves as the denominator for both sides'
-    calls-per-event figures.
+    The call count is deterministic for a fixed workload, so
+    ``calls_per_event`` is the number worth gating on; the wall-clock
+    only documents the machine that wrote the JSON.
     """
     duration_ns = scale.sim_duration_s * SEC
     new_s = _best_of(lambda: _simulate(0, duration_ns), scale.reps)
-    legacy_s = _best_of(
-        lambda: _simulate(0, duration_ns, LegacyWorld, LegacyTracingSession),
-        scale.reps,
-    )
     trace = _simulate(0, duration_ns)
     events = len(trace.ros_events) + len(trace.sched_events)
-    new_calls = _count_calls(lambda: _simulate(0, duration_ns))
-    legacy_calls = _count_calls(
-        lambda: _simulate(0, duration_ns, LegacyWorld, LegacyTracingSession)
-    )
+    calls = _count_calls(lambda: _simulate(0, duration_ns))
     return {
         "sim_seconds": scale.sim_duration_s,
         "trace_events": events,
         "new_s": round(new_s, 6),
-        "legacy_s": round(legacy_s, 6),
-        "speedup_vs_legacy": round(legacy_s / new_s, 3),
         "events_per_sec": round(events / new_s),
-        "python_calls": new_calls,
-        "legacy_python_calls": legacy_calls,
-        "calls_per_event": round(new_calls / max(1, events), 2),
-        "legacy_calls_per_event": round(legacy_calls / max(1, events), 2),
-        "call_reduction_vs_legacy": round(legacy_calls / max(1, new_calls), 3),
+        "python_calls": calls,
+        "calls_per_event": round(calls / max(1, events), 2),
     }
 
 
@@ -609,8 +589,7 @@ def bench_service_ingest(scale: BenchScale) -> Dict[str, Any]:
 #: Sections accepted by :func:`profile_section` and the CLI's
 #: ``--profile`` flag, with what each one profiles.
 PROFILE_SECTIONS: Dict[str, str] = {
-    "sim": "one traced simulation run on the new stack",
-    "sim-legacy": "one traced simulation run on the frozen legacy stack",
+    "sim": "one traced simulation run",
     "synthesis": "trace -> DAG synthesis of a merged multi-run trace",
     "batch": "the reduced Table II serial batch",
 }
@@ -643,10 +622,6 @@ def profile_section(
 
     if section == "sim":
         target = lambda: _simulate(0, scale.sim_duration_s * SEC)
-    elif section == "sim-legacy":
-        target = lambda: _simulate(
-            0, scale.sim_duration_s * SEC, LegacyWorld, LegacyTracingSession
-        )
     elif section == "synthesis":
         duration_ns = scale.synthesis_duration_s * SEC
         merged = Trace.merge(
@@ -719,11 +694,6 @@ def run_perf_suite(
 REGRESSION_METRICS = (
     ("micro.synthesis.merged.speedup", "merged-trace synthesis speedup"),
     ("micro.synthesis.single.speedup", "single-trace synthesis speedup"),
-    ("micro.sim.speedup_vs_legacy", "sim stack speedup"),
-    # Deterministic Python-call ratio, not a timing: the flattened
-    # dispatch must keep doing several times fewer frames per trace
-    # event than the legacy stack.
-    ("micro.sim.call_reduction_vs_legacy", "sim stack call reduction"),
     ("store.encode.speedup_vs_json", "binary store encode speedup"),
     ("store.decode.speedup_vs_json", "binary store decode speedup"),
     ("store.synthesis.speedup_vs_inline", "store synthesis vs inline ratio"),
@@ -792,10 +762,7 @@ def format_report(payload: Dict[str, Any]) -> str:
         f"sim               ({sim['trace_events']} trace events / "
         f"{sim['sim_seconds']} sim-s): {sim['new_s']:.3f} s, "
         f"{sim['events_per_sec'] / 1e3:.0f} kev/s, "
-        f"{sim['speedup_vs_legacy']:.2f}x vs legacy stack, "
-        f"{sim['calls_per_event']:.1f} calls/event "
-        f"(legacy {sim['legacy_calls_per_event']:.1f}, "
-        f"{sim['call_reduction_vs_legacy']:.2f}x fewer)",
+        f"{sim['calls_per_event']:.1f} calls/event",
         f"table2 batch      ({batch['runs']} x {batch['duration_s']} s): "
         f"{batch['new_s']:.3f} s"
         + (

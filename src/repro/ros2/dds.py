@@ -13,8 +13,8 @@ configured one-way latency, then the reader's listener (the owning
 node's executor) is notified.  Reader queues honour ``KEEP_LAST`` QoS
 depth with oldest-drop semantics.
 
-Hot-loop engineering (pinned byte-identical to the pre-overhaul copy in
-:mod:`repro._legacy.ros2.dds` by ``tests/test_perf_equivalence.py``):
+Hot-loop engineering (the traces it yields are pinned by the committed
+digests in ``tests/data/golden_digests.json``):
 
 * one write schedules *one* kernel event regardless of reader count.
   The pre-overhaul bus scheduled one event -- and allocated one

@@ -108,10 +108,7 @@ class Node:
         self.clients: List[Client] = []
         self.publishers: List[Publisher] = []
         self.synchronizers: List[TimeSynchronizer] = []
-        # Legacy/reference worlds override ``executor_cls`` to pin the
-        # frozen pre-overhaul dispatch loop (see repro._legacy.ros2).
-        executor_cls = getattr(world, "executor_cls", SingleThreadedExecutor)
-        self.executor = executor_cls(self)
+        self.executor = SingleThreadedExecutor(self)
         self.pid: Optional[int] = None
         self._thread = None
         self._cb_counter = 0
@@ -199,9 +196,6 @@ class Node:
 
     def _spawn(self, start: int) -> None:
         """Create the executor thread (called by ``World.launch``)."""
-        # Forwarded only when set: the frozen legacy scheduler (injected
-        # by the perf harness) predates the sched_params parameter.
-        extra = {} if self.sched_params is None else {"sched_params": self.sched_params}
         self._thread = self.world.scheduler.spawn(
             self.executor.activity(),
             priority=self.priority,
@@ -209,7 +203,7 @@ class Node:
             affinity=self.affinity,
             name=self.name,
             start=start + self.start_delay_ns,
-            **extra,
+            sched_params=self.sched_params,
         )
         self.pid = self._thread.pid
 

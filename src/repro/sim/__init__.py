@@ -7,7 +7,7 @@ importantly the ``sched_switch`` event stream -- from a deterministic
 simulation.
 """
 
-from .kernel import EventHandle, HeapEventHandle, HeapKernel, MSEC, SEC, SimKernel, USEC
+from .kernel import EventHandle, MSEC, SEC, SimKernel, USEC
 from .policies import (
     CompletelyFair,
     EarliestDeadlineFirst,
@@ -50,8 +50,6 @@ from .workload import (
 
 __all__ = [
     "EventHandle",
-    "HeapEventHandle",
-    "HeapKernel",
     "MSEC",
     "SEC",
     "SimKernel",

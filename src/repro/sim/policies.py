@@ -19,9 +19,9 @@ Four policies ship:
     timeslicing inside a priority band (FIFO threads run to the next
     blocking point).  This class is a *verbatim extraction* of the
     pre-refactor scheduler internals -- the ready ladder, the
-    dirty-CPU victim scan, the rotation test -- and is pinned
-    byte-identical to the frozen ``repro._legacy`` scheduler by
-    ``tests/test_perf_equivalence.py``.  Do not "improve" it.
+    dirty-CPU victim scan, the rotation test -- and its traces are
+    pinned by the committed digests in
+    ``tests/data/golden_digests.json``.  Do not "improve" it.
 ``psjf``
     Preemptive shortest-job-first: the runnable thread with the
     smallest expected remaining compute wins; a waking short job
@@ -183,8 +183,8 @@ class PriorityRoundRobin(SchedulingPolicy):
     """Strict priority preemption + round-robin inside a priority band.
 
     Verbatim extraction of the pre-refactor scheduler's ready ladder
-    and victim scan; pinned byte-identical to ``repro._legacy`` by
-    ``tests/test_perf_equivalence.py``.
+    and victim scan; its traces are pinned by the committed digests in
+    ``tests/data/golden_digests.json``.
     """
 
     name = "priority"

@@ -33,7 +33,6 @@ reproduces the historical hardwired behaviour byte-for-byte (pinned by
 
 from __future__ import annotations
 
-from functools import partial
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Union
 
 from .kernel import MSEC, SimKernel
@@ -102,8 +101,8 @@ class _Cpu:
         #: Idle-task comm, prebuilt: formatting it per idle switch costs
         #: more than the rest of the sched_switch record combined.
         self.swapper_comm = f"swapper/{cpu_id}"
-        #: Kernel tokens (or legacy handles) for the armed completion /
-        #: quantum timers; None when unarmed.
+        #: Kernel tokens for the armed completion / quantum timers; None
+        #: when unarmed.
         self.completion: Optional[Any] = None
         #: Absolute fire time of the armed completion (valid while
         #: ``completion`` is set); lets the lazy quantum check whether a
@@ -164,22 +163,11 @@ class Scheduler:
         self._resched_pending = False
         self._advancing: Optional[SimThread] = None
         self.context_switches = 0
-        # Timer fast path: the slab kernel's token API schedules the
+        # Timer fast path: the kernel's token API schedules the
         # per-dispatch completion/quantum timers without allocating a
-        # ``functools.partial`` per dispatch.  Pre-token kernels (the
-        # frozen legacy kernel) are adapted through handles.
-        post_after = getattr(kernel, "post_after", None)
-        if post_after is not None:
-            self._post_after: Callable = post_after
-            self._cancel_timer: Callable = kernel.cancel
-        else:
-            schedule_after = kernel.schedule_after
-
-            def _post_after(delay: int, fn: Callable, args: tuple = ()):
-                return schedule_after(delay, partial(fn, *args) if args else fn)
-
-            self._post_after = _post_after
-            self._cancel_timer = lambda handle: handle.cancel()
+        # ``functools.partial`` per dispatch.
+        self._post_after: Callable = kernel.post_after
+        self._cancel_timer: Callable = kernel.cancel
 
     # ------------------------------------------------------------------
     # Public API
@@ -454,8 +442,8 @@ class Scheduler:
                     end = now + duration
                     # Lazy quantum (see _install): this segment crossing
                     # the recorded deadline is what arms the slice event,
-                    # posted before the completion to keep legacy tie
-                    # order.
+                    # posted before the completion to keep the pinned
+                    # tie order.
                     deadline = cpu.slice_deadline
                     if (
                         deadline is not None

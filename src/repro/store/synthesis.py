@@ -15,13 +15,14 @@ Sec. V without an in-memory :class:`TraceDatabase`; both run
 * **merge_dags**: one DAG per stored run, each synthesized from that
   run's reader alone, merged with :func:`~repro.core.merge.merge_dags`.
   In one process, the runs are synthesized from the readers that
-  validated the store.  Runs are independent, so ``jobs > 1`` fans
-  them out over worker processes
+  validated the store, resolved once by
+  :meth:`~repro.store.database.TraceStore.resolve_runs`.  Runs are
+  independent, so ``jobs > 1`` fans them out over worker processes
   (:func:`~repro.experiments.batch._fan_out`); each worker re-opens
   the store with the parent's ``strict`` flag and ``cache_dir`` and
-  synthesizes only runs the parent's readers accepted.  The DAGs merge
-  in run-id order, so the model is byte-identical for any ``jobs``
-  value.
+  opens and resolves only its own runs among those the parent's
+  readers accepted.  The DAGs merge in run-id order, so the model is
+  byte-identical for any ``jobs`` value.
 
 Both run with the cyclic collector paused
 (:class:`~repro.core.gcpause.paused_gc`): a synthesis makes no
@@ -140,12 +141,18 @@ def _synthesize_run(
     pids: Optional[List[int]],
     split_services: bool,
     model_sync: bool,
-) -> TimingDag:
+) -> Optional[TimingDag]:
     """One stored run's DAG, the ``merge_dags`` unit of a worker process
     (module-level for pickling: the worker receives ``store`` as a
-    re-opened handle and opens only its own runs)."""
+    re-opened handle and opens only its own runs).  None when the
+    resolve diagnoses the run and the store, opened with
+    ``strict=False``, skips it (warning in the worker)."""
+    resolved = store.resolve_runs({run_id: store.open(run_id)})
+    if not resolved:
+        return None
+    [run] = resolved.values()
     return _synthesize_readers(
-        [store.open(run_id)], pids, split_services, model_sync
+        [run.reader], pids, split_services, model_sync, columns=[run.columns]
     )
 
 
@@ -165,9 +172,10 @@ def synthesize_from_store(
     worker processes with byte-identical results for any value.  Each
     run is opened once per process: in-process synthesis reuses the
     readers that validated the store, and a worker opens only its own
-    runs.  ``merge_traces`` resolves each run once, up front
-    (:meth:`~repro.store.database.TraceStore.resolve_runs`), so a store
-    opened with ``strict=False`` skips a run diagnosed there too.
+    runs.  Each strategy resolves each run once, in the process that
+    synthesizes it (:meth:`~repro.store.database.TraceStore.resolve_runs`),
+    so a store opened with ``strict=False`` skips a run diagnosed there
+    too.
     """
     store = as_store(store)
     pids = None if pids is None else sorted(pids)
@@ -176,17 +184,20 @@ def synthesize_from_store(
         if not opened:
             raise ValueError(f"trace store {store.directory!r} holds no runs")
         if min(jobs, len(opened)) == 1:
+            resolved = store.resolve_runs(opened).values()
             return _merge_run_dags(
-                list(opened.values()), pids, split_services, model_sync
+                [run.reader for run in resolved], pids, split_services,
+                model_sync, columns=[run.columns for run in resolved],
             )
-        return merge_dags(_fan_out(
+        dags = _fan_out(
             partial(
                 _synthesize_run, store=store, pids=pids,
                 split_services=split_services, model_sync=model_sync,
             ),
             list(opened),
             jobs,
-        ))
+        )
+        return merge_dags(dag for dag in dags if dag is not None)
     if strategy != STRATEGY_MERGE_TRACES:
         raise ValueError(
             f"unknown strategy {strategy!r}; expected "

@@ -59,14 +59,10 @@ class World:
     sched_policy:
         Scheduling policy name (``"priority"``, ``"psjf"``, ``"edf"``,
         ``"cfs"``) or a :class:`~repro.sim.policies.SchedulingPolicy`
-        instance.  None keeps the scheduler's default priority/RR
-        policy -- and keeps ``scheduler_cls`` injection working for
-        substrate classes that predate the policy parameter.
-    kernel_cls / scheduler_cls:
-        Substrate implementations (defaults: the production kernel and
-        scheduler).  The perf harness injects the frozen
-        :mod:`repro._legacy` classes here to A/B-measure the hot-loop
-        optimizations on otherwise identical machines.
+        instance.  None selects the default priority/RR policy.
+
+    The traced output of every registry scenario under every policy is
+    pinned by ``tests/data/golden_digests.json``.
     """
 
     def __init__(
@@ -78,17 +74,14 @@ class World:
         start_time_ns: int = 0,
         first_pid: int = 1,
         sched_policy=None,
-        kernel_cls: type = SimKernel,
-        scheduler_cls: type = Scheduler,
     ):
-        self.kernel = kernel_cls(start=start_time_ns)
-        sched_kwargs = {} if sched_policy is None else {"policy": sched_policy}
-        self.scheduler = scheduler_cls(
+        self.kernel = SimKernel(start=start_time_ns)
+        self.scheduler = Scheduler(
             self.kernel,
             num_cpus=num_cpus,
             timeslice=timeslice,
             first_pid=first_pid,
-            **sched_kwargs,
+            policy=sched_policy,
         )
         self.rng = np.random.default_rng(seed)
         self._ctx_cache: Optional[ProbeContext] = None

@@ -1,13 +1,19 @@
-"""Equivalence pins for the PR-2 performance overhaul.
+"""Equivalence pins for the simulator and the Alg. 1/2 pipeline.
 
-Three layers of guarantees, each against the frozen pre-change
-implementations in :mod:`repro._legacy`:
+Three layers of guarantees:
 
 1. **golden synthesis** -- for every registry scenario, the optimized
    pipeline (one ``StoreTraceIndex`` over the in-memory trace) must
-   produce byte-identical DAG JSON, exec-time tables and DOT exports;
-2. **full-stack sim** -- the optimized kernel/scheduler/tracer stack
-   must emit bit-identical traces;
+   produce byte-identical DAG JSON, exec-time tables and DOT exports
+   to the frozen pre-index Alg. 1/2 oracle in :mod:`repro._legacy`;
+2. **full-stack sim** -- every registry scenario under every
+   scheduling policy must reproduce the committed sha256 digests in
+   ``tests/data/golden_digests.json``: its trace (as canonical JSON)
+   and the DAG JSON, exec table and DOT synthesized from it.  The
+   digests were checked equal to the frozen simulator stack and the
+   handle-per-event reference kernel before those were deleted.
+   Regenerate them, only for a change meant to alter the simulated
+   output, with ``PYTHONPATH=src python tests/test_perf_equivalence.py``;
 3. **Alg. 2 properties** -- the columnar ``SchedIndex`` must agree with
    both the literal ``get_exec_time`` and the frozen object-walking
    index on arbitrary event soups.
@@ -16,14 +22,16 @@ Plus the batch determinism re-check: ``--jobs`` must not change results
 now that synthesis flows through the one trace index.
 """
 
+import hashlib
 import json
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro._legacy import LegacySchedIndex, legacy_extract_all
-from repro._legacy.tracing.session import TracingSession as LegacyTracingSession
-from repro._legacy.world import World as LegacyWorld
 from repro.core import (
     SchedIndex,
     dag_to_json,
@@ -36,7 +44,7 @@ from repro.core import (
 from repro.core.merge import dag_from_merged_traces, merge_dags
 from repro.experiments import BatchConfig, RunConfig, run_batch, run_once
 from repro.scenarios import build_scenario_spec, scenario_names
-from repro.sim import SEC, HeapKernel, SchedSwitch, SimKernel
+from repro.sim import SEC, SchedSwitch
 from repro.sim.policies import POLICY_NAMES
 from repro.tracing.session import Trace, TracingSession
 from repro.world import World
@@ -44,16 +52,10 @@ from repro.world import World
 DURATION_NS = int(1.5 * SEC)
 
 
-def _traced_run(
-    name,
-    run_index=0,
-    world_cls=World,
-    session_cls=TracingSession,
-    **world_kwargs,
-):
+def _traced_run(name, run_index=0, **world_kwargs):
     spec = build_scenario_spec(name, run_index=run_index, runs=3)
     config = RunConfig(duration_ns=DURATION_NS, num_cpus=spec.num_cpus)
-    world = world_cls(
+    world = World(
         num_cpus=config.num_cpus,
         seed=config.seed_for(run_index),
         timeslice=config.timeslice_ns,
@@ -63,7 +65,7 @@ def _traced_run(
         **world_kwargs,
     )
     spec.build(world)
-    session = session_cls(world, kernel_filter=config.kernel_filter)
+    session = TracingSession(world, kernel_filter=config.kernel_filter)
     session.start_init()
     world.launch()
     world.run(for_ns=config.warmup_ns)
@@ -72,6 +74,41 @@ def _traced_run(
     world.run(for_ns=DURATION_NS)
     session.stop_runtime()
     return session.trace()
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _digest_key(name, policy):
+    return f"{name}/{policy}"
+
+
+def _run_digests(name, policy):
+    """The four pins of one scenario x policy run: its trace as
+    canonical JSON (not the segment bytes, whose compressed sections
+    depend on the zlib version), and the DAG JSON, exec table and DOT
+    synthesized from it."""
+    trace = _traced_run(name, sched_policy=policy)
+    dag = synthesize_from_trace(trace)
+    return {
+        "trace": _sha256(json.dumps(trace.to_dict(), sort_keys=True)),
+        "dag_json": _sha256(dag_to_json(dag)),
+        "exec_table": _sha256(format_exec_table(dag)),
+        "dot": _sha256(to_dot(dag)),
+    }
+
+
+def golden_digests():
+    """Digests of every registry scenario under every policy."""
+    return {
+        _digest_key(name, policy): _run_digests(name, policy)
+        for name in scenario_names()
+        for policy in POLICY_NAMES
+    }
+
+
+GOLDEN_DIGESTS = pathlib.Path(__file__).parent / "data" / "golden_digests.json"
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +147,25 @@ class TestGoldenSynthesisEquivalence:
         assert to_dot(self.new_dags[name]) == to_dot(self.legacy_dags[name])
 
 
+class TestOraclesStayOffProduction:
+    def test_production_imports_load_no_oracle(self):
+        """:mod:`repro._legacy` is a test oracle: importing the CLI and
+        the world, store, service and analysis packages in a fresh
+        interpreter loads none of it."""
+        script = "\n".join([
+            "import sys",
+            "import repro.cli, repro.world, repro.store, repro.service, "
+            "repro.analysis",
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('repro._legacy')))",
+        ])
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            check=True, capture_output=True, text=True,
+        )
+        assert result.stdout.strip() == "[]"
+
+
 class TestMergedTraceEquivalence:
     """Strategy 1 (merge traces, then synthesize): the O(P*N) path."""
 
@@ -129,41 +185,38 @@ class TestMergedTraceEquivalence:
 
 
 class TestFullStackSimEquivalence:
-    """New kernel/scheduler/tracing stack == frozen stack, bit for bit."""
+    """The traced simulator stack (kernel, scheduler and policy, ROS 2
+    layer, tracers) and the synthesis over it reproduce the committed
+    golden digests, for every scenario x policy."""
+
+    @pytest.fixture(scope="class")
+    def committed(self):
+        return json.loads(GOLDEN_DIGESTS.read_text())
+
+    def test_digest_keys_are_scenarios_x_policies(self, committed):
+        expected = {
+            _digest_key(name, policy)
+            for name in scenario_names()
+            for policy in POLICY_NAMES
+        }
+        assert set(committed) == expected, (
+            f"golden digests out of step with the scenario x policy matrix: "
+            f"missing {sorted(expected - set(committed))}, "
+            f"stale {sorted(set(committed) - expected)}"
+        )
 
     @pytest.mark.parametrize("name", scenario_names())
-    def test_traces_identical(self, name, traces_by_scenario):
-        legacy_trace = _traced_run(
-            name, world_cls=LegacyWorld, session_cls=LegacyTracingSession
-        )
-        assert traces_by_scenario[name].to_dict() == legacy_trace.to_dict()
+    def test_traces_identical(self, name, committed):
+        for policy in POLICY_NAMES:
+            key = _digest_key(name, policy)
+            assert _run_digests(name, policy) == committed[key], key
 
 
 class TestPolicyMatrixEquivalence:
-    """The slab-kernel fast path stays bit-identical across the PR 9
-    policy matrix.
-
-    The frozen legacy stack predates pluggable policies (its default is
-    the priority/RR policy pinned against it above), so for the other
-    three policies the pin is the flagged reference substrate: the same
-    world with ``kernel_cls=HeapKernel`` -- handle objects and
-    ``pending``-recheck run loop instead of the slab's parallel arrays
-    and generation tags.  Every lazy-arming and token-cancel path in the
-    scheduler runs on both kernels here.
-    """
-
-    @pytest.mark.parametrize("name", ["avp-interference", "service-mesh"])
-    @pytest.mark.parametrize("policy", POLICY_NAMES)
-    def test_slab_kernel_matches_heap_reference(self, name, policy):
-        slab = _traced_run(name, sched_policy=policy, kernel_cls=SimKernel)
-        reference = _traced_run(name, sched_policy=policy, kernel_cls=HeapKernel)
-        assert slab.to_dict() == reference.to_dict()
-
     def test_default_policy_is_the_legacy_pinned_one(self):
-        """``sched_policy="priority"`` == the default-policy stack that
-        the legacy comparison above pins, closing the matrix: priority
-        is pinned to legacy, and every policy is pinned to the reference
-        kernel."""
+        """``sched_policy="priority"`` == the default-policy stack:
+        omitting the policy must keep selecting priority/RR, whose
+        digests pin every run that names no policy."""
         explicit = _traced_run("avp-interference", sched_policy="priority")
         default = _traced_run("avp-interference")
         assert explicit.to_dict() == default.to_dict()
@@ -252,3 +305,12 @@ class TestMergeSemantics:
         per_run = [synthesize_from_trace(t) for t in traces]
         merged = merge_dags(per_run)
         assert merged.num_vertices == per_run[0].num_vertices
+
+
+if __name__ == "__main__":
+    # Regenerate the committed digests (only for a change that is meant
+    # to alter the simulated output):
+    #   PYTHONPATH=src python tests/test_perf_equivalence.py
+    GOLDEN_DIGESTS.write_text(
+        json.dumps(golden_digests(), indent=2, sort_keys=True) + "\n"
+    )

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim import HeapKernel, MSEC, SEC, SimKernel, USEC
+from repro.sim import MSEC, SEC, SimKernel, USEC
 from repro.sim.kernel import _COMPACT_MIN_QUEUE
 
 
@@ -226,7 +226,7 @@ class TestPostAfterTokens:
         assert fired == ["early", "handle", "token"]
 
 
-@pytest.mark.parametrize("kernel_cls", [SimKernel, HeapKernel])
+@pytest.mark.parametrize("kernel_cls", [SimKernel])
 class TestCompaction:
     """cancelled/compactions counters and the compact_min_queue knob."""
 
@@ -286,43 +286,10 @@ class TestCompaction:
         assert eager_cancels == never_cancels == 20
 
 
-class TestHeapKernelReferenceContract:
-    """The flagged reference kernel honors the same core contract."""
-
-    def test_ordering_and_ties(self):
-        kernel = HeapKernel()
-        fired = []
-        kernel.schedule_at(10, lambda: fired.append("b"))
-        kernel.schedule_at(10, lambda: fired.append("c"))
-        kernel.schedule_at(5, lambda: fired.append("a"))
-        kernel.schedule_at(10, lambda: fired.append("z"), priority=-1)
-        kernel.run()
-        assert fired == ["a", "z", "b", "c"]
-
-    def test_post_after_token_contract_matches_slab(self):
-        kernel = HeapKernel()
-        fired = []
-        token = kernel.post_after(4, fired.append, ("x",))
-        kernel.post_after(2, fired.append, ("y",))
-        assert kernel.cancel(token) is True
-        assert kernel.cancel(token) is False
-        kernel.run()
-        assert fired == ["y"]
-
-    def test_run_until_matches_slab(self):
-        for kernel in (SimKernel(), HeapKernel()):
-            fired = []
-            kernel.schedule_at(5, lambda: fired.append(5))
-            kernel.schedule_at(15, lambda: fired.append(15))
-            kernel.run(until=10)
-            assert fired == [5]
-            assert kernel.now == 10
-
-
 class TestEventHandleOrderingRemoved:
-    """The heap keys on (time, priority, seq) tuples since PR 2, so
-    handles carry no ordering; pin the removal so ``__lt__`` can't
-    silently return (and rot unexercised) in either implementation."""
+    """The heap keys on (time, priority, seq) tuples, so handles carry
+    no ordering; pin the removal so ``__lt__`` can't silently return
+    (and rot unexercised)."""
 
     def test_slab_handles_do_not_order(self):
         kernel = SimKernel()
@@ -330,10 +297,3 @@ class TestEventHandleOrderingRemoved:
         b = kernel.schedule_at(2, lambda: None)
         with pytest.raises(TypeError):
             a < b  # noqa: B015 -- the raise *is* the assertion
-
-    def test_heap_handles_do_not_order(self):
-        kernel = HeapKernel()
-        a = kernel.schedule_at(1, lambda: None)
-        b = kernel.schedule_at(2, lambda: None)
-        with pytest.raises(TypeError):
-            a < b  # noqa: B015

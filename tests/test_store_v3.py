@@ -888,6 +888,34 @@ class TestGarbledTimestamps:
             with pytest.raises(StoreFormatError, match="run001"):
                 build(TraceStore(garbled))
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_merge_dags_skips_runs_diagnosed_at_resolve(self, tmp_path, jobs):
+        """The same garbled run001 under ``merge_dags``: ``strict=False``
+        skips it, in this process or in the worker that owns it, so the
+        model equals the one over the other two runs; ``strict=True``
+        raises naming it."""
+        garbled = str(tmp_path / "garbled")
+        os.makedirs(garbled)
+        store, _ = _flip_ts_bit(garbled, SECTION_ROS, lambda trace: (10, 62))
+        others = str(tmp_path / "others")
+        os.makedirs(others)
+        for run_id in ("run000", "run002"):
+            shutil.copy(store.path_of(run_id), others)
+
+        def build(store):
+            return dag_to_json(synthesize_from_store(
+                store, jobs=jobs, strategy=STRATEGY_MERGE_DAGS
+            ))
+
+        if jobs == 1:
+            with pytest.warns(RuntimeWarning, match="run001"):
+                skipped = build(TraceStore(garbled, strict=False))
+        else:  # the worker warns on its own stderr
+            skipped = build(TraceStore(garbled, strict=False))
+        assert skipped == build(TraceStore(others))
+        with pytest.raises(StoreFormatError, match="run001"):
+            build(TraceStore(garbled))
+
     def test_unsorted_trace_is_stored_sorted(self, syn_trace, tmp_path):
         """A trace whose lists break the chronological contract is
         written in ``Trace.sort``'s stable order, never rejected, and
