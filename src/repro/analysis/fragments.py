@@ -21,18 +21,30 @@ Two users build fragments, with the same code and the same rule:
   retained run, built at ingest;
 * :class:`~repro.analysis.store.StoreAnalysis` looks each run up in
   :data:`FRAGMENTS`, a process-wide cache keyed by the sha256 of the
-  segment bytes the run's reader parsed (:func:`fragment_key`), and
-  builds the misses in one walk -- once a handle shares a run with the
-  previous handle in the process: a handle that shares none (a store's
-  first, a one-shot caller's) builds in batch and keeps nothing, as
-  its fragments would not be looked up again.  The cache holds only
-  the fragments of the most recent build, so it is bounded by one
-  window, and a rewritten run has new bytes and so a new key: it is
-  never served stale.
+  run's segment file as stored (:func:`fragment_key`: a v1/v2 file's
+  own bytes, not its v3 transcoding; with a segment cache directory,
+  the source file, not the cached copy).  The file is read once, to
+  compute the key: a hit opens no reader, and only a miss is parsed,
+  from the bytes already read.  The misses are built in one walk --
+  once a handle shares a run with the previous handle in the process:
+  a handle that shares none (a store's first, a one-shot caller's)
+  builds in batch and keeps nothing, as its fragments would not be
+  looked up again.  The cache holds only the fragments of the most
+  recent build, so it is bounded by one window, and a rewritten run
+  has new bytes and so a new key: it is never served stale.
 
-A fragment is never modified once built (merging folds and
-concatenating latency indexes copy), so one fragment may serve any
-number of builds, and it holds no reader and no reference cycle.
+A fragment's model and latency parts are never modified once built
+(merging folds and concatenating latency indexes copy), so one
+fragment may serve any number of builds, and it holds no reader and no
+reference cycle.  Each fragment also carries two caches of what its
+user derived from it: the service's rendered samples, and a *journey
+slot*, the last-queried chain's journeys through the run
+(``(topics, [ChainLatency, ...])``, the bound of the service's journey
+cache), which ``StoreAnalysis.chain_latencies`` reads and fills, so a
+handle that shares all but its new runs with the previous one follows
+only those.  A slot is replaced whole, by one assignment of a value
+that depends on the fragment and the topics alone, so threads racing
+on it store equal values.
 """
 
 from __future__ import annotations
@@ -42,9 +54,7 @@ import threading
 from dataclasses import dataclass
 from itertools import compress
 from operator import itemgetter
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
-
-import numpy as np
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core.dag import TimingDag
 from ..core.exec_time import distinct
@@ -62,7 +72,7 @@ from ..core.index import (
 from ..core.synthesis import CallbackFold, dag_from_fold, fold_records, merge_folds
 from ..store import synthesis as store_synthesis
 from ..store.index import ResolvedRun, StoreTraceIndex, _spans_are_ordered
-from .latency import LatencyIndex
+from .latency import ChainLatency, LatencyIndex
 
 #: ``kind`` of the writes FindCaller and FindClient match.
 _SERVICE_WRITES = frozenset(("request", "response"))
@@ -102,22 +112,17 @@ class _Sharing:
 
 
 def _sharing(resolved: ResolvedRun) -> _Sharing:
-    """One run's :class:`_Sharing`, from its resolved columns and its
-    sched columns."""
-    reader, columns = resolved
-    ts_np, pid_np, codes, _aux = columns
-    pids = tuple(sorted(reader.pid_map))
+    """One run's :class:`_Sharing`, from its resolved columns and the
+    PIDs its sched columns name (:func:`~repro.store.index.resolve_run`
+    found them)."""
+    ts_np, pid_np, codes, _aux = columns = resolved.columns
+    pids = tuple(sorted(resolved.reader.pid_map))
     setters = (codes >= CODE_CB_START) & (codes <= CODE_TAKE_RESPONSE)
     stateful = frozenset(pids).union(distinct(pid_np[setters]))
-    _sched_ts, prev_col, next_col = reader.sched_pid_columns()
-    scheduled = np.concatenate((
-        np.frombuffer(prev_col, dtype=np.int32),
-        np.frombuffer(next_col, dtype=np.int32),
-    ))
     # Every PID the sched columns name but 0 has a sched bucket.
-    touched = stateful.union(distinct(np.concatenate((
-        pid_np[codes != 0], scheduled[scheduled != 0]
-    ))))
+    touched = stateful.union(
+        distinct(pid_np[codes != 0]), filter(None, resolved.sched_pids)
+    )
     span = (int(ts_np[0]), int(ts_np[-1])) if len(ts_np) else None
     return _Sharing(
         span, pids, stateful, touched, frozenset(_service_keys(columns))
@@ -182,6 +187,11 @@ class _RunFragment:
     #: the fold's rendered sample lists, once a live model JSON query
     #: asked for them.
     samples: Optional[RenderedSamples] = None
+    #: the last-queried chain's topics and its journeys through the
+    #: run's latency fragment alone, once a
+    #: :meth:`~repro.analysis.store.StoreAnalysis.chain_latencies` query
+    #: followed them; replaced whole, by one assignment.
+    journeys: Optional[Tuple[Tuple[str, ...], List[ChainLatency]]] = None
 
 
 def _run_fragments(
@@ -234,15 +244,17 @@ def assembled_dag(
     )
 
 
-#: A fragment's cache key: the sha256 of its run's segment bytes, and
+#: A fragment's cache key: the sha256 of its run's segment file, and
 #: ``split_services`` (the fold's vertex keys depend on it).
 FragmentKey = Tuple[bytes, bool]
 
 
-def fragment_key(reader: Any, split_services: bool) -> Optional[FragmentKey]:
-    """The cache key of ``reader``'s fragment, or None for a run without
-    segment bytes (a loaded gzip-JSON trace)."""
-    data = reader.segment_bytes()
+def fragment_key(
+    data: Optional[bytes], split_services: bool
+) -> Optional[FragmentKey]:
+    """The cache key of the fragment of the run whose segment file holds
+    ``data`` (the file's bytes as stored, whatever its format version),
+    or None for a run without a segment file (a gzip-JSON trace)."""
     if data is None:
         return None
     return hashlib.sha256(data).digest(), split_services

@@ -29,9 +29,10 @@ pairs up exactly as one build over the whole stream pairs it.  Stores
 index one fragment per run.  Chain journeys rarely cross runs: when no
 taking PID and no ``(topic, src_ts)`` key spans two fragments
 (:func:`fragments_are_separable`), :func:`chain_latencies` follows each
-fragment on its own and skips the concatenation, and the live service
-keeps each retained run's fragment and journeys, so an arrival follows
-only the new run.
+fragment on its own and skips the concatenation, and ``journeys=``
+takes the per-fragment journeys a caller kept: the live service keeps
+each retained run's, and ``StoreAnalysis`` each cached run fragment's,
+so an arrival follows only the new run.
 """
 
 from __future__ import annotations

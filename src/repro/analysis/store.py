@@ -29,25 +29,29 @@ Two data paths, mirroring the pipeline split:
 
 :class:`StoreAnalysis` bundles both paths behind one lazily-caching
 handle (one synthesis, one latency index, any number of reports) -- the
-engine behind ``repro analyze``.  It opens the store's readers once,
-resolves each one's columns at most once
+engine behind ``repro analyze``.  It opens each run's reader at most
+once, resolves each one's columns at most once
 (:func:`~repro.store.index.resolve_run`) and hands both to the
 synthesis and to the latency index alike, so each segment is inflated
 and resolved at most once.  A whole-store ``merge_traces`` handle over
 stored runs that share nothing builds from per-run fragments
 (:mod:`repro.analysis.fragments`, the code the live service builds its
 fragments with) once it shares a run with the previous handle in the
-process: each run is looked up in a process-wide cache keyed by the
-sha256 of its segment bytes, only the misses are resolved, one walk
-over them builds their fragments, and the model is the fragments'
-merged folds.  So a handle over a window that shares all but one run
-with the previous handle does O(new run) of the work.  A handle that
-shares no run with the previous one -- a store's first, ``repro
-analyze``'s one per process, a one-shot front end's below -- builds in
-batch and keeps no fragment, since none would be looked up again.
-Chain latencies follow the per-run fragments one at a time when no
-journey can cross a run
-(:func:`~repro.analysis.latency.chain_latencies`).
+process.  It reads each run's segment file once and looks the run up
+in a process-wide cache keyed by the sha256 of those bytes
+(:meth:`~repro.store.database.TraceStore.read`).  A hit opens no
+reader; only the misses are parsed (from the bytes already read) and
+resolved, one walk over them builds their fragments, and the model is
+the fragments' merged folds.  Chain latencies follow the per-run
+fragments one at a time when no journey can cross a run
+(:func:`~repro.analysis.latency.chain_latencies`), and each fragment
+keeps the last-queried chain's journeys through its run, so a run is
+followed once per chain.  A handle over a window that shares all but
+one run with the previous handle thus opens, resolves, walks and
+follows that run alone.  A handle that shares no run with the previous
+one -- a store's first, ``repro analyze``'s one per process, a
+one-shot front end's below -- builds in batch and keeps no fragment,
+since none would be looked up again.
 
 ``strict=False`` on the store skips a run that fails its open or the
 resolve of its columns
@@ -59,7 +63,7 @@ alike.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,6 +71,7 @@ from ..core.dag import TimingDag
 from ..core.gcpause import paused_gc
 from ..core.pipeline import STRATEGY_MERGE_DAGS, STRATEGY_MERGE_TRACES
 from ..store.database import StoreLike, as_store
+from ..store.reader import SegmentFile
 from ..store.index import (
     ResolvedRun,
     _merged_columns,
@@ -180,7 +185,14 @@ def latency_index_from_store(
 class _Runs(NamedTuple):
     """A :class:`StoreAnalysis` handle's runs, in run-id order."""
 
-    readers: List
+    ids: List[str]
+    #: each run's reader; None for a run whose fragment came from the
+    #: cache (opened when a batch build needs it:
+    #: :attr:`StoreAnalysis._readers`).
+    readers: List[Optional[Any]]
+    #: run id -> the run's segment file as read, for the handles that
+    #: key fragments by it (None for a gzip-JSON run).
+    files: Dict[str, Optional[SegmentFile]]
     #: each run's resolved columns; None where the handle builds from
     #: fragments, and for a run whose fragment came from the cache
     #: (resolved when a batch build needs it).
@@ -203,11 +215,14 @@ class StoreAnalysis:
     A ``merge_traces`` handle over the whole store (no ``pids``) whose
     runs are stored segments looks them up in the process-wide fragment
     cache (:mod:`repro.analysis.fragments`) by the sha256 of their
-    segment bytes.  When it shares a run with the previous handle to
-    look the cache up and its runs share no walk state, it builds from
-    per-run fragments: only the misses are resolved, one walk over them
-    builds their fragments, the model is the fragments' merged folds
-    and the latency index their latency fragments.  A handle that
+    segment files, read once.  When it shares a run with the previous
+    handle to look the cache up and its runs share no walk state, it
+    builds from per-run fragments: only the misses are opened and
+    resolved, one walk over them builds their fragments, the model is
+    the fragments' merged folds, the latency index their latency
+    fragments, and a chain's journeys through a run come from the
+    run's fragment once any handle followed that chain there.  A hit
+    run's reader is opened only if a batch build needs it.  A handle that
     shares no run with the previous one builds in batch and keeps no
     fragment; one whose runs overlap in time or share walk state builds
     in batch and keeps the fragments it found.  ``pids=``,
@@ -241,35 +256,44 @@ class StoreAnalysis:
 
     @cached_property
     def _runs(self) -> _Runs:
-        """The store's runs, opened and (for misses) resolved on first
-        use, with their fragments when the handle builds from them."""
+        """The store's runs, read and (for misses) opened and resolved
+        on first use, with their fragments when the handle builds from
+        them."""
         store = self.store
-        opened = store.open_runs()
+        files: Dict[str, Optional[SegmentFile]] = {}
         keys: Dict[str, Optional[FragmentKey]] = {}
         if self.pids is None and self.strategy == STRATEGY_MERGE_TRACES:
+            files = {run_id: store.read(run_id) for run_id in store.run_ids()}
             keys = {
-                run_id: fragment_key(reader, self.split_services)
-                for run_id, reader in opened.items()
+                run_id: fragment_key(
+                    None if read is None else read.data, self.split_services
+                )
+                for run_id, read in files.items()
             }
         cached = None
         if keys and None not in keys.values():
             cached = FRAGMENTS.lookup(keys.values())
         if cached is None:
-            resolved = store.resolve_runs(opened).values()
+            resolved = store.resolve_runs(store.open_runs(files or None))
             return _Runs(
-                [run.reader for run in resolved],
-                [run.columns for run in resolved],
+                list(resolved),
+                [run.reader for run in resolved.values()],
+                files,
+                [run.columns for run in resolved.values()],
                 None,
             )
-        resolved = store.resolve_runs({
-            run_id: reader for run_id, reader in opened.items()
+        resolved = store.resolve_runs(store.open_runs({
+            run_id: read for run_id, read in files.items()
             if keys[run_id] not in cached
-        })
+        }))
         ids = [
-            run_id for run_id in opened
+            run_id for run_id in files
             if keys[run_id] in cached or run_id in resolved
         ]
-        readers = [opened[run_id] for run_id in ids]
+        readers = [
+            resolved[run_id].reader if run_id in resolved else None
+            for run_id in ids
+        ]
         columns = [
             resolved[run_id].columns if run_id in resolved else None
             for run_id in ids
@@ -281,7 +305,7 @@ class StoreAnalysis:
         ]
         if not _assembles(sharings):
             FRAGMENTS.keep(cached)
-            return _Runs(readers, columns, None)
+            return _Runs(ids, readers, files, columns, None)
         # The misses assemble too (any part of an assembling window
         # does): one walk builds them all, each distinct segment once.
         missing: Dict[FragmentKey, Tuple] = {}
@@ -297,18 +321,30 @@ class StoreAnalysis:
         FRAGMENTS.keep(built)
         # The fragments are all the handle reads: the columns go now.
         return _Runs(
-            readers, [None] * len(ids), [built[keys[run_id]] for run_id in ids]
+            ids, readers, files, [None] * len(ids),
+            [built[keys[run_id]] for run_id in ids],
         )
+
+    @cached_property
+    def _readers(self) -> List:
+        """Each run's reader, for the batch builds: a run whose fragment
+        came from the cache is opened here, once, from the bytes its
+        key was computed from."""
+        runs = self._runs
+        return [
+            self.store.open(run_id, runs.files[run_id]) if reader is None
+            else reader
+            for run_id, reader in zip(runs.ids, runs.readers)
+        ]
 
     @cached_property
     def _columns(self) -> List[Tuple]:
         """Each run's resolved columns, shared by the batch synthesis and
         the latency index: a run whose fragment came from the cache is
         resolved here, once."""
-        runs = self._runs
         return [
             resolve_run(reader).columns if columns is None else columns
-            for reader, columns in zip(runs.readers, runs.columns)
+            for reader, columns in zip(self._readers, self._runs.columns)
         ]
 
     @cached_property
@@ -318,7 +354,7 @@ class StoreAnalysis:
         runs = self._runs
         if runs.fragments is not None:
             return [fragment.latency for fragment in runs.fragments]
-        return _latency_fragments(runs.readers, self._wanted, self._columns)
+        return _latency_fragments(self._readers, self._wanted, self._columns)
 
     @property
     @paused_gc()
@@ -339,7 +375,7 @@ class StoreAnalysis:
                 self._dag = assembled_dag(fragments, self.model_sync)
             if self._dag is None:
                 self._dag = synthesize(
-                    self._runs.readers,
+                    self._readers,
                     self.pids,
                     split_services=self.split_services,
                     model_sync=self.model_sync,
@@ -355,7 +391,7 @@ class StoreAnalysis:
             fragments = self._fragments
             if fragments is None:
                 self._index = _merged_latency_index(
-                    self._runs.readers, self._wanted, self._columns
+                    self._readers, self._wanted, self._columns
                 )
             else:
                 self._index = LatencyIndex.concat(fragments)
@@ -390,11 +426,33 @@ class StoreAnalysis:
     ) -> List[ChainLatency]:
         """Per run when the runs' journeys stay inside them (see
         :func:`~repro.analysis.latency.chain_latencies`), so the
-        fragments need no concatenation."""
+        fragments need no concatenation.  A handle built from fragments
+        takes each run's journeys from its fragment's journey slot when
+        the slot holds this chain, and fills the slots of the runs it
+        followed: a run shared with the previous handle is followed
+        once per chain."""
         fragments = self._fragments
-        return chain_latencies(
-            self.index if fragments is None else fragments, topics, max_instances
+        if fragments is None:
+            return chain_latencies(self.index, topics, max_instances)
+        runs = self._runs.fragments
+        if runs is None:
+            return chain_latencies(fragments, topics, max_instances)
+        topics = tuple(topics)
+        journeys: Dict[LatencyIndex, List[ChainLatency]] = {}
+        for run in runs:
+            slot = run.journeys  # read once: another handle may replace it
+            if slot is not None and slot[0] == topics:
+                journeys[run.latency] = slot[1]
+        held = len(journeys)
+        latencies = chain_latencies(
+            fragments, topics, max_instances, journeys=journeys
         )
+        if len(journeys) > held:
+            for run in runs:
+                part = journeys.get(run.latency)
+                if part is not None:
+                    run.journeys = (topics, part)
+        return latencies
 
     @paused_gc()
     def waiting_times(self, pid: int) -> List[WaitingTime]:

@@ -426,7 +426,7 @@ def _parse_pids(text: str) -> List[int]:
 
 def _cmd_synthesize(args) -> int:
     from .core.pipeline import STRATEGY_MERGE_DAGS, STRATEGY_MERGE_TRACES
-    from .store import TraceStore, synthesize_from_store
+    from .store import StoreError, StoreFormatError, TraceStore, synthesize_from_store
 
     # ``choices=`` already rejects unknown names at parse time (exit
     # code 2); this maps the validated CLI spelling to the API constant.
@@ -442,10 +442,14 @@ def _cmd_synthesize(args) -> int:
             file=sys.stderr,
         )
         return 2
-    store = TraceStore(args.store)
-    dag = synthesize_from_store(
-        store, pids=args.pids, jobs=args.jobs, strategy=strategy
-    )
+    try:
+        store = TraceStore(args.store)
+        dag = synthesize_from_store(
+            store, pids=args.pids, jobs=args.jobs, strategy=strategy
+        )
+    except (FileNotFoundError, StoreError, StoreFormatError) as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     notes = _write_artifacts(dag, args)
     print(
         f"synthesized {len(store)} stored run(s) from {store.directory} "

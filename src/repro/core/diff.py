@@ -37,12 +37,6 @@ class StatDrift:
             return float("inf") if self.new_mwcet else 1.0
         return self.new_mwcet / self.old_mwcet
 
-    @property
-    def macet_ratio(self) -> float:
-        if self.old_macet == 0:
-            return float("inf") if self.new_macet else 1.0
-        return self.new_macet / self.old_macet
-
 
 @dataclass(frozen=True)
 class NoDataDrift:

@@ -215,8 +215,3 @@ def synthesize_dag(
     """Build the timing DAG from the CBlists of all traced nodes: fold
     the records per vertex key, then apply rules 2-4."""
     return dag_from_fold(fold_records(cblists, split_services), model_sync)
-
-
-def synthesize_from_cblists(cblists: Iterable[CBList], **kwargs) -> TimingDag:
-    """Alias kept for symmetry with :mod:`repro.core.pipeline`."""
-    return synthesize_dag(cblists, **kwargs)

@@ -36,7 +36,7 @@ from ..core.pipeline import synthesize_from_trace
 from ..scenarios.registry import build_scenario_spec
 from ..sim.kernel import MSEC
 from ..tracing.session import Trace, TraceDatabase
-from .runner import RunConfig, run_once
+from .runner import RunConfig, run_id_for, run_once
 
 
 @dataclass
@@ -209,7 +209,7 @@ def run_batch(
     database = TraceDatabase()
     for run_index, (_, trace) in enumerate(outcomes):
         if trace is not None:
-            database.add(f"run{run_index:03d}", trace)
+            database.add(run_id_for(run_index), trace)
     return BatchResult(
         scenario=scenario,
         runs=runs,

@@ -35,15 +35,6 @@ class Fig4Series:
     def runs(self) -> int:
         return len(self.stats)
 
-    def mwcet_ms(self) -> List[float]:
-        return [s.mwcet / 1e6 for s in self.stats]
-
-    def macet_ms(self) -> List[float]:
-        return [s.macet / 1e6 for s in self.stats]
-
-    def mbcet_ms(self) -> List[float]:
-        return [s.mbcet / 1e6 for s in self.stats]
-
     def mwcet_growth(self) -> float:
         """Relative growth of the WCET estimate from run 1 to the end."""
         first, last = self.stats[0].mwcet, self.stats[-1].mwcet

@@ -53,9 +53,8 @@ class RunConfig:
     #: into one stream (Fig. 2's "merge traces" strategy).
     stagger_runs: bool = True
     pid_stride: int = 10_000
-    #: Scheduling policy name for the world's scheduler (None keeps the
-    #: default priority/RR policy and stays compatible with injected
-    #: legacy scheduler classes that predate the policy parameter).
+    #: Scheduling policy name for the world's scheduler (None selects
+    #: the default priority/RR policy).
     sched_policy: Optional[str] = None
 
     def seed_for(self, run_index: int) -> int:
@@ -135,9 +134,22 @@ def run_many(
     return [run_once(builder, config, run_index=i) for i in range(runs)]
 
 
+def run_id_for(run_index: int) -> str:
+    """The id of the ``run_index``-th run: ``run000`` to ``run999``,
+    then ``runa1000`` to ``runa9999``, ``runb10000`` and so on -- the
+    letter counts the digits past three, so run-id order (the order a
+    database or store merges its runs in) is run order for any
+    index."""
+    digits = str(run_index)
+    if len(digits) <= 3:
+        return f"run{run_index:03d}"
+    return f"run{chr(ord('a') + len(digits) - 4)}{digits}"
+
+
 def collect_database(results: List[RunResult]) -> TraceDatabase:
-    """Store each run's trace under ``run<index>`` (the Fig. 2 server)."""
+    """Store each run's trace under :func:`run_id_for` of its index (the
+    Fig. 2 server)."""
     database = TraceDatabase()
     for result in results:
-        database.add(f"run{result.run_index:03d}", result.trace)
+        database.add(run_id_for(result.run_index), result.trace)
     return database

@@ -229,7 +229,3 @@ class DdsBus:
             self.world.kernel.post_after(
                 self.latency_ns, _deliver_fanout, (tuple(readers), sample)
             )
-
-    def _current_pid(self) -> int:
-        thread = self.world.scheduler._advancing
-        return thread.pid if thread is not None else 0

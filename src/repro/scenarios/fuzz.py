@@ -347,7 +347,7 @@ def check_spec(
         duration_ns=spec.duration_ns,
         num_cpus=spec.num_cpus,
         base_seed=base_seed,
-        sched_policy=spec.policy if spec.policy != "priority" else None,
+        sched_policy=spec.policy,
     )
     result = run_once(lambda world, i: spec.build(world), config)
     dag = synthesize_from_trace(result.trace, pids=result.apps.pids)

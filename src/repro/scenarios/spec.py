@@ -493,9 +493,10 @@ class ScenarioSpec:
         self.validate()
         node_by_name: Dict[str, Node] = {}
         for ns in self.nodes:
-            # Derived params only matter to the non-default policies;
-            # omitting them under "priority" keeps the build compatible
-            # with the frozen legacy substrate the perf harness injects.
+            # A spec declared under "priority" gives its threads no
+            # params, so a world running another policy schedules them
+            # with that policy's defaults: the runs the golden digests
+            # pin (every registry spec, under every world policy).
             params = (
                 self.derived_sched_params(ns.name)
                 if self.policy != "priority"

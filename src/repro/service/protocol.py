@@ -46,13 +46,6 @@ def parse_address(text: str) -> Address:
     return "unix", text
 
 
-def format_address(address: Address) -> str:
-    kind, where = address
-    if kind == "tcp":
-        return f"{where[0]}:{where[1]}"
-    return where
-
-
 def bind_server_socket(text: str) -> Tuple[socket.socket, str]:
     """Bind + listen on ``text``; returns the socket and the *actual*
     bound address string (meaningful for ``host:0`` ephemeral ports)."""

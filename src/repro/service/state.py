@@ -29,7 +29,6 @@ whose runs overlap in time, is followed as one index.
 
 from __future__ import annotations
 
-import json
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..analysis.chains import Chain, enumerate_chains, format_chains
@@ -180,6 +179,3 @@ class ServiceState:
             "uptime_s": round(self.uptime_s, 3),
             "counters": dict(self.counters),
         }
-
-    def status_text(self) -> str:
-        return json.dumps(self.status(), indent=2, sort_keys=True)

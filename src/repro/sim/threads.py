@@ -206,10 +206,6 @@ class SimThread:
         self._wakeup_payload = None
         return payload
 
-    @property
-    def has_pending_wakeup(self) -> bool:
-        return self._pending_wakeup
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"SimThread(pid={self.pid}, name={self.name!r}, "

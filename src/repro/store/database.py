@@ -7,9 +7,12 @@ stores, transcoded to v3 when opened) and/or legacy
 side.  The run id is the file stem; a run stored in both formats
 resolves to the binary segment.
 
-:class:`TraceStore` is the directory handle (list, open readers,
-write, convert, inspect).  ``strict=False`` makes the aggregate paths
-(:meth:`TraceStore.open_runs`, :meth:`TraceStore.readers`,
+:class:`TraceStore` is the directory handle (list, read, open readers,
+write, convert, inspect).  :meth:`TraceStore.read` reads a run's
+segment file whole, and a reader opened from that read parses those
+bytes, so a caller that keys something by a file's bytes (the analysis
+fragment cache) reads each file once.  ``strict=False`` makes the
+aggregate paths (:meth:`TraceStore.open_runs`, :meth:`TraceStore.readers`,
 :meth:`TraceStore.resolve_runs`, :meth:`TraceStore.run_infos`) skip
 unreadable runs -- at the open or, for the builds, where their columns
 are resolved -- with a warning instead of raising, so one truncated
@@ -37,13 +40,13 @@ from __future__ import annotations
 import os
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Mapping, Optional, Union
 
 from ..tracing.session import Trace, TraceDatabase
 from ..tracing.storage import TRACE_SUFFIX, load_trace
 from .format import SEGMENT_SUFFIX, StoreFormatError, VERSION
 from .index import ResolvedRun, resolve_run
-from .reader import InMemorySegment, SegmentReader, peek_header
+from .reader import InMemorySegment, SegmentFile, SegmentReader, peek_header
 from .writer import decompress_segment, write_segment
 
 StoreLike = Union[str, "TraceStore"]
@@ -291,36 +294,52 @@ class TraceStore:
                 self._skip_unreadable(run_id, error)
         return paths
 
-    def open(self, run_id: str):
+    def read(self, run_id: str) -> Optional[SegmentFile]:
+        """A binary run's segment file, read whole; None for a legacy
+        gzip-JSON run."""
+        if not self.is_binary(run_id):
+            return None
+        path = self.path_of(run_id)
+        with open(path, "rb") as handle:
+            return SegmentFile(path, handle.read())
+
+    def open(self, run_id: str, read: Optional[SegmentFile] = None):
         """A reader for one run (lazy for binary segments; legacy JSON
         loads eagerly -- and is cached on this handle -- behind the
-        same interface).  With ``cache_dir`` set, binary runs open the
-        mmap-backed uncompressed cache copy instead."""
+        same interface).  ``read`` is the run's :meth:`read`, when the
+        caller has it: the reader parses those bytes.  With
+        ``cache_dir`` set, binary runs open the mmap-backed uncompressed
+        cache copy instead."""
         path = self.path_of(run_id)
         if self.is_binary(run_id):
             if self.cache_dir is not None:
                 return SegmentReader.open(
                     self._cached_segment(run_id, path), use_mmap=True
                 )
-            return SegmentReader.open(path)
+            return SegmentReader.open(path if read is None else read)
         reader = self._legacy_readers.get(run_id)
         if reader is None:
             reader = InMemorySegment(_load_legacy(path), path=path)
             self._legacy_readers[run_id] = reader
         return reader
 
-    def open_runs(self) -> Dict[str, object]:
+    def open_runs(
+        self, read: Optional[Mapping[str, Optional[SegmentFile]]] = None
+    ) -> Dict[str, object]:
         """Run id -> reader for every run, in run-id order (the merge
-        order).
+        order) -- or for the runs of ``read``, each run's :meth:`read`,
+        parsed from the bytes it holds.
 
         ``strict=False`` skips runs whose files fail to parse
         (truncated, corrupt, unknown version) with a warning instead of
         raising, so the rest of the store stays synthesizable.
         """
+        if read is None:
+            read = dict.fromkeys(self.run_ids())
         opened: Dict[str, object] = {}
-        for run_id in self.run_ids():
+        for run_id, segment in read.items():
             try:
-                opened[run_id] = self.open(run_id)
+                opened[run_id] = self.open(run_id, segment)
             except StoreFormatError as error:
                 if self.strict:
                     raise

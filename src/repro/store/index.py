@@ -219,24 +219,26 @@ def _resolve_columns(
     )
 
 
-def _sched_columns(reader: Any) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A reader's ``(ts, prev_pid, next_pid)`` sched columns, checked
-    as :func:`_check_ts` does for the per-PID buckets Alg. 2 will lay
-    out (one per PID the columns name); a garbled column raises
+def _sched_columns(
+    reader: Any,
+) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], List[int]]:
+    """A reader's ``(ts, prev_pid, next_pid)`` sched columns and the
+    PIDs they name (sorted, 0 included), the columns checked as
+    :func:`_check_ts` does for the per-PID buckets Alg. 2 will lay out
+    (one per PID); a garbled column raises
     :class:`~repro.store.format.StoreFormatError` naming the file."""
     try:
         ts_col, prev_col, next_col = reader.sched_pid_columns()
         ts_np = np.frombuffer(ts_col, dtype=np.int64)
         prev_np = np.frombuffer(prev_col, dtype=np.int32)
         next_np = np.frombuffer(next_col, dtype=np.int32)
-        if len(ts_np):
-            pids = distinct(np.concatenate((prev_np, next_np)))
-            _check_ts(ts_np, "sched", len(pids))
+        pids = distinct(np.concatenate((prev_np, next_np)))
+        _check_ts(ts_np, "sched", len(pids))
     except StoreFormatError:
         raise
     except (IndexError, ValueError) as error:
         raise _corrupt(reader, error) from None
-    return ts_np, prev_np, next_np
+    return (ts_np, prev_np, next_np), pids
 
 
 class ResolvedRun(NamedTuple):
@@ -247,6 +249,9 @@ class ResolvedRun(NamedTuple):
 
     reader: Any
     columns: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    #: the PIDs the run's sched columns name, sorted (0 included); None
+    #: when only the ROS columns were resolved.
+    sched_pids: Optional[Tuple[int, ...]] = None
 
     @property
     def events(self) -> int:
@@ -261,24 +266,24 @@ class ResolvedRun(NamedTuple):
 def resolve_run(reader: Any) -> ResolvedRun:
     """Decode every section an index build over the run reads -- the
     resolved ROS columns with the payload rows they reference
-    (:func:`_resolve`), the checked sched columns
-    (:func:`_sched_columns`) and the wakeup PID columns -- so a corrupt
-    segment fails here, before an index or a service changes any state.
-    The reader caches what it inflated, so later reads of those
-    sections inflate nothing.
+    (:func:`_resolve`), the checked sched columns and the PIDs they
+    name (:func:`_sched_columns`), and the wakeup PID columns -- so a
+    corrupt segment fails here, before an index or a service changes
+    any state.  The reader caches what it inflated, so later reads of
+    those sections inflate nothing.
 
     Raises :class:`~repro.store.format.StoreFormatError` for a corrupt
     section, including an uncompressed one whose ids point outside
     their tables or whose ts columns are out of order."""
     columns = _resolve(reader)
-    _sched_columns(reader)
+    _, sched_pids = _sched_columns(reader)
     try:
         reader.wakeup_pid_columns()
     except StoreFormatError:
         raise
     except (IndexError, ValueError) as error:
         raise _corrupt(reader, error) from None
-    return ResolvedRun(reader, columns)
+    return ResolvedRun(reader, columns, tuple(sched_pids))
 
 
 def _merged_columns(
@@ -366,7 +371,7 @@ class StoreTraceIndex:
         buckets: Dict[int, Tuple[array, bytearray]] = {}
         for reader in readers:
             self.pid_map.update(reader.pid_map)
-            _fold_sched(buckets, _sched_columns(reader), wanted)
+            _fold_sched(buckets, *_sched_columns(reader), wanted)
         self.sched = SchedIndex.from_buckets(buckets)
 
     # -- ROS stream: walk columns + cross-node tables ----------------------
@@ -451,15 +456,18 @@ class StoreTraceIndex:
 def _fold_sched(
     buckets: Dict[int, Tuple[array, bytearray]],
     columns: Tuple[np.ndarray, np.ndarray, np.ndarray],
+    pids: List[int],
     wanted: Optional[frozenset],
 ) -> None:
     """Fold one run's per-PID sched buckets (from its checked
-    ``columns``) into ``buckets``: append when the arriving bucket
-    starts at-or-after the existing tail (ties append after, matching
-    merge tie order), else a stable 2-way timestamp merge -- the left
-    fold of which equals the n-way merge of every run's bucket, i.e.
-    the bucket :class:`SchedIndex` builds from the merged event
-    stream."""
+    ``columns``, which name ``pids``) into ``buckets``: append when the
+    arriving bucket starts at-or-after the existing tail (ties append
+    after, matching merge tie order), else a stable 2-way timestamp
+    merge -- the left fold of which equals the n-way merge of every
+    run's bucket, i.e. the bucket :class:`SchedIndex` builds from the
+    merged event stream."""
+    if wanted is None:
+        wanted = pids
     for pid, bucket in sched_buckets(*columns, wanted=wanted).items():
         existing = buckets.get(pid)
         if existing is None:

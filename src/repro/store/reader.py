@@ -58,7 +58,8 @@ from itertools import repeat
 from json.decoder import JSONDecoder
 from operator import itemgetter
 from typing import (
-    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+    Any, Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional,
+    Sequence, Tuple, Union,
 )
 
 import numpy as np
@@ -454,6 +455,18 @@ def transcode(data, source: str = "<segment bytes>") -> Tuple[bytes, int]:
     return b"".join(pack_sections(header, blobs, compress=False)), inflated
 
 
+class SegmentFile(NamedTuple):
+    """A segment file's path and its bytes, read whole: what
+    :meth:`SegmentReader.open` parses in place of reading ``path``
+    again."""
+
+    path: str
+    data: bytes
+
+    def __fspath__(self) -> str:
+        return self.path
+
+
 class SegmentReader:
     """One stored run, decoded lazily from its packed columns.
     ``version`` is the file's format-version byte; a v1/v2 file is
@@ -553,21 +566,22 @@ class SegmentReader:
     def bytes_inflated(self) -> int:
         return self._sections.bytes_inflated
 
-    def segment_bytes(self) -> memoryview:
-        """The v3 segment bytes this reader parses (a v1/v2 file's
-        transcoding): what a run's cached fragments are keyed by
-        (:func:`~repro.analysis.fragments.fragment_key`)."""
-        return self._sections._data
-
     @classmethod
-    def open(cls, path: str, use_mmap: bool = False) -> "SegmentReader":
-        """Read (or, with ``use_mmap``, map) ``path`` into a reader.
+    def open(
+        cls, path: Union[str, SegmentFile], use_mmap: bool = False
+    ) -> "SegmentReader":
+        """Read (or, with ``use_mmap``, map) ``path`` into a reader; a
+        :class:`SegmentFile` is parsed from the bytes it holds, so a
+        file read once (to key a run's fragment by its bytes) is never
+        read again.  Every store reader is constructed here.
 
         ``use_mmap`` avoids the up-front file read: section slices come
         straight from the page cache, which is the point of the store's
         uncompressed segment cache -- repeated synthesis over the same
         store re-reads only the pages it touches.
         """
+        if isinstance(path, SegmentFile):
+            return cls(path.data, path=path.path)
         if use_mmap:
             import mmap as _mmap
 
@@ -799,11 +813,6 @@ class InMemorySegment:
         self._ros: Optional[Tuple[List[TraceEvent], np.ndarray]] = None
         self._fastpath: Optional[Tuple] = None
         self._sched: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-
-    def segment_bytes(self) -> None:
-        """None: a loaded trace has no segment bytes to key fragments
-        by."""
-        return None
 
     def _ros_in_order(self) -> Tuple[List[TraceEvent], np.ndarray]:
         """The ROS events in stable ts order and their ts column."""

@@ -26,7 +26,7 @@ from typing import List, Optional
 
 from ..core.gcpause import paused_gc
 from ..experiments.batch import BatchConfig, _fan_out, _run_setup
-from ..experiments.runner import bring_up
+from ..experiments.runner import bring_up, run_id_for
 from ..scenarios.registry import build_scenario_spec
 from ..sim.kernel import SEC
 from .database import TraceStore
@@ -34,10 +34,6 @@ from .writer import SegmentSpool, segment_path, spool_session_segment
 
 #: Default rotation interval for spooled recording.
 DEFAULT_SPOOL_NS = 1 * SEC
-
-
-def run_id_for(run_index: int) -> str:
-    return f"run{run_index:03d}"
 
 
 @dataclass

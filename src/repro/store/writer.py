@@ -453,10 +453,6 @@ class SegmentSpool:
     def num_wakeups(self) -> int:
         return len(self._wakeup[0])
 
-    @property
-    def num_events(self) -> int:
-        return self.num_ros + self.num_sched + self.num_wakeups
-
     # -- finishing --------------------------------------------------------
 
     def _section_blobs(self, pid_map: Mapping[int, Optional[str]]):

@@ -244,29 +244,6 @@ class Bpf:
         self.programs.append(program)
         return program
 
-    def attach_uretprobe(
-        self,
-        symbol: str,
-        handler: Callable[[ProbeContext, Tuple[Any, ...], Any], None],
-        name: Optional[str] = None,
-        cost_ns: int = DEFAULT_UPROBE_COST_NS,
-    ) -> BpfProgram:
-        """Attach ``handler`` to the return of ``symbol``; it receives the
-        function's return value, like a uretprobe reading ``rax``."""
-        program = BpfProgram(
-            name=name or f"uretprobe__{symbol}",
-            kind="uretprobe",
-            target=symbol,
-            cost_ns=cost_ns,
-        )
-
-        def trampoline(ctx: ProbeContext, args: Tuple[Any, ...], retval: Any) -> None:
-            program.run_cnt += 1
-            handler(ctx, args, retval)
-
-        program._detach = self.symbols.attach_exit(symbol, trampoline)
-        self.programs.append(program)
-        return program
 
     def load_uretprobe(
         self,

@@ -71,10 +71,6 @@ class Ros2InitTracer(_TracerBase):
     def poll(self) -> List[TraceEvent]:
         return self.buffer.poll()
 
-    def discovered_pids(self) -> List[int]:
-        """PIDs currently in the shared ``ros2_pids`` map."""
-        return [pid for pid, _ in self.bpf.get_table(ROS2_PIDS_MAP).items()]
-
 
 class Ros2RtTracer(_TracerBase):
     """TR-RT: runtime ROS2 tracer (probes P2..P16)."""

@@ -14,8 +14,10 @@ scenario, over time-ordered and overlapping stores.
 """
 
 import dataclasses
+import hashlib
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import threading
@@ -48,6 +50,7 @@ from repro.analysis import (
 )
 from repro.analysis.fragments import FragmentCache, _run_fragments, _sharing
 from repro.analysis.latency import chain_latencies, fragments_are_separable
+from repro.analysis import latency as latency_module
 from repro.analysis import store as analysis_store_module
 from repro.analysis.store import latency_fragment
 from repro.analysis.latency import waiting_times
@@ -60,6 +63,7 @@ from repro.core.index import (
     CODE_DDS_WRITE,
     CODE_OTHER,
     CODE_TAKE,
+    CODE_TAKE_RESPONSE,
     CODE_TIMER_CALL,
     PAYLOAD_FIELDS,
     PROBE_CODES,
@@ -70,9 +74,16 @@ from repro.experiments.runner import run_once
 from repro.ros2 import Node
 from repro.scenarios import build_scenario_spec, scenario_names
 from repro.sim.kernel import MSEC, SEC
-from repro.store import SegmentReader, TraceStore, record_batch, write_segment
+from repro.store import (
+    SegmentReader,
+    StoreFormatError,
+    TraceStore,
+    record_batch,
+    write_segment,
+)
 from repro.store import index as index_module
-from repro.store.format import SEGMENT_SUFFIX
+from repro.store.format import HEADER, SECTION_ENTRY, SECTION_ROS, SEGMENT_SUFFIX
+from repro.store.reader import peek_sections
 from repro.store.index import StoreTraceIndex, _runs_are_time_ordered, resolve_run
 from repro.store.synthesis import synthesize_from_store
 from repro.tracing import TracingSession
@@ -88,6 +99,7 @@ from repro.tracing.events import (
 )
 from repro.tracing.session import Trace
 from repro.world import World
+from segment_fixtures import write_as
 
 DURATION_NS = int(1.0 * SEC)
 RUNS = 2
@@ -362,10 +374,12 @@ class TestStoreAnalysisHandle:
             c.keys for c in enumerate_chains(dag)
         ]
 
-    def test_one_segment_open_per_run(self, stores, monkeypatch):
+    def test_one_segment_open_per_run(self, stores, monkeypatch, cache):
         """Synthesis and the latency index share one set of readers:
         the model plus latency and waiting-time reports open each
-        segment once (a work count, no timing)."""
+        segment once (a work count, no timing).  From an empty fragment
+        cache, so the handle builds in batch: a cache hit opens
+        nothing (:class:`TestWarmHandleWork`)."""
         store, merged = stores["syn"]
         opened = []
         original = SegmentReader.open.__func__
@@ -939,12 +953,16 @@ def _outputs(dag, chain_of, waits_of, chains, pids):
     )
 
 
-def _assert_matches_cache_free(directory, **options):
-    """A fresh :class:`StoreAnalysis` over ``directory`` equals the
-    cache-free batch builds -- ``synthesize_from_store`` and
-    ``latency_index_from_store`` -- on the DAG JSON, DOT, exec table,
-    chain latencies, waiting times and every index slot."""
-    store = TraceStore(directory)
+def _assert_matches_cache_free(directory, expected=None, **options):
+    """A fresh :class:`StoreAnalysis` over ``directory`` (a path, or a
+    :class:`TraceStore` handle) equals the cache-free batch builds --
+    ``synthesize_from_store`` and ``latency_index_from_store`` -- over
+    the ``expected`` store (default: the same one) on the DAG JSON,
+    DOT, exec table, chain latencies, waiting times and every index
+    slot."""
+    if expected is None:
+        expected = directory
+    store = TraceStore(expected) if isinstance(expected, str) else expected
     chains, pids = _queries(store)
     analysis = StoreAnalysis(directory, **options)
     reference_dag = synthesize_from_store(store, **options)
@@ -1180,7 +1198,7 @@ class TestFragmentCache:
         assert built == [_segment(pool.directory, run_id) for run_id in pool.run_ids()]
         assert built.walks == 1
         runs = analysis._runs
-        for reader, fragment in zip(runs.readers, runs.fragments):
+        for reader, fragment in zip(analysis._readers, runs.fragments):
             resolved = resolve_run(reader)
             [alone] = _run_fragments([resolved], [_sharing(resolved)], True)
             assert fragment.fold == alone.fold
@@ -1191,6 +1209,313 @@ class TestFragmentCache:
                 index.pids(), index.sched.pids()
             )
             assert_same_slots(fragment.latency, alone.latency)
+
+
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize("damage", ["cut", "ts_bit"])
+    def test_garbled_run_in_a_warm_window(
+        self, pools, built, tmp_path, damage, strict
+    ):
+        """A run garbled once the window's fragments are cached has new
+        bytes, so it is a miss: opened and resolved as a cold build
+        opens and resolves it.  A cut fails the open, a flipped bit in
+        the ROS ts column the resolve.  ``strict=True`` raises naming
+        the run; ``strict=False`` skips it with a warning, and the
+        handle equals the cache-free build over the other runs, from
+        the cached fragments of those."""
+        pool = pools["syn"]
+        window = str(tmp_path / "window")
+        others = str(tmp_path / "others")
+        os.makedirs(window)
+        os.makedirs(others)
+        for run_id in pool.run_ids():
+            _copy_run(pool, run_id, window)
+            if run_id != "run001":
+                _copy_run(pool, run_id, others)
+        for _ in range(2):
+            _assert_matches_cache_free(window)
+        built.clear()
+        path = _segment(window, "run001")
+        if damage == "cut":
+            with open(path, "rb") as handle:
+                data = handle.read()
+            with open(path, "wb") as handle:
+                handle.write(data[: len(data) * 2 // 3])
+        else:
+            # Bit 62 of row 10 of the ROS ts column, in an uncompressed
+            # copy: the open passes, the resolve fails.
+            write_segment(pool.load("run001"), path, compress=False)
+            entries = peek_sections(path)
+            [ros_ts] = [
+                entry for entry in entries
+                if (entry.kind, entry.index) == (SECTION_ROS, 0)
+            ]
+            row = (
+                HEADER.size + 4 + len(entries) * SECTION_ENTRY.size
+                + ros_ts.offset + 8 * 10
+            )
+            with open(path, "r+b") as handle:
+                handle.seek(row)
+                (ts,) = struct.unpack("<q", handle.read(8))
+                handle.seek(row)
+                handle.write(struct.pack("<q", ts ^ (1 << 62)))
+            TraceStore(window).open("run001")
+        if strict:
+            with pytest.raises(StoreFormatError, match="run001"):
+                StoreAnalysis(window).dag
+            assert built == []
+            return
+        with pytest.warns(RuntimeWarning, match="run001"):
+            _assert_matches_cache_free(
+                TraceStore(window, strict=False), expected=others
+            )
+        assert built == []  # run000 and run002 came from the cache
+
+    def test_cache_dir_keys_on_the_source_file(self, pools, built, tmp_path):
+        """With a segment cache directory, misses open the cached
+        copies as before, and fragments are keyed by the source files:
+        a handle over the same runs without ``cache_dir`` builds
+        nothing, and each handle equals the cache-free build."""
+        pool = pools["avp"]
+        copies = str(tmp_path / "copies")
+        window = str(tmp_path / "window")
+        reference = str(tmp_path / "reference")
+        for directory in (window, reference):
+            os.makedirs(directory)
+            for run_id in pool.run_ids():
+                _copy_run(pool, run_id, directory)
+        opened = []
+        original = SegmentReader.open.__func__
+
+        def counting_open(cls, path, use_mmap=False):
+            if not os.fspath(path).startswith(reference):
+                opened.append((os.fspath(path), use_mmap))
+            return original(cls, path, use_mmap)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(SegmentReader, "open", classmethod(counting_open))
+            for _ in range(2):
+                _assert_matches_cache_free(
+                    TraceStore(window, cache_dir=copies), expected=reference
+                )
+        # Batch, then every run's fragment: each run's copy opened twice.
+        assert len(opened) == 2 * POOL_RUNS and all(
+            path.startswith(copies) and use_mmap for path, use_mmap in opened
+        )
+        assert len(built) == POOL_RUNS
+        built.clear()
+        _assert_matches_cache_free(window)
+        assert built == []
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_format_runs_key_on_their_stored_bytes(
+        self, pools, built, cache, tmp_path, version
+    ):
+        """v1/v2 segments are keyed by their own bytes, not their v3
+        transcoding, and a warm handle over them builds nothing; each
+        handle equals the cache-free build."""
+        pool = pools["syn"]
+        window = str(tmp_path / "window")
+        os.makedirs(window)
+        for run_id in pool.run_ids():
+            write_as(pool.load(run_id), _segment(window, run_id), version)
+        for _ in range(2):
+            _assert_matches_cache_free(window)
+        assert len(built) == POOL_RUNS
+        built.clear()
+        _assert_matches_cache_free(window)
+        assert built == []
+        keys = set()
+        for run_id in pool.run_ids():
+            with open(_segment(window, run_id), "rb") as handle:
+                keys.add((hashlib.sha256(handle.read()).digest(), True))
+        assert set(cache._fragments) == keys
+
+
+#: A window of 16 runs, with one more run to arrive.
+WINDOW_RUNS = 16
+
+#: The AVP front chain, the chain ``perfbench``'s analyze follows.
+AVP_CHAIN = (
+    "lidar_front/points_filtered",
+    "lidars/points_fused",
+    "lidars/points_fused_downsampled",
+)
+
+
+@pytest.fixture(scope="module")
+def arrivals(tmp_path_factory):
+    """``WINDOW_RUNS + 1`` recorded 1 s ``avp`` runs."""
+    directory = str(tmp_path_factory.mktemp("arrivals") / "avp")
+    record_batch(
+        "avp", runs=WINDOW_RUNS + 1, directory=directory,
+        config=BatchConfig(duration_ns=DURATION_NS),
+    )
+    return TraceStore(directory)
+
+
+class TestWarmHandleWork:
+    """Work counts, not timings: a :class:`StoreAnalysis` handle that
+    shares all its runs with the previous one constructs no reader,
+    resolves no run and follows no chain, and one that shares all but
+    one new run does each once."""
+
+    def test_all_hit_handle_does_no_work(
+        self, arrivals, cache, tmp_path, monkeypatch
+    ):
+        window = str(tmp_path / "window")
+        os.makedirs(window)
+        for run_id in arrivals.run_ids()[:WINDOW_RUNS]:
+            _copy_run(arrivals, run_id, window)
+        counts = {"readers": 0, "resolves": 0, "follows": 0}
+
+        def counting(function, key):
+            def counted(*args, **kwargs):
+                counts[key] += 1
+                return function(*args, **kwargs)
+
+            return counted
+
+        monkeypatch.setattr(
+            SegmentReader, "__init__",
+            counting(SegmentReader.__init__, "readers"),
+        )
+        resolve = counting(index_module._resolve, "resolves")
+        monkeypatch.setattr(index_module, "_resolve", resolve)
+        monkeypatch.setattr(analysis_store_module, "_resolve", resolve)
+        monkeypatch.setattr(
+            latency_module, "_chain_latencies",
+            counting(latency_module._chain_latencies, "follows"),
+        )
+        topics = list(AVP_CHAIN)
+
+        def handle():
+            for key in counts:
+                counts[key] = 0
+            analysis = StoreAnalysis(window)
+            latencies = analysis.chain_latencies(topics)
+            outputs = (dag_to_json(analysis.dag, indent=2), latencies)
+            return dict(counts), outputs
+
+        def cache_free():
+            index = latency_index_from_store(window)
+            return (
+                dag_to_json(synthesize_from_store(window), indent=2),
+                chain_latencies(index, topics),
+            )
+
+        handle()  # batch
+        handle()  # builds every run's fragment
+        work, outputs = handle()
+        assert work == {"readers": 0, "resolves": 0, "follows": 0}
+        expected = cache_free()
+        assert outputs == expected and expected[1]
+        _copy_run(arrivals, arrivals.run_ids()[WINDOW_RUNS], window)
+        os.remove(_segment(window, "run000"))
+        work, outputs = handle()
+        assert work == {"readers": 1, "resolves": 1, "follows": 1}
+        assert outputs == cache_free()
+
+    def test_journey_slots_hold_the_last_chain(self, pools, cache):
+        """Each fragment keeps the journeys of the last-queried chain:
+        another chain replaces them, a capped query equals the cap of
+        the whole result, and every answer equals the cache-free
+        one."""
+        pool = pools["syn"]
+        chains, _ = _queries(pool)
+        reference = latency_index_from_store(pool)
+        for _ in range(3):
+            analysis = StoreAnalysis(pool.directory)
+            for chain in chains + chains[::-1]:
+                expected = chain_latencies(reference, chain)
+                assert analysis.chain_latencies(chain) == expected
+                assert analysis.chain_latencies(chain, 3) == expected[:3]
+        fragments = analysis._runs.fragments
+        assert fragments is not None
+        last = tuple(chains[0])
+        assert all(
+            fragment.journeys is not None and fragment.journeys[0] == last
+            for fragment in fragments
+        )
+
+    @pytest.mark.stress
+    def test_threads_racing_on_journey_slots(self, pools, cache):
+        """Threads (more than cores) querying different chains over one
+        window's shared fragments, thread switches forced often: a slot
+        always pairs a chain with its own journeys, so every answer
+        equals the cache-free one."""
+        pool = pools["avp"]
+        chains, _ = _queries(pool)
+        reference = latency_index_from_store(pool)
+        expected = [chain_latencies(reference, chain) for chain in chains]
+        for _ in range(2):  # the second handle builds the fragments
+            StoreAnalysis(pool.directory).dag
+        failures = []
+        start = threading.Barrier(4, timeout=60)
+
+        def query(offset):
+            start.wait()
+            try:
+                for step in range(3 * len(chains)):
+                    at = (offset + step) % len(chains)
+                    analysis = StoreAnalysis(pool.directory)
+                    if analysis.chain_latencies(chains[at]) != expected[at]:
+                        failures.append(chains[at])
+            except Exception as error:  # reported below
+                failures.append(repr(error))
+
+        threads = [
+            threading.Thread(target=query, args=(offset,))
+            for offset in range(4)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        fragments = StoreAnalysis(pool.directory)._runs.fragments
+        assert fragments is not None and any(
+            fragment.journeys is not None for fragment in fragments
+        )
+
+
+def test_sharing_reads_the_resolved_sched_pids(pools):
+    """``_sharing`` over the sched PIDs ``resolve_run`` carries equals
+    the computation from the reader's sched columns it replaced, on
+    every registry scenario."""
+
+    def from_sched_columns(resolved):
+        reader, (ts_np, pid_np, codes, _aux) = resolved.reader, resolved.columns
+        pids = tuple(sorted(reader.pid_map))
+        setters = (codes >= CODE_CB_START) & (codes <= CODE_TAKE_RESPONSE)
+        stateful = frozenset(pids).union(pid_np[setters].tolist())
+        _ts, prev_col, next_col = reader.sched_pid_columns()
+        scheduled = np.concatenate((
+            np.frombuffer(prev_col, dtype=np.int32),
+            np.frombuffer(next_col, dtype=np.int32),
+        ))
+        touched = stateful.union(np.concatenate((
+            pid_np[codes != 0], scheduled[scheduled != 0]
+        )).tolist())
+        span = (int(ts_np[0]), int(ts_np[-1])) if len(ts_np) else None
+        return span, pids, stateful, touched
+
+    sched_only = 0  # runs whose touched PIDs reach past their stateful ones
+    for name in scenario_names():
+        for run_id in pools[name].run_ids():
+            resolved = resolve_run(pools[name].open(run_id))
+            sharing = _sharing(resolved)
+            assert (
+                sharing.span, sharing.pids, sharing.stateful, sharing.touched
+            ) == from_sched_columns(resolved), (name, run_id)
+            sched_only += sharing.touched > sharing.stateful
+    assert sched_only
 
 
 def _service_run(base, client, server, src_ts):

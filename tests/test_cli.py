@@ -317,6 +317,31 @@ class TestAnalyzeCommand:
         assert "error:" in capsys.readouterr().err
 
 
+class TestSynthesizeCommand:
+    @pytest.mark.parametrize("strategy", ["merge-traces", "merge-dags"])
+    def test_cut_run_exits_two_naming_it(
+        self, capsys, tmp_path, strategy
+    ):
+        """A store with one run cut to two thirds of its bytes is
+        diagnosed, not a traceback: ``error:`` naming the run, exit 2."""
+        directory = str(tmp_path / "store")
+        assert main(["record", "syn", "--runs", "3", "--duration", "1",
+                     "--out", directory]) == 0
+        cut = Path(directory) / "run001.trace.bin"
+        data = cut.read_bytes()
+        cut.write_bytes(data[: len(data) * 2 // 3])
+        capsys.readouterr()
+        assert main(["synthesize", directory, "--strategy", strategy]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "run001" in captured.err
+        assert captured.out == ""
+
+    def test_missing_store_exits_two(self, capsys, tmp_path):
+        assert main(["synthesize", str(tmp_path / "none")]) == 2
+        assert "error:" in capsys.readouterr().err
+
+
 class _ClosedPipe:
     """A stdout whose reader has gone (``repro ... | head -1``): every
     write raises :class:`BrokenPipeError`.  ``fileno`` names a scratch

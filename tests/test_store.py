@@ -29,6 +29,7 @@ from repro.store import (
     merge_wakeup_streams,
     record_batch,
     record_run,
+    run_id_for,
     save_database_binary,
     write_segment,
 )
@@ -325,6 +326,23 @@ class TestFormatErrors:
 
 
 class TestSpooledRecording:
+    def test_run_ids_sort_in_recording_order(self, tmp_path):
+        """A store merges its runs in run-id order, so the ids of a long
+        recording must sort as their indexes do, past ``run999`` too;
+        the ids below 1000 keep their three-digit form."""
+        assert [run_id_for(i) for i in (0, 7, 999)] == [
+            "run000", "run007", "run999",
+        ]
+        indexes = [0, 1, 99, 998, 999, 1000, 1001, 9999, 10_000, 123_456]
+        ids = [run_id_for(i) for i in indexes]
+        assert sorted(ids) == ids and len(set(ids)) == len(ids)
+        for index in (998, 999, 1000, 1001):
+            with open(tmp_path / f"{run_id_for(index)}{SEGMENT_SUFFIX}", "wb"):
+                pass
+        assert TraceStore(str(tmp_path)).run_ids() == [
+            run_id_for(index) for index in (998, 999, 1000, 1001)
+        ]
+
     @pytest.mark.parametrize("name", ["syn", "deep-pipeline"])
     def test_record_run_matches_run_once(self, name, tmp_path):
         config = BatchConfig(duration_ns=DURATION_NS)
