@@ -6,7 +6,8 @@ seconds), prints the report for comparison with the committed
 machine-independent speedup ratios.  CI's perf-smoke job additionally runs
 ``repro perf --check BENCH_8.smoke.json`` to fail on >2x regressions.
 
-Set ``REPRO_FULL=1`` to run at the ``full`` scale instead.
+Set ``REPRO_FULL=1`` to run at the ``full`` scale instead, against
+``BENCH_8.full.json``.
 """
 
 import json
@@ -21,8 +22,13 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 SCALE = "full" if os.environ.get("REPRO_FULL", "") == "1" else "smoke"
 
 #: Baselines are per-scale: speedup ratios shrink with trace size, so a
-#: smoke run is only comparable to the committed smoke-scale baseline.
-BASELINE_PATH = REPO_ROOT / ("BENCH_8.smoke.json" if SCALE == "smoke" else "BENCH_8.json")
+#: run is only comparable to the committed baseline of its own scale.
+BASELINES = {
+    "smoke": "BENCH_8.smoke.json",
+    "default": "BENCH_8.json",
+    "full": "BENCH_8.full.json",
+}
+BASELINE_PATH = REPO_ROOT / BASELINES[SCALE]
 
 
 @pytest.fixture(scope="module")

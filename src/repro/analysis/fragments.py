@@ -36,29 +36,32 @@ Two users build fragments, with the same code and the same rule:
 A fragment's model and latency parts are never modified once built
 (merging folds and concatenating latency indexes copy), so one
 fragment may serve any number of builds, and it holds no reader and no
-reference cycle.  Each fragment also carries two caches of what its
-user derived from it: the service's rendered samples, and a *journey
-slot*, the last-queried chain's journeys through the run
-(``(topics, [ChainLatency, ...])``, the bound of the service's journey
-cache), which ``StoreAnalysis.chain_latencies`` reads and fills, so a
-handle that shares all but its new runs with the previous one follows
-only those.  A slot is replaced whole, by one assignment of a value
-that depends on the fragment and the topics alone, so threads racing
-on it store equal values.
+reference cycle.  Each fragment also carries two caches of what was
+derived from it, so a model or handle that shares all but its new runs
+with an earlier one derives only those.  Its *rendered samples*, per
+indent (:meth:`_RunFragment.rendered_samples`), one cache for both
+users: a model assembled from fragments (:func:`assembled_dag`) keeps
+their renderers, and :func:`~repro.core.export.dag_to_json` joins
+their texts.  Its *journey slot*, the last-queried chain's journeys
+through the run (``(topics, [ChainLatency, ...])``, the bound of the
+service's journey cache), which ``StoreAnalysis.chain_latencies``
+reads and fills.  Each entry is stored by one assignment of a value
+that depends on the fragment and its key (indent, topics) alone, so
+threads racing on it store equal values.
 """
 
 from __future__ import annotations
 
 import hashlib
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress
 from operator import itemgetter
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core.dag import TimingDag
 from ..core.exec_time import distinct
-from ..core.export import RenderedSamples
+from ..core.export import RenderedSamples, render_samples
 from ..core.index import (
     CODE_CB_START,
     CODE_DDS_WRITE,
@@ -184,14 +187,24 @@ class _RunFragment:
     fold: CallbackFold
     latency: LatencyIndex
     sharing: _Sharing
-    #: the fold's rendered sample lists, once a live model JSON query
-    #: asked for them.
-    samples: Optional[RenderedSamples] = None
+    #: indent -> the fold's sample lists rendered as model JSON at that
+    #: indent, once an export asked for them (:meth:`rendered_samples`).
+    samples: Dict[Any, RenderedSamples] = field(default_factory=dict)
     #: the last-queried chain's topics and its journeys through the
     #: run's latency fragment alone, once a
     #: :meth:`~repro.analysis.store.StoreAnalysis.chain_latencies` query
     #: followed them; replaced whole, by one assignment.
     journeys: Optional[Tuple[Tuple[str, ...], List[ChainLatency]]] = None
+
+    def rendered_samples(self, indent: Any) -> RenderedSamples:
+        """The fold's sample lists as model JSON at ``indent``
+        (:func:`~repro.core.export.render_samples`), rendered on first
+        use and kept: a model assembled from the fragment joins them."""
+        samples = self.samples.get(indent)
+        if samples is None:
+            samples = render_samples(self.fold.vertices.values(), indent)
+            self.samples[indent] = samples
+        return samples
 
 
 def _run_fragments(
@@ -207,9 +220,7 @@ def _run_fragments(
     CBlists, cut at each run's PIDs, are each run's own walk; each run's
     share is folded, and its latency fragment built from its
     columns."""
-    index = StoreTraceIndex(
-        [run.reader for run in runs], columns=[run.columns for run in runs]
-    )
+    index = StoreTraceIndex([run.reader for run in runs], resolved=runs)
     # Looked up on the module, so a hook on the batch walk sees this one.
     cblists = store_synthesis._extract_index_cblists(
         index, [pid for sharing in sharings for pid in sharing.pids]
@@ -230,18 +241,18 @@ def _run_fragments(
 
 def assembled_dag(
     fragments: Sequence[_RunFragment], model_sync: bool = True
-) -> Optional[TimingDag]:
+) -> TimingDag:
     """The model of the window whose runs' fragments are ``fragments``
-    (in run-id order) -- their folds merged, then the structural pass
-    alone -- or None when they do not assemble the window
-    (:func:`_assembles`): then only the batch synthesis over the
-    window's runs gives its model."""
-    if not _assembles([fragment.sharing for fragment in fragments]):
-        return None
-    return dag_from_fold(
+    (in run-id order), which assemble it (:func:`_assembles`; else only
+    the batch synthesis over the window's runs gives its model): their
+    folds merged, then the structural pass alone.  Its model JSON joins
+    the fragments' :meth:`~_RunFragment.rendered_samples`."""
+    dag = dag_from_fold(
         merge_folds([fragment.fold for fragment in fragments]),
         model_sync=model_sync,
     )
+    dag.sample_parts = tuple(fragment.rendered_samples for fragment in fragments)
+    return dag
 
 
 #: A fragment's cache key: the sha256 of its run's segment file, and

@@ -48,10 +48,11 @@ fragments one at a time when no journey can cross a run
 keeps the last-queried chain's journeys through its run, so a run is
 followed once per chain.  A handle over a window that shares all but
 one run with the previous handle thus opens, resolves, walks and
-follows that run alone.  A handle that shares no run with the previous
-one -- a store's first, ``repro analyze``'s one per process, a
-one-shot front end's below -- builds in batch and keeps no fragment,
-since none would be looked up again.
+follows that run alone, and its model's JSON export renders that
+run's sample lists alone (the fragments keep theirs).  A handle that
+shares no run with the previous one -- a store's first, ``repro
+analyze``'s one per process, a one-shot front end's below -- builds in
+batch and keeps no fragment, since none would be looked up again.
 
 ``strict=False`` on the store skips a run that fails its open or the
 resolve of its columns
@@ -193,11 +194,12 @@ class _Runs(NamedTuple):
     #: run id -> the run's segment file as read, for the handles that
     #: key fragments by it (None for a gzip-JSON run).
     files: Dict[str, Optional[SegmentFile]]
-    #: each run's resolved columns; None where the handle builds from
-    #: fragments, and for a run whose fragment came from the cache
-    #: (resolved when a batch build needs it).
-    columns: List[Optional[Tuple]]
-    #: each run's fragment, or None when the handle builds in batch.
+    #: each run's :func:`~repro.store.index.resolve_run`; None where
+    #: the handle builds from fragments, and for a run whose fragment
+    #: came from the cache (resolved when a batch build needs it).
+    resolved: List[Optional[ResolvedRun]]
+    #: each run's fragment, which assemble the window, or None when the
+    #: handle builds in batch.
     fragments: Optional[List[_RunFragment]]
 
 
@@ -279,7 +281,7 @@ class StoreAnalysis:
                 list(resolved),
                 [run.reader for run in resolved.values()],
                 files,
-                [run.columns for run in resolved.values()],
+                list(resolved.values()),
                 None,
             )
         resolved = store.resolve_runs(store.open_runs({
@@ -290,14 +292,8 @@ class StoreAnalysis:
             run_id for run_id in files
             if keys[run_id] in cached or run_id in resolved
         ]
-        readers = [
-            resolved[run_id].reader if run_id in resolved else None
-            for run_id in ids
-        ]
-        columns = [
-            resolved[run_id].columns if run_id in resolved else None
-            for run_id in ids
-        ]
+        found = [resolved.get(run_id) for run_id in ids]
+        readers = [None if run is None else run.reader for run in found]
         sharings = [
             _sharing(resolved[run_id]) if run_id in resolved
             else cached[keys[run_id]].sharing
@@ -305,7 +301,7 @@ class StoreAnalysis:
         ]
         if not _assembles(sharings):
             FRAGMENTS.keep(cached)
-            return _Runs(ids, readers, files, columns, None)
+            return _Runs(ids, readers, files, found, None)
         # The misses assemble too (any part of an assembling window
         # does): one walk builds them all, each distinct segment once.
         missing: Dict[FragmentKey, Tuple] = {}
@@ -338,13 +334,13 @@ class StoreAnalysis:
         ]
 
     @cached_property
-    def _columns(self) -> List[Tuple]:
-        """Each run's resolved columns, shared by the batch synthesis and
-        the latency index: a run whose fragment came from the cache is
-        resolved here, once."""
+    def _resolved(self) -> List[ResolvedRun]:
+        """Each run's :func:`~repro.store.index.resolve_run`, shared by
+        the batch synthesis and the latency index: a run whose fragment
+        came from the cache is resolved here, once."""
         return [
-            resolve_run(reader).columns if columns is None else columns
-            for reader, columns in zip(self._readers, self._runs.columns)
+            resolve_run(reader) if run is None else run
+            for reader, run in zip(self._readers, self._runs.resolved)
         ]
 
     @cached_property
@@ -354,7 +350,9 @@ class StoreAnalysis:
         runs = self._runs
         if runs.fragments is not None:
             return [fragment.latency for fragment in runs.fragments]
-        return _latency_fragments(self._readers, self._wanted, self._columns)
+        return _latency_fragments(
+            self._readers, self._wanted, [run.columns for run in self._resolved]
+        )
 
     @property
     @paused_gc()
@@ -373,13 +371,13 @@ class StoreAnalysis:
             fragments = self._runs.fragments
             if fragments is not None:
                 self._dag = assembled_dag(fragments, self.model_sync)
-            if self._dag is None:
+            else:
                 self._dag = synthesize(
                     self._readers,
                     self.pids,
                     split_services=self.split_services,
                     model_sync=self.model_sync,
-                    columns=self._columns,
+                    resolved=self._resolved,
                 )
         return self._dag
 
@@ -391,7 +389,8 @@ class StoreAnalysis:
             fragments = self._fragments
             if fragments is None:
                 self._index = _merged_latency_index(
-                    self._readers, self._wanted, self._columns
+                    self._readers, self._wanted,
+                    [run.columns for run in self._resolved],
                 )
             else:
                 self._index = LatencyIndex.concat(fragments)

@@ -15,7 +15,7 @@ vertex roles follow Sec. IV's DAG-synthesis rules:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .stats import ExecStats, estimate_period
 
@@ -78,6 +78,10 @@ class TimingDag:
     def __init__(self) -> None:
         self._vertices: Dict[str, DagVertex] = {}
         self._edges: Dict[Tuple[str, str, str], DagEdge] = {}
+        #: for a model merged from pieces whose sample lists concatenate
+        #: into its own, each piece's renderer of them as model JSON
+        #: (see :func:`~repro.core.export.dag_to_json`).
+        self.sample_parts: Tuple[Callable[[Any], Any], ...] = ()
 
     # -- construction ---------------------------------------------------
 

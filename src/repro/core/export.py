@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 from typing import (
-    Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
+    Any, Callable, Dict, Iterable, List, Optional, Tuple, Union,
 )
 
 from .dag import DagEdge, DagVertex, TimingDag
@@ -138,8 +138,9 @@ _SAMPLE_FIELDS = tuple(
     name for name in _VERTEX_FIELDS if name in _LIST_FIELDS and name != "outtopics"
 )
 
-#: Per vertex key, the items text of each of the ``_SAMPLE_FIELDS``.
-RenderedSamples = Dict[str, Tuple[str, ...]]
+#: Per vertex key, the length and the items text of each of the
+#: ``_SAMPLE_FIELDS``: ``(lengths, texts)``.
+RenderedSamples = Dict[str, Tuple[Tuple[int, ...], Tuple[str, ...]]]
 
 
 def _layout(indent: Optional[Union[int, str]]) -> Tuple[List[str], List[str]]:
@@ -168,22 +169,21 @@ def _items(values: Any, separator: str) -> str:
 def render_samples(
     vertices: Iterable[DagVertex], indent: Optional[Union[int, str]] = None
 ) -> RenderedSamples:
-    """The items text :func:`dag_to_json` renders for ``vertices``'
-    sample lists, to be joined by a later ``dag_to_json(...,
-    samples=...)`` with the same ``indent``."""
+    """The items text :func:`dag_to_json` renders at ``indent`` for
+    ``vertices``' sample lists, with the lists' lengths: what a
+    model's :attr:`~repro.core.dag.TimingDag.sample_parts` return."""
     separator = _layout(indent)[1][4]
     return {
-        vertex.key: tuple(
-            _items(getattr(vertex, name), separator) for name in _SAMPLE_FIELDS
+        vertex.key: (
+            tuple(len(getattr(vertex, name)) for name in _SAMPLE_FIELDS),
+            tuple(_items(getattr(vertex, name), separator) for name in _SAMPLE_FIELDS),
         )
         for vertex in vertices
     }
 
 
 def dag_to_json(
-    dag: TimingDag,
-    indent: Optional[Union[int, str]] = None,
-    samples: Optional[Sequence[RenderedSamples]] = None,
+    dag: TimingDag, indent: Optional[Union[int, str]] = None
 ) -> str:
     """The model as JSON text: byte-identical to
     ``json.dumps(dag_to_dict(dag), indent=indent)``, rendered from the
@@ -195,12 +195,15 @@ def dag_to_json(
     plain ints is one C-level ``join(map(int.__repr__, ...))``; other
     scalars follow the json module's own rules.
 
-    ``samples`` are the :func:`render_samples` of pieces whose sample
-    lists concatenate, per vertex key and in order, into ``dag``'s (the
-    runs a model was merged from): their items texts are joined instead
-    of rendering the lists again.  Vertices none of them holds (AND
-    junctions) render their own."""
+    A model merged from pieces (a window's runs) has
+    :attr:`~repro.core.dag.TimingDag.sample_parts`: each piece's
+    :func:`render_samples`, rendered once per ``indent`` and kept.  The
+    pieces' sample lists concatenate, per vertex key and in order, into
+    ``dag``'s, so a vertex joins its pieces' items texts.  A vertex no
+    piece holds (an AND junction), or whose list lengths are not its
+    pieces' sums (the model changed after the merge), renders its own."""
     newline, joins = _layout(indent)
+    parts = [render(indent) for render in dag.sample_parts]
     # The text is one list of pieces, joined once: each intermediate
     # string would copy a large model's samples again.
     out: List[str] = []
@@ -231,12 +234,16 @@ def dag_to_json(
 
     def write_vertex(vertex: DagVertex) -> None:
         joined: Dict[str, str] = {}
-        if samples is not None:
-            pieces = [piece[vertex.key] for piece in samples if vertex.key in piece]
-            joined = {
-                name: joins[4].join(filter(None, texts))
-                for name, texts in zip(_SAMPLE_FIELDS, zip(*pieces))
-            }
+        pieces = [part[vertex.key] for part in parts if vertex.key in part]
+        if pieces:
+            lengths, texts = zip(*pieces)
+            if list(map(sum, zip(*lengths))) == [
+                len(getattr(vertex, name)) for name in _SAMPLE_FIELDS
+            ]:
+                joined = {
+                    name: joins[4].join(filter(None, items))
+                    for name, items in zip(_SAMPLE_FIELDS, zip(*texts))
+                }
         for name, prefix, is_list in vertex_keys:
             emit(prefix)
             if not is_list:

@@ -11,7 +11,8 @@ PIDs are walked; the walk's records folded per vertex key
 and key sets (:class:`~repro.analysis.fragments._Sharing`); and, once
 a model JSON query has asked for them, its sample lists rendered as
 model JSON
-(:func:`~repro.core.export.render_samples`).  A fragment depends on its
+(:meth:`~repro.analysis.fragments._RunFragment.rendered_samples`, the
+cache ``StoreAnalysis`` exports join too).  A fragment depends on its
 own run only, so it is never invalidated or walked again: an arrival
 builds one fragment and an eviction drops one.  The service builds
 its fragments from the runs it ingests and never reads or fills
@@ -60,11 +61,13 @@ from bisect import insort
 from dataclasses import asdict, dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from ..analysis.fragments import _RunFragment, _run_fragments, _sharing, assembled_dag
+from ..analysis.fragments import (
+    _assembles, _RunFragment, _run_fragments, _sharing, assembled_dag,
+)
 from ..analysis.latency import ChainLatency, LatencyIndex, fragments_are_separable
 from ..analysis.store import _merged_latency_index
 from ..core.dag import TimingDag
-from ..core.export import RenderedSamples, render_samples
+from ..core.export import RenderedSamples
 from ..core.gcpause import paused_gc
 from ..store.database import TraceStore
 from ..store.format import StoreFormatError
@@ -310,9 +313,10 @@ class LiveSynthesizer:
         if self._dag is None:
             consumed = self._consumed
             fragments = [self._fragments[run_id] for run_id in consumed]
-            self._dag = assembled_dag(fragments, self.model_sync)
-            self._merged = self._dag is not None
-            if not self._merged:
+            self._merged = _assembles([fragment.sharing for fragment in fragments])
+            if self._merged:
+                self._dag = assembled_dag(fragments, self.model_sync)
+            else:
                 counters = self.counters
                 readers = [self.store.open(run_id) for run_id in consumed]
                 counters.segments_decoded += len(readers)
@@ -327,24 +331,23 @@ class LiveSynthesizer:
 
     @paused_gc()
     def model_samples(self) -> Optional[Tuple[RenderedSamples, ...]]:
-        """The sample lists of the retained runs :meth:`model` was merged
-        from, rendered for ``dag_to_json(model, MODEL_JSON_INDENT,
-        samples=...)``, in run order; None when the model was
-        synthesized whole.  A run is rendered on the first call that
-        needs it and kept with its fold (``model_runs_rendered``).
-        Each run's rendering is immutable, so the tuple is a
-        snapshot."""
+        """Render the sample lists of the retained runs :meth:`model`
+        was merged from at ``MODEL_JSON_INDENT``, the ones no earlier
+        call rendered (``model_runs_rendered``), so the model's JSON
+        export joins them
+        (:meth:`~repro.analysis.fragments._RunFragment.rendered_samples`);
+        returns them in run order, or None when the model was
+        synthesized whole."""
         self.model()
         if not self._merged:
             return None
         fragments = [self._fragments[run_id] for run_id in self._consumed]
-        for fragment in fragments:
-            if fragment.samples is None:
-                fragment.samples = render_samples(
-                    fragment.fold.vertices.values(), indent=MODEL_JSON_INDENT
-                )
-                self.counters.model_runs_rendered += 1
-        return tuple(fragment.samples for fragment in fragments)
+        self.counters.model_runs_rendered += sum(
+            MODEL_JSON_INDENT not in fragment.samples for fragment in fragments
+        )
+        return tuple(
+            fragment.rendered_samples(MODEL_JSON_INDENT) for fragment in fragments
+        )
 
 
 class LatencyView:

@@ -153,14 +153,15 @@ class SynthesisService:
 
     def state(self, json_samples: bool = False) -> ServiceState:
         """A consistent snapshot (model built under the lock, consumed
-        outside it); ``json_samples`` adds the retained runs' rendered
-        sample lists, which a model JSON export joins."""
+        outside it); ``json_samples`` renders the retained runs' sample
+        lists not yet rendered, which the model's JSON export joins."""
         with self._lock:
+            if json_samples:
+                self.live.model_samples()
             return ServiceState(
                 directory=self.directory,
                 run_ids=self.live.run_ids,
                 dag=self.live.model(),
-                samples=self.live.model_samples() if json_samples else None,
                 counters=self.counters.as_dict(),
                 retain_window=self.live.retain_window,
                 endpoint=self.endpoint,

@@ -9,8 +9,10 @@ export never blocks ingestion, and a segment that commits mid-query
 does not shear the answer.  ``model --format json`` renders with
 :func:`~repro.core.export.dag_to_json`, which writes the JSON schema
 with C-level string and int encoding, and joins the sample lists of
-the retained runs, each rendered once, by the first JSON query after
-the run entered the window (the snapshot's ``samples``), so a query
+the retained runs the model was merged from, each rendered once and
+kept with the run's fragment (the first JSON query after the run
+entered the window renders it under the lock:
+:meth:`~repro.service.live.LiveSynthesizer.model_samples`), so a query
 renders no sample rendered before.
 
 ``latency`` reads no segment: :func:`latency_summary` follows the
@@ -29,13 +31,12 @@ whose runs overlap in time, is followed as one index.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from ..analysis.chains import Chain, enumerate_chains, format_chains
 from ..analysis.latency import ChainLatency, LatencyIndex, chain_latencies
 from ..core.dag import TimingDag
 from ..core.export import (
-    RenderedSamples,
     dag_to_json,
     format_edges,
     format_exec_table,
@@ -89,14 +90,10 @@ class ServiceState:
         retain_window: Optional[int],
         endpoint: Optional[str] = None,
         uptime_s: float = 0.0,
-        samples: Optional[Tuple[RenderedSamples, ...]] = None,
     ):
         self.directory = directory
         self.run_ids = list(run_ids)
         self._dag = dag
-        #: the retained runs' rendered sample lists ``dag`` was merged
-        #: from (:meth:`~repro.service.live.LiveSynthesizer.model_samples`).
-        self._samples = samples
         self.counters = dict(counters)
         self.retain_window = retain_window
         self.endpoint = endpoint
@@ -114,9 +111,7 @@ class ServiceState:
         if fmt == "dot":
             return to_dot(self._dag)
         if fmt == "json":
-            return dag_to_json(
-                self._dag, indent=MODEL_JSON_INDENT, samples=self._samples
-            )
+            return dag_to_json(self._dag, indent=MODEL_JSON_INDENT)
         if fmt == "edges":
             return format_edges(self._dag)
         if fmt == "exec":

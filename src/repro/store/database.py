@@ -46,7 +46,7 @@ from ..tracing.session import Trace, TraceDatabase
 from ..tracing.storage import TRACE_SUFFIX, load_trace
 from .format import SEGMENT_SUFFIX, StoreFormatError, VERSION
 from .index import ResolvedRun, resolve_run
-from .reader import InMemorySegment, SegmentFile, SegmentReader, peek_header
+from .reader import InMemorySegment, SegmentFile, SegmentReader, peek_header, peek_sections
 from .writer import decompress_segment, write_segment
 
 StoreLike = Union[str, "TraceStore"]
@@ -205,11 +205,13 @@ class TraceStore:
     # -- inspection --------------------------------------------------------
 
     def run_info(self, run_id: str) -> RunInfo:
-        """Per-run metadata; binary runs read only the segment header."""
+        """Per-run metadata; binary runs read only the segment header and
+        the v3 section directory, checked to fit the file."""
         path = self.path_of(run_id)
         size = os.path.getsize(path)
         if self.is_binary(run_id):
             version, _, _, n_pids, n_ros, n_sched, n_wakeup, _, _ = peek_header(path)
+            peek_sections(path)
             return RunInfo(
                 run_id=run_id,
                 path=path,

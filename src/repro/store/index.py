@@ -220,20 +220,23 @@ def _resolve_columns(
 
 
 def _sched_columns(
-    reader: Any,
-) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], List[int]]:
+    reader: Any, pids: Optional[Sequence[int]] = None
+) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], Sequence[int]]:
     """A reader's ``(ts, prev_pid, next_pid)`` sched columns and the
     PIDs they name (sorted, 0 included), the columns checked as
     :func:`_check_ts` does for the per-PID buckets Alg. 2 will lay out
     (one per PID); a garbled column raises
-    :class:`~repro.store.format.StoreFormatError` naming the file."""
+    :class:`~repro.store.format.StoreFormatError` naming the file.
+    ``pids``, when given, are the PIDs a :func:`resolve_run` of the
+    reader found, checking the columns: neither is done again."""
     try:
         ts_col, prev_col, next_col = reader.sched_pid_columns()
         ts_np = np.frombuffer(ts_col, dtype=np.int64)
         prev_np = np.frombuffer(prev_col, dtype=np.int32)
         next_np = np.frombuffer(next_col, dtype=np.int32)
-        pids = distinct(np.concatenate((prev_np, next_np)))
-        _check_ts(ts_np, "sched", len(pids))
+        if pids is None:
+            pids = distinct(np.concatenate((prev_np, next_np)))
+            _check_ts(ts_np, "sched", len(pids))
     except StoreFormatError:
         raise
     except (IndexError, ValueError) as error:
@@ -326,9 +329,10 @@ class StoreTraceIndex:
         ``--pids`` subset); the cross-node tables always cover the full
         stream -- FindCaller/FindClient reach across nodes by design.
         ``None`` builds every PID.
-    columns:
-        Each reader's resolved columns (:func:`resolve_run`), when the
-        caller has them already; ``None`` resolves them here.
+    resolved:
+        Each reader's :func:`resolve_run`, when the caller has it
+        already: its columns are indexed and its sched PIDs are not
+        found again.  ``None`` resolves the readers here.
 
     :class:`~repro.core.extraction.EventIndex` reads the cross-node
     tables (``writes`` / ``writer_cb`` / ``take_responses`` /
@@ -350,7 +354,7 @@ class StoreTraceIndex:
         self,
         readers: Sequence[Any],
         wanted_pids: Optional[Iterable[int]] = None,
-        columns: Optional[Sequence[Tuple]] = None,
+        resolved: Optional[Sequence[ResolvedRun]] = None,
     ):
         wanted = None if wanted_pids is None else frozenset(wanted_pids)
         self.pid_map: Dict[int, Optional[str]] = {}
@@ -366,12 +370,14 @@ class StoreTraceIndex:
         #: take_response position -> will_dispatch of the next P14 in
         #: the same PID (absent when no P14 follows).
         self.dispatch_after: Dict[int, bool] = {}
+        runs = resolved or [ResolvedRun(reader, None) for reader in readers]
         if readers:
+            columns = [run.columns for run in runs]
             self._consume(*_merged_columns(readers, columns), wanted)
         buckets: Dict[int, Tuple[array, bytearray]] = {}
-        for reader in readers:
+        for reader, run in zip(readers, runs):
             self.pid_map.update(reader.pid_map)
-            _fold_sched(buckets, *_sched_columns(reader), wanted)
+            _fold_sched(buckets, *_sched_columns(reader, run.sched_pids), wanted)
         self.sched = SchedIndex.from_buckets(buckets)
 
     # -- ROS stream: walk columns + cross-node tables ----------------------
@@ -456,7 +462,7 @@ class StoreTraceIndex:
 def _fold_sched(
     buckets: Dict[int, Tuple[array, bytearray]],
     columns: Tuple[np.ndarray, np.ndarray, np.ndarray],
-    pids: List[int],
+    pids: Sequence[int],
     wanted: Optional[frozenset],
 ) -> None:
     """Fold one run's per-PID sched buckets (from its checked

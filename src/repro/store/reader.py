@@ -50,6 +50,7 @@ one trace index exactly like stored segments.
 
 from __future__ import annotations
 
+import os
 import struct
 import sys
 import zlib
@@ -750,7 +751,9 @@ def peek_sections(path: str) -> List[SectionEntry]:
     """The section directory of a v3 segment (header + directory bytes
     only -- no event stream is touched); empty for v1/v2 segments,
     whose body is one undifferentiated stream.  Feeds the per-section
-    size breakdown of ``repro store-info --json``."""
+    size breakdown of ``repro store-info --json``.  A file shorter than
+    the directory's extent (the body start plus the largest ``offset +
+    comp_len``) raises :class:`StoreFormatError`."""
     with open(path, "rb") as handle:
         head = handle.read(HEADER.size)
         version, *_ = unpack_header(head, source=path)
@@ -764,10 +767,14 @@ def peek_sections(path: str) -> List[SectionEntry]:
         (count,) = struct.unpack("<I", prefix)
         raw = head + prefix + handle.read(count * SECTION_ENTRY.size)
         try:
-            entries, _ = unpack_section_dir(raw, HEADER.size)
+            entries, body = unpack_section_dir(raw, HEADER.size)
         except StoreFormatError as error:
             raise StoreFormatError(f"{path}: {error}") from None
-        return entries
+        size = os.fstat(handle.fileno()).st_size
+    extent = body + max((e.offset + e.comp_len for e in entries), default=0)
+    if size < extent:
+        raise StoreFormatError(f"{path}: truncated segment: {size} of {extent} bytes")
+    return entries
 
 
 class _PayloadShape:

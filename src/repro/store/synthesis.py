@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from array import array
 from functools import partial
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -48,7 +48,7 @@ from ..core.records import CBList
 from ..core.synthesis import synthesize_dag
 from ..experiments.batch import _fan_out
 from .database import StoreLike, TraceStore, as_store
-from .index import StoreTraceIndex
+from .index import ResolvedRun, StoreTraceIndex
 
 
 def _extract_index_cblists(
@@ -89,7 +89,7 @@ def _synthesize_readers(
     pids: Optional[Iterable[int]],
     split_services: bool,
     model_sync: bool,
-    columns: Optional[Sequence[Tuple]] = None,
+    resolved: Optional[Sequence[ResolvedRun]] = None,
 ) -> TimingDag:
     """Alg. 1 + DAG synthesis over open readers, straight from segment
     columns: one :class:`StoreTraceIndex` pass, then the columnar walk
@@ -99,15 +99,16 @@ def _synthesize_readers(
     Without ``pids`` the model covers every PID of the readers'
     pid_maps and the index keeps every row; with ``pids`` the index
     builds walk columns and sched buckets for those PIDs only (the
-    cross-node tables still span the whole stream).  ``columns`` are
-    the readers' resolved columns when the caller has them.
+    cross-node tables still span the whole stream).  ``resolved`` are
+    the readers' :func:`~repro.store.index.resolve_run` when the caller
+    has them.
     """
     if pids is None:
         wanted = sorted(set().union(*(reader.pid_map for reader in readers)))
-        index = StoreTraceIndex(readers, columns=columns)
+        index = StoreTraceIndex(readers, resolved=resolved)
     else:
         wanted = sorted(pids)
-        index = StoreTraceIndex(readers, wanted_pids=wanted, columns=columns)
+        index = StoreTraceIndex(readers, wanted_pids=wanted, resolved=resolved)
     return synthesize_dag(
         _extract_index_cblists(index, wanted),
         split_services=split_services,
@@ -120,18 +121,17 @@ def _merge_run_dags(
     pids: Optional[Iterable[int]],
     split_services: bool,
     model_sync: bool,
-    columns: Optional[Sequence[Tuple]] = None,
+    resolved: Optional[Sequence[ResolvedRun]] = None,
 ) -> TimingDag:
     """``merge_dags`` in this process over open readers: one DAG per
-    run, merged in reader order; ``columns`` are the readers' resolved
-    columns when the caller has them."""
-    if columns is None:
-        columns = [None] * len(readers)
+    run, merged in reader order; ``resolved`` are the readers'
+    :func:`~repro.store.index.resolve_run` when the caller has them."""
     return merge_dags([
         _synthesize_readers(
-            [reader], pids, split_services, model_sync, columns=[resolved]
+            [reader], pids, split_services, model_sync,
+            resolved=None if resolved is None else [resolved[number]],
         )
-        for reader, resolved in zip(readers, columns)
+        for number, reader in enumerate(readers)
     ])
 
 
@@ -152,7 +152,7 @@ def _synthesize_run(
         return None
     [run] = resolved.values()
     return _synthesize_readers(
-        [run.reader], pids, split_services, model_sync, columns=[run.columns]
+        [run.reader], pids, split_services, model_sync, resolved=[run]
     )
 
 
@@ -184,10 +184,10 @@ def synthesize_from_store(
         if not opened:
             raise ValueError(f"trace store {store.directory!r} holds no runs")
         if min(jobs, len(opened)) == 1:
-            resolved = store.resolve_runs(opened).values()
+            resolved = list(store.resolve_runs(opened).values())
             return _merge_run_dags(
                 [run.reader for run in resolved], pids, split_services,
-                model_sync, columns=[run.columns for run in resolved],
+                model_sync, resolved=resolved,
             )
         dags = _fan_out(
             partial(
@@ -209,8 +209,8 @@ def synthesize_from_store(
             f"(jobs={jobs}); only {STRATEGY_MERGE_DAGS!r} fans runs out "
             "over worker processes"
         )
-    resolved = store.resolve_runs().values()
+    resolved = list(store.resolve_runs().values())
     return _synthesize_readers(
         [run.reader for run in resolved], pids, split_services, model_sync,
-        columns=[run.columns for run in resolved],
+        resolved=resolved,
     )

@@ -15,6 +15,7 @@ scenario, over time-ordered and overlapping stores.
 
 import dataclasses
 import hashlib
+import json
 import os
 import shutil
 import struct
@@ -48,13 +49,16 @@ from repro.analysis import (
     node_loads,
     node_loads_from_store,
 )
+from repro.analysis import fragments as fragments_module
 from repro.analysis.fragments import FragmentCache, _run_fragments, _sharing
 from repro.analysis.latency import chain_latencies, fragments_are_separable
 from repro.analysis import latency as latency_module
 from repro.analysis import store as analysis_store_module
 from repro.analysis.store import latency_fragment
 from repro.analysis.latency import waiting_times
-from repro.core import dag_to_json, format_exec_table, synthesize_from_trace, to_dot
+from repro.core import (
+    dag_to_dict, dag_to_json, format_exec_table, synthesize_from_trace, to_dot,
+)
 from repro.core.pipeline import STRATEGY_MERGE_DAGS
 from repro.cli import main as cli_main
 from repro.core.index import (
@@ -1204,7 +1208,7 @@ class TestFragmentCache:
             assert fragment.fold == alone.fold
             assert list(fragment.fold.vertices) == list(alone.fold.vertices)
             assert fragment.sharing == alone.sharing
-            index = StoreTraceIndex([reader], columns=[resolved.columns])
+            index = StoreTraceIndex([reader], resolved=[resolved])
             assert fragment.sharing.touched == fragment.sharing.stateful.union(
                 index.pids(), index.sched.pids()
             )
@@ -1330,6 +1334,122 @@ class TestFragmentCache:
             with open(_segment(window, run_id), "rb") as handle:
                 keys.add((hashlib.sha256(handle.read()).digest(), True))
         assert set(cache._fragments) == keys
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_export_joins_the_fragments_samples(
+        self, pools, name, cache, tmp_path
+    ):
+        """Along the sliding window, a handle's model JSON, at indent 2
+        and at None, is byte-equal to the cache-free build's; every
+        handle after the first is merged from fragments, so its export
+        joins their rendered samples."""
+        pool = pools[name]
+        window = str(tmp_path / "window")
+        os.makedirs(window)
+        for step, run_id in enumerate(pool.run_ids()):
+            _copy_run(pool, run_id, window)
+            if step >= 2:
+                os.remove(_segment(window, f"run{step - 2:03d}"))
+            dag = StoreAnalysis(window).dag
+            assert len(dag.sample_parts) == (0 if step == 0 else min(step + 1, 2))
+            reference = synthesize_from_store(window)
+            for indent in (2, None, 2):
+                assert dag_to_json(dag, indent=indent) == dag_to_json(
+                    reference, indent=indent
+                ), (name, step, indent)
+
+    def test_warm_handle_renders_only_its_new_run(
+        self, arrivals, cache, tmp_path, monkeypatch
+    ):
+        """The export of a handle after one new run renders that run's
+        samples alone, and an all-hit handle's renders none."""
+        window = str(tmp_path / "window")
+        os.makedirs(window)
+        for run_id in arrivals.run_ids()[:WINDOW_RUNS]:
+            _copy_run(arrivals, run_id, window)
+        rendered = []
+        render = fragments_module.render_samples
+
+        def counting(vertices, indent=None):
+            rendered.append(indent)
+            return render(vertices, indent)
+
+        monkeypatch.setattr(fragments_module, "render_samples", counting)
+
+        def renders():
+            rendered.clear()
+            text = dag_to_json(StoreAnalysis(window).dag, indent=2)
+            assert text == dag_to_json(synthesize_from_store(window), indent=2)
+            return len(rendered)
+
+        seen = [renders() for _ in range(3)]
+        _copy_run(arrivals, arrivals.run_ids()[WINDOW_RUNS], window)
+        os.remove(_segment(window, "run000"))
+        seen.append(renders())
+        assert seen == [0, WINDOW_RUNS, 0, 1]
+
+    @pytest.mark.parametrize("indent", [2, None])
+    def test_changed_model_renders_its_own_samples(self, pools, cache, indent):
+        """A sample appended to a vertex of a model merged from
+        fragments -- before or after its first export -- is exported
+        as ``json.dumps`` would, and the fragments' renderings stay
+        those of their runs."""
+        pool = pools["avp"]
+        StoreAnalysis(pool.directory).dag  # batch
+        for exported in (False, True):
+            dag = StoreAnalysis(pool.directory).dag
+            assert dag.sample_parts
+            if exported:
+                dag_to_json(dag, indent=indent)
+            vertex = next(v for v in dag.vertices() if v.exec_times)
+            vertex.exec_times.append(12345)
+            assert dag_to_json(dag, indent=indent) == json.dumps(
+                dag_to_dict(dag), indent=indent
+            )
+        assert dag_to_json(
+            StoreAnalysis(pool.directory).dag, indent=indent
+        ) == dag_to_json(synthesize_from_store(pool), indent=indent)
+
+    @pytest.mark.stress
+    def test_threads_exporting_over_one_cache(self, pools, cache):
+        """Threads exporting fresh handles over one window's shared
+        fragments at two indents, in opposite orders, thread switches
+        forced often: every export equals the cache-free one."""
+        pool = pools["avp"]
+        reference = synthesize_from_store(pool)
+        expected = {indent: dag_to_json(reference, indent) for indent in (2, None)}
+        StoreAnalysis(pool.directory).dag  # batch: the next builds fragments
+        failures = []
+        start = threading.Barrier(3, timeout=60)
+
+        def export(indents):
+            start.wait()
+            try:
+                for _ in range(4):
+                    dag = StoreAnalysis(pool.directory).dag
+                    for indent in indents:
+                        if dag_to_json(dag, indent=indent) != expected[indent]:
+                            failures.append(indent)
+            except Exception as error:  # reported below
+                failures.append(repr(error))
+
+        orders = [(2, None), (None, 2), (2, None)]
+        threads = [threading.Thread(target=export, args=(o,)) for o in orders]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        fragments = StoreAnalysis(pool.directory)._runs.fragments
+        assert fragments and all(
+            set(fragment.samples) == {2, None} for fragment in fragments
+        )
 
 
 #: A window of 16 runs, with one more run to arrive.
@@ -1516,6 +1636,43 @@ def test_sharing_reads_the_resolved_sched_pids(pools):
             ) == from_sched_columns(resolved), (name, run_id)
             sched_only += sharing.touched > sharing.stateful
     assert sched_only
+
+
+def test_sched_pids_are_found_once_per_resolve(pools, cache, monkeypatch):
+    """Work counts: each run's sched PIDs are found -- one ``distinct``
+    over its sched columns -- by the run's resolve alone, not again by
+    the index of a batch build (either strategy) or of a fragment
+    build."""
+    pool = pools["avp"]
+    scheduled = {}
+    for run_id in pool.run_ids():
+        _ts, prev_col, next_col = pool.open(run_id).sched_pid_columns()
+        scheduled[run_id] = np.concatenate((
+            np.frombuffer(prev_col, dtype=np.int32),
+            np.frombuffer(next_col, dtype=np.int32),
+        ))
+    found = []
+    distinct = index_module.distinct
+
+    def counting(values):
+        found.extend(
+            run_id for run_id, column in scheduled.items()
+            if len(values) == len(column) and np.array_equal(values, column)
+        )
+        return distinct(values)
+
+    monkeypatch.setattr(index_module, "distinct", counting)
+    builds = [
+        lambda: synthesize_from_store(pool),
+        lambda: synthesize_from_store(pool, strategy=STRATEGY_MERGE_DAGS),
+        lambda: StoreAnalysis(pool.directory).dag,  # batch
+        lambda: StoreAnalysis(pool.directory).dag,  # fragments
+    ]
+    for build in builds:
+        found.clear()
+        build()
+        assert found == pool.run_ids()
+    assert cache._fragments  # the last build was a fragment build
 
 
 def _service_run(base, client, server, src_ts):

@@ -342,6 +342,38 @@ class TestSynthesizeCommand:
         assert "error:" in capsys.readouterr().err
 
 
+class TestStoreInfoCommand:
+    @pytest.fixture()
+    def cut_store(self, tmp_path):
+        """Three recorded runs, ``run001`` cut to two thirds of its
+        bytes: its header and section directory are whole."""
+        directory = str(tmp_path / "store")
+        assert main(["record", "syn", "--runs", "3", "--duration", "1",
+                     "--out", directory]) == 0
+        cut = Path(directory) / "run001.trace.bin"
+        data = cut.read_bytes()
+        cut.write_bytes(data[: len(data) * 2 // 3])
+        return directory
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_cut_run_exits_two_naming_it(self, capsys, cut_store, as_json):
+        capsys.readouterr()
+        argv = ["store-info", cut_store] + (["--json"] if as_json else [])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "run001" in captured.err and "truncated" in captured.err
+        assert captured.out == ""
+
+    def test_no_strict_skips_the_cut_run(self, capsys, cut_store):
+        capsys.readouterr()
+        with pytest.warns(RuntimeWarning, match="run001"):
+            assert main(["store-info", cut_store, "--no-strict"]) == 0
+        out = capsys.readouterr().out
+        assert "2 run(s)" in out
+        assert "run000" in out and "run002" in out and "run001" not in out
+
+
 class _ClosedPipe:
     """A stdout whose reader has gone (``repro ... | head -1``): every
     write raises :class:`BrokenPipeError`.  ``fileno`` names a scratch

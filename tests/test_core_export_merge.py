@@ -2,6 +2,7 @@
 multi-mode)."""
 
 import json
+from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
@@ -187,9 +188,11 @@ class TestJsonRenderer:
                     **{name: cuts[name][number] for name in _SAMPLE_FIELDS},
                 )
         expected = dag_to_dict(dag)
+        dag.sample_parts = tuple(
+            partial(render_samples, run.values()) for run in pieces
+        )
         for indent in (None, 0, 2, 4):
-            samples = [render_samples(run.values(), indent) for run in pieces]
-            assert dag_to_json(dag, indent=indent, samples=samples) == json.dumps(
+            assert dag_to_json(dag, indent=indent) == json.dumps(
                 expected, indent=indent
             )
 

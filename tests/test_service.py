@@ -1186,10 +1186,8 @@ def _assert_served_equals_batch(live):
         vars(vertex) for vertex in reference.vertices()
     ]
     assert dag.edges() == reference.edges()
-    served = ServiceState(
-        store.directory, run_ids, dag, {}, live.retain_window,
-        samples=live.model_samples(),
-    )
+    live.model_samples()
+    served = ServiceState(store.directory, run_ids, dag, {}, live.retain_window)
     batch = ServiceState(store.directory, run_ids, reference, {}, live.retain_window)
     for fmt in MODEL_FORMATS:
         assert served.model_text(fmt) == batch.model_text(fmt), fmt
