@@ -13,7 +13,7 @@ run's walk, one after the other, so
   (:func:`_run_fragments`) at the cost of one batch walk; and
 * the window's model is the runs' folds merged
   (:func:`~repro.core.synthesis.merge_folds`) followed by the
-  structural pass alone (:func:`assembled_dag`).
+  structural pass alone (:attr:`FragmentWindow.dag`).
 
 Two users build fragments, with the same code and the same rule:
 
@@ -33,20 +33,21 @@ Two users build fragments, with the same code and the same rule:
   recent build, so it is bounded by one window, and a rewritten run
   has new bytes and so a new key: it is never served stale.
 
+Both answer their queries through one :class:`FragmentWindow`.
+
 A fragment's model and latency parts are never modified once built
 (merging folds and concatenating latency indexes copy), so one
-fragment may serve any number of builds, and it holds no reader and no
-reference cycle.  Each fragment also carries two caches of what was
-derived from it, so a model or handle that shares all but its new runs
-with an earlier one derives only those.  Its *rendered samples*, per
-indent (:meth:`_RunFragment.rendered_samples`), one cache for both
-users: a model assembled from fragments (:func:`assembled_dag`) keeps
-their renderers, and :func:`~repro.core.export.dag_to_json` joins
-their texts.  Its *journey slot*, the last-queried chain's journeys
-through the run (``(topics, [ChainLatency, ...])``, the bound of the
-service's journey cache), which ``StoreAnalysis.chain_latencies``
-reads and fills.  Each entry is stored by one assignment of a value
-that depends on the fragment and its key (indent, topics) alone, so
+fragment may serve any number of windows, and it holds no reader and
+no reference cycle.  Each fragment also carries two caches of what was
+derived from it, so a window that shares all but its new runs with an
+earlier one derives only those.  Its *rendered samples*, per indent
+(:meth:`_RunFragment.rendered_samples`): a model assembled from
+fragments keeps their renderers, and
+:func:`~repro.core.export.dag_to_json` joins their texts.  Its
+*journey slot*, the last-queried chain's journeys through the run
+(:meth:`_RunFragment.chain_latencies`), the only journey cache of
+either user.  Each entry is stored by one assignment of a value that
+depends on the fragment and its key (indent, topics) alone, so
 threads racing on it store equal values.
 """
 
@@ -57,7 +58,11 @@ import threading
 from dataclasses import dataclass, field
 from itertools import compress
 from operator import itemgetter
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple,
+)
+
+import numpy as np
 
 from ..core.dag import TimingDag
 from ..core.exec_time import distinct
@@ -74,8 +79,12 @@ from ..core.index import (
 )
 from ..core.synthesis import CallbackFold, dag_from_fold, fold_records, merge_folds
 from ..store import synthesis as store_synthesis
-from ..store.index import ResolvedRun, StoreTraceIndex, _spans_are_ordered
-from .latency import ChainLatency, LatencyIndex
+from ..store.index import (
+    ResolvedRun, StoreTraceIndex, _merged_columns, _spans_are_ordered,
+)
+from .latency import (
+    ChainLatency, LatencyIndex, chain_latencies, fragments_are_separable,
+)
 
 #: ``kind`` of the writes FindCaller and FindClient match.
 _SERVICE_WRITES = frozenset(("request", "response"))
@@ -191,9 +200,9 @@ class _RunFragment:
     #: indent, once an export asked for them (:meth:`rendered_samples`).
     samples: Dict[Any, RenderedSamples] = field(default_factory=dict)
     #: the last-queried chain's topics and its journeys through the
-    #: run's latency fragment alone, once a
-    #: :meth:`~repro.analysis.store.StoreAnalysis.chain_latencies` query
-    #: followed them; replaced whole, by one assignment.
+    #: run's latency fragment alone, once a window's query followed
+    #: them (:meth:`chain_latencies`); replaced whole, by one
+    #: assignment.
     journeys: Optional[Tuple[Tuple[str, ...], List[ChainLatency]]] = None
 
     def rendered_samples(self, indent: Any) -> RenderedSamples:
@@ -205,6 +214,16 @@ class _RunFragment:
             samples = render_samples(self.fold.vertices.values(), indent)
             self.samples[indent] = samples
         return samples
+
+    def chain_latencies(self, topics: Tuple[str, ...]) -> List[ChainLatency]:
+        """The journeys through ``topics`` that start in the run's
+        latency fragment, followed in it alone: from the journey slot
+        when it holds this chain, else followed here and stored in the
+        slot in place of the last chain's."""
+        slot = self.journeys  # read once: another thread may replace it
+        if slot is None or slot[0] != topics:
+            slot = self.journeys = (topics, chain_latencies(self.latency, topics))
+        return slot[1]
 
 
 def _run_fragments(
@@ -239,20 +258,116 @@ def _run_fragments(
     return fragments
 
 
-def assembled_dag(
-    fragments: Sequence[_RunFragment], model_sync: bool = True
-) -> TimingDag:
-    """The model of the window whose runs' fragments are ``fragments``
-    (in run-id order), which assemble it (:func:`_assembles`; else only
-    the batch synthesis over the window's runs gives its model): their
-    folds merged, then the structural pass alone.  Its model JSON joins
-    the fragments' :meth:`~_RunFragment.rendered_samples`."""
-    dag = dag_from_fold(
-        merge_folds([fragment.fold for fragment in fragments]),
-        model_sync=model_sync,
+def _merged_latency_index(
+    readers: Sequence,
+    pids: Optional[frozenset],
+    columns: Optional[Sequence[Tuple]] = None,
+) -> LatencyIndex:
+    """One build over time-overlapping runs: the store index's merged
+    columns (ties keep ``(run, row)`` order, so the order equals
+    ``Trace.merge`` order) and every run's wakeup columns, concatenated
+    in run order -- the index sorts wakeups stably by ts per PID, so
+    ties keep run order as the object merge does."""
+    wakeups = zip(*(reader.wakeup_pid_columns() for reader in readers))
+    return LatencyIndex(
+        _merged_columns(readers, columns),
+        tuple(np.concatenate(column) for column in wakeups),
+        pids,
     )
-    dag.sample_parts = tuple(fragment.rendered_samples for fragment in fragments)
-    return dag
+
+
+class FragmentWindow:
+    """The fragments of one window's runs, in run-id order, built once
+    per window and never changed, and what its queries derive from
+    them: each value computed on first use and stored by one
+    assignment of a value that depends on the fragments alone, so
+    threads racing on it store equal values.
+
+    ``assembles`` is :func:`_assembles` of the fragments when the owner
+    already checked it.  ``readers`` opens the runs' segments, in run
+    order, for the latency index of runs that overlap in time."""
+
+    def __init__(
+        self,
+        fragments: Sequence[_RunFragment],
+        model_sync: bool = True,
+        assembles: Optional[bool] = None,
+        readers: Optional[Callable[[], Sequence]] = None,
+    ):
+        self.fragments = tuple(fragments)
+        self.model_sync = model_sync
+        self._assembled = assembles
+        self._readers = readers
+        self._dag: Optional[TimingDag] = None
+        self._separable: Optional[bool] = None
+        self._index: Optional[LatencyIndex] = None
+
+    @property
+    def assembles(self) -> bool:
+        """True when the fragments' folds add up to batch synthesis's
+        walk over the window (:func:`_assembles`)."""
+        if self._assembled is None:
+            self._assembled = _assembles(
+                [fragment.sharing for fragment in self.fragments]
+            )
+        return self._assembled
+
+    @property
+    def dag(self) -> Optional[TimingDag]:
+        """The window's model when the fragments assemble it (else
+        None): their folds merged, then the structural pass alone; its
+        model JSON joins the fragments' rendered samples."""
+        if self._dag is None and self.assembles:
+            fragments = self.fragments
+            dag = dag_from_fold(
+                merge_folds([fragment.fold for fragment in fragments]),
+                model_sync=self.model_sync,
+            )
+            dag.sample_parts = tuple(
+                fragment.rendered_samples for fragment in fragments
+            )
+            self._dag = dag
+        return self._dag
+
+    @property
+    def separable(self) -> bool:
+        """:func:`~repro.analysis.latency.fragments_are_separable` of
+        the fragments' latency indexes: no chain journey crosses runs."""
+        if self._separable is None:
+            self._separable = fragments_are_separable(
+                [fragment.latency for fragment in self.fragments]
+            )
+        return self._separable
+
+    @property
+    def index(self) -> LatencyIndex:
+        """The window's one latency index: the fragments' concatenated
+        when the runs are time-ordered, else one build over the runs'
+        merged columns, from the segments ``readers`` opens."""
+        if self._index is None:
+            latencies = [fragment.latency for fragment in self.fragments]
+            if _spans_are_ordered(latency.span for latency in latencies):
+                self._index = LatencyIndex.concat(latencies)
+            else:
+                self._index = _merged_latency_index(self._readers(), None)
+        return self._index
+
+    def chain_latencies(
+        self, topics: Sequence[str], max_instances: Optional[int] = None
+    ) -> List[ChainLatency]:
+        """:func:`~repro.analysis.latency.chain_latencies` over the
+        window's runs: each run through its fragment's journey slot
+        when no journey crosses runs (:attr:`separable`), else over
+        :attr:`index`."""
+        if not self.separable:
+            return chain_latencies(self.index, topics, max_instances)
+        topics = tuple(topics)
+        latencies: List[ChainLatency] = []
+        for fragment in self.fragments:
+            if max_instances is not None and len(latencies) >= max_instances:
+                break
+            latencies += fragment.chain_latencies(topics)
+        return latencies[:max_instances]
 
 
 #: A fragment's cache key: the sha256 of its run's segment file, and

@@ -29,10 +29,11 @@ pairs up exactly as one build over the whole stream pairs it.  Stores
 index one fragment per run.  Chain journeys rarely cross runs: when no
 taking PID and no ``(topic, src_ts)`` key spans two fragments
 (:func:`fragments_are_separable`), :func:`chain_latencies` follows each
-fragment on its own and skips the concatenation, and ``journeys=``
-takes the per-fragment journeys a caller kept: the live service keeps
-each retained run's, and ``StoreAnalysis`` each cached run fragment's,
-so an arrival follows only the new run.
+fragment on its own and skips the concatenation.  A window of per-run
+fragments (:class:`~repro.analysis.fragments.FragmentWindow`, behind
+both the live service and ``StoreAnalysis``) keeps each run's journeys
+of the last-queried chain with the run's fragment, so an arrival
+follows only the new run.
 """
 
 from __future__ import annotations
@@ -428,8 +429,6 @@ def chain_latencies(
     index: Union[LatencyIndex, Sequence[LatencyIndex]],
     topics: Sequence[str],
     max_instances: Optional[int] = None,
-    journeys: Optional[Dict[LatencyIndex, List[ChainLatency]]] = None,
-    separable: Optional[bool] = None,
 ) -> List[ChainLatency]:
     """Follow data through ``topics`` (in order) over a built index, or
     over the time-ordered per-run fragments of one stream.
@@ -441,34 +440,22 @@ def chain_latencies(
     Over fragments, the result equals the result over
     ``LatencyIndex.concat(fragments)``.  When
     :func:`fragments_are_separable` holds, each fragment is followed on
-    its own, and ``journeys`` -- a cache of per-fragment results for
-    this same ``topics``, keyed by fragment -- supplies the fragments
-    it holds and takes the ones followed here.  Otherwise the fragments
-    are concatenated and followed as one index.  ``separable`` is
-    :func:`fragments_are_separable` of the fragments when the caller
-    knows it already.
+    its own; otherwise the fragments are concatenated and followed as
+    one index.
     """
     if not topics:
         raise ValueError("need at least one topic")
     if isinstance(index, LatencyIndex):
         return _chain_latencies(index, topics, max_instances)
-    if separable is None:
-        separable = fragments_are_separable(index)
-    if not separable:
+    if not fragments_are_separable(index):
         return _chain_latencies(LatencyIndex.concat(index), topics, max_instances)
     latencies: List[ChainLatency] = []
     for fragment in index:
         if max_instances is not None and len(latencies) >= max_instances:
             break
-        if journeys is None:
-            left = None if max_instances is None else max_instances - len(latencies)
-            latencies += _chain_latencies(fragment, topics, left)
-            continue
-        part = journeys.get(fragment)
-        if part is None:
-            part = journeys[fragment] = _chain_latencies(fragment, topics, None)
-        latencies += part
-    return latencies[:max_instances]
+        left = None if max_instances is None else max_instances - len(latencies)
+        latencies += _chain_latencies(fragment, topics, left)
+    return latencies
 
 
 def _chain_latencies(

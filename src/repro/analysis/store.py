@@ -41,12 +41,14 @@ process.  It reads each run's segment file once and looks the run up
 in a process-wide cache keyed by the sha256 of those bytes
 (:meth:`~repro.store.database.TraceStore.read`).  A hit opens no
 reader; only the misses are parsed (from the bytes already read) and
-resolved, one walk over them builds their fragments, and the model is
-the fragments' merged folds.  Chain latencies follow the per-run
-fragments one at a time when no journey can cross a run
-(:func:`~repro.analysis.latency.chain_latencies`), and each fragment
-keeps the last-queried chain's journeys through its run, so a run is
-followed once per chain.  A handle over a window that shares all but
+resolved, one walk over them builds their fragments, and the handle
+answers from the fragments' window
+(:class:`~repro.analysis.fragments.FragmentWindow`, the window code
+the live service answers with): the model is the fragments' merged
+folds, and chain latencies follow the per-run fragments one at a time
+when no journey can cross a run, each fragment keeping the
+last-queried chain's journeys through its run, so a run is followed
+once per chain.  A handle over a window that shares all but
 one run with the previous handle thus opens, resolves, walks and
 follows that run alone, and its model's JSON export renders that
 run's sample lists alone (the fragments keep theirs).  A handle that
@@ -66,30 +68,23 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..core.dag import TimingDag
 from ..core.gcpause import paused_gc
 from ..core.pipeline import STRATEGY_MERGE_DAGS, STRATEGY_MERGE_TRACES
 from ..store.database import StoreLike, as_store
 from ..store.reader import SegmentFile
-from ..store.index import (
-    ResolvedRun,
-    _merged_columns,
-    _resolve,
-    _runs_are_time_ordered,
-    resolve_run,
-)
+from ..store.index import ResolvedRun, _resolve, _runs_are_time_ordered, resolve_run
 from ..store.synthesis import _merge_run_dags, _synthesize_readers
 from .chains import Chain, enumerate_chains
 from .fragments import (
     FRAGMENTS,
     FragmentKey,
+    FragmentWindow,
     _assembles,
+    _merged_latency_index,
     _run_fragments,
     _RunFragment,
     _sharing,
-    assembled_dag,
     fragment_key,
 )
 from .jitter import ActivationModel, activation_models
@@ -115,24 +110,6 @@ def latency_fragment(
     if columns is None:
         columns = _resolve(reader)
     return LatencyIndex(columns, reader.wakeup_pid_columns(), pids)
-
-
-def _merged_latency_index(
-    readers: Sequence,
-    pids: Optional[frozenset],
-    columns: Optional[Sequence[Tuple]] = None,
-) -> LatencyIndex:
-    """One build over time-overlapping runs: the store index's merged
-    columns (ties keep ``(run, row)`` order, so the order equals
-    ``Trace.merge`` order) and every run's wakeup columns, concatenated
-    in run order -- the index sorts wakeups stably by ts per PID, so
-    ties keep run order as the object merge does."""
-    wakeups = zip(*(reader.wakeup_pid_columns() for reader in readers))
-    return LatencyIndex(
-        _merged_columns(readers, columns),
-        tuple(np.concatenate(column) for column in wakeups),
-        pids,
-    )
 
 
 def _latency_fragments(
@@ -198,9 +175,9 @@ class _Runs(NamedTuple):
     #: the handle builds from fragments, and for a run whose fragment
     #: came from the cache (resolved when a batch build needs it).
     resolved: List[Optional[ResolvedRun]]
-    #: each run's fragment, which assemble the window, or None when the
+    #: the runs' fragments, which assemble the window, or None when the
     #: handle builds in batch.
-    fragments: Optional[List[_RunFragment]]
+    window: Optional[FragmentWindow]
 
 
 class StoreAnalysis:
@@ -220,10 +197,12 @@ class StoreAnalysis:
     segment files, read once.  When it shares a run with the previous
     handle to look the cache up and its runs share no walk state, it
     builds from per-run fragments: only the misses are opened and
-    resolved, one walk over them builds their fragments, the model is
-    the fragments' merged folds, the latency index their latency
-    fragments, and a chain's journeys through a run come from the
-    run's fragment once any handle followed that chain there.  A hit
+    resolved, one walk over them builds their fragments, and
+    :attr:`dag`, :attr:`index` and :meth:`chain_latencies` ask the
+    fragments' :class:`~repro.analysis.fragments.FragmentWindow`: the
+    model is the fragments' merged folds, the latency index their
+    latency fragments, and a chain's journeys through a run come from
+    the run's fragment once any handle followed that chain there.  A hit
     run's reader is opened only if a batch build needs it.  A handle that
     shares no run with the previous one builds in batch and keeps no
     fragment; one whose runs overlap in time or share walk state builds
@@ -316,10 +295,10 @@ class StoreAnalysis:
             built.update(zip(missing, fragments))
         FRAGMENTS.keep(built)
         # The fragments are all the handle reads: the columns go now.
-        return _Runs(
-            ids, readers, files, [None] * len(ids),
-            [built[keys[run_id]] for run_id in ids],
+        window = FragmentWindow(
+            [built[keys[run_id]] for run_id in ids], self.model_sync, True
         )
+        return _Runs(ids, readers, files, [None] * len(ids), window)
 
     @cached_property
     def _readers(self) -> List:
@@ -345,11 +324,8 @@ class StoreAnalysis:
 
     @cached_property
     def _fragments(self) -> Optional[List[LatencyIndex]]:
-        """Per-run latency fragments over the same readers, or None when
-        the runs overlap in time."""
-        runs = self._runs
-        if runs.fragments is not None:
-            return [fragment.latency for fragment in runs.fragments]
+        """A batch handle's per-run latency fragments over the same
+        readers, or None when the runs overlap in time."""
         return _latency_fragments(
             self._readers, self._wanted, [run.columns for run in self._resolved]
         )
@@ -368,9 +344,9 @@ class StoreAnalysis:
                     f"unknown strategy {self.strategy!r}; expected "
                     f"{STRATEGY_MERGE_TRACES!r} or {STRATEGY_MERGE_DAGS!r}"
                 )
-            fragments = self._runs.fragments
-            if fragments is not None:
-                self._dag = assembled_dag(fragments, self.model_sync)
+            window = self._runs.window
+            if window is not None:
+                self._dag = window.dag
             else:
                 self._dag = synthesize(
                     self._readers,
@@ -385,6 +361,9 @@ class StoreAnalysis:
     @paused_gc()
     def index(self) -> LatencyIndex:
         """The latency index over the same readers (built once)."""
+        window = self._runs.window
+        if window is not None:
+            return window.index
         if self._index is None:
             fragments = self._fragments
             if fragments is None:
@@ -426,32 +405,17 @@ class StoreAnalysis:
         """Per run when the runs' journeys stay inside them (see
         :func:`~repro.analysis.latency.chain_latencies`), so the
         fragments need no concatenation.  A handle built from fragments
-        takes each run's journeys from its fragment's journey slot when
-        the slot holds this chain, and fills the slots of the runs it
-        followed: a run shared with the previous handle is followed
-        once per chain."""
+        asks its window
+        (:meth:`~repro.analysis.fragments.FragmentWindow.chain_latencies`),
+        which keeps each run's journeys with the run's fragment: a run
+        shared with the previous handle is followed once per chain."""
+        window = self._runs.window
+        if window is not None:
+            return window.chain_latencies(topics, max_instances)
         fragments = self._fragments
-        if fragments is None:
-            return chain_latencies(self.index, topics, max_instances)
-        runs = self._runs.fragments
-        if runs is None:
-            return chain_latencies(fragments, topics, max_instances)
-        topics = tuple(topics)
-        journeys: Dict[LatencyIndex, List[ChainLatency]] = {}
-        for run in runs:
-            slot = run.journeys  # read once: another handle may replace it
-            if slot is not None and slot[0] == topics:
-                journeys[run.latency] = slot[1]
-        held = len(journeys)
-        latencies = chain_latencies(
-            fragments, topics, max_instances, journeys=journeys
+        return chain_latencies(
+            self.index if fragments is None else fragments, topics, max_instances
         )
-        if len(journeys) > held:
-            for run in runs:
-                part = journeys.get(run.latency)
-                if part is not None:
-                    run.journeys = (topics, part)
-        return latencies
 
     @paused_gc()
     def waiting_times(self, pid: int) -> List[WaitingTime]:

@@ -426,7 +426,7 @@ def _parse_pids(text: str) -> List[int]:
 
 def _cmd_synthesize(args) -> int:
     from .core.pipeline import STRATEGY_MERGE_DAGS, STRATEGY_MERGE_TRACES
-    from .store import StoreError, StoreFormatError, TraceStore, synthesize_from_store
+    from .store import TraceStore, synthesize_from_store
 
     # ``choices=`` already rejects unknown names at parse time (exit
     # code 2); this maps the validated CLI spelling to the API constant.
@@ -442,14 +442,10 @@ def _cmd_synthesize(args) -> int:
             file=sys.stderr,
         )
         return 2
-    try:
-        store = TraceStore(args.store)
-        dag = synthesize_from_store(
-            store, pids=args.pids, jobs=args.jobs, strategy=strategy
-        )
-    except (FileNotFoundError, StoreError, StoreFormatError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    store = TraceStore(args.store)
+    dag = synthesize_from_store(
+        store, pids=args.pids, jobs=args.jobs, strategy=strategy
+    )
     notes = _write_artifacts(dag, args)
     print(
         f"synthesized {len(store)} stored run(s) from {store.directory} "
@@ -529,16 +525,13 @@ def _store_info_watch(store, args) -> int:
 
 
 def _cmd_store_info(args) -> int:
-    from .store import StoreError, StoreFormatError, TraceStore
+    from .store import TraceStore
 
-    try:
-        store = TraceStore(args.store, allow_empty=True, strict=args.strict)
-        infos = store.run_infos()
-    except (FileNotFoundError, StoreError, StoreFormatError) as error:
-        # An unreadable run fails the listing under the default strict
-        # mode; --no-strict downgrades it to a warning + skip.
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    # An unreadable run fails the listing under the default strict
+    # mode (main() reports it); --no-strict downgrades it to a warning
+    # + skip.
+    store = TraceStore(args.store, allow_empty=True, strict=args.strict)
+    infos = store.run_infos()
     if args.watch:
         try:
             return _store_info_watch(store, args)
@@ -710,17 +703,13 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    from .store import VERSION, StoreError, StoreFormatError, TraceStore
+    from .store import VERSION, TraceStore
 
-    try:
-        store = TraceStore(args.store, cache_dir=args.cache)
-        written = store.convert_legacy(remove=args.remove, upgrade=args.upgrade)
-        if args.cache is not None:
-            cached = store.warm_cache()
-            print(f"cached {len(cached)} uncompressed segment(s) in {args.cache}")
-    except (FileNotFoundError, StoreError, StoreFormatError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    store = TraceStore(args.store, cache_dir=args.cache)
+    written = store.convert_legacy(remove=args.remove, upgrade=args.upgrade)
+    if args.cache is not None:
+        cached = store.warm_cache()
+        print(f"cached {len(cached)} uncompressed segment(s) in {args.cache}")
     if not written:
         print(
             f"nothing to convert in {store.directory} "
@@ -889,7 +878,6 @@ def _parse_keys(text: str) -> List[str]:
 
 def _cmd_analyze(args) -> int:
     from .analysis import StoreAnalysis, format_activations, format_chains, format_loads
-    from .store import StoreError, StoreFormatError
 
     reports = list(args.report)
     if args.topics and "latency" not in reports:
@@ -903,12 +891,8 @@ def _cmd_analyze(args) -> int:
         print("error: --report waiting needs --waiting-pid", file=sys.stderr)
         return 2
 
-    try:
-        analysis = StoreAnalysis(args.store, pids=args.pids)
-        analysis.dag  # synthesize up front so store errors exit cleanly
-    except (FileNotFoundError, StoreError, StoreFormatError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    analysis = StoreAnalysis(args.store, pids=args.pids)
+    analysis.dag  # synthesize up front so store errors exit cleanly
 
     print(
         f"analyze {analysis.store.directory} -- "
@@ -1375,9 +1359,16 @@ COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    from .store import StoreError, StoreFormatError
+
     args = build_parser().parse_args(argv)
     try:
         return COMMANDS[args.command](args)
+    except (FileNotFoundError, StoreError, StoreFormatError) as error:
+        # A missing or unreadable store, or a run in it that fails to
+        # parse: one diagnosis, never a traceback.
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Downstream closed the pipe (`repro ... | head`); swallow the
         # dangling-flush noise and exit like a well-behaved filter.

@@ -21,7 +21,7 @@ cache (:data:`~repro.analysis.fragments.FRAGMENTS`).
 
 The model merges the retained runs' folds and runs only DAG
 synthesis's structural pass over the window
-(:func:`~repro.analysis.fragments.assembled_dag`) when the folds add up to
+(:attr:`~repro.analysis.fragments.FragmentWindow.dag`) when the folds add up to
 batch synthesis's walk over those runs: their ROS spans are
 time-ordered in run-id order, no two of them share walk state (the
 rule of :func:`~repro.analysis.fragments._assembles`, the one
@@ -40,38 +40,37 @@ Each arriving run is decoded once, before any state changes
 (:func:`~repro.store.index.resolve_run`: the resolved ROS columns, the
 payload rows they reference, the sched and wakeup columns), so a
 corrupt segment is rejected whole.  The same resolved columns feed the
-run's index and its latency fragment.  A latency query follows chains
-over the retained runs' latency fragments and opens no segment; the
-journeys of the last-queried chain are cached per run, so after an
-arrival only the new run's writes are followed
-(:func:`~repro.analysis.latency.chain_latencies`).  The check that no
-journey crosses runs (C-level set operations over the window) runs on
-the first query after an arrival; what stays O(window) per query is
-joining the runs' journeys.  A window that fails the check is
-concatenated and followed whole, and a time-overlapping window needs
-one index over the runs' merged columns, built from the segments on
-the first query after an arrival.  A query takes its inputs as a
-:class:`LatencyView` under the service lock and does that work outside
+run's index and its latency fragment.
+
+The model and latency queries read the retained fragments as one
+:class:`~repro.analysis.fragments.FragmentWindow`, the code
+:class:`~repro.analysis.store.StoreAnalysis` answers with too.  It is
+built on the first query after an arrival or eviction, decides once
+whether the folds assemble the model and whether a journey can cross
+runs, and follows a chain through each run's journey slot, so after an
+arrival only the new run's writes are followed and a latency query
+opens no segment.  A window that fails the check is followed as one
+index, and a time-overlapping window's index is built over the runs'
+merged columns, from their segments, on the window's first query.  A
+query takes the window under the service lock and follows it outside
 it.
 """
 
 from __future__ import annotations
 
+import threading
 from bisect import insort
 from dataclasses import asdict, dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from functools import partial
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from ..analysis.fragments import (
-    _assembles, _RunFragment, _run_fragments, _sharing, assembled_dag,
-)
-from ..analysis.latency import ChainLatency, LatencyIndex, fragments_are_separable
-from ..analysis.store import _merged_latency_index
+from ..analysis.fragments import FragmentWindow, _RunFragment, _run_fragments, _sharing
 from ..core.dag import TimingDag
 from ..core.export import RenderedSamples
 from ..core.gcpause import paused_gc
 from ..store.database import TraceStore
 from ..store.format import StoreFormatError
-from ..store.index import ResolvedRun, _spans_are_ordered, resolve_run
+from ..store.index import ResolvedRun, resolve_run
 from ..store.synthesis import _synthesize_readers
 from .state import MODEL_JSON_INDENT
 
@@ -114,6 +113,16 @@ class ServiceCounters:
         return asdict(self)
 
 
+def _open_runs(
+    store: TraceStore, counters: ServiceCounters, lock: Any, run_ids: Sequence[str]
+) -> List[Any]:
+    """The runs' readers, counted in ``segments_decoded`` under ``lock``."""
+    readers = [store.open(run_id) for run_id in run_ids]
+    with lock:
+        counters.segments_decoded += len(readers)
+    return readers
+
+
 class LiveSynthesizer:
     """Incrementally maintained store synthesis.
 
@@ -124,7 +133,7 @@ class LiveSynthesizer:
     the DAG ``synthesize_from_store(store, jobs=1)`` would over the
     retained runs -- the byte-identity contract the service tests pin
     at every commit point: the runs' folds merged when they assemble
-    the window (:func:`~repro.analysis.fragments.assembled_dag`), else
+    the window (:attr:`~repro.analysis.fragments.FragmentWindow.dag`), else
     :func:`~repro.store.synthesis._synthesize_readers` over the
     retained runs' segments (``rebuilds``, ``pids_rewalked``).
 
@@ -138,9 +147,11 @@ class LiveSynthesizer:
     changes: :meth:`ingest` raises, and :meth:`refresh` skips it for
     good (``segments_rejected``) and ingests the runs after it.
 
-    The journeys of the last-queried chain through each retained run's
-    latency fragment are kept too (:meth:`latency_view`,
-    :meth:`keep_latency`) and leave with the run's eviction.
+    The model and latency queries read the retained fragments as one
+    :meth:`window`; a run's journeys stay with its fragment, so they
+    leave with the run's eviction.  ``lock`` is the lock a caller that
+    serves several threads holds around every call but a window's
+    latency queries, whose segment decodes count under it.
 
     :meth:`ingest`, :meth:`refresh`, :meth:`model` and
     :meth:`model_samples` run with the cyclic collector paused
@@ -174,21 +185,12 @@ class LiveSynthesizer:
         #: ones -- refresh() must not re-ingest an evicted run's on-disk
         #: file.
         self._seen: set = set()
+        self.lock = threading.RLock()
         #: retained run id -> its fragment.
         self._fragments: Dict[str, _RunFragment] = {}
+        #: the retained fragments as one window, once asked for.
+        self._window: Optional[FragmentWindow] = None
         self._dag: Optional[TimingDag] = None
-        #: True when ``_dag`` was merged from the runs' folds.
-        self._merged = False
-        #: one index over a time-overlapping window's merged columns,
-        #: built on the first latency query after an arrival.
-        self._merged_latency: Optional[LatencyIndex] = None
-        #: fragments_are_separable over the window's latency fragments,
-        #: found by the first latency query after an arrival.
-        self._separable: Optional[bool] = None
-        #: the last-queried chain, and its journeys per retained run's
-        #: latency fragment.
-        self._journey_topics: Tuple[str, ...] = ()
-        self._journeys: Dict[LatencyIndex, List[ChainLatency]] = {}
 
     @property
     def run_ids(self) -> List[str]:
@@ -262,42 +264,27 @@ class LiveSynthesizer:
             evicted = consumed[: len(consumed) - window]
             del consumed[: len(evicted)]
             for old in evicted:
-                gone = self._fragments.pop(old)
-                counters.rows_evicted += gone.events
-                self._journeys.pop(gone.latency, None)
+                counters.rows_evicted += self._fragments.pop(old).events
             counters.runs_evicted += len(evicted)
+        self._window = None
         self._dag = None
-        self._merged_latency = None
-        self._separable = None
 
-    def latency_view(self, topics: Sequence[str]) -> "LatencyView":
-        """What a latency query over ``topics`` follows, taken under the
-        service lock and followed outside it; hand it back to
-        :meth:`keep_latency` afterwards.  Only the last-queried chain's
-        journeys are kept: another chain starts an empty cache."""
-        topics = tuple(topics)
-        if topics != self._journey_topics:
-            self._journey_topics = topics
-            self._journeys = {}
-        return LatencyView(self, topics)
-
-    def keep_latency(self, view: "LatencyView") -> None:
-        """Keep what following ``view`` built: its merged index and
-        separability while the window is unchanged, and the journeys of
-        still-retained runs while its chain is the last-queried one."""
-        self.counters.segments_decoded += view.decoded
-        if view.run_ids == tuple(self._consumed):
-            self._merged_latency = view.merged
-            self._separable = view.separable
-        if view.topics == self._journey_topics:
-            retained = {
-                fragment.latency for fragment in self._fragments.values()
-            }
-            self._journeys.update(
-                (fragment, part)
-                for fragment, part in view.journeys.items()
-                if fragment in retained
+    def window(self) -> FragmentWindow:
+        """The retained runs' fragments, in run order, as one window;
+        built on first use after a run entered or left.  A window whose
+        runs overlap in time opens their segments for its merged
+        latency index (``segments_decoded``)."""
+        if self._window is None:
+            run_ids = tuple(self._consumed)
+            self._window = FragmentWindow(
+                [self._fragments[run_id] for run_id in run_ids],
+                self.model_sync,
+                # Not a bound method, which would make a reference cycle.
+                readers=partial(
+                    _open_runs, self.store, self.counters, self.lock, run_ids
+                ),
             )
+        return self._window
 
     @paused_gc()
     def model(self) -> TimingDag:
@@ -311,19 +298,17 @@ class LiveSynthesizer:
         otherwise the retained runs are synthesized whole, by the batch
         function."""
         if self._dag is None:
-            consumed = self._consumed
-            fragments = [self._fragments[run_id] for run_id in consumed]
-            self._merged = _assembles([fragment.sharing for fragment in fragments])
-            if self._merged:
-                self._dag = assembled_dag(fragments, self.model_sync)
-            else:
+            window = self.window()
+            self._dag = window.dag
+            if self._dag is None:
                 counters = self.counters
-                readers = [self.store.open(run_id) for run_id in consumed]
-                counters.segments_decoded += len(readers)
-                counters.rebuilds += 1
-                counters.pids_rewalked += len(
-                    set().union(*(fragment.sharing.pids for fragment in fragments))
+                readers = _open_runs(
+                    self.store, counters, self.lock, self._consumed
                 )
+                counters.rebuilds += 1
+                counters.pids_rewalked += len(set().union(
+                    *(fragment.sharing.pids for fragment in window.fragments)
+                ))
                 self._dag = _synthesize_readers(
                     readers, None, self.split_services, self.model_sync
                 )
@@ -339,58 +324,13 @@ class LiveSynthesizer:
         returns them in run order, or None when the model was
         synthesized whole."""
         self.model()
-        if not self._merged:
+        window = self.window()
+        if not window.assembles:
             return None
-        fragments = [self._fragments[run_id] for run_id in self._consumed]
+        fragments = window.fragments
         self.counters.model_runs_rendered += sum(
             MODEL_JSON_INDENT not in fragment.samples for fragment in fragments
         )
         return tuple(
             fragment.rendered_samples(MODEL_JSON_INDENT) for fragment in fragments
         )
-
-
-class LatencyView:
-    """One latency query's inputs, taken from a :class:`LiveSynthesizer`
-    under the service lock so the query can follow them outside it.
-
-    The retained runs' latency fragments are immutable, and
-    ``journeys`` is a copy of the chain's per-run journey cache: the
-    query fills the copy, and :meth:`LiveSynthesizer.keep_latency`
-    folds it back.  Ingestion and other queries are not held up while
-    a query concatenates the window (a journey may cross runs) or
-    builds the merged index of a time-overlapping window."""
-
-    def __init__(self, live: LiveSynthesizer, topics: Tuple[str, ...]):
-        self.topics = topics
-        self.run_ids = tuple(live._consumed)
-        self.fragments = [
-            live._fragments[run_id].latency for run_id in self.run_ids
-        ]
-        #: the window's merged index, once built.
-        self.merged = live._merged_latency
-        #: fragments_are_separable(fragments), once known.
-        self.separable = live._separable
-        self.journeys = dict(live._journeys)
-        #: segments this view decoded (for ``segments_decoded``).
-        self.decoded = 0
-        self._store = live.store
-
-    def index(self) -> Union[List[LatencyIndex], LatencyIndex]:
-        """The fragments in run order when their spans are time-ordered,
-        else one index over the runs' merged columns, built from the
-        segments (which are immutable) on the window's first query.
-        :func:`~repro.analysis.latency.chain_latencies` takes either;
-        over the fragments, it follows :attr:`separable`, checked here
-        on the window's first query."""
-        if self.separable is None:
-            self.separable = fragments_are_separable(self.fragments)
-        if self.separable or _spans_are_ordered(
-            fragment.span for fragment in self.fragments
-        ):
-            return self.fragments
-        if self.merged is None:
-            readers = [self._store.open(run_id) for run_id in self.run_ids]
-            self.merged = _merged_latency_index(readers, None)
-            self.decoded = len(readers)
-        return self.merged

@@ -9,9 +9,10 @@ into the incrementally maintained model, and queries are answered from
 service lock.  The socket listener is thread-per-connection; ingest
 and snapshot-taking serialize on one lock, while snapshot
 *consumption* (model rendering, chains, store info) runs outside it.
-A latency query takes a :class:`~repro.service.live.LatencyView` under
-the lock, follows the chain outside it, and folds the journeys it
-followed back in under the lock again.
+A latency query takes the maintainer's
+:class:`~repro.analysis.fragments.FragmentWindow` under the lock and
+follows the chain over it outside the lock; the journeys it follows
+stay with the window's run fragments.
 """
 
 from __future__ import annotations
@@ -91,7 +92,9 @@ class SynthesisService:
             if drop_dir is not None
             else None
         )
-        self._lock = threading.RLock()
+        # The live synthesizer's lock, under which it also counts the
+        # segments a latency query decodes outside the lock.
+        self._lock = self.live.lock
         self._stop = threading.Event()
         self._started = time.monotonic()
         #: threads serving client connections; the accept loop drops
@@ -170,16 +173,10 @@ class SynthesisService:
 
     def latency_summary(self, topics: List[str]) -> Dict[str, Any]:
         """Chain-latency stats over the retained runs.  The lock is held
-        only to take the query's view and to keep what it built; the
-        chain is followed outside it."""
+        only to take the window; the chain is followed outside it."""
         with self._lock:
-            view = self.live.latency_view(topics)
-        summary = latency_summary(
-            topics, view.index(), view.journeys, view.separable
-        )
-        with self._lock:
-            self.live.keep_latency(view)
-        return summary
+            window = self.live.window()
+        return latency_summary(topics, window)
 
     def handle_request(
         self, payload: Dict[str, Any], body: bytes

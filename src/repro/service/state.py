@@ -16,25 +16,22 @@ entered the window renders it under the lock:
 renders no sample rendered before.
 
 ``latency`` reads no segment: :func:`latency_summary` follows the
-chain over the per-run latency fragments the
-:class:`~repro.service.live.LiveSynthesizer` built at ingest, with the
-journeys of the last-queried chain cached per run, so after an arrival
-only the new run's writes are followed
-(:func:`~repro.analysis.latency.chain_latencies`).  What the query
-follows is taken under the service lock as a
-:class:`~repro.service.live.LatencyView` and followed outside it.
-Once per window, the fragments are also checked for a journey that
-could cross runs -- C-level set operations over the window's PIDs and
-``(topic, src_ts)`` keys -- and a window that fails the check, or
-whose runs overlap in time, is followed as one index.
+chain over the retained runs' window
+(:meth:`~repro.analysis.fragments.FragmentWindow.chain_latencies`),
+taken under the service lock and followed outside it: each run's
+latency fragment, built at ingest, through the run's journey slot, so
+after an arrival only the new run's writes are followed.  Once per
+window the fragments are checked for a journey that could cross runs,
+and a window that fails the check is followed as one index (over its
+runs' merged columns when they overlap in time).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..analysis.chains import Chain, enumerate_chains, format_chains
-from ..analysis.latency import ChainLatency, LatencyIndex, chain_latencies
+from ..analysis.fragments import FragmentWindow
 from ..core.dag import TimingDag
 from ..core.export import (
     dag_to_json,
@@ -51,22 +48,12 @@ MODEL_JSON_INDENT = 2
 
 
 def latency_summary(
-    topics: Sequence[str],
-    index: Union[LatencyIndex, Sequence[LatencyIndex]],
-    journeys: Optional[Dict[LatencyIndex, List[ChainLatency]]] = None,
-    separable: Optional[bool] = None,
+    topics: Sequence[str], window: FragmentWindow
 ) -> Dict[str, Any]:
     """Chain-latency stats for a topic chain (ns, like the analysis
-    CLI).  ``index``, ``journeys`` and ``separable`` are what
-    :func:`~repro.analysis.latency.chain_latencies` follows: a live
-    service's retained latency fragments (or one merged index), its
-    per-run journey cache of this chain and whether the fragments are
-    separable (:class:`~repro.service.live.LatencyView`)."""
+    CLI) over a live service's window of retained runs."""
     values = [
-        latency.latency_ns
-        for latency in chain_latencies(
-            index, list(topics), journeys=journeys, separable=separable
-        )
+        latency.latency_ns for latency in window.chain_latencies(topics)
     ]
     summary: Dict[str, Any] = {"topics": list(topics), "count": len(values)}
     if values:

@@ -205,13 +205,18 @@ class TraceStore:
     # -- inspection --------------------------------------------------------
 
     def run_info(self, run_id: str) -> RunInfo:
-        """Per-run metadata; binary runs read only the segment header and
-        the v3 section directory, checked to fit the file."""
+        """Per-run metadata; a v3 run reads only the segment header and
+        the section directory, checked to fit the file.  A v1/v2 run's
+        body is one stream with no directory, so it is opened (and
+        transcoded, as every open of it is): a cut one fails here."""
         path = self.path_of(run_id)
         size = os.path.getsize(path)
         if self.is_binary(run_id):
             version, _, _, n_pids, n_ros, n_sched, n_wakeup, _, _ = peek_header(path)
-            peek_sections(path)
+            if version < VERSION:
+                SegmentReader.open(path)
+            else:
+                peek_sections(path)
             return RunInfo(
                 run_id=run_id,
                 path=path,

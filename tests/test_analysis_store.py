@@ -50,7 +50,9 @@ from repro.analysis import (
     node_loads_from_store,
 )
 from repro.analysis import fragments as fragments_module
-from repro.analysis.fragments import FragmentCache, _run_fragments, _sharing
+from repro.analysis.fragments import (
+    FragmentCache, FragmentWindow, _run_fragments, _RunFragment, _sharing,
+)
 from repro.analysis.latency import chain_latencies, fragments_are_separable
 from repro.analysis import latency as latency_module
 from repro.analysis import store as analysis_store_module
@@ -88,7 +90,9 @@ from repro.store import (
 from repro.store import index as index_module
 from repro.store.format import HEADER, SECTION_ENTRY, SECTION_ROS, SEGMENT_SUFFIX
 from repro.store.reader import peek_sections
-from repro.store.index import StoreTraceIndex, _runs_are_time_ordered, resolve_run
+from repro.store.index import (
+    StoreTraceIndex, _runs_are_time_ordered, _spans_are_ordered, resolve_run,
+)
 from repro.store.synthesis import synthesize_from_store
 from repro.tracing import TracingSession
 from repro.tracing.events import (
@@ -756,6 +760,14 @@ def _journey_fragment(base, writer, reader, taker, src_ts=None, **flags):
     return LatencyIndex(columns_of(rows))
 
 
+def _window_of(fragments):
+    """A window over bare latency fragments: its latency queries read
+    no other part of a run's fragment."""
+    return FragmentWindow(
+        [_RunFragment(0, None, fragment, None) for fragment in fragments]
+    )
+
+
 #: Two runs each: apart, then breaking one separability condition.
 _FRAGMENT_CASES = {
     "separable": [
@@ -834,10 +846,13 @@ class TestFragmentJourneys:
             expected = chain_latencies(whole, chain)
             assert chain_latencies(fragments, chain) == expected, chain
             assert chain_latencies(fragments, chain, 2) == expected[:2]
-            cache = {}
-            for _ in range(2):  # fills the cache, then reads it
-                assert chain_latencies(fragments, chain, journeys=cache) == expected
-                assert set(cache) == set(fragments)
+            window = _window_of(fragments)
+            for _ in range(2):  # fills the slots, then reads them
+                assert window.chain_latencies(chain) == expected
+                assert all(
+                    run.journeys is not None and run.journeys[0] == tuple(chain)
+                    for run in window.fragments
+                )
             assert analysis.chain_latencies(chain) == (
                 measure_chain_latencies(merged, chain)
             )
@@ -851,10 +866,17 @@ class TestFragmentJourneys:
         whole = LatencyIndex.concat(fragments)
         for chain in (["/a"], ["/a", "/b"], ["/ext"]):
             expected = chain_latencies(whole, chain)
-            cache = {}
             assert chain_latencies(fragments, chain) == expected
-            assert chain_latencies(fragments, chain, journeys=cache) == expected
-            assert bool(cache) == (case == "separable")
+            window = _window_of(fragments)
+            assert window.separable == (case == "separable")
+            # A window of runs that overlap in time follows one index
+            # over their merged columns, read from their segments: these
+            # runs have none.  The fragments' own path is the line above.
+            if case != "overlapping_spans":
+                assert window.chain_latencies(chain) == expected
+            assert any(
+                run.journeys is not None for run in window.fragments
+            ) == (case == "separable")
         if case in ("shared_pid", "cross_run_key", "none_src_ts"):
             # A journey crosses the runs: run by run would miss it.
             per_run = [
@@ -901,10 +923,13 @@ class TestFragmentJourneys:
                 ))
             fragments.append(LatencyIndex(columns_of(moved)))
         whole = LatencyIndex.concat(fragments)
+        # Runs that overlap in time: see test_each_condition_takes_the_fallback.
+        ordered = _spans_are_ordered(fragment.span for fragment in fragments)
         for chain in (["/a"], ["/a", "/b"], ["/b", "/a"]):
             expected = chain_latencies(whole, chain)
             assert chain_latencies(fragments, chain) == expected
-            assert chain_latencies(fragments, chain, journeys={}) == expected
+            if ordered:
+                assert _window_of(fragments).chain_latencies(chain) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -1201,8 +1226,8 @@ class TestFragmentCache:
         analysis = _assert_matches_cache_free(pool.directory)
         assert built == [_segment(pool.directory, run_id) for run_id in pool.run_ids()]
         assert built.walks == 1
-        runs = analysis._runs
-        for reader, fragment in zip(analysis._readers, runs.fragments):
+        window = analysis._runs.window
+        for reader, fragment in zip(analysis._readers, window.fragments):
             resolved = resolve_run(reader)
             [alone] = _run_fragments([resolved], [_sharing(resolved)], True)
             assert fragment.fold == alone.fold
@@ -1446,7 +1471,7 @@ class TestFragmentCache:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
-        fragments = StoreAnalysis(pool.directory)._runs.fragments
+        fragments = StoreAnalysis(pool.directory)._runs.window.fragments
         assert fragments and all(
             set(fragment.samples) == {2, None} for fragment in fragments
         )
@@ -1550,8 +1575,9 @@ class TestWarmHandleWork:
                 expected = chain_latencies(reference, chain)
                 assert analysis.chain_latencies(chain) == expected
                 assert analysis.chain_latencies(chain, 3) == expected[:3]
-        fragments = analysis._runs.fragments
-        assert fragments is not None
+        window = analysis._runs.window
+        assert window is not None
+        fragments = window.fragments
         last = tuple(chains[0])
         assert all(
             fragment.journeys is not None and fragment.journeys[0] == last
@@ -1599,9 +1625,9 @@ class TestWarmHandleWork:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert failures == []
-        fragments = StoreAnalysis(pool.directory)._runs.fragments
-        assert fragments is not None and any(
-            fragment.journeys is not None for fragment in fragments
+        window = StoreAnalysis(pool.directory)._runs.window
+        assert window is not None and any(
+            fragment.journeys is not None for fragment in window.fragments
         )
 
 

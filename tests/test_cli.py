@@ -7,6 +7,8 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.scenarios import scenario_names
+from repro.store import TraceStore
+from segment_fixtures import write_as
 
 GOLDEN_DIR = Path(__file__).parent / "data"
 
@@ -344,17 +346,24 @@ class TestSynthesizeCommand:
 
 class TestStoreInfoCommand:
     @pytest.fixture()
-    def cut_store(self, tmp_path):
-        """Three recorded runs, ``run001`` cut to two thirds of its
-        bytes: its header and section directory are whole."""
+    def cut_store(self, request, tmp_path):
+        """Three recorded runs in segment format ``request.param`` (3
+        unless parametrized), ``run001`` cut to two thirds of its bytes:
+        its header, and a v3 run's section directory, are whole."""
         directory = str(tmp_path / "store")
         assert main(["record", "syn", "--runs", "3", "--duration", "1",
                      "--out", directory]) == 0
+        version = getattr(request, "param", 3)
+        if version != 3:
+            store = TraceStore(directory)
+            for run_id in store.run_ids():
+                write_as(store.load(run_id), store.path_of(run_id), version)
         cut = Path(directory) / "run001.trace.bin"
         data = cut.read_bytes()
         cut.write_bytes(data[: len(data) * 2 // 3])
         return directory
 
+    @pytest.mark.parametrize("cut_store", [1, 2, 3], indirect=True)
     @pytest.mark.parametrize("as_json", [False, True])
     def test_cut_run_exits_two_naming_it(self, capsys, cut_store, as_json):
         capsys.readouterr()

@@ -26,7 +26,9 @@ import zlib
 import pytest
 
 from repro.analysis import StoreAnalysis
+from repro.analysis import fragments as fragments_module
 from repro.analysis import latency as latency_module
+from repro.analysis.fragments import FragmentWindow
 from repro.analysis.latency import LatencyIndex
 from repro.analysis.store import latency_fragment, latency_index_from_store
 from repro.core import dag_to_json, format_exec_table, to_dot
@@ -67,7 +69,6 @@ from repro.service import (
 )
 from repro.service import live as live_module
 from repro.service import server as server_module
-from repro.service import state as state_module
 from repro.service.state import MODEL_FORMATS, ServiceState, latency_summary
 from repro.service.protocol import (
     ProtocolError,
@@ -679,7 +680,7 @@ class TestRunBoundaryCarries:
         for run_id in store.run_ids():
             _deliver(store.directory, target, run_id)
         live.refresh()
-        fragments = live.latency_view(["/t1"]).index()
+        fragments = [run.latency for run in live.window().fragments]
         assert len(fragments) == len(traces)
         for index in (
             latency_index_from_store(store),
@@ -830,19 +831,28 @@ class TestWalkFragmentFallback:
         assert counters.pids_rewalked == (4 if window else 4 + 6)
 
 
+def _holds_journeys_of(fragments, topics):
+    """Which of the run ``fragments`` hold the journeys of ``topics`` in
+    their journey slot."""
+    return [
+        run.journeys is not None and run.journeys[0] == tuple(topics)
+        for run in fragments
+    ]
+
+
 def _assert_fragments_of(live, run_ids, topics):
     """``live`` holds one latency fragment per retained run ``run_ids``
     -- each the fragment a fresh build over the run's segment gives --
-    and journeys of ``topics`` for exactly those fragments."""
+    and journeys of ``topics`` for each of those fragments."""
     assert live.run_ids == run_ids
-    view = live.latency_view(topics)
-    fragments = view.index()
+    window = live.window()
+    fragments = [run.latency for run in window.fragments]
     assert len(fragments) == len(run_ids)
     for run_id, fragment in zip(run_ids, fragments):
         built = latency_fragment(live.store.open(run_id))
         for slot in LatencyIndex.__slots__:
             assert getattr(fragment, slot) == getattr(built, slot), slot
-    assert set(view.journeys) == set(fragments)
+    assert all(_holds_journeys_of(window.fragments, topics))
 
 
 class TestLatencyFragmentCache:
@@ -911,7 +921,8 @@ class TestLatencyFragmentCache:
             assert reply["count"] == len(expected) > 0
             assert reply["min_ns"] == min(item.latency_ns for item in expected)
             assert counters.segments_decoded == decoded + 2
-        assert isinstance(service.live.latency_view(["/t1"]).index(), LatencyIndex)
+        assert isinstance(service.live.window().index, LatencyIndex)
+        assert counters.segments_decoded == decoded + 2
 
     def test_journeys_follow_only_new_runs(self, sources, tmp_path, monkeypatch):
         """The journey cache holds the last-queried chain only: an
@@ -943,16 +954,16 @@ class TestLatencyFragmentCache:
 
         arrive("run000")
         arrive("run001")
-        fragments = live.latency_view(["/t1"]).index()
+        fragments = [run.latency for run in live.window().fragments]
         assert query("/t1") == fragments
         assert query("/t1") == []
         assert query("/f1") == fragments
         assert query("/t1") == fragments
         arrive("run002")
-        view = live.latency_view(["/t1"])
-        newest = view.index()
+        window = live.window()
+        newest = [run.latency for run in window.fragments]
         assert newest[0] is fragments[1]
-        assert set(view.journeys) == {fragments[1]}
+        assert _holds_journeys_of(window.fragments, ["/t1"]) == [True, False]
         assert query("/t1") == [newest[1]]
         _assert_fragments_of(live, ["run001", "run002"], ["/t1"])
 
@@ -969,7 +980,9 @@ class TestLatencyFragmentCache:
             checked.append(len(fragments))
             return check(fragments)
 
-        monkeypatch.setattr(live_module, "fragments_are_separable", counting_check)
+        monkeypatch.setattr(
+            fragments_module, "fragments_are_separable", counting_check
+        )
         monkeypatch.setattr(latency_module, "fragments_are_separable", counting_check)
         source = TraceStore(sources["syn"])
         service = SynthesisService(str(tmp_path / "served"), retain_window=2)
@@ -1054,12 +1067,12 @@ class TestLatencyFragmentCache:
             return wrapped
 
         monkeypatch.setattr(
-            state_module, "chain_latencies",
-            take_the_lock(state_module.chain_latencies),
+            FragmentWindow, "chain_latencies",
+            take_the_lock(FragmentWindow.chain_latencies),
         )
         monkeypatch.setattr(
-            live_module, "_merged_latency_index",
-            take_the_lock(live_module._merged_latency_index),
+            fragments_module, "_merged_latency_index",
+            take_the_lock(fragments_module._merged_latency_index),
         )
         reply, _ = service.handle_request(
             {"cmd": "latency", "topics": ["/t1"]}, b""
@@ -1068,11 +1081,12 @@ class TestLatencyFragmentCache:
         assert len(taken) == (2 if overlapping else 1)
 
     def test_arrival_during_a_query_keeps_only_retained_journeys(
-        self, sources, tmp_path
+        self, sources, tmp_path, monkeypatch
     ):
-        """A run that arrives while a query follows its view evicts the
-        oldest run: the view's journeys are kept for the runs still
-        retained only."""
+        """A run that arrives while a query follows its window evicts
+        the oldest run: of the journeys the query followed, only the
+        still-retained runs' stay, and the next query follows the new
+        run alone."""
         source = TraceStore(sources["syn"])
         service = SynthesisService(str(tmp_path / "served"), retain_window=2)
         live = service.live
@@ -1083,15 +1097,28 @@ class TestLatencyFragmentCache:
 
         arrive("run000")
         arrive("run001")
-        view = live.latency_view(["/t1"])
+        window = live.window()
         arrive("run002")
-        summary = latency_summary(["/t1"], view.index(), view.journeys)
+        summary = latency_summary(["/t1"], window)
         assert summary["count"] > 0
-        assert set(view.journeys) == set(view.fragments)
-        live.keep_latency(view)
-        kept = live.latency_view(["/t1"])
-        assert kept.fragments[0] is view.fragments[1]
-        assert set(kept.journeys) == {view.fragments[1]}
+        assert all(_holds_journeys_of(window.fragments, ["/t1"]))
+        kept = live.window()
+        assert kept.fragments[0] is window.fragments[1]
+        assert window.fragments[0] not in kept.fragments
+        assert _holds_journeys_of(kept.fragments, ["/t1"]) == [True, False]
+        followed = []
+        follow = latency_module._chain_latencies
+
+        def counting_follow(index, topics, max_instances):
+            followed.append(index)
+            return follow(index, topics, max_instances)
+
+        monkeypatch.setattr(latency_module, "_chain_latencies", counting_follow)
+        reply, _ = service.handle_request(
+            {"cmd": "latency", "topics": ["/t1"]}, b""
+        )
+        assert reply["count"] > 0
+        assert followed == [kept.fragments[1].latency]
 
     @pytest.mark.stress
     def test_concurrent_queries_keep_the_cache_consistent(
@@ -1146,6 +1173,62 @@ class TestLatencyFragmentCache:
         assert service.counters.latency_fragments_built == len(run_ids)
         service.live.model()
         assert service.counters.rebuilds == 0
+
+    @pytest.mark.stress
+    def test_racing_merged_builds_count_every_decode(
+        self, sources, tmp_path, monkeypatch
+    ):
+        """Query threads racing the ingest of runs on one clock: each
+        window's merged index is built outside the service lock, by
+        whichever queries find it missing, and every segment a build
+        opens is counted in ``segments_decoded``."""
+        trace = TraceStore(sources["syn"]).load("run000")
+        source = TraceStore.create(str(tmp_path / "source"))
+        run_ids = [f"run{number:03d}" for number in range(6)]
+        for run_id in run_ids:
+            source.add_trace(run_id, trace)
+        opened = []
+        merge = fragments_module._merged_latency_index
+
+        def counting_merge(readers, *args):
+            opened.append(len(readers))
+            return merge(readers, *args)
+
+        monkeypatch.setattr(
+            fragments_module, "_merged_latency_index", counting_merge
+        )
+        service = SynthesisService(str(tmp_path / "served"), retain_window=3)
+        errors = []
+        done = threading.Event()
+
+        def query():
+            try:
+                while not done.is_set():
+                    service.handle_request(
+                        {"cmd": "latency", "topics": ["/t1"]}, b""
+                    )
+            except Exception as error:  # surfaced by the assert below
+                errors.append(error)
+
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        threads = [threading.Thread(target=query) for _ in range(4)]
+        try:
+            for thread in threads:
+                thread.start()
+            for run_id in run_ids:
+                with open(source.path_of(run_id), "rb") as handle:
+                    service.ingest_bytes(run_id, handle.read())
+                time.sleep(0.05)
+        finally:
+            done.set()
+            for thread in threads:
+                thread.join(timeout=30.0)
+            sys.setswitchinterval(switch_interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(opened) >= 2
+        assert service.counters.segments_decoded == len(run_ids) + sum(opened)
 
 
 #: Runs in the per-scenario streams that feed the served-model windows
