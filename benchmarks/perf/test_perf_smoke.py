@@ -100,15 +100,22 @@ def test_selective_reads_inflate_a_strict_subset(suite):
     assert sel["walk_fraction"] < 0.9
 
 
+#: Lower bound on the rebuild pass's Python calls over the incremental
+#: pass's in ``service.ingest``.  A work count, not a timing: 2.16 at
+#: smoke scale and 3.11 at default, while an incremental side that
+#: re-resolves every retained run at each arrival reads 1.75 at smoke.
+CALLS_VS_REBUILD_BOUND = 2.0
+
+
 def test_service_ingest_beats_per_commit_rebuild(suite):
     """In-order arrivals must each be walked once into their own
     fragment, with no whole synthesis, and the incremental maintenance
-    must beat rebuilding from scratch at every commit (only the rebuild
-    re-consumes every prior segment's columns)."""
+    must do less work than rebuilding from scratch at every commit (only
+    the rebuild re-consumes every prior segment's columns)."""
     ingest = suite["service"]["ingest"]
     assert ingest["walk_fragments_built"] == ingest["runs"]
     assert ingest["rebuilds"] == 0
-    assert ingest["speedup_vs_rebuild"] > 1.0
+    assert ingest["calls_vs_rebuild"] > CALLS_VS_REBUILD_BOUND, ingest
 
 
 def test_no_regression_vs_committed_baseline(suite):

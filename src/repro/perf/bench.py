@@ -527,8 +527,11 @@ def bench_service_ingest(scale: BenchScale) -> Dict[str, Any]:
     over every committed run -- what a query-after-every-arrival
     service would cost without the per-run fragments.  The counters
     pin the incremental side's work: one walk fragment per arrival
-    (``walk_fragments_built``) and no whole synthesis (``rebuilds``).
-    Encoding and simulation stay outside the timed regions.
+    (``walk_fragments_built``), no whole synthesis (``rebuilds``), and
+    ``calls_vs_rebuild``, the rebuild pass's Python calls over the
+    incremental pass's (:func:`_count_calls`; deterministic, unlike the
+    wall-clock ``speedup_vs_rebuild``).  Encoding and simulation stay
+    outside the timed regions.
     """
     import tempfile
 
@@ -568,6 +571,7 @@ def bench_service_ingest(scale: BenchScale) -> Dict[str, Any]:
     rebuild_s = _best_of(rebuild_every_commit, scale.reps)
     counters = ServiceCounters()
     incremental(counters)  # one instrumented pass for the counters
+    calls_vs_rebuild = _count_calls(rebuild_every_commit) / _count_calls(incremental)
 
     return {
         "runs": runs,
@@ -576,6 +580,7 @@ def bench_service_ingest(scale: BenchScale) -> Dict[str, Any]:
         "incremental_s": round(incremental_s, 6),
         "rebuild_s": round(rebuild_s, 6),
         "speedup_vs_rebuild": round(rebuild_s / incremental_s, 3),
+        "calls_vs_rebuild": round(calls_vs_rebuild, 3),
         "per_segment_ms": round(incremental_s / runs * 1000, 3),
         "walk_fragments_built": counters.walk_fragments_built,
         "rebuilds": counters.rebuilds,

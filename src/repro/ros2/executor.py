@@ -46,7 +46,7 @@ minus its frame and name lookup.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from ..sim.threads import Block, Compute
 from ..sim.workload import WorkloadModel
@@ -179,11 +179,12 @@ class SingleThreadedExecutor:
             timer._start()
 
         while True:
-            # Inlined _pick_ready (rclcpp wait-set order: timers, subs,
-            # services, clients).  Runs once per dispatch *and* once per
-            # empty poll before blocking; the method + result tuple were
-            # measurable.  for/else falls through to the next entity
-            # class only when the previous one had nothing ready.
+            # The ready-set scan, in rclcpp wait-set order: timers,
+            # subs, services, clients.  Runs once per dispatch *and*
+            # once per empty poll before blocking, so it stays inline
+            # (a method + result tuple were measurable).  for/else falls
+            # through to the next entity class only when the previous
+            # one had nothing ready.
             for entity in timers:
                 if entity.ready:
                     kind = 0
@@ -389,21 +390,3 @@ class SingleThreadedExecutor:
                     ctx = provider()
                     for probe in exits:
                         probe(ctx, args, None)
-
-    def _pick_ready(self) -> Optional[tuple]:
-        """Reference copy of the ready-set scan inlined in activity()
-        (kept callable for tests and introspection)."""
-        node = self.node
-        for timer in node.timers:
-            if timer.ready:
-                return ("timer", timer)
-        for sub in node.subscriptions:
-            if sub.reader.queue:
-                return ("subscription", sub)
-        for service in node.services:
-            if service.reader.queue:
-                return ("service", service)
-        for client in node.clients:
-            if client.reader.queue:
-                return ("client", client)
-        return None

@@ -260,8 +260,9 @@ class Scheduler:
                 self._resched_pending = True
                 self._post_after(0, self._resched)
         elif state is not ThreadState.DEAD:
-            # Inlined queue_wakeup (hot: wakeups racing a runnable
-            # thread coalesce here).
+            # Queue the wakeup on the thread, consumed on its next
+            # Block (hot: wakeups racing a runnable thread coalesce
+            # here).
             thread._pending_wakeup = True
             thread._wakeup_payload = payload
 

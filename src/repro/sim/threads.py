@@ -194,11 +194,6 @@ class SimThread:
         except StopIteration:
             return None
 
-    def queue_wakeup(self, payload: Any = None) -> None:
-        """Record a wakeup; consumed by the scheduler on next Block."""
-        self._pending_wakeup = True
-        self._wakeup_payload = payload
-
     def consume_wakeup(self) -> Any:
         """Pop the queued wakeup payload (scheduler internal)."""
         payload = self._wakeup_payload

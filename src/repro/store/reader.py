@@ -73,7 +73,7 @@ from ..core.index import (
 )
 from ..core.exec_time import column, sched_columns, ts_ordered
 from ..sim.scheduler import SchedSwitch, SchedWakeup
-from ..tracing.events import TraceEvent
+from ..tracing.events import TraceEvent, payload_dicts
 from ..tracing.session import Trace
 from .format import (
     FIELD_BOOL,
@@ -120,31 +120,6 @@ _ITEMSIZE = {"q": 8, "i": 4, "I": 4, "d": 8, "b": 1}
 _SCAN_PAYLOAD = JSONDecoder().scan_once
 
 _TS_KEY = lambda event: event[0]  # noqa: E731 - ts field of every record
-
-#: keys tuple -> compiled row-building listcomp (see ``_row_builder``).
-_ROW_BUILDERS: Dict[Tuple[str, ...], Any] = {}
-
-
-def _row_builder(keys: Tuple[str, ...]):
-    """A compiled ``[{key: v0, ...} for (v0, ...) in _rows]`` for one
-    shape's key tuple (namedtuple-style codegen, cached per key set).
-
-    A dict display builds ~3x faster than ``dict(zip(keys, values))``,
-    and shape-row materialization is the hottest allocation in a store
-    read; keys are embedded as ``repr`` string literals, so arbitrary
-    payload key text stays data, never code.
-    """
-    code = _ROW_BUILDERS.get(keys)
-    if code is None:
-        names = [f"v{i}" for i in range(len(keys))]
-        item = "{" + ", ".join(
-            f"{key!r}: {name}" for key, name in zip(keys, names)
-        ) + "}"
-        target = "(" + ", ".join(names) + ("," if len(names) == 1 else "") + ")"
-        code = _ROW_BUILDERS[keys] = compile(
-            f"[{item} for {target} in _rows]", "<shape rows>", "eval"
-        )
-    return code
 
 
 class _Shape:
@@ -196,9 +171,7 @@ class _Shape:
         if rows is None:
             if self.keys:
                 columns = map(self._column, range(len(self.keys)))
-                rows = eval(  # compiled dict-display listcomp, data-only
-                    _row_builder(self.keys), {"_rows": zip(*columns)}
-                )
+                rows = payload_dicts(self.keys, zip(*columns))
             else:  # degenerate: a shape with no fields (hand-built file)
                 rows = [{} for _ in range(self.count)]
             self._rows = rows

@@ -6,8 +6,8 @@ binary segment.  Each run streams through a
 :class:`~repro.store.writer.SegmentSpool` -- the tracing session is
 rotated every ``segment_every_ns`` (default one simulated second) and
 each drained rotation is packed immediately, so the recorder's
-footprint is one rotation window of event objects plus the growing
-columns, never the whole trace.
+footprint is one rotation window of perf-buffer rows plus the growing
+columns, never the whole trace (and no event object per row).
 
 Determinism mirrors :mod:`repro.experiments.batch` (whose
 :func:`~repro.experiments.batch._fan_out` pool runs the workers): a

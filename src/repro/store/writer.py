@@ -6,23 +6,28 @@ Two producers share the same encoder core (:class:`SegmentSpool`):
   :class:`~repro.tracing.session.Trace` in one shot;
 * a :class:`SegmentSpool` fed incrementally -- one
   :class:`~repro.tracing.session.TraceSegment` per buffer rotation --
-  is the *spooling tracepoint sink*: events leave Python-object form at
-  every rotation (their lists are dropped after packing), so a long
-  simulation never holds more than one rotation window of event objects
-  plus the compact columns.  :mod:`repro.store.record` drives this
-  against live scenario runs.
+  is the *spooling tracepoint sink*: a rotation's perf-buffer rows are
+  packed and dropped at every rotation, so a long simulation never
+  holds more than one rotation window of rows plus the compact columns,
+  and no event object is built at all.  :mod:`repro.store.record`
+  drives this against live scenario runs.
 
-Both go through one bulk encoder, a rotation (or a whole trace) at a
-time.  The ROS rows are transposed into columns and grouped by payload
-key set.  Each group's value types are checked a column at a time
-against a *plan*: the shape accumulator, built once per spool for each
-payload signature ``(keys, value types)``.  Then every field packs with
-one ``array`` conversion.  Strings the table does not know yet (after
-the first rotation, usually none) are interned in one pass, in the
-order a row-at-a-time writer would meet them, so the bytes do not
-depend on how the stream was cut into calls.  Every new column is
-packed and checked before any spool column grows, so an append that
-raises leaves the spool as it was.
+Both go through one bulk ROS packer (:meth:`SegmentSpool._pack_ros`), a
+rotation (or a whole trace) at a time, fed payload groups: a rotation's
+rows arrive grouped by payload schema and transposed by the drain that
+sized them (:func:`~repro.tracing.events.group_rows`), and
+:class:`~repro.tracing.events.TraceEvent` streams
+are grouped by payload key set.  Each group's value types are checked a
+column at a time against a *plan*: the shape accumulator, built once
+per spool for each payload signature ``(keys, value types)``.  The
+parts of one shape merge in row order, every field packs with one
+``array`` conversion, and the shape and value-index columns are
+scattered with numpy.  Strings the table does not know yet (after the
+first rotation, usually none) are interned in one pass, in the order a
+row-at-a-time writer would meet them, so the bytes do not depend on how
+the stream was cut into calls or on which producer fed it.  Every new
+column is packed and checked before any spool column grows, so an
+append that raises leaves the spool as it was.
 
 The writer emits format v3 only (see :mod:`repro.store.format`).  v1
 and v2 segments from older stores are transcoded to v3 when a reader
@@ -47,12 +52,20 @@ import json
 import os
 from array import array
 from itertools import chain, compress, count, filterfalse, repeat
-from operator import is_, itemgetter, not_
+from operator import attrgetter, is_, itemgetter, not_
 from typing import IO, Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..core.exec_time import ts_ordered
 from ..sim.scheduler import SchedSwitch, SchedWakeup
-from ..tracing.events import TraceEvent
+from ..tracing.events import (
+    RowGroup,
+    TraceEvent,
+    events_from_rows,
+    group_rows,
+    split_codes,
+)
 from ..tracing.session import Trace, TraceSegment
 from .format import (
     FIELD_BOOL,
@@ -96,18 +109,20 @@ def _encode_payload(data: Mapping[str, Any]) -> str:
     return json.dumps(dict(data), separators=(",", ":"), ensure_ascii=False)
 
 
-def _json_texts(probes: Sequence[str], datas: Sequence[Mapping], rows: List[int]) -> List[str]:
-    """Canonical JSON of the fallback payloads ``datas[rows]``.
+def _json_texts(
+    probes: Sequence[str], rows: List[int], payloads: List[Mapping]
+) -> List[str]:
+    """Canonical JSON of the fallback ``payloads`` (those of ``rows``).
 
     A value JSON cannot encode either (``np.int64``, an arbitrary
     object) raises ``ValueError`` naming the row's probe, the key and the
     value type.
     """
     try:
-        return list(map(_encode_payload, map(datas.__getitem__, rows)))
+        return list(map(_encode_payload, payloads))
     except (TypeError, ValueError) as exc:
-        for row in rows:
-            for key, value in datas[row].items():
+        for row, payload in zip(rows, payloads):
+            for key, value in payload.items():
                 try:
                     _encode_payload({key: value})
                 except (TypeError, ValueError):
@@ -119,17 +134,29 @@ def _json_texts(probes: Sequence[str], datas: Sequence[Mapping], rows: List[int]
         raise
 
 
-def _group_rows(datas: Sequence[Mapping]) -> Dict[tuple, List[int]]:
-    """Rows of the non-empty payloads per key tuple; key tuples and
-    rows in first-seen order."""
-    groups: Dict[tuple, List[int]] = {}
-    for row in compress(range(len(datas)), datas):
-        keys = tuple(datas[row])
-        rows = groups.get(keys)
-        if rows is None:
-            rows = groups[keys] = []
-        rows.append(row)
-    return groups
+def _key_groups(keys: Sequence[Any]) -> List[Tuple[Any, List[int]]]:
+    """``(key, row numbers)`` per distinct value of ``keys``, keys in
+    first-seen order, with C-level and numpy work only (each row's code
+    is its key's first-seen rank)."""
+    first = dict.fromkeys(keys)
+    first.update(zip(first, count()))
+    codes = np.fromiter(map(first.__getitem__, keys), np.intp, len(keys))
+    return list(zip(first, map(itemgetter(1), split_codes(codes, len(first)))))
+
+
+def _merged(parts: List[Tuple[List[int], List[tuple]]]) -> Tuple[List[int], List[tuple]]:
+    """One ``(rows, values)`` of several parts that share a plan (rows
+    of two probes with one payload schema, or value types that map to
+    one shape), in ascending row order."""
+    if len(parts) == 1:
+        return parts[0]
+    rows = list(chain.from_iterable(map(itemgetter(0), parts)))
+    pick = itemgetter(*np.argsort(rows).tolist())
+    values = [
+        pick(tuple(chain.from_iterable(column)))
+        for column in zip(*map(itemgetter(1), parts))
+    ]
+    return list(pick(rows)), values
 
 
 def _field_type(value_type: type) -> Optional[int]:
@@ -247,14 +274,16 @@ class _ShapeAcc:
 class SegmentSpool:
     """Columnar accumulator for one run's trace.
 
-    Append events a rotation at a time (:meth:`add_segment`,
-    :meth:`add_trace`, or one stream through :meth:`add_ros`,
+    Append a rotation at a time (:meth:`add_segment`, :meth:`add_trace`,
+    or one stream through :meth:`add_rows` or :meth:`add_ros`,
     :meth:`add_sched`, :meth:`add_wakeups`), then :meth:`finish` to emit
-    the packed bytes.  Between appends the spool holds only
-    native-typed arrays and the string table -- no event objects --
-    which is what bounds memory for streamed collection.  Each append
-    packs every new column before any column grows, so one that raises
-    leaves the spool as it was.
+    the packed bytes.  A drained rotation's ROS rows and their groups
+    go to the packer as the drain left them; events are grouped
+    by payload key set first.  Between appends the spool holds only
+    native-typed arrays and the string table -- no rows, no event
+    objects -- which is what bounds memory for streamed collection.
+    Each append packs every new column before any column grows, so one
+    that raises leaves the spool as it was.
     """
 
     def __init__(self) -> None:
@@ -294,14 +323,15 @@ class SegmentSpool:
         self._plans[signature] = plan
         return plan
 
-    def _planned_groups(self, keys: tuple, rows: List[int], values: List[tuple]):
+    def _planned_groups(
+        self, keys: tuple, rows: List[int], values: List[tuple], column_types: List[set]
+    ):
         """Split the rows of one key set by plan: ``(plan, rows, values)``
-        per plan, rows ascending.  Value types are checked a column at a
-        time; only a key set whose types vary across rows is split row
-        by row."""
-        column_types = list(map(set, map(map, repeat(type), values)))
+        per plan, rows ascending.  Value types are known a column at a
+        time (``column_types``); only a key set whose types vary across
+        rows is split row by row."""
         if sum(map(len, column_types)) == len(column_types):  # one type each
-            types = tuple(map(set.pop, column_types))
+            types = tuple(map(next, map(iter, column_types)))
             return [(self._plan((keys, types)), rows, values)]
         row_types = list(zip(*[list(map(type, column)) for column in values]))
         plans = {
@@ -319,38 +349,89 @@ class SegmentSpool:
         return groups
 
     def add_ros(self, events: Iterable[TraceEvent]) -> None:
-        """Spool ROS events in bulk.
-
-        Rows group by payload key set, each group's values transpose
-        into one tuple per field, and each field packs into one array.
-        Strings intern in the order a row-at-a-time writer meets them
-        -- the probe, then the row's string values in field order (or
-        its JSON) -- so segments do not depend on how the stream was cut
-        into calls.
-        """
+        """Spool ROS events in bulk: rows group by payload key set, and
+        each group's values transpose into one tuple per field for
+        :meth:`_pack_ros`."""
         columns = tuple(zip(*events))
         if not columns:
             return
         ts, pids, probes, datas = columns
-        n = len(ts)
-        ts_column = array("q", ts)
-        pid_column = array("i", pids)
+        groups = []
+        for keys, rows in _key_groups(list(map(tuple, datas))):
+            if keys:
+                payloads = list(map(datas.__getitem__, rows))
+                values = [tuple(map(itemgetter(key), payloads)) for key in keys]
+                groups.append(
+                    (keys, rows, values, list(map(set, map(map, repeat(type), values))))
+                )
+        self._pack_ros(
+            array("q", ts), array("i", pids), probes, groups,
+            lambda rows: list(map(datas.__getitem__, rows)),
+        )
 
+    def add_rows(
+        self, rows: Sequence[tuple], groups: Optional[List[RowGroup]] = None
+    ) -> None:
+        """Spool perf-buffer rows ``(ts, pid, probe, *values)`` in bulk.
+
+        ``groups`` is the rows' :func:`~repro.tracing.events.group_rows`
+        (built here when not given): grouped by payload schema and
+        transposed already, so the rows reach :meth:`_pack_ros` with no
+        regrouping.
+        """
+        if not rows:
+            return
+        if groups is None:
+            groups = group_rows(rows)
+        self._pack_ros(
+            array("q", list(map(itemgetter(0), rows))),
+            array("i", list(map(itemgetter(1), rows))),
+            list(map(itemgetter(2), rows)),
+            [group for group in groups if group.keys],
+            lambda numbers: list(map(
+                attrgetter("data"), events_from_rows(list(map(rows.__getitem__, numbers)))
+            )),
+        )
+
+    def _pack_ros(
+        self,
+        ts_column: array,
+        pid_column: array,
+        probes: Sequence[str],
+        groups: List[Tuple[tuple, List[int], List[tuple], List[set]]],
+        payloads,
+    ) -> None:
+        """The one ROS packer behind :meth:`add_ros` and :meth:`add_rows`.
+
+        ``groups`` holds ``(keys, rows, values, types)`` per non-empty
+        payload key set (``values``: one tuple per key, ``types``: the
+        set of value types of each); rows in no group have the empty
+        payload.  ``payloads(rows)`` returns the payload mappings of
+        ``rows``, for the JSON fallback.  Each group splits by value
+        types into plans; the parts of one shape merge in row order and
+        pack a field at a time, and the shape and value-index columns
+        are scattered with numpy.  Strings intern in the order a
+        row-at-a-time writer meets them -- the probe, then the row's
+        string values in field order (or its JSON) -- so segments do not
+        depend on how the stream was cut into calls.
+        """
+        n = len(ts_column)
+
+        parts: Dict[Any, List[Tuple[List[int], List[tuple]]]] = {}
+        for keys, rows, values, types in groups:
+            for plan, plan_rows, plan_values in self._planned_groups(
+                keys, rows, values, types
+            ):
+                parts.setdefault(plan, []).append((plan_rows, plan_values))
+        json_rows = list(chain.from_iterable(map(itemgetter(0), parts.pop(_JSON, ()))))
         typed = []  # (shape accumulator, rows, staged field columns)
-        json_rows: List[int] = []
-        for keys, rows in _group_rows(datas).items():
-            payloads = list(map(datas.__getitem__, rows))
-            values = [tuple(map(itemgetter(key), payloads)) for key in keys]
-            for plan, plan_rows, plan_values in self._planned_groups(keys, rows, values):
-                if plan is _JSON:
-                    json_rows += plan_rows
-                    continue
-                plan_rows, staged, dropped = plan.stage(plan_rows, plan_values)
-                json_rows += dropped
-                if plan_rows:
-                    typed.append((plan, plan_rows, staged))
+        for acc, acc_parts in parts.items():
+            rows, staged, dropped = acc.stage(*_merged(acc_parts))
+            json_rows += dropped
+            if rows:
+                typed.append((acc, rows, staged))
         json_rows.sort()
-        texts = _json_texts(probes, datas, json_rows)
+        texts = _json_texts(probes, json_rows, payloads(json_rows)) if json_rows else []
 
         # Everything is packed and valid; from here on the spool grows.
         table = self.strings
@@ -358,40 +439,59 @@ class SegmentSpool:
             staged[field] for acc, _, staged in typed for field in acc.str_fields
         ]
         if not table.knows(probes, texts, *payload_strings):
-            row_strings = list(zip(probes))
+            # Each row's strings sit at ``row * width + k``: the probe
+            # at k = 0, then the string fields (or the JSON text).
+            width = 2 + max([len(acc.str_fields) for acc, _, _ in typed], default=0)
+            positions = [np.arange(0, n * width, width)]
+            strings = [probes]
             for acc, rows, staged in typed:
-                if acc.str_fields:
-                    strings = zip(*[staged[field] for field in acc.str_fields])
-                    for row, row_values in zip(rows, strings):
-                        row_strings[row] += row_values
-            for row, text in zip(json_rows, texts):
-                row_strings[row] += (text,)
-            table.intern_all(chain.from_iterable(row_strings))
+                first = np.asarray(rows) * width
+                for offset, field in enumerate(acc.str_fields, 1):
+                    positions.append(first + offset)
+                    strings.append(staged[field])
+            if json_rows:
+                positions.append(np.asarray(json_rows) * width + 1)
+                strings.append(texts)
+            flat = list(chain.from_iterable(strings))
+            order = np.argsort(np.concatenate(positions)).tolist()
+            table.intern_all(map(flat.__getitem__, order))
 
         typed.sort(key=itemgetter(1))  # by first row: shape ids in row order
-        shapes = [NONE_ID] * n  # an empty payload is shape NONE_ID, vidx 0
-        vidx = [0] * n
-        for acc, rows, staged in typed:
-            if acc.index < 0:
-                acc.index = len(self._shapes)
-                self._shapes[acc.fields] = acc
-            shape = acc.index
-            for row, index in zip(rows, range(acc.count, acc.count + len(rows))):
-                shapes[row] = shape
-                vidx[row] = index
-            acc.count += len(rows)
-            for (_, ftype), column, values in zip(acc.fields, acc.columns, staged):
-                if column is not None:
-                    column.extend(table.ids(values) if ftype == FIELD_STR else values)
-        for row, text_id in zip(json_rows, table.ids(texts)):
-            shapes[row] = SHAPE_JSON
-            vidx[row] = text_id
-        for column, values in zip(
-            self._ros,
-            (ts_column, pid_column, table.ids(probes),
-             array("I", shapes), array("I", vidx)),
-        ):
-            column.extend(values)
+        # An empty payload is shape NONE_ID, vidx 0.
+        shapes = np.full(n, NONE_ID, np.uint32)
+        vidx = np.zeros(n, np.uint32)
+        if typed:
+            ids, firsts, counts = [], [], []
+            for acc, rows, staged in typed:
+                if acc.index < 0:
+                    acc.index = len(self._shapes)
+                    self._shapes[acc.fields] = acc
+                ids.append(acc.index)
+                firsts.append(acc.count)
+                counts.append(len(rows))
+                acc.count += len(rows)
+                for (_, ftype), column, values in zip(acc.fields, acc.columns, staged):
+                    if column is not None:
+                        column.extend(table.ids(values) if ftype == FIELD_STR else values)
+            # Each shape's rows take its next value indices, in row order.
+            typed_rows = np.fromiter(
+                chain.from_iterable(map(itemgetter(1), typed)), np.intp, sum(counts)
+            )
+            starts = np.cumsum(counts) - counts
+            shapes[typed_rows] = np.repeat(ids, counts)
+            vidx[typed_rows] = np.arange(len(typed_rows)) + np.repeat(
+                np.subtract(firsts, starts), counts
+            )
+        if json_rows:
+            json_index = np.array(json_rows, np.intp)
+            shapes[json_index] = SHAPE_JSON
+            vidx[json_index] = table.ids(texts)
+        ts_out, pid_out, probe_out, shape_out, vidx_out = self._ros
+        ts_out.extend(ts_column)
+        pid_out.extend(pid_column)
+        probe_out.extend(table.ids(probes))
+        shape_out.frombytes(shapes.tobytes())
+        vidx_out.frombytes(vidx.tobytes())
 
     def _add_records(
         self, section: Tuple[array, ...], columns: tuple, string_fields: Tuple[int, ...]
@@ -427,8 +527,12 @@ class SegmentSpool:
             self._add_records(self._wakeup, (ts, cpus, pids, comms, prios), (3,))
 
     def add_segment(self, segment: TraceSegment) -> None:
-        """Spool one buffer rotation (the streaming entry point)."""
-        self.add_ros(segment.ros_events)
+        """Spool one buffer rotation (the streaming entry point): its
+        perf-buffer rows, or the events of a hand-assembled segment."""
+        if segment.ros_rows is None:
+            self.add_ros(segment.ros_events)
+        else:
+            self.add_rows(segment.ros_rows, segment.ros_groups)
         self.add_sched(segment.sched_events)
         self.add_wakeups(segment.wakeup_events)
 
@@ -598,7 +702,7 @@ def spool_session_segment(spool: SegmentSpool, session) -> TraceSegment:
     """Rotate ``session`` and spool the drained segment out-of-core.
 
     The rotated segment is packed into ``spool`` and *removed* from the
-    session's segment list, dropping the event objects -- the step that
+    session's segment list, dropping its rows and records -- the step that
     keeps a streamed recording's footprint bounded by one rotation
     window.  Returns the (already spooled) segment for inspection.
     """
@@ -608,7 +712,7 @@ def spool_session_segment(spool: SegmentSpool, session) -> TraceSegment:
     # spooled run never calls session.trace(), so release them.
     if session.segments and session.segments[-1] is segment:
         session.segments.pop()
-    segment.ros_events = []
+    segment.ros_rows, segment.ros_groups = [], None
     segment.sched_events = []
     segment.wakeup_events = []
     return segment

@@ -11,7 +11,8 @@ framework depends on:
 * **BPF maps** -- bounded key/value stores shared between programs (used
   for the PID filter set and the srcTS pointer stash),
 * **perf buffers** -- bounded event channels from "kernel space" to the
-  userspace tracer, with lost-event accounting,
+  userspace tracer, carrying flat rows, with lost-event accounting and
+  the submitted/byte counters derived from the drained rows,
 * **program statistics** -- per-program ``run_cnt`` and ``run_time_ns``,
   what ``bpftool prog show`` reports; the paper's overhead numbers
   (0.008 CPU cores) come from exactly these counters.
@@ -24,8 +25,13 @@ function.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from functools import partial
+from itertools import compress, repeat
+from operator import is_
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from .events import RowGroup, group_rows
+from .overhead import EVENT_HEADER_BYTES
 from .symbols import ProbeContext, SymbolTable
 
 #: Modeled per-firing probe cost.  Real uprobe round trips cost on the
@@ -34,6 +40,9 @@ from .symbols import ProbeContext, SymbolTable
 #: is not simulated, matching the paper's finding that it is negligible).
 DEFAULT_UPROBE_COST_NS = 1_200
 DEFAULT_TRACEPOINT_COST_NS = 400
+
+#: Encoded size of a row of a perf buffer opened without its own size.
+DEFAULT_RECORD_BYTES = 64
 
 
 class BpfError(RuntimeError):
@@ -88,48 +97,101 @@ class BpfMap:
         return list(self._data.items())
 
 
+def rows_bytes(groups: Sequence[RowGroup]) -> int:
+    """Encoded size of grouped ROS rows: the sum of each row's
+    :func:`~repro.tracing.overhead.event_size_bytes`, a payload column
+    at a time."""
+    total = 0
+    for group in groups:
+        rows = len(group.numbers)
+        total += EVENT_HEADER_BYTES * rows
+        for values, types in zip(group.values, group.types):
+            if str not in types:
+                total += 8 * rows
+                continue
+            if len(types) > 1:
+                values = list(compress(values, map(is_, map(type, values), repeat(str))))
+            total += sum(map(len, values)) + len(values) + 8 * (rows - len(values))
+    return total
+
+
 class PerfBuffer:
     """Bounded event channel from probe handlers to the tracer.
 
-    Real perf buffers are per-CPU byte rings; we model a single ring with
-    an event-count capacity and byte accounting.  Overflow drops events
-    and counts them, like ``lost_cb`` in BCC.
+    Real perf buffers are per-CPU byte rings; we model a single ring
+    with an event-count capacity.  A handler appends one flat row per
+    event to :attr:`rows` (never rebound, so fused handlers bind it
+    once) -- ``(ts, pid, probe, *payload values)`` for a ROS probe, the
+    tracepoint record for a sched event -- if the capacity check
+    passes; overflow drops the event and counts it in :attr:`lost`,
+    like ``lost_cb`` in BCC.  That is the whole per-firing accounting:
+    ``submitted`` and ``bytes_submitted`` are derived from the drained
+    rows, plus the pending ones when read.  ``record_bytes`` sizes
+    fixed-size records (sched events); ``None`` sizes ROS rows by their
+    payload values (:func:`rows_bytes`) from the groups the drain builds
+    (:func:`~repro.tracing.events.group_rows`) and hands on with the
+    rows.
     """
 
-    def __init__(self, name: str, capacity: int = 1 << 16):
+    def __init__(
+        self,
+        name: str,
+        capacity: int = 1 << 16,
+        record_bytes: Optional[int] = DEFAULT_RECORD_BYTES,
+    ):
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.name = name
         self.capacity = capacity
-        self._events: List[Any] = []
+        self.record_bytes = record_bytes
+        self.rows: List[Any] = []
         self.lost = 0
-        self.submitted = 0
-        self.bytes_submitted = 0
+        self._drained = 0
+        self._drained_bytes = 0
 
-    def submit(self, event: Any, size: int = 64) -> bool:
-        """Push one event of ``size`` bytes; False if it was dropped.
-
-        NOTE: two hot probe paths inline this body to skip the call
-        frame -- ``repro.tracing.probes._submit`` and
-        ``repro.tracing.tracers.KernelTracer._on_switch``.  Any change
-        to the accounting/overflow semantics here must be mirrored
-        there.
-        """
-        self.submitted += 1
-        if len(self._events) >= self.capacity:
+    def submit(self, row: Any) -> bool:
+        """Push one row; False if it was dropped.  The out-of-line form
+        of the check the fused probe handlers inline."""
+        rows = self.rows
+        if len(rows) >= self.capacity:
             self.lost += 1
             return False
-        self._events.append(event)
-        self.bytes_submitted += size
+        rows.append(row)
         return True
 
+    def _bytes(self, rows: List[Any], groups: Optional[List[RowGroup]] = None) -> int:
+        if self.record_bytes is not None:
+            return self.record_bytes * len(rows)
+        return rows_bytes(group_rows(rows) if groups is None else groups)
+
+    def drain(self) -> Tuple[List[Any], Optional[List[RowGroup]]]:
+        """Drain all buffered rows: ``(rows, groups)``, ``groups`` being
+        the ROS rows' ``group_rows`` (``None`` for fixed-size records),
+        built here for the byte count and reusable by the rows'
+        consumer."""
+        rows = self.rows.copy()
+        self.rows.clear()
+        groups = None if self.record_bytes is not None else group_rows(rows)
+        self._drained += len(rows)
+        self._drained_bytes += self._bytes(rows, groups)
+        return rows, groups
+
     def poll(self) -> List[Any]:
-        """Drain all buffered events (the userspace ``perf_buffer_poll``)."""
-        events, self._events = self._events, []
-        return events
+        """Drain all buffered rows (the userspace ``perf_buffer_poll``)."""
+        return self.drain()[0]
+
+    @property
+    def submitted(self) -> int:
+        """Submit attempts: rows accepted (drained or pending) and lost."""
+        return self._drained + len(self.rows) + self.lost
+
+    @property
+    def bytes_submitted(self) -> int:
+        """Encoded bytes of the accepted rows."""
+        return self._drained_bytes + self._bytes(self.rows)
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self.rows)
 
 
 @dataclass
@@ -150,8 +212,18 @@ class BpfProgram:
         instead of two."""
         return self.run_cnt * self.cost_ns
 
-    def account(self) -> None:
-        self.run_cnt += 1
+
+def _counted(handler: Callable[..., None]):
+    """Factory of a trampoline counting ``handler``'s firings."""
+
+    def factory(program: BpfProgram):
+        def trampoline(*args: Any) -> None:
+            program.run_cnt += 1
+            handler(*args)
+
+        return trampoline
+
+    return factory
 
 
 class Bpf:
@@ -187,14 +259,25 @@ class Bpf:
             self.maps[name] = table
         return table
 
-    def open_perf_buffer(self, name: str, capacity: int = 1 << 16) -> PerfBuffer:
+    def open_perf_buffer(
+        self,
+        name: str,
+        capacity: int = 1 << 16,
+        record_bytes: Optional[int] = DEFAULT_RECORD_BYTES,
+    ) -> PerfBuffer:
         buffer = self.perf_buffers.get(name)
         if buffer is None:
-            buffer = PerfBuffer(name, capacity=capacity)
+            buffer = PerfBuffer(name, capacity=capacity, record_bytes=record_bytes)
             self.perf_buffers[name] = buffer
         return buffer
 
     # -- attachment ----------------------------------------------------------
+
+    def _load(self, kind: str, target: str, name: str, cost_ns: int, attach, factory):
+        program = BpfProgram(name=name, kind=kind, target=target, cost_ns=cost_ns)
+        program._detach = attach(factory(program))
+        self.programs.append(program)
+        return program
 
     def attach_uprobe(
         self,
@@ -203,26 +286,14 @@ class Bpf:
         name: Optional[str] = None,
         cost_ns: int = DEFAULT_UPROBE_COST_NS,
     ) -> BpfProgram:
-        """Attach ``handler`` to the entry of ``symbol`` (``lib:func``)."""
-        program = BpfProgram(
-            name=name or f"uprobe__{symbol}",
-            kind="uprobe",
-            target=symbol,
-            cost_ns=cost_ns,
-        )
-
-        def trampoline(ctx: ProbeContext, args: Tuple[Any, ...]) -> None:
-            program.run_cnt += 1
-            handler(ctx, args)
-
-        program._detach = self.symbols.attach_entry(symbol, trampoline)
-        self.programs.append(program)
-        return program
+        """Attach ``handler`` to the entry of ``symbol`` (``lib:func``),
+        behind a trampoline that counts its firings."""
+        return self.load_uprobe(symbol, _counted(handler), name, cost_ns)
 
     def load_uprobe(
         self,
         symbol: str,
-        factory: Callable[[BpfProgram], Callable[[ProbeContext, Tuple[Any, ...]], None]],
+        factory: Callable[[BpfProgram], Callable[..., None]],
         name: Optional[str] = None,
         cost_ns: int = DEFAULT_UPROBE_COST_NS,
     ) -> BpfProgram:
@@ -234,36 +305,23 @@ class Bpf:
         once per firing -- that is the whole accounting contract, since
         ``run_time_ns`` is derived from the count.
         """
-        program = BpfProgram(
-            name=name or f"uprobe__{symbol}",
-            kind="uprobe",
-            target=symbol,
-            cost_ns=cost_ns,
+        return self._load(
+            "uprobe", symbol, name or f"uprobe__{symbol}", cost_ns,
+            partial(self.symbols.attach_entry, symbol), factory,
         )
-        program._detach = self.symbols.attach_entry(symbol, factory(program))
-        self.programs.append(program)
-        return program
-
 
     def load_uretprobe(
         self,
         symbol: str,
-        factory: Callable[
-            [BpfProgram], Callable[[ProbeContext, Tuple[Any, ...], Any], None]
-        ],
+        factory: Callable[[BpfProgram], Callable[..., None]],
         name: Optional[str] = None,
         cost_ns: int = DEFAULT_UPROBE_COST_NS,
     ) -> BpfProgram:
         """Fused-attach uretprobe (see :meth:`load_uprobe`)."""
-        program = BpfProgram(
-            name=name or f"uretprobe__{symbol}",
-            kind="uretprobe",
-            target=symbol,
-            cost_ns=cost_ns,
+        return self._load(
+            "uretprobe", symbol, name or f"uretprobe__{symbol}", cost_ns,
+            partial(self.symbols.attach_exit, symbol), factory,
         )
-        program._detach = self.symbols.attach_exit(symbol, factory(program))
-        self.programs.append(program)
-        return program
 
     def attach_tracepoint(
         self,
@@ -272,28 +330,9 @@ class Bpf:
         name: Optional[str] = None,
         cost_ns: int = DEFAULT_TRACEPOINT_COST_NS,
     ) -> BpfProgram:
-        """Attach ``handler`` to a kernel tracepoint."""
-        try:
-            attach = self._tracepoints[tracepoint]
-        except KeyError:
-            raise BpfError(
-                f"unknown tracepoint {tracepoint!r} "
-                f"(known: {sorted(self._tracepoints)})"
-            ) from None
-        program = BpfProgram(
-            name=name or f"tracepoint__{tracepoint.replace(':', '__')}",
-            kind="tracepoint",
-            target=tracepoint,
-            cost_ns=cost_ns,
-        )
-
-        def trampoline(record: Any) -> None:
-            program.run_cnt += 1
-            handler(record)
-
-        program._detach = attach(trampoline)
-        self.programs.append(program)
-        return program
+        """Attach ``handler`` to a kernel tracepoint, behind a
+        trampoline that counts its firings."""
+        return self.load_tracepoint(tracepoint, _counted(handler), name, cost_ns)
 
     def load_tracepoint(
         self,
@@ -310,15 +349,11 @@ class Bpf:
                 f"unknown tracepoint {tracepoint!r} "
                 f"(known: {sorted(self._tracepoints)})"
             ) from None
-        program = BpfProgram(
-            name=name or f"tracepoint__{tracepoint.replace(':', '__')}",
-            kind="tracepoint",
-            target=tracepoint,
-            cost_ns=cost_ns,
+        return self._load(
+            "tracepoint", tracepoint,
+            name or f"tracepoint__{tracepoint.replace(':', '__')}", cost_ns,
+            attach, factory,
         )
-        program._detach = attach(factory(program))
-        self.programs.append(program)
-        return program
 
     # -- lifecycle -----------------------------------------------------------
 

@@ -25,12 +25,9 @@ SCHED_EVENT_BYTES = 60
 
 
 def event_size_bytes(event: Any) -> int:
-    """Encoded size of a userspace :class:`TraceEvent`.
-
-    Runs once per probe firing inside the simulation loop, hence the
-    direct ``data`` access and exact type check instead of
-    ``getattr``/``isinstance``.
-    """
+    """Encoded size of a userspace :class:`TraceEvent`: the header,
+    plus ``len + 1`` per ``str`` payload value and 8 per other value
+    (the rule :func:`~repro.tracing.bpf.rows_bytes` applies to rows)."""
     size = EVENT_HEADER_BYTES
     data = event.data
     if data:

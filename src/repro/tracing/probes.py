@@ -3,8 +3,9 @@
 Each probe is an entry/exit handler attached to a middleware symbol; it
 traverses the probed function's argument structures (node, timer,
 subscription, service, client, writer objects) to extract exactly the
-fields Table I lists, then submits a :class:`TraceEvent` into a perf
-buffer.
+fields Table I lists, then submits one flat row ``(ts, pid, probe,
+*values)`` -- the values in the probe's payload-schema order,
+:data:`~repro.tracing.events.PAYLOAD_KEYS` -- into a perf buffer.
 
 The srcTS technique of Sec. III-A is reproduced literally for
 ``rmw_take_int`` / ``rmw_take_request`` / ``rmw_take_response``: the
@@ -16,11 +17,11 @@ the value through the stashed reference before submitting the event.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Tuple
+from operator import attrgetter
+from typing import Any, Tuple
 
 from .bpf import Bpf, BpfMap, BpfProgram, PerfBuffer
 from .events import (
-    _NO_DATA,
     P1_CREATE_NODE,
     P2_TIMER_START,
     P3_TIMER_CALL,
@@ -37,9 +38,7 @@ from .events import (
     P14_TAKE_TYPE_ERASED,
     P15_CLIENT_END,
     P16_DDS_WRITE,
-    TraceEvent,
 )
-from .overhead import EVENT_HEADER_BYTES
 from .symbols import ProbeContext
 
 #: Name of the BPF map sharing discovered ROS2 PIDs between the
@@ -48,27 +47,6 @@ ROS2_PIDS_MAP = "ros2_pids"
 
 #: Name of the BPF map used by the srcTS entry/exit pointer stash.
 SRCTS_STASH_MAP = "srcts_stash"
-
-
-def _submit(buffer: PerfBuffer, event: TraceEvent) -> None:
-    # Inlined copies of overhead.event_size_bytes() and
-    # PerfBuffer.submit(): one firing per traced middleware call makes
-    # each saved frame measurable.  Keep in sync with both originals
-    # (the other inlined submit lives in tracers.KernelTracer._on_switch).
-    # The capacity check runs before the size computation: a lost event
-    # never contributes to bytes_submitted, so its size is dead work.
-    buffer.submitted += 1
-    events = buffer._events
-    if len(events) >= buffer.capacity:
-        buffer.lost += 1
-        return
-    events.append(event)
-    size = EVENT_HEADER_BYTES
-    data = event.data
-    if data:
-        for value in data.values():
-            size += len(value) + 1 if type(value) is str else 8
-    buffer.bytes_submitted += size
 
 
 class InitProbes:
@@ -85,44 +63,24 @@ class InitProbes:
         )
 
     def _on_create_node(self, ctx: ProbeContext, args: Tuple[Any, ...]) -> None:
-        node = args[0]
         # Share the PID with the kernel tracer through the BPF map.
         self.pid_map.update(ctx.pid, 1)
-        _submit(
-            self.buffer,
-            TraceEvent(
-                ctx[0],
-                ctx[1],
-                P1_CREATE_NODE,
-                {"node": node.name},
-            ),
-        )
+        self.buffer.submit((ctx[0], ctx[1], P1_CREATE_NODE, args[0].name))
 
 
 class RuntimeProbes:
     """P2..P16: the runtime probes used by the ROS2-RT tracer.
 
-    The handlers are *fused closures* built at attach time through the
-    :meth:`~repro.tracing.bpf.Bpf.load_uprobe` family: program
-    accounting, field extraction, event construction and the perf-buffer
-    submit are one call frame per firing (plus the C-level
-    ``tuple.__new__``), where the original pipeline traversed trampoline
-    -> bound handler -> ``_submit`` -> ``TraceEvent.__new__``.  One
-    firing happens per traced middleware call, so the ~4 saved frames
-    dominate runtime-tracing overhead.  Three consequences of fusing:
-
-    * events are built with ``tuple.__new__(TraceEvent, (...))`` --
-      identical tuples to the keyword constructor at half the cost
-      (payload-free probes share the class-level ``_NO_DATA`` mapping,
-      exactly like the constructor default);
-    * encoded sizes are probe-shaped constants (header + per-field
-      sizes) instead of a generic ``event_size_bytes`` dict walk -- the
-      accounting is value-identical because every probe's payload schema
-      is fixed;
-    * the srcTS stash bypasses the :class:`BpfMap` method surface and
-      uses its backing dict: the stash is keyed by PID, far below the
-      map's capacity, and non-LRU, so ``update``/``lookup``/``delete``
-      reduce to plain dict ops.
+    The handlers are *fused closures* (see
+    :meth:`~repro.tracing.bpf.Bpf.load_uprobe`), one call frame per
+    firing: bump the program's ``run_cnt``, check the buffer's capacity
+    (a full buffer counts the event in ``lost`` before its fields are
+    read), append one flat tuple ``(ts, pid, probe, *values)`` to the
+    buffer's row list.  No event object is built and nothing else is
+    counted per firing: the buffer derives ``submitted`` and
+    ``bytes_submitted`` from its rows.  The srcTS stash uses the
+    :class:`BpfMap`'s backing dict (keyed by PID, far below capacity,
+    non-LRU: plain dict ops suffice).
     """
 
     def __init__(self, bpf: Bpf, buffer: PerfBuffer):
@@ -134,10 +92,8 @@ class RuntimeProbes:
         bpf = self.bpf
         buffer = self.buffer
         stash = self.srcts_stash._data
-        tuple_new = tuple.__new__
-        event_cls = TraceEvent
-        header = EVENT_HEADER_BYTES
-        no_data = _NO_DATA
+        rows = buffer.rows  # never rebound
+        append = rows.append
         capacity = buffer.capacity  # fixed at construction
 
         def simple(probe: str):
@@ -146,15 +102,10 @@ class RuntimeProbes:
             def factory(program: BpfProgram):
                 def fire(ctx, args, ret=None):
                     program.run_cnt += 1
-                    buffer.submitted += 1
-                    events = buffer._events
-                    if len(events) >= capacity:
+                    if len(rows) < capacity:
+                        append((ctx[0], ctx[1], probe))
+                    else:
                         buffer.lost += 1
-                        return
-                    events.append(
-                        tuple_new(event_cls, (ctx[0], ctx[1], probe, no_data))
-                    )
-                    buffer.bytes_submitted += header
 
                 return fire
 
@@ -171,187 +122,80 @@ class RuntimeProbes:
 
             return fire
 
-        def timer_call(program: BpfProgram):
-            def fire(ctx, args):
-                program.run_cnt += 1
-                buffer.submitted += 1
-                events = buffer._events
-                if len(events) >= capacity:
-                    buffer.lost += 1
-                    return
-                cb = args[0].cb_id
-                events.append(
-                    tuple_new(
-                        event_cls, (ctx[0], ctx[1], P3_TIMER_CALL, {"cb_id": cb})
-                    )
-                )
-                buffer.bytes_submitted += header + len(cb) + 1
+        def callback_id(probe: str):
+            """Factory-maker for the probes whose payload is the first
+            argument's callback id (P3, P7)."""
 
-            return fire
+            def factory(program: BpfProgram):
+                def fire(ctx, args):
+                    program.run_cnt += 1
+                    if len(rows) < capacity:
+                        append((ctx[0], ctx[1], probe, args[0].cb_id))
+                    else:
+                        buffer.lost += 1
+
+                return fire
+
+            return factory
 
         def take_int_exit(program: BpfProgram):
             def fire(ctx, args, ret):
                 program.run_cnt += 1
                 msg_info = stash.pop(ctx[1], None)
-                buffer.submitted += 1
-                events = buffer._events
-                if len(events) >= capacity:
+                if len(rows) < capacity:
+                    sub = args[0]
+                    append((
+                        ctx[0], ctx[1], P6_TAKE, sub.cb_id, sub.topic,
+                        None if msg_info is None else msg_info.src_ts,
+                    ))
+                else:
                     buffer.lost += 1
-                    return
-                sub = args[0]
-                cb = sub.cb_id
-                topic = sub.topic
-                events.append(
-                    tuple_new(
-                        event_cls,
-                        (
-                            ctx[0],
-                            ctx[1],
-                            P6_TAKE,
-                            {
-                                "cb_id": cb,
-                                "topic": topic,
-                                "src_ts": None if msg_info is None else msg_info.src_ts,
-                            },
-                        ),
-                    )
-                )
-                buffer.bytes_submitted += header + len(cb) + len(topic) + 10
 
             return fire
 
-        def take_request_exit(program: BpfProgram):
-            def fire(ctx, args, ret):
-                program.run_cnt += 1
-                msg_info = stash.pop(ctx[1], None)
-                buffer.submitted += 1
-                events = buffer._events
-                if len(events) >= capacity:
-                    buffer.lost += 1
-                    return
-                service = args[0]
-                cb = service.cb_id
-                topic = service.request_topic
-                name = service.name
-                events.append(
-                    tuple_new(
-                        event_cls,
-                        (
-                            ctx[0],
-                            ctx[1],
-                            P10_TAKE_REQUEST,
-                            {
-                                "cb_id": cb,
-                                "topic": topic,
-                                "service": name,
-                                "src_ts": None if msg_info is None else msg_info.src_ts,
-                            },
-                        ),
-                    )
-                )
-                buffer.bytes_submitted += (
-                    header + len(cb) + len(topic) + len(name) + 11
-                )
+        def take_service_exit(probe: str, topic_of, name_of):
+            """Factory-maker for the service/client take exits (P10,
+            P13): callback id, topic, service name, srcTS."""
 
-            return fire
+            def factory(program: BpfProgram):
+                def fire(ctx, args, ret):
+                    program.run_cnt += 1
+                    msg_info = stash.pop(ctx[1], None)
+                    if len(rows) < capacity:
+                        endpoint = args[0]
+                        append((
+                            ctx[0], ctx[1], probe, endpoint.cb_id,
+                            topic_of(endpoint), name_of(endpoint),
+                            None if msg_info is None else msg_info.src_ts,
+                        ))
+                    else:
+                        buffer.lost += 1
 
-        def take_response_exit(program: BpfProgram):
-            def fire(ctx, args, ret):
-                program.run_cnt += 1
-                msg_info = stash.pop(ctx[1], None)
-                buffer.submitted += 1
-                events = buffer._events
-                if len(events) >= capacity:
-                    buffer.lost += 1
-                    return
-                client = args[0]
-                cb = client.cb_id
-                topic = client.reader.topic.name
-                name = client.service_name
-                events.append(
-                    tuple_new(
-                        event_cls,
-                        (
-                            ctx[0],
-                            ctx[1],
-                            P13_TAKE_RESPONSE,
-                            {
-                                "cb_id": cb,
-                                "topic": topic,
-                                "service": name,
-                                "src_ts": None if msg_info is None else msg_info.src_ts,
-                            },
-                        ),
-                    )
-                )
-                buffer.bytes_submitted += (
-                    header + len(cb) + len(topic) + len(name) + 11
-                )
+                return fire
 
-            return fire
+            return factory
 
         def take_type_erased_exit(program: BpfProgram):
             def fire(ctx, args, ret):
                 program.run_cnt += 1
-                buffer.submitted += 1
-                events = buffer._events
-                if len(events) >= capacity:
+                if len(rows) < capacity:
+                    append((ctx[0], ctx[1], P14_TAKE_TYPE_ERASED, int(bool(ret))))
+                else:
                     buffer.lost += 1
-                    return
-                events.append(
-                    tuple_new(
-                        event_cls,
-                        (
-                            ctx[0],
-                            ctx[1],
-                            P14_TAKE_TYPE_ERASED,
-                            {"will_dispatch": int(bool(ret))},
-                        ),
-                    )
-                )
-                buffer.bytes_submitted += header + 8
-
-            return fire
-
-        def sync_operator(program: BpfProgram):
-            def fire(ctx, args):
-                program.run_cnt += 1
-                buffer.submitted += 1
-                events = buffer._events
-                if len(events) >= capacity:
-                    buffer.lost += 1
-                    return
-                cb = args[0].cb_id
-                events.append(
-                    tuple_new(event_cls, (ctx[0], ctx[1], P7_SYNC_OP, {"cb_id": cb}))
-                )
-                buffer.bytes_submitted += header + len(cb) + 1
 
             return fire
 
         def dds_write(program: BpfProgram):
             def fire(ctx, args):
                 program.run_cnt += 1
-                buffer.submitted += 1
-                events = buffer._events
-                if len(events) >= capacity:
+                if len(rows) < capacity:
+                    writer = args[0]
+                    append((
+                        ctx[0], ctx[1], P16_DDS_WRITE, writer.topic.name,
+                        args[2], writer.kind,
+                    ))
+                else:
                     buffer.lost += 1
-                    return
-                writer = args[0]
-                topic = writer.topic.name
-                kind = writer.kind
-                events.append(
-                    tuple_new(
-                        event_cls,
-                        (
-                            ctx[0],
-                            ctx[1],
-                            P16_DDS_WRITE,
-                            {"topic": topic, "src_ts": args[2], "kind": kind},
-                        ),
-                    )
-                )
-                buffer.bytes_submitted += header + len(topic) + len(kind) + 10
 
             return fire
 
@@ -359,24 +203,38 @@ class RuntimeProbes:
         load_r = bpf.load_uretprobe
         # Timer callbacks: P2 (start), P3 (ID), P4 (end).
         load_u("rclcpp:execute_timer", simple(P2_TIMER_START), name="P2")
-        load_u("rcl:rcl_timer_call", timer_call, name="P3")
+        load_u("rcl:rcl_timer_call", callback_id(P3_TIMER_CALL), name="P3")
         load_r("rclcpp:execute_timer", simple(P4_TIMER_END), name="P4")
         # Subscriber callbacks: P5 (start), P6 (take), P7 (sync), P8 (end).
         load_u("rclcpp:execute_subscription", simple(P5_SUB_START), name="P5")
         load_u("rmw_cyclonedds_cpp:rmw_take_int", take_entry, name="P6.entry")
         load_r("rmw_cyclonedds_cpp:rmw_take_int", take_int_exit, name="P6")
-        load_u("message_filters:operator()", sync_operator, name="P7")
+        load_u("message_filters:operator()", callback_id(P7_SYNC_OP), name="P7")
         load_r("rclcpp:execute_subscription", simple(P8_SUB_END), name="P8")
         # Service callbacks: P9 (start), P10 (take request), P11 (end).
         load_u("rclcpp:execute_service", simple(P9_SERVICE_START), name="P9")
         load_u("rmw_cyclonedds_cpp:rmw_take_request", take_entry, name="P10.entry")
-        load_r("rmw_cyclonedds_cpp:rmw_take_request", take_request_exit, name="P10")
+        load_r(
+            "rmw_cyclonedds_cpp:rmw_take_request",
+            take_service_exit(
+                P10_TAKE_REQUEST, attrgetter("request_topic"), attrgetter("name")
+            ),
+            name="P10",
+        )
         load_r("rclcpp:execute_service", simple(P11_SERVICE_END), name="P11")
         # Client callbacks: P12 (start), P13 (take response), P14
         # (dispatch decision), P15 (end).
         load_u("rclcpp:execute_client", simple(P12_CLIENT_START), name="P12")
         load_u("rmw_cyclonedds_cpp:rmw_take_response", take_entry, name="P13.entry")
-        load_r("rmw_cyclonedds_cpp:rmw_take_response", take_response_exit, name="P13")
+        load_r(
+            "rmw_cyclonedds_cpp:rmw_take_response",
+            take_service_exit(
+                P13_TAKE_RESPONSE,
+                attrgetter("reader.topic.name"),
+                attrgetter("service_name"),
+            ),
+            name="P13",
+        )
         load_r("rclcpp:take_type_erased_response", take_type_erased_exit, name="P14")
         load_r("rclcpp:execute_client", simple(P15_CLIENT_END), name="P15")
         # DDS writes: P16.

@@ -7,7 +7,7 @@ Deployment workflow reproduced from the paper:
 2. ``start_runtime()`` activates TR-RT and TR-KN.
 3. For long runs, ``rotate()`` drains the (bounded) trace buffers into a
    :class:`TraceSegment` and restarts collection with empty buffers --
-   the segmented collection of Fig. 2.
+   the segmented collection of Fig. 2 (as perf-buffer rows).
 4. ``stop_runtime()`` performs a final rotation; :meth:`trace` merges
    everything into a single chronologically-sorted :class:`Trace`.
 
@@ -25,7 +25,7 @@ from typing import Any, Dict, Iterable, List, Optional
 
 from ..sim.scheduler import SchedSwitch, SchedWakeup
 from .bpf import Bpf
-from .events import P1_CREATE_NODE, TraceEvent
+from .events import P1_CREATE_NODE, RowGroup, TraceEvent, events_from_rows
 from .tracers import KernelTracer, Ros2InitTracer, Ros2RtTracer
 
 
@@ -75,14 +75,26 @@ def _merge_sorted(streams: List[List[Any]]) -> List[Any]:
 
 @dataclass
 class TraceSegment:
-    """Events collected in one buffer rotation."""
+    """Events collected in one buffer rotation: the RT perf buffer's
+    rows (``ros_rows``) and the groups its drain built (``ros_groups``),
+    or, for a hand-assembled rotation, ``events`` as given
+    (``ros_rows=None``); ``ros_events`` builds row events only when
+    asked."""
 
     index: int
     start_ts: int
     stop_ts: int
-    ros_events: List[TraceEvent] = field(default_factory=list)
+    events: List[TraceEvent] = field(default_factory=list)
     sched_events: List[SchedSwitch] = field(default_factory=list)
     wakeup_events: List[SchedWakeup] = field(default_factory=list)
+    ros_rows: Optional[List[tuple]] = None
+    ros_groups: Optional[List[RowGroup]] = None
+
+    @property
+    def ros_events(self) -> List[TraceEvent]:
+        if self.ros_rows is None:
+            return self.events
+        return events_from_rows(self.ros_rows, self.ros_groups)
 
 
 @dataclass
@@ -193,8 +205,11 @@ class TracingSession:
     def start_init(self) -> None:
         self.init_tracer.start()
 
+    def _poll_init(self) -> None:
+        self._init_events.extend(events_from_rows(self.init_tracer.poll()))
+
     def stop_init(self) -> None:
-        self._init_events.extend(self.init_tracer.poll())
+        self._poll_init()
         self.init_tracer.stop()
 
     # -- TR-RT + TR-KN ------------------------------------------------------
@@ -210,13 +225,15 @@ class TracingSession:
         """Save the current buffers as a segment; keep collecting."""
         if self._segment_start is None:
             raise RuntimeError("runtime tracers not started")
+        rows, groups = self.rt_tracer.buffer.drain()
         segment = TraceSegment(
             index=len(self.segments),
             start_ts=self._segment_start,
             stop_ts=self.world.now,
-            ros_events=self.rt_tracer.poll(),
             sched_events=self.kernel_tracer.poll(),
             wakeup_events=self.kernel_tracer.poll_wakeups(),
+            ros_rows=rows,
+            ros_groups=groups,
         )
         self.segments.append(segment)
         self._segment_start = self.world.now
@@ -235,11 +252,11 @@ class TracingSession:
         """TR-IN's collected events (chronologically first in a trace);
         consumers that stream segments out-of-core spool these before
         the runtime rotations."""
-        self._init_events.extend(self.init_tracer.poll())
+        self._poll_init()
         return list(self._init_events)
 
     def pid_map(self) -> Dict[int, str]:
-        self._init_events.extend(self.init_tracer.poll())
+        self._poll_init()
         return {
             e.pid: e.get("node")
             for e in self._init_events

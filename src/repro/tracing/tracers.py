@@ -12,17 +12,16 @@
   reports that PID filtering cuts the kernel-trace footprint by 3x or
   more).
 
-Tracers attach on ``start`` and detach on ``stop``; their perf buffers
-can be drained (``poll``) any number of times in between, which is what
-the segmented collection of Fig. 2 builds on.
+Tracers attach on ``start`` and detach on ``stop``; their perf buffers'
+rows can be drained (``poll``) any number of times in between, which is
+what the segmented collection of Fig. 2 builds on.
 """
 
 from __future__ import annotations
 
-from typing import Any, List
+from typing import Any, List, Optional
 
-from .bpf import DEFAULT_TRACEPOINT_COST_NS, Bpf, BpfProgram, PerfBuffer
-from .events import TraceEvent
+from .bpf import Bpf, BpfProgram, PerfBuffer
 from .overhead import SCHED_EVENT_BYTES
 from .probes import ROS2_PIDS_MAP, InitProbes, RuntimeProbes
 
@@ -54,44 +53,50 @@ class _TracerBase:
         raise NotImplementedError
 
 
-class Ros2InitTracer(_TracerBase):
+class _RosTracer(_TracerBase):
+    """A tracer whose probes submit ROS rows into its own buffer."""
+
+    buffer_name = ""
+    probes_class: Any = None
+    default_capacity = 0
+
+    def __init__(self, bpf: Bpf, buffer_capacity: Optional[int] = None):
+        super().__init__()
+        self.bpf = bpf
+        self.buffer: PerfBuffer = bpf.open_perf_buffer(
+            self.buffer_name,
+            self.default_capacity if buffer_capacity is None else buffer_capacity,
+            record_bytes=None,
+        )
+        self._probes = self.probes_class(bpf, self.buffer)
+
+    def _attach(self) -> None:
+        before = len(self.bpf.programs)
+        self._probes.attach()
+        self._programs = self.bpf.programs[before:]
+
+    def poll(self) -> List[tuple]:
+        return self.buffer.poll()
+
+
+class Ros2InitTracer(_RosTracer):
     """TR-IN: node-initialization tracer (probe P1)."""
 
-    def __init__(self, bpf: Bpf, buffer_capacity: int = 1 << 12):
-        super().__init__()
-        self.bpf = bpf
-        self.buffer: PerfBuffer = bpf.open_perf_buffer("ros2_init", buffer_capacity)
-        self._probes = InitProbes(bpf, self.buffer)
-
-    def _attach(self) -> None:
-        before = len(self.bpf.programs)
-        self._probes.attach()
-        self._programs = self.bpf.programs[before:]
-
-    def poll(self) -> List[TraceEvent]:
-        return self.buffer.poll()
+    buffer_name, probes_class, default_capacity = "ros2_init", InitProbes, 1 << 12
 
 
-class Ros2RtTracer(_TracerBase):
+class Ros2RtTracer(_RosTracer):
     """TR-RT: runtime ROS2 tracer (probes P2..P16)."""
 
-    def __init__(self, bpf: Bpf, buffer_capacity: int = 1 << 20):
-        super().__init__()
-        self.bpf = bpf
-        self.buffer: PerfBuffer = bpf.open_perf_buffer("ros2_rt", buffer_capacity)
-        self._probes = RuntimeProbes(bpf, self.buffer)
-
-    def _attach(self) -> None:
-        before = len(self.bpf.programs)
-        self._probes.attach()
-        self._programs = self.bpf.programs[before:]
-
-    def poll(self) -> List[TraceEvent]:
-        return self.buffer.poll()
+    buffer_name, probes_class, default_capacity = "ros2_rt", RuntimeProbes, 1 << 20
 
 
 class KernelTracer(_TracerBase):
-    """TR-KN: sched_switch tracer with in-kernel PID filtering."""
+    """TR-KN: sched_switch tracer with in-kernel PID filtering.
+
+    The switch handler is a fused closure (as the runtime probes') that
+    submits the tracepoint record itself as the row.
+    """
 
     def __init__(
         self,
@@ -104,9 +109,11 @@ class KernelTracer(_TracerBase):
         self.bpf = bpf
         self.filtered = filtered
         self.record_wakeups = record_wakeups
-        self.buffer: PerfBuffer = bpf.open_perf_buffer("sched", buffer_capacity)
+        self.buffer: PerfBuffer = bpf.open_perf_buffer(
+            "sched", buffer_capacity, record_bytes=SCHED_EVENT_BYTES
+        )
         self.wakeup_buffer: PerfBuffer = bpf.open_perf_buffer(
-            "sched_wakeup", buffer_capacity
+            "sched_wakeup", buffer_capacity, record_bytes=SCHED_EVENT_BYTES
         )
         self.pid_map = bpf.get_table(ROS2_PIDS_MAP)
         #: The in-kernel filter reads the map's backing dict directly
@@ -114,46 +121,36 @@ class KernelTracer(_TracerBase):
         #: frames per switch).  ``_data`` is never rebound, so the
         #: alias stays live across ``update``/``clear``.
         self._pids = self.pid_map._data
-        #: All tracepoint firings, including filtered-out ones -- the
-        #: denominator of the footprint-reduction ablation.
-        self.seen = 0
-        #: Accounting target of ``_on_switch`` (the handler bumps
-        #: ``run_cnt`` itself: it attaches through ``load_tracepoint``,
-        #: skipping the per-firing trampoline).  A placeholder program
-        #: until ``start`` attaches the real one, so the handler is
-        #: callable stand-alone (unit tests drive it directly).
-        self._switch_program = BpfProgram(
-            name="TRKN.sched_switch",
-            kind="tracepoint",
-            target="sched:sched_switch",
-            cost_ns=DEFAULT_TRACEPOINT_COST_NS,
-        )
+        #: Every ``sched_switch`` program this tracer attached.
+        self._switch_programs: List[BpfProgram] = []
+
+    @property
+    def seen(self) -> int:
+        """All tracepoint firings, including filtered-out ones -- the
+        denominator of the footprint-reduction ablation."""
+        return sum(program.run_cnt for program in self._switch_programs)
 
     def _attach(self) -> None:
         def factory(program: BpfProgram):
-            # Fused copy of _on_switch (which stays as the reference
-            # implementation for stand-alone/unit use; keep in sync):
-            # captures the program, pid dict and buffer once, so the
-            # per-switch firing does no tracer attribute lookups.
-            self._switch_program = program
-            tracer = self
+            # Captures the program, pid dict and row list once, so the
+            # per-switch firing does no attribute lookups.
+            self._switch_programs.append(program)
             pids = self._pids
             buffer = self.buffer
+            rows = buffer.rows  # never rebound
+            append = rows.append
             filtered = self.filtered
             capacity = buffer.capacity
 
             def on_switch(record: Any) -> None:
                 program.run_cnt += 1
-                tracer.seen += 1
+                # record[2]/[6]: SchedSwitch prev_pid/next_pid
                 if filtered and record[2] not in pids and record[6] not in pids:
                     return
-                buffer.submitted += 1
-                events = buffer._events
-                if len(events) >= capacity:
+                if len(rows) < capacity:
+                    append(record)
+                else:
                     buffer.lost += 1
-                    return
-                events.append(record)
-                buffer.bytes_submitted += SCHED_EVENT_BYTES
 
             return on_switch
 
@@ -170,28 +167,10 @@ class KernelTracer(_TracerBase):
                 )
             )
 
-    def _on_switch(self, record: Any) -> None:
-        self._switch_program.run_cnt += 1
-        self.seen += 1
-        if self.filtered:
-            pids = self._pids
-            if record[2] not in pids and record[6] not in pids:
-                return  # record[2]/[6]: SchedSwitch prev_pid/next_pid
-        # Inlined copy of PerfBuffer.submit (hot: one firing per context
-        # switch); keep in sync with it and with probes._submit.
-        buffer = self.buffer
-        buffer.submitted += 1
-        events = buffer._events
-        if len(events) >= buffer.capacity:
-            buffer.lost += 1
-            return
-        events.append(record)
-        buffer.bytes_submitted += SCHED_EVENT_BYTES
-
     def _on_wakeup(self, record: Any) -> None:
         if self.filtered and record.pid not in self.pid_map:
             return
-        self.wakeup_buffer.submit(record, size=SCHED_EVENT_BYTES)
+        self.wakeup_buffer.submit(record)
 
     def poll(self) -> List[Any]:
         return self.buffer.poll()

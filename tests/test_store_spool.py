@@ -43,7 +43,16 @@ from repro.store.format import (
 )
 from repro.store.record import record_run
 from repro.store.writer import SegmentSpool
-from repro.tracing.events import TraceEvent
+from repro.tracing.events import (
+    P2_TIMER_START,
+    P3_TIMER_CALL,
+    P6_TAKE,
+    P8_SUB_END,
+    P13_TAKE_RESPONSE,
+    PAYLOAD_KEYS,
+    TraceEvent,
+    events_from_rows,
+)
 from repro.tracing.session import TraceSegment
 
 # ---------------------------------------------------------------------------
@@ -339,6 +348,69 @@ class TestBulkMatchesRowWriter:
         assert _finished(whole, True) == expected == _finished(sliced, True)
 
 
+@st.composite
+def _probe_rows(draw):
+    """One perf-buffer row of a Table I probe: its payload values in
+    schema order, drawn from recurring and edge values (``None`` or
+    out-of-int64 srcTS, bool dispatch flags, new strings)."""
+    probe = draw(st.sampled_from(sorted(_ROW_PROBES)))
+    values = [draw(_ROW_VALUES[key]) for key in PAYLOAD_KEYS.get(probe, ())]
+    return (draw(st.integers(0, 10**12)), draw(st.integers(1, 4)), probe, *values)
+
+
+_ROW_PROBES = set(PAYLOAD_KEYS) | {P2_TIMER_START, P8_SUB_END}
+_ROW_VALUES = {
+    "node": _WORDS, "cb_id": _STRINGS, "topic": _WORDS, "service": _STRINGS,
+    "kind": _WORDS,
+    "src_ts": st.one_of(st.none(), st.integers(0, 10**12), st.just(1 << 70)),
+    "will_dispatch": st.one_of(st.integers(0, 1), st.booleans()),
+}
+
+
+class TestRowsMatchEvents:
+    """Perf-buffer rows (``add_rows``, the recording path) spool to the
+    bytes the row writer makes of the same rotations' events."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rotations=st.lists(st.lists(_probe_rows(), max_size=12), max_size=4))
+    def test_random_rows(self, rotations):
+        segments = [TraceSegment(0, 0, 0, ros_rows=rows) for rows in rotations]
+        for compress in (True, False):
+            assert _spooled(SegmentSpool, segments, compress) == _spooled(
+                RowSpool, segments, compress
+            )
+
+    def test_events_from_rows(self):
+        rows = [
+            (1, 1, P6_TAKE, "cb", "/t", None),
+            (2, 1, P2_TIMER_START),
+            (3, 2, P13_TAKE_RESPONSE, "cb2", "/r", "srv", 7),
+        ]
+        events = events_from_rows(rows)
+        assert events == [
+            TraceEvent(1, 1, P6_TAKE, {"cb_id": "cb", "topic": "/t", "src_ts": None}),
+            TraceEvent(2, 1, P2_TIMER_START),
+            TraceEvent(3, 2, P13_TAKE_RESPONSE, {
+                "cb_id": "cb2", "topic": "/r", "service": "srv", "src_ts": 7,
+            }),
+        ]
+        assert [list(event.data) for event in events][2] == list(
+            PAYLOAD_KEYS[P13_TAKE_RESPONSE]
+        )
+        assert events[1].data is TraceEvent(0, 0, "").data  # shared empty payload
+
+    def test_rows_off_schema_raise_and_keep_spool(self):
+        spool = SegmentSpool()
+        spool.add_rows([(1, 1, P3_TIMER_CALL, "cb")])
+        before = _state(spool)
+        for bad in ([(2, 1, P3_TIMER_CALL)], [(2, 1, "unknown", "x")]):
+            with pytest.raises(ValueError, match="miss values|no payload schema"):
+                spool.add_rows(bad)
+        with pytest.raises(OverflowError):
+            spool.add_rows([(2, 1 << 40, P3_TIMER_CALL, "new")])
+        assert _state(spool) == before
+
+
 # ---------------------------------------------------------------------------
 # Recorded scenarios: every segment hashes like the row writer's
 # ---------------------------------------------------------------------------
@@ -435,8 +507,8 @@ def test_add_segment_calls_do_not_grow_with_rotation_length(tmp_path, monkeypatc
 
     def capture(spool, segment):
         rotations.append(TraceSegment(
-            0, 0, 0, list(segment.ros_events), list(segment.sched_events),
-            list(segment.wakeup_events),
+            0, 0, 0, None, list(segment.sched_events),
+            list(segment.wakeup_events), ros_rows=list(segment.ros_rows),
         ))
         original(spool, segment)
 
@@ -445,11 +517,11 @@ def test_add_segment_calls_do_not_grow_with_rotation_length(tmp_path, monkeypatc
         "avp-interference", 0, 1, BatchConfig(duration_ns=500 * MSEC), str(tmp_path)
     )
     monkeypatch.undo()
-    rotation = max(rotations, key=lambda segment: len(segment.ros_events))
-    assert len(rotation.ros_events) > 100
+    rotation = max(rotations, key=lambda segment: len(segment.ros_rows))
+    assert len(rotation.ros_rows) > 100
     doubled = TraceSegment(
-        0, 0, 0, rotation.ros_events * 2, rotation.sched_events * 2,
-        rotation.wakeup_events * 2,
+        0, 0, 0, None, rotation.sched_events * 2,
+        rotation.wakeup_events * 2, ros_rows=rotation.ros_rows * 2,
     )
     for warm in (False, True):  # first rotation, then all strings known
         counts = []

@@ -228,27 +228,70 @@ class TestColumnarSchedIndex:
 
 
 class TestInlinedSubmitCopies:
-    """Pin the hand-inlined PerfBuffer.submit copies to the original."""
+    """The fused probe and switch handlers inline the capacity check of
+    :meth:`PerfBuffer.submit` and append rows, and the buffer derives
+    its counters from the rows; both must equal the out-of-line submit
+    and the per-firing accounting the rows replace (``submitted`` += 1
+    per firing, ``lost`` past capacity, ``bytes_submitted`` += the
+    encoded size of each accepted event)."""
 
     def _events(self):
         return [
-            ev(i, 1, P6_TAKE, cb_id="A", topic="t" * (i % 3)) for i in range(8)
+            ev(i, 1, P6_TAKE, cb_id="A", topic="t" * (i % 3), src_ts=None)
+            for i in range(8)
         ] + [ev(9, 1, P2_TIMER_START)]
 
     def test_probes_submit_matches_perf_buffer_submit(self):
-        from repro.tracing.bpf import PerfBuffer
-        from repro.tracing.overhead import event_size_bytes
-        from repro.tracing.probes import _submit
+        from types import SimpleNamespace
 
-        reference = PerfBuffer("ref", capacity=6)
-        inlined = PerfBuffer("inl", capacity=6)
-        for event in self._events():
-            reference.submit(event, size=event_size_bytes(event))
-            _submit(inlined, event)
-        assert inlined.submitted == reference.submitted
-        assert inlined.lost == reference.lost
-        assert inlined.bytes_submitted == reference.bytes_submitted
-        assert inlined.poll() == reference.poll()
+        from repro.tracing.bpf import Bpf, PerfBuffer
+        from repro.tracing.events import events_from_rows
+        from repro.tracing.overhead import event_size_bytes
+        from repro.tracing.probes import RuntimeProbes
+
+        handlers = {}
+
+        class Symbols:
+            def attach_entry(self, symbol, handler):
+                handlers["entry", symbol] = handler
+                return lambda: None
+
+            def attach_exit(self, symbol, handler):
+                handlers["exit", symbol] = handler
+                return lambda: None
+
+        events = self._events()
+        reference = PerfBuffer("ref", capacity=6, record_bytes=None)
+        for event in events:
+            reference.submit((event.ts, event.pid, event.probe, *event.data.values()))
+
+        bpf = Bpf(Symbols())
+        fused = bpf.open_perf_buffer("inl", capacity=6, record_bytes=None)
+        RuntimeProbes(bpf, fused).attach()
+        take = handlers["exit", "rmw_cyclonedds_cpp:rmw_take_int"]
+        start = handlers["entry", "rclcpp:execute_timer"]
+        for event in events:
+            ctx = (event.ts, event.pid, 0, "comm")
+            if event.probe == P6_TAKE:
+                sub = SimpleNamespace(cb_id=event.data["cb_id"], topic=event.data["topic"])
+                take(ctx, (sub, None), True)
+            else:
+                start(ctx, ())
+
+        accepted = events[:6]
+        for buffer in (fused, reference):
+            assert buffer.submitted == len(events)
+            assert buffer.lost == len(events) - len(accepted)
+            assert buffer.bytes_submitted == sum(map(event_size_bytes, accepted))
+        assert fused.submitted == reference.submitted
+        assert fused.lost == reference.lost
+        assert fused.bytes_submitted == reference.bytes_submitted
+        rows = fused.poll()
+        assert rows == reference.poll()
+        assert events_from_rows(rows) == accepted
+        # Drained rows keep counting; nothing is pending.
+        assert fused.submitted == len(events) and len(fused) == 0
+        assert fused.bytes_submitted == sum(map(event_size_bytes, accepted))
 
     def test_tracer_on_switch_matches_perf_buffer_submit(self):
         from repro.tracing.bpf import Bpf, PerfBuffer
@@ -256,18 +299,28 @@ class TestInlinedSubmitCopies:
         from repro.tracing.tracers import KernelTracer
 
         records = [switch(i, 1, 2) for i in range(8)]
-        reference = PerfBuffer("ref", capacity=6)
+        reference = PerfBuffer("ref", capacity=6, record_bytes=SCHED_EVENT_BYTES)
         for record in records:
-            reference.submit(record, size=SCHED_EVENT_BYTES)
+            reference.submit(record)
 
-        tracer = KernelTracer(Bpf(symbols=None), filtered=False)
-        tracer.buffer = PerfBuffer("inl", capacity=6)
+        handlers = []
+
+        def attach(handler):
+            handlers.append(handler)
+            return lambda: None
+
+        bpf = Bpf(symbols=None, tracepoints={"sched:sched_switch": attach})
+        tracer = KernelTracer(bpf, filtered=False, buffer_capacity=6)
+        tracer.start()
+        (on_switch,) = handlers
         for record in records:
-            tracer._on_switch(record)
-        assert tracer.buffer.submitted == reference.submitted
-        assert tracer.buffer.lost == reference.lost
+            on_switch(record)
+        assert tracer.buffer.submitted == reference.submitted == len(records)
+        assert tracer.buffer.lost == reference.lost == 2
         assert tracer.buffer.bytes_submitted == reference.bytes_submitted
-        assert tracer.buffer.poll() == reference.poll()
+        assert reference.bytes_submitted == 6 * SCHED_EVENT_BYTES
+        assert tracer.buffer.poll() == reference.poll() == records[:6]
+        assert tracer.seen == len(records)
 
 
 class TestKernelCompaction:
