@@ -11,7 +11,8 @@ Four stages:
    Sec. V -- merged traces in one process, and one DAG per run fanned
    out over worker processes -- each byte-identical to the in-memory
    pipeline;
-4. show a legacy gzip-JSON database converting into the store format.
+4. import a gzip-JSON trace: every read rejects it until ``repro
+   convert`` (``TraceStore.convert_legacy``) turns it into a segment.
 
 Run with::
 
@@ -29,7 +30,12 @@ from repro.core import (
 )
 from repro.experiments import BatchConfig
 from repro.sim import SEC
-from repro.store import TraceStore, record_batch, synthesize_from_store
+from repro.store import (
+    StoreFormatError,
+    TraceStore,
+    record_batch,
+    synthesize_from_store,
+)
 from repro.tracing.storage import save_trace
 
 # ----------------------------------------------------------------------
@@ -80,11 +86,19 @@ assert dag_to_json(per_run) == dag_to_json(
 print("merge_dags over 2 workers == in-memory merge_dags: OK")
 
 # ----------------------------------------------------------------------
-# 4. Legacy gzip-JSON traces live side by side and convert in place.
+# 4. gzip-JSON traces are an import format: convert before any read.
 
 legacy_path = os.path.join(store_dir, "legacy.trace.json.gz")
 save_trace(store.load(result.run_ids[0]), legacy_path)
 mixed = TraceStore(store_dir)
-converted = mixed.convert_legacy()
-print(f"converted {len(converted)} legacy run(s); "
+try:
+    synthesize_from_store(mixed)
+    raise AssertionError("an unconverted gzip-JSON run must not load")
+except StoreFormatError as error:
+    print(f"\nbefore convert: {error}")
+converted = mixed.convert_legacy(remove=True)
+print(f"converted {len(converted)} gzip-JSON run(s); "
       f"store now holds {len(mixed)} runs: {mixed.run_ids()}")
+assert dag_to_json(synthesize_from_store(mixed)) == dag_to_json(
+    synthesize_from_trace(mixed.merged_trace())
+)

@@ -375,14 +375,9 @@ class FragmentWindow:
 FragmentKey = Tuple[bytes, bool]
 
 
-def fragment_key(
-    data: Optional[bytes], split_services: bool
-) -> Optional[FragmentKey]:
+def fragment_key(data: bytes, split_services: bool) -> FragmentKey:
     """The cache key of the fragment of the run whose segment file holds
-    ``data`` (the file's bytes as stored, whatever its format version),
-    or None for a run without a segment file (a gzip-JSON trace)."""
-    if data is None:
-        return None
+    ``data`` (the file's bytes as stored, whatever its format version)."""
     return hashlib.sha256(data).digest(), split_services
 
 

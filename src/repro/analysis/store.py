@@ -169,8 +169,8 @@ class _Runs(NamedTuple):
     #: :attr:`StoreAnalysis._readers`).
     readers: List[Optional[Any]]
     #: run id -> the run's segment file as read, for the handles that
-    #: key fragments by it (None for a gzip-JSON run).
-    files: Dict[str, Optional[SegmentFile]]
+    #: key fragments by it.
+    files: Dict[str, SegmentFile]
     #: each run's :func:`~repro.store.index.resolve_run`; None where
     #: the handle builds from fragments, and for a run whose fragment
     #: came from the cache (resolved when a batch build needs it).
@@ -191,8 +191,8 @@ class StoreAnalysis:
     index.  ``strict=False`` on the store skips a run that fails its
     open or its resolve, with a warning.
 
-    A ``merge_traces`` handle over the whole store (no ``pids``) whose
-    runs are stored segments looks them up in the process-wide fragment
+    A ``merge_traces`` handle over the whole store (no ``pids``) looks
+    its runs up in the process-wide fragment
     cache (:mod:`repro.analysis.fragments`) by the sha256 of their
     segment files, read once.  When it shares a run with the previous
     handle to look the cache up and its runs share no walk state, it
@@ -206,9 +206,8 @@ class StoreAnalysis:
     run's reader is opened only if a batch build needs it.  A handle that
     shares no run with the previous one builds in batch and keeps no
     fragment; one whose runs overlap in time or share walk state builds
-    in batch and keeps the fragments it found.  ``pids=``,
-    ``merge_dags`` and gzip-JSON runs build in batch and leave the
-    cache alone.
+    in batch and keeps the fragments it found.  ``pids=`` and
+    ``merge_dags`` build in batch and leave the cache alone.
 
     The builds and queries (:attr:`dag`, :attr:`index`,
     :meth:`chain_latencies`, :meth:`waiting_times`,
@@ -241,18 +240,16 @@ class StoreAnalysis:
         on first use, with their fragments when the handle builds from
         them."""
         store = self.store
-        files: Dict[str, Optional[SegmentFile]] = {}
-        keys: Dict[str, Optional[FragmentKey]] = {}
+        files: Dict[str, SegmentFile] = {}
+        keys: Dict[str, FragmentKey] = {}
         if self.pids is None and self.strategy == STRATEGY_MERGE_TRACES:
             files = {run_id: store.read(run_id) for run_id in store.run_ids()}
             keys = {
-                run_id: fragment_key(
-                    None if read is None else read.data, self.split_services
-                )
+                run_id: fragment_key(read.data, self.split_services)
                 for run_id, read in files.items()
             }
         cached = None
-        if keys and None not in keys.values():
+        if keys:
             cached = FRAGMENTS.lookup(keys.values())
         if cached is None:
             resolved = store.resolve_runs(store.open_runs(files or None))

@@ -49,10 +49,11 @@ Fig. 2 database server) and ``synthesize`` turns a store back into the
 timing model (``--strategy merge-dags --jobs N`` synthesizes one DAG
 per run on N worker processes) -- the two halves of the
 collect-now/synthesize-later workflow.  ``store-info``
-summarizes what a (possibly mixed-format) store directory contains
+summarizes what a store directory contains, per run and format version
 (``--json`` for tooling, including per-section sizes of v3 segments)
-and ``convert`` re-encodes legacy gzip-JSON runs -- and, with
-``--upgrade``, older binary segments -- into the current segment
+and ``convert`` imports gzip-JSON traces (``.trace.json.gz``, which
+every other command rejects with exit code 2) -- and, with
+``--upgrade``, re-encodes older segments -- into the current segment
 format; ``--cache DIR`` additionally materializes the store's
 mmap-ready uncompressed segment cache.
 
@@ -470,7 +471,7 @@ def _print_store_infos(store, infos) -> None:
     totals = {"events": 0, "bytes": 0}
     versions = set()
     for info in infos:
-        label = "json" if info.format_version is None else f"v{info.format_version}"
+        label = f"v{info.format_version}"
         versions.add(label)
         totals["events"] += info.events
         totals["bytes"] += info.size_bytes
@@ -564,7 +565,7 @@ def _store_info_json(store, infos) -> int:
             "size_bytes": info.size_bytes,
             "bytes_per_event": round(info.bytes_per_event, 3),
         }
-        if info.format_version is not None and info.format_version >= 3:
+        if info.format_version >= 3:
             entry["sections"] = [
                 {
                     "name": section.name,
@@ -714,7 +715,7 @@ def _cmd_convert(args) -> int:
         print(
             f"nothing to convert in {store.directory} "
             f"(all runs already v{VERSION}"
-            + ("" if args.upgrade else " or binary; --upgrade lifts old segments")
+            + ("" if args.upgrade else " or segments; --upgrade lifts old ones")
             + ")"
         )
         return 0
@@ -1241,12 +1242,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     convert = sub.add_parser(
         "convert",
-        help="re-encode legacy gzip-JSON runs (and, with --upgrade, old "
-             "binary segments) into the current segment format",
+        help="import gzip-JSON traces (.trace.json.gz, which every other "
+             "command rejects) and, with --upgrade, re-encode old "
+             "segments into the current segment format",
     )
     convert.add_argument("store", help="store directory to convert in place")
     convert.add_argument("--remove", action="store_true",
-                         help="delete legacy JSON originals after conversion")
+                         help="delete the gzip-JSON originals after "
+                              "conversion")
     convert.add_argument("--upgrade", action="store_true",
                          help="also rewrite binary segments older than "
                               "the current format (the v1/v2 -> v3 "

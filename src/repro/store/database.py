@@ -1,11 +1,15 @@
 """The on-disk trace store: a directory of per-run segments.
 
-A store directory holds one file per run -- binary ``.trace.bin``
-segments (this subsystem's format: v3 as written, v1/v2 from older
-stores, transcoded to v3 when opened) and/or legacy
-``.trace.json.gz`` files (the pre-store gzip-JSON database) side by
-side.  The run id is the file stem; a run stored in both formats
-resolves to the binary segment.
+A store directory holds one binary ``.trace.bin`` segment per run (v3
+as written, v1/v2 from older stores, transcoded to v3 when opened);
+the run id is the file stem.  gzip-JSON traces (``.trace.json.gz``,
+:mod:`repro.tracing.storage`) are an import format: they are listed as
+runs, so that every read of one fails with a
+:class:`~repro.store.format.StoreFormatError` naming the file and
+``repro convert`` rather than the run vanishing, and
+:meth:`TraceStore.convert_legacy` (``repro convert``) is the one code
+that reads them.  A segment of the same run id shadows the gzip-JSON
+file that a conversion without ``remove=True`` leaves behind.
 
 :class:`TraceStore` is the directory handle (list, read, open readers,
 write, convert, inspect).  :meth:`TraceStore.read` reads a run's
@@ -46,7 +50,7 @@ from ..tracing.session import Trace, TraceDatabase
 from ..tracing.storage import TRACE_SUFFIX, load_trace
 from .format import SEGMENT_SUFFIX, StoreFormatError, VERSION
 from .index import ResolvedRun, resolve_run
-from .reader import InMemorySegment, SegmentFile, SegmentReader, peek_header, peek_sections
+from .reader import SegmentFile, SegmentReader, peek_header, peek_sections
 from .writer import decompress_segment, write_segment
 
 StoreLike = Union[str, "TraceStore"]
@@ -64,30 +68,25 @@ def _load_legacy(path: str):
     """``load_trace`` with storage-layer diagnostics: a corrupt
     ``.trace.json.gz`` (bad gzip stream, cut file, malformed JSON)
     surfaces as :class:`StoreFormatError` with the path, like a corrupt
-    binary segment -- so the strict/skip machinery treats both formats
-    uniformly."""
+    segment, so ``repro convert`` exits 2 on it."""
     try:
         return load_trace(path)
     except FileNotFoundError:
         raise
     except (OSError, EOFError, KeyError, TypeError, ValueError) as error:
         raise StoreFormatError(
-            f"{path}: unreadable legacy trace: {error}"
+            f"{path}: unreadable gzip-JSON trace: {error}"
         ) from None
 
 
 @dataclass(frozen=True)
 class RunInfo:
-    """Cheap per-run metadata (``repro store-info``).
-
-    Binary runs decode only their fixed-size header; legacy gzip-JSON
-    runs must load fully (the loaded reader is cached on the store
-    handle).  ``format_version`` is ``None`` for legacy JSON runs.
-    """
+    """Cheap per-run metadata (``repro store-info``), from the segment
+    header (:meth:`TraceStore.run_info`)."""
 
     run_id: str
     path: str
-    format_version: Optional[int]
+    format_version: int
     size_bytes: int
     ros_events: int
     sched_events: int
@@ -104,7 +103,7 @@ class RunInfo:
 
 
 class TraceStore:
-    """Directory of stored runs (binary segments + legacy JSON)."""
+    """Directory of stored runs, one segment each."""
 
     def __init__(
         self,
@@ -125,25 +124,19 @@ class TraceStore:
                 f"*{SEGMENT_SUFFIX} or *{TRACE_SUFFIX} runs "
                 "(pass allow_empty=True to open it anyway)"
             )
-        #: run id -> loaded legacy reader.  Legacy gzip-JSON runs decode
-        #: fully on every open, so a pass that opens the runs (run
-        #: infos, the readers a synthesis validates) followed by one
-        #: that opens them again would load each legacy trace twice;
-        #: binary segments stay uncached (their opens are cheap).
-        self._legacy_readers: Dict[str, InMemorySegment] = {}
 
     def __reduce__(self):
         """Pickle as a re-open of the same directory with the same
-        ``strict`` flag and ``cache_dir``: a worker process gets a fresh
-        handle, never this one's loaded legacy readers."""
+        ``strict`` flag and ``cache_dir``: a worker process lists the
+        directory afresh."""
         return (
             type(self), (self.directory, True, self.strict, self.cache_dir)
         )
 
     def _scan(self) -> Dict[str, str]:
-        """Map run id -> file name from one directory listing.  Only the
-        two store suffixes participate, so writers' in-flight staging
-        files (``*.tmp``) are invisible to every listing path."""
+        """Map run id -> file name from one directory listing.  Only
+        segments and gzip-JSON traces participate, so writers' in-flight
+        staging files (``*.tmp``) are invisible to every listing path."""
         files: Dict[str, str] = {}
         for name in sorted(os.listdir(self.directory)):
             if name.endswith(SEGMENT_SUFFIX):
@@ -151,7 +144,7 @@ class TraceStore:
             elif name.endswith(TRACE_SUFFIX):
                 run_id = name[: -len(TRACE_SUFFIX)]
                 if run_id in files:
-                    continue  # binary segment shadows the legacy copy
+                    continue  # the segment shadows its gzip-JSON original
             else:
                 continue
             files[run_id] = name
@@ -160,14 +153,9 @@ class TraceStore:
     def refresh(self) -> List[str]:
         """Re-list the directory, picking up runs another process added
         (or removed) after this handle was created; returns the newly
-        discovered run ids, sorted.  Cached legacy readers survive only
-        for runs whose backing file name is unchanged -- a converted or
-        vanished run drops its cache entry."""
+        discovered run ids, sorted."""
         files = self._scan()
         added = sorted(run_id for run_id in files if run_id not in self._files)
-        for run_id in list(self._legacy_readers):
-            if files.get(run_id) != self._files.get(run_id):
-                del self._legacy_readers[run_id]
         self._files = files
         return added
 
@@ -185,14 +173,8 @@ class TraceStore:
     def path_of(self, run_id: str) -> str:
         return os.path.join(self.directory, self._files[run_id])
 
-    def is_binary(self, run_id: str) -> bool:
-        return self._files[run_id].endswith(SEGMENT_SUFFIX)
-
-    def format_version(self, run_id: str) -> Optional[int]:
-        """The run's segment format-version byte (header peek), or
-        ``None`` for a legacy gzip-JSON run."""
-        if not self.is_binary(run_id):
-            return None
+    def format_version(self, run_id: str) -> int:
+        """The run's segment format-version byte (header peek)."""
         return peek_header(self.path_of(run_id))[0]
 
     def _skip_unreadable(self, run_id: str, error: StoreFormatError) -> None:
@@ -210,33 +192,20 @@ class TraceStore:
         body is one stream with no directory, so it is opened (and
         transcoded, as every open of it is): a cut one fails here."""
         path = self.path_of(run_id)
-        size = os.path.getsize(path)
-        if self.is_binary(run_id):
-            version, _, _, n_pids, n_ros, n_sched, n_wakeup, _, _ = peek_header(path)
-            if version < VERSION:
-                SegmentReader.open(path)
-            else:
-                peek_sections(path)
-            return RunInfo(
-                run_id=run_id,
-                path=path,
-                format_version=version,
-                size_bytes=size,
-                ros_events=n_ros,
-                sched_events=n_sched,
-                wakeup_events=n_wakeup,
-                pids=n_pids,
-            )
-        reader = self.open(run_id)
+        version, _, _, n_pids, n_ros, n_sched, n_wakeup, _, _ = peek_header(path)
+        if version < VERSION:
+            SegmentReader.open(path)
+        else:
+            peek_sections(path)
         return RunInfo(
             run_id=run_id,
             path=path,
-            format_version=None,
-            size_bytes=size,
-            ros_events=reader.num_ros_events,
-            sched_events=reader.num_sched_events,
-            wakeup_events=reader.num_wakeup_events,
-            pids=len(reader.pid_map),
+            format_version=version,
+            size_bytes=os.path.getsize(path),
+            ros_events=n_ros,
+            sched_events=n_sched,
+            wakeup_events=n_wakeup,
+            pids=n_pids,
         )
 
     def run_infos(self) -> List[RunInfo]:
@@ -284,15 +253,12 @@ class TraceStore:
         return cached
 
     def warm_cache(self) -> List[str]:
-        """Materialize every binary run into ``cache_dir`` up front;
-        returns the cache paths (``strict=False`` skips unreadable
-        runs)."""
+        """Materialize every run into ``cache_dir`` up front; returns
+        the cache paths (``strict=False`` skips unreadable runs)."""
         if self.cache_dir is None:
             raise StoreError("warm_cache() needs a store opened with cache_dir=")
         paths: List[str] = []
         for run_id in self.run_ids():
-            if not self.is_binary(run_id):
-                continue
             try:
                 paths.append(self._cached_segment(run_id, self.path_of(run_id)))
             except StoreFormatError as error:
@@ -301,38 +267,29 @@ class TraceStore:
                 self._skip_unreadable(run_id, error)
         return paths
 
-    def read(self, run_id: str) -> Optional[SegmentFile]:
-        """A binary run's segment file, read whole; None for a legacy
-        gzip-JSON run."""
-        if not self.is_binary(run_id):
-            return None
+    def read(self, run_id: str) -> SegmentFile:
+        """The run's segment file, read whole."""
         path = self.path_of(run_id)
         with open(path, "rb") as handle:
             return SegmentFile(path, handle.read())
 
-    def open(self, run_id: str, read: Optional[SegmentFile] = None):
-        """A reader for one run (lazy for binary segments; legacy JSON
-        loads eagerly -- and is cached on this handle -- behind the
-        same interface).  ``read`` is the run's :meth:`read`, when the
-        caller has it: the reader parses those bytes.  With
-        ``cache_dir`` set, binary runs open the mmap-backed uncompressed
-        cache copy instead."""
+    def open(
+        self, run_id: str, read: Optional[SegmentFile] = None
+    ) -> SegmentReader:
+        """A lazy reader for one run.  ``read`` is the run's
+        :meth:`read`, when the caller has it: the reader parses those
+        bytes.  With ``cache_dir`` set, the run opens its mmap-backed
+        uncompressed cache copy instead."""
         path = self.path_of(run_id)
-        if self.is_binary(run_id):
-            if self.cache_dir is not None:
-                return SegmentReader.open(
-                    self._cached_segment(run_id, path), use_mmap=True
-                )
-            return SegmentReader.open(path if read is None else read)
-        reader = self._legacy_readers.get(run_id)
-        if reader is None:
-            reader = InMemorySegment(_load_legacy(path), path=path)
-            self._legacy_readers[run_id] = reader
-        return reader
+        if self.cache_dir is not None:
+            return SegmentReader.open(
+                self._cached_segment(run_id, path), use_mmap=True
+            )
+        return SegmentReader.open(path if read is None else read)
 
     def open_runs(
         self, read: Optional[Mapping[str, Optional[SegmentFile]]] = None
-    ) -> Dict[str, object]:
+    ) -> Dict[str, SegmentReader]:
         """Run id -> reader for every run, in run-id order (the merge
         order) -- or for the runs of ``read``, each run's :meth:`read`,
         parsed from the bytes it holds.
@@ -343,7 +300,7 @@ class TraceStore:
         """
         if read is None:
             read = dict.fromkeys(self.run_ids())
-        opened: Dict[str, object] = {}
+        opened: Dict[str, SegmentReader] = {}
         for run_id, segment in read.items():
             try:
                 opened[run_id] = self.open(run_id, segment)
@@ -353,14 +310,14 @@ class TraceStore:
                 self._skip_unreadable(run_id, error)
         return opened
 
-    def readers(self) -> List[object]:
+    def readers(self) -> List[SegmentReader]:
         """The :meth:`open_runs` readers, in run-id order."""
         return list(self.open_runs().values())
 
     def resolve_runs(
         self,
-        opened: Optional[Dict[str, object]] = None,
-        resolve: Callable[[object], ResolvedRun] = resolve_run,
+        opened: Optional[Dict[str, SegmentReader]] = None,
+        resolve: Callable[[SegmentReader], ResolvedRun] = resolve_run,
     ) -> Dict[str, ResolvedRun]:
         """Run id -> the run's reader with its columns resolved, in
         run-id order, for the ``opened`` readers (default:
@@ -402,12 +359,12 @@ class TraceStore:
     # -- writing -----------------------------------------------------------
 
     def add_trace(self, run_id: str, trace: Trace) -> str:
-        """Write one run as a binary segment; returns the path.
+        """Write one run as a segment; returns the path.
 
-        Refuses *any* existing run id: writing a binary segment over a
-        legacy-only ``.trace.json.gz`` run would silently shadow it with
-        different content (the binary file wins name resolution), which
-        is data loss in all but name.
+        Refuses *any* existing run id: writing a segment over an
+        unconverted ``.trace.json.gz`` run would shadow it with
+        different content (the segment wins name resolution), which is
+        data loss in all but name.
         """
         if run_id in self._files:
             raise ValueError(
@@ -428,51 +385,51 @@ class TraceStore:
     def convert_legacy(
         self, remove: bool = False, upgrade: bool = False
     ) -> List[str]:
-        """Re-encode stored runs into current-format (v3) binary
-        segments (idempotent); returns the written paths.
+        """Re-encode stored runs into current-format (v3) segments
+        (idempotent); returns the written paths.  The one reader of
+        gzip-JSON traces.
 
-        By default only legacy ``.trace.json.gz`` runs convert.
-        ``upgrade=True`` additionally re-encodes binary segments older
-        than the current format -- the v1/v2 -> v3 upgrade path (current
+        By default only ``.trace.json.gz`` runs convert (one that a
+        segment of the same id shadows is already converted).
+        ``upgrade=True`` additionally re-encodes segments older than the
+        current format -- the v1/v2 -> v3 upgrade path (current
         segments are left untouched, so re-running is a no-op).
-        ``remove=True`` deletes the legacy JSON originals after
-        conversion; upgraded binary segments are rewritten in place,
-        through :func:`write_segment`'s staging file and atomic rename,
-        so an interrupted upgrade never truncates the only copy of a run.
+        ``remove=True`` deletes the gzip-JSON originals after
+        conversion.  Every segment is written through
+        :func:`write_segment`'s staging file and atomic rename, so an
+        interrupted upgrade never truncates the only copy of a run and a
+        corrupt gzip-JSON trace leaves no segment behind.
         """
         written: List[str] = []
         for run_id in self.run_ids():
-            if self.is_binary(run_id):
-                if not upgrade:
-                    continue
-                path = self.path_of(run_id)
-                if peek_header(path)[0] >= VERSION:
-                    continue
+            path = self.path_of(run_id)
+            if path.endswith(TRACE_SUFFIX):
+                trace = _load_legacy(path)
+                name = f"{run_id}{SEGMENT_SUFFIX}"
+                segment = os.path.join(self.directory, name)
+                write_segment(trace, segment)
+                self._files[run_id] = name
+                written.append(segment)
+                if remove:
+                    os.remove(path)
+            elif upgrade and peek_header(path)[0] < VERSION:
                 write_segment(self.load(run_id), path)
                 written.append(path)
-                continue
-            legacy_path = self.path_of(run_id)
-            trace = _load_legacy(legacy_path)
-            name = f"{run_id}{SEGMENT_SUFFIX}"
-            write_segment(trace, os.path.join(self.directory, name))
-            self._files[run_id] = name
-            self._legacy_readers.pop(run_id, None)
-            written.append(os.path.join(self.directory, name))
-            if remove:
-                os.remove(legacy_path)
         return written
 
 
 def convert_database(
     directory: str, remove: bool = False, upgrade: bool = False
 ) -> List[str]:
-    """Convert a legacy gzip-JSON trace directory in place (and with
-    ``upgrade=True`` also lift older binary segments to v3)."""
+    """Convert a directory's gzip-JSON traces into segments in place
+    (and with ``upgrade=True`` also lift older segments to v3)."""
     return TraceStore(directory).convert_legacy(remove=remove, upgrade=upgrade)
 
 
 def save_database_binary(database: TraceDatabase, directory: str) -> List[str]:
-    """Write every run of an in-memory database as binary segments."""
+    """Write every run of an in-memory database as segments: the one way
+    to persist a :class:`TraceDatabase` (:meth:`TraceStore.to_database`
+    or :class:`StoreDatabase` loads it back)."""
     store = TraceStore.create(directory)
     return [
         store.add_trace(run_id, database.get(run_id))

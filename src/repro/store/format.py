@@ -124,11 +124,13 @@ import zlib
 from array import array
 from typing import Iterable, List, NamedTuple, Sequence, Tuple
 
-#: File suffix of binary trace segments (next to the legacy
-#: ``.trace.json.gz`` suffix of :mod:`repro.tracing.storage`).
+#: File suffix of binary trace segments, the store's one run format.
 SEGMENT_SUFFIX = ".trace.bin"
 
 MAGIC = b"RPROSEG1"
+#: The first bytes of a gzip stream: a gzip-JSON trace
+#: (:mod:`repro.tracing.storage`), which only ``repro convert`` reads.
+GZIP_MAGIC = b"\x1f\x8b"
 #: The version the writer emits (v2 payload encoding + per-section
 #: streams).
 VERSION = 3
@@ -476,7 +478,14 @@ def unpack_header(
     n_pids, n_ros, n_sched, n_wakeup, start_ts, stop_ts).
 
     ``source`` names the bytes in diagnostics (a file path, usually).
+    A gzip-JSON trace is diagnosed as such, whatever its length: every
+    reader, header peek and ingest validation meets one here.
     """
+    if raw[:2] == GZIP_MAGIC:
+        raise StoreFormatError(
+            f"{source}: gzip-JSON trace, not a segment; "
+            "run `repro convert` on its store directory first"
+        )
     if len(raw) < HEADER.size:
         raise StoreFormatError(
             f"{source}: truncated segment: {len(raw)} bytes < "

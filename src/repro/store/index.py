@@ -3,8 +3,8 @@ from reader columns.
 
 :class:`StoreTraceIndex` is the one trace index.  Stored segments
 (:class:`~repro.store.reader.SegmentReader`) and loaded traces
-(:class:`~repro.store.reader.InMemorySegment` -- the in-memory pipeline
-and legacy gzip-JSON runs) hand it the same ``walk_fastpath`` column
+(:class:`~repro.store.reader.InMemorySegment` -- the in-memory
+pipeline's input) hand it the same ``walk_fastpath`` column
 tuple, and it builds per-PID walk columns, the cross-node association
 tables (positional: keyed by a row's position in the merged stream)
 and columnar :class:`~repro.core.exec_time.SchedIndex` buckets without

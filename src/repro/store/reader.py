@@ -44,8 +44,8 @@ many stored runs chronologically (ties keep run order, exactly like
 :meth:`repro.tracing.session.Trace.merge`), again yielding events one
 at a time.  :class:`InMemorySegment` adapts an already-loaded
 :class:`~repro.tracing.session.Trace` to the same interface, columns
-included, so the in-memory pipeline and legacy gzip-JSON runs feed the
-one trace index exactly like stored segments.
+included, so the in-memory pipeline feeds the one trace index exactly
+like stored segments.
 """
 
 from __future__ import annotations
@@ -769,7 +769,8 @@ class _PayloadShape:
 
 class InMemorySegment:
     """A loaded :class:`Trace` behind the reader interface: the in-memory
-    pipeline's input and legacy gzip-JSON runs.
+    pipeline's input.  ``path`` is always None (a diagnostic names the
+    segment generically).
 
     Every view presents the ROS and sched streams in stable timestamp
     order -- the trace contract -- sorting a copy once when the loaded
@@ -781,9 +782,9 @@ class InMemorySegment:
     trace exactly like a stored one.
     """
 
-    def __init__(self, trace: Trace, path: Optional[str] = None):
+    def __init__(self, trace: Trace):
         self._trace = trace
-        self.path = path
+        self.path = None
         self.pid_map = trace.pid_map
         self.start_ts = trace.start_ts
         self.stop_ts = trace.stop_ts

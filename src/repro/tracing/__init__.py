@@ -48,7 +48,7 @@ from .overhead import (
 )
 from .probes import InitProbes, ROS2_PIDS_MAP, RuntimeProbes, SRCTS_STASH_MAP
 from .session import Trace, TraceDatabase, TraceSegment, TracingSession
-from .storage import TRACE_SUFFIX, load_database, load_trace, save_database, save_trace
+from .storage import TRACE_SUFFIX, load_trace, save_trace
 from .symbols import ProbeContext, Symbol, SymbolLookupError, SymbolTable
 from .tracers import KernelTracer, Ros2InitTracer, Ros2RtTracer
 
@@ -94,9 +94,7 @@ __all__ = [
     "Trace",
     "TraceDatabase",
     "TRACE_SUFFIX",
-    "load_database",
     "load_trace",
-    "save_database",
     "save_trace",
     "TraceSegment",
     "TracingSession",

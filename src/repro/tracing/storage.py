@@ -1,23 +1,21 @@
-"""On-disk trace storage (the Fig. 2 "database server").
+"""The gzip-JSON trace format: one ``Trace.to_dict`` document per file.
 
-Traces are written as gzip-compressed JSON, one file per run, under a
-directory.  The format round-trips losslessly through
-``Trace.to_dict`` / ``Trace.from_dict``, so stored traces from one
-session can be re-analysed later (or by another machine) without
-re-running the applications -- the workflow the paper's segmented
-multi-session collection targets.
+This is an import format.  A trace store keeps its runs as binary
+segments (:mod:`repro.store`), and ``repro convert``
+(``TraceStore.convert_legacy``) is the one reader of gzip-JSON traces
+left in a store directory.  The format round-trips losslessly through
+``Trace.to_dict`` / ``Trace.from_dict``; the decode-throughput
+comparison of ``repro perf`` still writes and reads it.
 """
 
 from __future__ import annotations
 
 import gzip
 import json
-import os
-from typing import List
 
-from .session import Trace, TraceDatabase
+from .session import Trace
 
-#: File suffix of stored traces.
+#: File suffix of gzip-JSON traces.
 TRACE_SUFFIX = ".trace.json.gz"
 
 
@@ -31,49 +29,3 @@ def load_trace(path: str) -> Trace:
     """Read one trace back."""
     with gzip.open(path, "rt", encoding="utf-8") as handle:
         return Trace.from_dict(json.load(handle))
-
-
-def save_database(database: TraceDatabase, directory: str) -> List[str]:
-    """Write every run of a database into ``directory``.
-
-    Returns the written file paths.  Existing files for the same run ids
-    are overwritten; unrelated files are left alone.
-    """
-    os.makedirs(directory, exist_ok=True)
-    paths = []
-    for run_id in database.run_ids():
-        path = os.path.join(directory, f"{run_id}{TRACE_SUFFIX}")
-        save_trace(database.get(run_id), path)
-        paths.append(path)
-    return paths
-
-
-def load_database(directory: str, allow_empty: bool = False) -> TraceDatabase:
-    """Rebuild a database from every stored trace in ``directory``.
-
-    A directory without a single ``*.trace.json.gz`` file raises (an
-    empty database silently swallowing a mistyped path hid real data
-    loss); pass ``allow_empty=True`` when an empty result is expected.
-    """
-    database = TraceDatabase()
-    if not os.path.isdir(directory):
-        raise FileNotFoundError(f"no such trace directory: {directory!r}")
-    names = sorted(os.listdir(directory))
-    for name in names:
-        if not name.endswith(TRACE_SUFFIX):
-            continue
-        run_id = name[: -len(TRACE_SUFFIX)]
-        database.add(run_id, load_trace(os.path.join(directory, name)))
-    if not len(database) and not allow_empty:
-        binary = [n for n in names if n.endswith(".trace.bin")]
-        hint = (
-            f" (found {len(binary)} binary .trace.bin segment(s): "
-            "open them with repro.store.TraceStore)"
-            if binary
-            else ""
-        )
-        raise ValueError(
-            f"no *{TRACE_SUFFIX} traces in {directory!r}{hint}; "
-            "pass allow_empty=True if an empty database is expected"
-        )
-    return database

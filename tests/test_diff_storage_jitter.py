@@ -20,7 +20,8 @@ from repro.core import (
 )
 from repro.experiments import RunConfig, collect_database, run_many, run_once
 from repro.sim import MSEC, SEC
-from repro.tracing import load_database, load_trace, save_database, save_trace
+from repro.store import TraceStore, save_database_binary
+from repro.tracing import load_trace, save_trace
 
 
 def vertex(key, exec_times=(), start_times=(), response_times=(), **kwargs):
@@ -209,9 +210,9 @@ class TestStorage:
     def test_database_round_trip(self, tmp_path):
         database, results = self.make_database()
         directory = str(tmp_path / "traces")
-        paths = save_database(database, directory)
+        paths = save_database_binary(database, directory)
         assert len(paths) == 2
-        clone = load_database(directory)
+        clone = TraceStore(directory).to_database()
         assert clone.run_ids() == database.run_ids()
         # Re-synthesis from the stored traces gives the same model.
         pids = results[0].apps.pids
@@ -221,14 +222,14 @@ class TestStorage:
 
     def test_load_missing_directory(self):
         with pytest.raises(FileNotFoundError):
-            load_database("/nonexistent/trace/dir")
+            TraceStore("/nonexistent/trace/dir")
 
     def test_unrelated_files_ignored(self, tmp_path):
         database, _ = self.make_database()
         directory = str(tmp_path / "traces")
-        save_database(database, directory)
+        save_database_binary(database, directory)
         (tmp_path / "traces" / "README.txt").write_text("not a trace")
-        assert len(load_database(directory)) == 2
+        assert len(TraceStore(directory).to_database()) == 2
 
 
 class TestJitter:

@@ -33,7 +33,7 @@ from repro.experiments import (
     run_many,
 )
 from repro.sim import SEC
-from repro.tracing import load_database, save_database
+from repro.store import TraceStore, save_database_binary
 
 
 @pytest.fixture(scope="module")
@@ -79,8 +79,8 @@ class TestFullPipeline:
 
     def test_database_storage_and_reanalysis(self, full_runs, tmp_path):
         database = collect_database(full_runs)
-        save_database(database, str(tmp_path / "db"))
-        restored = load_database(str(tmp_path / "db"))
+        save_database_binary(database, str(tmp_path / "db"))
+        restored = TraceStore(str(tmp_path / "db")).to_database()
         assert len(restored) == 3
         avp = full_runs[0].apps[0]
         dag = synthesize_from_trace(restored.get("run000"), pids=avp.pids)

@@ -90,7 +90,6 @@ from repro.tracing.events import (
     TraceEvent,
 )
 from repro.tracing.session import Trace
-from repro.tracing.storage import TRACE_SUFFIX, save_trace
 
 DURATION_NS = int(1.0 * SEC)
 RUNS = 3
@@ -136,18 +135,18 @@ def sources(tmp_path_factory):
     return result
 
 
-def _deliver(source_dir, target_dir, run_id, suffix=SEGMENT_SUFFIX):
+def _deliver(source_dir, target_dir, run_id):
     """One segment 'arrives': its file appears in the target store."""
-    name = run_id + suffix
+    name = run_id + SEGMENT_SUFFIX
     shutil.copy(os.path.join(source_dir, name), os.path.join(target_dir, name))
 
 
-def _batch_over(source_dir, run_ids, directory, suffix=SEGMENT_SUFFIX):
+def _batch_over(source_dir, run_ids, directory):
     """Batch synthesis over a fresh store holding ``run_ids`` of
     ``source_dir`` -- the reference a live model is pinned to."""
     os.makedirs(directory)
     for run_id in run_ids:
-        _deliver(source_dir, directory, run_id, suffix)
+        _deliver(source_dir, directory, run_id)
     return synthesize_from_store(TraceStore(directory), jobs=1)
 
 
@@ -533,10 +532,11 @@ def _handbuilt_run(
     )
 
 
-#: Binary segments and legacy gzip-JSON runs (loaded traces behind
-#: ``InMemorySegment``), by file suffix.
-RUN_FORMATS = pytest.mark.parametrize(
-    "suffix", [SEGMENT_SUFFIX, TRACE_SUFFIX], ids=["binary", "json"]
+#: The readers an index is built over: the stored segments, or the
+#: loaded traces behind ``InMemorySegment`` (the in-memory pipeline's
+#: column producer).
+RUN_READERS = pytest.mark.parametrize(
+    "in_memory", [False, True], ids=["binary", "memory"]
 )
 
 
@@ -556,30 +556,29 @@ class TestRunBoundaryCarries:
     earlier run must not, and concatenation must pair it."""
 
     @staticmethod
-    def _store(directory, traces, suffix=SEGMENT_SUFFIX):
-        """Binary runs (``SEGMENT_SUFFIX``) or legacy gzip-JSON runs
-        (``TRACE_SUFFIX``, read through ``InMemorySegment``)."""
+    def _store(directory, traces):
         store = TraceStore.create(directory)
         for number, trace in enumerate(traces):
-            run_id = f"run{number:03d}"
-            if suffix == SEGMENT_SUFFIX:
-                store.add_trace(run_id, trace)
-            else:
-                save_trace(trace, os.path.join(directory, run_id + suffix))
+            store.add_trace(f"run{number:03d}", trace)
         return TraceStore(directory)
 
-    @RUN_FORMATS
-    def test_evicted_setter_no_longer_feeds_writer_cb(self, tmp_path, suffix):
+    @staticmethod
+    def _readers(store, traces, in_memory):
+        """The runs' readers: the store's segments, or ``traces``
+        behind ``InMemorySegment``."""
+        if in_memory:
+            return [InMemorySegment(trace) for trace in traces]
+        return [store.open(run_id) for run_id in store.run_ids()]
+
+    @RUN_READERS
+    def test_evicted_setter_no_longer_feeds_writer_cb(self, tmp_path, in_memory):
         """run001's first PID-1 write precedes every PID-1 setter of
         run001, so it reads run000's cbA in a build over both runs, and
         None in one without run000 -- the build a one-run window's
         model equals once run000 is evicted."""
-        store = self._store(
-            str(tmp_path / "source"),
-            [_handbuilt_run(0), _handbuilt_run(1000, leading_write=True)],
-            suffix,
-        )
-        first, second = store.open("run000"), store.open("run001")
+        traces = [_handbuilt_run(0), _handbuilt_run(1000, leading_write=True)]
+        store = self._store(str(tmp_path / "source"), traces)
+        first, second = self._readers(store, traces, in_memory)
         carried = _run_starts([first, second])[1]
         assert StoreTraceIndex([first, second]).writer_cb[carried] == "cbA"
         assert StoreTraceIndex([second]).writer_cb[0] is None
@@ -590,34 +589,31 @@ class TestRunBoundaryCarries:
             TraceStore.create(target), retain_window=1, counters=counters
         )
         for run_id in ["run000", "run001"]:
-            _deliver(store.directory, target, run_id, suffix)
+            _deliver(store.directory, target, run_id)
             live.refresh()
         reference = str(tmp_path / "reference")
         os.makedirs(reference)
-        _deliver(store.directory, reference, "run001", suffix)
+        _deliver(store.directory, reference, "run001")
         batch = synthesize_from_store(TraceStore(reference), jobs=1)
         assert _signature(live.model()) == _signature(batch)
         assert counters.rebuilds == 0
 
-    @RUN_FORMATS
-    def test_carry_skips_runs_without_a_setter(self, tmp_path, suffix):
+    @RUN_READERS
+    def test_carry_skips_runs_without_a_setter(self, tmp_path, in_memory):
         """run001 writes with no PID-1 setter at all, run002 and run003
         write before their first setter.  Without run000, the writes of
         run001 and run002 read None (their value came from run000) but
         run003's still reads cbA (it came from run002); a live window
         of the last three runs shares PID 1, so its model is the batch
         synthesis of those runs."""
-        store = self._store(
-            str(tmp_path / "source"),
-            [
-                _handbuilt_run(0),
-                _handbuilt_run(1000, timer=False, leading_write=True),
-                _handbuilt_run(2000, leading_write=True),
-                _handbuilt_run(3000, leading_write=True),
-            ],
-            suffix,
-        )
-        readers = [store.open(run_id) for run_id in store.run_ids()]
+        traces = [
+            _handbuilt_run(0),
+            _handbuilt_run(1000, timer=False, leading_write=True),
+            _handbuilt_run(2000, leading_write=True),
+            _handbuilt_run(3000, leading_write=True),
+        ]
+        store = self._store(str(tmp_path / "source"), traces)
+        readers = self._readers(store, traces, in_memory)
         index = StoreTraceIndex(readers)
         assert [index.writer_cb[start] for start in _run_starts(readers)[1:]] == [
             "cbA", "cbA", "cbA",
@@ -630,26 +626,24 @@ class TestRunBoundaryCarries:
         target = str(tmp_path / "target")
         live = LiveSynthesizer(TraceStore.create(target), retain_window=3)
         for run_id in store.run_ids():
-            _deliver(store.directory, target, run_id, suffix)
+            _deliver(store.directory, target, run_id)
             live.refresh()
         batch = _batch_over(
-            store.directory, store.run_ids()[1:], str(tmp_path / "reference"),
-            suffix,
+            store.directory, store.run_ids()[1:], str(tmp_path / "reference")
         )
         assert _signature(live.model()) == _signature(batch)
         assert live.counters.rebuilds == 1
 
-    @RUN_FORMATS
-    def test_setter_without_a_cb_start_is_not_a_carry(self, tmp_path, suffix):
+    @RUN_READERS
+    def test_setter_without_a_cb_start_is_not_a_carry(self, tmp_path, in_memory):
         """run001's first PID-1 setter is a timer call with no callback
         start before it: the write after it reads run001's own cbB, with
         or without run000 before it."""
-        store = self._store(
-            str(tmp_path / "source"),
-            [_handbuilt_run(0), _handbuilt_run(1000, timer=False, leading_call=True)],
-            suffix,
-        )
-        readers = [store.open(run_id) for run_id in store.run_ids()]
+        traces = [
+            _handbuilt_run(0), _handbuilt_run(1000, timer=False, leading_call=True),
+        ]
+        store = self._store(str(tmp_path / "source"), traces)
+        readers = self._readers(store, traces, in_memory)
         write = _run_starts(readers)[1] + 1
         assert StoreTraceIndex(readers).writer_cb[write] == "cbB"
         assert StoreTraceIndex(readers[1:]).writer_cb[1] == "cbB"

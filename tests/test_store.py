@@ -1,4 +1,4 @@
-"""The binary trace store: format round trips, mixed directories,
+"""The binary trace store: format round trips, gzip-JSON import,
 spooled recording, and the storage-layer error satellite."""
 
 import gzip
@@ -35,7 +35,7 @@ from repro.store import (
 )
 from repro.tracing.events import TraceEvent
 from repro.tracing.session import Trace, TraceDatabase
-from repro.tracing.storage import TRACE_SUFFIX, load_database, save_database, save_trace
+from repro.tracing.storage import TRACE_SUFFIX, save_trace
 
 DURATION_NS = int(1.0 * SEC)
 
@@ -213,24 +213,33 @@ class TestPropertyRoundTrip:
 
 
 # ---------------------------------------------------------------------------
-# Store directories: mixed formats, conversion, store-backed database
+# Store directories: gzip-JSON import, conversion, store-backed database
 # ---------------------------------------------------------------------------
 
 
 class TestTraceStore:
     def test_mixed_directory_loads_both_formats(self, sample_traces, tmp_path):
+        """A gzip-JSON run is listed but never loaded: reads diagnose it
+        until ``convert_legacy`` imports it, then both runs load."""
         directory = str(tmp_path / "mixed")
         os.makedirs(directory)
         legacy = sample_traces["syn"]
         binary = sample_traces["sensor-fusion"]
-        save_trace(legacy, os.path.join(directory, f"legacy{TRACE_SUFFIX}"))
+        legacy_path = os.path.join(directory, f"legacy{TRACE_SUFFIX}")
+        save_trace(legacy, legacy_path)
         write_segment(binary, os.path.join(directory, f"binary{SEGMENT_SUFFIX}"))
         store = TraceStore(directory)
         assert store.run_ids() == ["binary", "legacy"]
-        assert not store.is_binary("legacy")
-        assert store.is_binary("binary")
-        assert store.load("legacy").to_dict() == legacy.to_dict()
+        for read in (store.load, store.format_version, store.run_info):
+            with pytest.raises(StoreFormatError, match="repro convert") as excinfo:
+                read("legacy")
+            assert legacy_path in str(excinfo.value)
         assert store.load("binary").to_dict() == binary.to_dict()
+        assert store.convert_legacy() == [
+            os.path.join(directory, f"legacy{SEGMENT_SUFFIX}")
+        ]
+        assert [store.format_version(r) for r in store.run_ids()] == [3, 3]
+        assert store.load("legacy").to_dict() == legacy.to_dict()
         merged = store.merged_trace()
         assert merged.to_dict() == Trace.merge([binary, legacy]).to_dict()
 
@@ -244,8 +253,9 @@ class TestTraceStore:
         )
         store = TraceStore(directory)
         assert store.run_ids() == ["r"]
-        assert store.is_binary("r")
+        assert store.path_of("r").endswith(SEGMENT_SUFFIX)
         assert store.load("r").to_dict() == sample_traces["sensor-fusion"].to_dict()
+        assert store.convert_legacy() == []  # the leftover is not re-imported
 
     def test_empty_store_raises_unless_allowed(self, tmp_path):
         directory = str(tmp_path / "empty")
@@ -261,11 +271,16 @@ class TestTraceStore:
         database = TraceDatabase()
         database.add("run000", sample_traces["syn"])
         database.add("run001", sample_traces["sensor-fusion"])
-        save_database(database, directory)
+        os.makedirs(directory)
+        for run_id in database.run_ids():
+            save_trace(
+                database.get(run_id),
+                os.path.join(directory, f"{run_id}{TRACE_SUFFIX}"),
+            )
         written = convert_database(directory)
         assert len(written) == 2
         store = TraceStore(directory)
-        assert all(store.is_binary(r) for r in store.run_ids())
+        assert all(store.format_version(r) == 3 for r in store.run_ids())
         assert store.convert_legacy() == []  # nothing left to convert
         for run_id in database.run_ids():
             assert store.load(run_id).to_dict() == database.get(run_id).to_dict()
@@ -400,44 +415,6 @@ class TestSpooledRecording:
 
 
 # ---------------------------------------------------------------------------
-# Satellite: storage.load_database must not silently return empty
-# ---------------------------------------------------------------------------
-
-
-class TestLoadDatabaseEmptySatellite:
-    def test_empty_directory_raises(self, tmp_path):
-        directory = str(tmp_path / "db")
-        os.makedirs(directory)
-        with pytest.raises(ValueError, match="no .*traces"):
-            load_database(directory)
-
-    def test_allow_empty_escape_hatch(self, tmp_path):
-        directory = str(tmp_path / "db")
-        os.makedirs(directory)
-        assert len(load_database(directory, allow_empty=True)) == 0
-
-    def test_error_hints_at_binary_store(self, sample_traces, tmp_path):
-        directory = str(tmp_path / "db")
-        os.makedirs(directory)
-        write_segment(
-            sample_traces["syn"], os.path.join(directory, f"r{SEGMENT_SUFFIX}")
-        )
-        with pytest.raises(ValueError, match="TraceStore"):
-            load_database(directory)
-
-    def test_missing_directory_still_filenotfound(self):
-        with pytest.raises(FileNotFoundError):
-            load_database("/nonexistent/trace/dir")
-
-    def test_populated_directory_unchanged(self, sample_traces, tmp_path):
-        directory = str(tmp_path / "db")
-        database = TraceDatabase()
-        database.add("run000", sample_traces["syn"])
-        save_database(database, directory)
-        assert len(load_database(directory)) == 1
-
-
-# ---------------------------------------------------------------------------
 # Run-shadowing satellites: add_trace / record overwrite protection
 # ---------------------------------------------------------------------------
 
@@ -450,15 +427,16 @@ class TestRunShadowing:
             store.add_trace("run000", sample_traces["sensor-fusion"])
 
     def test_add_trace_refuses_legacy_only_run(self, sample_traces, tmp_path):
-        """A binary add over a legacy-only run would silently shadow the
-        JSON content (binary wins name resolution) -- it must raise."""
+        """An add over an unconverted gzip-JSON run would shadow its
+        content (the segment wins name resolution) -- it must raise."""
         save_trace(sample_traces["syn"], str(tmp_path / f"run000{TRACE_SUFFIX}"))
         store = TraceStore(str(tmp_path))
         with pytest.raises(ValueError, match="run000.*already stored"):
             store.add_trace("run000", sample_traces["sensor-fusion"])
-        # The legacy content is untouched and still resolves.
-        assert store.load("run000").to_dict() == sample_traces["syn"].to_dict()
         assert not (tmp_path / f"run000{SEGMENT_SUFFIX}").exists()
+        # The gzip-JSON content is untouched: it converts to itself.
+        store.convert_legacy()
+        assert store.load("run000").to_dict() == sample_traces["syn"].to_dict()
 
     def test_record_batch_refuses_existing_runs(self, tmp_path):
         directory = str(tmp_path / "store")
@@ -502,36 +480,3 @@ class TestRunShadowing:
             config=BatchConfig(duration_ns=DURATION_NS),
         )
         assert TraceStore(directory).run_ids() == ["run000", "run999"]
-
-
-class TestLegacyReaderCache:
-    def test_legacy_open_is_cached_per_handle(self, sample_traces, tmp_path):
-        save_trace(sample_traces["syn"], str(tmp_path / f"run000{TRACE_SUFFIX}"))
-        store = TraceStore(str(tmp_path))
-        assert store.open("run000") is store.open("run000")
-
-    def test_union_pid_map_reuses_cached_legacy_reader(self, sample_traces, tmp_path):
-        save_trace(sample_traces["syn"], str(tmp_path / f"run000{TRACE_SUFFIX}"))
-        write_segment(
-            sample_traces["sensor-fusion"],
-            str(tmp_path / f"run001{SEGMENT_SUFFIX}"),
-        )
-        store = TraceStore(str(tmp_path))
-        union = {}
-        for reader in store.readers():
-            union.update(reader.pid_map)
-        expected = dict(sample_traces["syn"].pid_map)
-        expected.update(sample_traces["sensor-fusion"].pid_map)
-        assert union == expected
-        # The pass over the readers loaded the legacy run; later opens
-        # reuse that instance instead of re-decoding the JSON.
-        assert store.readers()[0] is store.open("run000")
-
-    def test_convert_legacy_drops_cached_reader(self, sample_traces, tmp_path):
-        save_trace(sample_traces["syn"], str(tmp_path / f"run000{TRACE_SUFFIX}"))
-        store = TraceStore(str(tmp_path))
-        cached = store.open("run000")
-        store.convert_legacy()
-        reader = store.open("run000")
-        assert reader is not cached
-        assert isinstance(reader, SegmentReader)

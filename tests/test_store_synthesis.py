@@ -31,6 +31,7 @@ from repro.analysis.store import StoreAnalysis
 from repro.store import (
     SEGMENT_SUFFIX,
     SegmentReader,
+    StoreFormatError,
     TraceStore,
     record_batch,
     synthesize_from_store,
@@ -261,10 +262,12 @@ class TestColumnarWalkEquivalence:
         assert dag_to_json(actual) == dag_to_json(expected)
 
     def test_mixed_binary_and_legacy_store_sharded(self, tmp_path):
-        """Synthesis over a mixed store matches the in-memory pipeline
-        under both strategies, ``merge_dags`` sharded by run at every
-        jobs value.  Trailing 0-row and 1-row segments (v1 and v3) ride
-        the time-ordered column consumer at its smallest sizes."""
+        """A store with a gzip-JSON run fails to synthesize until
+        ``convert_legacy`` imports it; then synthesis over its v3 and
+        v1 segments matches the in-memory pipeline under both
+        strategies, ``merge_dags`` sharded by run at every jobs value.
+        Trailing 0-row and 1-row segments (v1 and v3) ride the
+        time-ordered column consumer at its smallest sizes."""
         from repro.sim.scheduler import SchedSwitch
         from repro.tracing.events import P16_DDS_WRITE, TraceEvent
         from repro.tracing.storage import TRACE_SUFFIX, save_trace
@@ -277,9 +280,10 @@ class TestColumnarWalkEquivalence:
         )
         store = TraceStore(store_dir)
         traces = [store.load(run_id) for run_id in store.run_ids()]
-        # Demote run001 to legacy-only gzip-JSON.
+        # Demote run001 to an unconverted gzip-JSON trace.
         os.remove(store.path_of("run001"))
-        save_trace(traces[1], os.path.join(store_dir, f"run001{TRACE_SUFFIX}"))
+        legacy_path = os.path.join(store_dir, f"run001{TRACE_SUFFIX}")
+        save_trace(traces[1], legacy_path)
         # Append an eventless and a one-event run per format version.
         pid, name = sorted(traces[-1].pid_map.items())[0]
         ts = traces[-1].stop_ts
@@ -310,9 +314,12 @@ class TestColumnarWalkEquivalence:
                 )
                 traces.append(trace)
         mixed = TraceStore(store_dir)
-        assert not mixed.is_binary("run001")
-        assert [mixed.format_version(r) for r in mixed.run_ids()[3:]] == [
-            1, 1, 3, 3,
+        with pytest.raises(StoreFormatError, match="repro convert") as excinfo:
+            synthesize_from_store(mixed)
+        assert legacy_path in str(excinfo.value)
+        assert mixed.convert_legacy(remove=True) == [mixed.path_of("run001")]
+        assert [mixed.format_version(r) for r in mixed.run_ids()] == [
+            3, 3, 3, 1, 1, 3, 3,
         ]
         _assert_same_model(
             synthesize_from_store(mixed),

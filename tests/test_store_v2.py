@@ -207,8 +207,10 @@ class TestUpgradePath:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_mixed_v1_v2_legacy_store_synthesis(self, fusion_traces, tmp_path, jobs):
-        """One run per format in one directory: v1 segment, v2 segment,
-        legacy gzip-JSON -- synthesis stays byte-identical to the
+        """A v1 segment, a v2 segment and a gzip-JSON trace in one
+        directory: synthesis fails on the gzip-JSON run until
+        ``convert_legacy`` imports it, and then, with the v1 and v2
+        segments left as they are, stays byte-identical to the
         in-memory pipeline, ``merge_traces`` in one process and
         ``merge_dags`` at any jobs value."""
         directory = str(tmp_path / "mixed")
@@ -219,11 +221,14 @@ class TestUpgradePath:
         write_as(
             fusion_traces[1], os.path.join(directory, f"run001{SEGMENT_SUFFIX}"), 2
         )
-        save_trace(
-            fusion_traces[2], os.path.join(directory, f"run002{TRACE_SUFFIX}")
-        )
+        legacy_path = os.path.join(directory, f"run002{TRACE_SUFFIX}")
+        save_trace(fusion_traces[2], legacy_path)
         store = TraceStore(directory)
-        assert [store.format_version(r) for r in store.run_ids()] == [1, 2, None]
+        with pytest.raises(StoreFormatError, match="repro convert") as excinfo:
+            synthesize_from_store(store, jobs=jobs, strategy=STRATEGY_MERGE_DAGS)
+        assert legacy_path in str(excinfo.value)
+        store.convert_legacy()
+        assert [store.format_version(r) for r in store.run_ids()] == [1, 2, 3]
         expected = synthesize_from_trace(Trace.merge(fusion_traces))
         actual = synthesize_from_store(store)
         assert dag_to_json(actual) == dag_to_json(expected)
@@ -417,15 +422,28 @@ class TestFormatErrorDiagnostics:
                 )
             assert dag_to_json(per_run) == expected, jobs
 
-    def test_corrupt_legacy_json_is_a_format_error(self, syn_trace, tmp_path):
-        """Corrupt .trace.json.gz runs diagnose like corrupt segments:
-        StoreFormatError with the path, skippable under strict=False."""
+    def test_corrupt_legacy_json_is_a_format_error(
+        self, syn_trace, tmp_path, capsys
+    ):
+        """A corrupt .trace.json.gz (a bad gzip stream, a cut one) makes
+        ``repro convert`` exit 2 naming it and write no segment; reads
+        diagnose it like any gzip-JSON run: StoreFormatError with the
+        path, skippable under strict=False."""
         directory = str(tmp_path / "s")
         os.makedirs(directory)
         write_segment(syn_trace, os.path.join(directory, f"good{SEGMENT_SUFFIX}"))
         bad_path = os.path.join(directory, f"bad{TRACE_SUFFIX}")
-        with open(bad_path, "wb") as handle:
-            handle.write(b"\x1f\x8b-not-really-gzip")
+        save_trace(syn_trace, bad_path)
+        with open(bad_path, "rb") as handle:
+            whole = handle.read()
+        for corrupt in (b"\x1f\x8b-not-really-gzip", whole[: len(whole) // 2]):
+            with open(bad_path, "wb") as handle:
+                handle.write(corrupt)
+            assert main(["convert", directory]) == 2
+            assert bad_path in capsys.readouterr().err
+            assert sorted(os.listdir(directory)) == [
+                f"bad{TRACE_SUFFIX}", f"good{SEGMENT_SUFFIX}",
+            ]
         with pytest.raises(StoreFormatError) as excinfo:
             TraceStore(directory).readers()
         assert bad_path in str(excinfo.value)
@@ -494,14 +512,14 @@ class TestStoreInfoCli:
         write_as(
             fusion_traces[1], os.path.join(directory, f"run001{SEGMENT_SUFFIX}"), 2
         )
-        save_trace(
-            fusion_traces[2], os.path.join(directory, f"run002{TRACE_SUFFIX}")
+        write_segment(
+            fusion_traces[2], os.path.join(directory, f"run002{SEGMENT_SUFFIX}")
         )
         assert main(["store-info", directory]) == 0
         out = capsys.readouterr().out
         assert "3 run(s)" in out
-        assert " v1 " in out and " v2 " in out and " json " in out
-        assert "B/event" in out and "formats: json, v1, v2" in out
+        assert " v1 " in out and " v2 " in out and " v3 " in out
+        assert "B/event" in out and "formats: v1, v2, v3" in out
 
     def test_missing_directory_exits_2(self, capsys):
         assert main(["store-info", "/nonexistent/store"]) == 2

@@ -17,9 +17,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.cli import main
-from repro.core import dag_from_runs, dag_to_json, synthesize_from_trace, to_dot
+from repro.core import (
+    dag_from_runs,
+    dag_to_json,
+    format_exec_table,
+    synthesize_from_trace,
+    to_dot,
+)
 from repro.core.index import payload_fields
-from repro.core.pipeline import STRATEGY_MERGE_DAGS
+from repro.core.pipeline import STRATEGY_MERGE_DAGS, STRATEGY_MERGE_TRACES
 from repro.experiments.runner import RunConfig, run_once
 from repro.scenarios import build_scenario_spec
 from repro.sim.kernel import SEC
@@ -268,11 +274,16 @@ class TestUpgradeToV3:
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_mixed_v1_v2_v3_legacy_store_synthesis(
-        self, fusion_traces, tmp_path, jobs
+        self, fusion_traces, tmp_path, capsys, jobs
     ):
-        """One run per format in one directory -- synthesis stays
-        byte-identical to the in-memory pipeline, ``merge_traces`` in
-        one process and ``merge_dags`` at any jobs value."""
+        """One run per format in one directory: v1, v2 and v3 segments
+        and a gzip-JSON trace.  ``repro convert --upgrade --remove``
+        makes it the all-v3 store, file for file, so the DAG JSON, DOT
+        and exec table equal the all-v3 store's and the in-memory
+        pipeline's, ``merge_traces`` in one process and ``merge_dags``
+        at any jobs value.  A second conversion is a no-op, and a
+        gzip-JSON leftover beside its segment is neither listed twice
+        nor converted again."""
         directory = str(tmp_path / "mixed")
         os.makedirs(directory)
         for index, version in enumerate((1, 2, 3)):
@@ -281,19 +292,41 @@ class TestUpgradeToV3:
                 os.path.join(directory, f"run{index:03d}{SEGMENT_SUFFIX}"),
                 version,
             )
-        save_trace(
-            fusion_traces[3], os.path.join(directory, f"run003{TRACE_SUFFIX}")
-        )
+        legacy_path = os.path.join(directory, f"run003{TRACE_SUFFIX}")
+        save_trace(fusion_traces[3], legacy_path)
+        binary = TraceStore.create(str(tmp_path / "binary"))
+        for index, trace in enumerate(fusion_traces):
+            binary.add_trace(f"run{index:03d}", trace)
+
+        assert main(["convert", directory, "--upgrade", "--remove"]) == 0
+        assert "3 run(s) -> format v3" in capsys.readouterr().out
+        assert sorted(os.listdir(directory)) == sorted(os.listdir(binary.directory))
         store = TraceStore(directory)
-        assert [store.format_version(r) for r in store.run_ids()] == [1, 2, 3, None]
-        expected = synthesize_from_trace(Trace.merge(fusion_traces))
-        actual = synthesize_from_store(store)
-        assert dag_to_json(actual) == dag_to_json(expected)
-        assert to_dot(actual) == to_dot(expected)
-        expected = dag_from_runs(fusion_traces)
-        actual = synthesize_from_store(store, jobs=jobs, strategy=STRATEGY_MERGE_DAGS)
-        assert dag_to_json(actual) == dag_to_json(expected)
-        assert to_dot(actual) == to_dot(expected)
+        for run_id in store.run_ids():
+            assert store.read(run_id).data == binary.read(run_id).data, run_id
+
+        def signature(dag):
+            return dag_to_json(dag), to_dot(dag), format_exec_table(dag)
+
+        for strategy, n_jobs, expected in (
+            (STRATEGY_MERGE_TRACES, 1, synthesize_from_trace(Trace.merge(fusion_traces))),
+            (STRATEGY_MERGE_DAGS, jobs, dag_from_runs(fusion_traces)),
+        ):
+            actual = signature(
+                synthesize_from_store(store, jobs=n_jobs, strategy=strategy)
+            )
+            assert actual == signature(
+                synthesize_from_store(binary, jobs=n_jobs, strategy=strategy)
+            )
+            assert actual == signature(expected)
+
+        assert main(["convert", directory, "--upgrade", "--remove"]) == 0
+        assert "nothing to convert" in capsys.readouterr().out
+        save_trace(fusion_traces[3], legacy_path)  # a leftover original
+        assert TraceStore(directory).run_ids() == binary.run_ids()
+        assert main(["convert", directory, "--upgrade", "--remove"]) == 0
+        assert "nothing to convert" in capsys.readouterr().out
+        assert os.path.exists(legacy_path)
 
 
 # ---------------------------------------------------------------------------
@@ -1267,13 +1300,14 @@ class TestOneIndexOracle:
 
     @given(
         traces=st.lists(alg1_traces(horizon=60), min_size=2, max_size=3),
-        legacy=st.integers(min_value=0, max_value=2),
+        loaded=st.integers(min_value=0, max_value=2),
     )
     @settings(max_examples=40, deadline=None)
-    def test_overlapping_runs_merge_as_columns(self, traces, legacy):
+    def test_overlapping_runs_merge_as_columns(self, traces, loaded):
         """Runs on one clock (overlapping, tied timestamps), one of them
-        a legacy gzip-JSON run: the merged index equals the index over
-        ``Trace.merge`` of the runs."""
+        a loaded trace behind ``InMemorySegment`` among stored segments:
+        the merged index equals the index over ``Trace.merge`` of the
+        runs."""
         import tempfile
 
         anchored = [
@@ -1291,16 +1325,13 @@ class TestOneIndexOracle:
             for trace in traces
         ]
         reference = StoreTraceIndex([InMemorySegment(Trace.merge(anchored))])
+        loaded %= len(anchored)
         with tempfile.TemporaryDirectory() as directory:
             store = TraceStore.create(directory)
             for number, trace in enumerate(anchored):
-                run_id = f"run{number:03d}"
-                if number == legacy % len(anchored):
-                    save_trace(trace, os.path.join(directory, run_id + TRACE_SUFFIX))
-                else:
-                    store.add_trace(run_id, trace)
-            readers = TraceStore(directory).readers()
-            assert any(isinstance(r, InMemorySegment) for r in readers)
+                store.add_trace(f"run{number:03d}", trace)
+            readers = store.readers()
+            readers[loaded] = InMemorySegment(anchored[loaded])
             index = StoreTraceIndex(readers)
             assert _index_tables(index) == _index_tables(reference)
 
